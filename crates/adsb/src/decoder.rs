@@ -211,18 +211,8 @@ impl Decoder {
     /// first 5 bits to learn the downlink format (as dump1090 does), pick
     /// the 56- or 112-bit length accordingly, then parity-check with
     /// CRC-guided repair of up to `max_repaired_bits` low-confidence bits.
-    pub fn try_decode_at(
-        &self,
-        iq: &[Cplx],
-        idx: usize,
-        capture_start_s: f64,
-    ) -> Result<DecodedMessage, AdsbError> {
-        let mut scratch = DecodeScratch::default();
-        self.try_decode_at_with(iq, idx, capture_start_s, &mut scratch)
-    }
-
-    /// [`Decoder::try_decode_at`] using caller-owned working memory; the
-    /// allocation-free core the scan loop runs on.
+    /// Runs in caller-owned working memory; the allocation-free core the
+    /// scan loop runs on.
     pub fn try_decode_at_with(
         &self,
         iq: &[Cplx],

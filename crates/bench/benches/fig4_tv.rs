@@ -16,7 +16,7 @@ fn bench_tv(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("measure_one_channel", |b| {
         b.iter(|| {
-            black_box(probe.measure(&scenario.world, &scenario.site, &towers[0], black_box(3)))
+            black_box(probe.sweep(&scenario.world, &scenario.site, &towers[..1], black_box(3)))
         })
     });
     group.bench_function("sweep_six_channels", |b| {

@@ -20,12 +20,33 @@
 //! allocation of the new size, `dealloc` is not counted. This matches
 //! what the budget cares about: allocator round-trips on the hot path,
 //! not live-heap accounting.
+//!
+//! Every allocation is also counted on its own thread:
+//! [`AllocSnapshot::this_thread`] brackets a serial hot path without
+//! picking up what other threads allocate meanwhile (a test harness
+//! reporting on a test that just finished, for one).
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    // `const`-initialized and drop-free, so touching it from inside the
+    // allocator never allocates.
+    static THREAD: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+fn count(bytes: usize) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    let _ = THREAD.try_with(|c| {
+        let (allocs, total) = c.get();
+        c.set((allocs + 1, total + bytes as u64));
+    });
+}
 
 /// A [`GlobalAlloc`] wrapper over the system allocator that counts
 /// allocations and bytes. Zero-sized and `const`-constructible so it can
@@ -48,14 +69,12 @@ impl Default for CountingAllocator {
 // SAFETY: pure delegation to `System`; the counters are side effects.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
 
@@ -64,8 +83,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -81,12 +99,19 @@ pub struct AllocSnapshot {
 }
 
 impl AllocSnapshot {
-    /// Read the current counters.
+    /// Read the current process-wide counters.
     pub fn now() -> Self {
         Self {
             allocs: ALLOCS.load(Ordering::Relaxed),
             bytes: BYTES.load(Ordering::Relaxed),
         }
+    }
+
+    /// Read the calling thread's counters: what this thread alone has
+    /// allocated since it started.
+    pub fn this_thread() -> Self {
+        let (allocs, bytes) = THREAD.with(Cell::get);
+        Self { allocs, bytes }
     }
 }
 

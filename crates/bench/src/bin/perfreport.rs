@@ -3,15 +3,18 @@
 //!
 //! ```sh
 //! cargo run --release -p aircal-bench --bin perfreport \
-//!     [-- --quick] [--seed N] [--threads N] [--check-allocs] [--check-perf] [--check-robust] [--check-scale] [--check-recovery]
+//!     [-- --quick] [--seed N] [--threads N] [--check]
 //! ```
+//!
+//! `--check` enforces every section of `scripts/budgets.json` after the
+//! report is written and exits non-zero when any bound is missed.
 //!
 //! Sections:
 //!
 //! * **kernels** — the runtime-selected DSP dispatch arm
 //!   (`scalar`/`sse2`/`avx2`/`neon`) and per-kernel scalar-vs-dispatched
-//!   throughput with a bit-identity cross-check. `--check-perf` enforces
-//!   the simd-vs-scalar speedup floor when a vector ISA is dispatched;
+//!   throughput with a bit-identity cross-check. `--check` enforces the
+//!   simd-vs-scalar speedup floor when a vector ISA is dispatched;
 //! * **adsb_decode** — decoder throughput over a rendered capture,
 //!   Msamples/s;
 //! * **preamble_scan** — power-gated preamble correlation vs the exact
@@ -23,28 +26,28 @@
 //!   outputs; the knob trades time only). `--threads N` overrides the
 //!   clamp, so a single-core CI box can still emit the full sweep;
 //! * **geometry** — dense synthetic downtown: brute-force `path_profile`
-//!   vs the spatial index vs the index + path memo, all three bit-compared.
-//!   `--check-perf` enforces the speedup/hit-rate floors in
-//!   `scripts/perf_budget.json` (non-zero exit on regression);
+//!   vs the spatial index vs the index + path memo, all three bit-compared,
+//!   with speedup and hit-rate floors in the `perf` budget section;
 //! * **allocations** — steady-state allocator round-trips per burst on
-//!   the survey, TV-channel, and cellular hot paths: the old allocating
-//!   entry points vs the scratch (`*_with` / `*_into`) pipeline, counted
-//!   by a wrapping global allocator. `--check-allocs` enforces the
-//!   budgets in `scripts/alloc_budget.json` (non-zero exit on regression);
+//!   the survey, TV-channel, and cellular hot paths: allocating calls vs
+//!   the reused-scratch pipeline, counted by a wrapping global allocator,
+//!   with per-path ceilings in the `alloc` budget section;
 //! * **stage_latency / span_summary** — one traced calibration run:
 //!   per-stage latency histograms (fixed `aircal-obs` bucket bounds)
 //!   and aggregated span wall times for the instrumented kernels;
 //! * **robustness** — an adversarial audit campaign (6 honest nodes,
 //!   one node per adversary kind, 8 rounds): per-adversary first-anomaly
 //!   and eviction rounds plus aggregate detection rate, false-quarantine
-//!   rate, and worst-case detection latency. `--check-robust` enforces
-//!   the floors in `scripts/robustness_budget.json` (non-zero exit when
-//!   an adversary survives or an honest node is quarantined);
+//!   rate, and worst-case detection latency; the `robustness` budget
+//!   section fails the run when an adversary survives or an honest node
+//!   is quarantined;
 //! * **scale** — the discrete-event campaign engine at 100/1000/5000
 //!   nodes: events processed, wall clock, events/s, plus a cheap
 //!   parallelism-invariance cross-check (the workers=2 digest must
-//!   match the timed serial run). `--check-scale` enforces the
-//!   throughput floor in `scripts/scale_budget.json`.
+//!   match the timed serial run), with a throughput floor in the `scale`
+//!   budget section;
+//! * **recovery** — a crash-recovery drill plus a journal-replay
+//!   micro-benchmark, bounded by the `recovery` budget section.
 //!
 //! All numbers are wall-clock on whatever host runs this; `host_cores`
 //! records how much hardware parallelism was actually available.
@@ -54,7 +57,7 @@ use aircal_adsb::decoder::gated_preamble_correlation;
 use aircal_adsb::{cpr, me::MePayload, AdsbFrame, DecodeScratch, Decoder, IcaoAddress};
 use aircal_aircraft::{TrafficConfig, TrafficSim};
 use aircal_bench::{parse_args, paper_traffic, AllocSnapshot, CountingAllocator};
-use aircal_cellular::{paper_towers, CellScanner, CellScratch};
+use aircal_cellular::{paper_towers, CellScanner};
 use aircal_core::engine::Calibrator;
 use aircal_core::survey::{run_survey, SurveyConfig};
 use aircal_dsp::corr::{find_peaks, normalized_correlation};
@@ -65,10 +68,11 @@ use aircal_env::scenarios::{dense_city, testbed_origin};
 use aircal_env::{GeoScratch, PathCache, Scenario, ScenarioKind};
 use std::sync::Arc;
 use aircal_sdr::{BurstPlan, CaptureRenderer, Frontend, FrontendConfig};
-use aircal_tv::{paper_tv_towers, TvPowerProbe, TvProbeConfig, TvScratch};
+use aircal_tv::{paper_tv_towers, TvPowerProbe, TvProbeConfig, TvScratch, TvTower};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 #[global_allocator]
@@ -146,15 +150,6 @@ struct AllocComparison {
     reduction: f64,
 }
 
-/// Per-path ceilings on `scratch.allocs_per_burst`, from
-/// `scripts/alloc_budget.json`.
-#[derive(Deserialize)]
-struct AllocBudget {
-    survey_burst: f64,
-    tv_channel: f64,
-    cellular_tower: f64,
-}
-
 /// Dense-world geometry acceleration: one obstruction sweep timed three
 /// ways. All three must agree bit for bit — the index and memo are pure
 /// accelerators, never approximations.
@@ -170,21 +165,6 @@ struct GeometryTiming {
     cached_speedup: f64,
     cache_hit_rate: f64,
     bit_identical: bool,
-}
-
-/// Floors on the geometry section, from `scripts/perf_budget.json`.
-#[derive(Deserialize)]
-struct PerfBudget {
-    min_indexed_speedup: f64,
-    min_cached_speedup: f64,
-    min_cache_hit_rate: f64,
-    require_bit_identical: bool,
-    /// Floor on the simd-vs-scalar speedup a kernel must clear to count
-    /// toward `min_kernels_at_speedup`.
-    min_kernel_speedup: f64,
-    /// How many kernels must clear the speedup floor when a vector ISA
-    /// is dispatched. Ignored (with a note) when dispatch == "scalar".
-    min_kernels_at_speedup: usize,
 }
 
 /// One DSP kernel timed on both reduction arms. `bit_identical` is the
@@ -240,15 +220,6 @@ struct RobustnessReport {
     campaign_seconds: f64,
 }
 
-/// Floors/ceilings on the robustness section, from
-/// `scripts/robustness_budget.json`.
-#[derive(Deserialize)]
-struct RobustBudget {
-    min_detection_rate: f64,
-    max_false_quarantine_rate: f64,
-    max_detection_latency_rounds: u64,
-}
-
 /// One fleet size through the discrete-event campaign engine. The timed
 /// run is serial (workers=1) so the throughput number measures the
 /// engine, not the host's core count; a second untimed run at workers=2
@@ -262,13 +233,6 @@ struct ScaleTiming {
     coverage90_tick: Option<u64>,
     digest: String,
     parallel_digest_matches: bool,
-}
-
-/// Floors on the scale section, from `scripts/scale_budget.json`.
-#[derive(Deserialize)]
-struct ScaleBudget {
-    min_events_per_sec: f64,
-    require_parallel_invariant: bool,
 }
 
 /// The campaign engine at each paper-regime fleet size. Fault pressure
@@ -303,38 +267,6 @@ fn scale_campaigns(seed: u64) -> Vec<ScaleTiming> {
         .collect()
 }
 
-/// Enforce `scripts/scale_budget.json`: every fleet size must clear the
-/// events/s floor and (when required) the workers=2 digest must match
-/// the serial run bit for bit.
-fn check_scale_budget(scale: &[ScaleTiming]) -> bool {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scripts/scale_budget.json");
-    let text = std::fs::read_to_string(path).expect("read scripts/scale_budget.json");
-    let budget: ScaleBudget = serde_json::from_str(&text).expect("parse scale budget");
-    let mut ok = true;
-    for s in scale {
-        if s.events_per_sec < budget.min_events_per_sec {
-            eprintln!(
-                "# SCALE BUDGET EXCEEDED: {} nodes at {:.0} events/s (floor {:.0})",
-                s.nodes, s.events_per_sec, budget.min_events_per_sec
-            );
-            ok = false;
-        } else {
-            eprintln!(
-                "# scale budget ok: {} nodes at {:.0} events/s (floor {:.0})",
-                s.nodes, s.events_per_sec, budget.min_events_per_sec
-            );
-        }
-        if budget.require_parallel_invariant && !s.parallel_digest_matches {
-            eprintln!(
-                "# SCALE BUDGET EXCEEDED: {} nodes workers=2 digest diverged from serial",
-                s.nodes
-            );
-            ok = false;
-        }
-    }
-    ok
-}
-
 /// Crash-recovery drill: a 1000-node campaign through the engine with
 /// periodic cloud crashes, duplicate/reorder delivery faults, and a
 /// fault-free twin to diff the final cloud digest against, plus a
@@ -360,15 +292,6 @@ struct RecoverySection {
     journal_replay_records: u64,
     journal_replay_seconds: f64,
     journal_replay_records_per_sec: f64,
-}
-
-/// Floors on the recovery section, from `scripts/recovery_budget.json`.
-#[derive(Deserialize)]
-struct RecoveryBudget {
-    min_crashes: u64,
-    require_bit_identical: bool,
-    max_invariant_violations: u64,
-    min_replay_records_per_sec: f64,
 }
 
 fn recovery_drill(seed: u64, reps: usize) -> RecoverySection {
@@ -432,48 +355,6 @@ fn recovery_drill(seed: u64, reps: usize) -> RecoverySection {
         journal_replay_seconds,
         journal_replay_records_per_sec: replay_records as f64 / journal_replay_seconds,
     }
-}
-
-/// Enforce `scripts/recovery_budget.json`: the drill must actually
-/// crash, recovery must be bit-identical with zero invariant
-/// violations, and journal replay must clear its throughput floor.
-fn check_recovery_budget(r: &RecoverySection) -> bool {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scripts/recovery_budget.json");
-    let text = std::fs::read_to_string(path).expect("read scripts/recovery_budget.json");
-    let budget: RecoveryBudget = serde_json::from_str(&text).expect("parse recovery budget");
-    let mut ok = true;
-    if r.crashes < budget.min_crashes {
-        eprintln!(
-            "# RECOVERY BUDGET EXCEEDED: only {} crashes (floor {})",
-            r.crashes, budget.min_crashes
-        );
-        ok = false;
-    }
-    if budget.require_bit_identical && !r.bit_identical {
-        eprintln!("# RECOVERY BUDGET EXCEEDED: faulted digest diverged from fault-free twin");
-        ok = false;
-    }
-    if r.invariant_violations as u64 > budget.max_invariant_violations {
-        eprintln!(
-            "# RECOVERY BUDGET EXCEEDED: {} invariant violations (ceiling {})",
-            r.invariant_violations, budget.max_invariant_violations
-        );
-        ok = false;
-    }
-    if r.journal_replay_records_per_sec < budget.min_replay_records_per_sec {
-        eprintln!(
-            "# RECOVERY BUDGET EXCEEDED: journal replay at {:.0} records/s (floor {:.0})",
-            r.journal_replay_records_per_sec, budget.min_replay_records_per_sec
-        );
-        ok = false;
-    }
-    if ok {
-        eprintln!(
-            "# recovery budget ok: {} crashes, bit_identical={}, replay {:.0} records/s",
-            r.crashes, r.bit_identical, r.journal_replay_records_per_sec
-        );
-    }
-    ok
 }
 
 #[derive(Serialize)]
@@ -617,52 +498,6 @@ fn robustness_campaign() -> RobustnessReport {
         max_detection_latency_rounds,
         campaign_seconds,
     }
-}
-
-/// Enforce `scripts/robustness_budget.json`: every adversary must be
-/// evicted within the latency ceiling and no honest node quarantined.
-fn check_robust_budget(r: &RobustnessReport) -> bool {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scripts/robustness_budget.json");
-    let text = std::fs::read_to_string(path).expect("read scripts/robustness_budget.json");
-    let budget: RobustBudget = serde_json::from_str(&text).expect("parse robustness budget");
-    let mut ok = true;
-    if r.detection_rate < budget.min_detection_rate {
-        eprintln!(
-            "# ROBUSTNESS BUDGET EXCEEDED: detection_rate at {:.2} (floor {:.2})",
-            r.detection_rate, budget.min_detection_rate
-        );
-        ok = false;
-    } else {
-        eprintln!(
-            "# robustness budget ok: detection_rate at {:.2} (floor {:.2})",
-            r.detection_rate, budget.min_detection_rate
-        );
-    }
-    if r.false_quarantine_rate > budget.max_false_quarantine_rate {
-        eprintln!(
-            "# ROBUSTNESS BUDGET EXCEEDED: false_quarantine_rate at {:.2} (ceiling {:.2})",
-            r.false_quarantine_rate, budget.max_false_quarantine_rate
-        );
-        ok = false;
-    } else {
-        eprintln!(
-            "# robustness budget ok: false_quarantine_rate at {:.2} (ceiling {:.2})",
-            r.false_quarantine_rate, budget.max_false_quarantine_rate
-        );
-    }
-    if r.max_detection_latency_rounds > budget.max_detection_latency_rounds {
-        eprintln!(
-            "# ROBUSTNESS BUDGET EXCEEDED: max_detection_latency_rounds at {} (ceiling {})",
-            r.max_detection_latency_rounds, budget.max_detection_latency_rounds
-        );
-        ok = false;
-    } else {
-        eprintln!(
-            "# robustness budget ok: max_detection_latency_rounds at {} (ceiling {})",
-            r.max_detection_latency_rounds, budget.max_detection_latency_rounds
-        );
-    }
-    ok
 }
 
 /// One fully observed calibration run: stage timers feed fixed-bucket
@@ -944,10 +779,11 @@ fn survey_burst_allocs(seed: u64) -> AllocComparison {
     }
 }
 
-/// Steady-state TV channel loop: the allocating baseline re-synthesizes
-/// the 8VSB reference and rebuilds the band-power meter per channel; the
-/// scratch path shares one waveform and resets one warm meter. The result
-/// `station: String` keeps the scratch path at ~1 alloc per channel.
+/// Steady-state TV channel loop over brute-force paths: the allocating
+/// baseline re-synthesizes the 8VSB reference and rebuilds the band-power
+/// meter per channel; the scratch path shares one waveform and resets one
+/// warm meter. The result `station: String` keeps the scratch path at ~1
+/// alloc per channel.
 fn tv_channel_allocs(seed: u64) -> AllocComparison {
     let s = Scenario::build(ScenarioKind::Rooftop);
     let towers = paper_tv_towers(&s.world.origin);
@@ -955,11 +791,18 @@ fn tv_channel_allocs(seed: u64) -> AllocComparison {
         parallelism: 1,
         ..TvProbeConfig::default()
     });
+    let path = |t: &TvTower| s.world.path_profile(&s.site, &t.position, t.channel.center_hz());
 
     let allocating = measure_allocs(towers.len(), 2, || {
         let acc: f64 = towers
             .iter()
-            .map(|t| probe.measure(&s.world, &s.site, t, seed).power_dbfs)
+            .map(|t| {
+                let waveform = probe.reference_waveform();
+                let mut scratch = TvScratch::default();
+                probe
+                    .measure_with_path(&path(t), &s.site, t, seed, &waveform, &mut scratch)
+                    .power_dbfs
+            })
             .sum();
         std::hint::black_box(acc);
     });
@@ -971,7 +814,7 @@ fn tv_channel_allocs(seed: u64) -> AllocComparison {
             .iter()
             .map(|t| {
                 probe
-                    .measure_with(&s.world, &s.site, t, seed, &waveform, &mut scratch)
+                    .measure_with_path(&path(t), &s.site, t, seed, &waveform, &mut scratch)
                     .power_dbfs
             })
             .sum();
@@ -986,7 +829,7 @@ fn tv_channel_allocs(seed: u64) -> AllocComparison {
     }
 }
 
-/// Steady-state cellular sweep: `scan_with` rewrites warm measurement
+/// Steady-state cellular sweep: `scan_with_geo` rewrites warm measurement
 /// slots (name strings included) through a warm geometry accelerator,
 /// so the steady state performs zero allocations per tower.
 fn cellular_tower_allocs(seed: u64) -> AllocComparison {
@@ -1000,10 +843,9 @@ fn cellular_tower_allocs(seed: u64) -> AllocComparison {
     });
 
     let mut accel = s.world.accel();
-    let mut scratch = CellScratch::default();
     let mut out = Vec::new();
     let scratch_stats = measure_allocs(n, 8, || {
-        scanner.scan_with(&s.world, &mut accel, &s.site, &db, seed, &mut scratch, &mut out);
+        scanner.scan_with_geo(&s.world, &mut accel, &s.site, &db, seed, &mut out);
         std::hint::black_box(out.len());
     });
 
@@ -1095,40 +937,32 @@ fn geometry_timings(quick: bool, reps: usize) -> GeometryTiming {
     }
 }
 
-/// Enforce `scripts/perf_budget.json`: the geometry accelerators must
-/// keep their speedup/hit-rate floors and stay bit-identical to brute
-/// force, and — when a vector ISA is dispatched — enough DSP kernels
-/// must clear the simd-vs-scalar speedup floor.
-fn check_perf_budget(g: &GeometryTiming, k: &KernelsReport) -> bool {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scripts/perf_budget.json");
-    let text = std::fs::read_to_string(path).expect("read scripts/perf_budget.json");
-    let budget: PerfBudget = serde_json::from_str(&text).expect("parse perf budget");
-    let mut ok = true;
-    let mut gate = |name: &str, value: f64, floor: f64| {
-        if value < floor {
-            eprintln!("# PERF BUDGET EXCEEDED: {name} at {value:.2} (floor {floor:.2})");
-            ok = false;
-        } else {
-            eprintln!("# perf budget ok: {name} at {value:.2} (floor {floor:.2})");
-        }
-    };
-    gate("geometry.indexed_speedup", g.indexed_speedup, budget.min_indexed_speedup);
-    gate("geometry.cached_speedup", g.cached_speedup, budget.min_cached_speedup);
-    gate("geometry.cache_hit_rate", g.cache_hit_rate, budget.min_cache_hit_rate);
-    if budget.require_bit_identical && !g.bit_identical {
-        eprintln!("# PERF BUDGET EXCEEDED: geometry outputs not bit-identical to brute force");
-        ok = false;
+/// `scripts/budgets.json`: one section per gated report section, each
+/// mapping a bound's name to its value.
+type Budgets = BTreeMap<String, BTreeMap<String, f64>>;
+
+/// Enforce every section of `scripts/budgets.json` against the report,
+/// one line per gate. Bit-identity (geometry, kernels, recovery) and
+/// parallel invariance (scale) carry no bound: they always hold or fail.
+fn check_budgets(r: &PipelineReport) -> bool {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scripts/budgets.json");
+    let text = std::fs::read_to_string(path).expect("read scripts/budgets.json");
+    let budgets = serde_json::from_str(&text).expect("parse scripts/budgets.json");
+    let mut g = Gate { budgets, ok: true };
+
+    for a in &r.allocations {
+        g.at_most("alloc", a.path, &format!("{} allocs/burst", a.path), a.scratch.allocs_per_burst);
     }
-    if budget.require_bit_identical {
-        for t in &k.kernels {
-            if !t.bit_identical {
-                eprintln!(
-                    "# PERF BUDGET EXCEEDED: kernel {} diverged from the scalar arm",
-                    t.kernel
-                );
-                ok = false;
-            }
-        }
+
+    let geo = &r.geometry;
+    g.at_least("perf", "min_indexed_speedup", "geometry.indexed_speedup", geo.indexed_speedup);
+    g.at_least("perf", "min_cached_speedup", "geometry.cached_speedup", geo.cached_speedup);
+    g.at_least("perf", "min_cache_hit_rate", "geometry.cache_hit_rate", geo.cache_hit_rate);
+    g.require("perf", "geometry outputs bit-identical to brute force", geo.bit_identical);
+    let k = &r.kernels;
+    for t in &k.kernels {
+        let what = format!("kernel {} bit-identical to the scalar arm", t.kernel);
+        g.require("perf", &what, t.bit_identical);
     }
     if k.dispatch == "scalar" {
         eprintln!(
@@ -1136,55 +970,91 @@ fn check_perf_budget(g: &GeometryTiming, k: &KernelsReport) -> bool {
              kernel speedup floor not applicable"
         );
     } else {
+        let floor = g.bound("perf", "min_kernel_speedup");
         let fast = k
             .kernels
             .iter()
-            .filter(|t| t.bit_identical && t.speedup >= budget.min_kernel_speedup)
+            .filter(|t| t.bit_identical && t.speedup >= floor)
             .count();
-        if fast < budget.min_kernels_at_speedup {
-            eprintln!(
-                "# PERF BUDGET EXCEEDED: only {fast} kernels at >= {:.2}x on {} (need {})",
-                budget.min_kernel_speedup, k.dispatch, budget.min_kernels_at_speedup
-            );
-            ok = false;
-        } else {
-            eprintln!(
-                "# perf budget ok: {fast} kernels at >= {:.2}x on {} (need {})",
-                budget.min_kernel_speedup, k.dispatch, budget.min_kernels_at_speedup
-            );
-        }
+        let what = format!("kernels at >= {floor:.2}x on {}", k.dispatch);
+        g.at_least("perf", "min_kernels_at_speedup", &what, fast as f64);
     }
-    ok
+
+    let rob = &r.robustness;
+    g.at_least("robustness", "min_detection_rate", "detection_rate", rob.detection_rate);
+    g.at_most(
+        "robustness",
+        "max_false_quarantine_rate",
+        "false_quarantine_rate",
+        rob.false_quarantine_rate,
+    );
+    g.at_most(
+        "robustness",
+        "max_detection_latency_rounds",
+        "max_detection_latency_rounds",
+        rob.max_detection_latency_rounds as f64,
+    );
+
+    for s in &r.scale {
+        let what = format!("{} nodes events/s", s.nodes);
+        g.at_least("scale", "min_events_per_sec", &what, s.events_per_sec);
+        let what = format!("{} nodes workers=2 digest matches serial", s.nodes);
+        g.require("scale", &what, s.parallel_digest_matches);
+    }
+
+    let rec = &r.recovery;
+    g.at_least("recovery", "min_crashes", "crashes", rec.crashes as f64);
+    g.require("recovery", "faulted digest matches fault-free twin", rec.bit_identical);
+    g.at_most(
+        "recovery",
+        "max_invariant_violations",
+        "invariant violations",
+        rec.invariant_violations as f64,
+    );
+    g.at_least(
+        "recovery",
+        "min_replay_records_per_sec",
+        "journal replay records/s",
+        rec.journal_replay_records_per_sec,
+    );
+    g.ok
 }
 
-/// Enforce `scripts/alloc_budget.json`: every scratch path must stay at
-/// or under its checked-in allocs-per-burst ceiling.
-fn check_alloc_budget(allocations: &[AllocComparison]) -> bool {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scripts/alloc_budget.json");
-    let text = std::fs::read_to_string(path).expect("read scripts/alloc_budget.json");
-    let budget: AllocBudget = serde_json::from_str(&text).expect("parse alloc budget");
-    let mut ok = true;
-    for a in allocations {
-        let limit = match a.path {
-            "survey_burst" => budget.survey_burst,
-            "tv_channel" => budget.tv_channel,
-            "cellular_tower" => budget.cellular_tower,
-            other => panic!("no budget entry for path {other}"),
-        };
-        if a.scratch.allocs_per_burst > limit {
-            eprintln!(
-                "# ALLOC BUDGET EXCEEDED: {} at {:.2} allocs/burst (budget {:.2})",
-                a.path, a.scratch.allocs_per_burst, limit
-            );
-            ok = false;
+/// The running verdict of [`check_budgets`].
+struct Gate {
+    budgets: Budgets,
+    ok: bool,
+}
+
+impl Gate {
+    fn bound(&self, section: &str, name: &str) -> f64 {
+        *self
+            .budgets
+            .get(section)
+            .and_then(|s| s.get(name))
+            .unwrap_or_else(|| panic!("scripts/budgets.json has no {section}.{name}"))
+    }
+
+    fn at_least(&mut self, section: &str, name: &str, what: &str, value: f64) {
+        let floor = self.bound(section, name);
+        let line = format!("{what} at {value:.2} (floor {floor:.2})");
+        self.require(section, &line, value >= floor);
+    }
+
+    fn at_most(&mut self, section: &str, name: &str, what: &str, value: f64) {
+        let ceiling = self.bound(section, name);
+        let line = format!("{what} at {value:.2} (ceiling {ceiling:.2})");
+        self.require(section, &line, value <= ceiling);
+    }
+
+    fn require(&mut self, section: &str, what: &str, holds: bool) {
+        if holds {
+            eprintln!("# {section} budget ok: {what}");
         } else {
-            eprintln!(
-                "# alloc budget ok: {} at {:.2} allocs/burst (budget {:.2})",
-                a.path, a.scratch.allocs_per_burst, limit
-            );
+            eprintln!("# {} BUDGET EXCEEDED: {what}", section.to_uppercase());
+            self.ok = false;
         }
     }
-    ok
 }
 
 fn decode_capture(seed: u64, frames: usize) -> (Vec<aircal_sdr::RenderedWindow>, usize) {
@@ -1216,11 +1086,11 @@ fn decode_capture(seed: u64, frames: usize) -> (Vec<aircal_sdr::RenderedWindow>,
 fn main() {
     let (positional, seed) = parse_args();
     let quick = positional.iter().any(|a| a == "--quick");
-    let check_allocs = positional.iter().any(|a| a == "--check-allocs");
-    let check_perf = positional.iter().any(|a| a == "--check-perf");
-    let check_robust = positional.iter().any(|a| a == "--check-robust");
-    let check_scale = positional.iter().any(|a| a == "--check-scale");
-    let check_recovery = positional.iter().any(|a| a == "--check-recovery");
+    let check = positional.iter().any(|a| a == "--check");
+    if let Some(old) = positional.iter().find(|a| a.starts_with("--check-")) {
+        eprintln!("perfreport: {old} is gone; --check enforces every budget section");
+        std::process::exit(2);
+    }
     let mut threads_override: Option<usize> = None;
     let mut args_it = positional.iter();
     while let Some(a) = args_it.next() {
@@ -1456,23 +1326,7 @@ fn main() {
 
     // Budget checks run last so the report is on disk (and uploadable as
     // a CI artifact) even when a gate trips.
-    let mut failed = false;
-    if check_allocs && !check_alloc_budget(&report.allocations) {
-        failed = true;
-    }
-    if check_perf && !check_perf_budget(&report.geometry, &report.kernels) {
-        failed = true;
-    }
-    if check_robust && !check_robust_budget(&report.robustness) {
-        failed = true;
-    }
-    if check_scale && !check_scale_budget(&report.scale) {
-        failed = true;
-    }
-    if check_recovery && !check_recovery_budget(&report.recovery) {
-        failed = true;
-    }
-    if failed {
+    if check && !check_budgets(&report) {
         std::process::exit(1);
     }
 }

@@ -4,13 +4,16 @@
 //!
 //! The binary registers [`aircal_bench::CountingAllocator`] as the global
 //! allocator; each measuring test brackets its steady-state loop with
-//! [`AllocSnapshot`] reads. Because the counters are process-global, all
-//! tests in this file serialize on one mutex so a concurrently running
-//! test can never leak allocations into another's measurement window.
+//! [`AllocSnapshot`] reads. Serial loops read the calling thread's own
+//! counters, so the harness's bookkeeping on other threads cannot leak
+//! in. The parallel test needs the process-wide counters (its workers
+//! allocate on their own threads), so all tests in this file serialize
+//! on one mutex so a concurrently running test can never leak
+//! allocations into another's measurement window.
 
 use aircal_adsb::{cpr, me::MePayload, AdsbFrame, DecodeScratch, DecodedMessage, Decoder, IcaoAddress};
 use aircal_bench::{AllocSnapshot, CountingAllocator};
-use aircal_cellular::{paper_towers, CellScanner, CellScratch};
+use aircal_cellular::{paper_towers, CellScanner};
 use aircal_dsp::psd::{welch_psd, welch_psd_into};
 use aircal_dsp::window::Window;
 use aircal_dsp::{derive_stream_seed, par_map_with, Cplx, DspScratch};
@@ -86,9 +89,9 @@ fn survey_burst_loop_is_allocation_free_after_warmup() {
     let warm = round(&mut scratch, &mut dscratch, &mut msgs);
     assert!(warm > 0, "warm-up round must decode something");
 
-    let before = AllocSnapshot::now();
+    let before = AllocSnapshot::this_thread();
     let decoded = round(&mut scratch, &mut dscratch, &mut msgs);
-    let delta = AllocSnapshot::now() - before;
+    let delta = AllocSnapshot::this_thread() - before;
     assert_eq!(decoded, warm, "steady-state rounds decode identically");
     assert_eq!(
         delta.allocs, 0,
@@ -206,9 +209,9 @@ fn pooled_render_matches_render_seeded_bit_identically() {
 }
 
 /// TV: a warm reused scratch (shared waveform, reset meter) must measure
-/// every channel bit-identically to the allocating `measure`.
+/// every channel bit-identically to a cold scratch and a fresh waveform.
 #[test]
-fn tv_measure_with_matches_measure_bit_identically() {
+fn tv_pooled_measure_matches_cold_measure_bit_identically() {
     let _g = lock();
     let s = Scenario::build(ScenarioKind::Rooftop);
     let towers = paper_tv_towers(&s.world.origin);
@@ -221,55 +224,50 @@ fn tv_measure_with_matches_measure_bit_identically() {
     for _ in 0..2 {
         // Second pass reuses the warm meter via reset(): still identical.
         for t in &towers {
-            let reference = probe.measure(&s.world, &s.site, t, SEED);
-            let pooled = probe.measure_with(&s.world, &s.site, t, SEED, &waveform, &mut scratch);
+            let path = s.world.path_profile(&s.site, &t.position, t.channel.center_hz());
+            let reference = probe.measure_with_path(
+                &path,
+                &s.site,
+                t,
+                SEED,
+                &probe.reference_waveform(),
+                &mut TvScratch::default(),
+            );
+            let pooled = probe.measure_with_path(&path, &s.site, t, SEED, &waveform, &mut scratch);
             assert_eq!(reference, pooled);
         }
     }
 }
 
-/// Cellular: `scan_into` into a reused buffer matches `scan` exactly.
+/// Cellular: `scan_with_geo` rewrites the measurement slots of a reused
+/// buffer in place (name strings included) through a warm geometry
+/// accelerator — bit-identical to the brute-force `scan` for every seed,
+/// and the warm sweep performs zero allocations per tower.
 #[test]
-fn cellular_scan_into_matches_scan_bit_identically() {
-    let _g = lock();
-    let s = Scenario::build(ScenarioKind::Rooftop);
-    let db = paper_towers(&s.world.origin);
-    let scanner = CellScanner::default();
-    let mut out = Vec::new();
-    for seed in [1u64, SEED] {
-        let reference = scanner.scan(&s.world, &s.site, &db, seed);
-        scanner.scan_into(&s.world, &s.site, &db, seed, &mut out);
-        assert_eq!(reference, out);
-    }
-}
-
-/// Cellular: `scan_with` rewrites warm measurement slots (name strings
-/// included) through a warm geometry accelerator — bit-identical to
-/// `scan`, and the steady-state sweep performs zero allocations.
-#[test]
-fn cellular_scan_with_matches_scan_and_stops_allocating() {
+fn cellular_scan_with_geo_matches_scan_and_stops_allocating() {
     let _g = lock();
     let s = Scenario::build(ScenarioKind::Rooftop);
     let db = paper_towers(&s.world.origin);
     let scanner = CellScanner::default();
     let mut accel = s.world.accel();
-    let mut scratch = CellScratch::default();
     let mut out = Vec::new();
     for seed in [1u64, SEED] {
         let reference = scanner.scan(&s.world, &s.site, &db, seed);
-        scanner.scan_with(&s.world, &mut accel, &s.site, &db, seed, &mut scratch, &mut out);
-        assert_eq!(reference, out);
+        scanner.scan_with_geo(&s.world, &mut accel, &s.site, &db, seed, &mut out);
+        assert_eq!(reference, out, "seed {seed}: bit-identical to scan");
     }
 
     let reference = scanner.scan(&s.world, &s.site, &db, SEED);
-    let before = AllocSnapshot::now();
-    scanner.scan_with(&s.world, &mut accel, &s.site, &db, SEED, &mut scratch, &mut out);
-    let delta = AllocSnapshot::now() - before;
-    assert_eq!(reference, out);
+    let before = AllocSnapshot::this_thread();
+    scanner.scan_with_geo(&s.world, &mut accel, &s.site, &db, SEED, &mut out);
+    let delta = AllocSnapshot::this_thread() - before;
+    assert_eq!(reference, out, "warm sweep bit-identical to scan");
     assert_eq!(
         delta.allocs, 0,
-        "warm cellular scan_with allocated {} times ({} bytes)",
-        delta.allocs, delta.bytes
+        "warm cellular scan_with_geo allocated {} times ({} bytes) over {} towers",
+        delta.allocs,
+        delta.bytes,
+        db.all().len()
     );
 }
 
@@ -302,11 +300,11 @@ fn geometry_sweeps_are_allocation_free_after_warmup() {
         &mut out,
     );
 
-    let before = AllocSnapshot::now();
+    let before = AllocSnapshot::this_thread();
     dense.world.obstruction_profile_with(
         &index, None, &dense.site, 1.09e9, 2.0, 50_000.0, rays, &mut scratch, &mut out,
     );
-    let mid = AllocSnapshot::now();
+    let mid = AllocSnapshot::this_thread();
     dense.world.obstruction_profile_with(
         &index,
         Some(&mut cache),
@@ -318,7 +316,7 @@ fn geometry_sweeps_are_allocation_free_after_warmup() {
         &mut scratch,
         &mut out,
     );
-    let after = AllocSnapshot::now();
+    let after = AllocSnapshot::this_thread();
 
     let indexed = mid - before;
     let cached = after - mid;
@@ -349,9 +347,9 @@ fn welch_psd_into_matches_and_stops_allocating() {
     welch_psd_into(&samples, 256, 0.5, Window::Hann, &mut scratch, &mut out).unwrap();
     assert_eq!(reference, out);
 
-    let before = AllocSnapshot::now();
+    let before = AllocSnapshot::this_thread();
     welch_psd_into(&samples, 256, 0.5, Window::Hann, &mut scratch, &mut out).unwrap();
-    let delta = AllocSnapshot::now() - before;
+    let delta = AllocSnapshot::this_thread() - before;
     assert_eq!(reference, out);
     assert_eq!(delta.allocs, 0, "warm welch_psd_into allocated {}", delta.allocs);
 }

@@ -20,5 +20,5 @@ pub mod tower;
 
 pub use bands::{earfcn_to_dl_freq_hz, Band};
 pub use nr::{nr_arfcn_to_freq_hz, nr_extension_cells, NrBand, NrCell};
-pub use scan::{CellMeasurement, CellScanner, CellScratch, ScanConfig};
+pub use scan::{CellMeasurement, CellScanner, ScanConfig};
 pub use tower::{paper_towers, CellTower, TowerDatabase};

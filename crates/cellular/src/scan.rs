@@ -9,6 +9,7 @@
 //! decode successfully." (§3.2)
 
 use crate::tower::{CellTower, TowerDatabase};
+use aircal_dsp::simd::LaneSum;
 use aircal_env::{GeoAccel, SensorSite, World};
 use aircal_rfprop::noise::noise_floor_dbm;
 use aircal_rfprop::{LinkBudget, PathProfile};
@@ -61,14 +62,6 @@ pub struct CellMeasurement {
     pub obstruction_db: f64,
 }
 
-/// Reusable working memory for a cell sweep: the linear-power fading
-/// draws averaged into each tower's RSRP. Reusing one scratch across
-/// sweeps keeps the steady-state scan allocation-free.
-#[derive(Debug, Clone, Default)]
-pub struct CellScratch {
-    draws: Vec<f64>,
-}
-
 /// The scanner.
 #[derive(Debug, Clone, Default)]
 pub struct CellScanner {
@@ -82,47 +75,76 @@ impl CellScanner {
         Self { config }
     }
 
-    /// Measure one tower from `site` within `world`. Deterministic in
-    /// `seed` (used for the fading draws).
-    pub fn measure(
+    /// Scan every tower in the database (the srsUE "cell search sweep"),
+    /// profiling each path by brute force over every building. The
+    /// reference the accelerated sweep is checked against, and the scan of
+    /// the unobstructed twin, whose empty world needs no index.
+    pub fn scan(
         &self,
         world: &World,
         site: &SensorSite,
-        tower: &CellTower,
+        db: &TowerDatabase,
         seed: u64,
-    ) -> CellMeasurement {
-        let path = world.path_profile(site, &tower.position, tower.dl_freq_hz());
-        self.measure_with_path(&path, site, tower, seed)
-    }
-
-    /// [`CellScanner::measure`] with the propagation path already in hand
-    /// — the geo-accelerated scan resolves the static towers through the
-    /// world's spatial index and memo first.
-    pub fn measure_with_path(
-        &self,
-        path: &PathProfile,
-        site: &SensorSite,
-        tower: &CellTower,
-        seed: u64,
-    ) -> CellMeasurement {
-        let mut scratch = CellScratch::default();
-        let mut out = CellMeasurement::default();
-        self.measure_into(path, site, tower, seed, &mut scratch, &mut out);
+    ) -> Vec<CellMeasurement> {
+        let mut out = Vec::new();
+        self.scan_paths(site, db, seed, &mut out, |t| {
+            world.path_profile(site, &t.position, t.dl_freq_hz())
+        });
         out
     }
 
-    /// [`CellScanner::measure_with_path`] into caller-owned working memory
-    /// and result slot: the fading draws land in `scratch` and the fields
-    /// of `out` (including its name `String`) are rewritten in place, so a
-    /// warm sweep performs no allocation at all. Every `measure` variant
-    /// routes through here, keeping all paths bit-identical.
-    pub fn measure_into(
+    /// [`CellScanner::scan`] resolving each tower's propagation path
+    /// through the world's spatial index and path memo, into a
+    /// caller-owned buffer. Towers are static, so after the first sweep
+    /// every path is a cache hit; measurements already in `out` are
+    /// rewritten in place (name strings included), so a warm sweep
+    /// performs zero allocations. Bit-identical to the brute-force scan.
+    pub fn scan_with_geo(
+        &self,
+        world: &World,
+        accel: &mut GeoAccel,
+        site: &SensorSite,
+        db: &TowerDatabase,
+        seed: u64,
+        out: &mut Vec<CellMeasurement>,
+    ) {
+        self.scan_paths(site, db, seed, out, |t| {
+            accel.profile(world, site, &t.position, t.dl_freq_hz())
+        });
+    }
+
+    /// The shared sweep: tower `i`'s measurement lands in `out[i]`,
+    /// reusing the slot when `out` already has one.
+    fn scan_paths(
+        &self,
+        site: &SensorSite,
+        db: &TowerDatabase,
+        seed: u64,
+        out: &mut Vec<CellMeasurement>,
+        mut path_of: impl FnMut(&CellTower) -> PathProfile,
+    ) {
+        let _span = aircal_obs::span!("cell_scan");
+        let towers = db.all();
+        out.truncate(towers.len());
+        out.reserve(towers.len() - out.len());
+        for (i, t) in towers.iter().enumerate() {
+            let path = path_of(t);
+            if i == out.len() {
+                out.push(CellMeasurement::default());
+            }
+            self.measure_into(&path, site, t, seed, &mut out[i]);
+        }
+    }
+
+    /// Measure one tower over `path` into the result slot `out`, whose
+    /// fields (including its name `String`) are rewritten in place.
+    /// Deterministic in `seed` (used for the fading draws).
+    fn measure_into(
         &self,
         path: &PathProfile,
         site: &SensorSite,
         tower: &CellTower,
         seed: u64,
-        scratch: &mut CellScratch,
         out: &mut CellMeasurement,
     ) {
         let freq = tower.dl_freq_hz();
@@ -132,15 +154,15 @@ impl CellScanner {
         let budget = LinkBudget::new(tower.rs_eirp_per_re_dbm(), 0.0, rx_gain);
 
         // RSRP averages power across subframes: average fading draws in
-        // the linear domain, reduced in the canonical lane order of
+        // the linear domain, summed in the canonical lane order of
         // `aircal_dsp::simd` so every dispatch arm agrees bitwise.
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ tower.pci as u64);
         let draws = self.config.averaging_draws.max(1);
-        scratch.draws.clear();
-        scratch
-            .draws
-            .extend((0..draws).map(|_| 10f64.powf(budget.sample_rx_dbm(path, &mut rng) / 10.0)));
-        let mean_lin = (aircal_dsp::kernels().sum_f64)(&scratch.draws) / draws as f64;
+        let mut sum = LaneSum::default();
+        for _ in 0..draws {
+            sum.push(10f64.powf(budget.sample_rx_dbm(path, &mut rng) / 10.0));
+        }
+        let mean_lin = sum.sum() / draws as f64;
         let rsrp = 10.0 * mean_lin.log10() - self.config.fault.loss_db(freq);
 
         let synced = rsrp >= self.config.sync_rsrp_floor_dbm;
@@ -153,87 +175,6 @@ impl CellScanner {
         out.rsrp_dbm = synced.then_some(rsrp);
         out.rs_snr_db = synced.then_some(rs_snr);
         out.obstruction_db = path.diffraction_db + path.penetration_db;
-    }
-
-    /// Scan every tower in the database (the srsUE "cell search sweep").
-    /// Thin allocating wrapper over [`CellScanner::scan_into`].
-    pub fn scan(
-        &self,
-        world: &World,
-        site: &SensorSite,
-        db: &TowerDatabase,
-        seed: u64,
-    ) -> Vec<CellMeasurement> {
-        let mut out = Vec::new();
-        self.scan_into(world, site, db, seed, &mut out);
-        out
-    }
-
-    /// [`CellScanner::scan`] into a caller-owned buffer (cleared first).
-    /// Reusing `out` keeps repeated sweeps allocation-free apart from the
-    /// per-tower name strings in the results.
-    pub fn scan_into(
-        &self,
-        world: &World,
-        site: &SensorSite,
-        db: &TowerDatabase,
-        seed: u64,
-        out: &mut Vec<CellMeasurement>,
-    ) {
-        let _span = aircal_obs::span!("cell_scan");
-        out.clear();
-        out.extend(db.all().iter().map(|t| self.measure(world, site, t, seed)));
-    }
-
-    /// [`CellScanner::scan_into`] resolving each tower's propagation path
-    /// through the world's spatial index and path memo. Towers are static,
-    /// so after the first sweep every path is a cache hit. Bit-identical to
-    /// the brute-force scan.
-    pub fn scan_with_geo(
-        &self,
-        world: &World,
-        accel: &mut GeoAccel,
-        site: &SensorSite,
-        db: &TowerDatabase,
-        seed: u64,
-        out: &mut Vec<CellMeasurement>,
-    ) {
-        let _span = aircal_obs::span!("cell_scan");
-        out.clear();
-        out.extend(db.all().iter().map(|t| {
-            let path = accel.profile(world, site, &t.position, t.dl_freq_hz());
-            self.measure_with_path(&path, site, t, seed)
-        }));
-    }
-
-    /// [`CellScanner::scan_with_geo`] with reused working memory *and*
-    /// reused result slots: measurements are rewritten in place (name
-    /// strings included), so a warm sweep over static towers performs
-    /// zero allocations. Bit-identical to [`CellScanner::scan`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn scan_with(
-        &self,
-        world: &World,
-        accel: &mut GeoAccel,
-        site: &SensorSite,
-        db: &TowerDatabase,
-        seed: u64,
-        scratch: &mut CellScratch,
-        out: &mut Vec<CellMeasurement>,
-    ) {
-        let _span = aircal_obs::span!("cell_scan");
-        let towers = db.all();
-        out.truncate(towers.len());
-        for (i, t) in towers.iter().enumerate() {
-            let path = accel.profile(world, site, &t.position, t.dl_freq_hz());
-            if i < out.len() {
-                self.measure_into(&path, site, t, seed, scratch, &mut out[i]);
-            } else {
-                let mut m = CellMeasurement::default();
-                self.measure_into(&path, site, t, seed, scratch, &mut m);
-                out.push(m);
-            }
-        }
     }
 }
 
@@ -329,12 +270,12 @@ mod tests {
             let scanner = CellScanner::default();
             let brute = scanner.scan(&s.world, &s.site, &db, 7);
             let mut accel = s.world.accel();
-            let mut cold = Vec::new();
-            scanner.scan_with_geo(&s.world, &mut accel, &s.site, &db, 7, &mut cold);
-            assert_eq!(brute, cold, "{kind:?}: cold geo scan diverged");
-            let mut warm = Vec::new();
-            scanner.scan_with_geo(&s.world, &mut accel, &s.site, &db, 7, &mut warm);
-            assert_eq!(brute, warm, "{kind:?}: warm geo scan diverged");
+            let mut out = Vec::new();
+            scanner.scan_with_geo(&s.world, &mut accel, &s.site, &db, 7, &mut out);
+            assert_eq!(brute, out, "{kind:?}: cold geo scan diverged");
+            // Warm: every path a memo hit, every slot rewritten in place.
+            scanner.scan_with_geo(&s.world, &mut accel, &s.site, &db, 7, &mut out);
+            assert_eq!(brute, out, "{kind:?}: warm geo scan diverged");
             assert_eq!(accel.cache.hits(), db.all().len() as u64);
         }
     }

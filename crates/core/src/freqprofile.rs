@@ -8,9 +8,9 @@
 //! band's attenuation. A failed measurement (no cell sync) is a **blind**
 //! band.
 
-use aircal_cellular::{CellScanner, TowerDatabase};
+use aircal_cellular::{CellMeasurement, CellScanner, TowerDatabase};
 use aircal_env::{GeoAccel, SensorSite, World};
-use aircal_tv::{TvPowerProbe, TvTower};
+use aircal_tv::{TvMeasurement, TvPowerProbe, TvTower};
 use serde::{Deserialize, Serialize};
 
 /// Which opportunistic source produced a band measurement.
@@ -91,6 +91,37 @@ pub struct FrequencyProfile {
 }
 
 impl FrequencyProfile {
+    /// Pair each real cell and TV measurement with its unobstructed twin's
+    /// (same order, same towers) into bands sorted by frequency. A twin
+    /// cell that failed to sync stands in as −120 dBm.
+    pub fn from_sweeps(
+        real_cells: &[CellMeasurement],
+        clear_cells: &[CellMeasurement],
+        real_tv: &[TvMeasurement],
+        clear_tv: &[TvMeasurement],
+    ) -> Self {
+        let cells = real_cells.iter().zip(clear_cells).map(|(r, c)| BandMeasurement {
+            label: r.tower_name.clone(),
+            freq_hz: r.freq_hz,
+            source: SourceKind::Cellular,
+            measured_db: r.rsrp_dbm,
+            expected_clear_db: c.rsrp_dbm.unwrap_or(-120.0),
+        });
+        let tv = real_tv.iter().zip(clear_tv).map(|(r, c)| BandMeasurement {
+            label: r.station.clone(),
+            freq_hz: r.center_hz,
+            source: SourceKind::BroadcastTv,
+            measured_db: Some(r.power_dbfs),
+            expected_clear_db: c.power_dbfs,
+        });
+        let mut bands: Vec<BandMeasurement> = cells.chain(tv).collect();
+        bands.sort_by(|a, b| a.freq_hz.total_cmp(&b.freq_hz));
+        FrequencyProfile {
+            bands,
+            missing_sources: Vec::new(),
+        }
+    }
+
     /// Whether every commissioned sweep actually arrived.
     pub fn is_complete(&self) -> bool {
         self.missing_sources.is_empty()
@@ -190,38 +221,13 @@ impl FrequencyProfiler {
         let mut clear_probe = self.tv_probe.clone();
         clear_probe.config.fault = aircal_sdr::FrontendFault::None;
 
-        let mut bands = Vec::new();
         let mut real_cell = Vec::new();
         self.scanner
             .scan_with_geo(world, accel, site, cells, seed, &mut real_cell);
         let clear_cell = clear_scanner.scan(&clear_world, &clear_site, cells, seed ^ 1);
-        for (r, c) in real_cell.iter().zip(&clear_cell) {
-            bands.push(BandMeasurement {
-                label: r.tower_name.clone(),
-                freq_hz: r.freq_hz,
-                source: SourceKind::Cellular,
-                measured_db: r.rsrp_dbm,
-                expected_clear_db: c.rsrp_dbm.unwrap_or(-120.0),
-            });
-        }
-
         let real_tv = self.tv_probe.sweep_with_geo(world, accel, site, tv, seed);
         let clear_tv = clear_probe.sweep(&clear_world, &clear_site, tv, seed ^ 1);
-        for (r, c) in real_tv.iter().zip(&clear_tv) {
-            bands.push(BandMeasurement {
-                label: r.station.clone(),
-                freq_hz: r.center_hz,
-                source: SourceKind::BroadcastTv,
-                measured_db: Some(r.power_dbfs),
-                expected_clear_db: c.power_dbfs,
-            });
-        }
-
-        bands.sort_by(|a, b| a.freq_hz.total_cmp(&b.freq_hz));
-        FrequencyProfile {
-            bands,
-            missing_sources: Vec::new(),
-        }
+        FrequencyProfile::from_sweeps(&real_cell, &clear_cell, &real_tv, &clear_tv)
     }
 }
 

@@ -35,7 +35,6 @@ pub mod engine;
 pub mod fleet;
 pub mod fov;
 pub mod freqprofile;
-pub mod history;
 pub mod repeat;
 pub mod report;
 pub mod robust;

@@ -112,11 +112,6 @@ impl FirFilter {
         self.taps.is_empty()
     }
 
-    /// Group delay in samples for a linear-phase (symmetric) design.
-    pub fn group_delay(&self) -> f64 {
-        (self.taps.len() - 1) as f64 / 2.0
-    }
-
     /// Push one sample, get one output sample.
     pub fn push(&mut self, x: Cplx) -> Cplx {
         self.work.clear();
@@ -239,11 +234,6 @@ impl FastFirFilter {
     /// True if the filter has no taps (cannot happen post-construction).
     pub fn is_empty(&self) -> bool {
         self.taps.is_empty()
-    }
-
-    /// Group delay in samples for a linear-phase (symmetric) design.
-    pub fn group_delay(&self) -> f64 {
-        (self.taps.len() - 1) as f64 / 2.0
     }
 
     /// Push one sample, get one output sample. Costs a full block

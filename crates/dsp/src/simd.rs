@@ -67,6 +67,31 @@ fn tree8(l: &[f64; LANES]) -> f64 {
     ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]))
 }
 
+/// Streaming `Σ x[i]` in the canonical lane order: the `i`-th pushed
+/// value folds into lane `i % 8` and [`LaneSum::sum`] finishes with the
+/// same pairwise tree, so the result equals [`Kernels::sum_f64`] over the
+/// pushed values on every arm — without buffering them.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct LaneSum {
+    lanes: [f64; LANES],
+    len: usize,
+}
+
+impl LaneSum {
+    /// Fold the next value into its lane.
+    #[inline]
+    pub fn push(&mut self, x: f64) {
+        self.lanes[self.len % LANES] += x;
+        self.len += 1;
+    }
+
+    /// The sum of every pushed value (0 when none were).
+    #[inline]
+    pub fn sum(&self) -> f64 {
+        tree8(&self.lanes)
+    }
+}
+
 /// One ISA arm: a vtable of kernel entry points plus its dispatch label.
 ///
 /// All arms are bit-identical; the only observable difference is speed

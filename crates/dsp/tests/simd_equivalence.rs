@@ -23,8 +23,8 @@
 //! alone. Every NaN producible here carries the canonical mantissa, so
 //! masking the sign bit is exact, not a tolerance.
 
-use aircal_dsp::simd::Kernels;
-use aircal_dsp::Cplx;
+use aircal_dsp::simd::{Kernels, LaneSum};
+use aircal_dsp::{kernels, Cplx};
 use proptest::prelude::*;
 
 fn arms() -> (&'static Kernels, &'static Kernels) {
@@ -114,7 +114,53 @@ fn all_tail_remainders_bitwise_identical() {
     }
 }
 
+fn lane_sum(xs: &[f64]) -> f64 {
+    let mut acc = LaneSum::default();
+    for &x in xs {
+        acc.push(x);
+    }
+    acc.sum()
+}
+
+/// The streaming lane accumulator equals the `sum_f64` kernel of the
+/// process's dispatch arm and of both arms in-process, bit for bit, at
+/// every length 0..=4096 — so a buffered sum can become a streamed one
+/// under the `AIRCAL_FORCE_SCALAR=1` leg and the native leg alike.
+#[test]
+fn lane_sum_matches_sum_f64_at_every_length() {
+    let (s, d) = arms();
+    let xs: Vec<f64> = (0..4096).map(|i| (0.7 * i as f64).sin() * 1e3).collect();
+    for n in 0..=xs.len() {
+        let got = lane_sum(&xs[..n]);
+        assert_same_bits("lane_sum vs kernels()", (kernels().sum_f64)(&xs[..n]), got);
+        assert_same_bits("lane_sum vs scalar", (s.sum_f64)(&xs[..n]), got);
+        assert_same_bits("lane_sum vs detected", (d.sum_f64)(&xs[..n]), got);
+    }
+}
+
 proptest! {
+    /// The lane accumulator agrees with `sum_f64` (up to NaN sign, as for
+    /// every reduction here) with canonical NaN / ±inf / −0.0 injected at
+    /// random positions of random-length inputs.
+    #[test]
+    fn lane_sum_special_values_bitwise(
+        values in proptest::collection::vec(-1e6f64..1e6, 0..=4096),
+        inject in proptest::collection::vec((0usize..4096, 0u8..4), 0..=8),
+    ) {
+        let (s, d) = arms();
+        let mut xs = values;
+        let n = xs.len();
+        if n > 0 {
+            for &(pos, sel) in &inject {
+                xs[pos % n] = special(sel);
+            }
+        }
+        let got = nan_sign_masked(lane_sum(&xs));
+        prop_assert_eq!(nan_sign_masked((kernels().sum_f64)(&xs)), got);
+        prop_assert_eq!(nan_sign_masked((s.sum_f64)(&xs)), got);
+        prop_assert_eq!(nan_sign_masked((d.sum_f64)(&xs)), got);
+    }
+
     /// Real reductions agree bitwise over random lengths 0..4096 and
     /// random (unaligned) slice starts.
     #[test]

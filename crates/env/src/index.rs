@@ -226,13 +226,6 @@ pub struct GeoStats {
 }
 
 impl GeoStats {
-    /// Fold another stats block into this one.
-    pub fn merge(&mut self, other: &GeoStats) {
-        self.queries += other.queries;
-        self.aabb_tests += other.aabb_tests;
-        self.candidates += other.candidates;
-    }
-
     /// Return the accumulated counters and reset them to zero.
     pub fn take(&mut self) -> GeoStats {
         std::mem::take(self)
@@ -371,16 +364,6 @@ impl PathCache {
     /// Lookups that fell through to the geometry path.
     pub fn misses(&self) -> u64 {
         self.misses
-    }
-
-    /// Fraction of lookups served from the memo (0 when untouched).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
     }
 
     /// Drop all entries and counters.

@@ -86,7 +86,7 @@ impl World {
     }
 
     /// Indexed profile with the site's 2-D projection already in hand
-    /// (the batched entry points hoist it out of the per-emitter loop).
+    /// (the obstruction sweep hoists it out of the per-ray loop).
     fn profile_indexed_at(
         &self,
         index: &WorldIndex,
@@ -137,44 +137,6 @@ impl World {
         let p = self.path_profile_indexed(index, site, emitter, freq_hz, scratch);
         cache.put(key, p);
         p
-    }
-
-    /// Batched profiles for many emitters against one site, writing into a
-    /// caller-owned buffer: hoists the site projection out of the
-    /// per-emitter loop and reuses the scratch buffers throughout.
-    /// `out[i]` is bit-identical to `path_profile(site, &emitters[i], freq_hz)`.
-    pub fn path_profiles_into(
-        &self,
-        index: &WorldIndex,
-        site: &SensorSite,
-        freq_hz: f64,
-        emitters: &[LatLon],
-        scratch: &mut GeoScratch,
-        out: &mut Vec<PathProfile>,
-    ) {
-        out.clear();
-        let sensor_2d = index.project(&site.position);
-        for e in emitters {
-            out.push(self.profile_indexed_at(index, site, e, freq_hz, sensor_2d, scratch));
-        }
-    }
-
-    /// Memoized form of [`path_profiles_into`](Self::path_profiles_into).
-    #[allow(clippy::too_many_arguments)]
-    pub fn path_profiles_cached_into(
-        &self,
-        index: &WorldIndex,
-        cache: &mut PathCache,
-        site: &SensorSite,
-        freq_hz: f64,
-        emitters: &[LatLon],
-        scratch: &mut GeoScratch,
-        out: &mut Vec<PathProfile>,
-    ) {
-        out.clear();
-        for e in emitters {
-            out.push(self.path_profile_cached(index, cache, site, e, freq_hz, scratch));
-        }
     }
 
     /// The shared per-building accumulation loop. `ids` selects which
@@ -557,27 +519,22 @@ mod tests {
     }
 
     #[test]
-    fn batched_and_sweep_variants_match_pointwise_calls() {
+    fn obstruction_sweep_variants_match_brute_force() {
         let w = World::open(origin())
             .with_building(Building::rect("a", Point2::new(25.0, 0.0), 10.0, 80.0, 70.0, Material::Concrete))
             .with_building(Building::rect("b", Point2::new(-40.0, 10.0), 30.0, 12.0, 22.0, Material::Brick));
         let site = SensorSite::outdoor("s", LatLon::new(37.8716, -122.2727, 2.0));
         let index = w.index();
         let mut scratch = crate::GeoScratch::new();
-        let emitters: Vec<LatLon> = (0..24)
-            .map(|i| aircraft_at(&site, i as f64 * 15.0, 20_000.0, 6_000.0))
-            .collect();
-        let mut batched = Vec::new();
-        w.path_profiles_into(&index, &site, 1.09e9, &emitters, &mut scratch, &mut batched);
-        assert_eq!(batched.len(), emitters.len());
-        for (e, got) in emitters.iter().zip(&batched) {
-            let want = w.path_profile(&site, e, 1.09e9);
-            assert_eq!(want.diffraction_db.to_bits(), got.diffraction_db.to_bits());
-            assert_eq!(want.penetration_db.to_bits(), got.penetration_db.to_bits());
-            assert_eq!(want.distance_m.to_bits(), got.distance_m.to_bits());
-        }
-
         let brute = w.obstruction_profile(&site, 1.09e9, 2.0, 50_000.0, 36);
+        let mut indexed = Vec::new();
+        w.obstruction_profile_with(
+            &index, None, &site, 1.09e9, 2.0, 50_000.0, 36, &mut scratch, &mut indexed,
+        );
+        assert_eq!(brute.len(), indexed.len());
+        for (a, b) in brute.iter().zip(&indexed) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
         let mut cache = crate::PathCache::new();
         let mut fast = Vec::new();
         w.obstruction_profile_with(

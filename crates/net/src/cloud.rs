@@ -25,7 +25,7 @@ use aircal_cellular::{paper_towers, CellMeasurement, CellScanner};
 use aircal_core::classifier::{IndoorOutdoorClassifier, InstallFeatures, InstallVerdict};
 use aircal_core::engine::{publish_profile_metrics, publish_survey_metrics};
 use aircal_core::fov::{FovEstimate, FovEstimator};
-use aircal_core::freqprofile::{BandMeasurement, FrequencyProfile, SourceKind};
+use aircal_core::freqprofile::{FrequencyProfile, SourceKind};
 use aircal_core::robust::{self, FusedProfile, FusionRule};
 use aircal_core::survey::{SurveyConfig, SurveyResult};
 use aircal_core::trust::{TrustAuditor, TrustScore};
@@ -44,16 +44,6 @@ pub enum StepOutcome<T> {
     Complete(T),
     /// The step failed after exhausting the retry budget.
     Failed(StepFailure),
-}
-
-impl<T> StepOutcome<T> {
-    /// The failure record, if the step failed.
-    pub fn failure(&self) -> Option<&StepFailure> {
-        match self {
-            StepOutcome::Complete(_) => None,
-            StepOutcome::Failed(f) => Some(f),
-        }
-    }
 }
 
 /// A failed audit step, as recorded on the verdict.
@@ -658,12 +648,6 @@ impl Cloud {
     /// behind for [`Cloud::recover`].
     pub fn journal_bytes(&self) -> Vec<u8> {
         self.journal.lock().to_bytes()
-    }
-
-    /// Lifetime `(appends, syncs)` counters of the journal.
-    pub fn journal_stats(&self) -> (u64, u64) {
-        let j = self.journal.lock();
-        (j.appends(), j.syncs())
     }
 
     /// Register a node by asking it to describe itself (with retries).
@@ -1314,7 +1298,7 @@ impl Cloud {
         seed: u64,
     ) -> VerificationVerdict {
         let fov = FovEstimator::default().estimate(&survey.points);
-        let profile = self.assemble_profile(&claims.position, cells, tv, seed);
+        let profile = self.assemble_profile(&claims.position, &cells, &tv, seed);
         let features = InstallFeatures::extract(&survey, &fov, &profile);
         let install = self.classifier.classify(&features);
         let trust = self
@@ -1386,8 +1370,8 @@ impl Cloud {
     fn assemble_profile(
         &self,
         claimed_position: &LatLon,
-        cells: Vec<CellMeasurement>,
-        tv: Vec<TvMeasurement>,
+        cells: &[CellMeasurement],
+        tv: &[TvMeasurement],
         seed: u64,
     ) -> FrequencyProfile {
         let mut origin = *claimed_position;
@@ -1398,31 +1382,7 @@ impl Cloud {
         let tv_db = paper_tv_towers(&origin);
         let clear_cells = CellScanner::default().scan(&clear_world, &clear_site, &cell_db, seed ^ 1);
         let clear_tv = TvPowerProbe::default().sweep(&clear_world, &clear_site, &tv_db, seed ^ 1);
-
-        let mut bands = Vec::new();
-        for (r, c) in cells.iter().zip(&clear_cells) {
-            bands.push(BandMeasurement {
-                label: r.tower_name.clone(),
-                freq_hz: r.freq_hz,
-                source: SourceKind::Cellular,
-                measured_db: r.rsrp_dbm,
-                expected_clear_db: c.rsrp_dbm.unwrap_or(-120.0),
-            });
-        }
-        for (r, c) in tv.iter().zip(&clear_tv) {
-            bands.push(BandMeasurement {
-                label: r.station.clone(),
-                freq_hz: r.center_hz,
-                source: SourceKind::BroadcastTv,
-                measured_db: Some(r.power_dbfs),
-                expected_clear_db: c.power_dbfs,
-            });
-        }
-        bands.sort_by(|a, b| a.freq_hz.total_cmp(&b.freq_hz));
-        FrequencyProfile {
-            bands,
-            missing_sources: Vec::new(),
-        }
+        FrequencyProfile::from_sweeps(cells, &clear_cells, tv, &clear_tv)
     }
 
     /// The marketplace: approved nodes below the quarantine rung,

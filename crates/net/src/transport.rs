@@ -474,19 +474,6 @@ impl Link {
         out
     }
 
-    /// One wire attempt with an explicit reply deadline.
-    pub fn call_with_timeout(
-        &mut self,
-        request: Request,
-        timeout: Duration,
-    ) -> Result<Response, LinkError> {
-        let out = self.attempt(request, timeout);
-        if out.is_ok() {
-            self.stats.first_try_ok += 1;
-        }
-        out
-    }
-
     /// Call with retries under `policy`: per-kind timeout budget,
     /// exponential backoff with seeded jitter between attempts. A
     /// [`LinkError::SendFailed`] is returned immediately — there is no

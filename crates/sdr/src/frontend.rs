@@ -48,16 +48,6 @@ impl FrontendConfig {
             fault: FrontendFault::None,
         }
     }
-
-    /// Same profile with mild, realistic impairments enabled.
-    pub fn bladerf_xa9_impaired(center_freq_hz: f64, sample_rate_hz: f64) -> Self {
-        Self {
-            cfo_hz: center_freq_hz * 0.5e-6, // 0.5 ppm residual
-            dc_offset: 1e-3,
-            iq_imbalance_db: 0.2,
-            ..Self::bladerf_xa9(center_freq_hz, sample_rate_hz)
-        }
-    }
 }
 
 /// A running front end: converts antenna-port powers into IQ.

@@ -222,11 +222,6 @@ impl EventQueue {
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
-
-    /// Events ever scheduled on this queue.
-    pub fn scheduled(&self) -> u64 {
-        self.next_id
-    }
 }
 
 #[cfg(test)]

@@ -70,7 +70,7 @@ pub struct TvMeasurement {
     pub obstruction_db: f64,
 }
 
-/// Reusable working memory for [`TvPowerProbe::measure_with`]: the
+/// Reusable working memory for [`TvPowerProbe::measure_with_path`]: the
 /// band-power meter (filter design + FFT plan, reset bit-identically
 /// between channels) and the rendered IQ buffer. One instance per worker;
 /// a scratch is tied to the probe config that first used it.
@@ -100,41 +100,11 @@ impl TvPowerProbe {
         synthesize_8vsb(self.config.capture_len, self.config.sample_rate_hz)
     }
 
-    /// Measure one station from `site` within `world`. Thin allocating
-    /// wrapper over [`TvPowerProbe::measure_with`].
-    pub fn measure(
-        &self,
-        world: &World,
-        site: &SensorSite,
-        tower: &TvTower,
-        seed: u64,
-    ) -> TvMeasurement {
-        let waveform = self.reference_waveform();
-        let mut scratch = TvScratch::default();
-        self.measure_with(world, site, tower, seed, &waveform, &mut scratch)
-    }
-
-    /// [`TvPowerProbe::measure`] with a shared pre-synthesized waveform
-    /// (see [`TvPowerProbe::reference_waveform`]) and caller-owned working
-    /// memory. Once the scratch's meter and IQ buffer are warm, repeated
-    /// measurements are allocation-free apart from the station-name string
-    /// in the result. Output is identical to [`TvPowerProbe::measure`].
-    pub fn measure_with(
-        &self,
-        world: &World,
-        site: &SensorSite,
-        tower: &TvTower,
-        seed: u64,
-        waveform: &[Cplx],
-        scratch: &mut TvScratch,
-    ) -> TvMeasurement {
-        let path = world.path_profile(site, &tower.position, tower.channel.center_hz());
-        self.measure_with_path(&path, site, tower, seed, waveform, scratch)
-    }
-
-    /// [`TvPowerProbe::measure_with`] with the propagation path already in
-    /// hand — the sweep entry points profile the static towers through the
-    /// world's spatial index and memo, then hand each worker its path.
+    /// Measure one station over its propagation `path`, with a shared
+    /// pre-synthesized waveform (see [`TvPowerProbe::reference_waveform`])
+    /// and caller-owned working memory. Once the scratch's meter and IQ
+    /// buffer are warm, repeated measurements are allocation-free apart
+    /// from the station-name string in the result.
     pub fn measure_with_path(
         &self,
         path: &PathProfile,

@@ -32,7 +32,7 @@ cargo run --release --example fault_injection
 echo "== cloud failover demo (crash + partition recovery, digest diffed) =="
 cargo run --release --example cloud_failover -- 400 42 --no-partition
 
-echo "== perfreport (--quick, alloc + perf + robustness + scale + recovery budgets enforced) =="
-cargo run --release -p aircal-bench --bin perfreport -- --quick --check-allocs --check-perf --check-robust --check-scale --check-recovery
+echo "== perfreport (--quick, every section of scripts/budgets.json enforced) =="
+cargo run --release -p aircal-bench --bin perfreport -- --quick --check
 
 echo "== verify: all gates passed =="
