@@ -14,7 +14,11 @@
 //! * **kernels** — the runtime-selected DSP dispatch arm
 //!   (`scalar`/`sse2`/`avx2`/`neon`) and per-kernel scalar-vs-dispatched
 //!   throughput with a bit-identity cross-check. `--check` enforces the
-//!   simd-vs-scalar speedup floor when a vector ISA is dispatched;
+//!   simd-vs-scalar speedup floor when a vector ISA is dispatched. A
+//!   separate `finalize` row times the front end's noise-and-quantize
+//!   stage against its per-sample libm reference (ns/sample, exact-path
+//!   fallback rate); `--check` requires it bit-identical but does not
+//!   count it toward the kernel speedup floor;
 //! * **adsb_decode** — decoder throughput over a rendered capture,
 //!   Msamples/s;
 //! * **preamble_scan** — power-gated preamble correlation vs the exact
@@ -180,13 +184,29 @@ struct KernelTiming {
     bit_identical: bool,
 }
 
+/// `Frontend::finalize` (bulk words, the dispatched `noise_quantize`,
+/// libm for the reported samples) against `Frontend::finalize_reference`
+/// (per-sample draws and libm) on one capture. `fallback_rate` is the
+/// share of samples the kernel handed to the exact path.
+#[derive(Serialize)]
+struct FinalizeTiming {
+    samples: usize,
+    reference_ns_per_sample: f64,
+    dispatched_ns_per_sample: f64,
+    speedup: f64,
+    fallback_rate: f64,
+    bit_identical: bool,
+}
+
 /// The `kernels` section: the runtime-selected dispatch arm
 /// (`scalar`/`sse2`/`avx2`/`neon`) and per-kernel scalar-vs-dispatched
-/// throughput on an L1-resident workload.
+/// throughput on an L1-resident workload, plus the front-end `finalize`
+/// row.
 #[derive(Serialize)]
 struct KernelsReport {
     dispatch: &'static str,
     kernels: Vec<KernelTiming>,
+    finalize: FinalizeTiming,
 }
 
 /// One adversary's trip down the quarantine ladder during the campaign.
@@ -645,6 +665,48 @@ fn kernel_timings(reps: usize) -> KernelsReport {
     KernelsReport {
         dispatch: aircal_dsp::dispatch_label(),
         kernels,
+        finalize: finalize_timing(reps, &za),
+    }
+}
+
+/// The front end's last stage on a 4096-sample capture of a −80 dBm
+/// signal (SNR ≈ 24 dB, the ADS-B regime): reference vs dispatched path,
+/// both from the same generator state, plus the exact-path share.
+fn finalize_timing(reps: usize, signal: &[Cplx]) -> FinalizeTiming {
+    let fe = Frontend::new(FrontendConfig::bladerf_xa9(1.09e9, 2e6));
+    let capture = fe.scale_and_impair(signal, -80.0, 0.3, 0);
+    let samples = capture.len();
+    let inner = 50;
+    let mut buf = capture.clone();
+    let mut run = |reference: bool, rng: &mut ChaCha8Rng| {
+        buf.copy_from_slice(&capture);
+        if reference {
+            fe.finalize_reference(&mut buf, rng);
+        } else {
+            fe.finalize(&mut buf, rng);
+        }
+        buf.iter().fold(0u64, |h, x| h.rotate_left(5) ^ x.re.to_bits() ^ x.im.to_bits())
+    };
+    let (mut rng_ref, mut rng_fast) = (ChaCha8Rng::seed_from_u64(3), ChaCha8Rng::seed_from_u64(3));
+    let bit_identical = run(true, &mut rng_ref) == run(false, &mut rng_fast) && rng_ref == rng_fast;
+    let mut rng = ChaCha8Rng::seed_from_u64(4);
+    let reference_seconds = time_best(reps, || (0..inner).fold(0, |h, _| h ^ run(true, &mut rng)));
+    let dispatched_seconds = time_best(reps, || (0..inner).fold(0, |h, _| h ^ run(false, &mut rng)));
+
+    let fallbacks: usize = (0..inner)
+        .map(|_| {
+            buf.copy_from_slice(&capture);
+            fe.finalize(&mut buf, &mut rng)
+        })
+        .sum();
+    let per_sample = 1e9 / (samples * inner) as f64;
+    FinalizeTiming {
+        samples,
+        reference_ns_per_sample: reference_seconds * per_sample,
+        dispatched_ns_per_sample: dispatched_seconds * per_sample,
+        speedup: reference_seconds / dispatched_seconds,
+        fallback_rate: fallbacks as f64 / (samples * inner) as f64,
+        bit_identical,
     }
 }
 
@@ -964,6 +1026,7 @@ fn check_budgets(r: &PipelineReport) -> bool {
         let what = format!("kernel {} bit-identical to the scalar arm", t.kernel);
         g.require("perf", &what, t.bit_identical);
     }
+    g.require("perf", "finalize bit-identical to its libm reference", k.finalize.bit_identical);
     if k.dispatch == "scalar" {
         eprintln!(
             "# perf budget note: dispatch is scalar (no vector ISA or AIRCAL_FORCE_SCALAR); \
@@ -1120,6 +1183,15 @@ fn main() {
             if t.bit_identical { "identical" } else { "DIVERGED" }
         );
     }
+    let f = &kernels.finalize;
+    eprintln!(
+        "# finalize: {:.1} -> {:.1} ns/sample ({:.2}x, fallback {:.1e}, bits {})",
+        f.reference_ns_per_sample,
+        f.dispatched_ns_per_sample,
+        f.speedup,
+        f.fallback_rate,
+        if f.bit_identical { "identical" } else { "DIVERGED" }
+    );
 
     // --- ADS-B decode throughput -----------------------------------------
     let (windows, samples) = decode_capture(seed, if quick { 200 } else { 1_000 });

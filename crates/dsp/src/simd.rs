@@ -45,6 +45,18 @@
 //! equivalence suite (`crates/dsp/tests/simd_equivalence.rs`) proves over
 //! randomized lengths, alignments, tails, and NaN/inf payloads.
 //!
+//! # Exact fast noise before a quantizer
+//!
+//! [`Kernels::noise_quantize`] is the one kernel that is *not* a
+//! reproduction of a scalar op sequence: it replaces libm's `ln`,
+//! `sqrt`-`sin`-`cos` Box–Muller with a branch-free polynomial version
+//! and relies on the ADC quantizer that follows to make the result exact.
+//! Every sample whose fast pre-round value lies within a guard band of a
+//! rounding boundary is reported back in the "needs exact" mask, and the
+//! caller recomputes it with libm; all other samples provably round to
+//! the same grid point as the libm value. See [`AdcNoise`] for the error
+//! bound and the guard.
+//!
 //! # Dispatch
 //!
 //! [`kernels`] picks the widest arm the host supports exactly once (via
@@ -118,6 +130,219 @@ pub struct Kernels {
     pub cmul_assign: fn(&mut [Cplx], &[Cplx]),
     /// Elementwise `dst[i] = src[i] · taps[i]` (real taper).
     pub scale_map: fn(&[Cplx], &[f64], &mut [Cplx]),
+    /// Thermal noise, DC offset and ADC quantization for up to
+    /// [`NOISE_BLOCK`] samples from `2·n` uniforms: sample `i` takes its
+    /// Box–Muller draws `u1 ∈ [ε, 1)` and `u2 ∈ [0, 1)` from
+    /// `uniforms[2i]` and `uniforms[2i + 1]`. Writes every sample it can
+    /// prove equal to the libm reference and returns the mask of the
+    /// samples (bit `i`) left untouched for the caller's exact path. See
+    /// [`AdcNoise`].
+    pub noise_quantize: fn(&[f64], &AdcNoise, &mut [Cplx]) -> u64,
+}
+
+/// Samples per [`Kernels::noise_quantize`] call: the "needs exact" mask
+/// is one bit per sample of a `u64`.
+pub const NOISE_BLOCK: usize = 64;
+
+/// Upper bound on `|n_fast − n_libm| / σ` for each noise component, where
+/// `n_fast` is [`fast_box_muller`] and `n_libm` is
+/// `σ·sqrt(−2·ln u1)·(cos, sin)(2π·u2)` evaluated with libm.
+///
+/// The budget: the polynomial `ln` is good to a few ulp of `|ln u1|`, so
+/// the radius `sqrt(−2·ln u1) ≤ 8.5` is off by a few ulp of itself; the
+/// sine and cosine are off by under 1e-15 absolute (Taylor truncation
+/// below 1e-19, a few roundings, plus libm's own input `fl(2π·u2)`, which
+/// is up to 7e-16 from `2π·u2`). The product is within ~1e-14; the
+/// measured worst case over 10⁶ draws plus the edge points is 3.7e-15
+/// (`tests/properties.rs`). 1e-12 leaves a 100× margin on the estimate.
+pub const BOX_MULLER_ERR: f64 = 1e-12;
+
+/// Extra factor between the worst-case drift of a pre-round value and
+/// the guard band, so the guard holds even if [`BOX_MULLER_ERR`] were
+/// off by three orders of magnitude.
+const GUARD_MARGIN: f64 = 1024.0;
+
+/// Bound on the rounding a pre-round value picks up besides the noise
+/// error: the DC/signal add and the clamp input are off by at most
+/// `2⁻⁵³ + 2⁻⁵²` for `|value| < 2` (anything larger clamps to ±1 on both
+/// paths), and `× levels` by half an ulp of the result.
+const ADD_ROUNDING: f64 = 1.0 / (1u64 << 50) as f64;
+
+/// Parameters of one [`Kernels::noise_quantize`] pass: per-component
+/// noise σ, the DC offset added to I, and the ADC half-range `levels`
+/// (`2^(bits−1)`), plus the guard band they imply.
+///
+/// # Why the fast samples equal the libm samples
+///
+/// The reference computes, per component, `v = clamp(x + n, −1, 1)·levels`
+/// and outputs `round(v) / levels`. Addition, clamp, `× levels` and
+/// `round` are each monotone, so the fast pre-round value `v'` and the
+/// libm one `v` differ by at most `g₀ = levels·(E + ADD_ROUNDING)`, with
+/// `E = σ·BOX_MULLER_ERR`. If `v'` is more than `g = GUARD_MARGIN·g₀`
+/// away from every half-integer and from zero, `v` lies in the same open
+/// interval `(k − ½, k + ½)` with the same sign, so both round to the same
+/// integer `k` with the same sign of zero — the output bits agree. A NaN
+/// fails every guard comparison and goes to the exact path too.
+#[derive(Debug, Clone, Copy)]
+pub struct AdcNoise {
+    sigma: f64,
+    dc_offset: f64,
+    levels: f64,
+    guard: f64,
+}
+
+impl AdcNoise {
+    /// Noise of per-component σ (full-scale units), DC offset added to I,
+    /// and an ADC with `levels` steps per unit full scale.
+    pub fn new(sigma: f64, dc_offset: f64, levels: f64) -> Self {
+        let guard = GUARD_MARGIN * levels * (sigma.abs() * BOX_MULLER_ERR + ADD_ROUNDING);
+        Self {
+            sigma,
+            dc_offset,
+            levels,
+            guard,
+        }
+    }
+
+    /// Half-width of the band around each rounding boundary (in ADC
+    /// steps) inside which samples take the exact path.
+    pub fn guard(&self) -> f64 {
+        self.guard
+    }
+}
+
+/// Cody–Waite split of ln 2: `LN2_HI` has 32 significant bits, so
+/// `e·LN2_HI` is exact for the exponents `ln_unit` sees.
+const LN2_HI: f64 = 6.931_471_803_691_238e-1;
+const LN2_LO: f64 = 1.908_214_929_270_587_7e-10;
+
+/// `1/(2k+1)` for k = 10 down to 0: `ln m = 2s·Σ s^(2k)/(2k+1)` with
+/// `s = (m−1)/(m+1)`, `|s| ≤ 0.172`, truncation below 1e-18 relative.
+const ATANH: [f64; 11] = [
+    1.0 / 21.0,
+    1.0 / 19.0,
+    1.0 / 17.0,
+    1.0 / 15.0,
+    1.0 / 13.0,
+    1.0 / 11.0,
+    1.0 / 9.0,
+    1.0 / 7.0,
+    1.0 / 5.0,
+    1.0 / 3.0,
+    1.0,
+];
+
+/// Taylor coefficients of `(sin a − a)/a³` in `a²`, highest first
+/// (through `a¹⁷/17!`; truncation below 1e-19 for `|a| ≤ π/4`).
+const SIN: [f64; 8] = [
+    1.0 / 355_687_428_096_000.0,
+    -1.0 / 1_307_674_368_000.0,
+    1.0 / 6_227_020_800.0,
+    -1.0 / 39_916_800.0,
+    1.0 / 362_880.0,
+    -1.0 / 5_040.0,
+    1.0 / 120.0,
+    -1.0 / 6.0,
+];
+
+/// Taylor coefficients of `(cos a − 1)/a²` in `a²`, highest first
+/// (through `a¹⁸/18!`; truncation below 1e-20 for `|a| ≤ π/4`).
+const COS: [f64; 9] = [
+    -1.0 / 6_402_373_705_728_000.0,
+    1.0 / 20_922_789_888_000.0,
+    -1.0 / 87_178_291_200.0,
+    1.0 / 479_001_600.0,
+    -1.0 / 3_628_800.0,
+    1.0 / 40_320.0,
+    -1.0 / 720.0,
+    1.0 / 24.0,
+    -1.0 / 2.0,
+];
+
+#[inline(always)]
+fn horner(z: f64, coeffs: &[f64]) -> f64 {
+    let mut p = coeffs[0];
+    for &k in &coeffs[1..] {
+        p = p * z + k;
+    }
+    p
+}
+
+/// `ln u` for `u ∈ [2⁻⁵², 1)` without libm: split `u = 2^e·m` with
+/// `m ∈ (√½, √2]`, then `ln u = e·ln 2 + 2·atanh((m−1)/(m+1))`.
+#[inline(always)]
+fn ln_unit(u: f64) -> f64 {
+    let bits = u.to_bits();
+    let e = (bits >> 52) as f64 - 1023.0;
+    let m = f64::from_bits((bits & 0x000F_FFFF_FFFF_FFFF) | 0x3FF0_0000_0000_0000);
+    // Fold `m > √2` down by an exact halving without a branch: the
+    // comparison is a coin flip per draw.
+    let big = f64::from(u8::from(m > core::f64::consts::SQRT_2));
+    let m = m * (1.0 - 0.5 * big);
+    let e = e + big;
+    let s = (m - 1.0) / (m + 1.0);
+    let p = horner(s * s, &ATANH);
+    e * LN2_HI + (e * LN2_LO + 2.0 * s * p)
+}
+
+/// `(sin 2πu, cos 2πu)` for `u ∈ [0, 1)` without libm: the quadrant
+/// `j = ⌊4u + ½⌋` (the nearest quarter turn) splits off exactly
+/// (`u − j/4` is exact), leaving `|a| = |2π(u − j/4)| ≤ π/4` (plus an
+/// ulp where `4u + ½` rounds) for the Taylor series.
+#[inline(always)]
+fn sincos_2pi(u: f64) -> (f64, f64) {
+    // Truncation is `floor` here, and compiles to one instruction
+    // where `floor` is a libm call.
+    let j = (4.0 * u + 0.5) as u32;
+    let a = (u - 0.25 * f64::from(j)) * core::f64::consts::TAU;
+    let a2 = a * a;
+    let s = a + a * a2 * horner(a2, &SIN);
+    let c = 1.0 + a2 * horner(a2, &COS);
+    // Quadrant `j mod 4` without a branch: odd quadrants swap sine and
+    // cosine, quadrants 2–3 negate the sine and 1–2 the cosine.
+    let negate = |x: f64, neg: bool| f64::from_bits(x.to_bits() ^ (u64::from(neg) << 63));
+    let (sin, cos) = if j & 1 == 0 { (s, c) } else { (c, s) };
+    (negate(sin, j & 2 != 0), negate(cos, (j + 1) & 2 != 0))
+}
+
+/// The fast Box–Muller pair [`Kernels::noise_quantize`] starts from:
+/// `σ·sqrt(−2·ln u1)·(cos 2πu2, sin 2πu2)` with the polynomial `ln` and
+/// `sincos`, within `σ·`[`BOX_MULLER_ERR`] of the libm evaluation per
+/// component. This is the scalar arm; the AVX2 arm replays its operation
+/// sequence four samples at a time.
+pub fn fast_box_muller(u1: f64, u2: f64, sigma: f64) -> Cplx {
+    let r = sigma * (-2.0 * ln_unit(u1)).sqrt();
+    let (s, c) = sincos_2pi(u2);
+    Cplx::new(r * c, r * s)
+}
+
+/// One quantized component, or `None` when the pre-round value is within
+/// the guard of a rounding boundary or of zero (or is NaN). The computed
+/// distance `d` is exact except for `frac < ¼`, where it is off by at
+/// most 2⁻⁵⁴, far inside the guard's margin.
+#[inline(always)]
+fn quantize_guarded(x: f64, p: &AdcNoise) -> Option<f64> {
+    let v = x.clamp(-1.0, 1.0) * p.levels;
+    let a = v.abs();
+    // `a` is finite and non-negative, so truncation is `floor` (a NaN
+    // becomes 0 here and still fails the guard through `a`), without
+    // the libm calls `floor` and `round` are on baseline x86_64.
+    let whole = a as u64 as f64;
+    let frac = a - whole;
+    let d = (frac - 0.5).abs();
+    // Off a tie, `round(v)` is `whole` or `whole + 1` with the sign of `v`.
+    let k = whole + f64::from(u8::from(frac > 0.5));
+    (a > p.guard && d > p.guard).then(|| k.copysign(v) / p.levels)
+}
+
+/// One sample of the fast path: the reference's op order
+/// (`(x.re + dc) + n.re`, `x.im + n.im`), then the guarded quantizer.
+#[inline(always)]
+fn noise_quantize_one(u1: f64, u2: f64, p: &AdcNoise, x: Cplx) -> Option<Cplx> {
+    let n = fast_box_muller(u1, u2, p.sigma);
+    let re = quantize_guarded((x.re + p.dc_offset) + n.re, p)?;
+    let im = quantize_guarded(x.im + n.im, p)?;
+    Some(Cplx::new(re, im))
 }
 
 static DISPATCH: OnceLock<&'static Kernels> = OnceLock::new();
@@ -191,6 +416,7 @@ pub static SCALAR: Kernels = Kernels {
     norm_sq_accum: scalar_norm_sq_accum,
     cmul_assign: scalar_cmul_assign,
     scale_map: scalar_scale_map,
+    noise_quantize: scalar_noise_quantize,
 };
 
 fn scalar_sum_f64(xs: &[f64]) -> f64 {
@@ -307,13 +533,25 @@ fn scalar_scale_map(src: &[Cplx], taps: &[f64], dst: &mut [Cplx]) {
     }
 }
 
+fn scalar_noise_quantize(uniforms: &[f64], p: &AdcNoise, block: &mut [Cplx]) -> u64 {
+    assert!(block.len() <= NOISE_BLOCK && uniforms.len() >= 2 * block.len());
+    let mut exact = 0u64;
+    for (i, (x, u)) in block.iter_mut().zip(uniforms.chunks_exact(2)).enumerate() {
+        match noise_quantize_one(u[0], u[1], p, *x) {
+            Some(q) => *x = q,
+            None => exact |= 1 << i,
+        }
+    }
+    exact
+}
+
 // ---------------------------------------------------------------------
 // x86_64 arms.
 // ---------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{tree8, Kernels, LANES};
+    use super::{tree8, AdcNoise, Kernels, LANES, NOISE_BLOCK};
     use crate::Cplx;
     use core::arch::x86_64::*;
 
@@ -330,6 +568,7 @@ mod x86 {
         norm_sq_accum: avx2_norm_sq_accum,
         cmul_assign: avx2_cmul_assign,
         scale_map: avx2_scale_map,
+        noise_quantize: avx2_noise_quantize,
     };
 
     /// SSE2 arm: the two pure-`f64` reductions run 2-wide; the
@@ -346,6 +585,7 @@ mod x86 {
         norm_sq_accum: super::scalar_norm_sq_accum,
         cmul_assign: super::scalar_cmul_assign,
         scale_map: super::scalar_scale_map,
+        noise_quantize: super::scalar_noise_quantize,
     };
 
     // Every safe wrapper below is only reachable through a vtable that
@@ -378,6 +618,9 @@ mod x86 {
     }
     fn avx2_scale_map(src: &[Cplx], taps: &[f64], dst: &mut [Cplx]) {
         unsafe { avx2_scale_map_impl(src, taps, dst) }
+    }
+    fn avx2_noise_quantize(uniforms: &[f64], p: &AdcNoise, block: &mut [Cplx]) -> u64 {
+        unsafe { avx2_noise_quantize_impl(uniforms, p, block) }
     }
     fn sse2_sum_f64(xs: &[f64]) -> f64 {
         unsafe { sse2_sum_f64_impl(xs) }
@@ -579,6 +822,179 @@ mod x86 {
         }
     }
 
+    /// `[re0, im0, re1, im1]`, `[re2, im2, re3, im3]` →
+    /// `([re0..re3], [im0..im3])`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn deinterleave(a: __m256d, b: __m256d) -> (__m256d, __m256d) {
+        let t0 = _mm256_permute2f128_pd(a, b, 0x20); // [re0, im0, re2, im2]
+        let t1 = _mm256_permute2f128_pd(a, b, 0x31); // [re1, im1, re3, im3]
+        (_mm256_unpacklo_pd(t0, t1), _mm256_unpackhi_pd(t0, t1))
+    }
+
+    /// Inverse of [`deinterleave`].
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn interleave(re: __m256d, im: __m256d) -> (__m256d, __m256d) {
+        let t0 = _mm256_unpacklo_pd(re, im); // [re0, im0, re2, im2]
+        let t1 = _mm256_unpackhi_pd(re, im); // [re1, im1, re3, im3]
+        (
+            _mm256_permute2f128_pd(t0, t1, 0x20),
+            _mm256_permute2f128_pd(t0, t1, 0x31),
+        )
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn horner4(z: __m256d, coeffs: &[f64]) -> __m256d {
+        let mut p = _mm256_set1_pd(coeffs[0]);
+        for &k in &coeffs[1..] {
+            p = _mm256_add_pd(_mm256_mul_pd(p, z), _mm256_set1_pd(k));
+        }
+        p
+    }
+
+    /// Four lanes of `super::ln_unit`, same op sequence (the √2 fold is
+    /// a blend here, a multiply by 1 or ½ there: the same values).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn ln_unit4(u: __m256d) -> __m256d {
+        let one = _mm256_set1_pd(1.0);
+        let bits = _mm256_castpd_si256(u);
+        // Biased exponent → f64 through the magic number, then unbias.
+        let e_bits = _mm256_or_si256(
+            _mm256_srli_epi64(bits, 52),
+            _mm256_set1_epi64x(0x4330_0000_0000_0000),
+        );
+        let mut e = _mm256_sub_pd(
+            _mm256_castsi256_pd(e_bits),
+            _mm256_set1_pd(4_503_599_627_370_496.0 + 1023.0),
+        );
+        let m_bits = _mm256_or_si256(
+            _mm256_and_si256(bits, _mm256_set1_epi64x(0x000F_FFFF_FFFF_FFFF)),
+            _mm256_set1_epi64x(0x3FF0_0000_0000_0000),
+        );
+        let mut m = _mm256_castsi256_pd(m_bits);
+        let big = _mm256_cmp_pd(m, _mm256_set1_pd(core::f64::consts::SQRT_2), _CMP_GT_OQ);
+        m = _mm256_blendv_pd(m, _mm256_mul_pd(m, _mm256_set1_pd(0.5)), big);
+        e = _mm256_add_pd(e, _mm256_and_pd(big, one));
+        let s = _mm256_div_pd(_mm256_sub_pd(m, one), _mm256_add_pd(m, one));
+        let p = horner4(_mm256_mul_pd(s, s), &super::ATANH);
+        let hi = _mm256_mul_pd(e, _mm256_set1_pd(super::LN2_HI));
+        let lo = _mm256_mul_pd(e, _mm256_set1_pd(super::LN2_LO));
+        let two_s = _mm256_mul_pd(_mm256_set1_pd(2.0), s);
+        _mm256_add_pd(hi, _mm256_add_pd(lo, _mm256_mul_pd(two_s, p)))
+    }
+
+    /// Four lanes of `super::sincos_2pi`, same op sequence; the quadrant
+    /// swap and sign flips are blends and sign-bit XORs.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn sincos_2pi4(u: __m256d) -> (__m256d, __m256d) {
+        let j = _mm256_floor_pd(_mm256_add_pd(
+            _mm256_mul_pd(_mm256_set1_pd(4.0), u),
+            _mm256_set1_pd(0.5),
+        ));
+        let f = _mm256_sub_pd(u, _mm256_mul_pd(_mm256_set1_pd(0.25), j));
+        let a = _mm256_mul_pd(f, _mm256_set1_pd(core::f64::consts::TAU));
+        let a2 = _mm256_mul_pd(a, a);
+        let s = _mm256_add_pd(
+            a,
+            _mm256_mul_pd(_mm256_mul_pd(a, a2), horner4(a2, &super::SIN)),
+        );
+        let c = _mm256_add_pd(
+            _mm256_set1_pd(1.0),
+            _mm256_mul_pd(a2, horner4(a2, &super::COS)),
+        );
+        let q1 = _mm256_cmp_pd(j, _mm256_set1_pd(1.0), _CMP_EQ_OQ);
+        let q2 = _mm256_cmp_pd(j, _mm256_set1_pd(2.0), _CMP_EQ_OQ);
+        let q3 = _mm256_cmp_pd(j, _mm256_set1_pd(3.0), _CMP_EQ_OQ);
+        let swap = _mm256_or_pd(q1, q3);
+        let sign = _mm256_set1_pd(-0.0);
+        let sin = _mm256_blendv_pd(s, c, swap);
+        let cos = _mm256_blendv_pd(c, s, swap);
+        (
+            _mm256_xor_pd(sin, _mm256_and_pd(_mm256_or_pd(q2, q3), sign)),
+            _mm256_xor_pd(cos, _mm256_and_pd(_mm256_or_pd(q1, q2), sign)),
+        )
+    }
+
+    /// Four lanes of `super::quantize_guarded`: the quantized values and
+    /// the all-ones lanes where they may be used. `max(−1, x)` then
+    /// `min(1, ·)` keep `x` as the second operand, which is the one x86
+    /// returns when it is NaN, so NaN reaches the guard and fails it.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn quantize_guarded4(x: __m256d, levels: __m256d, guard: __m256d) -> (__m256d, __m256d) {
+        let clamped = _mm256_min_pd(_mm256_set1_pd(1.0), _mm256_max_pd(_mm256_set1_pd(-1.0), x));
+        let v = _mm256_mul_pd(clamped, levels);
+        let a = _mm256_andnot_pd(_mm256_set1_pd(-0.0), v);
+        let frac = _mm256_sub_pd(a, _mm256_floor_pd(a));
+        let d = _mm256_andnot_pd(
+            _mm256_set1_pd(-0.0),
+            _mm256_sub_pd(frac, _mm256_set1_pd(0.5)),
+        );
+        let ok = _mm256_and_pd(
+            _mm256_cmp_pd(a, guard, _CMP_GT_OQ),
+            _mm256_cmp_pd(d, guard, _CMP_GT_OQ),
+        );
+        // Ties never pass the guard, so nearest-even equals `round`'s
+        // half-away-from-zero on every lane that is used.
+        let k = _mm256_round_pd(v, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+        (_mm256_div_pd(k, levels), ok)
+    }
+
+    /// # Safety
+    ///
+    /// The host must support AVX2. Memory accesses stay in bounds for
+    /// any slices: the assert below covers every load and store.
+    #[target_feature(enable = "avx2")]
+    unsafe fn avx2_noise_quantize_impl(uniforms: &[f64], p: &AdcNoise, block: &mut [Cplx]) -> u64 {
+        let n = block.len();
+        // Step `c < n / 4` reads uniforms `8c..8c + 8` and samples
+        // `4c..4c + 4`, so this bounds every unaligned load and store.
+        assert!(n <= NOISE_BLOCK && uniforms.len() >= 2 * n);
+        let pu = uniforms.as_ptr();
+        let pb = block.as_mut_ptr() as *mut f64;
+        let sigma = _mm256_set1_pd(p.sigma);
+        let dc = _mm256_set1_pd(p.dc_offset);
+        let levels = _mm256_set1_pd(p.levels);
+        let guard = _mm256_set1_pd(p.guard);
+        let mut exact = 0u64;
+        let full = n / 4;
+        for c in 0..full {
+            // [u1₀, u2₀, u1₁, u2₁], [u1₂, u2₂, u1₃, u2₃] → per draw.
+            let ua = _mm256_loadu_pd(pu.add(8 * c));
+            let ub = _mm256_loadu_pd(pu.add(8 * c + 4));
+            let (u1, u2) = deinterleave(ua, ub);
+            let minus_two_ln = _mm256_mul_pd(_mm256_set1_pd(-2.0), ln_unit4(u1));
+            let r = _mm256_mul_pd(sigma, _mm256_sqrt_pd(minus_two_ln));
+            let (sin, cos) = sincos_2pi4(u2);
+
+            let xa = _mm256_loadu_pd(pb.add(8 * c));
+            let xb = _mm256_loadu_pd(pb.add(8 * c + 4));
+            let (re, im) = deinterleave(xa, xb);
+            let re = _mm256_add_pd(_mm256_add_pd(re, dc), _mm256_mul_pd(r, cos));
+            let im = _mm256_add_pd(im, _mm256_mul_pd(r, sin));
+            let (qre, ok_re) = quantize_guarded4(re, levels, guard);
+            let (qim, ok_im) = quantize_guarded4(im, levels, guard);
+            let ok = _mm256_and_pd(ok_re, ok_im);
+
+            let (qa, qb) = interleave(qre, qim);
+            let (ma, mb) = interleave(ok, ok);
+            _mm256_storeu_pd(pb.add(8 * c), _mm256_blendv_pd(xa, qa, ma));
+            _mm256_storeu_pd(pb.add(8 * c + 4), _mm256_blendv_pd(xb, qb, mb));
+            exact |= ((!_mm256_movemask_pd(ok) & 0xF) as u64) << (4 * c);
+        }
+        for i in 4 * full..n {
+            match super::noise_quantize_one(uniforms[2 * i], uniforms[2 * i + 1], p, block[i]) {
+                Some(q) => block[i] = q,
+                None => exact |= 1 << i,
+            }
+        }
+        exact
+    }
+
     #[target_feature(enable = "sse2")]
     unsafe fn sse2_sum_f64_impl(xs: &[f64]) -> f64 {
         // Four 2-wide accumulators cover the eight canonical lanes.
@@ -644,6 +1060,7 @@ mod neon {
         norm_sq_accum: super::scalar_norm_sq_accum,
         cmul_assign: super::scalar_cmul_assign,
         scale_map: super::scalar_scale_map,
+        noise_quantize: super::scalar_noise_quantize,
     };
 
     // NEON is baseline on aarch64, so the intrinsics are safe to issue

@@ -22,10 +22,17 @@
 //! pinned by any implementation, including two builds of the scalar arm
 //! alone. Every NaN producible here carries the canonical mantissa, so
 //! masking the sign bit is exact, not a tolerance.
+//!
+//! `noise_quantize` is held to a different contract: its arms need only
+//! agree on the *final* samples, after the caller's exact libm path has
+//! filled in the samples the kernel reports. Those must match bit for bit
+//! — NaN included, since every NaN takes the one libm path.
 
-use aircal_dsp::simd::{Kernels, LaneSum};
+use aircal_dsp::simd::{AdcNoise, Kernels, LaneSum, NOISE_BLOCK};
 use aircal_dsp::{kernels, Cplx};
 use proptest::prelude::*;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 
 fn arms() -> (&'static Kernels, &'static Kernels) {
     (Kernels::scalar(), Kernels::detect())
@@ -138,7 +145,172 @@ fn lane_sum_matches_sum_f64_at_every_length() {
     }
 }
 
+/// One block's Box–Muller uniforms as the front end draws them:
+/// `u1 ∈ [ε, 1)` and `u2 ∈ [0, 1)`, alternating.
+fn uniforms(rng: &mut ChaCha8Rng) -> [f64; 2 * NOISE_BLOCK] {
+    core::array::from_fn(|k| {
+        if k % 2 == 0 {
+            rng.gen_range(f64::EPSILON..1.0)
+        } else {
+            rng.gen_range(0.0..1.0)
+        }
+    })
+}
+
+/// The exact per-sample path a caller runs for the samples
+/// `noise_quantize` reports: libm Box–Muller and the ADC quantizer.
+fn libm_sample(u: &[f64], sigma: f64, dc: f64, levels: f64, x: Cplx) -> Cplx {
+    let (u1, u2) = (u[0], u[1]);
+    let r = sigma * (-2.0 * u1.ln()).sqrt();
+    let (s, c) = (core::f64::consts::TAU * u2).sin_cos();
+    let q = |v: f64| (v.clamp(-1.0, 1.0) * levels).round() / levels;
+    Cplx::new(q((x.re + dc) + r * c), q(x.im + r * s))
+}
+
+/// `noise_quantize` on `k`, then the exact path for the reported
+/// samples: the final capture, and how many samples fell back.
+fn noise_final(
+    k: &Kernels,
+    u: &[f64],
+    (sigma, dc, levels): (f64, f64, f64),
+    input: &[Cplx],
+) -> (Vec<Cplx>, u32) {
+    let mut block = input.to_vec();
+    let exact = (k.noise_quantize)(u, &AdcNoise::new(sigma, dc, levels), &mut block);
+    if input.len() < NOISE_BLOCK {
+        assert_eq!(exact >> input.len(), 0, "mask bit past the block");
+    }
+    for (i, x) in block.iter_mut().enumerate() {
+        if exact >> i & 1 == 1 {
+            assert_eq!(
+                x.re.to_bits(),
+                input[i].re.to_bits(),
+                "reported sample {i} was written"
+            );
+            *x = libm_sample(&u[2 * i..], sigma, dc, levels, input[i]);
+        }
+    }
+    (block, exact.count_ones())
+}
+
+fn assert_same_samples(label: &str, a: &[Cplx], b: &[Cplx]) {
+    for (i, (x, y)) in a.iter().zip(b).enumerate() {
+        assert_same_bits(&format!("{label}[{i}].re"), x.re, y.re);
+        assert_same_bits(&format!("{label}[{i}].im"), x.im, y.im);
+    }
+}
+
+/// Every block length 0..=64 (all tails of the 4-wide arm), with NaN,
+/// ±inf and −0.0 entries, clipping amplitudes and three ADC widths: the
+/// final samples of both arms and of the dispatched arm are the libm
+/// samples bit for bit, and the arms resolve nearly every finite sample
+/// themselves.
+#[test]
+fn noise_quantize_final_samples_match_across_arms() {
+    let (s, d) = arms();
+    let mut rng = ChaCha8Rng::seed_from_u64(0x5EED);
+    let (mut fell_back, mut finite, mut non_finite) = (0u32, 0u32, 0u32);
+    for n in 0..=NOISE_BLOCK {
+        for (t, &(sigma, dc, levels)) in [
+            (1.4e-4, 0.0, 2048.0),
+            (3e-2, 1e-3, 128.0),
+            (1e-6, -2e-4, 8192.0),
+        ]
+        .iter()
+        .enumerate()
+        {
+            let u = uniforms(&mut rng);
+            let input: Vec<Cplx> = (0..n)
+                .map(|i| match (i + t) % 9 {
+                    0 => Cplx::new(f64::NAN, 0.1),
+                    1 => Cplx::new(0.2, f64::INFINITY),
+                    2 => Cplx::new(f64::NEG_INFINITY, -0.0),
+                    3 => Cplx::new(-0.0, -0.0),
+                    4 => Cplx::phasor(i as f64).scale(3.0),
+                    _ => Cplx::phasor(0.7 * i as f64).scale(1e-3 * i as f64),
+                })
+                .collect();
+            let p = (sigma, dc, levels);
+            let want: Vec<Cplx> = (0..n)
+                .map(|i| libm_sample(&u[2 * i..], sigma, dc, levels, input[i]))
+                .collect();
+            let (ss, _) = noise_final(s, &u, p, &input);
+            let (sd, fd) = noise_final(d, &u, p, &input);
+            let (sk, _) = noise_final(kernels(), &u, p, &input);
+            assert_same_samples("scalar vs libm", &ss, &want);
+            assert_same_samples("detected vs libm", &sd, &want);
+            assert_same_samples("kernels() vs libm", &sk, &want);
+            fell_back += fd;
+            let n_finite = input
+                .iter()
+                .filter(|x| x.re.is_finite() && x.im.is_finite())
+                .count();
+            finite += n_finite as u32;
+            non_finite += (n - n_finite) as u32;
+        }
+    }
+    assert!(
+        fell_back <= non_finite + finite / 100,
+        "{fell_back} fallbacks for {finite} finite samples"
+    );
+}
+
+/// The guard band is honoured on every arm: with no noise, a sample half
+/// a guard from a half-step boundary (or from zero) is reported for the
+/// exact path, and one four guards away is quantized by the kernel.
+#[test]
+fn noise_quantize_reports_samples_inside_the_guard() {
+    let (s, d) = arms();
+    let levels = 2048.0;
+    let adc = AdcNoise::new(0.0, 0.0, levels);
+    let g = adc.guard();
+    assert!(g > 0.0 && g < 1e-6, "guard {g}");
+    let u = [0.3; 2 * NOISE_BLOCK];
+    let steps = [0.0, 0.5, 1.5, -7.5, 300.5];
+    let at = |offset: f64| -> Vec<Cplx> {
+        steps
+            .iter()
+            .map(|&k| Cplx::new((k + offset) / levels, 0.25))
+            .collect()
+    };
+    for k in [s, d] {
+        let mut inside = at(g / 2.0);
+        let exact = (k.noise_quantize)(&u, &adc, &mut inside);
+        assert_eq!(exact, 0b11111, "{}: samples inside the guard", k.label);
+        let mut outside = at(4.0 * g);
+        let exact = (k.noise_quantize)(&u, &adc, &mut outside);
+        assert_eq!(exact, 0, "{}: samples outside the guard", k.label);
+    }
+}
+
 proptest! {
+    /// Random uniforms, noise levels, DC offsets, ADC widths and inputs
+    /// with injected NaN / ±inf / −0.0: both arms' final samples agree
+    /// bit for bit.
+    #[test]
+    fn noise_quantize_arms_agree(
+        seed in proptest::any::<u64>(),
+        xs in proptest::collection::vec((-1.5f64..1.5, -1.5f64..1.5), 0..=64),
+        inject in proptest::collection::vec((0usize..64, 0u8..4, 0u8..2), 0..=4),
+        log_sigma in -7.0f64..-0.5,
+        dc in -0.01f64..0.01,
+        bits in 8u32..15,
+    ) {
+        let (s, d) = arms();
+        let mut input = cplx_vec(&xs);
+        for &(pos, sel, part) in &inject {
+            if let Some(x) = input.get_mut(pos) {
+                if part == 0 { x.re = special(sel) } else { x.im = special(sel) }
+            }
+        }
+        let u = uniforms(&mut ChaCha8Rng::seed_from_u64(seed));
+        let p = (10f64.powf(log_sigma), dc, (1u64 << bits) as f64 / 2.0);
+        let (ss, _) = noise_final(s, &u, p, &input);
+        let (sd, _) = noise_final(d, &u, p, &input);
+        prop_assert!(ss.iter().zip(&sd).all(|(x, y)|
+            x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits()));
+    }
+
     /// The lane accumulator agrees with `sum_f64` (up to NaN sign, as for
     /// every reduction here) with canonical NaN / ±inf / −0.0 injected at
     /// random positions of random-length inputs.

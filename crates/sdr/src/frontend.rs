@@ -1,7 +1,8 @@
 //! The front-end model: power ↔ full-scale conversion, noise, impairments.
 
 use crate::faults::FrontendFault;
-use aircal_dsp::Cplx;
+use aircal_dsp::simd::{AdcNoise, NOISE_BLOCK};
+use aircal_dsp::{kernels, Cplx};
 use aircal_rfprop::noise::noise_floor_dbm;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -133,13 +134,56 @@ impl Frontend {
 
     /// Add thermal noise + DC offset to a signal buffer and quantize it to
     /// the ADC grid, in place — the last stage of every capture.
-    pub fn finalize(&self, buffer: &mut [Cplx], rng: &mut ChaCha8Rng) {
+    ///
+    /// Bit-identical to [`Frontend::finalize_reference`], and it draws the
+    /// same two words per sample, but runs in [`NOISE_BLOCK`]-sample
+    /// chunks on the stack: bulk words from [`ChaCha8Rng::fill_u64`]
+    /// mapped to `gen_range`'s uniforms, the dispatched
+    /// [`aircal_dsp::Kernels::noise_quantize`] for every sample it can
+    /// prove exact, and the libm formula for the few it reports near an
+    /// ADC rounding boundary. Returns how many samples took that exact
+    /// path.
+    pub fn finalize(&self, buffer: &mut [Cplx], rng: &mut ChaCha8Rng) -> usize {
+        let sigma = self.noise_sigma_fs();
+        let adc = AdcNoise::new(sigma, self.config.dc_offset, self.levels());
+        let noise_quantize = kernels().noise_quantize;
+        let mut words = [0u64; 2 * NOISE_BLOCK];
+        let mut uniforms = [0f64; 2 * NOISE_BLOCK];
+        let mut fallbacks = 0;
+        for block in buffer.chunks_mut(NOISE_BLOCK) {
+            let words = &mut words[..2 * block.len()];
+            rng.fill_u64(words);
+            for (u, w) in uniforms.chunks_exact_mut(2).zip(words.chunks_exact(2)) {
+                u[0] = rand::uniform_f64(w[0], f64::EPSILON, 1.0);
+                u[1] = rand::uniform_f64(w[1], 0.0, 1.0);
+            }
+            let mut exact = noise_quantize(&uniforms[..words.len()], &adc, block);
+            fallbacks += exact.count_ones() as usize;
+            while exact != 0 {
+                let i = exact.trailing_zeros() as usize;
+                exact &= exact - 1;
+                let noise = gaussian_from(uniforms[2 * i], uniforms[2 * i + 1], sigma);
+                block[i] = self.noise_and_quantize(block[i], noise);
+            }
+        }
+        fallbacks
+    }
+
+    /// The per-sample reference [`Frontend::finalize`] must equal bit for
+    /// bit: two `gen_range` draws, libm Box–Muller and the quantizer.
+    pub fn finalize_reference(&self, buffer: &mut [Cplx], rng: &mut ChaCha8Rng) {
         let sigma = self.noise_sigma_fs();
         for x in buffer.iter_mut() {
-            x.re += self.config.dc_offset;
-            *x += gaussian_iq(rng, sigma);
-            *x = self.quantize(*x);
+            let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
+            let u2: f64 = rng.gen_range(0.0..1.0);
+            *x = self.noise_and_quantize(*x, gaussian_from(u1, u2, sigma));
         }
+    }
+
+    fn noise_and_quantize(&self, mut x: Cplx, noise: Cplx) -> Cplx {
+        x.re += self.config.dc_offset;
+        x += noise;
+        self.quantize(x)
     }
 
     /// Render a unit-amplitude waveform arriving at `rx_power_dbm` into IQ:
@@ -165,18 +209,23 @@ impl Frontend {
         buf
     }
 
+    /// ADC steps per unit full scale: `2^(adc_bits − 1)`.
+    fn levels(&self) -> f64 {
+        (1u64 << self.config.adc_bits) as f64 / 2.0
+    }
+
     /// Quantize to the ADC grid and clip at ±1 full scale.
     fn quantize(&self, x: Cplx) -> Cplx {
-        let levels = (1u64 << self.config.adc_bits) as f64 / 2.0;
+        let levels = self.levels();
         let q = |v: f64| (v.clamp(-1.0, 1.0) * levels).round() / levels;
         Cplx::new(q(x.re), q(x.im))
     }
 }
 
-/// One complex Gaussian noise sample with per-component σ.
-fn gaussian_iq(rng: &mut ChaCha8Rng, sigma: f64) -> Cplx {
-    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
+/// One complex Gaussian noise sample with per-component σ from the
+/// uniforms `u1 ∈ [ε, 1)` and `u2 ∈ [0, 1)`: libm Box–Muller, the
+/// reference every fast noise path is held to.
+fn gaussian_from(u1: f64, u2: f64, sigma: f64) -> Cplx {
     let r = sigma * (-2.0 * u1.ln()).sqrt();
     let (s, c) = (core::f64::consts::TAU * u2).sin_cos();
     Cplx::new(r * c, r * s)

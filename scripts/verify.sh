@@ -32,6 +32,9 @@ cargo run --release --example fault_injection
 echo "== cloud failover demo (crash + partition recovery, digest diffed) =="
 cargo run --release --example cloud_failover -- 400 42 --no-partition
 
+echo "== benchmark self-tests (benchmark/ is a workspace of its own) =="
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "== perfreport (--quick, every section of scripts/budgets.json enforced) =="
 cargo run --release -p aircal-bench --bin perfreport -- --quick --check
 
