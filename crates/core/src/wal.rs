@@ -46,16 +46,36 @@ pub const FRAME_HEADER: usize = 1 + 4 + 4;
 /// corruption, not an allocation request.
 pub const MAX_RECORD_LEN: usize = 1 << 24;
 
-/// CRC-32 (IEEE 802.3, reflected), bitwise — same codec as the ACSN
-/// snapshots, duplicated here so `aircal-core` stays dependency-free.
+/// The CRC-32 (IEEE 802.3) generator polynomial, bit-reflected.
+const CRC32_POLY: u32 = 0xEDB8_8320;
+
+/// CRC-32 of every byte value: the bitwise shift/xor loop run at compile
+/// time, eight steps per entry, so the table is exactly the polynomial
+/// above and nothing else.
+const CRC32_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (CRC32_POLY & mask);
+            bit += 1;
+        }
+        table[i] = crc;
+        i += 1;
+    }
+    table
+};
+
+/// CRC-32 (IEEE 802.3, reflected), one table lookup per byte. The one
+/// copy in the workspace: journal frames, ACSN snapshots and the
+/// cloud's snapshot/journal chaining all call it.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = !0u32;
-    for b in bytes {
-        crc ^= *b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+    for &b in bytes {
+        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -243,11 +263,18 @@ impl WalRecord {
     /// Serialize the record payload (frame applied by the journal).
     pub fn encode(&self) -> Vec<u8> {
         let mut b = Vec::with_capacity(48);
+        self.encode_into(&mut b);
+        b
+    }
+
+    /// Append the record payload to `b`, so a hot caller can reuse one
+    /// buffer for every record.
+    pub fn encode_into(&self, b: &mut Vec<u8>) {
         match self {
             WalRecord::RoundStarted { seed, tick } => {
                 b.push(TAG_ROUND_STARTED);
-                put_u64(&mut b, *seed);
-                put_u64(&mut b, *tick);
+                put_u64(b, *seed);
+                put_u64(b, *tick);
             }
             WalRecord::StepOutcome {
                 node,
@@ -256,10 +283,10 @@ impl WalRecord {
                 attempts,
             } => {
                 b.push(TAG_STEP_OUTCOME);
-                put_str(&mut b, node);
-                put_str(&mut b, step);
+                put_str(b, node);
+                put_str(b, step);
                 b.push(*ok as u8);
-                put_u64(&mut b, *attempts);
+                put_u64(b, *attempts);
             }
             WalRecord::TrustDelta {
                 node,
@@ -267,9 +294,9 @@ impl WalRecord {
                 delta_bits,
             } => {
                 b.push(TAG_TRUST_DELTA);
-                put_str(&mut b, node);
-                put_u64(&mut b, *score_bits);
-                put_u64(&mut b, *delta_bits);
+                put_str(b, node);
+                put_u64(b, *score_bits);
+                put_u64(b, *delta_bits);
             }
             WalRecord::LadderTransition {
                 node,
@@ -278,20 +305,20 @@ impl WalRecord {
                 consecutive,
             } => {
                 b.push(TAG_LADDER_TRANSITION);
-                put_str(&mut b, node);
+                put_str(b, node);
                 b.push(*from);
                 b.push(*to);
-                put_u32(&mut b, *consecutive);
+                put_u32(b, *consecutive);
             }
             WalRecord::ProfileUpdate { node, fingerprint } => {
                 b.push(TAG_PROFILE_UPDATE);
-                put_str(&mut b, node);
-                put_u64(&mut b, *fingerprint);
+                put_str(b, node);
+                put_u64(b, *fingerprint);
             }
             WalRecord::NodeState { node, state } => {
                 b.push(TAG_NODE_STATE);
-                put_str(&mut b, node);
-                put_bytes(&mut b, state);
+                put_str(b, node);
+                put_bytes(b, state);
             }
             WalRecord::Dispatch {
                 node,
@@ -300,10 +327,10 @@ impl WalRecord {
                 tick,
             } => {
                 b.push(TAG_DISPATCH);
-                put_u64(&mut b, *node);
+                put_u64(b, *node);
                 b.push(*kind);
-                put_u64(&mut b, *seq);
-                put_u64(&mut b, *tick);
+                put_u64(b, *seq);
+                put_u64(b, *tick);
             }
             WalRecord::ReportApplied {
                 node,
@@ -313,11 +340,11 @@ impl WalRecord {
                 tick,
             } => {
                 b.push(TAG_REPORT_APPLIED);
-                put_u64(&mut b, *node);
+                put_u64(b, *node);
                 b.push(*kind);
-                put_u64(&mut b, *seq);
-                put_u64(&mut b, *value_bits);
-                put_u64(&mut b, *tick);
+                put_u64(b, *seq);
+                put_u64(b, *value_bits);
+                put_u64(b, *tick);
             }
             WalRecord::AuditApplied {
                 node,
@@ -325,19 +352,19 @@ impl WalRecord {
                 health,
             } => {
                 b.push(TAG_AUDIT_APPLIED);
-                put_u64(&mut b, *node);
-                put_u64(&mut b, *trust_bits);
+                put_u64(b, *node);
+                put_u64(b, *trust_bits);
                 b.push(*health);
             }
             WalRecord::SnapshotTaken { tick, state_crc } => {
                 b.push(TAG_SNAPSHOT_TAKEN);
-                put_u64(&mut b, *tick);
-                put_u32(&mut b, *state_crc);
+                put_u64(b, *tick);
+                put_u32(b, *state_crc);
             }
             WalRecord::RoundCompleted { seed, effects } => {
                 b.push(TAG_ROUND_COMPLETED);
-                put_u64(&mut b, *seed);
-                put_u32(&mut b, *effects);
+                put_u64(b, *seed);
+                put_u32(b, *effects);
             }
             WalRecord::DeliveryFailed {
                 node,
@@ -346,13 +373,12 @@ impl WalRecord {
                 tick,
             } => {
                 b.push(TAG_DELIVERY_FAILED);
-                put_u64(&mut b, *node);
+                put_u64(b, *node);
                 b.push(*kind);
-                put_u64(&mut b, *seq);
-                put_u64(&mut b, *tick);
+                put_u64(b, *seq);
+                put_u64(b, *tick);
             }
         }
-        b
     }
 
     /// Decode one record payload. Every failure is a typed error; this
@@ -489,7 +515,22 @@ impl Journal {
 
     /// Frame and append one record, rotating segments at the cap.
     pub fn append(&mut self, record: &WalRecord) {
-        let payload = record.encode();
+        self.append_encoded(&record.encode());
+    }
+
+    /// Frame and append one record already encoded by
+    /// [`WalRecord::encode_into`], rotating segments at the cap.
+    ///
+    /// # Panics
+    /// If `payload` is longer than [`MAX_RECORD_LEN`]: such a frame
+    /// would not survive [`Journal::open`], so it is refused here, the
+    /// one place frames are written.
+    pub fn append_encoded(&mut self, payload: &[u8]) {
+        assert!(
+            payload.len() <= MAX_RECORD_LEN,
+            "WAL record of {} bytes exceeds MAX_RECORD_LEN",
+            payload.len()
+        );
         let active = self.segments.last_mut().expect("journal has a tail");
         if !active.is_empty() && active.len() + FRAME_HEADER + payload.len() > self.segment_cap {
             self.segments.push(Vec::new());
@@ -497,8 +538,8 @@ impl Journal {
         let active = self.segments.last_mut().expect("journal has a tail");
         active.push(FRAME_MARKER);
         active.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        active.extend_from_slice(&crc32(&payload).to_le_bytes());
-        active.extend_from_slice(&payload);
+        active.extend_from_slice(&crc32(payload).to_le_bytes());
+        active.extend_from_slice(payload);
         self.appends += 1;
         self.unsynced += 1;
     }
@@ -556,58 +597,65 @@ impl Journal {
         self.segments.push(Vec::new());
     }
 
-    /// Decode every record in order. The journal's own frames are
-    /// always valid (it wrote them); this cannot fail.
+    /// Every record payload in append order, borrowed straight from the
+    /// frames. A frame never spans segments, and the journal wrote every
+    /// frame it holds, so each segment is a run of valid frames.
+    pub fn payloads(&self) -> impl Iterator<Item = &[u8]> + '_ {
+        self.segments.iter().flat_map(|segment| {
+            let mut pos = 0;
+            std::iter::from_fn(move || {
+                let payload = frame_payload(&segment[pos..])?;
+                pos += FRAME_HEADER + payload.len();
+                Some(payload)
+            })
+        })
+    }
+
+    /// Decode every record in order, up to the first payload that is
+    /// not a record (only [`Journal::append_encoded`] of foreign bytes
+    /// can leave one). Never panics.
     pub fn records(&self) -> Vec<WalRecord> {
-        let (records, _) = scan(&self.to_bytes());
-        records
+        self.payloads()
+            .map_while(|p| WalRecord::decode(p).ok())
+            .collect()
     }
 
     /// Open a journal from a possibly torn byte stream: recover the
     /// longest valid prefix of records, truncating the tail at the
     /// first bad frame. Never panics, whatever the bytes.
     pub fn open(bytes: &[u8], segment_cap: usize) -> (Journal, OpenReport) {
-        let (records, valid_len) = scan(bytes);
-        let report = OpenReport {
-            recovered: records.len() as u64,
-            truncated_bytes: (bytes.len() - valid_len) as u64,
-        };
         let mut journal = Journal::new(segment_cap);
-        for r in &records {
-            journal.append(r);
+        let mut pos = 0usize;
+        while let Some(payload) = frame_payload(&bytes[pos..]) {
+            if WalRecord::decode(payload).is_err() {
+                break;
+            }
+            journal.append_encoded(payload);
+            pos += FRAME_HEADER + payload.len();
         }
+        let report = OpenReport {
+            recovered: journal.appends,
+            truncated_bytes: (bytes.len() - pos) as u64,
+        };
         // Reopened records are already durable.
         journal.sync();
         (journal, report)
     }
 }
 
-/// Scan a byte stream for valid frames; returns the decoded records and
-/// the byte length of the valid prefix.
-fn scan(bytes: &[u8]) -> (Vec<WalRecord>, usize) {
-    let mut records = Vec::new();
-    let mut pos = 0usize;
-    while pos < bytes.len() {
-        let rest = &bytes[pos..];
-        if rest.len() < FRAME_HEADER || rest[0] != FRAME_MARKER {
-            break;
-        }
-        let len = u32::from_le_bytes(rest[1..5].try_into().unwrap()) as usize;
-        if len > MAX_RECORD_LEN || rest.len() < FRAME_HEADER + len {
-            break;
-        }
-        let crc_stored = u32::from_le_bytes(rest[5..9].try_into().unwrap());
-        let payload = &rest[FRAME_HEADER..FRAME_HEADER + len];
-        if crc32(payload) != crc_stored {
-            break;
-        }
-        match WalRecord::decode(payload) {
-            Ok(r) => records.push(r),
-            Err(_) => break,
-        }
-        pos += FRAME_HEADER + len;
+/// The payload of the frame at the head of `rest`, if that frame is
+/// whole and valid: marker, length bound and CRC all check out.
+fn frame_payload(rest: &[u8]) -> Option<&[u8]> {
+    if rest.len() < FRAME_HEADER || rest[0] != FRAME_MARKER {
+        return None;
     }
-    (records, pos)
+    let len = u32::from_le_bytes(rest[1..5].try_into().unwrap()) as usize;
+    if len > MAX_RECORD_LEN || rest.len() < FRAME_HEADER + len {
+        return None;
+    }
+    let crc_stored = u32::from_le_bytes(rest[5..9].try_into().unwrap());
+    let payload = &rest[FRAME_HEADER..FRAME_HEADER + len];
+    (crc32(payload) == crc_stored).then_some(payload)
 }
 
 #[cfg(test)]
@@ -675,6 +723,72 @@ mod tests {
                 tick: 99,
             },
         ]
+    }
+
+    /// The bitwise definition the table is built from, kept as the
+    /// reference the table-driven [`crc32`] must equal.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for b in bytes {
+            crc ^= *b as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (CRC32_POLY & mask);
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_known_vector() {
+        // "123456789" -> 0xCBF43926 (the classic CRC-32 check value).
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn table_crc32_equals_the_bitwise_definition_at_every_length() {
+        // xorshift64: deterministic pseudo-random bytes, no dependency.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut bytes = Vec::with_capacity(4096);
+        for len in 0..=4096 {
+            bytes.clear();
+            bytes.extend((0..len).map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 32) as u8
+            }));
+            assert_eq!(crc32(&bytes), crc32_bitwise(&bytes), "length {len}");
+        }
+    }
+
+    #[test]
+    fn append_encoded_frames_the_same_bytes_as_append() {
+        let mut by_record = Journal::new(128);
+        let mut by_bytes = Journal::new(128);
+        let mut buf = Vec::new();
+        for r in sample_records() {
+            by_record.append(&r);
+            buf.clear();
+            r.encode_into(&mut buf);
+            assert_eq!(buf, r.encode());
+            by_bytes.append_encoded(&buf);
+        }
+        assert_eq!(by_record.to_bytes(), by_bytes.to_bytes());
+        assert_eq!(by_record.segment_count(), by_bytes.segment_count());
+        let payloads: Vec<Vec<u8>> = by_bytes.payloads().map(<[u8]>::to_vec).collect();
+        let encoded: Vec<Vec<u8>> = sample_records().iter().map(WalRecord::encode).collect();
+        assert_eq!(payloads, encoded);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds MAX_RECORD_LEN")]
+    fn append_refuses_a_record_open_would_truncate() {
+        Journal::new(64).append(&WalRecord::NodeState {
+            node: "n".into(),
+            state: vec![0; MAX_RECORD_LEN],
+        });
     }
 
     #[test]

@@ -19,7 +19,7 @@
 use crate::protocol::{NodeClaims, Request, Response};
 use crate::snapshot::{decode_node_state, encode_node_state, RegistryNodeState, SnapshotError};
 use crate::transport::{Link, LinkError, LinkStats, RetryPolicy};
-use aircal_core::wal::{Journal, WalRecord};
+use aircal_core::wal::{crc32, Journal, WalRecord};
 use aircal_aircraft::TrafficSim;
 use aircal_cellular::{paper_towers, CellMeasurement, CellScanner};
 use aircal_core::classifier::{IndoorOutdoorClassifier, InstallFeatures, InstallVerdict};
@@ -1561,7 +1561,7 @@ impl Cloud {
     /// [`Cloud::recover`] can refuse a mismatched pair.
     pub fn checkpoint(&self) -> Vec<u8> {
         let bytes = self.snapshot_registry();
-        let crc = crate::snapshot::crc32(&bytes);
+        let crc = crc32(&bytes);
         {
             let mut journal = self.journal.lock();
             journal.reset();
@@ -1643,7 +1643,7 @@ impl Cloud {
         if let (Some(WalRecord::SnapshotTaken { state_crc, .. }), Some(bytes)) =
             (journal.records().first(), snapshot)
         {
-            let computed = crate::snapshot::crc32(bytes);
+            let computed = crc32(bytes);
             if *state_crc != computed {
                 return Err(SnapshotError::ChecksumMismatch {
                     stored: *state_crc,

@@ -17,6 +17,7 @@ use crate::adversary::{Adversary, AdversaryKind, AdversaryState};
 use crate::node::{NodeAgent, NodeBehavior, ServiceLedger};
 use crate::protocol::NodeClaims;
 use aircal_aircraft::TrafficSim;
+use aircal_core::wal::crc32;
 use aircal_env::Scenario;
 use aircal_geo::LatLon;
 use std::sync::Arc;
@@ -81,20 +82,6 @@ impl core::fmt::Display for SnapshotError {
 }
 
 impl std::error::Error for SnapshotError {}
-
-/// CRC-32 (IEEE 802.3, reflected), bitwise — fast enough for snapshots,
-/// zero tables to keep the codec auditable.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for b in bytes {
-        crc ^= *b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
 
 // ---------------------------------------------------------------------------
 // Writer / reader primitives
@@ -581,12 +568,6 @@ pub fn restore_registry(bytes: &[u8]) -> Result<Vec<RegistryNodeState>, Snapshot
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn crc32_known_vector() {
-        // "123456789" -> 0xCBF43926 (the classic CRC-32 check value).
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-    }
 
     fn sample_registry() -> Vec<RegistryNodeState> {
         vec![

@@ -39,6 +39,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::fmt;
 
 /// Stream salts: every independent randomness consumer XORs its own
 /// salt into the campaign seed before deriving per-item streams, so no
@@ -73,6 +74,18 @@ fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// A `fmt::Write` sink that folds text into an FNV-1a state as it is
+/// formatted. FNV-1a consumes one byte at a time, so folding the pieces
+/// in order equals folding the whole line, without building it.
+struct FnvSink(u64);
+
+impl fmt::Write for FnvSink {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 = fnv1a(self.0, s.as_bytes());
+        Ok(())
+    }
 }
 
 /// Stable identity of one delivered report: a pure hash of `(node,
@@ -461,6 +474,9 @@ struct Campaign<'a> {
     journal: Journal,
     /// Running FNV chain over every record ever appended to the journal.
     journal_chain: u64,
+    /// Reused encode buffer: each record is encoded once, then hashed
+    /// into the chain and framed into the journal from these bytes.
+    wal_buf: Vec<u8>,
     last_snapshot: Option<CloudSnapshot>,
     /// While `Some(t)`, the cloud is down until tick `t`: scheduling
     /// and audits are skipped and arriving reports are backlogged.
@@ -569,6 +585,7 @@ impl<'a> Campaign<'a> {
             anomaly_flags: 0,
             journal: Journal::default(),
             journal_chain: FNV_OFFSET,
+            wal_buf: Vec::with_capacity(64),
             last_snapshot: None,
             cloud_down_until: None,
             monitor: InvariantMonitor::default(),
@@ -583,19 +600,25 @@ impl<'a> Campaign<'a> {
         }
     }
 
-    fn log_line(&mut self, line: String) {
-        self.digest = fnv1a(self.digest, line.as_bytes());
-        self.digest = fnv1a(self.digest, b"\n");
+    /// Fold one event-log line (and its newline) into the digest. The
+    /// text always streams straight into the digest; a `String` is
+    /// built only when the log is recorded.
+    fn log_line(&mut self, line: fmt::Arguments<'_>) {
+        let mut sink = FnvSink(self.digest);
+        fmt::Write::write_fmt(&mut sink, line).expect("the FNV sink never fails");
+        self.digest = fnv1a(sink.0, b"\n");
         if self.cfg.record_log {
-            self.log.push(line);
+            self.log.push(fmt::format(line));
         }
     }
 
     /// Append one effect record to the write-ahead journal, extending
     /// the hash chain. Called *before* the effect is applied.
     fn journal_append(&mut self, record: WalRecord) {
-        self.journal_chain = fnv1a(self.journal_chain, &record.encode());
-        self.journal.append(&record);
+        self.wal_buf.clear();
+        record.encode_into(&mut self.wal_buf);
+        self.journal_chain = fnv1a(self.journal_chain, &self.wal_buf);
+        self.journal.append_encoded(&self.wal_buf);
     }
 
     /// Is the cloud process down (crashed, restart pending) at `now`?
@@ -758,12 +781,17 @@ impl<'a> Campaign<'a> {
         self.covered_count = snap.covered_count;
         self.coverage90_tick = snap.coverage90_tick;
         self.journal_chain = snap.journal_chain;
-        let records = self.journal.records();
-        let replayed = records.len() as u64;
-        for record in &records {
-            self.journal_chain = fnv1a(self.journal_chain, &record.encode());
-            self.replay_record(record);
+        // The chain extends over the durable payload bytes themselves,
+        // which are exactly what `journal_append` hashed.
+        let journal = std::mem::take(&mut self.journal);
+        let mut replayed = 0u64;
+        for payload in journal.payloads() {
+            self.journal_chain = fnv1a(self.journal_chain, payload);
+            let record = WalRecord::decode(payload).expect("the engine journals valid records");
+            self.replay_record(&record);
+            replayed += 1;
         }
+        self.journal = journal;
         // Liveness knowledge the cloud re-derives on contact rather
         // than from the journal: daemon deaths and active partitions.
         for ni in 0..self.nodes.len() {
@@ -998,7 +1026,7 @@ impl<'a> Campaign<'a> {
                     }
                 }
             }
-            self.log_line(format!(
+            self.log_line(format_args!(
                 "t={} id={} ev=dispatch node={} kind={} out={}",
                 now,
                 ev.id,
@@ -1008,7 +1036,7 @@ impl<'a> Campaign<'a> {
             ));
         }
         self.obs.incr("sim.dispatches", assigned as u64);
-        self.log_line(format!("t={} id={} ev=sched assigned={}", now, ev.id, assigned));
+        self.log_line(format_args!("t={} id={} ev=sched assigned={}", now, ev.id, assigned));
         let next = now + self.cfg.schedule_period;
         if next < self.cfg.max_ticks {
             self.queue
@@ -1046,7 +1074,7 @@ impl<'a> Campaign<'a> {
             }
             self.deduped_reports += 1;
             self.obs.incr("sim.dedup.dropped", 1);
-            self.log_line(format!(
+            self.log_line(format_args!(
                 "t={} id={} ev=dedup node={} kind={} seq={}",
                 ev.time,
                 ev.id,
@@ -1088,13 +1116,13 @@ impl<'a> Campaign<'a> {
                     && self.covered_count * 10 >= self.cfg.nodes * 9
                 {
                     self.coverage90_tick = Some(ev.time);
-                    self.log_line(format!("t={} id={} ev=coverage90", ev.time, ev.id));
+                    self.log_line(format_args!("t={} id={} ev=coverage90", ev.time, ev.id));
                 }
             }
         }
         self.completed_tasks += 1;
         self.obs.incr("sim.task.completed", 1);
-        self.log_line(format!(
+        self.log_line(format_args!(
             "t={} id={} ev=complete node={} kind={} fp={:016x}",
             ev.time,
             ev.id,
@@ -1119,7 +1147,7 @@ impl<'a> Campaign<'a> {
         self.views[node as usize].in_flight[kind.index()] = None;
         self.corrupt_deliveries += 1;
         self.obs.incr("sim.delivery.corrupt", 1);
-        self.log_line(format!(
+        self.log_line(format_args!(
             "t={} id={} ev=corrupt node={} kind={}",
             ev.time,
             ev.id,
@@ -1139,7 +1167,7 @@ impl<'a> Campaign<'a> {
             }
         }
         self.obs.incr("sim.partition.started", 1);
-        self.log_line(format!(
+        self.log_line(format_args!(
             "t={} id={} ev=partition spec={} severed={} heal={}",
             ev.time, ev.id, spec, severed, p.heal_tick
         ));
@@ -1156,7 +1184,7 @@ impl<'a> Campaign<'a> {
             }
         }
         self.obs.incr("sim.partition.healed", 1);
-        self.log_line(format!(
+        self.log_line(format_args!(
             "t={} id={} ev=heal spec={} healed={}",
             ev.time, ev.id, spec, healed
         ));
@@ -1216,7 +1244,7 @@ impl<'a> Campaign<'a> {
                     .push_keyed(restart, KEY_CRASH ^ restart, EventKind::CloudRestart);
             }
         }
-        self.log_line(format!(
+        self.log_line(format_args!(
             "t={} id={} ev=cloud_crash replayed={} down_ticks={}",
             now, ev.id, replayed, delay
         ));
@@ -1225,7 +1253,7 @@ impl<'a> Campaign<'a> {
     fn apply_cloud_restart(&mut self, ev: &SimEvent) {
         self.cloud_down_until = None;
         self.obs.incr("sim.cloud.restarts", 1);
-        self.log_line(format!("t={} id={} ev=cloud_restart", ev.time, ev.id));
+        self.log_line(format_args!("t={} id={} ev=cloud_restart", ev.time, ev.id));
     }
 
     fn apply_audit_round(&mut self, ev: &SimEvent) {
@@ -1233,16 +1261,16 @@ impl<'a> Campaign<'a> {
         // Fused fleet profile per kind: median of the latest means. The
         // cloud has no ground truth; the crowd is its reference, exactly
         // as in the paper's fusion story.
+        // Selection, not a sort: values equal under `total_cmp` have
+        // equal bits, so the middle element is the sorted one exactly.
         let mut medians = [f64::NAN; 3];
+        let mut means: Vec<f64> = Vec::with_capacity(self.nodes.len());
         for (ki, median) in medians.iter_mut().enumerate() {
-            let mut means: Vec<f64> = self
-                .nodes
-                .iter()
-                .filter_map(|n| n.profile_mean[ki])
-                .collect();
+            means.clear();
+            means.extend(self.nodes.iter().filter_map(|n| n.profile_mean[ki]));
             if !means.is_empty() {
-                means.sort_unstable_by(|a, b| a.total_cmp(b));
-                *median = means[means.len() / 2];
+                let mid = means.len() / 2;
+                *median = *means.select_nth_unstable_by(mid, f64::total_cmp).1;
             }
         }
         self.journal_append(WalRecord::RoundStarted {
@@ -1317,7 +1345,7 @@ impl<'a> Campaign<'a> {
         self.obs.incr("sim.audit.anomalies", anomalies as u64);
         self.obs
             .set_gauge("sim.coverage", self.covered_count as f64 / self.cfg.nodes.max(1) as f64);
-        self.log_line(format!(
+        self.log_line(format_args!(
             "t={} id={} ev=audit audited={} anomalies={} quarantined={}",
             now, ev.id, audited, anomalies, quarantined_or_worse
         ));
@@ -1369,7 +1397,7 @@ impl<'a> Campaign<'a> {
                 replay,
             },
         );
-        self.log_line(format!(
+        self.log_line(format_args!(
             "t={} id={} ev=backlog node={} kind={} seq={} until={}",
             ev.time,
             ev.id,
@@ -1442,7 +1470,7 @@ impl<'a> Campaign<'a> {
             EventKind::CloudRestart => self.apply_cloud_restart(ev),
             EventKind::CampaignEnd => {
                 self.ended = true;
-                self.log_line(format!("t={} id={} ev=end", ev.time, ev.id));
+                self.log_line(format_args!("t={} id={} ev=end", ev.time, ev.id));
             }
         }
     }

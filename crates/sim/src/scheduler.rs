@@ -138,7 +138,8 @@ impl Scheduler for UtilityScheduler {
     }
 
     fn assign(&mut self, fleet: &FleetView<'_>, capacity: usize) -> Vec<(u32, TaskKind)> {
-        let mut candidates: Vec<(u64, u32, TaskKind)> = Vec::new();
+        let mut candidates: Vec<(u64, u32, TaskKind)> =
+            Vec::with_capacity(fleet.nodes.len() * TaskKind::ALL.len());
         for (node, view) in fleet.nodes.iter().enumerate() {
             for kind in TaskKind::ALL {
                 if !fleet.eligible(node, kind) {
@@ -151,10 +152,20 @@ impl Scheduler for UtilityScheduler {
                 candidates.push((staleness, node as u32, kind));
             }
         }
-        candidates.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+        // Stalest first, then `(node, kind)`. That pair is unique, so the
+        // order is strict and total: the top `capacity` set and its order
+        // are fully determined, and partitioning before sorting only the
+        // winners returns exactly what a full sort would.
+        let order = |a: &(u64, u32, TaskKind), b: &(u64, u32, TaskKind)| {
+            b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2))
+        };
+        if capacity < candidates.len() {
+            candidates.select_nth_unstable_by(capacity, order);
+            candidates.truncate(capacity);
+        }
+        candidates.sort_unstable_by(order);
         candidates
             .into_iter()
-            .take(capacity)
             .map(|(_, node, kind)| (node, kind))
             .collect()
     }
@@ -187,6 +198,7 @@ impl SchedulerKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn fleet(n: usize) -> Vec<NodeView> {
         vec![NodeView::fresh(); n]
@@ -256,5 +268,69 @@ mod tests {
         };
         let picks = u.assign(&view, 1);
         assert_eq!(picks, vec![(1, TaskKind::AdsbWindow)]);
+    }
+
+    /// The policy as a full sort of every eligible pair: the reference
+    /// the top-k selection in [`UtilityScheduler::assign`] must equal.
+    fn full_sort_reference(fleet: &FleetView<'_>, capacity: usize) -> Vec<(u32, TaskKind)> {
+        let mut candidates = Vec::new();
+        for (node, view) in fleet.nodes.iter().enumerate() {
+            for kind in TaskKind::ALL {
+                if fleet.eligible(node, kind) {
+                    let staleness = view.last_update[kind.index()]
+                        .map_or(u64::MAX, |t| fleet.now.saturating_sub(t));
+                    candidates.push((staleness, node as u32, kind));
+                }
+            }
+        }
+        candidates.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+        candidates.into_iter().take(capacity).map(|(_, n, k)| (n, k)).collect()
+    }
+
+    /// One node at `now = 100`, `timeout_ticks = 12`: updates from a
+    /// dozen ticks (some after `now`, so staleness saturates to 0) make
+    /// equal-staleness ties common; `None` is never measured; in-flight
+    /// stamps span both sides of the timeout.
+    struct AnyNodeView;
+
+    impl Strategy for AnyNodeView {
+        type Value = NodeView;
+        fn new_value(&self, rng: &mut TestRng) -> NodeView {
+            let mut view = NodeView {
+                alive: rng.below(100) < 85,
+                partitioned: rng.below(100) < 10,
+                ..NodeView::fresh()
+            };
+            for k in 0..3 {
+                view.last_update[k] = (rng.below(4) > 0).then(|| (90u64..=105).new_value(rng));
+                view.in_flight[k] = (rng.below(3) == 0).then(|| (80u64..=100).new_value(rng));
+            }
+            view
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn utility_top_k_equals_the_full_sort(
+            nodes in collection::vec(AnyNodeView, 0..3000),
+            pick in any::<usize>(),
+        ) {
+            let view = FleetView {
+                nodes: &nodes,
+                now: 100,
+                timeout_ticks: 12,
+            };
+            let eligible = full_sort_reference(&view, usize::MAX).len();
+            let random = pick % (eligible + 2);
+            for capacity in [0, 1, eligible.saturating_sub(1), eligible, eligible + 1, random] {
+                prop_assert_eq!(
+                    UtilityScheduler.assign(&view, capacity),
+                    full_sort_reference(&view, capacity),
+                    "capacity {} of {} eligible",
+                    capacity,
+                    eligible
+                );
+            }
+        }
     }
 }

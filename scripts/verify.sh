@@ -35,6 +35,17 @@ cargo run --release --example cloud_failover -- 400 42 --no-partition
 echo "== benchmark self-tests (benchmark/ is a workspace of its own) =="
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
+echo "== fleet_recovery smoke (20k nodes: the recovered campaign equals its crash-free twin) =="
+# The BENCHMARK.json command, one short run; its result line must report
+# a correct run with no failed operations.
+result=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+  --workload fleet_recovery --seed 7 --seconds 1 --trace 0 | tail -n 1)
+echo "$result"
+case "$result" in
+  *'"correct": true,'*'"failed": 0,'*) ;;
+  *) echo "# fleet_recovery smoke: expected \"correct\": true and \"failed\": 0" >&2; exit 1 ;;
+esac
+
 echo "== perfreport (--quick, every section of scripts/budgets.json enforced) =="
 cargo run --release -p aircal-bench --bin perfreport -- --quick --check
 

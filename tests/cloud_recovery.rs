@@ -248,6 +248,37 @@ fn recovery_refuses_a_mismatched_snapshot_journal_pair() {
     }
 }
 
+/// A 1000-node recovery campaign in the benchmark's `fleet_recovery`
+/// shape: lossy links, a cloud crash every 120 ticks, and 30% of the
+/// links duplicating or reordering one delivery each.
+fn recovery_campaign_1000(record_log: bool) -> CampaignConfig {
+    let mut cfg = CampaignConfig::paper_default(1000, 0xF1EE7);
+    cfg.faults.lossy_fraction = 0.3;
+    cfg.faults.drop_probability = 0.5;
+    cfg.recovery.crash_ticks = (1..cfg.max_ticks / 120).map(|i| i * 120).collect();
+    cfg.recovery.duplicate_fraction = 0.3;
+    cfg.recovery.reorder_fraction = 0.3;
+    cfg.record_log = record_log;
+    cfg
+}
+
+/// The recovery campaign's digests and replay count are pinned as
+/// literals, so a change to the WAL, the replay path or the digest
+/// cannot move them unnoticed. Keeping the event log or not must not
+/// move them either.
+#[test]
+fn thousand_node_recovery_campaign_matches_its_pinned_digests() {
+    for record_log in [false, true] {
+        let r = run(&recovery_campaign_1000(record_log));
+        assert!(r.invariant_violations.is_empty(), "{:?}", r.invariant_violations);
+        assert_eq!(r.recoveries, 9);
+        assert_eq!(r.digest, "2013909c7b6ff879", "record_log = {record_log}");
+        assert_eq!(r.state_digest, "72cec61e5e400d2a", "record_log = {record_log}");
+        assert_eq!(r.replayed_records, 11052, "record_log = {record_log}");
+        assert_eq!(r.log.is_empty(), !record_log);
+    }
+}
+
 /// The 200-node simulated campaign both proptest cases below diff
 /// against, fault-free, computed once (it is identical for every case).
 fn sim_base_config() -> CampaignConfig {

@@ -25,10 +25,15 @@ fn campaign_1000(workers: usize, record_log: bool) -> CampaignConfig {
 
 /// A seeded 1000-node campaign replays bit-identically across worker
 /// counts: full result equality — digest, event log, trust table,
-/// health census, every counter.
+/// health census, every counter. Not keeping the log changes no digest
+/// either.
 #[test]
 fn thousand_node_campaign_is_bit_identical_across_worker_counts() {
     let serial = run(&campaign_1000(1, true));
+    let streamed = run(&campaign_1000(1, false));
+    assert!(streamed.log.is_empty());
+    assert_eq!(serial.digest, streamed.digest, "digest depends on record_log");
+    assert_eq!(serial.state_digest, streamed.state_digest);
     for workers in [2, 8] {
         let parallel = run(&campaign_1000(workers, true));
         assert_eq!(
