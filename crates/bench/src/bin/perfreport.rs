@@ -17,8 +17,11 @@
 //!   simd-vs-scalar speedup floor when a vector ISA is dispatched. A
 //!   separate `finalize` row times the front end's noise-and-quantize
 //!   stage against its per-sample libm reference (ns/sample, exact-path
-//!   fallback rate); `--check` requires it bit-identical but does not
-//!   count it toward the kernel speedup floor;
+//!   fallback rate), and an `fft` row times a 2048-point
+//!   `FftPlanner` transform (the TV bandpass's overlap-save block) on the
+//!   scalar and the dispatched butterfly arm; `--check` requires both
+//!   rows bit-identical but counts neither toward the kernel speedup
+//!   floor;
 //! * **adsb_decode** — decoder throughput over a rendered capture,
 //!   Msamples/s;
 //! * **preamble_scan** — power-gated preamble correlation vs the exact
@@ -67,11 +70,12 @@ use aircal_core::survey::{run_survey, SurveyConfig};
 use aircal_dsp::corr::{find_peaks, normalized_correlation};
 use aircal_dsp::fir::design_bandpass;
 use aircal_dsp::window::Window;
-use aircal_dsp::{derive_stream_seed, Cplx, DspScratch, FastFirFilter, FirFilter};
+use aircal_dsp::{derive_stream_seed, Cplx, Direction, DspScratch, FastFirFilter, FftPlanner, FirFilter};
 use aircal_env::scenarios::{dense_city, testbed_origin};
 use aircal_env::{GeoScratch, PathCache, Scenario, ScenarioKind};
 use std::sync::Arc;
 use aircal_sdr::{BurstPlan, CaptureRenderer, Frontend, FrontendConfig};
+use aircal_tv::synth::synthesize_8vsb;
 use aircal_tv::{paper_tv_towers, TvPowerProbe, TvProbeConfig, TvScratch, TvTower};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -198,15 +202,28 @@ struct FinalizeTiming {
     bit_identical: bool,
 }
 
+/// `FftPlanner::process` on one transform length, forward then inverse,
+/// with the butterflies on the scalar arm and on the dispatched arm;
+/// `bit_identical` compares both spectra and both round trips.
+#[derive(Serialize)]
+struct FftTiming {
+    points: usize,
+    scalar_ns_per_transform: f64,
+    dispatched_ns_per_transform: f64,
+    speedup: f64,
+    bit_identical: bool,
+}
+
 /// The `kernels` section: the runtime-selected dispatch arm
 /// (`scalar`/`sse2`/`avx2`/`neon`) and per-kernel scalar-vs-dispatched
 /// throughput on an L1-resident workload, plus the front-end `finalize`
-/// row.
+/// and `fft` rows.
 #[derive(Serialize)]
 struct KernelsReport {
     dispatch: &'static str,
     kernels: Vec<KernelTiming>,
     finalize: FinalizeTiming,
+    fft: FftTiming,
 }
 
 /// One adversary's trip down the quarantine ladder during the campaign.
@@ -666,6 +683,40 @@ fn kernel_timings(reps: usize) -> KernelsReport {
         dispatch: aircal_dsp::dispatch_label(),
         kernels,
         finalize: finalize_timing(reps, &za),
+        fft: fft_timing(reps, &za),
+    }
+}
+
+/// A 2048-point transform pair (the TV probe's overlap-save block) on the
+/// scalar arm vs the env-aware dispatched arm, from the same input.
+fn fft_timing(reps: usize, signal: &[Cplx]) -> FftTiming {
+    use aircal_dsp::simd::Kernels;
+    const POINTS: usize = 2048;
+    let plan = FftPlanner::new(POINTS).expect("power-of-two length");
+    let input = &signal[..POINTS];
+    let inner = 200;
+    let mut buf = input.to_vec();
+    let hash = |h: u64, buf: &[Cplx]| {
+        buf.iter().fold(h, |h, x| h.rotate_left(5) ^ x.re.to_bits() ^ x.im.to_bits())
+    };
+    let mut run = |arm: &Kernels| {
+        buf.copy_from_slice(input);
+        plan.process_with(arm, &mut buf, Direction::Forward).expect("plan length");
+        let h = hash(0, &buf);
+        plan.process_with(arm, &mut buf, Direction::Inverse).expect("plan length");
+        hash(h, &buf)
+    };
+    let (scalar, dispatched) = (Kernels::scalar(), aircal_dsp::kernels());
+    let bit_identical = run(scalar) == run(dispatched);
+    let scalar_seconds = time_best(reps, || (0..inner).fold(0, |h, _| h ^ run(scalar)));
+    let dispatched_seconds = time_best(reps, || (0..inner).fold(0, |h, _| h ^ run(dispatched)));
+    let per_transform = 1e9 / (2 * inner) as f64;
+    FftTiming {
+        points: POINTS,
+        scalar_ns_per_transform: scalar_seconds * per_transform,
+        dispatched_ns_per_transform: dispatched_seconds * per_transform,
+        speedup: scalar_seconds / dispatched_seconds,
+        bit_identical,
     }
 }
 
@@ -842,9 +893,9 @@ fn survey_burst_allocs(seed: u64) -> AllocComparison {
 }
 
 /// Steady-state TV channel loop over brute-force paths: the allocating
-/// baseline re-synthesizes the 8VSB reference and rebuilds the band-power
-/// meter per channel; the scratch path shares one waveform and resets one
-/// warm meter. The result `station: String` keeps the scratch path at ~1
+/// baseline re-synthesizes the 8VSB reference (bypassing the memo) and
+/// rebuilds the band-power meter per channel; the scratch path shares the
+/// memoised waveform and resets one warm meter. The result `station: String` keeps the scratch path at ~1
 /// alloc per channel.
 fn tv_channel_allocs(seed: u64) -> AllocComparison {
     let s = Scenario::build(ScenarioKind::Rooftop);
@@ -859,7 +910,8 @@ fn tv_channel_allocs(seed: u64) -> AllocComparison {
         let acc: f64 = towers
             .iter()
             .map(|t| {
-                let waveform = probe.reference_waveform();
+                let cfg = &probe.config;
+                let waveform = synthesize_8vsb(cfg.capture_len, cfg.sample_rate_hz);
                 let mut scratch = TvScratch::default();
                 probe
                     .measure_with_path(&path(t), &s.site, t, seed, &waveform, &mut scratch)
@@ -1027,6 +1079,7 @@ fn check_budgets(r: &PipelineReport) -> bool {
         g.require("perf", &what, t.bit_identical);
     }
     g.require("perf", "finalize bit-identical to its libm reference", k.finalize.bit_identical);
+    g.require("perf", "fft bit-identical to its scalar arm", k.fft.bit_identical);
     if k.dispatch == "scalar" {
         eprintln!(
             "# perf budget note: dispatch is scalar (no vector ISA or AIRCAL_FORCE_SCALAR); \
@@ -1190,6 +1243,15 @@ fn main() {
         f.dispatched_ns_per_sample,
         f.speedup,
         f.fallback_rate,
+        if f.bit_identical { "identical" } else { "DIVERGED" }
+    );
+    let f = &kernels.fft;
+    eprintln!(
+        "# fft: {} points {:.0} -> {:.0} ns/transform ({:.2}x, bits {})",
+        f.points,
+        f.scalar_ns_per_transform,
+        f.dispatched_ns_per_transform,
+        f.speedup,
         if f.bit_identical { "identical" } else { "DIVERGED" }
     );
 

@@ -19,6 +19,7 @@ use aircal_dsp::window::Window;
 use aircal_dsp::{derive_stream_seed, par_map_with, Cplx, DspScratch};
 use aircal_env::{Scenario, ScenarioKind};
 use aircal_sdr::{BurstPlan, CaptureRenderer, Frontend, FrontendConfig, RenderedWindow};
+use aircal_tv::synth::synthesize_8vsb;
 use aircal_tv::{paper_tv_towers, TvPowerProbe, TvProbeConfig, TvScratch};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -208,17 +209,19 @@ fn pooled_render_matches_render_seeded_bit_identically() {
     }
 }
 
-/// TV: a warm reused scratch (shared waveform, reset meter) must measure
-/// every channel bit-identically to a cold scratch and a fresh waveform.
+/// TV: a warm reused scratch (the memoised waveform, reset meter) must
+/// measure every channel bit-identically to a cold scratch and a freshly
+/// synthesised waveform.
 #[test]
 fn tv_pooled_measure_matches_cold_measure_bit_identically() {
     let _g = lock();
     let s = Scenario::build(ScenarioKind::Rooftop);
     let towers = paper_tv_towers(&s.world.origin);
-    let probe = TvPowerProbe::new(TvProbeConfig {
+    let cfg = TvProbeConfig {
         parallelism: 1,
         ..TvProbeConfig::default()
-    });
+    };
+    let probe = TvPowerProbe::new(cfg);
     let waveform = probe.reference_waveform();
     let mut scratch = TvScratch::default();
     for _ in 0..2 {
@@ -230,7 +233,7 @@ fn tv_pooled_measure_matches_cold_measure_bit_identically() {
                 &s.site,
                 t,
                 SEED,
-                &probe.reference_waveform(),
+                &synthesize_8vsb(cfg.capture_len, cfg.sample_rate_hz),
                 &mut TvScratch::default(),
             );
             let pooled = probe.measure_with_path(&path, &s.site, t, SEED, &waveform, &mut scratch);

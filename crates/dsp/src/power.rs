@@ -10,7 +10,6 @@
 use crate::fir::{design_bandpass, FastFirFilter};
 use crate::window::Window;
 use crate::{Cplx, DspError};
-use std::collections::VecDeque;
 
 /// Convert a linear power ratio to decibels. Zero/negative input maps to
 /// `f64::NEG_INFINITY` rather than NaN, so "no signal" stays ordered.
@@ -37,15 +36,24 @@ pub fn watts_to_dbm(w: f64) -> f64 {
     lin_to_db(w * 1e3)
 }
 
+/// Pushes between exact recomputations of a [`MovingAverage`]'s sum.
+const REBUILD_EVERY: usize = 1 << 20;
+
 /// A running mean over the last `len` real samples (boxcar filter).
 ///
-/// Uses a compensated running sum plus periodic exact recomputation so that
-/// drift from floating-point cancellation stays bounded even over very long
-/// streams ("very long moving average" per the paper).
+/// Keeps a running sum (`sum -= oldest; sum += x` per push) plus an exact
+/// recomputation every 2²⁰ pushes, so drift from floating-point
+/// cancellation stays bounded even over very long streams ("very long
+/// moving average" per the paper). The window is a ring buffer;
+/// [`MovingAverage::push_all`] pushes a block with the same operations
+/// and divides once at the end.
 #[derive(Debug, Clone)]
 pub struct MovingAverage {
-    buf: VecDeque<f64>,
+    /// The window. Until it fills, samples are in push order; after that
+    /// the oldest sample is at `next` and the order wraps around.
+    buf: Vec<f64>,
     len: usize,
+    next: usize,
     sum: f64,
     pushes_since_rebuild: usize,
 }
@@ -57,8 +65,9 @@ impl MovingAverage {
             return Err(DspError::InvalidParameter("moving average length must be >= 1"));
         }
         Ok(Self {
-            buf: VecDeque::with_capacity(len),
+            buf: Vec::with_capacity(len),
             len,
+            next: 0,
             sum: 0.0,
             pushes_since_rebuild: 0,
         })
@@ -67,18 +76,46 @@ impl MovingAverage {
     /// Push a sample; returns the mean over the current window (which is
     /// shorter than `len` until the filter fills).
     pub fn push(&mut self, x: f64) -> f64 {
-        if self.buf.len() == self.len {
-            let old = self.buf.pop_front().expect("non-empty");
-            self.sum -= old;
+        self.push_all(&[x]).expect("window holds the sample just pushed")
+    }
+
+    /// Push every sample of `xs` in order — the same running-sum updates
+    /// and rebuilds as one [`MovingAverage::push`] per sample, without a
+    /// division per sample. Returns the mean after the last push (`None`
+    /// while the window is still empty).
+    pub fn push_all(&mut self, xs: &[f64]) -> Option<f64> {
+        let mut rest = xs;
+        while !rest.is_empty() {
+            let until_rebuild = REBUILD_EVERY - self.pushes_since_rebuild;
+            let take = if self.buf.len() < self.len {
+                let take = (self.len - self.buf.len()).min(until_rebuild).min(rest.len());
+                let block = &rest[..take];
+                self.buf.extend_from_slice(block);
+                for &x in block {
+                    self.sum += x;
+                }
+                take
+            } else {
+                let take = (self.len - self.next).min(until_rebuild).min(rest.len());
+                let mut sum = self.sum;
+                for (slot, &x) in self.buf[self.next..self.next + take].iter_mut().zip(rest) {
+                    sum -= *slot;
+                    *slot = x;
+                    sum += x;
+                }
+                self.sum = sum;
+                self.next = (self.next + take) % self.len;
+                take
+            };
+            self.pushes_since_rebuild += take;
+            if self.pushes_since_rebuild == REBUILD_EVERY {
+                let (newer, older) = self.buf.split_at(self.next);
+                self.sum = older.iter().chain(newer).sum();
+                self.pushes_since_rebuild = 0;
+            }
+            rest = &rest[take..];
         }
-        self.buf.push_back(x);
-        self.sum += x;
-        self.pushes_since_rebuild += 1;
-        if self.pushes_since_rebuild >= 1_048_576 {
-            self.sum = self.buf.iter().sum();
-            self.pushes_since_rebuild = 0;
-        }
-        self.sum / self.buf.len() as f64
+        self.mean()
     }
 
     /// Current mean without pushing; `None` until at least one sample.
@@ -98,6 +135,7 @@ impl MovingAverage {
     /// Clear all state.
     pub fn reset(&mut self) {
         self.buf.clear();
+        self.next = 0;
         self.sum = 0.0;
         self.pushes_since_rebuild = 0;
     }
@@ -166,23 +204,24 @@ impl BandPowerMeter {
     /// Feed a block of IQ; returns the latest averaged band power (linear,
     /// full-scale-relative), or `None` if still in filter warm-up.
     ///
-    /// The whole block runs through the overlap-save filter in one pass,
-    /// so long captures cost O(N log N) rather than O(N·taps).
+    /// The capture runs through the overlap-save filter, so long captures
+    /// cost O(N log N) rather than O(N·taps). It is fed one filter block
+    /// at a time — the same transforms as one call over the whole
+    /// capture — so the filter-output and `|y|²` buffers stay one block
+    /// long.
     pub fn process(&mut self, iq: &[Cplx]) -> Option<f64> {
-        let mut buf = std::mem::take(&mut self.scratch);
-        self.filter.process_into(iq, &mut buf);
-        self.mags.resize(buf.len(), 0.0);
-        (crate::simd::kernels().norm_sq_map)(&buf, &mut self.mags);
-        let mut latest = None;
-        for &m in &self.mags {
-            if self.warmup_remaining > 0 {
-                self.warmup_remaining -= 1;
-                continue;
-            }
-            latest = Some(self.avg.push(m));
+        let mut rest = iq;
+        while !rest.is_empty() {
+            let (block, tail) = rest.split_at(self.filter.block_room().min(rest.len()));
+            rest = tail;
+            self.filter.process_into(block, &mut self.scratch);
+            self.mags.resize(self.scratch.len(), 0.0);
+            (crate::simd::kernels().norm_sq_map)(&self.scratch, &mut self.mags);
+            let warmup = self.warmup_remaining.min(self.mags.len());
+            self.warmup_remaining -= warmup;
+            self.avg.push_all(&self.mags[warmup..]);
         }
-        self.scratch = buf;
-        latest.or_else(|| self.avg.mean())
+        self.avg.mean()
     }
 
     /// Measure a complete capture and return the band power in dB relative
@@ -280,7 +319,136 @@ mod tests {
         assert!(meter.measure_dbfs(&[Cplx::ONE; 10]).is_none());
     }
 
+    /// The deque-and-divide `MovingAverage` the ring buffer replaced, kept
+    /// as the oracle for its exact operation sequence.
+    struct DequeAverage {
+        buf: std::collections::VecDeque<f64>,
+        len: usize,
+        sum: f64,
+        pushes_since_rebuild: usize,
+    }
+
+    impl DequeAverage {
+        fn new(len: usize) -> Self {
+            Self {
+                buf: Default::default(),
+                len,
+                sum: 0.0,
+                pushes_since_rebuild: 0,
+            }
+        }
+
+        fn push(&mut self, x: f64) -> f64 {
+            if self.buf.len() == self.len {
+                let old = self.buf.pop_front().expect("non-empty");
+                self.sum -= old;
+            }
+            self.buf.push_back(x);
+            self.sum += x;
+            self.pushes_since_rebuild += 1;
+            if self.pushes_since_rebuild >= 1_048_576 {
+                self.sum = self.buf.iter().sum();
+                self.pushes_since_rebuild = 0;
+            }
+            self.sum / self.buf.len() as f64
+        }
+    }
+
+    /// `xs` cut at the (sorted, clamped) positions in `cuts`.
+    fn pieces<'a, T>(xs: &'a [T], cuts: &[usize]) -> Vec<&'a [T]> {
+        let mut cuts: Vec<usize> = cuts.iter().map(|&c| c.min(xs.len())).collect();
+        cuts.sort_unstable();
+        let mut out = Vec::new();
+        let mut at = 0;
+        for c in cuts.into_iter().chain([xs.len()]) {
+            out.push(&xs[at..c]);
+            at = c;
+        }
+        out
+    }
+
+    /// The exact rebuild lands on push 2²⁰ whichever call it falls in,
+    /// including a block that straddles it.
+    #[test]
+    fn push_all_rebuilds_on_the_same_push_as_per_sample() {
+        let xs: Vec<f64> = (0..REBUILD_EVERY + 3_000)
+            .map(|i| 1e6 + 1e3 * (0.37 * i as f64).sin())
+            .collect();
+        let mut oracle = DequeAverage::new(1_000);
+        let mut want = 0.0;
+        for &x in &xs {
+            want = oracle.push(x);
+        }
+        for cuts in [vec![REBUILD_EVERY - 3, REBUILD_EVERY + 4], vec![17, REBUILD_EVERY]] {
+            let mut ma = MovingAverage::new(1_000).unwrap();
+            let mut got = None;
+            for piece in pieces(&xs, &cuts) {
+                got = ma.push_all(piece);
+            }
+            assert_eq!(got.map(f64::to_bits), Some(want.to_bits()), "cuts {cuts:?}");
+        }
+    }
+
     proptest! {
+        /// Pushing a capture in blocks gives the bits of pushing it one
+        /// sample at a time, through the old deque and through `push`,
+        /// for any window and any split.
+        #[test]
+        fn push_all_matches_per_sample_push(
+            len in 1usize..300,
+            xs in proptest::collection::vec(-1e3f64..1e3, 0..2_000),
+            cuts in proptest::collection::vec(0usize..2_000, 0..8),
+        ) {
+            let mut oracle = DequeAverage::new(len);
+            let mut single = MovingAverage::new(len).unwrap();
+            let mut batch = MovingAverage::new(len).unwrap();
+            let mut want = None;
+            for piece in pieces(&xs, &cuts) {
+                for &x in piece {
+                    let m = oracle.push(x);
+                    prop_assert_eq!(single.push(x).to_bits(), m.to_bits());
+                    want = Some(m);
+                }
+                let got = batch.push_all(piece);
+                prop_assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits));
+            }
+        }
+
+        /// `BandPowerMeter::process` over a capture split across calls
+        /// returns, after every call, the bits of the same filter output
+        /// pushed one sample at a time past the warm-up — with warm-up
+        /// ending anywhere inside a block.
+        #[test]
+        fn meter_matches_per_sample_average(
+            half_taps in 1usize..24,
+            average_len in 1usize..600,
+            n in 0usize..3_000,
+            cuts in proptest::collection::vec(0usize..3_000, 0..6),
+            phase in 0.0f64..6.0,
+        ) {
+            let taps = 2 * half_taps + 1;
+            let mut meter = BandPowerMeter::new(1e5, 2e5, 1e6, taps, average_len).unwrap();
+            let mut filter = meter.filter.clone();
+            let mut warmup = filter.len();
+            let mut oracle = DequeAverage::new(average_len);
+            let iq: Vec<f64> = (0..2 * n).map(|i| (0.7 * i as f64 + phase).sin()).collect();
+            let iq: Vec<Cplx> = iq.chunks_exact(2).map(|c| Cplx::new(c[0], c[1])).collect();
+            let mut want = None;
+            let mut y = Vec::new();
+            for block in pieces(&iq, &cuts) {
+                filter.process_into(block, &mut y);
+                for z in &y {
+                    if warmup > 0 {
+                        warmup -= 1;
+                        continue;
+                    }
+                    want = Some(oracle.push(z.norm_sq()));
+                }
+                let got = meter.process(block);
+                prop_assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits));
+            }
+        }
+
         /// Moving average of a constant is that constant.
         #[test]
         fn moving_average_constant(c in -1e6f64..1e6, len in 1usize..64, pushes in 1usize..200) {

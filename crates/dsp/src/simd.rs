@@ -45,6 +45,16 @@
 //! equivalence suite (`crates/dsp/tests/simd_equivalence.rs`) proves over
 //! randomized lengths, alignments, tails, and NaN/inf payloads.
 //!
+//! # Exact FFT butterflies
+//!
+//! [`Kernels::fft_radix2`] runs every radix-2 stage of an in-place FFT.
+//! Each butterfly is `t = v·w; (u + t, u − t)` with `v·w` in `Cplx::mul`'s
+//! operand order, so an arm may order butterflies however it likes — and
+//! fuse adjacent stages in registers — as long as every element goes
+//! through the same operations. The `w = 1` multiplies stay: `x·(1 + 0i)`
+//! is not always `x` — it can flip the sign of a zero component, and an
+//! infinite component turns the other one into NaN.
+//!
 //! # Exact fast noise before a quantizer
 //!
 //! [`Kernels::noise_quantize`] is the one kernel that is *not* a
@@ -138,6 +148,12 @@ pub struct Kernels {
     /// samples (bit `i`) left untouched for the caller's exact path. See
     /// [`AdcNoise`].
     pub noise_quantize: fn(&[f64], &AdcNoise, &mut [Cplx]) -> u64,
+    /// Every radix-2 decimation-in-time stage of an in-place FFT whose
+    /// input is already in bit-reversed order. `data.len()` must be a
+    /// power of two and `twiddles` the stage tables of
+    /// [`crate::FftPlanner`], flattened: the stage with butterfly span
+    /// `2h` holds `h` entries starting at index `h − 1`.
+    pub fft_radix2: fn(&mut [Cplx], &[Cplx]),
 }
 
 /// Samples per [`Kernels::noise_quantize`] call: the "needs exact" mask
@@ -417,6 +433,7 @@ pub static SCALAR: Kernels = Kernels {
     cmul_assign: scalar_cmul_assign,
     scale_map: scalar_scale_map,
     noise_quantize: scalar_noise_quantize,
+    fft_radix2: scalar_fft_radix2,
 };
 
 fn scalar_sum_f64(xs: &[f64]) -> f64 {
@@ -545,6 +562,35 @@ fn scalar_noise_quantize(uniforms: &[f64], p: &AdcNoise, block: &mut [Cplx]) -> 
     exact
 }
 
+/// Panics unless `data` and `twiddles` fit [`Kernels::fft_radix2`]'s
+/// contract, which bounds every access the vector arms make.
+fn check_fft_shape(data: &[Cplx], twiddles: &[Cplx]) {
+    let n = data.len();
+    assert!(
+        n.is_power_of_two() && twiddles.len() + 1 >= n,
+        "fft_radix2 needs a power-of-two length and its stage tables"
+    );
+}
+
+fn scalar_fft_radix2(data: &mut [Cplx], twiddles: &[Cplx]) {
+    check_fft_shape(data, twiddles);
+    let n = data.len();
+    let mut half = 1;
+    while half < n {
+        let stage = &twiddles[half - 1..2 * half - 1];
+        for block in data.chunks_exact_mut(2 * half) {
+            let (lo, hi) = block.split_at_mut(half);
+            for ((u, v), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(stage) {
+                let a = *u;
+                let t = *v * w;
+                *u = a + t;
+                *v = a - t;
+            }
+        }
+        half *= 2;
+    }
+}
+
 // ---------------------------------------------------------------------
 // x86_64 arms.
 // ---------------------------------------------------------------------
@@ -569,6 +615,7 @@ mod x86 {
         cmul_assign: avx2_cmul_assign,
         scale_map: avx2_scale_map,
         noise_quantize: avx2_noise_quantize,
+        fft_radix2: avx2_fft_radix2,
     };
 
     /// SSE2 arm: the two pure-`f64` reductions run 2-wide; the
@@ -586,6 +633,7 @@ mod x86 {
         cmul_assign: super::scalar_cmul_assign,
         scale_map: super::scalar_scale_map,
         noise_quantize: super::scalar_noise_quantize,
+        fft_radix2: super::scalar_fft_radix2,
     };
 
     // Every safe wrapper below is only reachable through a vtable that
@@ -621,6 +669,10 @@ mod x86 {
     }
     fn avx2_noise_quantize(uniforms: &[f64], p: &AdcNoise, block: &mut [Cplx]) -> u64 {
         unsafe { avx2_noise_quantize_impl(uniforms, p, block) }
+    }
+    fn avx2_fft_radix2(data: &mut [Cplx], twiddles: &[Cplx]) {
+        super::check_fft_shape(data, twiddles);
+        unsafe { avx2_fft_radix2_impl(data, twiddles) }
     }
     fn sse2_sum_f64(xs: &[f64]) -> f64 {
         unsafe { sse2_sum_f64_impl(xs) }
@@ -995,6 +1047,113 @@ mod x86 {
         exact
     }
 
+    /// Two butterflies on packed pairs: `t = v·w`, then `(u + t, u − t)`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn bfly4(u: __m256d, v: __m256d, w: __m256d) -> (__m256d, __m256d) {
+        let t = cmul4(v, w);
+        (_mm256_add_pd(u, t), _mm256_sub_pd(u, t))
+    }
+
+    /// The first two stages on four consecutive elements `[x0, x1]`,
+    /// `[x2, x3]`: span 2 pairs `(x0, x1)`, `(x2, x3)` with `w1 = [T₁₀, T₁₀]`,
+    /// then span 4 pairs `(x0, x2)`, `(x1, x3)` with `w2 = [T₂₀, T₂₁]`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn first_two_stages(
+        r0: __m256d,
+        r1: __m256d,
+        w1: __m256d,
+        w2: __m256d,
+    ) -> (__m256d, __m256d) {
+        let (a, b) = bfly4(
+            _mm256_permute2f128_pd(r0, r1, 0x20), // [x0, x2]
+            _mm256_permute2f128_pd(r0, r1, 0x31), // [x1, x3]
+            w1,
+        );
+        bfly4(
+            _mm256_permute2f128_pd(a, b, 0x20), // [x0', x1']
+            _mm256_permute2f128_pd(a, b, 0x31), // [x2', x3']
+            w2,
+        )
+    }
+
+    /// Every stage, two complexes per register. Stages are fused in
+    /// registers: the first three on 8-element blocks, then pairs of
+    /// stages (spans `2h` and `4h`) on 4-element columns, and a last
+    /// single stage when an odd number remain. Each element still sees
+    /// the scalar arm's butterflies in the scalar arm's order.
+    ///
+    /// # Safety
+    ///
+    /// The host must support AVX2, and `check_fft_shape` must hold: every
+    /// pointer offset below is below `n` (data) or `n − 1` (twiddles).
+    #[target_feature(enable = "avx2")]
+    unsafe fn avx2_fft_radix2_impl(data: &mut [Cplx], twiddles: &[Cplx]) {
+        let n = data.len();
+        if n < 4 {
+            return super::scalar_fft_radix2(data, twiddles);
+        }
+        let p = data.as_mut_ptr() as *mut f64;
+        let t = twiddles.as_ptr() as *const f64;
+        // Complex element `i` of data / twiddles as a packed pair.
+        let ld = |i: usize| _mm256_loadu_pd(p.add(2 * i));
+        let st = |i: usize, v: __m256d| _mm256_storeu_pd(p.add(2 * i), v);
+        let tw = |i: usize| _mm256_loadu_pd(t.add(2 * i));
+        let w1 = _mm256_permute2f128_pd(tw(0), tw(0), 0x00); // [T₁₀, T₁₀]
+        let w2 = tw(1);
+        let mut half = if n == 4 {
+            let (s0, s1) = first_two_stages(ld(0), ld(2), w1, w2);
+            st(0, s0);
+            st(2, s1);
+            4
+        } else {
+            let (w4a, w4b) = (tw(3), tw(5));
+            for b in (0..n).step_by(8) {
+                let (s0, s1) = first_two_stages(ld(b), ld(b + 2), w1, w2);
+                let (s2, s3) = first_two_stages(ld(b + 4), ld(b + 6), w1, w2);
+                let (o0, o2) = bfly4(s0, s2, w4a);
+                let (o1, o3) = bfly4(s1, s3, w4b);
+                st(b, o0);
+                st(b + 2, o1);
+                st(b + 4, o2);
+                st(b + 6, o3);
+            }
+            8
+        };
+        while half < n {
+            if 2 * half < n {
+                // Spans `2h` then `4h` over columns `k, k+h, k+2h, k+3h`.
+                let (h, t1, t2) = (half, half - 1, 2 * half - 1);
+                for b in (0..n).step_by(4 * h) {
+                    for k in (0..h).step_by(2) {
+                        let i = b + k;
+                        let w = tw(t1 + k);
+                        let (a1, b1) = bfly4(ld(i), ld(i + h), w);
+                        let (c1, d1) = bfly4(ld(i + 2 * h), ld(i + 3 * h), w);
+                        let (a2, c2) = bfly4(a1, c1, tw(t2 + k));
+                        let (b2, d2) = bfly4(b1, d1, tw(t2 + k + h));
+                        st(i, a2);
+                        st(i + h, b2);
+                        st(i + 2 * h, c2);
+                        st(i + 3 * h, d2);
+                    }
+                }
+                half *= 4;
+            } else {
+                let h = half;
+                for b in (0..n).step_by(2 * h) {
+                    for k in (0..h).step_by(2) {
+                        let (lo, hi) = bfly4(ld(b + k), ld(b + k + h), tw(h - 1 + k));
+                        st(b + k, lo);
+                        st(b + k + h, hi);
+                    }
+                }
+                half *= 2;
+            }
+        }
+    }
+
     #[target_feature(enable = "sse2")]
     unsafe fn sse2_sum_f64_impl(xs: &[f64]) -> f64 {
         // Four 2-wide accumulators cover the eight canonical lanes.
@@ -1061,6 +1220,7 @@ mod neon {
         cmul_assign: super::scalar_cmul_assign,
         scale_map: super::scalar_scale_map,
         noise_quantize: super::scalar_noise_quantize,
+        fft_radix2: super::scalar_fft_radix2,
     };
 
     // NEON is baseline on aarch64, so the intrinsics are safe to issue
@@ -1078,7 +1238,6 @@ mod neon {
     fn neon_norm_sq_map(src: &[Cplx], dst: &mut [f64]) {
         unsafe { neon_norm_sq_map_impl(src, dst) }
     }
-
     #[target_feature(enable = "neon")]
     unsafe fn neon_sum_f64_impl(xs: &[f64]) -> f64 {
         let mut a = [vdupq_n_f64(0.0); 4];

@@ -29,7 +29,7 @@
 //! — NaN included, since every NaN takes the one libm path.
 
 use aircal_dsp::simd::{AdcNoise, Kernels, LaneSum, NOISE_BLOCK};
-use aircal_dsp::{kernels, Cplx};
+use aircal_dsp::{fft_in_place, kernels, Cplx, Direction, FftPlanner};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -48,6 +48,18 @@ fn assert_same_bits(label: &str, a: f64, b: f64) {
         b.to_bits(),
         "{label}: scalar {a:?} vs dispatched {b:?}"
     );
+}
+
+/// Both transforms equal up to the sign of NaN outputs.
+fn assert_same_spectrum(label: &str, want: &[Cplx], got: &[Cplx]) {
+    assert_eq!(want.len(), got.len(), "{label}: length");
+    for (i, (a, b)) in want.iter().zip(got).enumerate() {
+        assert!(
+            nan_sign_masked(a.re) == nan_sign_masked(b.re)
+                && nan_sign_masked(a.im) == nan_sign_masked(b.im),
+            "{label}: bin {i}: {a:?} vs {b:?}"
+        );
+    }
 }
 
 /// The non-finite / signed-zero specials the reduction contract covers.
@@ -457,5 +469,123 @@ proptest! {
         prop_assert!(ws.iter().zip(&wd).all(|(x, y)|
             nan_sign_masked(x.re) == nan_sign_masked(y.re)
                 && nan_sign_masked(x.im) == nan_sign_masked(y.im)));
+    }
+}
+
+/// The inputs an FFT check draws from.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum FftInput {
+    /// Uniform values with subnormals and ±0 sprinkled in.
+    Plain,
+    /// `Plain` plus NaN and ±inf (which spread to most bins).
+    Specials,
+    /// Mostly ±0 with a few ±1 and subnormals: the signs of zero decide
+    /// the output bits, so a skipped `·(1 + 0i)` shows.
+    Zeros,
+}
+
+/// A transform input of length `n` of the given kind.
+fn fft_input(n: usize, rng: &mut ChaCha8Rng, kind: FftInput) -> Vec<Cplx> {
+    let part = |rng: &mut ChaCha8Rng| match (kind, rng.gen_range(0u32..40)) {
+        (FftInput::Zeros, 0..=3) => [1.0, -1.0, f64::MIN_POSITIVE / 8.0][rng.gen_range(0..3)],
+        (FftInput::Zeros, k) => [0.0, -0.0][k as usize % 2],
+        (_, 0) => f64::MIN_POSITIVE * rng.gen_range(-1.0..1.0),
+        (_, 1) => 0.0,
+        (_, 2) => -0.0,
+        (FftInput::Specials, 3) => special(rng.gen_range(0u8..3)),
+        _ => rng.gen_range(-1e3..1e3),
+    };
+    (0..n).map(|_| Cplx::new(part(rng), part(rng))).collect()
+}
+
+/// The planner's stage tables for length `n`, built as `FftPlanner` does.
+fn twiddles(n: usize, dir: Direction) -> Vec<Cplx> {
+    let sign = if dir == Direction::Forward { -1.0 } else { 1.0 };
+    let mut table = Vec::new();
+    let mut len = 2;
+    while len <= n {
+        let wlen = Cplx::phasor(sign * core::f64::consts::TAU / len as f64);
+        let mut w = Cplx::ONE;
+        for _ in 0..len / 2 {
+            table.push(w);
+            w *= wlen;
+        }
+        len <<= 1;
+    }
+    table
+}
+
+/// Every power-of-two length 1..=8192, both directions, plain,
+/// special-laden and zero-heavy inputs: the planner on the scalar arm,
+/// the detected arm and the process's dispatched arm equals
+/// `fft_in_place` (the scalar reference oracle) bit for bit up to NaN
+/// sign — and so does the detected arm's butterfly kernel against the
+/// scalar arm's on the planner's tables, whose first stage multiplies by
+/// exactly `1 + 0i`.
+#[test]
+fn fft_arms_match_scalar_at_every_power_of_two() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0xFF7);
+    for log_n in 0..=13 {
+        let n = 1usize << log_n;
+        let plan = FftPlanner::new(n).unwrap();
+        for kind in [FftInput::Plain, FftInput::Specials, FftInput::Zeros] {
+            let x = fft_input(n, &mut rng, kind);
+            for dir in [Direction::Forward, Direction::Inverse] {
+                let label = format!("n={n} {dir:?} {kind:?}");
+                let mut want = x.clone();
+                fft_in_place(&mut want, dir).unwrap();
+                let mut got = x.clone();
+                plan.process(&mut got, dir).unwrap();
+                assert_same_spectrum(&format!("dispatched planner, {label}"), &want, &got);
+
+                let table = twiddles(n, dir);
+                let mut reference = x.clone();
+                (Kernels::scalar().fft_radix2)(&mut reference, &table);
+                for arm in [Kernels::scalar(), Kernels::detect()] {
+                    let mut got = x.clone();
+                    plan.process_with(arm, &mut got, dir).unwrap();
+                    assert_same_spectrum(&format!("{} planner, {label}", arm.label), &want, &got);
+                    let mut got = x.clone();
+                    (arm.fft_radix2)(&mut got, &table);
+                    assert_same_spectrum(&format!("{} kernel, {label}", arm.label), &reference, &got);
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    /// The butterfly kernels agree with the scalar arm for arbitrary
+    /// twiddle tables — not only unit phasors — with NaN, ±inf and −0.0
+    /// injected into the data and the tables.
+    #[test]
+    fn fft_kernel_arbitrary_twiddles_bitwise(
+        log_n in 0usize..=9,
+        seed in any::<u64>(),
+        inject in proptest::collection::vec((0usize..1024, 0u8..4, any::<bool>(), any::<bool>()), 0..=6),
+    ) {
+        let n = 1usize << log_n;
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut data = fft_input(n, &mut rng, FftInput::Plain);
+        let mut table = fft_input(n.saturating_sub(1), &mut rng, FftInput::Plain);
+        for &(pos, sel, in_table, re) in &inject {
+            let target = if in_table && !table.is_empty() { &mut table } else { &mut data };
+            let i = pos % target.len();
+            let z = &mut target[i];
+            if re { z.re = special(sel) } else { z.im = special(sel) }
+        }
+        let mut want = data.clone();
+        (Kernels::scalar().fft_radix2)(&mut want, &table);
+        for arm in [Kernels::scalar(), Kernels::detect()] {
+            let mut got = data.clone();
+            (arm.fft_radix2)(&mut got, &table);
+            for (a, b) in want.iter().zip(&got) {
+                prop_assert!(
+                    nan_sign_masked(a.re) == nan_sign_masked(b.re)
+                        && nan_sign_masked(a.im) == nan_sign_masked(b.im),
+                    "{}: {:?} vs {:?}", arm.label, a, b
+                );
+            }
+        }
     }
 }

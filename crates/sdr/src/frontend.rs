@@ -123,13 +123,23 @@ impl Frontend {
         let dphi = core::f64::consts::TAU * self.config.cfo_hz / self.config.sample_rate_hz;
         let q_gain = 10f64.powf(self.config.iq_imbalance_db / 20.0);
         let rot0 = Cplx::phasor(phase0);
-        out.clear();
-        out.extend(waveform.iter().enumerate().map(|(n, &s)| {
-            let rotated = s * rot0 * Cplx::phasor(dphi * (sample_offset + n) as f64);
+        let impair = |s: Cplx, ramp: Cplx| {
+            let rotated = s * rot0 * ramp;
             let mut x = rotated.scale(amp);
             x.im *= q_gain;
             x
-        }));
+        };
+        out.clear();
+        if dphi == 0.0 {
+            // No CFO: every ramp argument `dphi·k` (k ≥ 0) is a zero with
+            // the sign of `dphi`, so one phasor serves the whole capture.
+            let ramp = Cplx::phasor(dphi);
+            out.extend(waveform.iter().map(|&s| impair(s, ramp)));
+        } else {
+            out.extend(waveform.iter().enumerate().map(|(n, &s)| {
+                impair(s, Cplx::phasor(dphi * (sample_offset + n) as f64))
+            }));
+        }
     }
 
     /// Add thermal noise + DC offset to a signal buffer and quantize it to
@@ -334,6 +344,37 @@ mod tests {
         let dphi = (burst[11] * burst[10].conj()).arg();
         let expect = core::f64::consts::TAU * 10_000.0 / 2e6;
         assert!((dphi - expect).abs() < 0.05, "dphi {dphi} vs {expect}");
+    }
+
+    /// With a zero CFO of either sign, the hoisted ramp phasor gives the
+    /// bits of the per-sample `phasor(dphi·k)`, at any sample offset.
+    #[test]
+    fn zero_cfo_impair_matches_per_sample_ramp() {
+        let wave: Vec<Cplx> = (0..37)
+            .map(|i| Cplx::new((0.3 * i as f64).sin(), -(0.7 * i as f64).cos()))
+            .chain([Cplx::new(-0.0, 0.0), Cplx::new(0.0, -0.0)])
+            .collect();
+        for cfo_hz in [0.0, -0.0] {
+            let mut cfg = FrontendConfig::bladerf_xa9(1.09e9, 2e6);
+            cfg.cfo_hz = cfo_hz;
+            cfg.iq_imbalance_db = 0.7;
+            let f = Frontend::new(cfg);
+            let dphi = core::f64::consts::TAU * cfo_hz / 2e6;
+            let (amp, q_gain) = (f.amplitude_fs(-50.0), 10f64.powf(0.7 / 20.0));
+            for offset in [0usize, 1, 1_000] {
+                let got = f.scale_and_impair(&wave, -50.0, 0.3, offset);
+                for (n, (&s, g)) in wave.iter().zip(&got).enumerate() {
+                    let ramp = Cplx::phasor(dphi * (offset + n) as f64);
+                    let mut want = (s * Cplx::phasor(0.3) * ramp).scale(amp);
+                    want.im *= q_gain;
+                    assert_eq!(
+                        (want.re.to_bits(), want.im.to_bits()),
+                        (g.re.to_bits(), g.im.to_bits()),
+                        "cfo {cfo_hz:?}, offset {offset}, sample {n}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

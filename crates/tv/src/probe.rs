@@ -6,7 +6,7 @@
 //! [`aircal_dsp::BandPowerMeter`] (bandpass → |x|² → very long moving
 //! average). The result is dBFS — the y-axis of Figure 4.
 
-use crate::synth::synthesize_8vsb;
+use crate::synth::synthesize_8vsb_shared;
 use crate::towers::TvTower;
 use crate::OCCUPIED_BANDWIDTH_HZ;
 use aircal_dsp::{BandPowerMeter, Cplx};
@@ -16,6 +16,7 @@ use aircal_sdr::{Frontend, FrontendConfig};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Probe configuration.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -93,11 +94,12 @@ impl TvPowerProbe {
         Self { config }
     }
 
-    /// Synthesize the unit-power 8VSB capture waveform the probe measures
-    /// against. It is deterministic and channel-independent, so a sweep
-    /// synthesizes it once and shares it read-only across workers.
-    pub fn reference_waveform(&self) -> Vec<Cplx> {
-        synthesize_8vsb(self.config.capture_len, self.config.sample_rate_hz)
+    /// The unit-power 8VSB capture waveform the probe measures against.
+    /// It is deterministic and channel-independent, so it is synthesized
+    /// once per process (see [`synthesize_8vsb_shared`]) and shared
+    /// read-only across sweeps and workers.
+    pub fn reference_waveform(&self) -> Arc<[Cplx]> {
+        synthesize_8vsb_shared(self.config.capture_len, self.config.sample_rate_hz)
     }
 
     /// Measure one station over its propagation `path`, with a shared
@@ -202,8 +204,8 @@ impl TvPowerProbe {
             .iter()
             .map(|t| accel.profile(world, site, &t.position, t.channel.center_hz()))
             .collect();
-        // The 8VSB reference is channel-independent: synthesize once and
-        // share it read-only; each worker reuses its own meter + IQ buffer.
+        // The 8VSB reference is channel-independent and memoised: share
+        // it read-only; each worker reuses its own meter + IQ buffer.
         let waveform = self.reference_waveform();
         let mut scratches: Vec<TvScratch> =
             (0..threads.max(1)).map(|_| TvScratch::default()).collect();

@@ -11,6 +11,31 @@ use crate::OCCUPIED_BANDWIDTH_HZ;
 use aircal_dsp::fir::design_lowpass;
 use aircal_dsp::window::Window;
 use aircal_dsp::{Cplx, FirFilter, Lfsr};
+use std::sync::{Arc, Mutex, PoisonError};
+
+/// The last waveform [`synthesize_8vsb_shared`] built, keyed on the exact
+/// bits of `(len, fs)`.
+type Memo = Option<((u64, u64), Arc<[Cplx]>)>;
+
+static WAVEFORM_MEMO: Mutex<Memo> = Mutex::new(None);
+
+/// [`synthesize_8vsb`] memoised process-wide: the waveform depends only on
+/// `(len, fs)`, so every probe sweep after the first shares one read-only
+/// copy. The key is the exact bits of both values (like the propagation
+/// memo's position keys); the memo holds one waveform, replaced on a miss.
+pub fn synthesize_8vsb_shared(len: usize, fs: f64) -> Arc<[Cplx]> {
+    let key = (len as u64, fs.to_bits());
+    let lock = || WAVEFORM_MEMO.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some((k, wave)) = &*lock() {
+        if *k == key {
+            return Arc::clone(wave);
+        }
+    }
+    // Synthesize outside the lock; a racing thread computes the same bits.
+    let wave: Arc<[Cplx]> = synthesize_8vsb(len, fs).into();
+    *lock() = Some((key, Arc::clone(&wave)));
+    wave
+}
 
 /// Synthesize `len` samples of a unit-power 8VSB-like signal at sample
 /// rate `fs` (complex baseband centered on the channel center).
@@ -107,6 +132,23 @@ mod tests {
             pilot_region > 3.0 * flat_region,
             "pilot region {pilot_region:e} vs flat {flat_region:e}"
         );
+    }
+
+    /// The memo hands out the bits `synthesize_8vsb` computes, on a miss
+    /// and on a hit, at the probe's capture shape and at a second shape
+    /// that replaces it.
+    #[test]
+    fn shared_waveform_is_bitwise_synthesis() {
+        for (len, fs) in [(40_000, 8e6), (4_096, 6.5e6)] {
+            let fresh = synthesize_8vsb(len, fs);
+            for _ in 0..2 {
+                let shared = synthesize_8vsb_shared(len, fs);
+                assert_eq!(shared.len(), fresh.len());
+                for (a, b) in fresh.iter().zip(shared.iter()) {
+                    assert_eq!((a.re.to_bits(), a.im.to_bits()), (b.re.to_bits(), b.im.to_bits()));
+                }
+            }
+        }
     }
 
     #[test]

@@ -46,6 +46,15 @@ case "$result" in
   *) echo "# fleet_recovery smoke: expected \"correct\": true and \"failed\": 0" >&2; exit 1 ;;
 esac
 
+echo "== cloud_audit smoke (every adversary evicted, no honest node quarantined, through the real judge) =="
+result=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+  --workload cloud_audit --seed 7 --seconds 1 --trace 0 | tail -n 1)
+echo "$result"
+case "$result" in
+  *'"correct": true,'*'"failed": 0,'*) ;;
+  *) echo "# cloud_audit smoke: expected \"correct\": true and \"failed\": 0" >&2; exit 1 ;;
+esac
+
 echo "== perfreport (--quick, every section of scripts/budgets.json enforced) =="
 cargo run --release -p aircal-bench --bin perfreport -- --quick --check
 
