@@ -339,7 +339,8 @@ fn a5_faults(seed: u64) {
         let mut profiler = FrequencyProfiler::default();
         profiler.scanner.config.fault = fault;
         profiler.tv_probe.config.fault = fault;
-        let profile = profiler.profile(&s.world, &s.site, &cells, &tv, seed);
+        let mut accel = s.world.accel();
+        let profile = profiler.profile_with_geo(&s.world, &mut accel, &s.site, &cells, &tv, seed);
         let est = FovEstimator::default().estimate(&r.points);
         let trust = TrustAuditor::default().audit(&r, &profile, &traffic, est.open_fraction());
         println!(
@@ -353,7 +354,9 @@ fn a5_faults(seed: u64) {
     }
     // Fabrication.
     let honest = run_survey(&s.world, &s.site, &traffic, &SurveyConfig::default(), seed);
-    let profile = FrequencyProfiler::default().profile(&s.world, &s.site, &cells, &tv, seed);
+    let mut accel = s.world.accel();
+    let profile = FrequencyProfiler::default()
+        .profile_with_geo(&s.world, &mut accel, &s.site, &cells, &tv, seed);
     let fake = fabricate_survey(&honest, honest.total_messages / 12);
     let est = FovEstimator::default().estimate(&fake.points);
     let trust = TrustAuditor::default().audit(&fake, &profile, &traffic, est.open_fraction());

@@ -1,13 +1,15 @@
-//! Pipeline performance report: times the survey→profile hot path and
-//! writes `BENCH_PIPELINE.json` at the repo root.
+//! Pipeline performance report: times the measurements no test suite
+//! and no benchmark workload covers, and writes `BENCH_PIPELINE.json` at
+//! the repo root.
 //!
 //! ```sh
 //! cargo run --release -p aircal-bench --bin perfreport \
-//!     [-- --quick] [--seed N] [--threads N] [--check]
+//!     [-- --quick] [--seed N] [--check]
 //! ```
 //!
-//! `--check` enforces every section of `scripts/budgets.json` after the
-//! report is written and exits non-zero when any bound is missed.
+//! `--check` enforces every bound in `scripts/budgets.json` after the
+//! report is written and exits non-zero when any bound is missed, or when
+//! the file holds a bound that no gate reads.
 //!
 //! Sections:
 //!
@@ -28,88 +30,42 @@
 //!   ungated scan (identical peaks, fewer FLOPs);
 //! * **fir** — overlap-save [`FastFirFilter`] vs direct [`FirFilter`]
 //!   at 63/255/1023 taps (the TV bandpass shapes);
-//! * **survey / tv_sweep / calibrator** — wall clock at 1/2/4/8 worker
-//!   threads, clamped to what the host actually has (bit-identical
-//!   outputs; the knob trades time only). `--threads N` overrides the
-//!   clamp, so a single-core CI box can still emit the full sweep;
 //! * **geometry** — dense synthetic downtown: brute-force `path_profile`
 //!   vs the spatial index vs the index + path memo, all three bit-compared,
 //!   with speedup and hit-rate floors in the `perf` budget section;
-//! * **allocations** — steady-state allocator round-trips per burst on
-//!   the survey, TV-channel, and cellular hot paths: allocating calls vs
-//!   the reused-scratch pipeline, counted by a wrapping global allocator,
-//!   with per-path ceilings in the `alloc` budget section;
-//! * **stage_latency / span_summary** — one traced calibration run:
-//!   per-stage latency histograms (fixed `aircal-obs` bucket bounds)
-//!   and aggregated span wall times for the instrumented kernels;
-//! * **robustness** — an adversarial audit campaign (6 honest nodes,
-//!   one node per adversary kind, 8 rounds): per-adversary first-anomaly
-//!   and eviction rounds plus aggregate detection rate, false-quarantine
-//!   rate, and worst-case detection latency; the `robustness` budget
-//!   section fails the run when an adversary survives or an honest node
-//!   is quarantined;
 //! * **scale** — the discrete-event campaign engine at 100/1000/5000
-//!   nodes: events processed, wall clock, events/s, plus a cheap
-//!   parallelism-invariance cross-check (the workers=2 digest must
-//!   match the timed serial run), with a throughput floor in the `scale`
-//!   budget section;
-//! * **recovery** — a crash-recovery drill plus a journal-replay
-//!   micro-benchmark, bounded by the `recovery` budget section.
+//!   nodes, serial: events processed, wall clock, events/s, with a
+//!   throughput floor in the `scale` budget section;
+//! * **recovery** — journal replay through
+//!   [`aircal::core::wal::Journal::open`], records/s, with a floor in the
+//!   `recovery` budget section.
+//!
+//! Correctness gates live in the test suites, each in one place: the
+//! adversary campaign in `tests/byzantine.rs`, worker-count invariance in
+//! `tests/fleet_sim.rs`, the crash-recovery campaign and its crash-free
+//! twin in `tests/cloud_recovery.rs`, and the steady-state allocation
+//! counts in `crates/bench/tests/allocations.rs`.
 //!
 //! All numbers are wall-clock on whatever host runs this; `host_cores`
 //! records how much hardware parallelism was actually available.
 
-use aircal::net::{spawn_node, AdversaryKind, Cloud, NodeAgent, NodeBehavior, NodeHealth, RetryPolicy};
 use aircal_adsb::decoder::gated_preamble_correlation;
-use aircal_adsb::{cpr, me::MePayload, AdsbFrame, DecodeScratch, Decoder, IcaoAddress};
-use aircal_aircraft::{TrafficConfig, TrafficSim};
-use aircal_bench::{parse_args, paper_traffic, AllocSnapshot, CountingAllocator};
-use aircal_cellular::{paper_towers, CellScanner};
-use aircal_core::engine::Calibrator;
-use aircal_core::survey::{run_survey, SurveyConfig};
+use aircal_adsb::{cpr, me::MePayload, AdsbFrame, Decoder, IcaoAddress};
+use aircal_bench::parse_args;
 use aircal_dsp::corr::{find_peaks, normalized_correlation};
 use aircal_dsp::fir::design_bandpass;
 use aircal_dsp::window::Window;
-use aircal_dsp::{derive_stream_seed, Cplx, Direction, DspScratch, FastFirFilter, FftPlanner, FirFilter};
-use aircal_env::scenarios::{dense_city, testbed_origin};
-use aircal_env::{GeoScratch, PathCache, Scenario, ScenarioKind};
-use std::sync::Arc;
+use aircal_dsp::{Cplx, Direction, FastFirFilter, FftPlanner, FirFilter};
+use aircal_env::scenarios::dense_city;
+use aircal_env::{GeoScratch, PathCache};
 use aircal_sdr::{BurstPlan, CaptureRenderer, Frontend, FrontendConfig};
-use aircal_tv::synth::synthesize_8vsb;
-use aircal_tv::{paper_tv_towers, TvPowerProbe, TvProbeConfig, TvScratch, TvTower};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
-#[global_allocator]
-static ALLOC: CountingAllocator = CountingAllocator::new();
-
-#[derive(Serialize)]
-struct ThreadTiming {
-    threads: usize,
-    seconds: f64,
-    speedup_vs_serial: f64,
-}
-
-/// A 1/2/4/8-thread wall-clock sweep plus an explicit record of the
-/// clamp that shaped it: on a single-core host the 2/4/8 rows are
-/// skipped, and without this annotation the one-row table is
-/// indistinguishable from a scaling failure.
-#[derive(Serialize)]
-struct ThreadSweep {
-    /// True when the clamp removed at least one requested thread count.
-    clamped: bool,
-    /// The effective cap (host cores, or the `--threads` override).
-    thread_cap: usize,
-    host_cores: usize,
-    /// Requested thread counts the clamp skipped.
-    skipped_threads: Vec<usize>,
-    rows: Vec<ThreadTiming>,
-}
-
-#[derive(Serialize)]
+#[derive(Serialize, Default)]
 struct FirTiming {
     taps: usize,
     input_len: usize,
@@ -118,7 +74,7 @@ struct FirTiming {
     speedup: f64,
 }
 
-#[derive(Serialize)]
+#[derive(Serialize, Default)]
 struct DecodeTiming {
     samples: usize,
     messages: usize,
@@ -126,7 +82,7 @@ struct DecodeTiming {
     msamples_per_s: f64,
 }
 
-#[derive(Serialize)]
+#[derive(Serialize, Default)]
 struct CorrTiming {
     samples: usize,
     ungated_seconds: f64,
@@ -134,34 +90,10 @@ struct CorrTiming {
     speedup: f64,
 }
 
-#[derive(Serialize)]
-struct StageLatency {
-    stage: String,
-    histogram: aircal_obs::Histogram,
-}
-
-#[derive(Serialize)]
-struct AllocStats {
-    bursts: usize,
-    allocs_per_burst: f64,
-    bytes_per_burst: f64,
-}
-
-#[derive(Serialize)]
-struct AllocComparison {
-    path: &'static str,
-    allocating: AllocStats,
-    scratch: AllocStats,
-    /// Allocating/scratch allocation ratio. When the scratch path made
-    /// zero allocations this is the allocating per-burst count itself —
-    /// a finite "at least ×N" lower bound instead of infinity.
-    reduction: f64,
-}
-
 /// Dense-world geometry acceleration: one obstruction sweep timed three
 /// ways. All three must agree bit for bit — the index and memo are pure
 /// accelerators, never approximations.
-#[derive(Serialize)]
+#[derive(Serialize, Default)]
 struct GeometryTiming {
     buildings: usize,
     rays: usize,
@@ -178,7 +110,7 @@ struct GeometryTiming {
 /// One DSP kernel timed on both reduction arms. `bit_identical` is the
 /// checksum cross-check for this specific workload; the exhaustive proof
 /// lives in the `simd_equivalence` proptest suite.
-#[derive(Serialize)]
+#[derive(Serialize, Default)]
 struct KernelTiming {
     kernel: &'static str,
     elements: usize,
@@ -192,7 +124,7 @@ struct KernelTiming {
 /// libm for the reported samples) against `Frontend::finalize_reference`
 /// (per-sample draws and libm) on one capture. `fallback_rate` is the
 /// share of samples the kernel handed to the exact path.
-#[derive(Serialize)]
+#[derive(Serialize, Default)]
 struct FinalizeTiming {
     samples: usize,
     reference_ns_per_sample: f64,
@@ -205,7 +137,7 @@ struct FinalizeTiming {
 /// `FftPlanner::process` on one transform length, forward then inverse,
 /// with the butterflies on the scalar arm and on the dispatched arm;
 /// `bit_identical` compares both spectra and both round trips.
-#[derive(Serialize)]
+#[derive(Serialize, Default)]
 struct FftTiming {
     points: usize,
     scalar_ns_per_transform: f64,
@@ -218,7 +150,7 @@ struct FftTiming {
 /// (`scalar`/`sse2`/`avx2`/`neon`) and per-kernel scalar-vs-dispatched
 /// throughput on an L1-resident workload, plus the front-end `finalize`
 /// and `fft` rows.
-#[derive(Serialize)]
+#[derive(Serialize, Default)]
 struct KernelsReport {
     dispatch: &'static str,
     kernels: Vec<KernelTiming>,
@@ -226,42 +158,10 @@ struct KernelsReport {
     fft: FftTiming,
 }
 
-/// One adversary's trip down the quarantine ladder during the campaign.
-#[derive(Serialize)]
-struct AdversaryOutcome {
-    kind: &'static str,
-    node: &'static str,
-    /// First round the consistency pass flagged this node (0-based).
-    first_anomaly_round: Option<u64>,
-    /// Round the ladder reached `Evicted` (0-based).
-    eviction_round: Option<u64>,
-    evicted: bool,
-}
-
-/// Detection quality of the robust-aggregation layer under a standing
-/// f < n/2 adversarial fleet.
-#[derive(Serialize)]
-struct RobustnessReport {
-    rounds: u64,
-    honest_nodes: usize,
-    adversary_nodes: usize,
-    adversaries: Vec<AdversaryOutcome>,
-    /// Fraction of adversaries evicted by the end of the campaign.
-    detection_rate: f64,
-    /// Honest nodes that ever reached Quarantined or worse.
-    false_quarantine_count: usize,
-    false_quarantine_rate: f64,
-    /// Worst-case rounds-to-eviction (eviction round + 1; the full
-    /// campaign length + 1 when an adversary survived).
-    max_detection_latency_rounds: u64,
-    campaign_seconds: f64,
-}
-
-/// One fleet size through the discrete-event campaign engine. The timed
-/// run is serial (workers=1) so the throughput number measures the
-/// engine, not the host's core count; a second untimed run at workers=2
-/// cross-checks the parallelism-invariance contract via the digest.
-#[derive(Serialize)]
+/// One fleet size through the discrete-event campaign engine, serial
+/// (workers=1) so the throughput number measures the engine, not the
+/// host's core count. Worker-count invariance is `tests/fleet_sim.rs`'s.
+#[derive(Serialize, Default)]
 struct ScaleTiming {
     nodes: usize,
     events: u64,
@@ -269,7 +169,6 @@ struct ScaleTiming {
     events_per_sec: f64,
     coverage90_tick: Option<u64>,
     digest: String,
-    parallel_digest_matches: bool,
 }
 
 /// The campaign engine at each paper-regime fleet size. Fault pressure
@@ -289,78 +188,45 @@ fn scale_campaigns(seed: u64) -> Vec<ScaleTiming> {
             let t0 = Instant::now();
             let result = run(&cfg);
             let seconds = t0.elapsed().as_secs_f64();
-            cfg.workers = 2;
-            let parallel = run(&cfg);
             ScaleTiming {
                 nodes,
                 events: result.events,
                 seconds,
                 events_per_sec: result.events as f64 / seconds,
                 coverage90_tick: result.coverage90_tick,
-                parallel_digest_matches: parallel.digest == result.digest,
                 digest: result.digest,
             }
         })
         .collect()
 }
 
-/// Crash-recovery drill: a 1000-node campaign through the engine with
-/// periodic cloud crashes, duplicate/reorder delivery faults, and a
-/// fault-free twin to diff the final cloud digest against, plus a
-/// journal-replay micro-benchmark (records/s through
-/// [`aircal::core::wal::Journal::open`]) that prices the recovery path
-/// itself.
-#[derive(Serialize)]
+/// Journal-replay micro-benchmark: records/s through
+/// [`aircal::core::wal::Journal::open`], the dominant cost of a real
+/// recovery. The recovery campaign itself is pinned by
+/// `tests/cloud_recovery.rs`.
+#[derive(Serialize, Default)]
 struct RecoverySection {
-    nodes: usize,
-    crashes: u64,
-    wal_appends: u64,
-    wal_syncs: u64,
-    replayed_records: u64,
-    recovery_ticks: u64,
-    deduped_reports: u64,
-    duplicated_deliveries: u64,
-    reordered_deliveries: u64,
-    campaign_seconds: f64,
-    /// Final cloud digest of the faulted campaign equals the fault-free
-    /// twin's, bit for bit.
-    bit_identical: bool,
-    invariant_violations: usize,
     journal_replay_records: u64,
     journal_replay_seconds: f64,
     journal_replay_records_per_sec: f64,
 }
 
-fn recovery_drill(seed: u64, reps: usize) -> RecoverySection {
+/// Time reopening a synced journal of dispatch + report frames for a
+/// 1000-node fleet, cold.
+fn journal_replay(reps: usize) -> RecoverySection {
     use aircal::core::wal::{Journal, WalRecord};
-    use aircal::sim::{run, CampaignConfig};
 
-    let nodes = 1000usize;
-    let mut cfg = CampaignConfig::paper_default(nodes, seed);
-    cfg.recovery.crash_ticks = (1..cfg.max_ticks / 120).map(|i| i * 120).collect();
-    cfg.recovery.duplicate_fraction = 0.3;
-    cfg.recovery.reorder_fraction = 0.3;
-    let t0 = Instant::now();
-    let faulted = run(&cfg);
-    let campaign_seconds = t0.elapsed().as_secs_f64();
-    let clean = run(&CampaignConfig::paper_default(nodes, seed));
-    let bit_identical = faulted.state_digest == clean.state_digest
-        && faulted.trust_table == clean.trust_table;
-
-    // Journal replay micro-benchmark: a synced journal of dispatch +
-    // report frames, reopened cold — the dominant cost of a real
-    // recovery is exactly this scan.
-    let replay_records = 200_000u64;
+    let (nodes, replay_records) = (1000u64, 200_000u64);
     let mut journal = Journal::new(1 << 20);
     for i in 0..replay_records / 2 {
         journal.append(&WalRecord::Dispatch {
-            node: i % nodes as u64,
+            node: i % nodes,
             kind: (i % 3) as u8,
             seq: i,
             tick: i,
         });
         journal.append(&WalRecord::ReportApplied {
-            node: i % nodes as u64,
+            node: i % nodes,
             kind: (i % 3) as u8,
             seq: i,
             value_bits: (i as f64).to_bits(),
@@ -374,187 +240,24 @@ fn recovery_drill(seed: u64, reps: usize) -> RecoverySection {
         assert_eq!(report.recovered, replay_records);
         std::hint::black_box(j.len_bytes())
     });
-
     RecoverySection {
-        nodes,
-        crashes: faulted.recoveries,
-        wal_appends: faulted.wal_appends,
-        wal_syncs: faulted.wal_syncs,
-        replayed_records: faulted.replayed_records,
-        recovery_ticks: faulted.recovery_ticks,
-        deduped_reports: faulted.deduped_reports,
-        duplicated_deliveries: faulted.duplicated_deliveries,
-        reordered_deliveries: faulted.reordered_deliveries,
-        campaign_seconds,
-        bit_identical,
-        invariant_violations: faulted.invariant_violations.len(),
         journal_replay_records: replay_records,
         journal_replay_seconds,
         journal_replay_records_per_sec: replay_records as f64 / journal_replay_seconds,
     }
 }
 
-#[derive(Serialize)]
+#[derive(Serialize, Default)]
 struct PipelineReport {
     quick: bool,
     host_cores: usize,
-    /// `--threads N` cap used for the thread sweeps instead of
-    /// `host_cores` (`null` when the host clamp applied).
-    threads_override: Option<usize>,
     geometry: GeometryTiming,
     kernels: KernelsReport,
     adsb_decode: DecodeTiming,
     preamble_scan: CorrTiming,
     fir: Vec<FirTiming>,
-    survey: ThreadSweep,
-    tv_sweep: ThreadSweep,
-    calibrator: ThreadSweep,
-    allocations: Vec<AllocComparison>,
-    stage_latency: Vec<StageLatency>,
-    span_summary: Vec<aircal_obs::SpanSummary>,
-    robustness: RobustnessReport,
     scale: Vec<ScaleTiming>,
     recovery: RecoverySection,
-}
-
-/// The same f < n/2 fleet the byzantine integration suite pins down: six
-/// honest installations and one node per adversary kind, audited for
-/// eight rounds with a fresh commission seed each round. Fully seeded,
-/// so the outcome table is a regression surface, not a flaky benchmark.
-/// `(node name, installation, Some((kind tag, adversary)))` campaign row.
-type CampaignRow = (&'static str, ScenarioKind, Option<(&'static str, AdversaryKind)>);
-
-fn robustness_campaign() -> RobustnessReport {
-    const ROUNDS: u64 = 8;
-    let fleet: [CampaignRow; 11] = [
-        ("adv-frozen", ScenarioKind::Rooftop, Some(("frozen", AdversaryKind::FrozenFrontend))),
-        ("adv-gain", ScenarioKind::OpenField, Some(("gain", AdversaryKind::GainInflate { db: 25.0 }))),
-        (
-            "adv-poison",
-            ScenarioKind::OpenField,
-            Some(("poison", AdversaryKind::CalibrationPoison { db_per_round: 2.5 })),
-        ),
-        ("adv-replay", ScenarioKind::Rooftop, Some(("replay", AdversaryKind::ReplayStale))),
-        ("adv-spoof", ScenarioKind::OpenField, Some(("spoof", AdversaryKind::SpoofAdsb { ghosts: 24 }))),
-        ("h-canyon", ScenarioKind::UrbanCanyon, None),
-        ("h-field-a", ScenarioKind::OpenField, None),
-        ("h-field-b", ScenarioKind::OpenField, None),
-        ("h-roof-a", ScenarioKind::Rooftop, None),
-        ("h-roof-b", ScenarioKind::Rooftop, None),
-        ("h-window", ScenarioKind::BehindWindow, None),
-    ];
-    let sky = Arc::new(TrafficSim::generate(
-        TrafficConfig {
-            count: 40,
-            ..TrafficConfig::paper_default(testbed_origin())
-        },
-        4242,
-    ));
-    let mut cloud = Cloud::new(sky.clone());
-    cloud.retry_policy = RetryPolicy::quick();
-    for (i, (name, kind, adv)) in fleet.iter().enumerate() {
-        let scenario = Scenario::build(*kind);
-        let mut agent = match adv {
-            Some((_, kind)) => {
-                NodeAgent::with_adversary(scenario, sky.clone(), *kind, 0xBAD5_EED0 + i as u64)
-            }
-            None => NodeAgent::new(scenario, NodeBehavior::Honest, sky.clone()),
-        };
-        agent.claims.name = name.to_string();
-        cloud
-            .register(spawn_node(agent, 0.0, 7000 + i as u64))
-            .expect("campaign registration");
-    }
-
-    let mut first_anomaly: Vec<Option<u64>> = vec![None; fleet.len()];
-    let mut evicted_at: Vec<Option<u64>> = vec![None; fleet.len()];
-    let mut false_quarantined: Vec<bool> = vec![false; fleet.len()];
-    let t0 = Instant::now();
-    for round in 0..ROUNDS {
-        // Fresh commission seed per round: replayed or frozen reports
-        // only become evidence under a seed the node has not seen.
-        cloud.audit_all(2000 + round);
-        let health = cloud.health_report();
-        let anomalies = cloud.anomaly_report();
-        for (i, (name, _, adv)) in fleet.iter().enumerate() {
-            let h = health
-                .iter()
-                .find(|(n, _, _)| n == name)
-                .map(|(_, h, _)| *h)
-                .expect("registered node reports health");
-            let run = anomalies
-                .iter()
-                .find(|(n, _, _)| n == name)
-                .map(|(_, run, _)| *run)
-                .unwrap_or(0);
-            if run > 0 && first_anomaly[i].is_none() {
-                first_anomaly[i] = Some(round);
-            }
-            if matches!(h, NodeHealth::Evicted) && evicted_at[i].is_none() {
-                evicted_at[i] = Some(round);
-            }
-            if adv.is_none() && matches!(h, NodeHealth::Quarantined | NodeHealth::Evicted) {
-                false_quarantined[i] = true;
-            }
-        }
-    }
-    let campaign_seconds = t0.elapsed().as_secs_f64();
-    cloud.shutdown();
-
-    let adversaries: Vec<AdversaryOutcome> = fleet
-        .iter()
-        .enumerate()
-        .filter_map(|(i, (name, _, adv))| {
-            adv.map(|(kind, _)| AdversaryOutcome {
-                kind,
-                node: name,
-                first_anomaly_round: first_anomaly[i],
-                eviction_round: evicted_at[i],
-                evicted: evicted_at[i].is_some(),
-            })
-        })
-        .collect();
-    let honest_nodes = fleet.iter().filter(|(_, _, adv)| adv.is_none()).count();
-    let adversary_nodes = adversaries.len();
-    let detection_rate =
-        adversaries.iter().filter(|a| a.evicted).count() as f64 / adversary_nodes.max(1) as f64;
-    let false_quarantine_count = false_quarantined.iter().filter(|&&q| q).count();
-    let max_detection_latency_rounds = adversaries
-        .iter()
-        .map(|a| a.eviction_round.map_or(ROUNDS + 1, |r| r + 1))
-        .max()
-        .unwrap_or(0);
-    RobustnessReport {
-        rounds: ROUNDS,
-        honest_nodes,
-        adversary_nodes,
-        adversaries,
-        detection_rate,
-        false_quarantine_count,
-        false_quarantine_rate: false_quarantine_count as f64 / honest_nodes.max(1) as f64,
-        max_detection_latency_rounds,
-        campaign_seconds,
-    }
-}
-
-/// One fully observed calibration run: stage timers feed fixed-bucket
-/// histograms, the global tracer records kernel spans. Runs after all
-/// timed sections so tracing overhead cannot touch their numbers.
-fn traced_calibration(quick: bool, s: &Scenario, seed: u64) -> (Vec<StageLatency>, Vec<aircal_obs::SpanSummary>) {
-    let obs = aircal_obs::Obs::recording();
-    aircal_obs::trace::enable();
-    let cal = if quick { Calibrator::quick() } else { Calibrator::default() }
-        .with_obs(obs.clone());
-    std::hint::black_box(cal.calibrate(&s.world, &s.site, seed));
-    aircal_obs::trace::disable();
-    let spans = aircal_obs::trace::drain();
-    let stage_latency = obs
-        .snapshot()
-        .histograms
-        .into_iter()
-        .map(|(stage, histogram)| StageLatency { stage, histogram })
-        .collect();
-    (stage_latency, aircal_obs::trace::summarize(&spans))
 }
 
 /// Time one kernel on both arms. The closures return a bit checksum of
@@ -772,205 +475,6 @@ fn time_best<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
     best
 }
 
-/// Time `run` at 1/2/4/8 worker threads, skipping counts beyond `cap` —
-/// an oversubscribed row measures scheduler noise, not scaling. The cap
-/// defaults to the host's core count; `--threads N` raises (or lowers)
-/// it explicitly. The serial row always survives the clamp, and the
-/// skipped counts are recorded so a one-row table on a one-core host
-/// reads as a clamp, not as missing data.
-fn thread_sweep(
-    reps: usize,
-    host_cores: usize,
-    cap: usize,
-    mut run: impl FnMut(usize),
-) -> ThreadSweep {
-    let mut rows: Vec<ThreadTiming> = Vec::new();
-    let mut skipped_threads: Vec<usize> = Vec::new();
-    for threads in [1usize, 2, 4, 8] {
-        if threads > cap.max(1) {
-            skipped_threads.push(threads);
-            continue;
-        }
-        let seconds = time_best(reps, || run(threads));
-        let serial = rows.first().map(|t| t.seconds).unwrap_or(seconds);
-        rows.push(ThreadTiming {
-            threads,
-            seconds,
-            speedup_vs_serial: serial / seconds,
-        });
-    }
-    ThreadSweep {
-        clamped: !skipped_threads.is_empty(),
-        thread_cap: cap.max(1),
-        host_cores,
-        skipped_threads,
-        rows,
-    }
-}
-
-/// Run `f` once to warm pools/plans, then `rounds` more times with the
-/// allocator counters bracketed around them.
-fn measure_allocs(bursts_per_round: usize, rounds: usize, mut f: impl FnMut()) -> AllocStats {
-    f();
-    let before = AllocSnapshot::now();
-    for _ in 0..rounds.max(1) {
-        f();
-    }
-    let delta = AllocSnapshot::now() - before;
-    let bursts = bursts_per_round * rounds.max(1);
-    AllocStats {
-        bursts,
-        allocs_per_burst: delta.allocs as f64 / bursts.max(1) as f64,
-        bytes_per_burst: delta.bytes as f64 / bursts.max(1) as f64,
-    }
-}
-
-fn alloc_reduction(allocating: &AllocStats, scratch: &AllocStats) -> f64 {
-    if scratch.allocs_per_burst == 0.0 {
-        allocating.allocs_per_burst
-    } else {
-        allocating.allocs_per_burst / scratch.allocs_per_burst
-    }
-}
-
-/// Steady-state ADS-B burst loop: render one cluster, scan it, recycle
-/// the window buffer. The allocating baseline uses the pre-scratch entry
-/// points (`render_seeded` + `scan`); the scratch path must hit zero.
-fn survey_burst_allocs(seed: u64) -> AllocComparison {
-    let fe = Frontend::new(FrontendConfig::bladerf_xa9(1.09e9, 2e6));
-    let renderer = CaptureRenderer::new(fe.clone());
-    let floor = fe.noise_floor_dbm();
-    let plans: Vec<BurstPlan> = (0..32)
-        .map(|i| {
-            let frame = AdsbFrame::new(
-                IcaoAddress::new(0xA00000 + (i as u32 % 16)),
-                MePayload::AirbornePosition {
-                    altitude_ft: 30_000.0,
-                    cpr: cpr::encode(37.9, -122.2, cpr::CprFormat::Even),
-                },
-            );
-            BurstPlan {
-                start_s: i as f64 * 2e-3,
-                waveform: aircal_adsb::ppm::modulate(&frame.encode(), 1.0, 0.0),
-                rx_power_dbm: floor + 8.0 + (i % 10) as f64,
-                phase0: i as f64 * 0.37,
-            }
-        })
-        .collect();
-    let clusters = renderer.cluster_plans(&plans);
-    let decoder = Decoder::default();
-
-    let allocating = measure_allocs(clusters.len(), 4, || {
-        let windows = renderer.render_seeded(&plans, seed, 1);
-        let msgs: usize = windows
-            .iter()
-            .map(|w| decoder.scan(&w.samples, w.start_s).len())
-            .sum();
-        std::hint::black_box(msgs);
-    });
-
-    let mut scratch = DspScratch::new();
-    let mut dscratch = DecodeScratch::default();
-    let mut msgs = Vec::new();
-    let scratch_stats = measure_allocs(clusters.len(), 4, || {
-        let mut total = 0usize;
-        for (ci, cluster) in clusters.iter().enumerate() {
-            let mut rng = ChaCha8Rng::seed_from_u64(derive_stream_seed(seed, ci as u64));
-            let w = renderer.render_cluster_with(&plans, cluster, &mut rng, &mut scratch);
-            decoder.scan_with(&w.samples, w.start_s, &mut dscratch, &mut msgs);
-            total += msgs.len();
-            w.recycle(&mut scratch);
-        }
-        std::hint::black_box(total);
-    });
-
-    AllocComparison {
-        path: "survey_burst",
-        reduction: alloc_reduction(&allocating, &scratch_stats),
-        allocating,
-        scratch: scratch_stats,
-    }
-}
-
-/// Steady-state TV channel loop over brute-force paths: the allocating
-/// baseline re-synthesizes the 8VSB reference (bypassing the memo) and
-/// rebuilds the band-power meter per channel; the scratch path shares the
-/// memoised waveform and resets one warm meter. The result `station: String` keeps the scratch path at ~1
-/// alloc per channel.
-fn tv_channel_allocs(seed: u64) -> AllocComparison {
-    let s = Scenario::build(ScenarioKind::Rooftop);
-    let towers = paper_tv_towers(&s.world.origin);
-    let probe = TvPowerProbe::new(TvProbeConfig {
-        parallelism: 1,
-        ..TvProbeConfig::default()
-    });
-    let path = |t: &TvTower| s.world.path_profile(&s.site, &t.position, t.channel.center_hz());
-
-    let allocating = measure_allocs(towers.len(), 2, || {
-        let acc: f64 = towers
-            .iter()
-            .map(|t| {
-                let cfg = &probe.config;
-                let waveform = synthesize_8vsb(cfg.capture_len, cfg.sample_rate_hz);
-                let mut scratch = TvScratch::default();
-                probe
-                    .measure_with_path(&path(t), &s.site, t, seed, &waveform, &mut scratch)
-                    .power_dbfs
-            })
-            .sum();
-        std::hint::black_box(acc);
-    });
-
-    let waveform = probe.reference_waveform();
-    let mut scratch = TvScratch::default();
-    let scratch_stats = measure_allocs(towers.len(), 2, || {
-        let acc: f64 = towers
-            .iter()
-            .map(|t| {
-                probe
-                    .measure_with_path(&path(t), &s.site, t, seed, &waveform, &mut scratch)
-                    .power_dbfs
-            })
-            .sum();
-        std::hint::black_box(acc);
-    });
-
-    AllocComparison {
-        path: "tv_channel",
-        reduction: alloc_reduction(&allocating, &scratch_stats),
-        allocating,
-        scratch: scratch_stats,
-    }
-}
-
-/// Steady-state cellular sweep: `scan_with_geo` rewrites warm measurement
-/// slots (name strings included) through a warm geometry accelerator,
-/// so the steady state performs zero allocations per tower.
-fn cellular_tower_allocs(seed: u64) -> AllocComparison {
-    let s = Scenario::build(ScenarioKind::Rooftop);
-    let db = paper_towers(&s.world.origin);
-    let scanner = CellScanner::default();
-    let n = db.all().len();
-
-    let allocating = measure_allocs(n, 8, || {
-        std::hint::black_box(scanner.scan(&s.world, &s.site, &db, seed).len());
-    });
-
-    let mut accel = s.world.accel();
-    let mut out = Vec::new();
-    let scratch_stats = measure_allocs(n, 8, || {
-        scanner.scan_with_geo(&s.world, &mut accel, &s.site, &db, seed, &mut out);
-        std::hint::black_box(out.len());
-    });
-
-    AllocComparison {
-        path: "cellular_tower",
-        reduction: alloc_reduction(&allocating, &scratch_stats),
-        allocating,
-        scratch: scratch_stats,
-    }
-}
-
 /// Time one dense-world obstruction sweep three ways: brute force over
 /// every building, through the spatial index, and through index + path
 /// memo (warmed, so the timed passes are pure lookups). The three output
@@ -995,42 +499,20 @@ fn geometry_timings(quick: bool, reps: usize) -> GeometryTiming {
     });
 
     let mut scratch = GeoScratch::new();
-    let mut out = Vec::new();
-    let indexed_seconds = time_best(reps, || {
+    let mut sweep = |cache: Option<&mut PathCache>, out: &mut Vec<f64>| {
         dense.world.obstruction_profile_with(
-            &index, None, &dense.site, freq, elev, range, rays, &mut scratch, &mut out,
+            &index, cache, &dense.site, freq, elev, range, rays, &mut scratch, out,
         );
         out.len()
-    });
+    };
+    let mut out = Vec::new();
+    let indexed_seconds = time_best(reps, || sweep(None, &mut out));
     let indexed = out.clone();
 
     let mut cache = PathCache::new();
-    dense.world.obstruction_profile_with(
-        &index,
-        Some(&mut cache),
-        &dense.site,
-        freq,
-        elev,
-        range,
-        rays,
-        &mut scratch,
-        &mut out,
-    );
+    sweep(Some(&mut cache), &mut out);
     let _ = cache.take_delta(); // warm pass: don't let its misses dilute the rate
-    let cached_seconds = time_best(reps, || {
-        dense.world.obstruction_profile_with(
-            &index,
-            Some(&mut cache),
-            &dense.site,
-            freq,
-            elev,
-            range,
-            rays,
-            &mut scratch,
-            &mut out,
-        );
-        out.len()
-    });
+    let cached_seconds = time_best(reps, || sweep(Some(&mut cache), &mut out));
     let cached = out.clone();
     let (hits, misses) = cache.take_delta();
 
@@ -1055,18 +537,17 @@ fn geometry_timings(quick: bool, reps: usize) -> GeometryTiming {
 /// mapping a bound's name to its value.
 type Budgets = BTreeMap<String, BTreeMap<String, f64>>;
 
-/// Enforce every section of `scripts/budgets.json` against the report,
-/// one line per gate. Bit-identity (geometry, kernels, recovery) and
-/// parallel invariance (scale) carry no bound: they always hold or fail.
-fn check_budgets(r: &PipelineReport) -> bool {
+fn committed_budgets() -> Budgets {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scripts/budgets.json");
     let text = std::fs::read_to_string(path).expect("read scripts/budgets.json");
-    let budgets = serde_json::from_str(&text).expect("parse scripts/budgets.json");
-    let mut g = Gate { budgets, ok: true };
+    serde_json::from_str(&text).expect("parse scripts/budgets.json")
+}
 
-    for a in &r.allocations {
-        g.at_most("alloc", a.path, &format!("{} allocs/burst", a.path), a.scratch.allocs_per_burst);
-    }
+/// Enforce every bound in `budgets` against the report, one line per
+/// gate, and fail on any bound no gate read. Bit-identity (geometry,
+/// kernels) carries no bound: it always holds or fails.
+fn check_budgets(r: &PipelineReport, budgets: Budgets) -> bool {
+    let mut g = Gate { budgets, read: BTreeSet::new(), ok: true };
 
     let geo = &r.geometry;
     g.at_least("perf", "min_indexed_speedup", "geometry.indexed_speedup", geo.indexed_speedup);
@@ -1080,13 +561,14 @@ fn check_budgets(r: &PipelineReport) -> bool {
     }
     g.require("perf", "finalize bit-identical to its libm reference", k.finalize.bit_identical);
     g.require("perf", "fft bit-identical to its scalar arm", k.fft.bit_identical);
+    let floor = g.bound("perf", "min_kernel_speedup");
     if k.dispatch == "scalar" {
+        g.bound("perf", "min_kernels_at_speedup");
         eprintln!(
             "# perf budget note: dispatch is scalar (no vector ISA or AIRCAL_FORCE_SCALAR); \
              kernel speedup floor not applicable"
         );
     } else {
-        let floor = g.bound("perf", "min_kernel_speedup");
         let fast = k
             .kernels
             .iter()
@@ -1096,54 +578,30 @@ fn check_budgets(r: &PipelineReport) -> bool {
         g.at_least("perf", "min_kernels_at_speedup", &what, fast as f64);
     }
 
-    let rob = &r.robustness;
-    g.at_least("robustness", "min_detection_rate", "detection_rate", rob.detection_rate);
-    g.at_most(
-        "robustness",
-        "max_false_quarantine_rate",
-        "false_quarantine_rate",
-        rob.false_quarantine_rate,
-    );
-    g.at_most(
-        "robustness",
-        "max_detection_latency_rounds",
-        "max_detection_latency_rounds",
-        rob.max_detection_latency_rounds as f64,
-    );
-
     for s in &r.scale {
         let what = format!("{} nodes events/s", s.nodes);
         g.at_least("scale", "min_events_per_sec", &what, s.events_per_sec);
-        let what = format!("{} nodes workers=2 digest matches serial", s.nodes);
-        g.require("scale", &what, s.parallel_digest_matches);
     }
 
-    let rec = &r.recovery;
-    g.at_least("recovery", "min_crashes", "crashes", rec.crashes as f64);
-    g.require("recovery", "faulted digest matches fault-free twin", rec.bit_identical);
-    g.at_most(
-        "recovery",
-        "max_invariant_violations",
-        "invariant violations",
-        rec.invariant_violations as f64,
-    );
     g.at_least(
         "recovery",
         "min_replay_records_per_sec",
         "journal replay records/s",
-        rec.journal_replay_records_per_sec,
+        r.recovery.journal_replay_records_per_sec,
     );
-    g.ok
+    g.finish()
 }
 
-/// The running verdict of [`check_budgets`].
+/// The running verdict of [`check_budgets`], and the bounds it has read.
 struct Gate {
     budgets: Budgets,
+    read: BTreeSet<(String, String)>,
     ok: bool,
 }
 
 impl Gate {
-    fn bound(&self, section: &str, name: &str) -> f64 {
+    fn bound(&mut self, section: &str, name: &str) -> f64 {
+        self.read.insert((section.to_owned(), name.to_owned()));
         *self
             .budgets
             .get(section)
@@ -1157,12 +615,6 @@ impl Gate {
         self.require(section, &line, value >= floor);
     }
 
-    fn at_most(&mut self, section: &str, name: &str, what: &str, value: f64) {
-        let ceiling = self.bound(section, name);
-        let line = format!("{what} at {value:.2} (ceiling {ceiling:.2})");
-        self.require(section, &line, value <= ceiling);
-    }
-
     fn require(&mut self, section: &str, what: &str, holds: bool) {
         if holds {
             eprintln!("# {section} budget ok: {what}");
@@ -1170,6 +622,21 @@ impl Gate {
             eprintln!("# {} BUDGET EXCEEDED: {what}", section.to_uppercase());
             self.ok = false;
         }
+    }
+
+    /// The verdict, failed by any bound in the budgets that no gate read:
+    /// a bound whose section is gone would otherwise gate nothing.
+    fn finish(mut self) -> bool {
+        for (section, bounds) in &self.budgets {
+            for name in bounds.keys() {
+                if !self.read.contains(&(section.clone(), name.clone())) {
+                    let upper = section.to_uppercase();
+                    eprintln!("# {upper} BUDGET ORPHANED: {section}.{name} gates nothing");
+                    self.ok = false;
+                }
+            }
+        }
+        self.ok
     }
 }
 
@@ -1201,27 +668,15 @@ fn decode_capture(seed: u64, frames: usize) -> (Vec<aircal_sdr::RenderedWindow>,
 
 fn main() {
     let (positional, seed) = parse_args();
-    let quick = positional.iter().any(|a| a == "--quick");
-    let check = positional.iter().any(|a| a == "--check");
-    if let Some(old) = positional.iter().find(|a| a.starts_with("--check-")) {
-        eprintln!("perfreport: {old} is gone; --check enforces every budget section");
+    if let Some(bad) = positional.iter().find(|a| !matches!(a.as_str(), "--quick" | "--check")) {
+        eprintln!("perfreport: unknown argument {bad}; usage: [--quick] [--check] [--seed N]");
         std::process::exit(2);
     }
-    let mut threads_override: Option<usize> = None;
-    let mut args_it = positional.iter();
-    while let Some(a) = args_it.next() {
-        if a == "--threads" {
-            threads_override = args_it.next().and_then(|v| v.parse().ok());
-        } else if let Some(v) = a.strip_prefix("--threads=") {
-            threads_override = v.parse().ok();
-        }
-    }
+    let quick = positional.iter().any(|a| a == "--quick");
+    let check = positional.iter().any(|a| a == "--check");
     let reps = if quick { 1 } else { 3 };
     let host_cores = aircal_dsp::resolve_parallelism(0);
-    let thread_cap = threads_override.unwrap_or(host_cores).max(1);
-    eprintln!(
-        "# perfreport: quick={quick} seed={seed} host_cores={host_cores} thread_cap={thread_cap}"
-    );
+    eprintln!("# perfreport: quick={quick} seed={seed} host_cores={host_cores}");
 
     // --- DSP kernel dispatch (scalar vs vector arm) -----------------------
     let kernels = kernel_timings(reps);
@@ -1258,16 +713,11 @@ fn main() {
     // --- ADS-B decode throughput -----------------------------------------
     let (windows, samples) = decode_capture(seed, if quick { 200 } else { 1_000 });
     let decoder = Decoder::default();
-    let messages: usize = windows
-        .iter()
-        .map(|w| decoder.scan(&w.samples, w.start_s).len())
-        .sum();
-    let seconds = time_best(reps, || {
-        windows
-            .iter()
-            .map(|w| decoder.scan(&w.samples, w.start_s).len())
-            .sum::<usize>()
-    });
+    let scan_all = || -> usize {
+        windows.iter().map(|w| decoder.scan(&w.samples, w.start_s).len()).sum()
+    };
+    let messages = scan_all();
+    let seconds = time_best(reps, scan_all);
     let adsb_decode = DecodeTiming {
         samples,
         messages,
@@ -1326,44 +776,6 @@ fn main() {
         fir.push(t);
     }
 
-    // --- Survey wall-clock vs threads ------------------------------------
-    let s = Scenario::build(ScenarioKind::Rooftop);
-    let traffic = paper_traffic(&s, seed);
-    let survey_cfg = if quick { SurveyConfig::quick() } else { SurveyConfig::default() };
-    let survey = thread_sweep(reps, host_cores, thread_cap, |threads| {
-        let cfg = SurveyConfig {
-            parallelism: threads,
-            ..survey_cfg
-        };
-        std::hint::black_box(run_survey(&s.world, &s.site, &traffic, &cfg, seed));
-    });
-    let widest = survey.rows.last().expect("sweep includes serial row");
-    eprintln!(
-        "# survey: {:.3}s serial, {:.2}x at {} threads{}",
-        survey.rows[0].seconds,
-        widest.speedup_vs_serial,
-        widest.threads,
-        if survey.clamped { " (clamped)" } else { "" }
-    );
-
-    // --- TV sweep vs threads ---------------------------------------------
-    let towers = paper_tv_towers(&s.world.origin);
-    let tv_sweep = thread_sweep(reps, host_cores, thread_cap, |threads| {
-        let probe = TvPowerProbe::new(TvProbeConfig {
-            parallelism: threads,
-            ..TvProbeConfig::default()
-        });
-        std::hint::black_box(probe.sweep(&s.world, &s.site, &towers, seed));
-    });
-    eprintln!("# tv_sweep: {:.3}s serial", tv_sweep.rows[0].seconds);
-
-    // --- Full calibrator vs threads --------------------------------------
-    let calibrator = thread_sweep(if quick { 1 } else { 2 }, host_cores, thread_cap, |threads| {
-        let cal = if quick { Calibrator::quick() } else { Calibrator::default() }
-            .with_parallelism(threads);
-        std::hint::black_box(cal.calibrate(&s.world, &s.site, seed));
-    });
-    eprintln!("# calibrator: {:.3}s serial", calibrator.rows[0].seconds);
 
     // --- Geometry acceleration (dense world) -----------------------------
     let geometry = geometry_timings(quick, reps);
@@ -1376,80 +788,30 @@ fn main() {
         if geometry.bit_identical { "identical" } else { "DIVERGED" }
     );
 
-    // --- Steady-state allocation accounting -------------------------------
-    // Runs before the traced calibration so span recording (which does
-    // allocate) cannot leak into the per-burst counts.
-    let allocations = vec![
-        survey_burst_allocs(seed),
-        tv_channel_allocs(seed),
-        cellular_tower_allocs(seed),
-    ];
-    for a in &allocations {
-        eprintln!(
-            "# allocs {}: {:.2}/burst allocating vs {:.2}/burst scratch ({:.0}x)",
-            a.path, a.allocating.allocs_per_burst, a.scratch.allocs_per_burst, a.reduction
-        );
-    }
-
-    // --- Per-stage latency histograms (traced run) ------------------------
-    let (stage_latency, span_summary) = traced_calibration(quick, &s, seed);
-    eprintln!(
-        "# stage_latency: {} stages, {} distinct spans",
-        stage_latency.len(),
-        span_summary.len()
-    );
-
-    // --- Adversarial audit campaign ---------------------------------------
-    let robustness = robustness_campaign();
-    eprintln!(
-        "# robustness: {}/{} adversaries evicted, {} false quarantines, worst latency {} rounds, {:.1}s",
-        robustness.adversaries.iter().filter(|a| a.evicted).count(),
-        robustness.adversary_nodes,
-        robustness.false_quarantine_count,
-        robustness.max_detection_latency_rounds,
-        robustness.campaign_seconds
-    );
-
     // --- Campaign engine at fleet scale -----------------------------------
     let scale = scale_campaigns(seed);
     for s in &scale {
         eprintln!(
-            "# scale {} nodes: {} events in {:.3}s ({:.0} events/s), parallel digest {}",
-            s.nodes,
-            s.events,
-            s.seconds,
-            s.events_per_sec,
-            if s.parallel_digest_matches { "matches" } else { "DIVERGED" }
+            "# scale {} nodes: {} events in {:.3}s ({:.0} events/s)",
+            s.nodes, s.events, s.seconds, s.events_per_sec
         );
     }
 
-    // --- Crash recovery drill ---------------------------------------------
-    let recovery = recovery_drill(seed, reps);
+    // --- Journal replay ----------------------------------------------------
+    let recovery = journal_replay(reps);
     eprintln!(
-        "# recovery: {} crashes over {} nodes, {} replayed records, bit_identical={}, replay {:.0} records/s",
-        recovery.crashes,
-        recovery.nodes,
-        recovery.replayed_records,
-        recovery.bit_identical,
+        "# recovery: journal replay {:.0} records/s",
         recovery.journal_replay_records_per_sec
     );
 
     let report = PipelineReport {
         quick,
         host_cores,
-        threads_override,
         geometry,
         kernels,
         adsb_decode,
         preamble_scan,
         fir,
-        survey,
-        tv_sweep,
-        calibrator,
-        allocations,
-        stage_latency,
-        span_summary,
-        robustness,
         scale,
         recovery,
     };
@@ -1460,7 +822,68 @@ fn main() {
 
     // Budget checks run last so the report is on disk (and uploadable as
     // a CI artifact) even when a gate trips.
-    if check && !check_budgets(&report) {
+    if check && !check_budgets(&report, committed_budgets()) {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A report that clears every committed bound.
+    fn passing_report() -> PipelineReport {
+        PipelineReport {
+            geometry: GeometryTiming {
+                indexed_speedup: 10.0,
+                cached_speedup: 10.0,
+                cache_hit_rate: 1.0,
+                bit_identical: true,
+                ..GeometryTiming::default()
+            },
+            kernels: KernelsReport {
+                dispatch: "avx2",
+                kernels: ["sum_f64", "energy"]
+                    .map(|kernel| KernelTiming {
+                        kernel,
+                        speedup: 4.0,
+                        bit_identical: true,
+                        ..KernelTiming::default()
+                    })
+                    .into(),
+                finalize: FinalizeTiming { bit_identical: true, ..FinalizeTiming::default() },
+                fft: FftTiming { bit_identical: true, ..FftTiming::default() },
+            },
+            scale: vec![ScaleTiming { nodes: 100, events_per_sec: 1e9, ..ScaleTiming::default() }],
+            recovery: RecoverySection {
+                journal_replay_records_per_sec: 1e9,
+                ..RecoverySection::default()
+            },
+            ..PipelineReport::default()
+        }
+    }
+
+    #[test]
+    fn committed_budgets_pass_a_passing_report_and_fail_a_slow_one() {
+        assert!(check_budgets(&passing_report(), committed_budgets()));
+        let scalar = PipelineReport {
+            kernels: KernelsReport { dispatch: "scalar", ..passing_report().kernels },
+            ..passing_report()
+        };
+        assert!(check_budgets(&scalar, committed_budgets()), "scalar waives the speedup floor");
+        let slow = PipelineReport { recovery: RecoverySection::default(), ..passing_report() };
+        assert!(!check_budgets(&slow, committed_budgets()));
+    }
+
+    #[test]
+    fn a_bound_no_gate_reads_fails_the_check() {
+        let mut budgets = committed_budgets();
+        budgets.get_mut("perf").unwrap().insert("min_unread_speedup".into(), 1.0);
+        assert!(!check_budgets(&passing_report(), budgets));
+
+        let mut budgets = committed_budgets();
+        let gone = BTreeMap::from([("min_detection_rate".to_owned(), 1.0)]);
+        budgets.insert("robustness".into(), gone);
+        assert!(!check_budgets(&passing_report(), budgets));
     }
 }

@@ -242,6 +242,47 @@ fn tv_pooled_measure_matches_cold_measure_bit_identically() {
     }
 }
 
+/// TV: the steady-state channel loop over brute-force paths, with the
+/// memoised waveform and one warm scratch, stays at or under 6
+/// allocations per channel over two rounds after a warm-up round (3
+/// today).
+#[test]
+fn tv_channel_loop_stays_within_six_allocations_per_channel() {
+    let _g = lock();
+    let s = Scenario::build(ScenarioKind::Rooftop);
+    let towers = paper_tv_towers(&s.world.origin);
+    let probe = TvPowerProbe::new(TvProbeConfig {
+        parallelism: 1,
+        ..TvProbeConfig::default()
+    });
+    let waveform = probe.reference_waveform();
+    let mut scratch = TvScratch::default();
+    let mut round = || -> f64 {
+        towers
+            .iter()
+            .map(|t| {
+                let path = s.world.path_profile(&s.site, &t.position, t.channel.center_hz());
+                probe
+                    .measure_with_path(&path, &s.site, t, SEED, &waveform, &mut scratch)
+                    .power_dbfs
+            })
+            .sum()
+    };
+
+    let warm = round();
+    let before = AllocSnapshot::now();
+    let steady = [round(), round()];
+    let delta = AllocSnapshot::now() - before;
+    assert_eq!(steady.map(f64::to_bits), [warm.to_bits(); 2], "steady rounds measure identically");
+    let per_channel = delta.allocs as f64 / (2 * towers.len()) as f64;
+    assert!(
+        per_channel <= 6.0,
+        "warm TV loop allocated {per_channel:.2} times per channel ({} bytes, {} channels)",
+        delta.bytes,
+        2 * towers.len()
+    );
+}
+
 /// Cellular: `scan_with_geo` rewrites the measurement slots of a reused
 /// buffer in place (name strings included) through a warm geometry
 /// accelerator — bit-identical to the brute-force `scan` for every seed,

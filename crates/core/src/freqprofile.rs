@@ -176,27 +176,12 @@ pub struct FrequencyProfiler {
 
 impl FrequencyProfiler {
     /// Profile a node: measure all towers/stations through the real world
-    /// and compare against an unobstructed twin of the site. Builds a
-    /// throwaway geometry accelerator; callers that profile repeatedly
-    /// against the same world should hold a [`GeoAccel`] and use
-    /// [`FrequencyProfiler::profile_with_geo`].
-    pub fn profile(
-        &self,
-        world: &World,
-        site: &SensorSite,
-        cells: &TowerDatabase,
-        tv: &[TvTower],
-        seed: u64,
-    ) -> FrequencyProfile {
-        let mut accel = world.accel();
-        self.profile_with_geo(world, &mut accel, site, cells, tv, seed)
-    }
-
-    /// [`FrequencyProfiler::profile`] resolving the real-world sweeps
-    /// through a caller-owned geometry accelerator (spatial index + path
-    /// memo). The unobstructed twin lives in an *empty* world, where brute
-    /// force is already trivial, so only the real sweeps go through
-    /// `accel`. Bit-identical to the brute-force profile.
+    /// and compare against an unobstructed twin of the site. The real
+    /// sweeps resolve through a caller-owned geometry accelerator (spatial
+    /// index + path memo; `&mut world.accel()` for a one-off profile). The
+    /// unobstructed twin lives in an *empty* world, where brute force is
+    /// already trivial, so only the real sweeps go through `accel`.
+    /// Bit-identical to the brute-force profile.
     pub fn profile_with_geo(
         &self,
         world: &World,
@@ -242,7 +227,9 @@ mod tests {
         let s = Scenario::build(kind);
         let cells = paper_towers(&s.world.origin);
         let tv = paper_tv_towers(&s.world.origin);
-        FrequencyProfiler::default().profile(&s.world, &s.site, &cells, &tv, 17)
+        let mut accel = s.world.accel();
+        FrequencyProfiler::default()
+            .profile_with_geo(&s.world, &mut accel, &s.site, &cells, &tv, 17)
     }
 
     #[test]

@@ -371,6 +371,21 @@ struct SimNode {
     /// True calibration offset, dB (includes the +8 dB miscalibration
     /// for seeded cheaters).
     offset_db: f64,
+    /// What the cloud process knows of this node: lost on a cloud crash,
+    /// rebuilt from snapshot + journal.
+    cloud: CloudNodeState,
+    /// Severed from the cloud until this tick, if partitioned
+    /// (network-side truth; survives cloud crashes).
+    partitioned_until: Option<u64>,
+}
+
+/// Cloud-side slice of one node's state, as captured by a checkpoint
+/// snapshot. Everything here is lost when the cloud process crashes and
+/// must be rebuilt from snapshot + journal; everything *not* here
+/// (link fault schedules, RNG streams, daemon liveness, the true
+/// calibration offset) lives on the node/network side and survives.
+#[derive(Clone)]
+struct CloudNodeState {
     ladder: HealthLadder,
     trust: f64,
     /// Cloud-side latest profile mean per kind.
@@ -389,28 +404,24 @@ struct SimNode {
     /// Last applied report `(kind, seq)`, the thing a reordering link
     /// retransmits stale.
     last_report: Option<(TaskKind, u64)>,
-    /// Severed from the cloud until this tick, if partitioned
-    /// (network-side truth; survives cloud crashes).
-    partitioned_until: Option<u64>,
 }
 
-/// Cloud-side slice of one node's state, as captured by a checkpoint
-/// snapshot. Everything here is lost when the cloud process crashes and
-/// must be rebuilt from snapshot + journal; everything *not* here
-/// (link fault schedules, RNG streams, daemon liveness, the true
-/// calibration offset) lives on the node/network side and survives.
-#[derive(Clone)]
-struct CloudNodeState {
-    ladder: HealthLadder,
-    trust: f64,
-    profile_mean: [Option<f64>; 3],
-    fresh: [bool; 3],
-    dispatched_since_audit: u32,
-    completed_since_audit: u32,
-    covered: [bool; 3],
-    next_seq: u64,
-    last_applied_seq: [Option<u64>; 3],
-    last_report: Option<(TaskKind, u64)>,
+impl CloudNodeState {
+    /// What the cloud holds for a node it has never heard from.
+    fn unknown() -> Self {
+        Self {
+            ladder: HealthLadder::default(),
+            trust: 0.5,
+            profile_mean: [None; 3],
+            fresh: [false; 3],
+            dispatched_since_audit: 0,
+            completed_since_audit: 0,
+            covered: [false; 3],
+            next_seq: 0,
+            last_applied_seq: [None; 3],
+            last_report: None,
+        }
+    }
 }
 
 /// A checkpoint of the whole cloud process, taken after every audit
@@ -546,16 +557,7 @@ impl<'a> Campaign<'a> {
                 served: 0,
                 daemon_alive: true,
                 offset_db: offset + if miscal { 8.0 } else { 0.0 },
-                ladder: HealthLadder::default(),
-                trust: 0.5,
-                profile_mean: [None; 3],
-                fresh: [false; 3],
-                dispatched_since_audit: 0,
-                completed_since_audit: 0,
-                covered: [false; 3],
-                next_seq: 0,
-                last_applied_seq: [None; 3],
-                last_report: None,
+                cloud: CloudNodeState::unknown(),
                 partitioned_until: None,
             });
         }
@@ -636,21 +638,6 @@ impl<'a> Campaign<'a> {
         partition.max(down)
     }
 
-    fn cloud_node_state_of(n: &SimNode) -> CloudNodeState {
-        CloudNodeState {
-            ladder: n.ladder,
-            trust: n.trust,
-            profile_mean: n.profile_mean,
-            fresh: n.fresh,
-            dispatched_since_audit: n.dispatched_since_audit,
-            completed_since_audit: n.completed_since_audit,
-            covered: n.covered,
-            next_seq: n.next_seq,
-            last_applied_seq: n.last_applied_seq,
-            last_report: n.last_report,
-        }
-    }
-
     /// FNV digest over every cloud-side structure — the witness for
     /// both the recovery safety check (recovered ≡ live) and the
     /// cross-run exactly-once property (faulty ≡ fault-free).
@@ -663,21 +650,21 @@ impl<'a> Campaign<'a> {
         }
         let mut h = FNV_OFFSET;
         for (n, v) in self.nodes.iter().zip(&self.views) {
-            h = fnv1a(h, &n.trust.to_bits().to_le_bytes());
-            h = fnv1a(h, &n.ladder.consecutive_failures.to_le_bytes());
-            h = fnv1a(h, &n.ladder.consecutive_anomalies.to_le_bytes());
-            h = fnv1a(h, &[n.ladder.health().severity()]);
+            h = fnv1a(h, &n.cloud.trust.to_bits().to_le_bytes());
+            h = fnv1a(h, &n.cloud.ladder.consecutive_failures.to_le_bytes());
+            h = fnv1a(h, &n.cloud.ladder.consecutive_anomalies.to_le_bytes());
+            h = fnv1a(h, &[n.cloud.ladder.health().severity()]);
             for ki in 0..3 {
-                h = fold_opt_u64(h, n.profile_mean[ki].map(f64::to_bits));
-                h = fold_opt_u64(h, n.last_applied_seq[ki]);
-                h = fnv1a(h, &[n.fresh[ki] as u8, n.covered[ki] as u8]);
+                h = fold_opt_u64(h, n.cloud.profile_mean[ki].map(f64::to_bits));
+                h = fold_opt_u64(h, n.cloud.last_applied_seq[ki]);
+                h = fnv1a(h, &[n.cloud.fresh[ki] as u8, n.cloud.covered[ki] as u8]);
                 h = fold_opt_u64(h, v.last_update[ki]);
                 h = fold_opt_u64(h, v.in_flight[ki]);
             }
-            h = fnv1a(h, &n.dispatched_since_audit.to_le_bytes());
-            h = fnv1a(h, &n.completed_since_audit.to_le_bytes());
-            h = fnv1a(h, &n.next_seq.to_le_bytes());
-            h = match n.last_report {
+            h = fnv1a(h, &n.cloud.dispatched_since_audit.to_le_bytes());
+            h = fnv1a(h, &n.cloud.completed_since_audit.to_le_bytes());
+            h = fnv1a(h, &n.cloud.next_seq.to_le_bytes());
+            h = match n.cloud.last_report {
                 Some((k, s)) => fnv1a(fnv1a(h, &[1, k.index() as u8]), &s.to_le_bytes()),
                 None => fnv1a(h, &[0]),
             };
@@ -694,7 +681,7 @@ impl<'a> Campaign<'a> {
     fn checkpoint(&mut self, now: u64) {
         self.journal.sync();
         let snap = CloudSnapshot {
-            nodes: self.nodes.iter().map(Self::cloud_node_state_of).collect(),
+            nodes: self.nodes.iter().map(|n| n.cloud.clone()).collect(),
             views: self.views.clone(),
             scheduler_cursor: self.scheduler.cursor_state(),
             covered_count: self.covered_count,
@@ -719,7 +706,7 @@ impl<'a> Campaign<'a> {
                 let ni = node as usize;
                 let ki = kind as usize;
                 self.views[ni].in_flight[ki] = Some(tick);
-                let n = &mut self.nodes[ni];
+                let n = &mut self.nodes[ni].cloud;
                 n.dispatched_since_audit += 1;
                 n.next_seq = n.next_seq.max(seq + 1);
             }
@@ -728,7 +715,7 @@ impl<'a> Campaign<'a> {
                 let ki = kind as usize;
                 self.views[ni].in_flight[ki] = None;
                 self.views[ni].last_update[ki] = Some(tick);
-                let n = &mut self.nodes[ni];
+                let n = &mut self.nodes[ni].cloud;
                 n.profile_mean[ki] = Some(f64::from_bits(value_bits));
                 n.fresh[ki] = true;
                 n.completed_since_audit += 1;
@@ -763,17 +750,8 @@ impl<'a> Campaign<'a> {
             .last_snapshot
             .clone()
             .expect("a checkpoint is taken at campaign start");
-        for (n, st) in self.nodes.iter_mut().zip(&snap.nodes) {
-            n.ladder = st.ladder;
-            n.trust = st.trust;
-            n.profile_mean = st.profile_mean;
-            n.fresh = st.fresh;
-            n.dispatched_since_audit = st.dispatched_since_audit;
-            n.completed_since_audit = st.completed_since_audit;
-            n.covered = st.covered;
-            n.next_seq = st.next_seq;
-            n.last_applied_seq = st.last_applied_seq;
-            n.last_report = st.last_report;
+        for (n, st) in self.nodes.iter_mut().zip(snap.nodes) {
+            n.cloud = st;
         }
         self.views = snap.views;
         self.scheduler = self.cfg.scheduler.build();
@@ -852,7 +830,8 @@ impl<'a> Campaign<'a> {
 
     fn schedulable(&self, node: usize) -> bool {
         self.nodes[node].daemon_alive
-            && self.nodes[node].ladder.health().severity() < NodeHealth::Quarantined.severity()
+            && self.nodes[node].cloud.ladder.health().severity()
+                < NodeHealth::Quarantined.severity()
     }
 
     fn apply_schedule_round(&mut self, ev: &SimEvent) {
@@ -871,9 +850,9 @@ impl<'a> Campaign<'a> {
             self.views[ni].in_flight[kind.index()] = Some(now);
             let (verdict, daemon_alive, seq) = {
                 let n = &mut self.nodes[ni];
-                n.dispatched_since_audit += 1;
-                let seq = n.next_seq;
-                n.next_seq += 1;
+                n.cloud.dispatched_since_audit += 1;
+                let seq = n.cloud.next_seq;
+                n.cloud.next_seq += 1;
                 let idx = n.attempts;
                 n.attempts += 1;
                 (
@@ -990,7 +969,7 @@ impl<'a> Campaign<'a> {
                                             replay: false,
                                         },
                                     );
-                                    if let Some((lk, lseq)) = self.nodes[ni].last_report {
+                                    if let Some((lk, lseq)) = self.nodes[ni].cloud.last_report {
                                         self.injected_replays += 1;
                                         self.queue.push_keyed(
                                             arrival + 1,
@@ -1060,7 +1039,7 @@ impl<'a> Campaign<'a> {
         // judges purely by sequence number — the `replay` flag is only
         // ground truth for the safety monitor, never an input to the
         // decision.
-        let stale = self.nodes[ni].last_applied_seq[ki].is_some_and(|high| seq <= high);
+        let stale = self.nodes[ni].cloud.last_applied_seq[ki].is_some_and(|high| seq <= high);
         if stale || replay {
             if replay && !stale {
                 // An injected re-delivery slipped past the sequence
@@ -1102,7 +1081,7 @@ impl<'a> Campaign<'a> {
         for v in &payload {
             fp = fnv1a(fp, &v.to_bits().to_le_bytes());
         }
-        let n = &mut self.nodes[ni];
+        let n = &mut self.nodes[ni].cloud;
         n.profile_mean[ki] = Some(mean);
         n.fresh[ki] = true;
         n.completed_since_audit += 1;
@@ -1201,17 +1180,10 @@ impl<'a> Campaign<'a> {
         let live_chain = self.journal_chain;
         // Tear down: wipe the cloud-side fields so recovery provably
         // starts from nothing but snapshot + journal.
+        // Trust 0.0, not the never-heard-from 0.5, so a restore that
+        // skipped a node could not pass for a recovered one.
         for n in &mut self.nodes {
-            n.ladder = HealthLadder::default();
-            n.trust = 0.0;
-            n.profile_mean = [None; 3];
-            n.fresh = [false; 3];
-            n.dispatched_since_audit = 0;
-            n.completed_since_audit = 0;
-            n.covered = [false; 3];
-            n.next_seq = 0;
-            n.last_applied_seq = [None; 3];
-            n.last_report = None;
+            n.cloud = CloudNodeState { trust: 0.0, ..CloudNodeState::unknown() };
         }
         self.views = vec![NodeView::fresh(); self.cfg.nodes];
         self.covered_count = 0;
@@ -1267,7 +1239,7 @@ impl<'a> Campaign<'a> {
         let mut means: Vec<f64> = Vec::with_capacity(self.nodes.len());
         for (ki, median) in medians.iter_mut().enumerate() {
             means.clear();
-            means.extend(self.nodes.iter().filter_map(|n| n.profile_mean[ki]));
+            means.extend(self.nodes.iter().filter_map(|n| n.cloud.profile_mean[ki]));
             if !means.is_empty() {
                 let mid = means.len() / 2;
                 *median = *means.select_nth_unstable_by(mid, f64::total_cmp).1;
@@ -1282,7 +1254,7 @@ impl<'a> Campaign<'a> {
         let mut quarantined_or_worse = 0u32;
         for ni in 0..self.nodes.len() {
             let n = &mut self.nodes[ni];
-            if n.dispatched_since_audit == 0 && n.completed_since_audit == 0 {
+            if n.cloud.dispatched_since_audit == 0 && n.cloud.completed_since_audit == 0 {
                 continue;
             }
             // A partitioned node is unreachable through no fault of its
@@ -1291,6 +1263,7 @@ impl<'a> Campaign<'a> {
             if n.partitioned_until.is_some_and(|t| now < t) {
                 continue;
             }
+            let n = &mut n.cloud;
             audited += 1;
             let link_ok = n.completed_since_audit > 0;
             let anomalous = link_ok
@@ -1315,10 +1288,7 @@ impl<'a> Campaign<'a> {
             n.dispatched_since_audit = 0;
             n.completed_since_audit = 0;
             n.fresh = [false; 3];
-            let (trust_bits, severity) = {
-                let n = &self.nodes[ni];
-                (n.trust.to_bits(), n.ladder.health().severity())
-            };
+            let (trust_bits, severity) = (n.trust.to_bits(), n.ladder.health().severity());
             self.journal_append(WalRecord::AuditApplied {
                 node: ni as u64,
                 trust_bits,
@@ -1359,7 +1329,7 @@ impl<'a> Campaign<'a> {
     /// Per-audit-round safety sweep. Violations accumulate in the
     /// monitor and surface in [`CampaignResult::invariant_violations`].
     fn check_invariants(&mut self, now: u64) {
-        for (ni, n) in self.nodes.iter().enumerate() {
+        for (ni, n) in self.nodes.iter().map(|n| &n.cloud).enumerate() {
             if !(0.0..=1.0).contains(&n.trust) {
                 self.monitor
                     .violation(format!("t={now}: node {ni} trust {} out of [0,1]", n.trust));
@@ -1480,15 +1450,15 @@ impl<'a> Campaign<'a> {
         // the digest is the campaign, not just its event order.
         let mut digest = self.digest;
         for n in &self.nodes {
-            digest = fnv1a(digest, &n.trust.to_bits().to_le_bytes());
-            digest = fnv1a(digest, &[n.ladder.health().severity()]);
+            digest = fnv1a(digest, &n.cloud.trust.to_bits().to_le_bytes());
+            digest = fnv1a(digest, &[n.cloud.ladder.health().severity()]);
             digest = fnv1a(digest, &n.served.to_le_bytes());
         }
         let state_digest = self.cloud_state_digest();
         let mut health_counts: BTreeMap<String, usize> = BTreeMap::new();
         for n in &self.nodes {
             *health_counts
-                .entry(format!("{:?}", n.ladder.health()))
+                .entry(format!("{:?}", n.cloud.ladder.health()))
                 .or_insert(0) += 1;
         }
         self.obs.set_gauge("wal.appends", self.journal.appends() as f64);
@@ -1521,7 +1491,7 @@ impl<'a> Campaign<'a> {
             reordered_deliveries: self.reordered_deliveries,
             invariant_violations: std::mem::take(&mut self.monitor.violations),
             health_counts,
-            trust_table: self.nodes.iter().map(|n| n.trust.to_bits()).collect(),
+            trust_table: self.nodes.iter().map(|n| n.cloud.trust.to_bits()).collect(),
             log: std::mem::take(&mut self.log),
         }
     }

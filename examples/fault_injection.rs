@@ -47,8 +47,9 @@ fn main() {
     );
     let cells = aircal_cellular::paper_towers(&scenario.world.origin);
     let tv = aircal_tv::paper_tv_towers(&scenario.world.origin);
-    let profile =
-        FrequencyProfiler::default().profile(&scenario.world, &scenario.site, &cells, &tv, seed);
+    let mut accel = scenario.world.accel();
+    let profile = FrequencyProfiler::default()
+        .profile_with_geo(&scenario.world, &mut accel, &scenario.site, &cells, &tv, seed);
 
     let faults: [(&str, FrontendFault); 4] = [
         ("healthy", FrontendFault::None),

@@ -55,7 +55,10 @@ case "$result" in
   *) echo "# cloud_audit smoke: expected \"correct\": true and \"failed\": 0" >&2; exit 1 ;;
 esac
 
-echo "== perfreport (--quick, every section of scripts/budgets.json enforced) =="
+echo "== perfreport (--quick: kernel, geometry, fleet-scale and journal-replay floors of scripts/budgets.json) =="
+# The timed measurements no test covers. Allocation counts, the
+# adversary campaign and crash recovery are gated by their test suites
+# above (allocations, byzantine, cloud_recovery).
 cargo run --release -p aircal-bench --bin perfreport -- --quick --check
 
 echo "== verify: all gates passed =="

@@ -265,9 +265,11 @@ fn recovery_campaign_1000(record_log: bool) -> CampaignConfig {
 /// The recovery campaign's digests and replay count are pinned as
 /// literals, so a change to the WAL, the replay path or the digest
 /// cannot move them unnoticed. Keeping the event log or not must not
-/// move them either.
+/// move them either, and the final cloud state must equal the
+/// crash-free twin's, bit for bit.
 #[test]
 fn thousand_node_recovery_campaign_matches_its_pinned_digests() {
+    let mut faulted = Vec::new();
     for record_log in [false, true] {
         let r = run(&recovery_campaign_1000(record_log));
         assert!(r.invariant_violations.is_empty(), "{:?}", r.invariant_violations);
@@ -276,6 +278,18 @@ fn thousand_node_recovery_campaign_matches_its_pinned_digests() {
         assert_eq!(r.state_digest, "72cec61e5e400d2a", "record_log = {record_log}");
         assert_eq!(r.replayed_records, 11052, "record_log = {record_log}");
         assert_eq!(r.log.is_empty(), !record_log);
+        faulted.push(r);
+    }
+
+    let mut twin = recovery_campaign_1000(false);
+    twin.recovery.crash_ticks.clear();
+    twin.recovery.duplicate_fraction = 0.0;
+    twin.recovery.reorder_fraction = 0.0;
+    let twin = run(&twin);
+    assert_eq!(twin.recoveries, 0);
+    for r in &faulted {
+        assert_eq!(r.state_digest, twin.state_digest, "faulted run equals its crash-free twin");
+        assert_eq!(r.trust_table, twin.trust_table);
     }
 }
 

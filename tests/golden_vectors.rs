@@ -145,7 +145,9 @@ fn golden_frequency_profile() {
     let s = Scenario::build(ScenarioKind::Rooftop);
     let cells = aircal::cellular::paper_towers(&s.world.origin);
     let tv = paper_tv_towers(&s.world.origin);
-    let profile = FrequencyProfiler::default().profile(&s.world, &s.site, &cells, &tv, SEED);
+    let mut accel = s.world.accel();
+    let profile = FrequencyProfiler::default()
+        .profile_with_geo(&s.world, &mut accel, &s.site, &cells, &tv, SEED);
     let json = serde_json::to_string_pretty(&profile).unwrap() + "\n";
     check_golden("frequency_profile.json", &json);
 }
