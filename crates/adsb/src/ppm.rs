@@ -113,15 +113,9 @@ impl Demodulated {
 }
 
 /// Demodulate `n_bits` (starting at the preamble) into bytes and per-bit
-/// confidences. Returns `None` if the slice is too short.
-pub fn demodulate_bits(samples: &[Cplx], n_bits: usize) -> Option<Demodulated> {
-    let mut out = Demodulated::default();
-    demodulate_bits_into(samples, n_bits, &mut out).then_some(out)
-}
-
-/// [`demodulate_bits`] into a caller-owned [`Demodulated`] whose buffers
-/// are reused across calls, keeping the decode loop allocation-free.
-/// Returns `false` (leaving `out` cleared) if the slice is too short.
+/// confidences, in a caller-owned [`Demodulated`] whose buffers are reused
+/// across calls, keeping the decode loop allocation-free. Returns `false`
+/// (leaving `out` cleared) if the slice is too short.
 pub fn demodulate_bits_into(samples: &[Cplx], n_bits: usize, out: &mut Demodulated) -> bool {
     out.bytes.clear();
     out.confidences.clear();
@@ -157,15 +151,16 @@ pub fn demodulate_bits_into(samples: &[Cplx], n_bits: usize, out: &mut Demodulat
     true
 }
 
-/// Demodulate 240 samples (starting at the preamble) as a 112-bit frame.
-pub fn demodulate(samples: &[Cplx]) -> Option<Demodulated> {
-    demodulate_bits(samples, 112)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Demodulate 240 samples (starting at the preamble) as a 112-bit frame.
+    fn demodulate(samples: &[Cplx]) -> Option<Demodulated> {
+        let mut out = Demodulated::default();
+        demodulate_bits_into(samples, 112, &mut out).then_some(out)
+    }
 
     fn frame_bytes() -> [u8; FRAME_BYTES] {
         [

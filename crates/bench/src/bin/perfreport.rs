@@ -15,7 +15,8 @@
 //!
 //! * **kernels** — the runtime-selected DSP dispatch arm
 //!   (`scalar`/`sse2`/`avx2`/`neon`) and per-kernel scalar-vs-dispatched
-//!   throughput with a bit-identity cross-check. `--check` enforces the
+//!   throughput with a bit-identity cross-check, best of 3 with the two
+//!   arms alternating, `--quick` included. `--check` enforces the
 //!   simd-vs-scalar speedup floor when a vector ISA is dispatched. A
 //!   separate `finalize` row times the front end's noise-and-quantize
 //!   stage against its per-sample libm reference (ns/sample, exact-path
@@ -271,21 +272,18 @@ fn bench_kernel(
     mut scalar_call: impl FnMut() -> u64,
     mut dispatched_call: impl FnMut() -> u64,
 ) -> KernelTiming {
+    fn timed(inner: usize, call: &mut impl FnMut() -> u64) -> f64 {
+        time_best(1, || (0..inner).fold(0u64, |acc, _| acc ^ call()))
+    }
     let bit_identical = scalar_call() == dispatched_call();
-    let scalar_seconds = time_best(reps, || {
-        let mut acc = 0u64;
-        for _ in 0..inner {
-            acc ^= scalar_call();
-        }
-        acc
-    });
-    let dispatched_seconds = time_best(reps, || {
-        let mut acc = 0u64;
-        for _ in 0..inner {
-            acc ^= dispatched_call();
-        }
-        acc
-    });
+    // Best of `reps` per arm, the arms alternating rep by rep: a slow
+    // stretch of a shared host then costs both columns one rep, not one
+    // column all of its reps.
+    let (mut scalar_seconds, mut dispatched_seconds) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..reps.max(1) {
+        scalar_seconds = scalar_seconds.min(timed(inner, &mut scalar_call));
+        dispatched_seconds = dispatched_seconds.min(timed(inner, &mut dispatched_call));
+    }
     let work = (elements * inner) as f64;
     KernelTiming {
         kernel,
@@ -679,7 +677,9 @@ fn main() {
     eprintln!("# perfreport: quick={quick} seed={seed} host_cores={host_cores}");
 
     // --- DSP kernel dispatch (scalar vs vector arm) -----------------------
-    let kernels = kernel_timings(reps);
+    // Best of 3 even under --quick: one rep of a few-ms kernel loop
+    // reads host noise, and the speedup floor below gates on it.
+    let kernels = kernel_timings(3);
     eprintln!("# kernels: dispatch={}", kernels.dispatch);
     for t in &kernels.kernels {
         eprintln!(

@@ -1,15 +1,17 @@
-//! Shared helpers for the figure-regeneration binaries and Criterion
-//! benches.
+//! Shared helpers for the figure-regeneration binaries.
 //!
-//! Every figure in the paper's evaluation has a regenerating target here:
+//! Every figure in the paper's evaluation has a regenerating target here,
+//! and each measurement chain is timed in one of two places: the
+//! `perfreport` binary for the kernels no workload times, or the
+//! end-to-end benchmark in `benchmark/` (its `--trace 1` ledger):
 //!
-//! | Paper artifact | Binary | Bench |
+//! | Paper artifact | Binary | Timed by |
 //! |---|---|---|
-//! | Figure 1(a–c) — ADS-B directionality | `fig1` | `fig1_survey` |
+//! | Figure 1(a–c) — ADS-B directionality | `fig1` | benchmark `calibrate` (`core.survey_ms`) |
 //! | Figure 2 — testbed map | `fig2map` | — |
-//! | Figure 3 — cellular RSRP | `fig3` | `fig3_cellular` |
-//! | Figure 4 — TV band power | `fig4` | `fig4_tv` |
-//! | Ablations A1–A5 (DESIGN.md) | `ablations` | `ablation_fov`, `adsb_decode` |
+//! | Figure 3 — cellular RSRP | `fig3` | benchmark `calibrate` (`cellular.scan_ms`) |
+//! | Figure 4 — TV band power | `fig4` | benchmark `calibrate` (`tv.sweep_ms`) |
+//! | Ablations A1–A8 (DESIGN.md) | `ablations` | perfreport `adsb_decode` (A4's decoder) |
 
 use aircal_aircraft::{TrafficConfig, TrafficSim};
 use aircal_core::survey::{run_survey, SurveyConfig, SurveyResult};

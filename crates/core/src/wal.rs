@@ -80,6 +80,23 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
+/// FNV-1a 64-bit offset basis: the hash of no bytes.
+pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a 64-bit: `h` with `bytes` folded in, one byte at a time, so
+/// folding two pieces in turn equals folding them joined. Start a hash
+/// at [`FNV1A_OFFSET`]. The one copy in the workspace: every node id,
+/// hash chain, fingerprint and digest calls it. `#[inline]` lets the
+/// sim's per-event calls inline across the crate boundary.
+#[inline]
+pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 /// Why a journal record failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalError {

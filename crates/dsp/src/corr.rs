@@ -6,54 +6,25 @@
 
 use crate::Cplx;
 
-/// Raw sliding cross-correlation of `signal` against `template`
-/// (`conj(template)` applied, as usual for matched filtering).
-///
-/// Output length is `signal.len() - template.len() + 1`; empty if the
-/// template is longer than the signal.
-pub fn cross_correlate(signal: &[Cplx], template: &[Cplx]) -> Vec<Cplx> {
-    let mut out = Vec::new();
-    cross_correlate_into(signal, template, &mut out);
-    out
-}
-
-/// [`cross_correlate`] into a caller-owned buffer (cleared first); reusing
-/// `out` across calls keeps the scan loop allocation-free.
-pub fn cross_correlate_into(signal: &[Cplx], template: &[Cplx], out: &mut Vec<Cplx>) {
-    out.clear();
-    if template.is_empty() || signal.len() < template.len() {
-        return;
-    }
-    let k = crate::simd::kernels();
-    let m = template.len();
-    let n = signal.len() - m + 1;
-    out.extend((0..n).map(|i| (k.cdot_conj)(&signal[i..i + m], template)));
-}
-
 /// Normalized correlation magnitude in `[0, 1]` at each lag: the cosine
 /// similarity between the template and each signal window. Windows with
 /// (near-)zero energy report 0.
+///
+/// The exact reference the decoder's power-gated preamble scan is checked
+/// against; output length is `signal.len() - template.len() + 1`, empty if
+/// the template is longer than the signal.
 pub fn normalized_correlation(signal: &[Cplx], template: &[Cplx]) -> Vec<f64> {
-    let mut out = Vec::new();
-    normalized_correlation_into(signal, template, &mut out);
-    out
-}
-
-/// [`normalized_correlation`] into a caller-owned buffer (cleared first);
-/// reusing `out` across calls keeps the scan loop allocation-free.
-pub fn normalized_correlation_into(signal: &[Cplx], template: &[Cplx], out: &mut Vec<f64>) {
-    out.clear();
     if template.is_empty() || signal.len() < template.len() {
-        return;
+        return Vec::new();
     }
     let k = crate::simd::kernels();
     let m = template.len();
+    let n = signal.len() - m + 1;
     let t_energy = (k.energy)(template);
     if t_energy < 1e-30 {
-        out.resize(signal.len() - m + 1, 0.0);
-        return;
+        return vec![0.0; n];
     }
-    let n = signal.len() - m + 1;
+    let mut out = Vec::with_capacity(n);
     // Running window energy for O(N) instead of O(N·M) energy computation.
     let mut w_energy = (k.energy)(&signal[..m]);
     for i in 0..n {
@@ -67,6 +38,7 @@ pub fn normalized_correlation_into(signal: &[Cplx], template: &[Cplx], out: &mut
             }
         }
     }
+    out
 }
 
 /// Indices of local maxima in `values` that exceed `threshold`, with at
@@ -121,8 +93,8 @@ mod tests {
 
     #[test]
     fn degenerate_inputs_yield_empty() {
-        assert!(cross_correlate(&[], &template()).is_empty());
-        assert!(cross_correlate(&template(), &[]).is_empty());
+        assert!(normalized_correlation(&[], &template()).is_empty());
+        assert!(normalized_correlation(&template(), &[]).is_empty());
         assert!(normalized_correlation(&[Cplx::ONE], &template()).is_empty());
     }
 

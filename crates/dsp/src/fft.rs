@@ -177,93 +177,20 @@ impl FftPlanner {
         }
         Ok(())
     }
-
-    /// Slice-out forward transform into a caller-owned buffer: `out` is
-    /// cleared, filled with `input`, and transformed in place. Reusing
-    /// `out` across calls makes repeated transforms allocation-free.
-    pub fn forward_into(&self, input: &[Cplx], out: &mut Vec<Cplx>) -> Result<(), DspError> {
-        out.clear();
-        out.extend_from_slice(input);
-        self.process(out, Direction::Forward)
-    }
-
-    /// Slice-out inverse transform (normalized by `1/N`) into a
-    /// caller-owned buffer; see [`FftPlanner::forward_into`].
-    pub fn inverse_into(&self, input: &[Cplx], out: &mut Vec<Cplx>) -> Result<(), DspError> {
-        out.clear();
-        out.extend_from_slice(input);
-        self.process(out, Direction::Inverse)
-    }
-
-    /// Out-of-place forward transform. Thin allocating wrapper over
-    /// [`FftPlanner::forward_into`].
-    pub fn forward(&self, input: &[Cplx]) -> Result<Vec<Cplx>, DspError> {
-        let mut buf = Vec::with_capacity(input.len());
-        self.forward_into(input, &mut buf)?;
-        Ok(buf)
-    }
-
-    /// Out-of-place inverse transform (normalized by `1/N`). Thin
-    /// allocating wrapper over [`FftPlanner::inverse_into`].
-    pub fn inverse(&self, input: &[Cplx]) -> Result<Vec<Cplx>, DspError> {
-        let mut buf = Vec::with_capacity(input.len());
-        self.inverse_into(input, &mut buf)?;
-        Ok(buf)
-    }
 }
 
-/// Forward FFT into a caller-owned buffer (cleared and refilled).
-pub fn fft_into(input: &[Cplx], out: &mut Vec<Cplx>) -> Result<(), DspError> {
-    out.clear();
-    out.extend_from_slice(input);
-    fft_in_place(out, Direction::Forward)
-}
-
-/// Inverse FFT (normalized by `1/N`) into a caller-owned buffer.
-pub fn ifft_into(input: &[Cplx], out: &mut Vec<Cplx>) -> Result<(), DspError> {
-    out.clear();
-    out.extend_from_slice(input);
-    fft_in_place(out, Direction::Inverse)
-}
-
-/// Out-of-place forward FFT. Thin allocating wrapper over [`fft_into`].
+/// Out-of-place forward FFT.
 pub fn fft(input: &[Cplx]) -> Result<Vec<Cplx>, DspError> {
-    let mut buf = Vec::with_capacity(input.len());
-    fft_into(input, &mut buf)?;
+    let mut buf = input.to_vec();
+    fft_in_place(&mut buf, Direction::Forward)?;
     Ok(buf)
-}
-
-/// Out-of-place inverse FFT (normalized by `1/N`). Thin allocating
-/// wrapper over [`ifft_into`].
-pub fn ifft(input: &[Cplx]) -> Result<Vec<Cplx>, DspError> {
-    let mut buf = Vec::with_capacity(input.len());
-    ifft_into(input, &mut buf)?;
-    Ok(buf)
-}
-
-/// [`power_spectrum`] into caller-owned buffers: `spec` holds the
-/// intermediate transform, `out` the per-bin power. Both are cleared and
-/// refilled; reusing them across calls makes the PSD loop allocation-free.
-pub fn power_spectrum_into(
-    input: &[Cplx],
-    spec: &mut Vec<Cplx>,
-    out: &mut Vec<f64>,
-) -> Result<(), DspError> {
-    let n = input.len();
-    fft_into(input, spec)?;
-    out.clear();
-    out.extend(spec.iter().map(|b| b.norm_sq() / n as f64));
-    Ok(())
 }
 
 /// Power spectral density estimate of a block: `|FFT|²/N` per bin, with the
 /// DC bin at index 0. No windowing — callers window first if they need it.
-/// Thin allocating wrapper over [`power_spectrum_into`].
 pub fn power_spectrum(input: &[Cplx]) -> Result<Vec<f64>, DspError> {
-    let mut spec = Vec::with_capacity(input.len());
-    let mut out = Vec::with_capacity(input.len());
-    power_spectrum_into(input, &mut spec, &mut out)?;
-    Ok(out)
+    let n = input.len() as f64;
+    Ok(fft(input)?.iter().map(|b| b.norm_sq() / n).collect())
 }
 
 /// Map an FFT bin index to its frequency in Hz for a given sample rate,
@@ -364,32 +291,31 @@ mod tests {
             let mut data: Vec<Cplx> = values.iter().map(|&(re, im)| Cplx::new(re, im)).collect();
             data.resize(n, Cplx::ZERO);
             let plan = FftPlanner::new(n).unwrap();
-            let direct_fwd = fft(&data).unwrap();
-            let planned_fwd = plan.forward(&data).unwrap();
             let same = |a: &Cplx, b: &Cplx| {
                 a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits()
             };
-            for (a, b) in direct_fwd.iter().zip(&planned_fwd) {
-                prop_assert!(same(a, b), "forward bins differ: {:?} vs {:?}", a, b);
-            }
-            let direct_inv = ifft(&direct_fwd).unwrap();
-            let planned_inv = plan.inverse(&planned_fwd).unwrap();
-            for (a, b) in direct_inv.iter().zip(&planned_inv) {
-                prop_assert!(same(a, b), "inverse bins differ: {:?} vs {:?}", a, b);
+            let mut direct = data.clone();
+            let mut planned = data;
+            for dir in [Direction::Forward, Direction::Inverse] {
+                fft_in_place(&mut direct, dir).unwrap();
+                plan.process(&mut planned, dir).unwrap();
+                for (a, b) in direct.iter().zip(&planned) {
+                    prop_assert!(same(a, b), "{:?} bins differ: {:?} vs {:?}", dir, a, b);
+                }
             }
         }
     }
 
     proptest! {
-        /// Round trip: ifft(fft(x)) == x.
+        /// Round trip: inverse(fft(x)) == x.
         #[test]
         fn fft_round_trip(values in proptest::collection::vec((-1e3f64..1e3, -1e3f64..1e3), 1..=64)) {
             let n = values.len().next_power_of_two();
             let mut data: Vec<Cplx> = values.iter().map(|&(re, im)| Cplx::new(re, im)).collect();
             data.resize(n, Cplx::ZERO);
-            let orig = data.clone();
-            let back = ifft(&fft(&data).unwrap()).unwrap();
-            for (a, b) in orig.iter().zip(back.iter()) {
+            let mut back = fft(&data).unwrap();
+            fft_in_place(&mut back, Direction::Inverse).unwrap();
+            for (a, b) in data.iter().zip(back.iter()) {
                 prop_assert!((a.re - b.re).abs() < 1e-6);
                 prop_assert!((a.im - b.im).abs() < 1e-6);
             }

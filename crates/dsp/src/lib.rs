@@ -14,7 +14,6 @@
 //! Everything is implemented from scratch on a minimal complex type
 //! ([`Cplx`]); no external DSP dependencies.
 
-pub mod agc;
 pub mod corr;
 pub mod cplx;
 pub mod fft;
@@ -23,13 +22,12 @@ pub mod par;
 pub mod power;
 pub mod prbs;
 pub mod psd;
-pub mod resample;
 pub mod scratch;
 pub mod simd;
 pub mod window;
 
 pub use cplx::Cplx;
-pub use fft::{fft, fft_in_place, ifft, Direction, FftPlanner};
+pub use fft::{fft, fft_in_place, Direction, FftPlanner};
 pub use fir::{FastFirFilter, FirFilter};
 pub use par::{derive_stream_seed, par_map, par_map_with, resolve_parallelism};
 pub use scratch::DspScratch;

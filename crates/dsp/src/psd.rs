@@ -1,4 +1,4 @@
-//! Power-spectral-density estimation (Welch's method) and spectrograms.
+//! Power-spectral-density estimation (Welch's method).
 //!
 //! The sensor nodes this system calibrates exist to *monitor spectrum* —
 //! their normal product is PSD data shipped to the cloud ("The host may
@@ -87,44 +87,6 @@ pub fn welch_psd_into(
     Ok(())
 }
 
-/// A spectrogram: one Welch-normalized FFT row per hop.
-///
-/// Rows are time-ordered; each row has `segment_len` two-sided bins.
-pub fn spectrogram(
-    samples: &[Cplx],
-    segment_len: usize,
-    overlap: f64,
-    window: Window,
-) -> Result<Vec<Vec<f64>>, DspError> {
-    if segment_len == 0 || segment_len & (segment_len - 1) != 0 {
-        return Err(DspError::NotPowerOfTwo(segment_len));
-    }
-    if samples.len() < segment_len {
-        return Err(DspError::InvalidParameter(
-            "capture shorter than one spectrogram row",
-        ));
-    }
-    let overlap = overlap.clamp(0.0, 0.95);
-    let hop = ((segment_len as f64) * (1.0 - overlap)).max(1.0) as usize;
-    let k = crate::simd::kernels();
-    let taps = window.taps(segment_len);
-    let win_power: f64 = (k.sum_sq_f64)(&taps) / segment_len as f64;
-    let norm = 1.0 / ((segment_len * segment_len) as f64 * win_power.max(1e-30));
-
-    let mut rows = Vec::new();
-    let mut start = 0usize;
-    let mut buf = vec![Cplx::ZERO; segment_len];
-    let mut mags = vec![0.0f64; segment_len];
-    while start + segment_len <= samples.len() {
-        crate::window::apply_taps(&samples[start..start + segment_len], &taps, &mut buf);
-        fft_in_place(&mut buf, Direction::Forward)?;
-        (k.norm_sq_map)(&buf, &mut mags);
-        rows.push(mags.iter().map(|m| m * norm).collect());
-        start += hop;
-    }
-    Ok(rows)
-}
-
 /// Integrate a two-sided PSD over a frequency band (Hz), given the sample
 /// rate. Returns linear power.
 pub fn band_power_from_psd(psd: &[f64], sample_rate: f64, lo_hz: f64, hi_hz: f64) -> f64 {
@@ -156,7 +118,6 @@ mod tests {
         let x = tone(0.0, 1.0, 1.0, 100);
         assert!(welch_psd(&x, 63, 0.5, Window::Hann).is_err());
         assert!(welch_psd(&x[..10], 64, 0.5, Window::Hann).is_err());
-        assert!(spectrogram(&x[..10], 64, 0.5, Window::Hann).is_err());
     }
 
     #[test]
@@ -197,22 +158,6 @@ mod tests {
         let out_band = band_power_from_psd(&psd, fs, -300_000.0, -200_000.0);
         assert!(in_band > 0.9);
         assert!(out_band < 1e-6, "out-of-band leakage {out_band}");
-    }
-
-    #[test]
-    fn spectrogram_tracks_a_burst() {
-        // Tone present only in the second half of the capture.
-        let fs = 1e6;
-        let n = 4_096;
-        let mut x = vec![Cplx::ZERO; n];
-        let t = tone(200_000.0, fs, 1.0, n / 2);
-        x[n / 2..].copy_from_slice(&t);
-        let rows = spectrogram(&x, 256, 0.0, Window::Hann).unwrap();
-        assert_eq!(rows.len(), 16);
-        let bin = crate::fft::freq_to_bin(200_000.0, 256, fs);
-        let early: f64 = rows[..7].iter().map(|r| r[bin]).sum();
-        let late: f64 = rows[9..].iter().map(|r| r[bin]).sum();
-        assert!(late > 100.0 * early.max(1e-12), "early {early} late {late}");
     }
 
     #[test]

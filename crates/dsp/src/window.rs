@@ -37,27 +37,12 @@ impl Window {
         }
     }
 
-    /// Materialize the window as a coefficient vector. Thin allocating
-    /// wrapper over [`Window::taps_into`].
-    pub fn taps(&self, n: usize) -> Vec<f64> {
-        let mut out = Vec::with_capacity(n);
-        self.taps_into(n, &mut out);
-        out
-    }
-
     /// Materialize the window into a caller-owned buffer (cleared first);
     /// reusing `out` across calls keeps repeated designs allocation-free.
     pub fn taps_into(&self, n: usize, out: &mut Vec<f64>) {
         out.clear();
         out.extend((0..n).map(|i| self.coeff(i, n)));
     }
-}
-
-/// Apply materialized window taps to a sample block: `dst[i] = src[i]·taps[i]`
-/// through the dispatched [`crate::simd`] kernel (bit-identical across
-/// arms — the taper is purely elementwise).
-pub fn apply_taps(src: &[crate::Cplx], taps: &[f64], dst: &mut [crate::Cplx]) {
-    (crate::simd::kernels().scale_map)(src, taps, dst);
 }
 
 /// Modified Bessel function of the first kind, order zero, by power series.
@@ -81,6 +66,12 @@ pub fn bessel_i0(x: f64) -> f64 {
 mod tests {
     use super::*;
 
+    fn taps(w: Window, n: usize) -> Vec<f64> {
+        let mut out = Vec::new();
+        w.taps_into(n, &mut out);
+        out
+    }
+
     #[test]
     fn windows_are_symmetric() {
         for w in [
@@ -91,7 +82,7 @@ mod tests {
             Window::Kaiser(8.6),
         ] {
             let n = 33;
-            let t = w.taps(n);
+            let t = taps(w, n);
             for i in 0..n {
                 assert!((t[i] - t[n - 1 - i]).abs() < 1e-12, "{w:?} tap {i}");
             }
@@ -100,7 +91,7 @@ mod tests {
 
     #[test]
     fn hann_endpoints_zero_center_one() {
-        let t = Window::Hann.taps(65);
+        let t = taps(Window::Hann, 65);
         assert!(t[0].abs() < 1e-12);
         assert!(t[64].abs() < 1e-12);
         assert!((t[32] - 1.0).abs() < 1e-12);
@@ -108,7 +99,7 @@ mod tests {
 
     #[test]
     fn kaiser_peak_at_center() {
-        let t = Window::Kaiser(6.0).taps(101);
+        let t = taps(Window::Kaiser(6.0), 101);
         assert!((t[50] - 1.0).abs() < 1e-12);
         assert!(t[0] < 0.02);
     }
@@ -124,7 +115,7 @@ mod tests {
 
     #[test]
     fn degenerate_lengths() {
-        assert_eq!(Window::Hann.taps(1), vec![1.0]);
-        assert!(Window::Blackman.taps(0).is_empty());
+        assert_eq!(taps(Window::Hann, 1), vec![1.0]);
+        assert!(taps(Window::Blackman, 0).is_empty());
     }
 }

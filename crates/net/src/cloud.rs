@@ -19,7 +19,7 @@
 use crate::protocol::{NodeClaims, Request, Response};
 use crate::snapshot::{decode_node_state, encode_node_state, RegistryNodeState, SnapshotError};
 use crate::transport::{Link, LinkError, LinkStats, RetryPolicy};
-use aircal_core::wal::{crc32, Journal, WalRecord};
+use aircal_core::wal::{crc32, fnv1a, Journal, WalRecord, FNV1A_OFFSET};
 use aircal_aircraft::TrafficSim;
 use aircal_cellular::{paper_towers, CellMeasurement, CellScanner};
 use aircal_core::classifier::{IndoorOutdoorClassifier, InstallFeatures, InstallVerdict};
@@ -189,13 +189,19 @@ impl HealthPolicy {
     }
 }
 
-/// Event-driven form of the registry's per-node health lifecycle: the
-/// counters [`Cloud::audit_all`] keeps inside each [`NodeRecord`],
-/// extracted so a discrete-event driver (`aircal-sim`) can run the same
-/// ladder one audit outcome at a time, with no links or threads. Both
-/// counter runs feed the same [`HealthPolicy`] rungs as the threaded
-/// registry, the effective state is the more severe of the two, and
-/// `Evicted` is terminal.
+/// Event-driven per-node health ladder for the discrete-event campaign
+/// engine (`aircal-sim`): folds one audit outcome at a time into a link
+/// run and an anomaly run, with no links or threads. Both runs feed the
+/// same [`HealthPolicy`] rungs as the threaded registry, the effective
+/// state is the more severe of the two, and `Evicted` is terminal.
+///
+/// [`Cloud`] does not use it: each [`NodeRecord`] keeps its own two
+/// counters, walked by [`Cloud::audit_all`] and its consistency pass,
+/// and the two disagree on one rule. [`HealthLadder::record`] resets the
+/// anomaly run on every non-anomalous outcome, a failed audit included
+/// (the sim passes `anomalous = link_ok && …`). The registry advances or
+/// resets the anomaly run only on complete rounds, and leaves it
+/// unchanged on partial or failed ones.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HealthLadder {
     /// Consecutive failed/partial audits (the link ladder).
@@ -484,7 +490,7 @@ fn apply_node_state(rec: &mut NodeRecord, st: RegistryNodeState) -> Result<(), S
 /// for replay/frozen detection (same basis as the node's service ledger).
 fn fingerprint_json<T: serde::Serialize>(value: &T) -> u64 {
     let json = serde_json::to_string(value).expect("report payloads always serialize");
-    crate::node::fnv1a_step(crate::node::CHAIN_EMPTY, json.as_bytes())
+    fnv1a(FNV1A_OFFSET, json.as_bytes())
 }
 
 /// Stable tag for a band's source (the key half of baseline entries).
@@ -1581,9 +1587,9 @@ impl Cloud {
     /// order — the bit-identity witness for crash/recovery tests.
     pub fn registry_digest(&self) -> u64 {
         let registry = self.registry.lock();
-        let mut h = crate::node::CHAIN_EMPTY;
+        let mut h = FNV1A_OFFSET;
         for (name, rec) in registry.iter() {
-            h = crate::node::fnv1a_step(h, &encode_node_state(&registry_state_of(name, rec)));
+            h = fnv1a(h, &encode_node_state(&registry_state_of(name, rec)));
         }
         h
     }

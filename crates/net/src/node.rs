@@ -6,21 +6,11 @@ use aircal_aircraft::TrafficSim;
 use aircal_cellular::{paper_towers, CellScanner};
 use aircal_core::survey::run_survey_indexed;
 use aircal_core::trust::fabricate_survey;
+use aircal_core::wal::{fnv1a, FNV1A_OFFSET};
 use aircal_env::{GeoAccel, Scenario};
 use aircal_tv::{paper_tv_towers, TvPowerProbe};
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Mutex};
-
-/// FNV-1a offset basis: the hash-chain value of an empty service history.
-pub(crate) const CHAIN_EMPTY: u64 = 0xcbf2_9ce4_8422_2325;
-
-pub(crate) fn fnv1a_step(mut h: u64, bytes: &[u8]) -> u64 {
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Append-only log of the measurement requests a node has served, folded
 /// into a hash chain. The cloud records `(served, chain)` checkpoints via
@@ -37,7 +27,7 @@ impl ServiceLedger {
     /// Record one served measurement request.
     pub fn record(&mut self, kind: &str, seed: u64) {
         let prev = self.chain();
-        let h = fnv1a_step(fnv1a_step(prev, kind.as_bytes()), &seed.to_le_bytes());
+        let h = fnv1a(fnv1a(prev, kind.as_bytes()), &seed.to_le_bytes());
         self.hashes.push(h);
     }
 
@@ -46,16 +36,16 @@ impl ServiceLedger {
         self.hashes.len() as u64
     }
 
-    /// Current chain head ([`CHAIN_EMPTY`] before any request).
+    /// Current chain head ([`FNV1A_OFFSET`] before any request).
     pub fn chain(&self) -> u64 {
-        self.hashes.last().copied().unwrap_or(CHAIN_EMPTY)
+        self.hashes.last().copied().unwrap_or(FNV1A_OFFSET)
     }
 
     /// Chain value after `min(upto, served)` requests.
     pub fn chain_at(&self, upto: u64) -> u64 {
         let n = (upto.min(self.served())) as usize;
         if n == 0 {
-            CHAIN_EMPTY
+            FNV1A_OFFSET
         } else {
             self.hashes[n - 1]
         }

@@ -12,6 +12,7 @@
 
 use crate::node::NodeAgent;
 use crate::protocol::{Envelope, Request, Response, Sequenced};
+use aircal_core::wal::{fnv1a, FNV1A_OFFSET};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -28,12 +29,7 @@ const DEDUP_WINDOW: usize = 64;
 /// Stable node id for the envelope: FNV-1a over the registered name, so
 /// the id survives restarts and is identical on every machine.
 pub fn node_id_for(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a(FNV1A_OFFSET, name.as_bytes())
 }
 
 /// Why a [`Link::call`] failed. The variants matter to the caller: a dead

@@ -19,7 +19,7 @@
 //! budget keeps the whole suite a bounded tier-1 `cargo test`, per the
 //! deterministic-simulation-testing posture of the repo.
 
-use aircal_core::wal::{Journal, WalRecord};
+use aircal_core::wal::{fnv1a, Journal, WalRecord, FNV1A_OFFSET};
 use aircal_net::{Request, Response};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -50,15 +50,6 @@ fn corpus() -> Vec<(String, Vec<u8>)> {
         files.len()
     );
     files
-}
-
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// One deterministic mutation of `seed`: flip, insert, delete, splice,
@@ -142,7 +133,7 @@ fn mutated_frames_never_panic_the_decoder() {
     for (name, bytes) in corpus() {
         // Per-file stream: adding a corpus file never changes the
         // mutants generated for existing files.
-        let mut rng = ChaCha8Rng::seed_from_u64(fnv(name.as_bytes()));
+        let mut rng = ChaCha8Rng::seed_from_u64(fnv1a(FNV1A_OFFSET, name.as_bytes()));
         for _ in 0..MUTATIONS_PER_SEED {
             let mutant = mutate(&bytes, &mut rng);
             let text = String::from_utf8_lossy(&mutant);
@@ -314,7 +305,8 @@ fn wal_frames_recover_longest_valid_prefix_and_never_panic() {
     let mut mutants = 0u64;
     let mut recovered_some = 0u64;
     for (name, bytes) in &wal_seeds {
-        let mut rng = ChaCha8Rng::seed_from_u64(fnv(name.as_bytes()) ^ WAL_STREAM_SALT);
+        let seed = fnv1a(FNV1A_OFFSET, name.as_bytes()) ^ WAL_STREAM_SALT;
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
         for _ in 0..MUTATIONS_PER_SEED {
             let mutant = mutate(bytes, &mut rng);
             let (j, report) = Journal::open(&mutant, 96);

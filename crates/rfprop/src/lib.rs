@@ -22,7 +22,6 @@
 
 pub mod antenna;
 pub mod diffraction;
-pub mod empirical;
 pub mod fading;
 pub mod linkbudget;
 pub mod materials;

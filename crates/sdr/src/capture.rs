@@ -202,16 +202,6 @@ impl CaptureRenderer {
             self.render_cluster_with(plans, cluster, &mut rng, scratch)
         })
     }
-
-    /// Total samples the rendered windows would occupy (cost estimator for
-    /// tests and benches).
-    pub fn rendered_sample_count(&self, plans: &[BurstPlan]) -> usize {
-        // Upper bound: each plan alone with guards (clustering only shrinks it).
-        plans
-            .iter()
-            .map(|p| p.waveform.len() + 2 * self.guard_samples)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -337,14 +327,5 @@ mod tests {
             assert_eq!(a.start_s, b.start_s);
             assert_eq!(a.samples.len(), b.samples.len());
         }
-    }
-
-    #[test]
-    fn burst_mode_is_vastly_cheaper_than_streaming() {
-        // 30 s × 60 aircraft × ~5 msgs/s ≈ 9000 bursts × 496 samples ≈ 4.5 M
-        // samples vs 60 M for a continuous stream.
-        let r = renderer();
-        let plans: Vec<BurstPlan> = (0..9_000).map(|i| plan(i as f64 * 3.3e-3, 240, -70.0)).collect();
-        assert!(r.rendered_sample_count(&plans) < 10_000_000);
     }
 }

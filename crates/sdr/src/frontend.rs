@@ -212,13 +212,6 @@ impl Frontend {
         buf
     }
 
-    /// Render `len` samples of pure front-end noise (plus DC offset).
-    pub fn render_noise(&self, len: usize, rng: &mut ChaCha8Rng) -> Vec<Cplx> {
-        let mut buf = vec![Cplx::ZERO; len];
-        self.finalize(&mut buf, rng);
-        buf
-    }
-
     /// ADC steps per unit full scale: `2^(adc_bits − 1)`.
     fn levels(&self) -> f64 {
         (1u64 << self.config.adc_bits) as f64 / 2.0
@@ -276,7 +269,8 @@ mod tests {
     fn rendered_noise_has_expected_power() {
         let f = fe();
         let mut rng = capture_rng(1);
-        let n = f.render_noise(50_000, &mut rng);
+        let mut n = vec![Cplx::ZERO; 50_000];
+        f.finalize(&mut n, &mut rng);
         let measured = mean_power(&n);
         let expected = 10f64.powf((f.noise_floor_dbm() - f.config.full_scale_dbm) / 10.0);
         assert!(

@@ -7,9 +7,11 @@
 //! node has a true frequency profile (a fleet-wide base per task kind,
 //! plus a small per-node calibration offset; a seeded fraction of nodes
 //! are grossly miscalibrated — the paper's careless volunteers), a
-//! [`LinkFaults`] chaos plan derived from the campaign seed, and the
-//! real `aircal-net` health ladder. Schedule rounds ask the configured
-//! [`Scheduler`] for assignments; every dispatch is judged by
+//! [`LinkFaults`] chaos plan derived from the campaign seed, and an
+//! `aircal-net` [`HealthLadder`] on the threaded registry's
+//! [`HealthPolicy`] rungs (its counter rules differ from the registry's
+//! on failed audits; see [`HealthLadder`]). Schedule rounds ask the
+//! configured [`Scheduler`] for assignments; every dispatch is judged by
 //! [`LinkFaults::attempt_verdict`] (wire) and
 //! [`LinkFaults::node_verdict`] (daemon crash/hang) — the *same* fault
 //! semantics the threaded transport enforces. Delivered measurements
@@ -31,7 +33,7 @@
 
 use crate::event::{EventKind, EventQueue, SimEvent, TaskKind};
 use crate::scheduler::{FleetView, NodeView, Scheduler, SchedulerKind};
-use aircal_core::wal::{Journal, WalRecord};
+use aircal_core::wal::{fnv1a, Journal, WalRecord, FNV1A_OFFSET};
 use aircal_dsp::{derive_stream_seed, par_map};
 use aircal_net::{AttemptVerdict, HealthLadder, HealthPolicy, LinkFaults, NodeHealth, NodeVerdict};
 use aircal_obs::Obs;
@@ -63,18 +65,6 @@ const KEY_BACKLOG: u64 = 0x4241_434B_4C4F_4701; // "BACKLOG"
 const KEY_PART: u64 = 0x5041_5254_0000_0001; // "PART"
 const KEY_CRASH: u64 = 0x4352_4153_4800_0001; // "CRASH"
 const KEY_END: u64 = 0x454E_4400_0000_0001; // "END"
-
-/// FNV-1a offset basis / prime, for the event-log digest chain.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// A `fmt::Write` sink that folds text into an FNV-1a state as it is
 /// formatted. FNV-1a consumes one byte at a time, so folding the pieces
@@ -572,7 +562,7 @@ impl<'a> Campaign<'a> {
             base,
             nodes,
             views,
-            digest: FNV_OFFSET,
+            digest: FNV1A_OFFSET,
             log: Vec::new(),
             events_applied: 0,
             final_tick: 0,
@@ -586,7 +576,7 @@ impl<'a> Campaign<'a> {
             crashed_nodes: 0,
             anomaly_flags: 0,
             journal: Journal::default(),
-            journal_chain: FNV_OFFSET,
+            journal_chain: FNV1A_OFFSET,
             wal_buf: Vec::with_capacity(64),
             last_snapshot: None,
             cloud_down_until: None,
@@ -648,7 +638,7 @@ impl<'a> Campaign<'a> {
                 None => fnv1a(h, &[0]),
             }
         }
-        let mut h = FNV_OFFSET;
+        let mut h = FNV1A_OFFSET;
         for (n, v) in self.nodes.iter().zip(&self.views) {
             h = fnv1a(h, &n.cloud.trust.to_bits().to_le_bytes());
             h = fnv1a(h, &n.cloud.ladder.consecutive_failures.to_le_bytes());
@@ -1077,7 +1067,7 @@ impl<'a> Campaign<'a> {
         });
         // Fold the payload bits into the digest so the digest witnesses
         // measurement *values*, not just event order.
-        let mut fp = FNV_OFFSET;
+        let mut fp = FNV1A_OFFSET;
         for v in &payload {
             fp = fnv1a(fp, &v.to_bits().to_le_bytes());
         }

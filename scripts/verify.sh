@@ -9,7 +9,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== build (release) =="
-cargo build --release --workspace --bins --benches
+cargo build --release --workspace --bins
 
 echo "== tests (workspace) =="
 cargo test --workspace --release -q
