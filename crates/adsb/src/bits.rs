@@ -36,25 +36,6 @@ pub fn set_bits(bytes: &mut [u8], start: usize, len: usize, value: u64) {
     }
 }
 
-/// Expand bytes into individual bits, MSB-first.
-pub fn bytes_to_bits(bytes: &[u8]) -> Vec<bool> {
-    bytes
-        .iter()
-        .flat_map(|&b| (0..8).map(move |i| (b >> (7 - i)) & 1 == 1))
-        .collect()
-}
-
-/// Pack bits (MSB-first) into bytes; the last byte is zero-padded.
-pub fn bits_to_bytes(bits: &[bool]) -> Vec<u8> {
-    let mut out = vec![0u8; bits.len().div_ceil(8)];
-    for (i, &b) in bits.iter().enumerate() {
-        if b {
-            out[i / 8] |= 1 << (7 - (i % 8));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,21 +67,6 @@ mod tests {
         assert_eq!(bytes, [0xF0, 0x0F]);
     }
 
-    #[test]
-    fn bit_byte_conversions() {
-        let bytes = [0x8D, 0x40];
-        let bits = bytes_to_bits(&bytes);
-        assert_eq!(bits.len(), 16);
-        assert!(bits[0]); // MSB of 0x8D
-        assert_eq!(bits_to_bytes(&bits), bytes);
-    }
-
-    #[test]
-    fn bits_to_bytes_pads_last_byte() {
-        let bits = [true, false, true];
-        assert_eq!(bits_to_bytes(&bits), vec![0b1010_0000]);
-    }
-
     proptest! {
         #[test]
         fn random_round_trip(
@@ -113,11 +79,6 @@ mod tests {
             let v = get_bits(&bytes, start, len);
             set_bits(&mut copy, start, len, v);
             prop_assert_eq!(&copy, &bytes, "set(get(x)) must be identity");
-        }
-
-        #[test]
-        fn bits_bytes_identity(bytes in proptest::collection::vec(any::<u8>(), 1..32)) {
-            prop_assert_eq!(bits_to_bytes(&bytes_to_bits(&bytes)), bytes);
         }
     }
 }

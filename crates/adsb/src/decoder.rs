@@ -2,81 +2,202 @@
 //! check parity, emit messages.
 
 use crate::frame::{AdsbFrame, ModeSFrame, ShortSquitter, DF_ALL_CALL, DF_EXTENDED_SQUITTER};
-use crate::ppm::{self, FRAME_SAMPLES, SHORT_FRAME_SAMPLES};
-use crate::{AdsbError, SAMPLE_RATE_HZ};
-use aircal_dsp::corr::find_peaks_into;
+use crate::ppm::{self, FRAME_SAMPLES, PREAMBLE_CHIPS, SHORT_FRAME_SAMPLES};
+use crate::{crc, AdsbError, SAMPLE_RATE_HZ};
 use aircal_dsp::Cplx;
 use serde::{Deserialize, Serialize};
 
-/// Preamble correlation with a power gate — the decoder's scan fast path.
-///
-/// Produces the same values as
-/// `normalized_correlation(iq, &ppm::preamble_template())` at every lag
-/// that could reach `threshold`, and writes `0.0` at lags provably below
-/// it. Sample magnitudes are computed once for the whole capture and
-/// reused for both the running window energy and the gate.
-///
-/// The gate is the Cauchy–Schwarz bound: with the four unit preamble
-/// pulses as template, `|Σ_pulses s|² ≤ 4·Σ_pulses |s|²`, so
-/// `corr² ≤ (Σ_pulses |s|²) / w_energy`. When that bound is already
-/// below `threshold²`, the exact correlation (4 complex adds, a sqrt and
-/// a divide per lag) is skipped. Gated lags can never enter the peak set
-/// (their true value is below threshold too), and since every reported
-/// candidate's own value is exact and neighbors' true values are below
-/// it, the resulting peak list is **identical** to the ungated scan —
-/// the gate changes throughput, not decodes.
-pub fn gated_preamble_correlation(iq: &[Cplx], threshold: f64) -> Vec<f64> {
-    let mut mags = Vec::new();
-    let mut out = Vec::new();
-    gated_preamble_correlation_into(iq, threshold, &mut mags, &mut out);
-    out
+/// `energy(preamble_template())`: the canonical lane reduction over the
+/// template's four unit pulses is exactly 4.
+const TEMPLATE_ENERGY: f64 = ppm::PREAMBLE_PULSES.len() as f64;
+
+/// Relative slack of the scan's second gate. Passing it needs
+/// `|acc|² ≥ threshold²·4·w·(1 − ACC_GATE_MARGIN)`; the few roundings
+/// between that test and the exact `hypot(acc)/sqrt(4w) ≥ threshold`
+/// (two squares and a sum, three products, `hypot`, `sqrt` and the
+/// divide) move the ratio by under 2⁻⁴⁸, so a lag the gate rejects is
+/// below the threshold on the exact path too.
+const ACC_GATE_MARGIN: f64 = 1.0 / (1u64 << 40) as f64;
+
+/// Lags per block of the preamble scan: one bit each in the power gate's
+/// `u64` mask.
+const ENERGY_BLOCK: usize = 64;
+
+/// The matched-filter sum of the four preamble pulses at lag `i`, in the
+/// order the canonical 8-lane reduction of the 16-chip template gives:
+/// pulses 0 and 8 share lane 0, 9 sits in lane 1, 2 in lane 2 and 7 in
+/// lane 7, and the lane tree adds them as `((s0 + s9) + s2) + s7`. The
+/// twelve zero chips contribute signed zeros, which change no sum of
+/// finite samples except the sign of a zero total — and `abs` drops that.
+/// (An `inf` on a zero chip would make the 16-term product NaN; at a
+/// positive threshold the power gate rejects every window holding one,
+/// its energy being `inf`, before this sum runs.)
+#[inline(always)]
+fn pulse_sum(iq: &[Cplx], i: usize) -> Cplx {
+    ((iq[i] + iq[i + 9]) + iq[i + 2]) + iq[i + 7]
 }
 
-/// [`gated_preamble_correlation`] into caller-owned buffers: `mags` holds
-/// the per-sample magnitudes, `out` the gated correlation. Both are
-/// cleared and refilled; reusing them keeps the scan loop allocation-free.
-pub fn gated_preamble_correlation_into(
-    iq: &[Cplx],
-    threshold: f64,
-    mags: &mut Vec<f64>,
-    out: &mut Vec<f64>,
-) {
-    out.clear();
-    let m = ppm::PREAMBLE_CHIPS;
-    if iq.len() < m {
-        return;
+/// Working memory and result of the sparse preamble scan
+/// ([`PreambleScan::run`]).
+///
+/// On finite IQ the scan matches
+/// `normalized_correlation(iq, &ppm::preamble_template())` followed by
+/// `find_peaks(…, threshold, min_separation)`, bit for bit, without
+/// materializing the dense correlation:
+///
+/// 1. **Power gate** (Cauchy–Schwarz). With the four unit pulses as
+///    template, `|Σ_pulses s|² ≤ 4·Σ_pulses |s|²`, so
+///    `corr² ≤ (Σ_pulses |s|²) / w` for window energy `w`. A lag with
+///    `Σ_pulses |s|² < threshold²·w` is below the threshold.
+/// 2. **Correlation gate.** At a surviving lag the exact 4-term pulse sum
+///    `acc` is formed; a lag with `|acc|²` below `threshold²·4·w` by more
+///    than a 2⁻⁴⁰ margin is below the threshold too, and skips
+///    `hypot`, `sqrt` and the divide.
+/// 3. **Candidates.** Every other lag gets its exact correlation, computed
+///    as the dense scan does; it is kept when it is at or above the
+///    threshold, or NaN. About 3% of lags of a survey window are kept.
+/// 4. **Peaks.** A kept lag is a peak when it is at or above the threshold,
+///    at least its left neighbor's value and above its right neighbor's.
+///    A neighbor that was not kept holds a value below the threshold, so
+///    those tests pass against it; a NaN neighbor fails them, as in the
+///    dense scan. Peaks closer than `min_separation` are suppressed
+///    tallest-first with ties in lag order, as `find_peaks` does.
+///
+/// On IQ holding an `inf` or NaN the scan follows its power gate, not the
+/// dense reference. A window whose energy is `inf` can have a finite pulse
+/// sum; the gate drops that lag as below the threshold where the dense
+/// correlation is NaN, so the lag next to it, which the dense reference
+/// cannot report (its NaN neighbor fails the peak tests), can be reported
+/// here. The decoder's power-gated scan has always behaved this way, so
+/// its output on such input is unchanged; the exactness tests cover
+/// finite IQ only.
+///
+/// Every buffer is cleared and refilled on use, so a warm scan is
+/// allocation-free.
+#[derive(Debug, Default)]
+pub struct PreambleScan {
+    /// `|iq[i]|²`, from the dispatched magnitude kernel.
+    mags: Vec<f64>,
+    /// Lags whose correlation is at or above the threshold or NaN, in lag
+    /// order, with that value.
+    candidates: Vec<(usize, f64)>,
+    /// The preamble peaks of the last run, in lag order, with their values.
+    peaks: Vec<(usize, f64)>,
+}
+
+impl PreambleScan {
+    /// Scan `iq` for preamble peaks (see the type docs) and return them in
+    /// lag order with their normalized correlation.
+    pub fn run(&mut self, iq: &[Cplx], threshold: f64, min_separation: usize) -> &[(usize, f64)] {
+        self.find_candidates(iq, threshold);
+        self.pick_peaks(threshold, min_separation);
+        &self.peaks
     }
-    let kernels = aircal_dsp::kernels();
-    mags.resize(iq.len(), 0.0);
-    (kernels.norm_sq_map)(iq, mags);
-    // Canonical lane reduction over the template yields exactly 4.0 (one
-    // unit pulse per contributing lane), so the closed form stays
-    // bit-identical to `normalized_correlation`'s `energy(template)`.
-    let t_energy = ppm::PREAMBLE_PULSES.len() as f64;
-    let thr_sq = threshold * threshold;
-    let n = iq.len() - m + 1;
-    // Lane-reduced like the ungated scan's `energy(&signal[..m])`: the
-    // per-element values are identical (`norm_sq_map` output), and the
-    // lane assignment and tree match, so the two inits agree bitwise.
-    let mut w_energy: f64 = (kernels.sum_f64)(&mags[..m]);
-    for i in 0..n {
-        let pulse_sum: f64 = ppm::PREAMBLE_PULSES.iter().map(|&k| mags[i + k]).sum();
-        if pulse_sum < thr_sq * w_energy {
-            out.push(0.0);
-        } else {
-            // The exact value must match the ungated scan bit-for-bit, so
-            // it runs the same matched-filter kernel over the full
-            // 16-chip template rather than the 4-pulse shortcut.
-            let acc = (kernels.cdot_conj)(&iq[i..i + m], &ppm::PREAMBLE_TEMPLATE);
-            let denom = (t_energy * w_energy).sqrt();
-            out.push(if denom < 1e-30 { 0.0 } else { acc.abs() / denom });
+
+    fn find_candidates(&mut self, iq: &[Cplx], threshold: f64) {
+        self.candidates.clear();
+        let m = PREAMBLE_CHIPS;
+        if iq.len() < m {
+            return;
         }
-        if i + m < iq.len() {
-            w_energy += mags[i + m] - mags[i];
-            if w_energy < 0.0 {
-                w_energy = 0.0;
+        let kernels = aircal_dsp::kernels();
+        let mags = &mut self.mags;
+        mags.resize(iq.len(), 0.0);
+        (kernels.norm_sq_map)(iq, mags);
+        // Both gates bound the correlation from above, so they only apply
+        // to a positive threshold; at zero they reject nothing.
+        let power_gate = if threshold > 0.0 {
+            threshold * threshold
+        } else {
+            0.0
+        };
+        let acc_gate = power_gate * TEMPLATE_ENERGY * (1.0 - ACC_GATE_MARGIN);
+        let n = iq.len() - m + 1;
+        let [p0, p1, p2, p3] = ppm::PREAMBLE_PULSES;
+        // Lane-reduced like `normalized_correlation`'s `energy(&signal[..m])`:
+        // same per-element values, lane assignment and tree.
+        let mut w: f64 = (kernels.sum_f64)(&mags[..m]);
+        // Blocks of 64 lags: the running window energy (a serial chain,
+        // rounded step by step as the dense scan does), then the power gate
+        // for the whole block as a bitmask, then the exact path for the
+        // lags that pass it. Kept apart, the first two run without the
+        // exact path's data-dependent branches.
+        let mut energy = [0.0f64; ENERGY_BLOCK];
+        for start in (0..n).step_by(ENERGY_BLOCK) {
+            let block = &mut energy[..(n - start).min(ENERGY_BLOCK)];
+            for (j, e) in block.iter_mut().enumerate() {
+                *e = w;
+                let i = start + j;
+                if i + m < iq.len() {
+                    w += mags[i + m] - mags[i];
+                    if w < 0.0 {
+                        w = 0.0;
+                    }
+                }
+            }
+            // The pulse offsets ascend, so `p3` is the furthest reach.
+            let x = &mags[start..start + block.len() + p3];
+            let mut pass = 0u64;
+            for (j, &e) in block.iter().enumerate() {
+                // Fails only when provably below: a NaN side passes.
+                let pulses = ((x[j + p0] + x[j + p1]) + x[j + p2]) + x[j + p3];
+                let below = pulses < power_gate * e;
+                pass |= u64::from(!below) << j;
+            }
+            while pass != 0 {
+                let j = pass.trailing_zeros() as usize;
+                pass &= pass - 1;
+                let (i, w) = (start + j, block[j]);
+                let acc = pulse_sum(iq, i);
+                let bound = acc_gate * w;
+                if acc.norm_sq() < bound && bound >= f64::MIN_POSITIVE {
+                    continue;
+                }
+                let denom = (TEMPLATE_ENERGY * w).sqrt();
+                let corr = if denom < 1e-30 {
+                    0.0
+                } else {
+                    acc.abs() / denom
+                };
+                if corr >= threshold || corr.is_nan() {
+                    self.candidates.push((i, corr));
+                }
             }
         }
+    }
+
+    fn pick_peaks(&mut self, threshold: f64, min_separation: usize) {
+        let c = &self.candidates;
+        let peaks = &mut self.peaks;
+        peaks.clear();
+        for (j, &(i, v)) in c.iter().enumerate() {
+            let left = j.checked_sub(1).map(|p| c[p]).filter(|&(p, _)| p + 1 == i);
+            let right = c.get(j + 1).copied().filter(|&(q, _)| q == i + 1);
+            if v >= threshold
+                && left.is_none_or(|(_, lv)| v >= lv)
+                && right.is_none_or(|(_, rv)| v > rv)
+            {
+                peaks.push((i, v));
+            }
+        }
+        // Greedy non-maximum suppression, tallest first (a stable sort, so
+        // equal heights keep lag order), compacted into an accepted prefix.
+        // Peak values are at or above the threshold, so never NaN, and
+        // never -0.0: `total_cmp` is the numeric order on them.
+        peaks.sort_by(|a, b| b.1.total_cmp(&a.1));
+        let mut accepted = 0;
+        for k in 0..peaks.len() {
+            let (lag, _) = peaks[k];
+            if peaks[..accepted]
+                .iter()
+                .all(|&(a, _)| a.abs_diff(lag) >= min_separation.max(1))
+            {
+                peaks[accepted] = peaks[k];
+                accepted += 1;
+            }
+        }
+        peaks.truncate(accepted);
+        peaks.sort_unstable_by_key(|&(lag, _)| lag);
     }
 }
 
@@ -129,12 +250,8 @@ pub struct DecodedMessage {
 /// scratch makes repeated scans allocation-free.
 #[derive(Debug, Default)]
 pub struct DecodeScratch {
-    /// Per-sample magnitudes for the gated correlation.
-    mags: Vec<f64>,
-    /// Gated preamble correlation at each lag.
-    corr: Vec<f64>,
-    /// Candidate preamble peak indices.
-    peaks: Vec<usize>,
+    /// The sparse preamble scan and its peaks.
+    scan: PreambleScan,
     /// Demodulated bits/confidences for the frame under test.
     demod: ppm::Demodulated,
     /// Bit positions ranked by decision confidence (repair ordering).
@@ -181,39 +298,28 @@ impl Decoder {
         if iq.len() < SHORT_FRAME_SAMPLES {
             return;
         }
-        gated_preamble_correlation_into(
-            iq,
-            self.config.preamble_threshold,
-            &mut scratch.mags,
-            &mut scratch.corr,
-        );
         // Candidate preambles: peaks far enough apart that two hits can't
         // be the same burst (half a short frame).
-        find_peaks_into(
-            &scratch.corr,
-            self.config.preamble_threshold,
-            SHORT_FRAME_SAMPLES / 2,
-            &mut scratch.peaks,
-        );
-        let peaks = std::mem::take(&mut scratch.peaks);
-        for &idx in &peaks {
+        scratch
+            .scan
+            .run(iq, self.config.preamble_threshold, SHORT_FRAME_SAMPLES / 2);
+        let peaks = std::mem::take(&mut scratch.scan.peaks);
+        for &(idx, _) in &peaks {
             if idx + SHORT_FRAME_SAMPLES > iq.len() {
                 continue;
             }
-            if let Ok(msg) = self.try_decode_at_with(iq, idx, capture_start_s, scratch) {
+            if let Ok(msg) = self.try_decode_at(iq, idx, capture_start_s, scratch) {
                 out.push(msg);
             }
         }
-        scratch.peaks = peaks;
+        scratch.scan.peaks = peaks;
     }
 
     /// Attempt to decode a frame whose preamble starts at `idx`: slice the
     /// first 5 bits to learn the downlink format (as dump1090 does), pick
     /// the 56- or 112-bit length accordingly, then parity-check with
     /// CRC-guided repair of up to `max_repaired_bits` low-confidence bits.
-    /// Runs in caller-owned working memory; the allocation-free core the
-    /// scan loop runs on.
-    pub fn try_decode_at_with(
+    fn try_decode_at(
         &self,
         iq: &[Cplx],
         idx: usize,
@@ -265,8 +371,8 @@ impl Decoder {
     }
 
     /// dump1090-style bit repair: if parity fails, flip the one (or pair
-    /// of) lowest-confidence bit decisions and re-check. Only the weakest
-    /// few candidates are tried, keeping the extra false-accept
+    /// of) lowest-confidence bit decisions that makes it pass. Only the
+    /// weakest few candidates are tried, keeping the extra false-accept
     /// probability negligible against CRC-24.
     fn repair_into(
         &self,
@@ -274,21 +380,9 @@ impl Decoder {
         order: &mut Vec<usize>,
         bytes: &mut Vec<u8>,
     ) -> Result<u8, AdsbError> {
-        let verify = |bytes: &[u8]| -> bool {
-            match bytes.len() {
-                7 => {
-                    let mut b = [0u8; 7];
-                    b.copy_from_slice(bytes);
-                    crate::crc::verify_short_frame(&b)
-                }
-                14 => {
-                    let mut b = [0u8; 14];
-                    b.copy_from_slice(bytes);
-                    crate::crc::verify_frame(&b)
-                }
-                _ => false,
-            }
-        };
+        // A frame's parity checks exactly when the CRC of the whole frame
+        // is zero.
+        let verify = |bytes: &[u8]| matches!(bytes.len(), 7 | 14) && crc::crc24(bytes) == 0;
         let reset = |bytes: &mut Vec<u8>| {
             bytes.clear();
             bytes.extend_from_slice(&demod.bytes);
@@ -301,14 +395,21 @@ impl Decoder {
         if budget == 0 {
             return Err(AdsbError::BadParity);
         }
-        // Rank bit positions by ascending decision confidence.
+        // Rank bit positions by ascending decision confidence, ties in bit
+        // order (the sort is stable). A NaN confidence (an infinite chip)
+        // ranks weakest. Confidences are never -0.0, so on every other
+        // value `total_cmp` is the numeric order.
+        let key = |bit: usize| {
+            let c = demod.confidences[bit];
+            if c.is_nan() {
+                f64::NEG_INFINITY
+            } else {
+                c
+            }
+        };
         order.clear();
         order.extend(0..demod.confidences.len());
-        order.sort_by(|&a, &b| {
-            demod.confidences[a]
-                .partial_cmp(&demod.confidences[b])
-                .unwrap()
-        });
+        order.sort_by(|&a, &b| key(a).total_cmp(&key(b)));
         let flip = |bytes: &mut [u8], bit: usize| bytes[bit / 8] ^= 1 << (7 - bit % 8);
 
         // Single-bit repair over the 8 weakest decisions.
@@ -344,7 +445,7 @@ mod tests {
     use crate::cpr::{self, CprFormat};
     use crate::icao::IcaoAddress;
     use crate::me::MePayload;
-    use aircal_dsp::corr::find_peaks;
+    use aircal_dsp::corr::{find_peaks, normalized_correlation};
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -381,7 +482,11 @@ mod tests {
         assert_eq!(msgs[0].frame, ModeSFrame::Extended(frame));
         assert_eq!(msgs[0].sample_index, 700);
         assert!((msgs[0].time_s - (10.0 + 700.0 / 2e6)).abs() < 1e-9);
-        assert!((msgs[0].rssi_dbfs - (-6.02)).abs() < 1.0, "rssi {}", msgs[0].rssi_dbfs);
+        assert!(
+            (msgs[0].rssi_dbfs - (-6.02)).abs() < 1.0,
+            "rssi {}",
+            msgs[0].rssi_dbfs
+        );
     }
 
     #[test]
@@ -389,10 +494,12 @@ mod tests {
         let f1 = test_frame(0x111111);
         let f2 = test_frame(0x222222);
         let mut capture = vec![Cplx::ZERO; 4_000];
-        capture[500..500 + FRAME_SAMPLES]
-            .copy_from_slice(&ppm::modulate(&f1.encode(), 0.4, 0.0));
-        capture[2_500..2_500 + FRAME_SAMPLES]
-            .copy_from_slice(&ppm::modulate(&f2.encode(), 0.6, 2.0));
+        capture[500..500 + FRAME_SAMPLES].copy_from_slice(&ppm::modulate(&f1.encode(), 0.4, 0.0));
+        capture[2_500..2_500 + FRAME_SAMPLES].copy_from_slice(&ppm::modulate(
+            &f2.encode(),
+            0.6,
+            2.0,
+        ));
         add_noise(&mut capture, 0.02, 2);
 
         let msgs = Decoder::default().scan(&capture, 0.0);
@@ -401,38 +508,198 @@ mod tests {
         assert!(icaos.contains(&0x111111) && icaos.contains(&0x222222));
     }
 
-    /// The power gate is an upper bound, never an approximation: every lag
-    /// whose true correlation reaches the threshold must carry the exact
-    /// ungated value, and the resulting peak set must be identical.
-    #[test]
-    fn gated_scan_matches_ungated_correlation() {
-        use aircal_dsp::corr::normalized_correlation;
-        let thr = DecoderConfig::default().preamble_threshold;
-        for seed in 0..4u64 {
-            let mut capture = vec![Cplx::ZERO; 6_000];
-            let frame = test_frame(0x0F00 + seed as u32);
-            let burst = ppm::modulate(&frame.encode(), 0.5, 0.7);
-            capture[1_000..1_000 + FRAME_SAMPLES].copy_from_slice(&burst);
-            capture[4_000..4_000 + FRAME_SAMPLES].copy_from_slice(&burst);
-            add_noise(&mut capture, 0.05, seed);
+    /// The dense reference the sparse scan must reproduce: every lag of
+    /// `normalized_correlation` at or above `thr`, and `find_peaks` on it.
+    fn dense_reference(iq: &[Cplx], thr: f64) -> (Vec<(usize, f64)>, Vec<usize>) {
+        let dense = normalized_correlation(iq, &ppm::preamble_template());
+        let above = dense
+            .iter()
+            .copied()
+            .enumerate()
+            .filter(|&(_, v)| v >= thr)
+            .collect();
+        (above, find_peaks(&dense, thr, SHORT_FRAME_SAMPLES / 2))
+    }
 
-            let gated = gated_preamble_correlation(&capture, thr);
-            let exact = normalized_correlation(&capture, &ppm::preamble_template());
-            assert_eq!(gated.len(), exact.len());
-            let mut skipped = 0usize;
-            for (i, (&g, &e)) in gated.iter().zip(&exact).enumerate() {
-                if g == 0.0 && e != 0.0 {
-                    // Gated lag: the true value must indeed be sub-threshold.
-                    assert!(e < thr, "lag {i} gated but true corr {e} >= {thr}");
-                    skipped += 1;
-                } else {
-                    assert_eq!(g, e, "lag {i}: gated {g} != exact {e}");
+    fn assert_scan_matches_dense(iq: &[Cplx], thr: f64, what: &str) {
+        let (above, peaks) = dense_reference(iq, thr);
+        let mut scan = PreambleScan::default();
+        let got: Vec<usize> = scan
+            .run(iq, thr, SHORT_FRAME_SAMPLES / 2)
+            .iter()
+            .map(|&(lag, _)| lag)
+            .collect();
+        let bits =
+            |v: &[(usize, f64)]| v.iter().map(|&(i, x)| (i, x.to_bits())).collect::<Vec<_>>();
+        assert_eq!(bits(&scan.candidates), bits(&above), "{what}: candidates");
+        assert_eq!(got, peaks, "{what}: peaks");
+    }
+
+    /// Random IQ, with and without bursts: the sparse candidates are the
+    /// dense scan's lags at or above the threshold, value for value, and
+    /// the peaks are `find_peaks` of the dense scan. Thresholds are also
+    /// set to exact correlation values and their float neighbours, so the
+    /// `>=` edge and the correlation gate's margin are both exercised.
+    #[test]
+    fn sparse_scan_matches_dense_correlation_and_peaks() {
+        let thr = DecoderConfig::default().preamble_threshold;
+        let mut rng = ChaCha8Rng::seed_from_u64(0x5CA9);
+        for seed in 0..24u64 {
+            let len = rng.gen_range(16..3_000);
+            let mut capture = vec![Cplx::ZERO; len];
+            add_noise(&mut capture, 0.05, seed);
+            if seed % 3 != 0 && len > 2 * FRAME_SAMPLES {
+                let frame = test_frame(0x0F00 + seed as u32);
+                let amp = [0.02, 0.05, 0.1, 0.5][seed as usize % 4];
+                let burst = ppm::modulate(&frame.encode(), amp, 0.7 * seed as f64);
+                let at = rng.gen_range(0..len - FRAME_SAMPLES);
+                for (s, b) in capture[at..].iter_mut().zip(&burst) {
+                    *s += *b;
                 }
             }
-            assert!(skipped > gated.len() / 2, "gate skipped only {skipped} lags");
-            let peaks_gated = find_peaks(&gated, thr, SHORT_FRAME_SAMPLES / 2);
-            let peaks_exact = find_peaks(&exact, thr, SHORT_FRAME_SAMPLES / 2);
-            assert_eq!(peaks_gated, peaks_exact, "seed {seed}");
+            assert_scan_matches_dense(&capture, thr, &format!("seed {seed}"));
+            let dense = normalized_correlation(&capture, &ppm::preamble_template());
+            for _ in 0..4 {
+                let edge = dense[rng.gen_range(0..dense.len())];
+                if edge <= 0.0 {
+                    continue;
+                }
+                for t in [
+                    edge,
+                    f64::from_bits(edge.to_bits() - 1),
+                    f64::from_bits(edge.to_bits() + 1),
+                ] {
+                    assert_scan_matches_dense(
+                        &capture,
+                        t,
+                        &format!("seed {seed}, threshold {t:e}"),
+                    );
+                }
+            }
+        }
+    }
+
+    /// The gates only skip work: thresholds at and below zero keep every
+    /// lag, and an exactly scaled preamble sits on the threshold.
+    #[test]
+    fn sparse_scan_is_exact_at_degenerate_thresholds() {
+        let mut capture = vec![Cplx::ZERO; 600];
+        add_noise(&mut capture, 0.05, 9);
+        capture[200..200 + FRAME_SAMPLES].copy_from_slice(&ppm::modulate(
+            &test_frame(0x1234).encode(),
+            0.4,
+            1.0,
+        ));
+        for thr in [0.0, -0.5, 1e-300, 1.0, 1.5] {
+            assert_scan_matches_dense(&capture, thr, &format!("threshold {thr}"));
+        }
+    }
+
+    /// The four-pulse sum is the 16-chip matched filter's magnitude on
+    /// finite IQ. On non-finite IQ it is pinned here: an `inf` on a zero
+    /// chip leaves the 4-term sum finite where the 16-term product is
+    /// NaN, and the power gate rejects that lag (window energy `inf`).
+    #[test]
+    fn pulse_sum_matches_template_dot_and_is_pinned_on_non_finite_iq() {
+        let dot = |w: &[Cplx]| (aircal_dsp::kernels().cdot_conj)(w, &ppm::preamble_template());
+        let mut rng = ChaCha8Rng::seed_from_u64(4);
+        for _ in 0..2_000 {
+            let mut w: Vec<Cplx> = (0..PREAMBLE_CHIPS)
+                .map(|_| Cplx::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
+                .collect();
+            if rng.gen_bool(0.3) {
+                w[rng.gen_range(0..PREAMBLE_CHIPS)] = Cplx::new(-0.0, 0.0);
+            }
+            assert_eq!(pulse_sum(&w, 0).abs().to_bits(), dot(&w).abs().to_bits());
+        }
+        let mut w = vec![Cplx::new(0.25, -0.5); PREAMBLE_CHIPS];
+        w[4] = Cplx::new(f64::INFINITY, 0.0);
+        assert!(dot(&w).abs().is_nan());
+        assert_eq!(pulse_sum(&w, 0), Cplx::new(1.0, -2.0));
+        w[7] = Cplx::new(f64::INFINITY, 0.0);
+        assert_eq!(pulse_sum(&w, 0).re, f64::INFINITY);
+        w[9] = Cplx::new(f64::NEG_INFINITY, 0.0);
+        assert!(pulse_sum(&w, 0).re.is_nan());
+        let mut w = vec![Cplx::new(1e200, 1e200); PREAMBLE_CHIPS];
+        w[3] = Cplx::new(f64::NAN, 0.0);
+        assert!(pulse_sum(&w, 0).re.is_finite());
+        let mut scan = PreambleScan::default();
+        assert!(scan.run(&w, 0.6, 64).is_empty());
+        assert_eq!(scan.candidates.len(), 1);
+        assert!(scan.candidates[0].1.is_nan());
+    }
+
+    /// Decoding is total: captures with NaN, ±inf and 1e200-magnitude
+    /// samples anywhere (preamble, data chips, empty chips, guard) scan
+    /// without panicking, under every repair budget.
+    #[test]
+    fn decoder_is_total_on_non_finite_and_huge_samples() {
+        let frame = test_frame(0x70A1);
+        let burst = ppm::modulate(&frame.encode(), 0.5, 0.3);
+        let decoders: Vec<Decoder> = (0..=2)
+            .map(|b| {
+                Decoder::new(DecoderConfig {
+                    max_repaired_bits: b,
+                    ..Default::default()
+                })
+            })
+            .collect();
+        let poison = [
+            Cplx::new(f64::NAN, 0.0),
+            Cplx::new(0.0, f64::NAN),
+            Cplx::new(f64::INFINITY, 0.0),
+            Cplx::new(f64::NEG_INFINITY, f64::INFINITY),
+            Cplx::new(1e200, -1e200),
+            Cplx::new(-1e200, 0.0),
+        ];
+        let mut scratch = DecodeScratch::default();
+        let mut out = Vec::new();
+        for (k, &bad) in poison.iter().enumerate() {
+            for at in [0usize, 102, 105, 117, 118, 200, 290, 339, 480] {
+                let mut capture = vec![Cplx::ZERO; 500];
+                capture[100..100 + FRAME_SAMPLES].copy_from_slice(&burst);
+                add_noise(&mut capture, 0.01, k as u64);
+                capture[at] = bad;
+                for d in &decoders {
+                    let msgs = d.scan(&capture, 0.0);
+                    d.scan_with(&capture, 0.0, &mut scratch, &mut out);
+                    assert_eq!(msgs, out, "{bad:?} at {at}");
+                    for m in &msgs {
+                        assert_eq!(
+                            m.frame,
+                            ModeSFrame::Extended(frame.clone()),
+                            "{bad:?} at {at}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Regression: an `inf` on a data bit's empty chip makes that bit's
+    /// confidence `inf/inf = NaN` and fails the CRC. Repair used to rank
+    /// the bits with `partial_cmp(..).unwrap()` and panicked; NaN now
+    /// ranks weakest, so the one-bit repair flips that bit back.
+    #[test]
+    fn infinite_sample_on_an_empty_data_chip_is_repaired_not_a_panic() {
+        let frame = test_frame(0x1CF1);
+        let bytes = frame.encode();
+        for bit in [40usize, 41, 60, 77] {
+            let mut burst = ppm::modulate(&bytes, 0.5, 0.0);
+            let one = bytes[bit / 8] & (0x80 >> (bit % 8)) != 0;
+            let empty_chip = PREAMBLE_CHIPS + 2 * bit + usize::from(one);
+            burst[empty_chip] = Cplx::new(f64::INFINITY, 0.0);
+            let mut capture = vec![Cplx::ZERO; 700];
+            capture[200..200 + FRAME_SAMPLES].copy_from_slice(&burst);
+            add_noise(&mut capture, 0.005, bit as u64);
+            let msgs = Decoder::default().scan(&capture, 0.0);
+            assert_eq!(msgs.len(), 1, "bit {bit}");
+            assert_eq!(
+                msgs[0].frame,
+                ModeSFrame::Extended(frame.clone()),
+                "bit {bit}"
+            );
+            assert_eq!(msgs[0].repaired_bits, 1, "bit {bit}");
         }
     }
 
@@ -519,7 +786,10 @@ mod tests {
             max_repaired_bits: 1,
             ..Default::default()
         });
-        assert!(one_bit.scan(&capture, 0.0).is_empty(), "1-bit budget must fail");
+        assert!(
+            one_bit.scan(&capture, 0.0).is_empty(),
+            "1-bit budget must fail"
+        );
 
         let two_bit = Decoder::new(DecoderConfig {
             max_repaired_bits: 2,
@@ -593,7 +863,10 @@ mod tests {
         for trial in 0..20u64 {
             let mut noise = vec![Cplx::ZERO; 2_000];
             add_noise(&mut noise, 0.1, 5_000 + trial);
-            assert!(fixer.scan(&noise, 0.0).is_empty(), "phantom decode from noise");
+            assert!(
+                fixer.scan(&noise, 0.0).is_empty(),
+                "phantom decode from noise"
+            );
         }
     }
 

@@ -10,7 +10,6 @@
 //! At the native 2 Msps, one chip is exactly one sample, so a full frame is
 //! 240 samples.
 
-use crate::bits::bytes_to_bits;
 use crate::{FRAME_BYTES, SAMPLE_RATE_HZ};
 use aircal_dsp::Cplx;
 
@@ -27,7 +26,7 @@ pub const PREAMBLE_PATTERN: [u8; PREAMBLE_CHIPS] =
 
 /// Chip offsets of the four preamble pulses (the `1`s in
 /// [`PREAMBLE_PATTERN`]) — the only samples that contribute to preamble
-/// correlation, which the decoder's gated scan exploits.
+/// correlation, which the decoder's sparse preamble scan exploits.
 pub const PREAMBLE_PULSES: [usize; 4] = [0, 2, 7, 9];
 
 /// Duration of one frame in seconds (120 µs).
@@ -35,48 +34,42 @@ pub fn frame_duration_s() -> f64 {
     FRAME_SAMPLES as f64 / SAMPLE_RATE_HZ
 }
 
-/// The preamble as a fixed complex template (unit-amplitude pulses),
-/// usable without allocation by the gated scan's exact-correlation
-/// kernel; [`preamble_template`] is its `Vec` form.
-pub const PREAMBLE_TEMPLATE: [Cplx; PREAMBLE_CHIPS] = build_preamble_template();
-
-const fn build_preamble_template() -> [Cplx; PREAMBLE_CHIPS] {
-    let mut t = [Cplx::ZERO; PREAMBLE_CHIPS];
-    let mut i = 0;
-    while i < PREAMBLE_CHIPS {
-        if PREAMBLE_PATTERN[i] == 1 {
-            t[i] = Cplx::ONE;
-        }
-        i += 1;
-    }
-    t
-}
-
 /// The preamble as a complex template (unit amplitude), for correlation.
 pub fn preamble_template() -> Vec<Cplx> {
-    PREAMBLE_TEMPLATE.to_vec()
+    PREAMBLE_PATTERN
+        .iter()
+        .map(|&c| if c == 1 { Cplx::ONE } else { Cplx::ZERO })
+        .collect()
 }
 
 /// Samples in a modulated *short* (56-bit) frame at 2 Msps.
 pub const SHORT_FRAME_SAMPLES: usize = PREAMBLE_CHIPS + 2 * 56;
 
+/// Chips in the modulated form of a `frame_bytes`-byte frame (preamble
+/// plus two chips per bit).
+pub fn chip_count(frame_bytes: usize) -> usize {
+    PREAMBLE_CHIPS + 16 * frame_bytes
+}
+
+/// The chips that carry a pulse when `frame` is modulated, ascending: the
+/// four preamble pulses, then for each bit the first chip of its pair for
+/// a `1` and the second for a `0`. Every other chip of the
+/// [`chip_count`] is silent.
+pub fn pulse_chips(frame: &[u8]) -> impl Iterator<Item = usize> + '_ {
+    let data = (0..8 * frame.len()).map(move |bit| {
+        let one = frame[bit / 8] & (0x80 >> (bit % 8)) != 0;
+        PREAMBLE_CHIPS + 2 * bit + usize::from(!one)
+    });
+    PREAMBLE_PULSES.into_iter().chain(data)
+}
+
 /// Modulate any Mode S byte string (7 or 14 bytes) into baseband samples
 /// with the given pulse amplitude and carrier phase.
 pub fn modulate_bytes(frame: &[u8], amplitude: f64, phase_rad: f64) -> Vec<Cplx> {
     let pulse = Cplx::from_polar(amplitude, phase_rad);
-    let mut samples = vec![Cplx::ZERO; PREAMBLE_CHIPS + 16 * frame.len()];
-    for (i, &c) in PREAMBLE_PATTERN.iter().enumerate() {
-        if c == 1 {
-            samples[i] = pulse;
-        }
-    }
-    for (bit_idx, bit) in bytes_to_bits(frame).iter().enumerate() {
-        let base = PREAMBLE_CHIPS + 2 * bit_idx;
-        if *bit {
-            samples[base] = pulse;
-        } else {
-            samples[base + 1] = pulse;
-        }
+    let mut samples = vec![Cplx::ZERO; chip_count(frame.len())];
+    for chip in pulse_chips(frame) {
+        samples[chip] = pulse;
     }
     samples
 }
@@ -199,6 +192,28 @@ mod tests {
         let tx = modulate(&frame_bytes(), 1.0, 0.0);
         for (i, &c) in PREAMBLE_PATTERN.iter().enumerate() {
             assert_eq!(tx[i].abs() > 0.5, c == 1, "chip {i}");
+        }
+    }
+
+    /// One pulse chip per bit plus the four preamble pulses, ascending,
+    /// each inside the frame's chip count.
+    #[test]
+    fn pulse_chips_are_the_on_chips_of_the_waveform() {
+        for frame in [&frame_bytes()[..], &frame_bytes()[..7]] {
+            let chips: Vec<usize> = pulse_chips(frame).collect();
+            assert_eq!(chips.len(), 4 + 8 * frame.len());
+            assert!(chips.windows(2).all(|w| w[0] < w[1]));
+            let wave = modulate_bytes(frame, 1.0, 0.0);
+            assert_eq!(wave.len(), chip_count(frame.len()));
+            let on: Vec<usize> = (0..wave.len()).filter(|&k| wave[k] != Cplx::ZERO).collect();
+            assert_eq!(chips, on);
+            // A unit pulse is exactly `1 + 0i`, the value a chip mask stands for.
+            for k in on {
+                assert_eq!(
+                    (wave[k].re.to_bits(), wave[k].im.to_bits()),
+                    (1f64.to_bits(), 0)
+                );
+            }
         }
     }
 

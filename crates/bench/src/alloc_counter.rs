@@ -5,14 +5,17 @@
 //! `#[global_allocator]` in a binary or integration test, then bracket the
 //! region of interest with [`AllocSnapshot::now`] and subtract:
 //!
-//! ```ignore
+//! ```
 //! #[global_allocator]
 //! static ALLOC: aircal_bench::CountingAllocator = aircal_bench::CountingAllocator::new();
+//! # fn hot_path() {}
+//! # fn main() {
 //!
 //! let before = aircal_bench::AllocSnapshot::now();
 //! hot_path();
 //! let during = aircal_bench::AllocSnapshot::now() - before;
 //! assert_eq!(during.allocs, 0);
+//! # }
 //! ```
 //!
 //! The counters are monotonic (never reset), so concurrent threads can

@@ -272,7 +272,7 @@ fn a4_decode_snr(seed: u64) {
             cpr: cpr::encode(37.9, -122.3, cpr::CprFormat::Even),
         },
     );
-    let waveform = aircal_adsb::ppm::modulate(&frame.encode(), 1.0, 0.0);
+    let chips = aircal_core::survey::frame_chips(&frame.encode());
     let floor = fe.noise_floor_dbm();
     // Each SNR point has its own RNG, so the points fan out over workers
     // and print in order afterwards — same numbers as the serial loop.
@@ -284,7 +284,7 @@ fn a4_decode_snr(seed: u64) {
         for i in 0..100 {
             let plans = [BurstPlan {
                 start_s: 0.0,
-                waveform: waveform.clone(),
+                chips: chips.clone(),
                 rx_power_dbm: floor + snr,
                 phase0: i as f64 * 0.37,
             }];

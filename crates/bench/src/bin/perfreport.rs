@@ -25,10 +25,11 @@
 //!   scalar and the dispatched butterfly arm; `--check` requires both
 //!   rows bit-identical but counts neither toward the kernel speedup
 //!   floor;
-//! * **adsb_decode** — decoder throughput over a rendered capture,
-//!   Msamples/s;
-//! * **preamble_scan** — power-gated preamble correlation vs the exact
-//!   ungated scan (identical peaks, fewer FLOPs);
+//! * **adsb_decode** — decoder throughput over a rendered capture with
+//!   one warm `DecodeScratch`, as each survey worker runs it, Msamples/s;
+//! * **preamble_scan** — the decoder's sparse preamble scan
+//!   ([`PreambleScan`]) vs its dense reference, `normalized_correlation`
+//!   then `find_peaks` (peaks must be identical);
 //! * **fir** — overlap-save [`FastFirFilter`] vs direct [`FirFilter`]
 //!   at 63/255/1023 taps (the TV bandpass shapes);
 //! * **geometry** — dense synthetic downtown: brute-force `path_profile`
@@ -50,8 +51,8 @@
 //! All numbers are wall-clock on whatever host runs this; `host_cores`
 //! records how much hardware parallelism was actually available.
 
-use aircal_adsb::decoder::gated_preamble_correlation;
-use aircal_adsb::{cpr, me::MePayload, AdsbFrame, Decoder, IcaoAddress};
+use aircal_adsb::decoder::PreambleScan;
+use aircal_adsb::{cpr, me::MePayload, AdsbFrame, DecodeScratch, Decoder, IcaoAddress};
 use aircal_bench::parse_args;
 use aircal_dsp::corr::{find_peaks, normalized_correlation};
 use aircal_dsp::fir::design_bandpass;
@@ -86,9 +87,10 @@ struct DecodeTiming {
 #[derive(Serialize, Default)]
 struct CorrTiming {
     samples: usize,
-    ungated_seconds: f64,
-    gated_seconds: f64,
+    dense_seconds: f64,
+    sparse_seconds: f64,
     speedup: f64,
+    peaks_identical: bool,
 }
 
 /// Dense-world geometry acceleration: one obstruction sweep timed three
@@ -543,7 +545,7 @@ fn committed_budgets() -> Budgets {
 
 /// Enforce every bound in `budgets` against the report, one line per
 /// gate, and fail on any bound no gate read. Bit-identity (geometry,
-/// kernels) carries no bound: it always holds or fails.
+/// kernels, preamble peaks) carries no bound: it always holds or fails.
 fn check_budgets(r: &PipelineReport, budgets: Budgets) -> bool {
     let mut g = Gate { budgets, read: BTreeSet::new(), ok: true };
 
@@ -559,6 +561,8 @@ fn check_budgets(r: &PipelineReport, budgets: Budgets) -> bool {
     }
     g.require("perf", "finalize bit-identical to its libm reference", k.finalize.bit_identical);
     g.require("perf", "fft bit-identical to its scalar arm", k.fft.bit_identical);
+    let what = "sparse preamble peaks identical to the dense scan's";
+    g.require("perf", what, r.preamble_scan.peaks_identical);
     let floor = g.bound("perf", "min_kernel_speedup");
     if k.dispatch == "scalar" {
         g.bound("perf", "min_kernels_at_speedup");
@@ -653,7 +657,7 @@ fn decode_capture(seed: u64, frames: usize) -> (Vec<aircal_sdr::RenderedWindow>,
             );
             BurstPlan {
                 start_s: i as f64 * 2e-3,
-                waveform: aircal_adsb::ppm::modulate(&frame.encode(), 1.0, 0.0),
+                chips: aircal_core::survey::frame_chips(&frame.encode()),
                 rx_power_dbm: floor + 6.0 + (i % 12) as f64,
                 phase0: i as f64 * 0.37,
             }
@@ -713,8 +717,16 @@ fn main() {
     // --- ADS-B decode throughput -----------------------------------------
     let (windows, samples) = decode_capture(seed, if quick { 200 } else { 1_000 });
     let decoder = Decoder::default();
-    let scan_all = || -> usize {
-        windows.iter().map(|w| decoder.scan(&w.samples, w.start_s).len()).sum()
+    let mut scratch = DecodeScratch::default();
+    let mut msgs = Vec::new();
+    let mut scan_all = || -> usize {
+        windows
+            .iter()
+            .map(|w| {
+                decoder.scan_with(&w.samples, w.start_s, &mut scratch, &mut msgs);
+                msgs.len()
+            })
+            .sum()
     };
     let messages = scan_all();
     let seconds = time_best(reps, scan_all);
@@ -729,25 +741,38 @@ fn main() {
         adsb_decode.msamples_per_s, messages, samples
     );
 
-    // --- Gated vs ungated preamble scan ----------------------------------
-    let flat: Vec<Cplx> = windows.iter().flat_map(|w| w.samples.iter().copied()).collect();
+    // --- Sparse preamble scan vs its dense reference ---------------------
+    // Window by window, as the decoder scans a capture.
     let threshold = aircal_adsb::DecoderConfig::default().preamble_threshold;
     let template = aircal_adsb::ppm::preamble_template();
-    let ungated_seconds = time_best(reps, || {
-        let corr = normalized_correlation(&flat, &template);
-        find_peaks(&corr, threshold, 64).len()
-    });
-    let gated_seconds = time_best(reps, || {
-        let corr = gated_preamble_correlation(&flat, threshold);
-        find_peaks(&corr, threshold, 64).len()
-    });
-    let preamble_scan = CorrTiming {
-        samples: flat.len(),
-        ungated_seconds,
-        gated_seconds,
-        speedup: ungated_seconds / gated_seconds,
+    let dense_peaks = || -> Vec<Vec<usize>> {
+        windows
+            .iter()
+            .map(|w| find_peaks(&normalized_correlation(&w.samples, &template), threshold, 64))
+            .collect()
     };
-    eprintln!("# preamble_scan: gate speedup {:.2}x", preamble_scan.speedup);
+    let mut scan = PreambleScan::default();
+    let mut sparse_peaks = || -> Vec<Vec<usize>> {
+        windows
+            .iter()
+            .map(|w| scan.run(&w.samples, threshold, 64).iter().map(|&(lag, _)| lag).collect())
+            .collect()
+    };
+    let peaks_identical = dense_peaks() == sparse_peaks();
+    let dense_seconds = time_best(reps, dense_peaks);
+    let sparse_seconds = time_best(reps, sparse_peaks);
+    let preamble_scan = CorrTiming {
+        samples,
+        dense_seconds,
+        sparse_seconds,
+        speedup: dense_seconds / sparse_seconds,
+        peaks_identical,
+    };
+    eprintln!(
+        "# preamble_scan: sparse scan {:.2}x vs dense, peaks {}",
+        preamble_scan.speedup,
+        if peaks_identical { "identical" } else { "DIVERGED" }
+    );
 
     // --- Overlap-save FIR vs direct --------------------------------------
     let input_len = if quick { 40_000 } else { 200_000 };
@@ -854,6 +879,7 @@ mod tests {
                 finalize: FinalizeTiming { bit_identical: true, ..FinalizeTiming::default() },
                 fft: FftTiming { bit_identical: true, ..FftTiming::default() },
             },
+            preamble_scan: CorrTiming { peaks_identical: true, ..CorrTiming::default() },
             scale: vec![ScaleTiming { nodes: 100, events_per_sec: 1e9, ..ScaleTiming::default() }],
             recovery: RecoverySection {
                 journal_replay_records_per_sec: 1e9,

@@ -16,13 +16,12 @@ use aircal_bench::{AllocSnapshot, CountingAllocator};
 use aircal_cellular::{paper_towers, CellScanner};
 use aircal_dsp::psd::{welch_psd, welch_psd_into};
 use aircal_dsp::window::Window;
-use aircal_dsp::{derive_stream_seed, par_map_with, Cplx, DspScratch};
+use aircal_core::survey::{ClusterDecoder, ClusterScratch};
+use aircal_dsp::{par_map_with, Cplx, DspScratch};
 use aircal_env::{Scenario, ScenarioKind};
 use aircal_sdr::{BurstPlan, CaptureRenderer, Frontend, FrontendConfig, RenderedWindow};
 use aircal_tv::synth::synthesize_8vsb;
 use aircal_tv::{paper_tv_towers, TvPowerProbe, TvProbeConfig, TvScratch};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use std::sync::Mutex;
 
 #[global_allocator]
@@ -53,7 +52,7 @@ fn renderer() -> (CaptureRenderer, Vec<BurstPlan>) {
             );
             BurstPlan {
                 start_s: i as f64 * 2e-3,
-                waveform: aircal_adsb::ppm::modulate(&frame.encode(), 1.0, 0.0),
+                chips: aircal_core::survey::frame_chips(&frame.encode()),
                 rx_power_dbm: floor + 8.0 + (i % 10) as f64,
                 phase0: i as f64 * 0.37,
             }
@@ -62,36 +61,39 @@ fn renderer() -> (CaptureRenderer, Vec<BurstPlan>) {
     (renderer, plans)
 }
 
-/// Tentpole assertion: after one warm-up pass, the serial render → scan →
-/// recycle burst loop performs **exactly zero** heap allocations.
+/// After one warm-up pass, the survey's own per-cluster step
+/// ([`ClusterDecoder::decode_cluster`], the function `run_survey_indexed`
+/// fans out) renders, scans and recycles every cluster with **exactly
+/// zero** heap allocations.
 #[test]
 fn survey_burst_loop_is_allocation_free_after_warmup() {
     let _g = lock();
     let (renderer, plans) = renderer();
     let clusters = renderer.cluster_plans(&plans);
-    let decoder = Decoder::default();
-    let mut scratch = DspScratch::new();
-    let mut dscratch = DecodeScratch::default();
+    let capture = ClusterDecoder {
+        renderer: &renderer,
+        decoder: &Decoder::default(),
+        plans: &plans,
+        noise_seed: SEED,
+    };
+    let mut scratch = ClusterScratch::default();
     let mut msgs: Vec<DecodedMessage> = Vec::new();
 
-    let round = |scratch: &mut DspScratch, dscratch: &mut DecodeScratch, msgs: &mut Vec<DecodedMessage>| {
+    let mut round = || {
         let mut decoded = 0usize;
         for (ci, cluster) in clusters.iter().enumerate() {
-            let mut rng = ChaCha8Rng::seed_from_u64(derive_stream_seed(SEED, ci as u64));
-            let w = renderer.render_cluster_with(&plans, cluster, &mut rng, scratch);
-            decoder.scan_with(&w.samples, w.start_s, dscratch, msgs);
+            capture.decode_cluster(ci, cluster, &mut scratch, &mut msgs);
             decoded += msgs.len();
-            w.recycle(scratch);
         }
         decoded
     };
 
-    // Warm-up: pools fill, FFT plans build, vectors reach steady capacity.
-    let warm = round(&mut scratch, &mut dscratch, &mut msgs);
+    // Warm-up: pools fill, vectors reach steady capacity.
+    let warm = round();
     assert!(warm > 0, "warm-up round must decode something");
 
     let before = AllocSnapshot::this_thread();
-    let decoded = round(&mut scratch, &mut dscratch, &mut msgs);
+    let decoded = round();
     let delta = AllocSnapshot::this_thread() - before;
     assert_eq!(decoded, warm, "steady-state rounds decode identically");
     assert_eq!(
@@ -192,7 +194,7 @@ fn pooled_render_matches_render_seeded_bit_identically() {
         // Two rounds: the second runs entirely from recycled buffers.
         let mut pooled = Vec::new();
         for (ci, cluster) in clusters.iter().enumerate() {
-            let mut rng = ChaCha8Rng::seed_from_u64(derive_stream_seed(SEED, ci as u64));
+            let mut rng = CaptureRenderer::cluster_rng(SEED, ci);
             pooled.push(renderer.render_cluster_with(&plans, cluster, &mut rng, &mut scratch));
         }
         for threads in [1usize, 8] {

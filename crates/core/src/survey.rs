@@ -15,14 +15,14 @@
 
 use aircal_adsb::cpr::{self, CprPair};
 use aircal_adsb::me::MePayload;
-use aircal_adsb::{DecodeScratch, DecodedMessage, Decoder, IcaoAddress, ADSB_FREQ_HZ};
+use aircal_adsb::{ppm, DecodeScratch, DecodedMessage, Decoder, IcaoAddress, ADSB_FREQ_HZ};
 use aircal_aircraft::{GroundTruthService, TrafficSim, TransponderSchedule};
 use aircal_env::{GeoScratch, SensorSite, World, WorldIndex};
 use aircal_geo::LatLon;
 use aircal_rfprop::fading::RicianFading;
 use aircal_rfprop::LinkBudget;
-use aircal_dsp::{derive_stream_seed, par_map_with, resolve_parallelism};
-use aircal_sdr::{BurstPlan, CaptureRenderer, Frontend, FrontendConfig, FrontendFault};
+use aircal_dsp::{derive_stream_seed, par_map_with, resolve_parallelism, DspScratch};
+use aircal_sdr::{BurstPlan, CaptureRenderer, ChipMask, Frontend, FrontendConfig, FrontendFault};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -240,7 +240,7 @@ pub fn run_survey_indexed(
         }
         Some(BurstPlan {
             start_s: e.time_s,
-            waveform: aircal_adsb::ppm::modulate_bytes(&e.frame.encode_bytes(), 1.0, 0.0),
+            chips: frame_chips(&e.frame.encode_bytes()),
             rx_power_dbm: rx_dbm,
             phase0: brng.gen_range(0.0..core::f64::consts::TAU),
         })
@@ -250,30 +250,34 @@ pub fn run_survey_indexed(
     let skipped_low_snr = planned.iter().filter(|p| p.is_none()).count();
     let plans: Vec<BurstPlan> = planned.into_iter().flatten().collect();
 
-    // 3. Render and decode, dump1090-style. Rendering derives one noise
-    //    stream per cluster; decoding fans out per window; the merge is
-    //    in window (time) order, exactly as a serial pass would produce.
-    let windows = renderer.render_seeded(&plans, seed ^ 0xC0DE, threads);
-    let decode_span = aircal_obs::span!("decode_windows");
-    let decoder = Decoder::default();
-    // Per-worker decode scratch: each worker's correlation/demod buffers
-    // warm up once and are reused across every window it scans.
-    let mut decode_scratches: Vec<(DecodeScratch, Vec<DecodedMessage>)> =
-        (0..threads.max(1)).map(|_| Default::default()).collect();
-    let (mut slots, mut per_window) = (Vec::new(), Vec::new());
+    // 3. Render and decode, dump1090-style, one cluster at a time: each
+    //    worker renders a cluster's window, decodes it and recycles its
+    //    buffer before the next. Noise streams are per cluster and the
+    //    merge is in cluster (time) order, exactly as a serial pass.
+    let clusters = renderer.cluster_plans(&plans);
+    let capture = ClusterDecoder {
+        renderer: &renderer,
+        decoder: &Decoder::default(),
+        plans: &plans,
+        noise_seed: seed ^ 0xC0DE,
+    };
+    let mut scratches: Vec<ClusterScratch> = (0..threads.max(1))
+        .map(|_| ClusterScratch::default())
+        .collect();
+    let (mut slots, mut per_cluster) = (Vec::new(), Vec::new());
     par_map_with(
-        &windows,
+        &clusters,
         threads,
-        &mut decode_scratches,
+        &mut scratches,
         &mut slots,
-        &mut per_window,
-        |_, w, (scratch, msgs)| {
-            decoder.scan_with(&w.samples, w.start_s, scratch, msgs);
-            std::mem::take(msgs)
+        &mut per_cluster,
+        |ci, cluster, scratch| {
+            let mut msgs = Vec::new();
+            capture.decode_cluster(ci, cluster, scratch, &mut msgs);
+            msgs
         },
     );
-    let decoded: Vec<DecodedMessage> = per_window.into_iter().flatten().collect();
-    drop(decode_span);
+    let decoded: Vec<DecodedMessage> = per_cluster.into_iter().flatten().collect();
 
     // 4. Ground truth at the mid-capture query time.
     let gts = GroundTruthService::new(config.ground_truth_latency_s);
@@ -323,6 +327,61 @@ pub fn run_survey_indexed(
         skipped_low_snr,
         decoded_positions,
         config: *config,
+    }
+}
+
+/// The on-chips of a Mode S frame's PPM burst (7 or 14 bytes): the
+/// [`ChipMask`] of `ppm::modulate_bytes(frame, 1.0, 0.0)`.
+pub fn frame_chips(frame: &[u8]) -> ChipMask {
+    ChipMask::from_on_chips(ppm::chip_count(frame.len()), ppm::pulse_chips(frame))
+}
+
+/// Per-worker working memory of [`ClusterDecoder::decode_cluster`]: the
+/// window buffer pool and the decoder's buffers, warm after the first few
+/// clusters.
+#[derive(Debug, Default)]
+pub struct ClusterScratch {
+    dsp: DspScratch,
+    decode: DecodeScratch,
+}
+
+/// A capture's bursts, ready to be rendered and decoded one cluster at a
+/// time: the survey's streaming render → scan → recycle loop.
+#[derive(Debug, Clone, Copy)]
+pub struct ClusterDecoder<'a> {
+    /// Renders each cluster's window.
+    pub renderer: &'a CaptureRenderer,
+    /// Scans each window.
+    pub decoder: &'a Decoder,
+    /// The capture's bursts; clusters index into them.
+    pub plans: &'a [BurstPlan],
+    /// Seed of the per-cluster noise streams
+    /// ([`CaptureRenderer::cluster_rng`]).
+    pub noise_seed: u64,
+}
+
+impl ClusterDecoder<'_> {
+    /// Render cluster `cluster_index` (indices into `plans`), decode its
+    /// window into `out` (cleared first) and return the window's buffer
+    /// to `scratch`. With a warm `scratch` and `out` this allocates
+    /// nothing.
+    pub fn decode_cluster(
+        &self,
+        cluster_index: usize,
+        cluster: &[usize],
+        scratch: &mut ClusterScratch,
+        out: &mut Vec<DecodedMessage>,
+    ) {
+        let mut rng = CaptureRenderer::cluster_rng(self.noise_seed, cluster_index);
+        let window = self
+            .renderer
+            .render_cluster_with(self.plans, cluster, &mut rng, &mut scratch.dsp);
+        {
+            let _span = aircal_obs::span!("decode_windows");
+            self.decoder
+                .scan_with(&window.samples, window.start_s, &mut scratch.decode, out);
+        }
+        window.recycle(&mut scratch.dsp);
     }
 }
 

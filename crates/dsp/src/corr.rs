@@ -10,7 +10,7 @@ use crate::Cplx;
 /// similarity between the template and each signal window. Windows with
 /// (near-)zero energy report 0.
 ///
-/// The exact reference the decoder's power-gated preamble scan is checked
+/// The exact reference the decoder's sparse preamble scan is checked
 /// against; output length is `signal.len() - template.len() + 1`, empty if
 /// the template is longer than the signal.
 pub fn normalized_correlation(signal: &[Cplx], template: &[Cplx]) -> Vec<f64> {
@@ -44,27 +44,17 @@ pub fn normalized_correlation(signal: &[Cplx], template: &[Cplx]) -> Vec<f64> {
 /// Indices of local maxima in `values` that exceed `threshold`, with at
 /// least `min_separation` samples between accepted peaks (the larger peak
 /// wins inside a separation window).
+///
+/// The dense reference the ADS-B decoder's sparse preamble peak picker is
+/// checked against.
 pub fn find_peaks(values: &[f64], threshold: f64, min_separation: usize) -> Vec<usize> {
-    let mut out = Vec::new();
-    find_peaks_into(values, threshold, min_separation, &mut out);
-    out
-}
-
-/// [`find_peaks`] into a caller-owned buffer (cleared first); reusing
-/// `out` across calls keeps the scan loop allocation-free. The suppression
-/// pass runs in place by compacting accepted peaks to the buffer's front.
-pub fn find_peaks_into(
-    values: &[f64],
-    threshold: f64,
-    min_separation: usize,
-    out: &mut Vec<usize>,
-) {
-    out.clear();
-    out.extend((0..values.len()).filter(|&i| {
-        values[i] >= threshold
-            && (i == 0 || values[i] >= values[i - 1])
-            && (i + 1 == values.len() || values[i] > values[i + 1])
-    }));
+    let mut out: Vec<usize> = (0..values.len())
+        .filter(|&i| {
+            values[i] >= threshold
+                && (i == 0 || values[i] >= values[i - 1])
+                && (i + 1 == values.len() || values[i] > values[i + 1])
+        })
+        .collect();
     // Greedy non-maximum suppression by descending height: candidates are
     // visited tallest-first and compacted into an accepted prefix.
     out.sort_by(|&a, &b| values[b].partial_cmp(&values[a]).unwrap());
@@ -81,6 +71,7 @@ pub fn find_peaks_into(
     }
     out.truncate(accepted);
     out.sort_unstable();
+    out
 }
 
 #[cfg(test)]

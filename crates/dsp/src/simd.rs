@@ -1358,7 +1358,7 @@ mod tests {
     }
 
     /// The canonical reduction applied to the ADS-B preamble template
-    /// yields exactly 4.0 — the gated scan's closed-form template energy.
+    /// yields exactly 4.0 — the preamble scan's closed-form template energy.
     #[test]
     fn preamble_energy_is_exact() {
         let pulses = [0usize, 2, 7, 9];

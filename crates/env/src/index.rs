@@ -23,9 +23,9 @@
 //! A building contributes to a profile only if its footprint contains the
 //! track start or its boundary crosses the track; both imply the track
 //! intersects the footprint's closed AABB. Buildings are binned into grid
-//! cells by AABBs padded by [`PAD_M`] (≫ any f64 rounding at city scale),
+//! cells by AABBs padded by `PAD_M` (≫ any f64 rounding at city scale),
 //! and the query walks every cell whose slab the track's clipped interval
-//! overlaps, padded again by [`QUERY_EPS_M`]; a final per-candidate exact
+//! overlaps, padded again by `QUERY_EPS_M`; a final per-candidate exact
 //! slab test only discards boxes the segment provably misses. Hence the
 //! candidate set is a superset of the contributing set, and the survivors
 //! run the identical per-building arithmetic.

@@ -208,7 +208,7 @@ impl LinkFaults {
     /// Offline, event-driven evaluation of this plan for wire attempt
     /// `idx`: what the link does to the attempt, without threads,
     /// channels, or sleeps. Probabilistic faults draw from `rng` in the
-    /// same order as the live [`Link::attempt`] path (request drop, then
+    /// same order as the live `Link::attempt` path (request drop, then
     /// response drop), so a fixed seed yields a fixed fault schedule.
     /// The discrete-event campaign engine (`aircal-sim`) turns the
     /// returned verdict into delivery/loss events; node-side faults

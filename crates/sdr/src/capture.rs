@@ -6,19 +6,71 @@
 //! (guard noise + superimposed bursts + guard noise). Overlapping bursts
 //! from different aircraft end up garbling each other exactly as on the
 //! real channel; disjoint bursts never cost more than their own window.
+//!
+//! A burst is on-off keyed, so a plan carries only which chips hold a unit
+//! pulse ([`ChipMask`]), not a waveform: rendering adds the burst's
+//! impaired pulse at its on-chips and nothing elsewhere.
 
 use crate::frontend::Frontend;
 use aircal_dsp::{derive_stream_seed, par_map_with, Cplx, DspScratch};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
+/// The on/off chips of one unit-pulse burst, one bit per chip: the burst's
+/// unit-amplitude waveform is `1 + 0i` at every on-chip and zero at every
+/// other chip of its [`ChipMask::len`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ChipMask {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl ChipMask {
+    /// A mask of `len` chips with exactly the chips in `on` set.
+    ///
+    /// # Panics
+    /// If a chip in `on` is not below `len`.
+    pub fn from_on_chips(len: usize, on: impl IntoIterator<Item = usize>) -> Self {
+        let mut words = vec![0u64; len.div_ceil(64)];
+        for chip in on {
+            assert!(chip < len, "chip {chip} outside a {len}-chip mask");
+            words[chip / 64] |= 1 << (chip % 64);
+        }
+        Self { words, len }
+    }
+
+    /// Chips in the burst, on and off.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the burst has no chips at all.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The on-chips, ascending.
+    pub fn on_chips(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let b = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    64 * w + b
+                })
+            })
+        })
+    }
+}
+
 /// A burst scheduled for rendering.
 #[derive(Debug, Clone)]
 pub struct BurstPlan {
     /// On-air start time, seconds.
     pub start_s: f64,
-    /// Unit-amplitude baseband waveform.
-    pub waveform: Vec<Cplx>,
+    /// Which chips of the unit-amplitude baseband burst carry a pulse.
+    pub chips: ChipMask,
     /// Power at the antenna port, dBm.
     pub rx_power_dbm: f64,
     /// Carrier phase at the first sample, radians.
@@ -78,7 +130,7 @@ impl CaptureRenderer {
         let mut cluster_end = f64::NEG_INFINITY;
         for idx in order {
             let p = &plans[idx];
-            let p_end = p.start_s + p.waveform.len() as f64 / fs + guard_s;
+            let p_end = p.start_s + p.chips.len() as f64 / fs + guard_s;
             if cluster.is_empty() || p.start_s <= cluster_end + guard_s {
                 cluster.push(idx);
                 cluster_end = cluster_end.max(p_end);
@@ -95,10 +147,17 @@ impl CaptureRenderer {
     }
 
     /// Render one cluster (indices into `plans`) into its window, using
-    /// `rng` for the front end's noise. Working buffers come from
-    /// `scratch`; the window's sample buffer is taken from the pool too,
-    /// so recycling decoded windows ([`RenderedWindow::recycle`]) makes
-    /// the steady-state render loop allocation-free.
+    /// `rng` for the front end's noise. The window's sample buffer comes
+    /// from `scratch`, so recycling decoded windows
+    /// ([`RenderedWindow::recycle`]) makes the steady-state render loop
+    /// allocation-free.
+    ///
+    /// Each burst adds its impaired unit pulse
+    /// ([`Frontend::scale_and_impair`] of `1 + 0i`) at its on-chips only.
+    /// That equals adding its whole impaired waveform: an off-chip's
+    /// impaired value is a signed zero, the window starts at `+0.0`, and
+    /// `x + ±0 = x` for every `x` a sum starting at `+0.0` can reach. (This
+    /// needs a finite burst amplitude: `0 · inf` would be NaN.)
     pub fn render_cluster_with(
         &self,
         plans: &[BurstPlan],
@@ -106,45 +165,34 @@ impl CaptureRenderer {
         rng: &mut ChaCha8Rng,
         scratch: &mut DspScratch,
     ) -> RenderedWindow {
+        let _span = aircal_obs::span!("render_windows");
         let fs = self.frontend.config.sample_rate_hz;
         let start_s = plans[cluster[0]].start_s - self.guard_samples as f64 / fs;
         let end_s = cluster
             .iter()
-            .map(|&i| plans[i].start_s + plans[i].waveform.len() as f64 / fs)
+            .map(|&i| plans[i].start_s + plans[i].chips.len() as f64 / fs)
             .fold(f64::NEG_INFINITY, f64::max)
             + self.guard_samples as f64 / fs;
         let len = ((end_s - start_s) * fs).ceil() as usize;
         let mut buf = scratch.take_cplx(len);
-        let mut sig = scratch.take_cplx(0);
         for &i in cluster {
             let p = &plans[i];
             let offset = ((p.start_s - start_s) * fs).round() as usize;
-            self.frontend
-                .scale_and_impair_into(&p.waveform, p.rx_power_dbm, p.phase0, offset, &mut sig);
-            for (k, s) in sig.iter().enumerate() {
-                if offset + k < buf.len() {
-                    buf[offset + k] += *s;
+            let imp = self.frontend.impairment(p.rx_power_dbm, p.phase0);
+            // Without CFO every on-chip gets the same pulse value.
+            let fixed = (imp.dphi == 0.0).then(|| imp.apply(Cplx::ONE, imp.ramp(0)));
+            for chip in p.chips.on_chips() {
+                let n = offset + chip;
+                if let Some(s) = buf.get_mut(n) {
+                    *s += fixed.unwrap_or_else(|| imp.apply(Cplx::ONE, imp.ramp(n)));
                 }
             }
         }
-        scratch.put_cplx(sig);
         self.frontend.finalize(&mut buf, rng);
         RenderedWindow {
             start_s,
             samples: buf,
         }
-    }
-
-    /// Render one cluster with throwaway scratch (allocating wrapper over
-    /// [`CaptureRenderer::render_cluster_with`]).
-    fn render_cluster(
-        &self,
-        plans: &[BurstPlan],
-        cluster: &[usize],
-        rng: &mut ChaCha8Rng,
-    ) -> RenderedWindow {
-        let mut scratch = DspScratch::new();
-        self.render_cluster_with(plans, cluster, rng, &mut scratch)
     }
 
     /// Render all plans into windows. Plans need not be sorted. Returns
@@ -154,15 +202,23 @@ impl CaptureRenderer {
     /// this path is inherently serial; prefer [`Self::render_seeded`] for
     /// the thread-scalable, per-cluster-seeded variant.
     pub fn render(&self, plans: &[BurstPlan], rng: &mut ChaCha8Rng) -> Vec<RenderedWindow> {
+        let mut scratch = DspScratch::new();
         self.cluster_plans(plans)
             .iter()
-            .map(|cluster| self.render_cluster(plans, cluster, rng))
+            .map(|cluster| self.render_cluster_with(plans, cluster, rng, &mut scratch))
             .collect()
     }
 
+    /// The noise stream of cluster `cluster_index` in a capture seeded with
+    /// `noise_seed`: a pure function of the two, so a cluster renders the
+    /// same whichever worker runs it and in whatever order.
+    pub fn cluster_rng(noise_seed: u64, cluster_index: usize) -> ChaCha8Rng {
+        ChaCha8Rng::seed_from_u64(derive_stream_seed(noise_seed, cluster_index as u64))
+    }
+
     /// Render all plans into windows with **per-cluster** noise streams
-    /// derived from `(noise_seed, cluster index)`, fanned out over up to
-    /// `threads` worker threads.
+    /// ([`Self::cluster_rng`]), fanned out over up to `threads` worker
+    /// threads.
     ///
     /// Because each cluster's noise depends only on its index — not on
     /// how many threads ran or which rendered it first — the output is
@@ -176,31 +232,19 @@ impl CaptureRenderer {
         let mut scratches: Vec<DspScratch> =
             (0..threads.max(1)).map(|_| DspScratch::new()).collect();
         let (mut slots, mut out) = (Vec::new(), Vec::new());
-        self.render_seeded_with(plans, noise_seed, threads, &mut scratches, &mut slots, &mut out);
-        out
-    }
-
-    /// [`CaptureRenderer::render_seeded`] with caller-owned per-worker
-    /// scratch pools and result buffers (see
-    /// [`aircal_dsp::par_map_with`] for the `scratches`/`slots`/`out`
-    /// contract). Reusing them across surveys keeps the render fan-out
-    /// allocation-free per burst in steady state; output is bit-identical
-    /// to [`CaptureRenderer::render_seeded`] at any thread count.
-    pub fn render_seeded_with(
-        &self,
-        plans: &[BurstPlan],
-        noise_seed: u64,
-        threads: usize,
-        scratches: &mut [DspScratch],
-        slots: &mut Vec<Option<RenderedWindow>>,
-        out: &mut Vec<RenderedWindow>,
-    ) {
-        let _span = aircal_obs::span!("render_windows");
         let clusters = self.cluster_plans(plans);
-        par_map_with(&clusters, threads, scratches, slots, out, |ci, cluster, scratch| {
-            let mut rng = ChaCha8Rng::seed_from_u64(derive_stream_seed(noise_seed, ci as u64));
-            self.render_cluster_with(plans, cluster, &mut rng, scratch)
-        })
+        par_map_with(
+            &clusters,
+            threads,
+            &mut scratches,
+            &mut slots,
+            &mut out,
+            |ci, cluster, scratch| {
+                let mut rng = Self::cluster_rng(noise_seed, ci);
+                self.render_cluster_with(plans, cluster, &mut rng, scratch)
+            },
+        );
+        out
     }
 }
 
@@ -216,10 +260,97 @@ mod tests {
     fn plan(start_s: f64, len: usize, dbm: f64) -> BurstPlan {
         BurstPlan {
             start_s,
-            waveform: vec![Cplx::ONE; len],
+            chips: ChipMask::from_on_chips(len, 0..len),
             rx_power_dbm: dbm,
             phase0: 0.0,
         }
+    }
+
+    /// The dense render the chip masks replace: each burst's whole
+    /// impaired waveform, zero chips included, added into the window.
+    fn render_dense(
+        r: &CaptureRenderer,
+        plans: &[BurstPlan],
+        cluster: &[usize],
+        rng: &mut ChaCha8Rng,
+    ) -> Vec<Cplx> {
+        let fs = r.frontend.config.sample_rate_hz;
+        let guard_s = r.guard_samples as f64 / fs;
+        let start_s = plans[cluster[0]].start_s - guard_s;
+        let end_s = cluster
+            .iter()
+            .map(|&i| plans[i].start_s + plans[i].chips.len() as f64 / fs)
+            .fold(f64::NEG_INFINITY, f64::max)
+            + guard_s;
+        let mut buf = vec![Cplx::ZERO; ((end_s - start_s) * fs).ceil() as usize];
+        for &i in cluster {
+            let p = &plans[i];
+            let mut wave = vec![Cplx::ZERO; p.chips.len()];
+            for chip in p.chips.on_chips() {
+                wave[chip] = Cplx::ONE;
+            }
+            let offset = ((p.start_s - start_s) * fs).round() as usize;
+            let sig = r
+                .frontend
+                .scale_and_impair(&wave, p.rx_power_dbm, p.phase0, offset);
+            for (k, s) in sig.iter().enumerate() {
+                if offset + k < buf.len() {
+                    buf[offset + k] += *s;
+                }
+            }
+        }
+        r.frontend.finalize(&mut buf, rng);
+        buf
+    }
+
+    /// Rendering from chip masks is bit-identical to rendering the dense
+    /// unit waveforms: random masks, phases and powers, overlapping
+    /// bursts, with and without CFO and IQ imbalance.
+    #[test]
+    fn chip_mask_render_equals_dense_waveform_render() {
+        use rand::Rng;
+        let mut rng = capture_rng(11);
+        for (cfo_hz, iq_db) in [(0.0, 0.0), (-0.0, 0.4), (12_500.0, -0.3)] {
+            let mut cfg = FrontendConfig::bladerf_xa9(1.09e9, 2e6);
+            cfg.cfo_hz = cfo_hz;
+            cfg.iq_imbalance_db = iq_db;
+            let r = CaptureRenderer::new(Frontend::new(cfg));
+            let plans: Vec<BurstPlan> = (0..30)
+                .map(|i| {
+                    let len = rng.gen_range(1..300);
+                    let on = (0..len).filter(|_| rng.gen_bool(0.5)).collect::<Vec<_>>();
+                    BurstPlan {
+                        start_s: i as f64 * 1e-4 + rng.gen_range(0.0..2e-4),
+                        chips: ChipMask::from_on_chips(len, on),
+                        rx_power_dbm: rng.gen_range(-95.0..-20.0),
+                        phase0: rng.gen_range(0.0..core::f64::consts::TAU),
+                    }
+                })
+                .collect();
+            let mut scratch = DspScratch::new();
+            for (ci, cluster) in r.cluster_plans(&plans).iter().enumerate() {
+                let seed = 1_000 + ci as u64;
+                let sparse =
+                    r.render_cluster_with(&plans, cluster, &mut capture_rng(seed), &mut scratch);
+                let dense = render_dense(&r, &plans, cluster, &mut capture_rng(seed));
+                let bits = |v: &[Cplx]| {
+                    v.iter()
+                        .map(|z| (z.re.to_bits(), z.im.to_bits()))
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(bits(&sparse.samples), bits(&dense), "cfo {cfo_hz}, cluster {ci}");
+                sparse.recycle(&mut scratch);
+            }
+        }
+    }
+
+    #[test]
+    fn chip_mask_round_trips_its_on_chips() {
+        let on = [0usize, 1, 63, 64, 65, 127, 128, 199];
+        let mask = ChipMask::from_on_chips(200, on);
+        assert_eq!(mask.len(), 200);
+        assert_eq!(mask.on_chips().collect::<Vec<_>>(), on);
+        assert!(ChipMask::from_on_chips(0, []).is_empty());
     }
 
     #[test]

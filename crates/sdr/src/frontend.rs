@@ -119,26 +119,31 @@ impl Frontend {
         sample_offset: usize,
         out: &mut Vec<Cplx>,
     ) {
-        let amp = self.amplitude_fs(rx_power_dbm);
-        let dphi = core::f64::consts::TAU * self.config.cfo_hz / self.config.sample_rate_hz;
-        let q_gain = 10f64.powf(self.config.iq_imbalance_db / 20.0);
-        let rot0 = Cplx::phasor(phase0);
-        let impair = |s: Cplx, ramp: Cplx| {
-            let rotated = s * rot0 * ramp;
-            let mut x = rotated.scale(amp);
-            x.im *= q_gain;
-            x
-        };
+        let imp = self.impairment(rx_power_dbm, phase0);
         out.clear();
-        if dphi == 0.0 {
+        if imp.dphi == 0.0 {
             // No CFO: every ramp argument `dphi·k` (k ≥ 0) is a zero with
             // the sign of `dphi`, so one phasor serves the whole capture.
-            let ramp = Cplx::phasor(dphi);
-            out.extend(waveform.iter().map(|&s| impair(s, ramp)));
+            let ramp = imp.ramp(0);
+            out.extend(waveform.iter().map(|&s| imp.apply(s, ramp)));
         } else {
-            out.extend(waveform.iter().enumerate().map(|(n, &s)| {
-                impair(s, Cplx::phasor(dphi * (sample_offset + n) as f64))
-            }));
+            out.extend(
+                waveform
+                    .iter()
+                    .enumerate()
+                    .map(|(n, &s)| imp.apply(s, imp.ramp(sample_offset + n))),
+            );
+        }
+    }
+
+    /// The deterministic impairment chain of one burst arriving at
+    /// `rx_power_dbm` with carrier phase `phase0`.
+    pub(crate) fn impairment(&self, rx_power_dbm: f64, phase0: f64) -> Impairment {
+        Impairment {
+            amp: self.amplitude_fs(rx_power_dbm),
+            dphi: core::f64::consts::TAU * self.config.cfo_hz / self.config.sample_rate_hz,
+            q_gain: 10f64.powf(self.config.iq_imbalance_db / 20.0),
+            rot0: Cplx::phasor(phase0),
         }
     }
 
@@ -222,6 +227,32 @@ impl Frontend {
         let levels = self.levels();
         let q = |v: f64| (v.clamp(-1.0, 1.0) * levels).round() / levels;
         Cplx::new(q(x.re), q(x.im))
+    }
+}
+
+/// Carrier phase, CFO ramp, full-scale amplitude and IQ imbalance for one
+/// burst: [`Frontend::scale_and_impair`] sample by sample.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Impairment {
+    amp: f64,
+    /// CFO phase step per sample, radians.
+    pub(crate) dphi: f64,
+    q_gain: f64,
+    rot0: Cplx,
+}
+
+impl Impairment {
+    /// The CFO ramp phasor at capture sample `n`.
+    pub(crate) fn ramp(&self, n: usize) -> Cplx {
+        Cplx::phasor(self.dphi * n as f64)
+    }
+
+    /// Waveform sample `s` after the chain, with CFO ramp `ramp`.
+    #[inline]
+    pub(crate) fn apply(&self, s: Cplx, ramp: Cplx) -> Cplx {
+        let mut x = (s * self.rot0 * ramp).scale(self.amp);
+        x.im *= self.q_gain;
+        x
     }
 }
 

@@ -22,6 +22,6 @@ pub mod capture;
 pub mod faults;
 pub mod frontend;
 
-pub use capture::{BurstPlan, CaptureRenderer, RenderedWindow};
+pub use capture::{BurstPlan, CaptureRenderer, ChipMask, RenderedWindow};
 pub use faults::FrontendFault;
 pub use frontend::{Frontend, FrontendConfig};

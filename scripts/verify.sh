@@ -17,6 +17,9 @@ cargo test --workspace --release -q
 echo "== clippy (-D warnings) =="
 cargo clippy --workspace --all-targets --release -- -D warnings
 
+echo "== rustdoc (-D warnings: no dead intra-doc links) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 echo "== named suites + per-suite duration budgets (scripts/test_budget.json) =="
 # Runs chaos, observability, properties, golden vectors, geometry
 # equivalence, allocations, byzantine, fleet determinism, and protocol

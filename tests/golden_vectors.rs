@@ -16,8 +16,9 @@
 //! and commit the updated `tests/fixtures/*.json` alongside the change.
 
 use aircal::adsb::me::MePayload;
-use aircal::adsb::{cpr, ppm, AdsbFrame, Decoder, IcaoAddress};
+use aircal::adsb::{cpr, AdsbFrame, Decoder, IcaoAddress};
 use aircal::core::freqprofile::FrequencyProfiler;
+use aircal::core::survey::frame_chips;
 use aircal::env::{Scenario, ScenarioKind};
 use aircal::sdr::{BurstPlan, CaptureRenderer, Frontend, FrontendConfig};
 use aircal::tv::{paper_tv_towers, TvPowerProbe};
@@ -79,7 +80,7 @@ fn rendered_capture() -> Vec<aircal::sdr::RenderedWindow> {
             );
             BurstPlan {
                 start_s: i as f64 * 2e-3,
-                waveform: ppm::modulate(&frame.encode(), 1.0, 0.0),
+                chips: frame_chips(&frame.encode()),
                 rx_power_dbm: floor + 16.0 + (i % 10) as f64,
                 phase0: i as f64 * 0.41,
             }

@@ -7,6 +7,7 @@ use aircal::adsb::cpr::{decode_global, CprFormat, CprPair};
 use aircal::adsb::me::MePayload;
 use aircal::adsb::{Decoder, ADSB_FREQ_HZ, SAMPLE_RATE_HZ};
 use aircal::aircraft::{TrafficConfig, TrafficSim, TransponderSchedule};
+use aircal::core::survey::frame_chips;
 use aircal::geo::LatLon;
 use aircal::rfprop::{LinkBudget, PathProfile};
 use aircal::sdr::{BurstPlan, CaptureRenderer, Frontend, FrontendConfig};
@@ -44,7 +45,7 @@ fn clean_channel_full_stack() {
             let budget = LinkBudget::new(e.tx_power_dbm, 0.0, 2.0);
             BurstPlan {
                 start_s: e.time_s,
-                waveform: aircal::adsb::ppm::modulate_bytes(&e.frame.encode_bytes(), 1.0, 0.0),
+                chips: frame_chips(&e.frame.encode_bytes()),
                 rx_power_dbm: budget.median_rx_dbm(&path),
                 phase0: 1.1,
             }
@@ -125,7 +126,7 @@ fn decode_count_monotone_in_obstruction() {
                 let budget = LinkBudget::new(e.tx_power_dbm, 0.0, 2.0);
                 BurstPlan {
                     start_s: e.time_s,
-                    waveform: aircal::adsb::ppm::modulate_bytes(&e.frame.encode_bytes(), 1.0, 0.0),
+                    chips: frame_chips(&e.frame.encode_bytes()),
                     rx_power_dbm: budget.median_rx_dbm(&path),
                     phase0: 0.0,
                 }
