@@ -4,6 +4,7 @@
 use crate::frame::{AdsbFrame, ModeSFrame, ShortSquitter, DF_ALL_CALL, DF_EXTENDED_SQUITTER};
 use crate::ppm::{self, FRAME_SAMPLES, PREAMBLE_CHIPS, SHORT_FRAME_SAMPLES};
 use crate::{crc, AdsbError, SAMPLE_RATE_HZ};
+use aircal_dsp::corr::suppress_peaks;
 use aircal_dsp::Cplx;
 use serde::{Deserialize, Serialize};
 
@@ -180,24 +181,9 @@ impl PreambleScan {
                 peaks.push((i, v));
             }
         }
-        // Greedy non-maximum suppression, tallest first (a stable sort, so
-        // equal heights keep lag order), compacted into an accepted prefix.
         // Peak values are at or above the threshold, so never NaN, and
         // never -0.0: `total_cmp` is the numeric order on them.
-        peaks.sort_by(|a, b| b.1.total_cmp(&a.1));
-        let mut accepted = 0;
-        for k in 0..peaks.len() {
-            let (lag, _) = peaks[k];
-            if peaks[..accepted]
-                .iter()
-                .all(|&(a, _)| a.abs_diff(lag) >= min_separation.max(1))
-            {
-                peaks[accepted] = peaks[k];
-                accepted += 1;
-            }
-        }
-        peaks.truncate(accepted);
-        peaks.sort_unstable_by_key(|&(lag, _)| lag);
+        suppress_peaks(peaks, |p| p.0, |a, b| b.1.total_cmp(&a.1), min_separation);
     }
 }
 

@@ -65,11 +65,6 @@ impl TowerDatabase {
             .collect()
     }
 
-    /// Towers on a given band.
-    pub fn on_band(&self, band: Band) -> Vec<&CellTower> {
-        self.towers.iter().filter(|t| t.band == band).collect()
-    }
-
     /// Look up by name.
     pub fn by_name(&self, name: &str) -> Option<&CellTower> {
         self.towers.iter().find(|t| t.name == name)
@@ -146,7 +141,6 @@ mod tests {
     fn near_and_band_queries() {
         let db = paper_towers(&origin());
         assert_eq!(db.near(&origin(), 650.0).len(), 2); // towers 2 and 5
-        assert_eq!(db.on_band(Band::B7).len(), 2);
         assert!(db.by_name("Tower 3").is_some());
         assert!(db.by_name("Tower 9").is_none());
     }

@@ -55,23 +55,44 @@ pub fn find_peaks(values: &[f64], threshold: f64, min_separation: usize) -> Vec<
                 && (i + 1 == values.len() || values[i] > values[i + 1])
         })
         .collect();
-    // Greedy non-maximum suppression by descending height: candidates are
-    // visited tallest-first and compacted into an accepted prefix.
-    out.sort_by(|&a, &b| values[b].partial_cmp(&values[a]).unwrap());
+    // Peaks are at or above the threshold, so never NaN.
+    suppress_peaks(
+        &mut out,
+        |&i| i,
+        |&a, &b| values[b].partial_cmp(&values[a]).unwrap(),
+        min_separation,
+    );
+    out
+}
+
+/// Greedy non-maximum suppression: visit `peaks` (distinct lags, `lag`
+/// reading one) in `visit` order (tallest first; a stable sort, so ties
+/// keep lag order), compact the ones at least `min_separation.max(1)`
+/// lags from every peak kept before them into an accepted prefix, and
+/// leave the kept peaks in lag order.
+///
+/// Checking every kept peak is O(P²) in the number of peaks; the peaks
+/// of a survey window number about four.
+pub fn suppress_peaks<T>(
+    peaks: &mut Vec<T>,
+    lag: impl Fn(&T) -> usize,
+    visit: impl FnMut(&T, &T) -> core::cmp::Ordering,
+    min_separation: usize,
+) {
+    peaks.sort_by(visit);
     let mut accepted = 0;
-    for i in 0..out.len() {
-        let c = out[i];
-        if out[..accepted]
+    for k in 0..peaks.len() {
+        let at = lag(&peaks[k]);
+        if peaks[..accepted]
             .iter()
-            .all(|&a| a.abs_diff(c) >= min_separation.max(1))
+            .all(|p| lag(p).abs_diff(at) >= min_separation.max(1))
         {
-            out[accepted] = c;
+            peaks.swap(accepted, k);
             accepted += 1;
         }
     }
-    out.truncate(accepted);
-    out.sort_unstable();
-    out
+    peaks.truncate(accepted);
+    peaks.sort_unstable_by_key(|p| lag(p));
 }
 
 #[cfg(test)]
@@ -146,5 +167,23 @@ mod tests {
         let v = [0.0, 1.0, 1.0, 0.0];
         let peaks = find_peaks(&v, 0.5, 1);
         assert_eq!(peaks.len(), 1);
+    }
+
+    #[test]
+    fn find_peaks_suppression_checks_every_kept_peak() {
+        // Visited tallest first: 5, 16, 12, 9 (too close to 12 but not
+        // to 5), 2 (too close to 5), then 20, kept after two rejections.
+        let mut v = [0.0; 22];
+        for (lag, height) in [
+            (2, 0.6),
+            (5, 0.9),
+            (9, 0.7),
+            (12, 0.8),
+            (16, 0.85),
+            (20, 0.5),
+        ] {
+            v[lag] = height;
+        }
+        assert_eq!(find_peaks(&v, 0.4, 4), vec![5, 12, 16, 20]);
     }
 }

@@ -26,16 +26,6 @@ pub fn db_to_lin(db: f64) -> f64 {
     10f64.powf(db / 10.0)
 }
 
-/// Convert dBm to watts.
-pub fn dbm_to_watts(dbm: f64) -> f64 {
-    db_to_lin(dbm) * 1e-3
-}
-
-/// Convert watts to dBm.
-pub fn watts_to_dbm(w: f64) -> f64 {
-    lin_to_db(w * 1e3)
-}
-
 /// Pushes between exact recomputations of a [`MovingAverage`]'s sum.
 const REBUILD_EVERY: usize = 1 << 20;
 
@@ -251,8 +241,6 @@ mod tests {
             assert!((lin_to_db(db_to_lin(db)) - db).abs() < 1e-9);
         }
         assert_eq!(lin_to_db(0.0), f64::NEG_INFINITY);
-        assert!((dbm_to_watts(30.0) - 1.0).abs() < 1e-12);
-        assert!((watts_to_dbm(0.001) - 0.0).abs() < 1e-12);
     }
 
     #[test]

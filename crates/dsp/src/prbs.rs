@@ -17,16 +17,6 @@ pub struct Lfsr {
 }
 
 impl Lfsr {
-    /// PRBS-9: x⁹ + x⁵ + 1 (ITU-T O.150). Period 511.
-    pub fn prbs9() -> Self {
-        Self::new(9, 0x11, 0x1FF).expect("valid taps")
-    }
-
-    /// PRBS-15: x¹⁵ + x¹⁴ + 1. Period 32767.
-    pub fn prbs15() -> Self {
-        Self::new(15, 0x3, 0x7FFF).expect("valid taps")
-    }
-
     /// PRBS-23: x²³ + x¹⁸ + 1. Period 8388607.
     pub fn prbs23() -> Self {
         Self::new(23, 0x21, 0x7F_FFFF).expect("valid taps")
@@ -70,19 +60,22 @@ impl Lfsr {
     pub fn bits(&mut self, n: usize) -> Vec<bool> {
         (0..n).map(|_| self.next_bit()).collect()
     }
-
-    /// Produce `n` bipolar symbols (`+1.0` / `-1.0`).
-    pub fn symbols(&mut self, n: usize) -> Vec<f64> {
-        (0..n)
-            .map(|_| if self.next_bit() { 1.0 } else { -1.0 })
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashSet;
+
+    /// PRBS-9: x⁹ + x⁵ + 1 (ITU-T O.150), period 511.
+    fn prbs9() -> Lfsr {
+        Lfsr::new(9, 0x11, 0x1FF).unwrap()
+    }
+
+    /// PRBS-15: x¹⁵ + x¹⁴ + 1, period 32767.
+    fn prbs15() -> Lfsr {
+        Lfsr::new(15, 0x3, 0x7FFF).unwrap()
+    }
 
     #[test]
     fn rejects_degenerate_configs() {
@@ -94,7 +87,7 @@ mod tests {
 
     #[test]
     fn prbs9_has_full_period() {
-        let mut l = Lfsr::prbs9();
+        let mut l = prbs9();
         let mut seen = HashSet::new();
         for _ in 0..511 {
             assert!(seen.insert(l.state), "state repeated early");
@@ -106,7 +99,7 @@ mod tests {
 
     #[test]
     fn prbs9_balanced_ones_zeros() {
-        let mut l = Lfsr::prbs9();
+        let mut l = prbs9();
         let ones = l.bits(511).iter().filter(|&&b| b).count();
         // A maximal-length sequence of order 9 has 256 ones, 255 zeros.
         assert_eq!(ones, 256);
@@ -114,7 +107,7 @@ mod tests {
 
     #[test]
     fn prbs15_period_is_maximal() {
-        let mut l = Lfsr::prbs15();
+        let mut l = prbs15();
         let start = l.state;
         let mut period = 0u64;
         loop {
@@ -129,27 +122,24 @@ mod tests {
     }
 
     #[test]
-    fn symbols_are_bipolar() {
-        let mut l = Lfsr::prbs9();
-        for s in l.symbols(100) {
-            assert!(s == 1.0 || s == -1.0);
-        }
-    }
-
-    #[test]
     fn deterministic_between_instances() {
-        let a: Vec<bool> = Lfsr::prbs15().bits(64);
-        let b: Vec<bool> = Lfsr::prbs15().bits(64);
+        let a: Vec<bool> = Lfsr::prbs23().bits(64);
+        let b: Vec<bool> = Lfsr::prbs23().bits(64);
         assert_eq!(a, b);
     }
 
     #[test]
     fn spectrum_is_wideband() {
-        // A PRBS symbol stream should spread energy across bins, unlike a tone.
+        // The bipolar symbol stream the TV synthesis draws from PRBS-23
+        // spreads its energy across bins, unlike a tone.
         use crate::fft::power_spectrum;
         use crate::Cplx;
-        let mut l = Lfsr::prbs15();
-        let sig: Vec<Cplx> = l.symbols(1024).iter().map(|&s| Cplx::new(s, 0.0)).collect();
+        let mut l = Lfsr::prbs23();
+        let sig: Vec<Cplx> = l
+            .bits(1024)
+            .into_iter()
+            .map(|b| Cplx::new(if b { 1.0 } else { -1.0 }, 0.0))
+            .collect();
         let ps = power_spectrum(&sig).unwrap();
         let total: f64 = ps.iter().sum();
         let max = ps.iter().cloned().fold(0.0, f64::max);

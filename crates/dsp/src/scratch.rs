@@ -26,12 +26,11 @@
 
 use crate::Cplx;
 
-/// A pool of reusable scratch buffers (complex, real, and index).
+/// A pool of reusable scratch buffers (complex and real).
 #[derive(Debug, Default)]
 pub struct DspScratch {
     cplx: Vec<Vec<Cplx>>,
     real: Vec<Vec<f64>>,
-    index: Vec<Vec<usize>>,
 }
 
 /// Pop the pooled buffer with the largest capacity, or a fresh one.
@@ -77,23 +76,6 @@ impl DspScratch {
     pub fn put_real(&mut self, buf: Vec<f64>) {
         self.real.push(buf);
     }
-
-    /// Take an empty index buffer (capacity reused, length 0).
-    pub fn take_index(&mut self) -> Vec<usize> {
-        let mut buf = take_largest(&mut self.index);
-        buf.clear();
-        buf
-    }
-
-    /// Return an index buffer to the pool for reuse.
-    pub fn put_index(&mut self, buf: Vec<usize>) {
-        self.index.push(buf);
-    }
-
-    /// Number of buffers currently parked in the pool (diagnostic).
-    pub fn pooled_buffers(&self) -> usize {
-        self.cplx.len() + self.real.len() + self.index.len()
-    }
 }
 
 #[cfg(test)]
@@ -137,15 +119,5 @@ mod tests {
         s.put_cplx(large);
         let got = s.take_cplx(2048);
         assert!(got.capacity() >= 4096, "expected the large buffer back");
-    }
-
-    #[test]
-    fn index_buffers_come_back_empty() {
-        let mut s = DspScratch::new();
-        let mut idx = s.take_index();
-        idx.extend([1, 2, 3]);
-        s.put_index(idx);
-        assert!(s.take_index().is_empty());
-        assert_eq!(s.pooled_buffers(), 0);
     }
 }

@@ -164,14 +164,28 @@ pub const NOISE_BLOCK: usize = 64;
 /// `n_fast` is [`fast_box_muller`] and `n_libm` is
 /// `σ·sqrt(−2·ln u1)·(cos, sin)(2π·u2)` evaluated with libm.
 ///
-/// The budget: the polynomial `ln` is good to a few ulp of `|ln u1|`, so
-/// the radius `sqrt(−2·ln u1) ≤ 8.5` is off by a few ulp of itself; the
-/// sine and cosine are off by under 1e-15 absolute (Taylor truncation
-/// below 1e-19, a few roundings, plus libm's own input `fl(2π·u2)`, which
-/// is up to 7e-16 from `2π·u2`). The product is within ~1e-14; the
-/// measured worst case over 10⁶ draws plus the edge points is 3.7e-15
-/// (`tests/properties.rs`). 1e-12 leaves a 100× margin on the estimate.
-pub const BOX_MULLER_ERR: f64 = 1e-12;
+/// The budget is the three series remainders plus rounding:
+///
+/// * **Radius.** The `ATANH` series stops after `s⁹/9`, so `−ln u1` is
+///   off by at most `δ = 2|s|¹¹/(11·(1 − s²))` with
+///   `|s| ≤ (√2 − 1)/(√2 + 1) = 0.1716`. The radius
+///   `r = sqrt(−2·ln u1)` moves by `δ/r`, and `r ≥ 2·sqrt(|s|)` when the
+///   exponent is 0 (`r ≥ 0.83` otherwise), so by at most
+///   `|s|^10.5/(11·(1 − s²)) = 8.6e-10`.
+/// * **Angle.** The `SIN` and `COS` series stop after `a¹¹/11!` and
+///   `a¹⁰/10!`, so for `|a| ≤ π/4` they are off by at most
+///   `a¹³/13! = 6.9e-12` and `a¹²/12! = 1.15e-10`; times
+///   `r ≤ sqrt(2·52·ln 2) = 8.49` (`u1 ≥ ε`) that is at most `9.8e-10`.
+/// * **Rounding.** The operations of both evaluations, libm's included
+///   (and its input `fl(2π·u2)`, up to 7e-16 from `2π·u2`), add under
+///   1e-14: with series good to 1e-18 the measured worst case was
+///   3.7e-15.
+///
+/// The sum is below 1.85e-9. The measured worst case over 10⁶ draws
+/// plus the edge points is in `tests/properties.rs`. One series term
+/// fewer in any polynomial moves its part past this bound
+/// (`ATANH` to 3.6e-8, `SIN` to 1.5e-8, `COS` to 2.1e-7).
+pub const BOX_MULLER_ERR: f64 = 2e-9;
 
 /// Extra factor between the worst-case drift of a pre-round value and
 /// the guard band, so the guard holds even if [`BOX_MULLER_ERR`] were
@@ -204,18 +218,32 @@ pub struct AdcNoise {
     sigma: f64,
     dc_offset: f64,
     levels: f64,
+    /// `1/levels`, exact because `levels` is a power of two, so
+    /// `k·inv_levels` has the bits of the reference's `k / levels`.
+    inv_levels: f64,
     guard: f64,
 }
 
 impl AdcNoise {
     /// Noise of per-component σ (full-scale units), DC offset added to I,
     /// and an ADC with `levels` steps per unit full scale.
+    ///
+    /// # Panics
+    ///
+    /// Unless `levels` is a power of two (`2^(bits−1)` for a `bits`-bit
+    /// ADC) in the normal range, where its reciprocal is exact.
     pub fn new(sigma: f64, dc_offset: f64, levels: f64) -> Self {
+        let mantissa = levels.to_bits() & 0x000F_FFFF_FFFF_FFFF;
+        assert!(
+            levels > 0.0 && levels.is_normal() && (1.0 / levels).is_normal() && mantissa == 0,
+            "ADC levels {levels} is not a power of two"
+        );
         let guard = GUARD_MARGIN * levels * (sigma.abs() * BOX_MULLER_ERR + ADD_ROUNDING);
         Self {
             sigma,
             dc_offset,
             levels,
+            inv_levels: 1.0 / levels,
             guard,
         }
     }
@@ -232,28 +260,13 @@ impl AdcNoise {
 const LN2_HI: f64 = 6.931_471_803_691_238e-1;
 const LN2_LO: f64 = 1.908_214_929_270_587_7e-10;
 
-/// `1/(2k+1)` for k = 10 down to 0: `ln m = 2s·Σ s^(2k)/(2k+1)` with
-/// `s = (m−1)/(m+1)`, `|s| ≤ 0.172`, truncation below 1e-18 relative.
-const ATANH: [f64; 11] = [
-    1.0 / 21.0,
-    1.0 / 19.0,
-    1.0 / 17.0,
-    1.0 / 15.0,
-    1.0 / 13.0,
-    1.0 / 11.0,
-    1.0 / 9.0,
-    1.0 / 7.0,
-    1.0 / 5.0,
-    1.0 / 3.0,
-    1.0,
-];
+/// `1/(2k+1)` for k = 4 down to 0: `ln m = 2s·Σ s^(2k)/(2k+1)` with
+/// `s = (m−1)/(m+1)`, `|s| ≤ 0.172` (remainder in [`BOX_MULLER_ERR`]).
+const ATANH: [f64; 5] = [1.0 / 9.0, 1.0 / 7.0, 1.0 / 5.0, 1.0 / 3.0, 1.0];
 
 /// Taylor coefficients of `(sin a − a)/a³` in `a²`, highest first
-/// (through `a¹⁷/17!`; truncation below 1e-19 for `|a| ≤ π/4`).
-const SIN: [f64; 8] = [
-    1.0 / 355_687_428_096_000.0,
-    -1.0 / 1_307_674_368_000.0,
-    1.0 / 6_227_020_800.0,
+/// (through `a¹¹/11!`; remainder below 6.9e-12 for `|a| ≤ π/4`).
+const SIN: [f64; 5] = [
     -1.0 / 39_916_800.0,
     1.0 / 362_880.0,
     -1.0 / 5_040.0,
@@ -262,12 +275,8 @@ const SIN: [f64; 8] = [
 ];
 
 /// Taylor coefficients of `(cos a − 1)/a²` in `a²`, highest first
-/// (through `a¹⁸/18!`; truncation below 1e-20 for `|a| ≤ π/4`).
-const COS: [f64; 9] = [
-    -1.0 / 6_402_373_705_728_000.0,
-    1.0 / 20_922_789_888_000.0,
-    -1.0 / 87_178_291_200.0,
-    1.0 / 479_001_600.0,
+/// (through `a¹⁰/10!`; remainder below 1.2e-10 for `|a| ≤ π/4`).
+const COS: [f64; 5] = [
     -1.0 / 3_628_800.0,
     1.0 / 40_320.0,
     -1.0 / 720.0,
@@ -348,7 +357,7 @@ fn quantize_guarded(x: f64, p: &AdcNoise) -> Option<f64> {
     let d = (frac - 0.5).abs();
     // Off a tie, `round(v)` is `whole` or `whole + 1` with the sign of `v`.
     let k = whole + f64::from(u8::from(frac > 0.5));
-    (a > p.guard && d > p.guard).then(|| k.copysign(v) / p.levels)
+    (a > p.guard && d > p.guard).then(|| k.copysign(v) * p.inv_levels)
 }
 
 /// One sample of the fast path: the reference's op order
@@ -977,7 +986,12 @@ mod x86 {
     /// returns when it is NaN, so NaN reaches the guard and fails it.
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn quantize_guarded4(x: __m256d, levels: __m256d, guard: __m256d) -> (__m256d, __m256d) {
+    unsafe fn quantize_guarded4(
+        x: __m256d,
+        levels: __m256d,
+        inv_levels: __m256d,
+        guard: __m256d,
+    ) -> (__m256d, __m256d) {
         let clamped = _mm256_min_pd(_mm256_set1_pd(1.0), _mm256_max_pd(_mm256_set1_pd(-1.0), x));
         let v = _mm256_mul_pd(clamped, levels);
         let a = _mm256_andnot_pd(_mm256_set1_pd(-0.0), v);
@@ -993,7 +1007,7 @@ mod x86 {
         // Ties never pass the guard, so nearest-even equals `round`'s
         // half-away-from-zero on every lane that is used.
         let k = _mm256_round_pd(v, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-        (_mm256_div_pd(k, levels), ok)
+        (_mm256_mul_pd(k, inv_levels), ok)
     }
 
     /// # Safety
@@ -1011,6 +1025,7 @@ mod x86 {
         let sigma = _mm256_set1_pd(p.sigma);
         let dc = _mm256_set1_pd(p.dc_offset);
         let levels = _mm256_set1_pd(p.levels);
+        let inv_levels = _mm256_set1_pd(p.inv_levels);
         let guard = _mm256_set1_pd(p.guard);
         let mut exact = 0u64;
         let full = n / 4;
@@ -1028,8 +1043,8 @@ mod x86 {
             let (re, im) = deinterleave(xa, xb);
             let re = _mm256_add_pd(_mm256_add_pd(re, dc), _mm256_mul_pd(r, cos));
             let im = _mm256_add_pd(im, _mm256_mul_pd(r, sin));
-            let (qre, ok_re) = quantize_guarded4(re, levels, guard);
-            let (qim, ok_im) = quantize_guarded4(im, levels, guard);
+            let (qre, ok_re) = quantize_guarded4(re, levels, inv_levels, guard);
+            let (qim, ok_im) = quantize_guarded4(im, levels, inv_levels, guard);
             let ok = _mm256_and_pd(ok_re, ok_im);
 
             let (qa, qb) = interleave(qre, qim);

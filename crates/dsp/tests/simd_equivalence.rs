@@ -31,7 +31,7 @@
 use aircal_dsp::simd::{AdcNoise, Kernels, LaneSum, NOISE_BLOCK};
 use aircal_dsp::{fft_in_place, kernels, Cplx, Direction, FftPlanner};
 use proptest::prelude::*;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 fn arms() -> (&'static Kernels, &'static Kernels) {
@@ -292,6 +292,49 @@ fn noise_quantize_reports_samples_inside_the_guard() {
         let mut outside = at(4.0 * g);
         let exact = (k.noise_quantize)(&u, &adc, &mut outside);
         assert_eq!(exact, 0, "{}: samples outside the guard", k.label);
+    }
+}
+
+/// The draws `Frontend::finalize` maps the extreme words to reach every
+/// arm's final samples as the libm path computes them: words 0 and
+/// 2¹¹ − 1 (the low end of both ranges: `u1 = ε`, the largest radius,
+/// and `u2 = 0`), 2¹¹ (one step up) and `u64::MAX` (the top of both
+/// ranges), in every pairing, then random words, at noise levels where
+/// the draws move the quantized output.
+#[test]
+fn noise_quantize_matches_libm_at_the_extreme_draws() {
+    let (s, d) = arms();
+    let extremes = [0, (1 << 11) - 1, 1 << 11, u64::MAX];
+    let mut rng = ChaCha8Rng::seed_from_u64(0x0DD5);
+    let mut words: Vec<(u64, u64)> = extremes
+        .iter()
+        .flat_map(|&w1| extremes.iter().map(move |&w2| (w1, w2)))
+        .collect();
+    words.resize_with(NOISE_BLOCK, || (rng.next_u64(), rng.next_u64()));
+    let u: Vec<f64> = words
+        .iter()
+        .flat_map(|&(w1, w2)| {
+            [
+                rand::uniform_f64(w1, f64::EPSILON, 1.0),
+                rand::uniform_f64(w2, 0.0, 1.0),
+            ]
+        })
+        .collect();
+    let input: Vec<Cplx> = (0..NOISE_BLOCK)
+        .map(|i| Cplx::phasor(0.7 * i as f64).scale(1e-3 * i as f64))
+        .collect();
+    for &(sigma, dc, levels) in &[
+        (1.4e-4, 0.0, 2048.0),
+        (3e-2, 1e-3, 128.0),
+        (0.1, 0.0, 8192.0),
+    ] {
+        let want: Vec<Cplx> = (0..NOISE_BLOCK)
+            .map(|i| libm_sample(&u[2 * i..], sigma, dc, levels, input[i]))
+            .collect();
+        for k in [s, d, kernels()] {
+            let (got, _) = noise_final(k, &u, (sigma, dc, levels), &input);
+            assert_same_samples(&format!("{} vs libm", k.label), &got, &want);
+        }
     }
 }
 

@@ -148,47 +148,6 @@ impl Polygon2 {
         (0..n).map(move |i| Segment2::new(self.vertices[i], self.vertices[(i + 1) % n]))
     }
 
-    /// Signed area (positive for counter-clockwise rings).
-    pub fn signed_area(&self) -> f64 {
-        let n = self.vertices.len();
-        let mut acc = 0.0;
-        for i in 0..n {
-            let p = self.vertices[i];
-            let q = self.vertices[(i + 1) % n];
-            acc += cross(p, q);
-        }
-        acc / 2.0
-    }
-
-    /// Absolute area.
-    pub fn area(&self) -> f64 {
-        self.signed_area().abs()
-    }
-
-    /// Centroid of the polygon (area-weighted).
-    pub fn centroid(&self) -> Point2 {
-        let n = self.vertices.len();
-        let a = self.signed_area();
-        if a.abs() < 1e-12 {
-            // Degenerate: fall back to vertex mean.
-            let (mut sx, mut sy) = (0.0, 0.0);
-            for v in &self.vertices {
-                sx += v.x;
-                sy += v.y;
-            }
-            return Point2::new(sx / n as f64, sy / n as f64);
-        }
-        let (mut cx, mut cy) = (0.0, 0.0);
-        for i in 0..n {
-            let p = self.vertices[i];
-            let q = self.vertices[(i + 1) % n];
-            let w = cross(p, q);
-            cx += (p.x + q.x) * w;
-            cy += (p.y + q.y) * w;
-        }
-        Point2::new(cx / (6.0 * a), cy / (6.0 * a))
-    }
-
     /// Is the point strictly inside the polygon? (Even-odd rule; points on
     /// the boundary may report either way and callers must not rely on it.)
     pub fn contains(&self, p: &Point2) -> bool {
@@ -283,14 +242,6 @@ mod tests {
             Point2::new(0.0, 1.0)
         ])
         .is_some());
-    }
-
-    #[test]
-    fn area_and_centroid_of_square() {
-        let sq = unit_square();
-        assert!((sq.area() - 1.0).abs() < 1e-12);
-        let c = sq.centroid();
-        assert!((c.x - 0.5).abs() < 1e-12 && (c.y - 0.5).abs() < 1e-12);
     }
 
     #[test]

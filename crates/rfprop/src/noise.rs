@@ -19,12 +19,6 @@ pub fn snr_db(rx_power_dbm: f64, noise_floor_dbm: f64) -> f64 {
     rx_power_dbm - noise_floor_dbm
 }
 
-/// Receiver sensitivity in dBm: the weakest signal that still achieves the
-/// required SNR.
-pub fn sensitivity_dbm(bandwidth_hz: f64, noise_figure_db: f64, required_snr_db: f64) -> f64 {
-    noise_floor_dbm(bandwidth_hz, noise_figure_db) + required_snr_db
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -47,13 +41,6 @@ mod tests {
     fn snr_is_a_difference() {
         assert_eq!(snr_db(-80.0, -104.0), 24.0);
         assert_eq!(snr_db(-110.0, -104.0), -6.0);
-    }
-
-    #[test]
-    fn sensitivity_combines() {
-        let s = sensitivity_dbm(2e6, 7.0, 10.0);
-        let nf = noise_floor_dbm(2e6, 7.0);
-        assert!((s - (nf + 10.0)).abs() < 1e-12);
     }
 
     #[test]

@@ -31,30 +31,6 @@ pub fn log_distance_path_loss_db(
     pl0 + 10.0 * exponent * (d / d0).log10()
 }
 
-/// Two-ray ground-reflection model.
-///
-/// Below the crossover distance `d_c = 4·π·h_t·h_r/λ` this returns FSPL;
-/// beyond it, the classic `40log₁₀d − 20log₁₀(h_t·h_r)` law. Antenna
-/// heights in meters.
-pub fn two_ray_path_loss_db(distance_m: f64, freq_hz: f64, h_tx_m: f64, h_rx_m: f64) -> f64 {
-    let wavelength = SPEED_OF_LIGHT / freq_hz;
-    let crossover = 4.0 * core::f64::consts::PI * h_tx_m * h_rx_m / wavelength;
-    if distance_m <= crossover || crossover <= 0.0 {
-        free_space_path_loss_db(distance_m, freq_hz)
-    } else {
-        40.0 * distance_m.log10() - 20.0 * (h_tx_m * h_rx_m).log10()
-    }
-}
-
-/// Radio horizon distance in meters for antenna heights in meters, using
-/// the 4/3-earth effective radius that accounts for standard atmospheric
-/// refraction. Beyond this, a ground-to-air link loses line of sight.
-pub fn radio_horizon_m(h_tx_m: f64, h_rx_m: f64) -> f64 {
-    const K_EARTH_RADIUS_M: f64 = 6_371_008.8 * 4.0 / 3.0;
-    let d = |h: f64| (2.0 * K_EARTH_RADIUS_M * h.max(0.0)).sqrt();
-    d(h_tx_m) + d(h_rx_m)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,31 +75,6 @@ mod tests {
         let n2 = log_distance_path_loss_db(d, 2e9, 10.0, 2.0);
         let n35 = log_distance_path_loss_db(d, 2e9, 10.0, 3.5);
         assert!(n35 > n2 + 25.0, "n2 {n2}, n3.5 {n35}");
-    }
-
-    #[test]
-    fn two_ray_matches_fspl_close_in() {
-        let pl_tr = two_ray_path_loss_db(100.0, 900e6, 30.0, 2.0);
-        let pl_fs = free_space_path_loss_db(100.0, 900e6);
-        assert!((pl_tr - pl_fs).abs() < 1e-9);
-    }
-
-    #[test]
-    fn two_ray_steeper_far_out() {
-        // Far beyond crossover, doubling distance adds ~12 dB (not 6).
-        let f = 900e6;
-        let d1 = two_ray_path_loss_db(20_000.0, f, 30.0, 2.0);
-        let d2 = two_ray_path_loss_db(40_000.0, f, 30.0, 2.0);
-        assert!((d2 - d1 - 12.04).abs() < 0.1, "delta {}", d2 - d1);
-    }
-
-    #[test]
-    fn radio_horizon_airliner() {
-        // A 10 km-altitude aircraft is visible ~412 km away (4/3 earth)
-        // from the ground — far beyond the paper's 100 km disc, so the
-        // horizon never limits the simulated surveys.
-        let d = radio_horizon_m(10_000.0, 10.0);
-        assert!(d > 380_000.0 && d < 450_000.0, "horizon {d}");
     }
 
     proptest! {

@@ -33,25 +33,11 @@ impl AtscChannel {
         self.lower_edge_hz() + 3e6
     }
 
-    /// ATSC pilot frequency, Hz (309.441 kHz above the lower edge).
-    pub fn pilot_hz(&self) -> f64 {
-        self.lower_edge_hz() + 309_441.0
-    }
-
     /// The channel containing a frequency, if any.
     pub fn containing(freq_hz: f64) -> Option<Self> {
         (2..=36)
             .filter_map(Self::new)
             .find(|c| freq_hz >= c.lower_edge_hz() && freq_hz < c.lower_edge_hz() + 6e6)
-    }
-
-    /// The paper's six measured channels: centers at 213, 473, 521, 545,
-    /// 587 and 605 MHz (Figure 4).
-    pub fn paper_channels() -> Vec<AtscChannel> {
-        [13u8, 14, 22, 26, 33, 36]
-            .into_iter()
-            .map(|n| Self::new(n).expect("static channel numbers valid"))
-            .collect()
     }
 }
 
@@ -59,11 +45,13 @@ impl AtscChannel {
 mod tests {
     use super::*;
 
+    /// The paper's six measured RF channels are centred at 213, 473,
+    /// 521, 545, 587 and 605 MHz (Figure 4).
     #[test]
     fn paper_channel_centers_match_figure4() {
-        let centers: Vec<f64> = AtscChannel::paper_channels()
-            .iter()
-            .map(|c| c.center_hz() / 1e6)
+        let centers: Vec<f64> = [13u8, 14, 22, 26, 33, 36]
+            .into_iter()
+            .map(|n| AtscChannel::new(n).unwrap().center_hz() / 1e6)
             .collect();
         assert_eq!(centers, vec![213.0, 473.0, 521.0, 545.0, 587.0, 605.0]);
     }
@@ -97,12 +85,5 @@ mod tests {
         );
         // The 88–174 MHz FM/air band gap.
         assert_eq!(AtscChannel::containing(100e6), None);
-    }
-
-    #[test]
-    fn pilot_sits_just_above_lower_edge() {
-        let c = AtscChannel::new(14).unwrap();
-        assert!((c.pilot_hz() - 470_309_441.0).abs() < 1.0);
-        assert!(c.pilot_hz() < c.center_hz());
     }
 }

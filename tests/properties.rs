@@ -8,8 +8,9 @@
 //! * the overlap-save [`FastFirFilter`] is the direct-form [`FirFilter`]
 //!   to within 1e-9 for arbitrary taps, inputs, and chunking;
 //! * the front end's fast noise path ([`Frontend::finalize`]) is the
-//!   per-sample libm computation bit for bit, and its polynomial
-//!   Box–Muller stays inside the documented error bound.
+//!   per-sample libm computation bit for bit, its polynomial
+//!   Box–Muller stays inside the documented error bound, and few samples
+//!   need the exact path at the BladeRF noise floor.
 
 use aircal::adsb::cpr::{self, CprFormat, CprPair};
 use aircal::adsb::crc::{apply_parity, crc24, verify_frame};
@@ -311,6 +312,22 @@ fn finalize_is_bit_identical_to_libm_oracle() {
         assert_eq!(rng_fast.next_u64(), rng_ref.next_u64());
     }
     assert_eq!(mismatches, 0, "samples differing from the libm oracle");
+}
+
+/// At the BladeRF profile's noise floor (a silent 12-bit capture, the
+/// bulk of every ADS-B window's guard samples) at most 1 sample in 10⁴
+/// takes [`Frontend::finalize`]'s exact libm path: the guard band that
+/// [`BOX_MULLER_ERR`] implies is narrow enough for the fast path to pay.
+#[test]
+fn finalize_exact_path_is_rare_at_the_noise_floor() {
+    const SAMPLES: usize = 1 << 19;
+    let fe = Frontend::new(FrontendConfig::bladerf_xa9(1.09e9, 2e6));
+    let mut rng = ChaCha8Rng::seed_from_u64(0x00F1_0012);
+    let mut buf = vec![Cplx::ZERO; SAMPLES];
+    let fallbacks = fe.finalize(&mut buf, &mut rng);
+    let rate = fallbacks as f64 / SAMPLES as f64;
+    eprintln!("exact-path fraction at the noise floor: {rate:.2e} ({fallbacks} of {SAMPLES})");
+    assert!(rate <= 1e-4, "exact-path fraction {rate:e} above 1e-4");
 }
 
 /// The polynomial Box–Muller stays within [`BOX_MULLER_ERR`]·σ of libm's
