@@ -26,10 +26,14 @@ pub fn encode_altitude_ft(alt_ft: f64) -> u16 {
 pub fn decode_altitude_ft(field: u16) -> Result<f64, AdsbError> {
     let field = field & 0xFFF;
     if field == 0 {
-        return Err(AdsbError::InvalidField("altitude field is zero (unavailable)"));
+        return Err(AdsbError::InvalidField(
+            "altitude field is zero (unavailable)",
+        ));
     }
     if field & (1 << 4) == 0 {
-        return Err(AdsbError::InvalidField("Q=0 (Gillham) altitude not supported"));
+        return Err(AdsbError::InvalidField(
+            "Q=0 (Gillham) altitude not supported",
+        ));
     }
     let n = (((field >> 5) & 0x7F) << 4) | (field & 0xF);
     Ok((n as i32 * Q_BIT_RESOLUTION_FT + OFFSET_FT) as f64)

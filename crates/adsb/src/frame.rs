@@ -217,7 +217,10 @@ mod tests {
         // Rewrite DF to 11 (all-call reply) and re-stamp parity.
         set_bits(&mut bytes, 0, 5, 11);
         crate::crc::apply_parity(&mut bytes);
-        assert_eq!(AdsbFrame::decode(&bytes), Err(AdsbError::UnsupportedFormat(11)));
+        assert_eq!(
+            AdsbFrame::decode(&bytes),
+            Err(AdsbError::UnsupportedFormat(11))
+        );
     }
 
     #[test]

@@ -11,8 +11,7 @@ use crate::AdsbError;
 use serde::{Deserialize, Serialize};
 
 /// The 6-bit character set used by identification messages.
-const CHARSET: &[u8; 64] =
-    b"#ABCDEFGHIJKLMNOPQRSTUVWXYZ##### ###############0123456789######";
+const CHARSET: &[u8; 64] = b"#ABCDEFGHIJKLMNOPQRSTUVWXYZ##### ###############0123456789######";
 
 /// A decoded (or to-be-encoded) ME payload.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -81,8 +80,7 @@ impl MePayload {
                 set_bits(&mut me, 5, 7, encode_movement(*ground_speed_kt) as u64);
                 if let Some(trk) = track_deg {
                     set_bits(&mut me, 12, 1, 1); // track status: valid
-                    let quantized =
-                        ((trk.rem_euclid(360.0)) * 128.0 / 360.0).round() as u64 % 128;
+                    let quantized = ((trk.rem_euclid(360.0)) * 128.0 / 360.0).round() as u64 % 128;
                     set_bits(&mut me, 13, 7, quantized);
                 }
                 set_bits(&mut me, 21, 1, cpr.format.bit() as u64);
@@ -132,8 +130,7 @@ impl MePayload {
             5..=8 => {
                 let movement = get_bits(me, 5, 7) as u8;
                 let track_valid = get_bits(me, 12, 1) == 1;
-                let track_deg = track_valid
-                    .then(|| get_bits(me, 13, 7) as f64 * 360.0 / 128.0);
+                let track_deg = track_valid.then(|| get_bits(me, 13, 7) as f64 * 360.0 / 128.0);
                 let format = CprFormat::from_bit(get_bits(me, 21, 1) as u8);
                 Ok(MePayload::SurfacePosition {
                     ground_speed_kt: decode_movement(movement),
@@ -324,13 +321,11 @@ mod tests {
     fn movement_table_round_trips_on_segment_edges() {
         // Representative speeds from each quantizer segment survive an
         // encode/decode cycle exactly.
-        for v in [0.0, 0.125, 0.5, 1.0, 1.75, 2.0, 7.5, 15.0, 42.0, 70.0, 98.0, 100.0, 170.0, 175.0]
-        {
+        for v in [
+            0.0, 0.125, 0.5, 1.0, 1.75, 2.0, 7.5, 15.0, 42.0, 70.0, 98.0, 100.0, 170.0, 175.0,
+        ] {
             let decoded = decode_movement(encode_movement(Some(v))).unwrap();
-            assert!(
-                (decoded - v).abs() < 1e-9,
-                "speed {v} decoded as {decoded}"
-            );
+            assert!((decoded - v).abs() < 1e-9, "speed {v} decoded as {decoded}");
         }
         assert_eq!(decode_movement(encode_movement(None)), None);
         // Above the top segment everything saturates at 175.

@@ -21,8 +21,7 @@ pub const DATA_CHIPS: usize = 224;
 pub const FRAME_SAMPLES: usize = PREAMBLE_CHIPS + DATA_CHIPS;
 
 /// The preamble chip pattern (1 = pulse).
-pub const PREAMBLE_PATTERN: [u8; PREAMBLE_CHIPS] =
-    [1, 0, 1, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0];
+pub const PREAMBLE_PATTERN: [u8; PREAMBLE_CHIPS] = [1, 0, 1, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0];
 
 /// Chip offsets of the four preamble pulses (the `1`s in
 /// [`PREAMBLE_PATTERN`]) — the only samples that contribute to preamble
@@ -181,8 +180,7 @@ mod tests {
         let tx = modulate(&frame_bytes(), 1.0, 0.0);
         for bit in 0..112 {
             let base = PREAMBLE_CHIPS + 2 * bit;
-            let pulses =
-                (tx[base].abs() > 0.5) as u32 + (tx[base + 1].abs() > 0.5) as u32;
+            let pulses = (tx[base].abs() > 0.5) as u32 + (tx[base + 1].abs() > 0.5) as u32;
             assert_eq!(pulses, 1, "bit {bit}");
         }
     }

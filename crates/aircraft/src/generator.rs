@@ -68,10 +68,7 @@ impl TrafficSim {
 
             let is_ga = rng.gen_range(0.0..1.0) < config.ga_fraction;
             let (alt, speed) = if is_ga {
-                (
-                    rng.gen_range(600.0..3_000.0),
-                    rng.gen_range(50.0..110.0),
-                )
+                (rng.gen_range(600.0..3_000.0), rng.gen_range(50.0..110.0))
             } else {
                 (
                     rng.gen_range(6_000.0..12_500.0),

@@ -130,7 +130,10 @@ mod tests {
         assert!(near.len() < all.len());
         let t_stale = t - svc.latency_s;
         for r in &near {
-            let d = s.by_icao(r.icao).unwrap().ground_distance_m(&center(), t_stale);
+            let d = s
+                .by_icao(r.icao)
+                .unwrap()
+                .ground_distance_m(&center(), t_stale);
             assert!(d <= 30_000.0 + 1.0);
         }
     }

@@ -13,11 +13,11 @@
 //! * **A7** — repetition stability and pooled estimation.
 //! * **A8** — 1090 MHz channel congestion (squitter collisions).
 
-use aircal_bench::{parse_args, paper_traffic};
+use aircal_bench::{paper_traffic, parse_args};
 use aircal_core::fov::{FovEstimator, FovMethod};
+use aircal_core::freqprofile::FrequencyProfiler;
 use aircal_core::survey::{run_survey, SurveyConfig};
 use aircal_core::trust::{fabricate_survey, TrustAuditor};
-use aircal_core::freqprofile::FrequencyProfiler;
 use aircal_env::{all_scenarios, Scenario, ScenarioKind};
 use aircal_sdr::FrontendFault;
 
@@ -109,7 +109,10 @@ fn a6_nr_mmwave(seed: u64) {
     let cells = nr_extension_cells(&scenarios[0].world.origin);
     print!("{:16}", "location");
     for c in &cells {
-        print!(" {:>16}", format!("{} ({:.1}G)", c.name, c.dl_freq_hz() / 1e9));
+        print!(
+            " {:>16}",
+            format!("{} ({:.1}G)", c.name, c.dl_freq_hz() / 1e9)
+        );
     }
     println!();
     for s in &scenarios {
@@ -207,7 +210,10 @@ fn a1_estimators(seed: u64) {
 /// A2: capture duration sweep on the rooftop scenario.
 fn a2_duration(seed: u64) {
     println!("# A2 — capture duration vs FoV quality (rooftop)");
-    println!("{:>12} {:>10} {:>10} {:>8}", "duration_s", "observed", "messages", "IoU");
+    println!(
+        "{:>12} {:>10} {:>10} {:>8}",
+        "duration_s", "observed", "messages", "IoU"
+    );
     let s = Scenario::build(ScenarioKind::Rooftop);
     for duration in [5.0, 10.0, 20.0, 30.0, 60.0, 120.0] {
         let cfg = SurveyConfig {
@@ -233,7 +239,10 @@ fn a2_duration(seed: u64) {
 /// A3: ground-truth latency sensitivity (rooftop).
 fn a3_latency(seed: u64) {
     println!("# A3 — ground-truth (FlightRadar24) latency sensitivity (rooftop)");
-    println!("{:>11} {:>9} {:>11} {:>8}", "latency_s", "matched", "unmatched", "IoU");
+    println!(
+        "{:>11} {:>9} {:>11} {:>8}",
+        "latency_s", "matched", "unmatched", "IoU"
+    );
     let s = Scenario::build(ScenarioKind::Rooftop);
     for latency in [0.0, 5.0, 10.0, 30.0, 60.0] {
         let cfg = SurveyConfig {
@@ -349,7 +358,11 @@ fn a5_faults(seed: u64) {
             r.observation_rate() * 100.0,
             profile.usable_fraction() * 100.0,
             trust.score,
-            if trust.flags.is_empty() { "-".into() } else { trust.flags.join("; ") }
+            if trust.flags.is_empty() {
+                "-".into()
+            } else {
+                trust.flags.join("; ")
+            }
         );
     }
     // Fabrication.
@@ -371,11 +384,7 @@ fn a5_faults(seed: u64) {
     println!();
 }
 
-fn survey_with(
-    s: &Scenario,
-    cfg: SurveyConfig,
-    seed: u64,
-) -> aircal_core::survey::SurveyResult {
+fn survey_with(s: &Scenario, cfg: SurveyConfig, seed: u64) -> aircal_core::survey::SurveyResult {
     let traffic = paper_traffic(s, seed);
     run_survey(&s.world, &s.site, &traffic, &cfg, seed)
 }

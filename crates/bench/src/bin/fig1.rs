@@ -34,8 +34,11 @@ fn main() {
             _ => "(extra)",
         };
         println!("# Figure 1{panel} — site '{}' seed {seed}", s.site.name);
-        println!("# shaded (ground-truth) open sector: {:.0}° wide @ {:.0}°",
-            s.expected_fov.width_deg, s.expected_fov.center_deg());
+        println!(
+            "# shaded (ground-truth) open sector: {:.0}° wide @ {:.0}°",
+            s.expected_fov.width_deg,
+            s.expected_fov.center_deg()
+        );
         println!("bearing_deg,range_km,altitude_m,observed,messages");
         for p in &r.points {
             println!(

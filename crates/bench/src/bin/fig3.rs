@@ -19,7 +19,10 @@ fn main() {
     print!("{:16}", "location");
     let db = paper_towers(&scenarios[0].world.origin);
     for t in db.all() {
-        print!(" {:>14}", format!("{} ({:.0})", t.name, t.dl_freq_hz() / 1e6));
+        print!(
+            " {:>14}",
+            format!("{} ({:.0})", t.name, t.dl_freq_hz() / 1e6)
+        );
     }
     println!();
 

@@ -42,5 +42,7 @@ fn main() {
         per_loc[1][idx_521].power_dbfs, per_loc[0][idx_521].power_dbfs
     );
     println!("# broadcasting at this frequency is in the field of view of the sensor\".");
-    println!("# paper shape: all locations keep usable sub-600 MHz signal; rooftop strongest overall.");
+    println!(
+        "# paper shape: all locations keep usable sub-600 MHz signal; rooftop strongest overall."
+    );
 }

@@ -306,8 +306,12 @@ fn kernel_timings(reps: usize) -> KernelsReport {
     const N: usize = 4096;
     let xs: Vec<f64> = (0..N).map(|i| (0.73 * i as f64).sin()).collect();
     let za: Vec<Cplx> = (0..N).map(|i| Cplx::phasor(0.37 * i as f64)).collect();
-    let zb: Vec<Cplx> = (0..N).map(|i| Cplx::phasor(0.11 * i as f64 + 0.5)).collect();
-    let taps: Vec<f64> = (0..N).map(|i| 0.5 - 0.5 * (0.002 * i as f64).cos()).collect();
+    let zb: Vec<Cplx> = (0..N)
+        .map(|i| Cplx::phasor(0.11 * i as f64 + 0.5))
+        .collect();
+    let taps: Vec<f64> = (0..N)
+        .map(|i| 0.5 - 0.5 * (0.002 * i as f64).cos())
+        .collect();
     let scalar = Kernels::scalar();
     // The env-aware dispatch table, so the dispatched column always
     // describes the arm this process actually runs (an
@@ -400,13 +404,16 @@ fn fft_timing(reps: usize, signal: &[Cplx]) -> FftTiming {
     let inner = 200;
     let mut buf = input.to_vec();
     let hash = |h: u64, buf: &[Cplx]| {
-        buf.iter().fold(h, |h, x| h.rotate_left(5) ^ x.re.to_bits() ^ x.im.to_bits())
+        buf.iter()
+            .fold(h, |h, x| h.rotate_left(5) ^ x.re.to_bits() ^ x.im.to_bits())
     };
     let mut run = |arm: &Kernels| {
         buf.copy_from_slice(input);
-        plan.process_with(arm, &mut buf, Direction::Forward).expect("plan length");
+        plan.process_with(arm, &mut buf, Direction::Forward)
+            .expect("plan length");
         let h = hash(0, &buf);
-        plan.process_with(arm, &mut buf, Direction::Inverse).expect("plan length");
+        plan.process_with(arm, &mut buf, Direction::Inverse)
+            .expect("plan length");
         hash(h, &buf)
     };
     let (scalar, dispatched) = (Kernels::scalar(), aircal_dsp::kernels());
@@ -439,13 +446,16 @@ fn finalize_timing(reps: usize, signal: &[Cplx]) -> FinalizeTiming {
         } else {
             fe.finalize(&mut buf, rng);
         }
-        buf.iter().fold(0u64, |h, x| h.rotate_left(5) ^ x.re.to_bits() ^ x.im.to_bits())
+        buf.iter().fold(0u64, |h, x| {
+            h.rotate_left(5) ^ x.re.to_bits() ^ x.im.to_bits()
+        })
     };
     let (mut rng_ref, mut rng_fast) = (ChaCha8Rng::seed_from_u64(3), ChaCha8Rng::seed_from_u64(3));
     let bit_identical = run(true, &mut rng_ref) == run(false, &mut rng_fast) && rng_ref == rng_fast;
     let mut rng = ChaCha8Rng::seed_from_u64(4);
     let reference_seconds = time_best(reps, || (0..inner).fold(0, |h, _| h ^ run(true, &mut rng)));
-    let dispatched_seconds = time_best(reps, || (0..inner).fold(0, |h, _| h ^ run(false, &mut rng)));
+    let dispatched_seconds =
+        time_best(reps, || (0..inner).fold(0, |h, _| h ^ run(false, &mut rng)));
 
     let fallbacks: usize = (0..inner)
         .map(|_| {
@@ -501,7 +511,15 @@ fn geometry_timings(quick: bool, reps: usize) -> GeometryTiming {
     let mut scratch = GeoScratch::new();
     let mut sweep = |cache: Option<&mut PathCache>, out: &mut Vec<f64>| {
         dense.world.obstruction_profile_with(
-            &index, cache, &dense.site, freq, elev, range, rays, &mut scratch, out,
+            &index,
+            cache,
+            &dense.site,
+            freq,
+            elev,
+            range,
+            rays,
+            &mut scratch,
+            out,
         );
         out.len()
     };
@@ -547,20 +565,51 @@ fn committed_budgets() -> Budgets {
 /// gate, and fail on any bound no gate read. Bit-identity (geometry,
 /// kernels, preamble peaks) carries no bound: it always holds or fails.
 fn check_budgets(r: &PipelineReport, budgets: Budgets) -> bool {
-    let mut g = Gate { budgets, read: BTreeSet::new(), ok: true };
+    let mut g = Gate {
+        budgets,
+        read: BTreeSet::new(),
+        ok: true,
+    };
 
     let geo = &r.geometry;
-    g.at_least("perf", "min_indexed_speedup", "geometry.indexed_speedup", geo.indexed_speedup);
-    g.at_least("perf", "min_cached_speedup", "geometry.cached_speedup", geo.cached_speedup);
-    g.at_least("perf", "min_cache_hit_rate", "geometry.cache_hit_rate", geo.cache_hit_rate);
-    g.require("perf", "geometry outputs bit-identical to brute force", geo.bit_identical);
+    g.at_least(
+        "perf",
+        "min_indexed_speedup",
+        "geometry.indexed_speedup",
+        geo.indexed_speedup,
+    );
+    g.at_least(
+        "perf",
+        "min_cached_speedup",
+        "geometry.cached_speedup",
+        geo.cached_speedup,
+    );
+    g.at_least(
+        "perf",
+        "min_cache_hit_rate",
+        "geometry.cache_hit_rate",
+        geo.cache_hit_rate,
+    );
+    g.require(
+        "perf",
+        "geometry outputs bit-identical to brute force",
+        geo.bit_identical,
+    );
     let k = &r.kernels;
     for t in &k.kernels {
         let what = format!("kernel {} bit-identical to the scalar arm", t.kernel);
         g.require("perf", &what, t.bit_identical);
     }
-    g.require("perf", "finalize bit-identical to its libm reference", k.finalize.bit_identical);
-    g.require("perf", "fft bit-identical to its scalar arm", k.fft.bit_identical);
+    g.require(
+        "perf",
+        "finalize bit-identical to its libm reference",
+        k.finalize.bit_identical,
+    );
+    g.require(
+        "perf",
+        "fft bit-identical to its scalar arm",
+        k.fft.bit_identical,
+    );
     let what = "sparse preamble peaks identical to the dense scan's";
     g.require("perf", what, r.preamble_scan.peaks_identical);
     let floor = g.bound("perf", "min_kernel_speedup");
@@ -670,7 +719,10 @@ fn decode_capture(seed: u64, frames: usize) -> (Vec<aircal_sdr::RenderedWindow>,
 
 fn main() {
     let (positional, seed) = parse_args();
-    if let Some(bad) = positional.iter().find(|a| !matches!(a.as_str(), "--quick" | "--check")) {
+    if let Some(bad) = positional
+        .iter()
+        .find(|a| !matches!(a.as_str(), "--quick" | "--check"))
+    {
         eprintln!("perfreport: unknown argument {bad}; usage: [--quick] [--check] [--seed N]");
         std::process::exit(2);
     }
@@ -692,7 +744,11 @@ fn main() {
             t.scalar_msamples_per_s,
             t.dispatched_msamples_per_s,
             t.speedup,
-            if t.bit_identical { "identical" } else { "DIVERGED" }
+            if t.bit_identical {
+                "identical"
+            } else {
+                "DIVERGED"
+            }
         );
     }
     let f = &kernels.finalize;
@@ -702,7 +758,11 @@ fn main() {
         f.dispatched_ns_per_sample,
         f.speedup,
         f.fallback_rate,
-        if f.bit_identical { "identical" } else { "DIVERGED" }
+        if f.bit_identical {
+            "identical"
+        } else {
+            "DIVERGED"
+        }
     );
     let f = &kernels.fft;
     eprintln!(
@@ -711,7 +771,11 @@ fn main() {
         f.scalar_ns_per_transform,
         f.dispatched_ns_per_transform,
         f.speedup,
-        if f.bit_identical { "identical" } else { "DIVERGED" }
+        if f.bit_identical {
+            "identical"
+        } else {
+            "DIVERGED"
+        }
     );
 
     // --- ADS-B decode throughput -----------------------------------------
@@ -748,14 +812,25 @@ fn main() {
     let dense_peaks = || -> Vec<Vec<usize>> {
         windows
             .iter()
-            .map(|w| find_peaks(&normalized_correlation(&w.samples, &template), threshold, 64))
+            .map(|w| {
+                find_peaks(
+                    &normalized_correlation(&w.samples, &template),
+                    threshold,
+                    64,
+                )
+            })
             .collect()
     };
     let mut scan = PreambleScan::default();
     let mut sparse_peaks = || -> Vec<Vec<usize>> {
         windows
             .iter()
-            .map(|w| scan.run(&w.samples, threshold, 64).iter().map(|&(lag, _)| lag).collect())
+            .map(|w| {
+                scan.run(&w.samples, threshold, 64)
+                    .iter()
+                    .map(|&(lag, _)| lag)
+                    .collect()
+            })
             .collect()
     };
     let peaks_identical = dense_peaks() == sparse_peaks();
@@ -771,12 +846,18 @@ fn main() {
     eprintln!(
         "# preamble_scan: sparse scan {:.2}x vs dense, peaks {}",
         preamble_scan.speedup,
-        if peaks_identical { "identical" } else { "DIVERGED" }
+        if peaks_identical {
+            "identical"
+        } else {
+            "DIVERGED"
+        }
     );
 
     // --- Overlap-save FIR vs direct --------------------------------------
     let input_len = if quick { 40_000 } else { 200_000 };
-    let x: Vec<Cplx> = (0..input_len).map(|i| Cplx::phasor(0.123 * i as f64)).collect();
+    let x: Vec<Cplx> = (0..input_len)
+        .map(|i| Cplx::phasor(0.123 * i as f64))
+        .collect();
     let mut fir = Vec::new();
     for taps in [63usize, 255, 1023] {
         let h = design_bandpass(0.05, 0.25, taps, Window::Blackman).unwrap();
@@ -797,10 +878,12 @@ fn main() {
             overlap_save_seconds,
             speedup: direct_seconds / overlap_save_seconds,
         };
-        eprintln!("# fir {taps} taps: overlap-save {:.2}x vs direct", t.speedup);
+        eprintln!(
+            "# fir {taps} taps: overlap-save {:.2}x vs direct",
+            t.speedup
+        );
         fir.push(t);
     }
-
 
     // --- Geometry acceleration (dense world) -----------------------------
     let geometry = geometry_timings(quick, reps);
@@ -810,7 +893,11 @@ fn main() {
         geometry.indexed_speedup,
         geometry.cached_speedup,
         geometry.cache_hit_rate,
-        if geometry.bit_identical { "identical" } else { "DIVERGED" }
+        if geometry.bit_identical {
+            "identical"
+        } else {
+            "DIVERGED"
+        }
     );
 
     // --- Campaign engine at fleet scale -----------------------------------
@@ -876,11 +963,24 @@ mod tests {
                         ..KernelTiming::default()
                     })
                     .into(),
-                finalize: FinalizeTiming { bit_identical: true, ..FinalizeTiming::default() },
-                fft: FftTiming { bit_identical: true, ..FftTiming::default() },
+                finalize: FinalizeTiming {
+                    bit_identical: true,
+                    ..FinalizeTiming::default()
+                },
+                fft: FftTiming {
+                    bit_identical: true,
+                    ..FftTiming::default()
+                },
             },
-            preamble_scan: CorrTiming { peaks_identical: true, ..CorrTiming::default() },
-            scale: vec![ScaleTiming { nodes: 100, events_per_sec: 1e9, ..ScaleTiming::default() }],
+            preamble_scan: CorrTiming {
+                peaks_identical: true,
+                ..CorrTiming::default()
+            },
+            scale: vec![ScaleTiming {
+                nodes: 100,
+                events_per_sec: 1e9,
+                ..ScaleTiming::default()
+            }],
             recovery: RecoverySection {
                 journal_replay_records_per_sec: 1e9,
                 ..RecoverySection::default()
@@ -893,18 +993,30 @@ mod tests {
     fn committed_budgets_pass_a_passing_report_and_fail_a_slow_one() {
         assert!(check_budgets(&passing_report(), committed_budgets()));
         let scalar = PipelineReport {
-            kernels: KernelsReport { dispatch: "scalar", ..passing_report().kernels },
+            kernels: KernelsReport {
+                dispatch: "scalar",
+                ..passing_report().kernels
+            },
             ..passing_report()
         };
-        assert!(check_budgets(&scalar, committed_budgets()), "scalar waives the speedup floor");
-        let slow = PipelineReport { recovery: RecoverySection::default(), ..passing_report() };
+        assert!(
+            check_budgets(&scalar, committed_budgets()),
+            "scalar waives the speedup floor"
+        );
+        let slow = PipelineReport {
+            recovery: RecoverySection::default(),
+            ..passing_report()
+        };
         assert!(!check_budgets(&slow, committed_budgets()));
     }
 
     #[test]
     fn a_bound_no_gate_reads_fails_the_check() {
         let mut budgets = committed_budgets();
-        budgets.get_mut("perf").unwrap().insert("min_unread_speedup".into(), 1.0);
+        budgets
+            .get_mut("perf")
+            .unwrap()
+            .insert("min_unread_speedup".into(), 1.0);
         assert!(!check_budgets(&passing_report(), budgets));
 
         let mut budgets = committed_budgets();

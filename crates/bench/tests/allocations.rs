@@ -11,12 +11,14 @@
 //! on one mutex so a concurrently running test can never leak
 //! allocations into another's measurement window.
 
-use aircal_adsb::{cpr, me::MePayload, AdsbFrame, DecodeScratch, DecodedMessage, Decoder, IcaoAddress};
+use aircal_adsb::{
+    cpr, me::MePayload, AdsbFrame, DecodeScratch, DecodedMessage, Decoder, IcaoAddress,
+};
 use aircal_bench::{AllocSnapshot, CountingAllocator};
 use aircal_cellular::{paper_towers, CellScanner};
+use aircal_core::survey::{ClusterDecoder, ClusterScratch};
 use aircal_dsp::psd::{welch_psd, welch_psd_into};
 use aircal_dsp::window::Window;
-use aircal_core::survey::{ClusterDecoder, ClusterScratch};
 use aircal_dsp::{par_map_with, Cplx, DspScratch};
 use aircal_env::{Scenario, ScenarioKind};
 use aircal_sdr::{BurstPlan, CaptureRenderer, Frontend, FrontendConfig, RenderedWindow};
@@ -123,13 +125,20 @@ fn parallel_decode_marginal_allocs_per_burst_are_zero() {
     let (mut slots, mut out) = (Vec::new(), Vec::new());
 
     let round = |windows: &[RenderedWindow],
-                     scratches: &mut Vec<(DecodeScratch, Vec<DecodedMessage>)>,
-                     slots: &mut Vec<Option<usize>>,
-                     out: &mut Vec<usize>| {
-        par_map_with(windows, THREADS, scratches, slots, out, |_, w, (ds, msgs)| {
-            decoder.scan_with(&w.samples, w.start_s, ds, msgs);
-            msgs.len()
-        });
+                 scratches: &mut Vec<(DecodeScratch, Vec<DecodedMessage>)>,
+                 slots: &mut Vec<Option<usize>>,
+                 out: &mut Vec<usize>| {
+        par_map_with(
+            windows,
+            THREADS,
+            scratches,
+            slots,
+            out,
+            |_, w, (ds, msgs)| {
+                decoder.scan_with(&w.samples, w.start_s, ds, msgs);
+                msgs.len()
+            },
+        );
         out.iter().sum::<usize>()
     };
 
@@ -156,7 +165,8 @@ fn parallel_decode_marginal_allocs_per_burst_are_zero() {
     let full_round = mid - before;
     let half_round = after - mid;
     assert_eq!(
-        full_round.allocs, half_round.allocs,
+        full_round.allocs,
+        half_round.allocs,
         "per-round allocations must not scale with burst count \
          ({} windows: {} allocs, {} windows: {} allocs)",
         windows_full.len(),
@@ -229,7 +239,9 @@ fn tv_pooled_measure_matches_cold_measure_bit_identically() {
     for _ in 0..2 {
         // Second pass reuses the warm meter via reset(): still identical.
         for t in &towers {
-            let path = s.world.path_profile(&s.site, &t.position, t.channel.center_hz());
+            let path = s
+                .world
+                .path_profile(&s.site, &t.position, t.channel.center_hz());
             let reference = probe.measure_with_path(
                 &path,
                 &s.site,
@@ -263,7 +275,9 @@ fn tv_channel_loop_stays_within_six_allocations_per_channel() {
         towers
             .iter()
             .map(|t| {
-                let path = s.world.path_profile(&s.site, &t.position, t.channel.center_hz());
+                let path = s
+                    .world
+                    .path_profile(&s.site, &t.position, t.channel.center_hz());
                 probe
                     .measure_with_path(&path, &s.site, t, SEED, &waveform, &mut scratch)
                     .power_dbfs
@@ -275,7 +289,11 @@ fn tv_channel_loop_stays_within_six_allocations_per_channel() {
     let before = AllocSnapshot::now();
     let steady = [round(), round()];
     let delta = AllocSnapshot::now() - before;
-    assert_eq!(steady.map(f64::to_bits), [warm.to_bits(); 2], "steady rounds measure identically");
+    assert_eq!(
+        steady.map(f64::to_bits),
+        [warm.to_bits(); 2],
+        "steady rounds measure identically"
+    );
     let per_channel = delta.allocs as f64 / (2 * towers.len()) as f64;
     assert!(
         per_channel <= 6.0,
@@ -309,7 +327,8 @@ fn cellular_scan_with_geo_matches_scan_and_stops_allocating() {
     let delta = AllocSnapshot::this_thread() - before;
     assert_eq!(reference, out, "warm sweep bit-identical to scan");
     assert_eq!(
-        delta.allocs, 0,
+        delta.allocs,
+        0,
         "warm cellular scan_with_geo allocated {} times ({} bytes) over {} towers",
         delta.allocs,
         delta.bytes,
@@ -332,7 +351,15 @@ fn geometry_sweeps_are_allocation_free_after_warmup() {
 
     // Warm-up: scratch buffers size themselves, the memo fills.
     dense.world.obstruction_profile_with(
-        &index, None, &dense.site, 1.09e9, 2.0, 50_000.0, rays, &mut scratch, &mut out,
+        &index,
+        None,
+        &dense.site,
+        1.09e9,
+        2.0,
+        50_000.0,
+        rays,
+        &mut scratch,
+        &mut out,
     );
     dense.world.obstruction_profile_with(
         &index,
@@ -348,7 +375,15 @@ fn geometry_sweeps_are_allocation_free_after_warmup() {
 
     let before = AllocSnapshot::this_thread();
     dense.world.obstruction_profile_with(
-        &index, None, &dense.site, 1.09e9, 2.0, 50_000.0, rays, &mut scratch, &mut out,
+        &index,
+        None,
+        &dense.site,
+        1.09e9,
+        2.0,
+        50_000.0,
+        rays,
+        &mut scratch,
+        &mut out,
     );
     let mid = AllocSnapshot::this_thread();
     dense.world.obstruction_profile_with(
@@ -376,7 +411,11 @@ fn geometry_sweeps_are_allocation_free_after_warmup() {
         "warm memoized sweep allocated {} times ({} bytes)",
         cached.allocs, cached.bytes
     );
-    assert_eq!(cache.misses(), rays as u64, "second memo sweep must be all hits");
+    assert_eq!(
+        cache.misses(),
+        rays as u64,
+        "second memo sweep must be all hits"
+    );
 }
 
 /// `welch_psd_into` with a reused scratch matches the allocating
@@ -397,5 +436,9 @@ fn welch_psd_into_matches_and_stops_allocating() {
     welch_psd_into(&samples, 256, 0.5, Window::Hann, &mut scratch, &mut out).unwrap();
     let delta = AllocSnapshot::this_thread() - before;
     assert_eq!(reference, out);
-    assert_eq!(delta.allocs, 0, "warm welch_psd_into allocated {}", delta.allocs);
+    assert_eq!(
+        delta.allocs, 0,
+        "warm welch_psd_into allocated {}",
+        delta.allocs
+    );
 }

@@ -83,9 +83,7 @@ impl Band {
 
     /// Band containing the given DL EARFCN, if any.
     pub fn from_earfcn(earfcn: u32) -> Option<Band> {
-        Band::ALL
-            .into_iter()
-            .find(|b| b.plan().2.contains(&earfcn))
+        Band::ALL.into_iter().find(|b| b.plan().2.contains(&earfcn))
     }
 
     /// Human-readable name.
@@ -135,7 +133,11 @@ mod tests {
         for b in Band::ALL {
             let (_, n_offs, range) = (b.plan().0, b.plan().1, b.plan().2);
             let _ = n_offs;
-            for earfcn in [*range.start(), (*range.start() + *range.end()) / 2, *range.end()] {
+            for earfcn in [
+                *range.start(),
+                (*range.start() + *range.end()) / 2,
+                *range.end(),
+            ] {
                 let f = b.dl_freq_hz(earfcn).unwrap();
                 assert_eq!(b.earfcn_for_freq(f), Some(earfcn), "{b:?} {earfcn}");
                 assert_eq!(Band::from_earfcn(earfcn), Some(b));

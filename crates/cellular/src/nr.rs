@@ -146,8 +146,26 @@ pub fn nr_extension_cells(origin: &LatLon) -> Vec<NrCell> {
     };
     vec![
         cell("gNB-n71", 601, NrBand::N71, 632e6, 245.0, 800.0, 62.0, 10e6),
-        cell("gNB-n41", 602, NrBand::N41, 2_593e6, 285.0, 500.0, 68.0, 60e6),
-        cell("gNB-n77", 603, NrBand::N77, 3_700e6, 300.0, 450.0, 70.0, 80e6),
+        cell(
+            "gNB-n41",
+            602,
+            NrBand::N41,
+            2_593e6,
+            285.0,
+            500.0,
+            68.0,
+            60e6,
+        ),
+        cell(
+            "gNB-n77",
+            603,
+            NrBand::N77,
+            3_700e6,
+            300.0,
+            450.0,
+            70.0,
+            80e6,
+        ),
         cell(
             "gNB-n257",
             604,

@@ -197,7 +197,12 @@ mod tests {
         let scenarios = paper_scenarios();
         let pattern: Vec<Vec<bool>> = scenarios
             .iter()
-            .map(|s| scan_scenario(s).iter().map(|m| m.rsrp_dbm.is_some()).collect())
+            .map(|s| {
+                scan_scenario(s)
+                    .iter()
+                    .map(|m| m.rsrp_dbm.is_some())
+                    .collect()
+            })
             .collect();
         assert_eq!(pattern[0], vec![true; 5], "rooftop must see all towers");
         assert_eq!(
@@ -216,8 +221,7 @@ mod tests {
     #[test]
     fn rsrp_ordering_across_locations() {
         let scenarios = paper_scenarios();
-        let all: Vec<Vec<CellMeasurement>> =
-            scenarios.iter().map(scan_scenario).collect();
+        let all: Vec<Vec<CellMeasurement>> = scenarios.iter().map(scan_scenario).collect();
         for (t, roof_m) in all[0].iter().enumerate().take(5) {
             let roof = roof_m.rsrp_dbm;
             let window = all[1][t].rsrp_dbm;
@@ -264,7 +268,11 @@ mod tests {
     /// bit, cold and warm.
     #[test]
     fn geo_scan_matches_brute_force() {
-        for kind in [ScenarioKind::Rooftop, ScenarioKind::BehindWindow, ScenarioKind::Indoor] {
+        for kind in [
+            ScenarioKind::Rooftop,
+            ScenarioKind::BehindWindow,
+            ScenarioKind::Indoor,
+        ] {
             let s = Scenario::build(kind);
             let db = paper_towers(&s.world.origin);
             let scanner = CellScanner::default();

@@ -36,11 +36,7 @@ pub struct InstallFeatures {
 
 impl InstallFeatures {
     /// Extract features from survey + FoV + frequency profile.
-    pub fn extract(
-        survey: &SurveyResult,
-        fov: &FovEstimate,
-        profile: &FrequencyProfile,
-    ) -> Self {
+    pub fn extract(survey: &SurveyResult, fov: &FovEstimate, profile: &FrequencyProfile) -> Self {
         Self {
             sky_open_fraction: fov.open_fraction(),
             max_range_norm: (survey.max_observed_range_m() / 100_000.0).min(1.2),

@@ -109,9 +109,9 @@ impl Calibrator {
         publish_survey_metrics(&self.obs, &survey);
 
         // Field of view.
-        let fov = self
-            .obs
-            .time("stage.fov", || FovEstimator::new(self.fov_method).estimate(&survey.points));
+        let fov = self.obs.time("stage.fov", || {
+            FovEstimator::new(self.fov_method).estimate(&survey.points)
+        });
 
         // Frequency response (§3.2).
         let cells = paper_towers(&world.origin);
@@ -132,8 +132,7 @@ impl Calibrator {
             self.auditor
                 .audit(&survey, &frequency, &traffic, fov.open_fraction())
         });
-        self.obs
-            .incr("calibrate.runs", 1);
+        self.obs.incr("calibrate.runs", 1);
         self.obs
             .incr("classify.outdoor", u64::from(install.outdoor));
         self.obs.set_gauge("trust.score", trust.score);
@@ -175,9 +174,15 @@ fn dsp_dispatch_metric() -> &'static str {
 /// judges a commissioned survey reported over the wire.
 pub fn publish_survey_metrics(obs: &Obs, survey: &crate::survey::SurveyResult) {
     obs.incr("survey.messages", survey.total_messages as u64);
-    obs.incr("survey.unmatched_messages", survey.unmatched_messages as u64);
+    obs.incr(
+        "survey.unmatched_messages",
+        survey.unmatched_messages as u64,
+    );
     obs.incr("survey.skipped_low_snr", survey.skipped_low_snr as u64);
-    obs.incr("survey.positions_decoded", survey.decoded_positions.len() as u64);
+    obs.incr(
+        "survey.positions_decoded",
+        survey.decoded_positions.len() as u64,
+    );
     obs.incr("survey.aircraft_total", survey.points.len() as u64);
     obs.incr(
         "survey.aircraft_observed",
@@ -212,7 +217,10 @@ pub fn publish_profile_metrics(obs: &Obs, profile: &crate::freqprofile::Frequenc
             profile.bands.iter().filter(|b| b.source == kind).count() as u64,
         );
     }
-    obs.incr("profile.missing_sources", profile.missing_sources.len() as u64);
+    obs.incr(
+        "profile.missing_sources",
+        profile.missing_sources.len() as u64,
+    );
 }
 
 #[cfg(test)]
@@ -233,7 +241,11 @@ mod tests {
         );
         // All bands measurable; classified outdoor; trustworthy.
         assert_eq!(r.frequency.usable_fraction(), 1.0);
-        assert!(r.install.outdoor, "p_outdoor {}", r.install.probability_outdoor);
+        assert!(
+            r.install.outdoor,
+            "p_outdoor {}",
+            r.install.probability_outdoor
+        );
         assert!(r.trust.score > 60.0, "trust {}", r.trust.score);
     }
 
@@ -242,7 +254,11 @@ mod tests {
         let s = Scenario::build(ScenarioKind::Indoor);
         let r = Calibrator::quick().calibrate(&s.world, &s.site, 43);
         assert!(r.fov.estimated.width_deg < 90.0, "{:?}", r.fov.estimated);
-        assert!(!r.install.outdoor, "p_outdoor {}", r.install.probability_outdoor);
+        assert!(
+            !r.install.outdoor,
+            "p_outdoor {}",
+            r.install.probability_outdoor
+        );
         assert!(r.frequency.usable_fraction() < 1.0);
         assert!(r.survey.max_observed_range_m < 35_000.0);
     }
@@ -252,7 +268,11 @@ mod tests {
         let s = Scenario::build(ScenarioKind::BehindWindow);
         let r = Calibrator::quick().calibrate(&s.world, &s.site, 44);
         // Narrow aperture: open fraction well below half.
-        assert!(r.fov.open_fraction() < 0.5, "open {}", r.fov.open_fraction());
+        assert!(
+            r.fov.open_fraction() < 0.5,
+            "open {}",
+            r.fov.open_fraction()
+        );
         assert!(!r.install.outdoor);
         // The aperture supports long-range reception.
         assert!(r.survey.max_observed_range_m > 40_000.0);
@@ -264,7 +284,9 @@ mod tests {
     fn geometry_metrics_published() {
         let s = Scenario::build(ScenarioKind::Rooftop);
         let obs = Obs::recording();
-        let observed = Calibrator::quick().with_obs(obs.clone()).calibrate(&s.world, &s.site, 42);
+        let observed = Calibrator::quick()
+            .with_obs(obs.clone())
+            .calibrate(&s.world, &s.site, 42);
         let silent = Calibrator::quick().calibrate(&s.world, &s.site, 42);
         assert_eq!(observed.to_json(), silent.to_json());
         assert!(obs.counter("geom.index.queries") > 0);

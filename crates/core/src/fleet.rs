@@ -64,9 +64,11 @@ impl FleetAuditor {
         let mut nodes: Vec<NodeAudit> = aircal_dsp::par_map(fleet, threads, |i, s| NodeAudit {
             name: s.site.name.clone(),
             rank: 0,
-            report: self
-                .calibrator
-                .calibrate(&s.world, &s.site, seed.wrapping_add(i as u64 * 0x9E37)),
+            report: self.calibrator.calibrate(
+                &s.world,
+                &s.site,
+                seed.wrapping_add(i as u64 * 0x9E37),
+            ),
         });
         // total_cmp: a NaN score (corrupted input) sorts last instead of
         // panicking the whole fleet audit.

@@ -369,8 +369,7 @@ mod tests {
             .map(|i| {
                 let bearing = (i as f64 * 360.0 / n as f64) % 360.0;
                 let range = 5_000.0 + (i as f64 * 7_919.0) % 95_000.0;
-                let observed =
-                    (open.contains(bearing) && range <= max_range_m) || range < 15_000.0;
+                let observed = (open.contains(bearing) && range <= max_range_m) || range < 15_000.0;
                 SurveyPoint {
                     icao: IcaoAddress::new(i as u32 + 1),
                     callsign: format!("SYN{i:03}"),

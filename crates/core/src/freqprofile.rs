@@ -100,13 +100,16 @@ impl FrequencyProfile {
         real_tv: &[TvMeasurement],
         clear_tv: &[TvMeasurement],
     ) -> Self {
-        let cells = real_cells.iter().zip(clear_cells).map(|(r, c)| BandMeasurement {
-            label: r.tower_name.clone(),
-            freq_hz: r.freq_hz,
-            source: SourceKind::Cellular,
-            measured_db: r.rsrp_dbm,
-            expected_clear_db: c.rsrp_dbm.unwrap_or(-120.0),
-        });
+        let cells = real_cells
+            .iter()
+            .zip(clear_cells)
+            .map(|(r, c)| BandMeasurement {
+                label: r.tower_name.clone(),
+                freq_hz: r.freq_hz,
+                source: SourceKind::Cellular,
+                measured_db: r.rsrp_dbm,
+                expected_clear_db: c.rsrp_dbm.unwrap_or(-120.0),
+            });
         let tv = real_tv.iter().zip(clear_tv).map(|(r, c)| BandMeasurement {
             label: r.station.clone(),
             freq_hz: r.center_hz,
@@ -161,7 +164,9 @@ impl FrequencyProfile {
             .iter()
             .filter(|b| b.measured_db.is_some_and(|m| m.is_finite()) && b.freq_hz.is_finite())
             .map(|b| b.freq_hz)
-            .fold(None, |acc: Option<f64>, f| Some(acc.map_or(f, |a| a.max(f))))
+            .fold(None, |acc: Option<f64>, f| {
+                Some(acc.map_or(f, |a| a.max(f)))
+            })
     }
 }
 

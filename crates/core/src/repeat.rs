@@ -94,7 +94,11 @@ impl RepeatedSurvey {
             }
         }
         StabilityReport {
-            mean_pairwise_iou: if pairs == 0 { 1.0 } else { iou_sum / pairs as f64 },
+            mean_pairwise_iou: if pairs == 0 {
+                1.0
+            } else {
+                iou_sum / pairs as f64
+            },
             per_run,
             pooled,
         }
@@ -175,7 +179,10 @@ mod tests {
         let (_, rep) = repeated(ScenarioKind::OpenField, 3);
         let total: usize = rep.runs.iter().map(|r| r.points.len()).sum();
         assert_eq!(rep.pooled_points().len(), total);
-        assert!(total > 100, "three 50-aircraft runs should pool >100 points");
+        assert!(
+            total > 100,
+            "three 50-aircraft runs should pool >100 points"
+        );
     }
 
     #[test]

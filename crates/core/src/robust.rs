@@ -247,8 +247,9 @@ mod tests {
 
     #[test]
     fn fusion_resists_minority_corruption() {
-        let honest: Vec<FrequencyProfile> =
-            (0..4).map(|i| profile_with(&[-60.0 + i as f64; 5])).collect();
+        let honest: Vec<FrequencyProfile> = (0..4)
+            .map(|i| profile_with(&[-60.0 + i as f64; 5]))
+            .collect();
         let liar = profile_with(&[40.0; 5]); // +100 dB gain inflation
         let mut all: Vec<&FrequencyProfile> = honest.iter().collect();
         all.push(&liar);
@@ -270,7 +271,10 @@ mod tests {
         poisoned.bands[2].measured_db = Some(f64::NAN);
         let mut all: Vec<&FrequencyProfile> = honest.iter().collect();
         all.push(&poisoned);
-        for rule in [FusionRule::Median, FusionRule::TrimmedMean { trim_frac: 0.25 }] {
+        for rule in [
+            FusionRule::Median,
+            FusionRule::TrimmedMean { trim_frac: 0.25 },
+        ] {
             let fused = fuse_profiles(&all, rule);
             for b in &fused.bands {
                 let v = b.fused_db.unwrap();
@@ -282,8 +286,9 @@ mod tests {
 
     #[test]
     fn residual_flags_the_outlier() {
-        let honest: Vec<FrequencyProfile> =
-            (0..4).map(|i| profile_with(&[-60.0 + 0.1 * i as f64; 5])).collect();
+        let honest: Vec<FrequencyProfile> = (0..4)
+            .map(|i| profile_with(&[-60.0 + 0.1 * i as f64; 5]))
+            .collect();
         let liar = profile_with(&[-20.0; 5]);
         let mut all: Vec<&FrequencyProfile> = honest.iter().collect();
         all.push(&liar);

@@ -178,7 +178,9 @@ mod tests {
         let plan = s.plan(6);
         // With 6 picks and a 2 h decorrelation there is still no reason to
         // measure at 03:00 (density 0.06).
-        assert!(plan.iter().all(|c| c.start_hour < 2.0 || c.start_hour > 5.0));
+        assert!(plan
+            .iter()
+            .all(|c| c.start_hour < 2.0 || c.start_hour > 5.0));
     }
 
     #[test]

@@ -17,11 +17,11 @@ use aircal_adsb::cpr::{self, CprPair};
 use aircal_adsb::me::MePayload;
 use aircal_adsb::{ppm, DecodeScratch, DecodedMessage, Decoder, IcaoAddress, ADSB_FREQ_HZ};
 use aircal_aircraft::{GroundTruthService, TrafficSim, TransponderSchedule};
+use aircal_dsp::{derive_stream_seed, par_map_with, resolve_parallelism, DspScratch};
 use aircal_env::{GeoScratch, SensorSite, World, WorldIndex};
 use aircal_geo::LatLon;
 use aircal_rfprop::fading::RicianFading;
 use aircal_rfprop::LinkBudget;
-use aircal_dsp::{derive_stream_seed, par_map_with, resolve_parallelism, DspScratch};
 use aircal_sdr::{BurstPlan, CaptureRenderer, ChipMask, Frontend, FrontendConfig, FrontendFault};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -165,7 +165,11 @@ pub fn run_survey_indexed(
     // 1. The sky transmits. (Aircraft slightly beyond the query radius
     //    still emit — the receiver doesn't know the radius.)
     let candidates: Vec<_> = traffic
-        .within(&site.position, config.radius_m * 1.3, config.duration_s / 2.0)
+        .within(
+            &site.position,
+            config.radius_m * 1.3,
+            config.duration_s / 2.0,
+        )
         .into_iter()
         .cloned()
         .collect();
@@ -216,34 +220,33 @@ pub fn run_survey_indexed(
         &mut plan_slots,
         &mut planned,
         |i, e, geo| {
-        let path = world.path_profile_indexed(index, site, &e.position, ADSB_FREQ_HZ, geo);
-        let bearing = site.position.bearing_deg(&e.position);
-        let elevation = site.position.elevation_deg(&e.position);
-        let rx_gain = site.antenna.gain_dbi(bearing, elevation);
-        let budget = LinkBudget::new(e.tx_power_dbm, 0.0, rx_gain);
+            let path = world.path_profile_indexed(index, site, &e.position, ADSB_FREQ_HZ, geo);
+            let bearing = site.position.bearing_deg(&e.position);
+            let elevation = site.position.elevation_deg(&e.position);
+            let rx_gain = site.antenna.gain_dbi(bearing, elevation);
+            let budget = LinkBudget::new(e.tx_power_dbm, 0.0, rx_gain);
 
-        let mut shadow_std = shadow_draws[&e.frame.icao()];
-        // Shadowing behind a deterministic obstruction is asymmetric: the
-        // wall is definitely there, so clutter can add loss freely but can
-        // "refund" at most ~1σ (a reflection path around the blocker).
-        if path.is_obstructed() && path.diffraction_db + path.penetration_db >= 15.0 {
-            shadow_std = shadow_std.max(-1.0);
-        }
-        let mut brng =
-            ChaCha8Rng::seed_from_u64(derive_stream_seed(seed ^ 0xFADE, i as u64));
-        let fade = RicianFading::from_k_db(path.k_factor_db).sample_power_gain(&mut brng);
-        let rx_dbm = budget.median_rx_dbm(&path) - shadow_std * path.shadowing_sigma_db
-            + 10.0 * fade.max(1e-12).log10();
+            let mut shadow_std = shadow_draws[&e.frame.icao()];
+            // Shadowing behind a deterministic obstruction is asymmetric: the
+            // wall is definitely there, so clutter can add loss freely but can
+            // "refund" at most ~1σ (a reflection path around the blocker).
+            if path.is_obstructed() && path.diffraction_db + path.penetration_db >= 15.0 {
+                shadow_std = shadow_std.max(-1.0);
+            }
+            let mut brng = ChaCha8Rng::seed_from_u64(derive_stream_seed(seed ^ 0xFADE, i as u64));
+            let fade = RicianFading::from_k_db(path.k_factor_db).sample_power_gain(&mut brng);
+            let rx_dbm = budget.median_rx_dbm(&path) - shadow_std * path.shadowing_sigma_db
+                + 10.0 * fade.max(1e-12).log10();
 
-        if frontend.snr_db(rx_dbm) < config.skip_below_snr_db {
-            return None;
-        }
-        Some(BurstPlan {
-            start_s: e.time_s,
-            chips: frame_chips(&e.frame.encode_bytes()),
-            rx_power_dbm: rx_dbm,
-            phase0: brng.gen_range(0.0..core::f64::consts::TAU),
-        })
+            if frontend.snr_db(rx_dbm) < config.skip_below_snr_db {
+                return None;
+            }
+            Some(BurstPlan {
+                start_s: e.time_s,
+                chips: frame_chips(&e.frame.encode_bytes()),
+                rx_power_dbm: rx_dbm,
+                phase0: brng.gen_range(0.0..core::f64::consts::TAU),
+            })
         },
     );
     drop(plan_span);
@@ -281,7 +284,12 @@ pub fn run_survey_indexed(
 
     // 4. Ground truth at the mid-capture query time.
     let gts = GroundTruthService::new(config.ground_truth_latency_s);
-    let truth = gts.query(traffic, &site.position, config.radius_m, config.query_time_s);
+    let truth = gts.query(
+        traffic,
+        &site.position,
+        config.radius_m,
+        config.query_time_s,
+    );
 
     // 5. Match decoded ICAOs against the ground truth.
     let mut per_icao: HashMap<IcaoAddress, Vec<&DecodedMessage>> = HashMap::new();
@@ -373,9 +381,9 @@ impl ClusterDecoder<'_> {
         out: &mut Vec<DecodedMessage>,
     ) {
         let mut rng = CaptureRenderer::cluster_rng(self.noise_seed, cluster_index);
-        let window = self
-            .renderer
-            .render_cluster_with(self.plans, cluster, &mut rng, &mut scratch.dsp);
+        let window =
+            self.renderer
+                .render_cluster_with(self.plans, cluster, &mut rng, &mut scratch.dsp);
         {
             let _span = aircal_obs::span!("decode_windows");
             self.decoder
@@ -387,13 +395,12 @@ impl ClusterDecoder<'_> {
 
 /// Pair consecutive even/odd airborne-position messages per aircraft and
 /// decode globally; the reference position is only used as a sanity bound.
-fn decode_positions(
-    decoded: &[DecodedMessage],
-    sensor: &LatLon,
-) -> Vec<(IcaoAddress, LatLon)> {
+fn decode_positions(decoded: &[DecodedMessage], sensor: &LatLon) -> Vec<(IcaoAddress, LatLon)> {
     let _span = aircal_obs::span!("cpr_decode");
-    let mut latest: HashMap<IcaoAddress, (Option<cpr::CprPosition>, Option<cpr::CprPosition>, f64)> =
-        HashMap::new();
+    let mut latest: HashMap<
+        IcaoAddress,
+        (Option<cpr::CprPosition>, Option<cpr::CprPosition>, f64),
+    > = HashMap::new();
     let mut out: HashMap<IcaoAddress, LatLon> = HashMap::new();
     let mut msgs: Vec<&DecodedMessage> = decoded.iter().collect();
     msgs.sort_by(|a, b| a.time_s.partial_cmp(&b.time_s).unwrap());
@@ -472,7 +479,9 @@ mod tests {
         let far_east = |obs: bool| {
             r.points
                 .iter()
-                .filter(|p| !west.contains(p.bearing_deg) && p.range_m > 60_000.0 && p.observed == obs)
+                .filter(|p| {
+                    !west.contains(p.bearing_deg) && p.range_m > 60_000.0 && p.observed == obs
+                })
                 .count()
         };
         assert!(far_west_observed >= 1, "no distant western aircraft seen");
@@ -608,7 +617,10 @@ mod tests {
                 },
                 seed,
             );
-            assert!(!serial.decoded_positions.is_empty(), "seed {seed}: no positions");
+            assert!(
+                !serial.decoded_positions.is_empty(),
+                "seed {seed}: no positions"
+            );
             for parallelism in [2usize, 8] {
                 let parallel = run_survey(
                     &s.world,
@@ -655,7 +667,10 @@ mod tests {
         let default_gate = survey(0.0);
         let harsh = survey(1e9);
         assert_eq!(permissive.skipped_low_snr, 0);
-        assert!(default_gate.skipped_low_snr > 0, "indoor survey should gate some bursts");
+        assert!(
+            default_gate.skipped_low_snr > 0,
+            "indoor survey should gate some bursts"
+        );
         assert!(harsh.total_messages == 0 && harsh.skipped_low_snr > default_gate.skipped_low_snr);
     }
 }

@@ -76,8 +76,9 @@ impl TrustScore {
             self.score = 0.0;
         }
         self.score = (self.score - 15.0).max(0.0);
-        self.flags
-            .push(format!("fusion residual {residual_db:.1} dB vs fleet consensus"));
+        self.flags.push(format!(
+            "fusion residual {residual_db:.1} dB vs fleet consensus"
+        ));
     }
 }
 
@@ -284,8 +285,7 @@ mod tests {
     #[test]
     fn honest_open_field_node_trusted() {
         let (survey, traffic) = honest_setup();
-        let score =
-            TrustAuditor::default().audit(&survey, &profile_stub(11, 11), &traffic, 0.95);
+        let score = TrustAuditor::default().audit(&survey, &profile_stub(11, 11), &traffic, 0.95);
         assert!(score.is_trustworthy(), "score {:?}", score);
         assert!(score.score > 70.0);
         assert!(score.ghost_free > 0.95);
@@ -369,7 +369,11 @@ mod tests {
         let mut profile = profile_stub(11, 11);
         profile.bands[3].measured_db = Some(f64::NAN);
         profile.bands[5].expected_clear_db = f64::INFINITY;
-        if let Some(p) = survey.points.iter_mut().find(|p| p.mean_rssi_dbfs.is_some()) {
+        if let Some(p) = survey
+            .points
+            .iter_mut()
+            .find(|p| p.mean_rssi_dbfs.is_some())
+        {
             p.mean_rssi_dbfs = Some(f64::NAN);
         }
         let score = TrustAuditor::default().audit(&survey, &profile, &traffic, 0.95);
@@ -427,8 +431,7 @@ mod tests {
             ..SurveyConfig::quick()
         };
         let survey = run_survey(&s.world, &s.site, &traffic, &cfg, 33);
-        let score =
-            TrustAuditor::default().audit(&survey, &profile_stub(0, 11), &traffic, 0.0);
+        let score = TrustAuditor::default().audit(&survey, &profile_stub(0, 11), &traffic, 0.0);
         assert!(score.score < 50.0, "dead node scored {}", score.score);
     }
 }

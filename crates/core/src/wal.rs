@@ -681,7 +681,10 @@ mod tests {
 
     fn sample_records() -> Vec<WalRecord> {
         vec![
-            WalRecord::RoundStarted { seed: 777, tick: 50 },
+            WalRecord::RoundStarted {
+                seed: 777,
+                tick: 50,
+            },
             WalRecord::StepOutcome {
                 node: "rooftop".into(),
                 step: "survey".into(),

@@ -30,7 +30,11 @@ pub fn normalized_correlation(signal: &[Cplx], template: &[Cplx]) -> Vec<f64> {
     for i in 0..n {
         let acc = (k.cdot_conj)(&signal[i..i + m], template);
         let denom = (t_energy * w_energy).sqrt();
-        out.push(if denom < 1e-30 { 0.0 } else { acc.abs() / denom });
+        out.push(if denom < 1e-30 {
+            0.0
+        } else {
+            acc.abs() / denom
+        });
         if i + template.len() < signal.len() {
             w_energy += signal[i + template.len()].norm_sq() - signal[i].norm_sq();
             if w_energy < 0.0 {

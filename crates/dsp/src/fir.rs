@@ -20,7 +20,9 @@ pub fn design_lowpass(cutoff_norm: f64, taps: usize, window: Window) -> Result<V
         return Err(DspError::EmptyDesign);
     }
     if !(0.0..0.5).contains(&cutoff_norm) || cutoff_norm <= 0.0 {
-        return Err(DspError::InvalidParameter("cutoff_norm must be in (0, 0.5)"));
+        return Err(DspError::InvalidParameter(
+            "cutoff_norm must be in (0, 0.5)",
+        ));
     }
     let m = (taps - 1) as f64 / 2.0;
     let mut h: Vec<f64> = (0..taps)
@@ -58,9 +60,7 @@ pub fn design_bandpass(
     Ok(lp
         .iter()
         .enumerate()
-        .map(|(i, &c)| {
-            Cplx::phasor(core::f64::consts::TAU * center_norm * (i as f64 - m)).scale(c)
-        })
+        .map(|(i, &c)| Cplx::phasor(core::f64::consts::TAU * center_norm * (i as f64 - m)).scale(c))
         .collect())
 }
 
@@ -260,8 +260,7 @@ impl FastFirFilter {
         while i < input.len() {
             let take = (self.block - self.pending).min(input.len() - i);
             let prev = self.pending;
-            self.buf[t - 1 + prev..t - 1 + prev + take]
-                .copy_from_slice(&input[i..i + take]);
+            self.buf[t - 1 + prev..t - 1 + prev + take].copy_from_slice(&input[i..i + take]);
             self.pending += take;
             i += take;
 
@@ -347,13 +346,18 @@ mod tests {
         let f = FirFilter::new(taps).unwrap();
         assert!((f.response_at(0.2).abs() - 1.0).abs() < 0.01);
         assert!(f.response_at(0.0).abs() < 1e-3);
-        assert!(f.response_at(-0.2).abs() < 1e-3, "complex bandpass is one-sided");
+        assert!(
+            f.response_at(-0.2).abs() < 1e-3,
+            "complex bandpass is one-sided"
+        );
     }
 
     #[test]
     fn streaming_matches_block_convolution() {
         let h = design_lowpass(0.2, 9, Window::Hann).unwrap();
-        let x: Vec<Cplx> = (0..32).map(|i| Cplx::new((i as f64 * 0.7).sin(), 0.0)).collect();
+        let x: Vec<Cplx> = (0..32)
+            .map(|i| Cplx::new((i as f64 * 0.7).sin(), 0.0))
+            .collect();
         // Reference: direct convolution.
         let mut expect = vec![Cplx::ZERO; x.len()];
         for (n, e) in expect.iter_mut().enumerate() {
@@ -408,7 +412,11 @@ mod tests {
         let mut got = Vec::new();
         let mut want = Vec::new();
         let mut i = 0;
-        for (k, chunk) in [1usize, 63, 500, 1, 2048, 37, 4000].iter().cycle().enumerate() {
+        for (k, chunk) in [1usize, 63, 500, 1, 2048, 37, 4000]
+            .iter()
+            .cycle()
+            .enumerate()
+        {
             if i >= x.len() {
                 break;
             }

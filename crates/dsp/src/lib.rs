@@ -30,9 +30,9 @@ pub use cplx::Cplx;
 pub use fft::{fft, fft_in_place, Direction, FftPlanner};
 pub use fir::{FastFirFilter, FirFilter};
 pub use par::{derive_stream_seed, par_map, par_map_with, resolve_parallelism};
-pub use scratch::DspScratch;
 pub use power::{db_to_lin, lin_to_db, BandPowerMeter, MovingAverage};
 pub use prbs::Lfsr;
+pub use scratch::DspScratch;
 pub use simd::{dispatch_label, kernels, Kernels};
 
 /// Errors produced by DSP routines.

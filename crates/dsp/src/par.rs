@@ -17,8 +17,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// order — which is what makes parallel pipelines bit-identical to
 /// serial ones.
 pub fn derive_stream_seed(seed: u64, index: u64) -> u64 {
-    let mut z = seed
-        .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(index.wrapping_add(1)));
+    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(index.wrapping_add(1)));
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
@@ -52,7 +51,14 @@ where
     let mut scratches = vec![(); workers];
     let mut slots = Vec::new();
     let mut out = Vec::with_capacity(items.len());
-    par_map_with(items, threads, &mut scratches, &mut slots, &mut out, |i, t, ()| f(i, t));
+    par_map_with(
+        items,
+        threads,
+        &mut scratches,
+        &mut slots,
+        &mut out,
+        |i, t, ()| f(i, t),
+    );
     out
 }
 
@@ -98,7 +104,10 @@ pub fn par_map_with<T, R, S, F>(
     if items.is_empty() {
         return;
     }
-    assert!(!scratches.is_empty(), "par_map_with needs at least one scratch");
+    assert!(
+        !scratches.is_empty(),
+        "par_map_with needs at least one scratch"
+    );
     let threads = threads.max(1).min(items.len()).min(scratches.len());
     if threads <= 1 {
         let scratch = &mut scratches[0];
@@ -214,10 +223,17 @@ mod tests {
         let mut slots = Vec::new();
         let mut out = Vec::new();
         for threads in [1usize, 2, 8] {
-            par_map_with(&items, threads, &mut scratches, &mut slots, &mut out, |i, &x, s| {
-                *s += 1; // scratch is usable per-worker state
-                x * 3 + i as u64
-            });
+            par_map_with(
+                &items,
+                threads,
+                &mut scratches,
+                &mut slots,
+                &mut out,
+                |i, &x, s| {
+                    *s += 1; // scratch is usable per-worker state
+                    x * 3 + i as u64
+                },
+            );
             assert_eq!(out, expect, "threads {threads}");
         }
         // Scratch state accumulated across calls: total work = 3 × items.
@@ -229,10 +245,17 @@ mod tests {
         let items = [1u32, 2, 3];
         let mut scratches = vec![Vec::<u32>::new(), Vec::new()];
         let (mut slots, mut out) = (Vec::new(), Vec::new());
-        par_map_with(&items, 1, &mut scratches, &mut slots, &mut out, |_, &x, s| {
-            s.push(x);
-            x
-        });
+        par_map_with(
+            &items,
+            1,
+            &mut scratches,
+            &mut slots,
+            &mut out,
+            |_, &x, s| {
+                s.push(x);
+                x
+            },
+        );
         assert_eq!(scratches[0], vec![1, 2, 3]);
         assert!(scratches[1].is_empty());
     }
@@ -243,7 +266,14 @@ mod tests {
         let mut scratches = vec![(); 1];
         let (mut slots, mut out) = (Vec::new(), Vec::<u32>::new());
         out.push(9); // must be cleared
-        par_map_with(&items, 4, &mut scratches, &mut slots, &mut out, |_, &x, ()| x);
+        par_map_with(
+            &items,
+            4,
+            &mut scratches,
+            &mut slots,
+            &mut out,
+            |_, &x, ()| x,
+        );
         assert!(out.is_empty());
     }
 
@@ -253,12 +283,19 @@ mod tests {
         let result = std::panic::catch_unwind(|| {
             let mut scratches = vec![(); 4];
             let (mut slots, mut out) = (Vec::new(), Vec::new());
-            par_map_with(&items, 4, &mut scratches, &mut slots, &mut out, |_, &x, ()| {
-                if x == 33 {
-                    panic!("boom");
-                }
-                x
-            });
+            par_map_with(
+                &items,
+                4,
+                &mut scratches,
+                &mut slots,
+                &mut out,
+                |_, &x, ()| {
+                    if x == 33 {
+                        panic!("boom");
+                    }
+                    x
+                },
+            );
             out
         });
         assert!(result.is_err());
@@ -269,7 +306,10 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for seed in [0u64, 1, 42, u64::MAX] {
             for idx in 0..1000u64 {
-                assert!(seen.insert(derive_stream_seed(seed, idx)), "collision at {seed}/{idx}");
+                assert!(
+                    seen.insert(derive_stream_seed(seed, idx)),
+                    "collision at {seed}/{idx}"
+                );
                 assert_eq!(derive_stream_seed(seed, idx), derive_stream_seed(seed, idx));
             }
         }

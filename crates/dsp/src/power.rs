@@ -52,7 +52,9 @@ impl MovingAverage {
     /// Create a moving average of length `len` (must be ≥ 1).
     pub fn new(len: usize) -> Result<Self, DspError> {
         if len == 0 {
-            return Err(DspError::InvalidParameter("moving average length must be >= 1"));
+            return Err(DspError::InvalidParameter(
+                "moving average length must be >= 1",
+            ));
         }
         Ok(Self {
             buf: Vec::with_capacity(len),
@@ -66,7 +68,8 @@ impl MovingAverage {
     /// Push a sample; returns the mean over the current window (which is
     /// shorter than `len` until the filter fills).
     pub fn push(&mut self, x: f64) -> f64 {
-        self.push_all(&[x]).expect("window holds the sample just pushed")
+        self.push_all(&[x])
+            .expect("window holds the sample just pushed")
     }
 
     /// Push every sample of `xs` in order — the same running-sum updates
@@ -78,7 +81,9 @@ impl MovingAverage {
         while !rest.is_empty() {
             let until_rebuild = REBUILD_EVERY - self.pushes_since_rebuild;
             let take = if self.buf.len() < self.len {
-                let take = (self.len - self.buf.len()).min(until_rebuild).min(rest.len());
+                let take = (self.len - self.buf.len())
+                    .min(until_rebuild)
+                    .min(rest.len());
                 let block = &rest[..take];
                 self.buf.extend_from_slice(block);
                 for &x in block {
@@ -276,9 +281,7 @@ mod tests {
         let fs = 1_000_000.0;
         let make_tone = |freq: f64, amp: f64, n: usize| -> Vec<Cplx> {
             (0..n)
-                .map(|i| {
-                    Cplx::from_polar(amp, core::f64::consts::TAU * freq * i as f64 / fs)
-                })
+                .map(|i| Cplx::from_polar(amp, core::f64::consts::TAU * freq * i as f64 / fs))
                 .collect()
         };
         let in_band = make_tone(100_000.0, 0.5, 20_000);
@@ -367,7 +370,10 @@ mod tests {
         for &x in &xs {
             want = oracle.push(x);
         }
-        for cuts in [vec![REBUILD_EVERY - 3, REBUILD_EVERY + 4], vec![17, REBUILD_EVERY]] {
+        for cuts in [
+            vec![REBUILD_EVERY - 3, REBUILD_EVERY + 4],
+            vec![17, REBUILD_EVERY],
+        ] {
             let mut ma = MovingAverage::new(1_000).unwrap();
             let mut got = None;
             for piece in pieces(&xs, &cuts) {

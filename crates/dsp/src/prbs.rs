@@ -143,6 +143,10 @@ mod tests {
         let ps = power_spectrum(&sig).unwrap();
         let total: f64 = ps.iter().sum();
         let max = ps.iter().cloned().fold(0.0, f64::max);
-        assert!(max / total < 0.05, "energy too concentrated: {}", max / total);
+        assert!(
+            max / total < 0.05,
+            "energy too concentrated: {}",
+            max / total
+        );
     }
 }

@@ -28,7 +28,14 @@ pub fn welch_psd(
 ) -> Result<Vec<f64>, DspError> {
     let mut scratch = DspScratch::new();
     let mut out = Vec::new();
-    welch_psd_into(samples, segment_len, overlap, window, &mut scratch, &mut out)?;
+    welch_psd_into(
+        samples,
+        segment_len,
+        overlap,
+        window,
+        &mut scratch,
+        &mut out,
+    )?;
     Ok(out)
 }
 
@@ -79,8 +86,7 @@ pub fn welch_psd_into(
     result?;
     // Parseval: Σ_k |X[k]|² = N² · mean_power · mean(w²), so dividing by
     // N²·mean(w²) makes the PSD bins sum to the capture's mean power.
-    let norm =
-        1.0 / (segments as f64 * (segment_len * segment_len) as f64 * win_power.max(1e-30));
+    let norm = 1.0 / (segments as f64 * (segment_len * segment_len) as f64 * win_power.max(1e-30));
     for a in out.iter_mut() {
         *a *= norm;
     }

@@ -807,11 +807,7 @@ mod x86 {
             lr[2 * k + 1] = t[2];
             li[2 * k + 1] = t[3];
         }
-        for (j, (x, y)) in a[full * LANES..]
-            .iter()
-            .zip(&b[full * LANES..])
-            .enumerate()
-        {
+        for (j, (x, y)) in a[full * LANES..].iter().zip(&b[full * LANES..]).enumerate() {
             let p = if conj_b { *x * y.conj() } else { *x * *y };
             lr[j] += p.re;
             li[j] += p.im;
@@ -1328,7 +1324,10 @@ mod neon {
         for c in 0..full {
             let v0 = vld1q_f64(ps.add(4 * c));
             let v1 = vld1q_f64(ps.add(4 * c + 2));
-            vst1q_f64(pd.add(2 * c), vpaddq_f64(vmulq_f64(v0, v0), vmulq_f64(v1, v1)));
+            vst1q_f64(
+                pd.add(2 * c),
+                vpaddq_f64(vmulq_f64(v0, v0), vmulq_f64(v1, v1)),
+            );
         }
         for i in full * 2..n {
             dst[i] = src[i].re * src[i].re + src[i].im * src[i].im;

@@ -92,16 +92,27 @@ fn all_tail_remainders_bitwise_identical() {
     let (s, d) = arms();
     let xs: Vec<f64> = (0..130).map(|i| (0.7 * i as f64).sin() * 1e3).collect();
     let za: Vec<Cplx> = (0..130).map(|i| Cplx::phasor(0.37 * i as f64)).collect();
-    let zb: Vec<Cplx> = (0..130).map(|i| Cplx::phasor(0.11 * i as f64 + 0.5)).collect();
-    let taps: Vec<f64> = (0..130).map(|i| 0.5 - 0.5 * (0.05 * i as f64).cos()).collect();
+    let zb: Vec<Cplx> = (0..130)
+        .map(|i| Cplx::phasor(0.11 * i as f64 + 0.5))
+        .collect();
+    let taps: Vec<f64> = (0..130)
+        .map(|i| 0.5 - 0.5 * (0.05 * i as f64).cos())
+        .collect();
     for n in 0..=xs.len() {
         assert_same_bits("sum_f64", (s.sum_f64)(&xs[..n]), (d.sum_f64)(&xs[..n]));
-        assert_same_bits("sum_sq_f64", (s.sum_sq_f64)(&xs[..n]), (d.sum_sq_f64)(&xs[..n]));
+        assert_same_bits(
+            "sum_sq_f64",
+            (s.sum_sq_f64)(&xs[..n]),
+            (d.sum_sq_f64)(&xs[..n]),
+        );
         assert_same_bits("energy", (s.energy)(&za[..n]), (d.energy)(&za[..n]));
         let (cs, cd) = ((s.cdot)(&za[..n], &zb[..n]), (d.cdot)(&za[..n], &zb[..n]));
         assert_same_bits("cdot.re", cs.re, cd.re);
         assert_same_bits("cdot.im", cs.im, cd.im);
-        let (cs, cd) = ((s.cdot_conj)(&za[..n], &zb[..n]), (d.cdot_conj)(&za[..n], &zb[..n]));
+        let (cs, cd) = (
+            (s.cdot_conj)(&za[..n], &zb[..n]),
+            (d.cdot_conj)(&za[..n], &zb[..n]),
+        );
         assert_same_bits("cdot_conj.re", cs.re, cd.re);
         assert_same_bits("cdot_conj.im", cs.im, cd.im);
 
@@ -590,7 +601,11 @@ fn fft_arms_match_scalar_at_every_power_of_two() {
                     assert_same_spectrum(&format!("{} planner, {label}", arm.label), &want, &got);
                     let mut got = x.clone();
                     (arm.fft_radix2)(&mut got, &table);
-                    assert_same_spectrum(&format!("{} kernel, {label}", arm.label), &reference, &got);
+                    assert_same_spectrum(
+                        &format!("{} kernel, {label}", arm.label),
+                        &reference,
+                        &got,
+                    );
                 }
             }
         }

@@ -26,7 +26,12 @@ pub struct Building {
 impl Building {
     /// Construct a building with typical interior clutter (0.4 dB/m at
     /// 1 GHz, the usual dense-office figure).
-    pub fn new(name: impl Into<String>, footprint: Polygon2, height_m: f64, wall: Material) -> Self {
+    pub fn new(
+        name: impl Into<String>,
+        footprint: Polygon2,
+        height_m: f64,
+        wall: Material,
+    ) -> Self {
         Self {
             name: name.into(),
             footprint,

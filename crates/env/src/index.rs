@@ -69,7 +69,11 @@ impl WorldIndex {
     /// Build the index for a world.
     pub fn new(world: &World) -> Self {
         let frame = EnuFrame::new(&world.origin);
-        let aabbs: Vec<Aabb2> = world.buildings.iter().map(|b| b.aabb().expand(PAD_M)).collect();
+        let aabbs: Vec<Aabb2> = world
+            .buildings
+            .iter()
+            .map(|b| b.aabb().expand(PAD_M))
+            .collect();
         let mut bounds = Aabb2::empty();
         for b in &aabbs {
             bounds = bounds.union(b);
@@ -159,8 +163,14 @@ impl WorldIndex {
         };
         let (dx, dy) = (seg.b.x - seg.a.x, seg.b.y - seg.a.y);
         let (ya, yb) = (seg.a.y + t0 * dy, seg.a.y + t1 * dy);
-        let j0 = cell_of((ya.min(yb) - QUERY_EPS_M - self.bounds.min.y) / self.cell_h, self.ny);
-        let j1 = cell_of((ya.max(yb) + QUERY_EPS_M - self.bounds.min.y) / self.cell_h, self.ny);
+        let j0 = cell_of(
+            (ya.min(yb) - QUERY_EPS_M - self.bounds.min.y) / self.cell_h,
+            self.ny,
+        );
+        let j1 = cell_of(
+            (ya.max(yb) + QUERY_EPS_M - self.bounds.min.y) / self.cell_h,
+            self.ny,
+        );
 
         for j in j0..=j1 {
             let slab_lo = self.bounds.min.y + j as f64 * self.cell_h - QUERY_EPS_M;
@@ -183,8 +193,14 @@ impl WorldIndex {
                 (u0, u1)
             };
             let (xa, xb) = (seg.a.x + u0 * dx, seg.a.x + u1 * dx);
-            let i0 = cell_of((xa.min(xb) - QUERY_EPS_M - self.bounds.min.x) / self.cell_w, self.nx);
-            let i1 = cell_of((xa.max(xb) + QUERY_EPS_M - self.bounds.min.x) / self.cell_w, self.nx);
+            let i0 = cell_of(
+                (xa.min(xb) - QUERY_EPS_M - self.bounds.min.x) / self.cell_w,
+                self.nx,
+            );
+            let i1 = cell_of(
+                (xa.max(xb) + QUERY_EPS_M - self.bounds.min.x) / self.cell_w,
+                self.nx,
+            );
             for i in i0..=i1 {
                 let c = j * self.nx + i;
                 let lo = self.cell_start[c] as usize;
@@ -378,7 +394,10 @@ impl PathCache {
     /// `(hits, misses)` accumulated since the previous call — the delta
     /// form the observability layer wants for monotone counters.
     pub fn take_delta(&mut self) -> (u64, u64) {
-        let d = (self.hits - self.published_hits, self.misses - self.published_misses);
+        let d = (
+            self.hits - self.published_hits,
+            self.misses - self.published_misses,
+        );
         self.published_hits = self.hits;
         self.published_misses = self.misses;
         d

@@ -244,8 +244,7 @@ impl World {
             .map(|i| {
                 let bearing = i as f64 * 360.0 / n as f64;
                 let mut emitter = site.position.destination(bearing, range_m);
-                emitter.alt_m =
-                    site.position.alt_m + elevation_deg.to_radians().tan() * range_m;
+                emitter.alt_m = site.position.alt_m + elevation_deg.to_radians().tan() * range_m;
                 let p = self.path_profile(site, &emitter, freq_hz);
                 p.diffraction_db + p.penetration_db
             })
@@ -425,10 +424,19 @@ mod tests {
         // Track collinear with the building's southern edge: the overlap
         // start is a legitimate crossing, so the knife edge must sit at
         // the footprint, not at a degenerate fallback distance.
-        let b = Building::rect("slab", Point2::new(15.0, 5.0), 10.0, 10.0, 40.0, Material::Concrete);
+        let b = Building::rect(
+            "slab",
+            Point2::new(15.0, 5.0),
+            10.0,
+            10.0,
+            40.0,
+            Material::Concrete,
+        );
         // Southern edge runs y = 0 from x = 10 to x = 20.
         let track = Segment2::new(Point2::new(0.0, 0.0), Point2::new(40.0, 0.0));
-        let d = b.first_crossing_distance(&track).expect("tangent ray crosses");
+        let d = b
+            .first_crossing_distance(&track)
+            .expect("tangent ray crosses");
         assert!((d - 10.0).abs() < 1e-9, "crossing at {d}");
         assert!(b.blocks_track(&track));
     }
@@ -468,9 +476,12 @@ mod tests {
         );
         let sensor_2d = w.project(&site.position);
         let emitter_2d = w.project(&overhead);
-        let through = w.buildings[0]
-            .through_loss_db(&Segment2::new(sensor_2d, emitter_2d), 1.09e9);
-        let expect = if over <= through { (over, 0.0) } else { (0.0, through) };
+        let through = w.buildings[0].through_loss_db(&Segment2::new(sensor_2d, emitter_2d), 1.09e9);
+        let expect = if over <= through {
+            (over, 0.0)
+        } else {
+            (0.0, through)
+        };
         assert_eq!(p.diffraction_db.to_bits(), expect.0.to_bits());
         assert_eq!(p.penetration_db.to_bits(), expect.1.to_bits());
         // Overhead ray well above the 30 m roof at midpoint: no loss.
@@ -511,7 +522,10 @@ mod tests {
                 assert_eq!(brute.diffraction_db.to_bits(), got.diffraction_db.to_bits());
                 assert_eq!(brute.penetration_db.to_bits(), got.penetration_db.to_bits());
                 assert_eq!(brute.k_factor_db.to_bits(), got.k_factor_db.to_bits());
-                assert_eq!(brute.shadowing_sigma_db.to_bits(), got.shadowing_sigma_db.to_bits());
+                assert_eq!(
+                    brute.shadowing_sigma_db.to_bits(),
+                    got.shadowing_sigma_db.to_bits()
+                );
             }
         }
         assert_eq!(cache.hits(), 4);
@@ -521,15 +535,37 @@ mod tests {
     #[test]
     fn obstruction_sweep_variants_match_brute_force() {
         let w = World::open(origin())
-            .with_building(Building::rect("a", Point2::new(25.0, 0.0), 10.0, 80.0, 70.0, Material::Concrete))
-            .with_building(Building::rect("b", Point2::new(-40.0, 10.0), 30.0, 12.0, 22.0, Material::Brick));
+            .with_building(Building::rect(
+                "a",
+                Point2::new(25.0, 0.0),
+                10.0,
+                80.0,
+                70.0,
+                Material::Concrete,
+            ))
+            .with_building(Building::rect(
+                "b",
+                Point2::new(-40.0, 10.0),
+                30.0,
+                12.0,
+                22.0,
+                Material::Brick,
+            ));
         let site = SensorSite::outdoor("s", LatLon::new(37.8716, -122.2727, 2.0));
         let index = w.index();
         let mut scratch = crate::GeoScratch::new();
         let brute = w.obstruction_profile(&site, 1.09e9, 2.0, 50_000.0, 36);
         let mut indexed = Vec::new();
         w.obstruction_profile_with(
-            &index, None, &site, 1.09e9, 2.0, 50_000.0, 36, &mut scratch, &mut indexed,
+            &index,
+            None,
+            &site,
+            1.09e9,
+            2.0,
+            50_000.0,
+            36,
+            &mut scratch,
+            &mut indexed,
         );
         assert_eq!(brute.len(), indexed.len());
         for (a, b) in brute.iter().zip(&indexed) {
@@ -538,7 +574,15 @@ mod tests {
         let mut cache = crate::PathCache::new();
         let mut fast = Vec::new();
         w.obstruction_profile_with(
-            &index, Some(&mut cache), &site, 1.09e9, 2.0, 50_000.0, 36, &mut scratch, &mut fast,
+            &index,
+            Some(&mut cache),
+            &site,
+            1.09e9,
+            2.0,
+            50_000.0,
+            36,
+            &mut scratch,
+            &mut fast,
         );
         assert_eq!(brute.len(), fast.len());
         for (a, b) in brute.iter().zip(&fast) {
@@ -547,7 +591,15 @@ mod tests {
         // Second sweep is served entirely from the memo, same bits.
         let mut warm = Vec::new();
         w.obstruction_profile_with(
-            &index, Some(&mut cache), &site, 1.09e9, 2.0, 50_000.0, 36, &mut scratch, &mut warm,
+            &index,
+            Some(&mut cache),
+            &site,
+            1.09e9,
+            2.0,
+            50_000.0,
+            36,
+            &mut scratch,
+            &mut warm,
         );
         assert_eq!(cache.hits(), 36);
         for (a, b) in fast.iter().zip(&warm) {

@@ -51,7 +51,11 @@ fn assert_bits_equal(a: &PathProfile, b: &PathProfile, what: &str) -> Result<(),
         ("penetration_db", a.penetration_db, b.penetration_db),
         ("excess_db", a.excess_db, b.excess_db),
         ("k_factor_db", a.k_factor_db, b.k_factor_db),
-        ("shadowing_sigma_db", a.shadowing_sigma_db, b.shadowing_sigma_db),
+        (
+            "shadowing_sigma_db",
+            a.shadowing_sigma_db,
+            b.shadowing_sigma_db,
+        ),
     ] {
         prop_assert!(
             x.to_bits() == y.to_bits(),

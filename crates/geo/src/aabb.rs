@@ -166,15 +166,9 @@ mod tests {
             Point2::new(2.0, 0.5)
         )));
         // Fully inside.
-        assert!(b.intersects_segment(&Segment2::new(
-            Point2::new(0.2, 0.2),
-            Point2::new(0.8, 0.8)
-        )));
+        assert!(b.intersects_segment(&Segment2::new(Point2::new(0.2, 0.2), Point2::new(0.8, 0.8))));
         // Endpoint inside.
-        assert!(b.intersects_segment(&Segment2::new(
-            Point2::new(0.5, 0.5),
-            Point2::new(5.0, 5.0)
-        )));
+        assert!(b.intersects_segment(&Segment2::new(Point2::new(0.5, 0.5), Point2::new(5.0, 5.0))));
         // Diagonal graze exactly through the corner.
         assert!(b.intersects_segment(&Segment2::new(
             Point2::new(-1.0, 2.0),

@@ -92,8 +92,8 @@ impl LatLon {
         let brg = bearing_deg.to_radians();
         let d = distance_m / EARTH_RADIUS_M;
         let lat2 = (lat1.sin() * d.cos() + lat1.cos() * d.sin() * brg.cos()).asin();
-        let lon2 = lon1
-            + (brg.sin() * d.sin() * lat1.cos()).atan2(d.cos() - lat1.sin() * lat2.sin());
+        let lon2 =
+            lon1 + (brg.sin() * d.sin() * lat1.cos()).atan2(d.cos() - lat1.sin() * lat2.sin());
         LatLon {
             lat_deg: lat2.to_degrees(),
             lon_deg: normalize_lon(lon2.to_degrees()),
@@ -117,7 +117,11 @@ impl LatLon {
     pub fn enu_of(&self, other: &LatLon) -> Enu {
         let origin = self.to_ecef();
         let target = other.to_ecef();
-        let (dx, dy, dz) = (target.x - origin.x, target.y - origin.y, target.z - origin.z);
+        let (dx, dy, dz) = (
+            target.x - origin.x,
+            target.y - origin.y,
+            target.z - origin.z,
+        );
         let lat = self.lat_deg.to_radians();
         let lon = self.lon_deg.to_radians();
         let (sl, cl) = (lon.sin(), lon.cos());
@@ -266,7 +270,10 @@ mod tests {
         for brg in [0.0, 45.0, 137.0, 270.0, 359.0] {
             for dist in [100.0, 5_000.0, 100_000.0] {
                 let q = p.destination(brg, dist);
-                assert!((p.distance_m(&q) - dist).abs() < 1.0, "brg {brg} dist {dist}");
+                assert!(
+                    (p.distance_m(&q) - dist).abs() < 1.0,
+                    "brg {brg} dist {dist}"
+                );
                 assert!((p.bearing_deg(&q) - brg).abs() < 0.5 || dist < 200.0);
             }
         }

@@ -255,10 +255,7 @@ mod tests {
 
     #[test]
     fn parse_kinds() {
-        assert_eq!(
-            AdversaryKind::parse("spoof").unwrap().tag(),
-            "spoof"
-        );
+        assert_eq!(AdversaryKind::parse("spoof").unwrap().tag(), "spoof");
         for k in ["replay", "gain", "frozen", "poison"] {
             assert_eq!(AdversaryKind::parse(k).unwrap().tag(), k);
         }

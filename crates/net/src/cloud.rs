@@ -19,7 +19,6 @@
 use crate::protocol::{NodeClaims, Request, Response};
 use crate::snapshot::{decode_node_state, encode_node_state, RegistryNodeState, SnapshotError};
 use crate::transport::{Link, LinkError, LinkStats, RetryPolicy};
-use aircal_core::wal::{crc32, fnv1a, Journal, WalRecord, FNV1A_OFFSET};
 use aircal_aircraft::TrafficSim;
 use aircal_cellular::{paper_towers, CellMeasurement, CellScanner};
 use aircal_core::classifier::{IndoorOutdoorClassifier, InstallFeatures, InstallVerdict};
@@ -29,6 +28,7 @@ use aircal_core::freqprofile::{FrequencyProfile, SourceKind};
 use aircal_core::robust::{self, FusedProfile, FusionRule};
 use aircal_core::survey::{SurveyConfig, SurveyResult};
 use aircal_core::trust::{TrustAuditor, TrustScore};
+use aircal_core::wal::{crc32, fnv1a, Journal, WalRecord, FNV1A_OFFSET};
 use aircal_env::{SensorSite, World};
 use aircal_geo::LatLon;
 use aircal_obs::{AuditEventKind, Obs};
@@ -739,8 +739,7 @@ impl Cloud {
                 continue;
             }
             let seed = base_seed.wrapping_add(i as u64 * 0x9E37_79B9);
-            self.obs
-                .emit(name, AuditEventKind::AuditStarted { seed });
+            self.obs.emit(name, AuditEventKind::AuditStarted { seed });
             self.obs.incr("audit.nodes_audited", 1);
             // Quarantined nodes get a cheap probe first: no full audit
             // budget until they at least answer a Describe.
@@ -859,8 +858,8 @@ impl Cloud {
             .filter(|v| v.is_complete())
             .map(|v| &v.profile)
             .collect();
-        let fused =
-            (!eligible.is_empty()).then(|| robust::fuse_profiles(&eligible, self.consistency.fusion_rule));
+        let fused = (!eligible.is_empty())
+            .then(|| robust::fuse_profiles(&eligible, self.consistency.fusion_rule));
 
         let pol = &self.consistency;
         for (i, (name, record)) in registry.iter_mut().enumerate() {
@@ -925,8 +924,9 @@ impl Cloud {
                     .iter()
                     .filter(|b| {
                         b.expected_clear_db.is_finite()
-                            && b.measured_db
-                                .is_some_and(|m| m.is_finite() && m > b.expected_clear_db + pol.overshoot_db)
+                            && b.measured_db.is_some_and(|m| {
+                                m.is_finite() && m > b.expected_clear_db + pol.overshoot_db
+                            })
                     })
                     .count();
                 if over >= pol.overshoot_min_bands {
@@ -1064,7 +1064,10 @@ impl Cloud {
     ) {
         let effective = floor
             .max_severity(self.health_policy.link_rung(record.consecutive_failures))
-            .max_severity(self.health_policy.anomaly_rung(record.consecutive_anomalies));
+            .max_severity(
+                self.health_policy
+                    .anomaly_rung(record.consecutive_anomalies),
+            );
         if effective == record.health {
             return;
         }
@@ -1074,7 +1077,9 @@ impl Cloud {
             node: name.to_string(),
             from: previous.severity(),
             to: effective.severity(),
-            consecutive: record.consecutive_failures.max(record.consecutive_anomalies),
+            consecutive: record
+                .consecutive_failures
+                .max(record.consecutive_anomalies),
         });
         record.health = effective;
         self.obs.incr("health.transitions", 1);
@@ -1083,7 +1088,9 @@ impl Cloud {
             AuditEventKind::HealthTransition {
                 from: previous.to_string(),
                 to: effective.to_string(),
-                consecutive_failures: record.consecutive_failures.max(record.consecutive_anomalies),
+                consecutive_failures: record
+                    .consecutive_failures
+                    .max(record.consecutive_anomalies),
             },
         );
         if effective == NodeHealth::Evicted {
@@ -1154,7 +1161,9 @@ impl Cloud {
             obs,
             name,
             "cells",
-            Request::ScanCells { seed: seed ^ 0xCE11 },
+            Request::ScanCells {
+                seed: seed ^ 0xCE11,
+            },
             |r| match r {
                 Response::Cells(c) => Some(c),
                 _ => None,
@@ -1166,7 +1175,9 @@ impl Cloud {
             obs,
             name,
             "tv",
-            Request::SweepTv { seed: seed ^ 0x7E1E },
+            Request::SweepTv {
+                seed: seed ^ 0x7E1E,
+            },
             |r| match r {
                 Response::Tv(t) => Some(t),
                 _ => None,
@@ -1348,7 +1359,11 @@ impl Cloud {
         let take = k.min(n);
         let mut sampled: Vec<u32> = (0..take)
             .map(|j| {
-                let idx = if take == 1 { 0 } else { j * (n - 1) / (take - 1) };
+                let idx = if take == 1 {
+                    0
+                } else {
+                    j * (n - 1) / (take - 1)
+                };
                 icaos[idx]
             })
             .collect();
@@ -1356,7 +1371,11 @@ impl Cloud {
         let mut unknown = 0usize;
         let mut examples = Vec::new();
         for icao in &sampled {
-            if self.sky.by_icao(aircal_adsb::IcaoAddress::new(*icao)).is_none() {
+            if self
+                .sky
+                .by_icao(aircal_adsb::IcaoAddress::new(*icao))
+                .is_none()
+            {
                 unknown += 1;
                 if examples.len() < 4 {
                     examples.push(*icao);
@@ -1386,7 +1405,8 @@ impl Cloud {
         let clear_site = SensorSite::outdoor("expectation", *claimed_position);
         let cell_db = paper_towers(&origin);
         let tv_db = paper_tv_towers(&origin);
-        let clear_cells = CellScanner::default().scan(&clear_world, &clear_site, &cell_db, seed ^ 1);
+        let clear_cells =
+            CellScanner::default().scan(&clear_world, &clear_site, &cell_db, seed ^ 1);
         let clear_tv = TvPowerProbe::default().sweep(&clear_world, &clear_site, &tv_db, seed ^ 1);
         FrequencyProfile::from_sweeps(cells, &clear_cells, tv, &clear_tv)
     }
@@ -1400,13 +1420,8 @@ impl Cloud {
             .filter(|(_, rec)| rec.health.severity() < NodeHealth::Quarantined.severity())
             .filter_map(|(name, rec)| {
                 let v = rec.verdict.as_ref()?;
-                v.approved.then(|| {
-                    (
-                        name.clone(),
-                        v.claims.price_per_hour,
-                        v.trust.score,
-                    )
-                })
+                v.approved
+                    .then(|| (name.clone(), v.claims.price_per_hour, v.trust.score))
             })
             .collect();
         listings.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
@@ -1466,7 +1481,11 @@ impl Cloud {
             }
             self.obs.incr("attest.checks", 1);
             let before = record.link.stats();
-            let upto = record.forensics.attested.map(|(served, _)| served).unwrap_or(0);
+            let upto = record
+                .forensics
+                .attested
+                .map(|(served, _)| served)
+                .unwrap_or(0);
             let resp = record
                 .link
                 .call_with_retry(Request::Attest { upto }, &self.retry_policy);
@@ -1486,8 +1505,10 @@ impl Cloud {
                     if consistent {
                         record.forensics.attested = Some((served, chain));
                     } else {
-                        let (prev_served, prev_chain) =
-                            record.forensics.attested.expect("inconsistent implies prior");
+                        let (prev_served, prev_chain) = record
+                            .forensics
+                            .attested
+                            .expect("inconsistent implies prior");
                         record.consecutive_anomalies =
                             record.consecutive_anomalies.saturating_add(1);
                         self.obs.incr("audit.anomalies", 1);
@@ -1735,7 +1756,10 @@ mod tests {
         // on the next clean audit — same thresholds as the registry.
         assert_eq!(ladder.record(&policy, false, false), NodeHealth::Degraded);
         ladder.record(&policy, false, false);
-        assert_eq!(ladder.record(&policy, false, false), NodeHealth::Quarantined);
+        assert_eq!(
+            ladder.record(&policy, false, false),
+            NodeHealth::Quarantined
+        );
         assert_eq!(ladder.record(&policy, true, false), NodeHealth::Healthy);
 
         // Byzantine ladder runs out at four consecutive anomalies and
@@ -1752,7 +1776,12 @@ mod tests {
         let sky = sky();
         let cloud = Cloud::new(sky.clone());
         cloud
-            .register(spawn(ScenarioKind::OpenField, NodeBehavior::Honest, &sky, 1))
+            .register(spawn(
+                ScenarioKind::OpenField,
+                NodeBehavior::Honest,
+                &sky,
+                1,
+            ))
             .unwrap();
         let verdicts = cloud.audit_all(600);
         let (_, v) = &verdicts[0];
@@ -1771,7 +1800,12 @@ mod tests {
         let sky = sky();
         let cloud = Cloud::new(sky.clone());
         cloud
-            .register(spawn(ScenarioKind::Indoor, NodeBehavior::FalseClaims, &sky, 2))
+            .register(spawn(
+                ScenarioKind::Indoor,
+                NodeBehavior::FalseClaims,
+                &sky,
+                2,
+            ))
             .unwrap();
         let verdicts = cloud.audit_all(601);
         let v = verdicts[0].1.as_ref().unwrap();
@@ -1867,7 +1901,12 @@ mod tests {
         let mut cloud = Cloud::new(sky.clone());
         cloud.retry_policy = RetryPolicy::quick();
         cloud
-            .register(spawn(ScenarioKind::OpenField, NodeBehavior::Honest, &sky, 20))
+            .register(spawn(
+                ScenarioKind::OpenField,
+                NodeBehavior::Honest,
+                &sky,
+                20,
+            ))
             .unwrap();
         cloud
             .register(spawn(ScenarioKind::Rooftop, NodeBehavior::Honest, &sky, 21))
@@ -1894,18 +1933,13 @@ mod tests {
             let v = v.as_ref().expect("every node answered Describe");
             if name == "indoor" {
                 assert!(!v.is_complete(), "crasher must be partial");
-                let failed: Vec<&str> =
-                    v.failed_steps.iter().map(|f| f.step.as_str()).collect();
+                let failed: Vec<&str> = v.failed_steps.iter().map(|f| f.step.as_str()).collect();
                 assert_eq!(failed, vec!["cells", "tv"]);
                 assert!(v
                     .failed_steps
                     .iter()
                     .all(|f| f.error == LinkError::SendFailed));
-                assert!(v
-                    .trust
-                    .flags
-                    .iter()
-                    .any(|f| f.contains("missing evidence")));
+                assert!(v.trust.flags.iter().any(|f| f.contains("missing evidence")));
             } else {
                 assert!(v.is_complete(), "{name} must be untouched");
             }

@@ -149,7 +149,10 @@ impl NodeAgent {
     }
 
     fn record_served(&self, kind: &str, seed: u64) {
-        self.ledger.lock().expect("ledger poisoned").record(kind, seed);
+        self.ledger
+            .lock()
+            .expect("ledger poisoned")
+            .record(kind, seed);
     }
 
     /// Overwrite the service ledger (snapshot restore only).
@@ -336,8 +339,12 @@ impl NodeAgent {
             if offset.abs() > span / 2.0 + 3e6 {
                 continue;
             }
-            let path =
-                geo.profile(&self.scenario.world, &self.scenario.site, &tower.position, f_c);
+            let path = geo.profile(
+                &self.scenario.world,
+                &self.scenario.site,
+                &tower.position,
+                f_c,
+            );
             let bearing = self.scenario.site.position.bearing_deg(&tower.position);
             let elevation = self.scenario.site.position.elevation_deg(&tower.position);
             let rx_gain = self.scenario.site.antenna.gain_dbi(bearing, elevation);
@@ -347,8 +354,7 @@ impl NodeAgent {
             let base = aircal_tv::synth::synthesize_8vsb(n, span);
             let sig = fe.scale_and_impair(&base, rx_dbm, 0.2, 0);
             for (k, s) in sig.iter().enumerate() {
-                capture[k] +=
-                    *s * Cplx::phasor(core::f64::consts::TAU * offset / span * k as f64);
+                capture[k] += *s * Cplx::phasor(core::f64::consts::TAU * offset / span * k as f64);
             }
         }
         fe.finalize(&mut capture, &mut rng);
@@ -458,11 +464,7 @@ mod tests {
         let s = Scenario::build(ScenarioKind::OpenField);
         let shared = sky(s.site.position);
         let honest = NodeAgent::new(s.clone(), NodeBehavior::Honest, shared.clone());
-        let cheat = NodeAgent::new(
-            s.clone(),
-            NodeBehavior::Fabricator { ghosts: 50 },
-            shared,
-        );
+        let cheat = NodeAgent::new(s.clone(), NodeBehavior::Fabricator { ghosts: 50 }, shared);
         let req = Request::RunSurvey {
             config: SurveyConfig::quick(),
             seed: 3,
@@ -490,9 +492,9 @@ mod tests {
         let power_at = |kind: ScenarioKind| -> f64 {
             let node = NodeAgent::new(Scenario::build(kind), NodeBehavior::Honest, shared.clone());
             match node.handle(&req) {
-                Response::Psd { bins, span_hz, .. } => aircal_dsp::power::lin_to_db(
-                    band_power_from_psd(&bins, span_hz, -2.7e6, 2.7e6),
-                ),
+                Response::Psd { bins, span_hz, .. } => {
+                    aircal_dsp::power::lin_to_db(band_power_from_psd(&bins, span_hz, -2.7e6, 2.7e6))
+                }
                 other => panic!("unexpected {other:?}"),
             }
         };
@@ -523,9 +525,8 @@ mod tests {
         };
         match node.handle(&req) {
             Response::Psd { bins, span_hz, .. } => {
-                let p = aircal_dsp::power::lin_to_db(band_power_from_psd(
-                    &bins, span_hz, -3e6, 3e6,
-                ));
+                let p =
+                    aircal_dsp::power::lin_to_db(band_power_from_psd(&bins, span_hz, -3e6, 3e6));
                 assert!(p < -55.0, "empty band measured {p:.1} dBFS");
             }
             other => panic!("unexpected {other:?}"),

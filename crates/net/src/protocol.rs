@@ -228,8 +228,7 @@ mod tests {
             freq_range_hz: (100e6, 6e9),
             price_per_hour: 1.25,
         };
-        let back: NodeClaims =
-            serde_json::from_str(&serde_json::to_string(&c).unwrap()).unwrap();
+        let back: NodeClaims = serde_json::from_str(&serde_json::to_string(&c).unwrap()).unwrap();
         assert_eq!(back, c);
     }
 
@@ -259,7 +258,15 @@ mod tests {
         let expected: Vec<&str> = reqs.iter().map(|r| r.expected_response_kind()).collect();
         assert_eq!(
             expected,
-            vec!["description", "survey", "cells", "tv", "psd", "attestation", "bye"]
+            vec![
+                "description",
+                "survey",
+                "cells",
+                "tv",
+                "psd",
+                "attestation",
+                "bye"
+            ]
         );
     }
 
@@ -273,8 +280,7 @@ mod tests {
             bins: vec![1.0, 2.0],
         };
         assert_eq!(psd.kind(), "psd");
-        let back: Response =
-            serde_json::from_str(&serde_json::to_string(&psd).unwrap()).unwrap();
+        let back: Response = serde_json::from_str(&serde_json::to_string(&psd).unwrap()).unwrap();
         assert_eq!(back, psd);
     }
 }

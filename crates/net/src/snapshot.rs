@@ -473,7 +473,10 @@ fn write_node_state(w: &mut Writer, n: &RegistryNodeState) {
     }
 }
 
-fn read_node_state(r: &mut Reader<'_>, payload_len: usize) -> Result<RegistryNodeState, SnapshotError> {
+fn read_node_state(
+    r: &mut Reader<'_>,
+    payload_len: usize,
+) -> Result<RegistryNodeState, SnapshotError> {
     let name = r.str()?;
     let health = r.u8()?;
     if health > 4 {

@@ -552,13 +552,7 @@ impl Link {
             seq: idx,
         };
         let tx = self.tx.as_ref().expect("link still open");
-        if tx
-            .send(Sequenced {
-                env,
-                body: request,
-            })
-            .is_err()
-        {
+        if tx.send(Sequenced { env, body: request }).is_err() {
             self.stats.send_failed += 1;
             return Err(LinkError::SendFailed);
         }

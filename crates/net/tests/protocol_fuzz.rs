@@ -95,7 +95,10 @@ fn check_total_and_stable(name: &str, text: &str) -> u32 {
         let re = serde_json::to_string(&req).expect("re-encode decoded request");
         let back: Request = serde_json::from_str(&re)
             .unwrap_or_else(|e| panic!("{name}: re-decode of {re} failed: {e:?}"));
-        assert_eq!(back, req, "{name}: request changed meaning across a round-trip");
+        assert_eq!(
+            back, req,
+            "{name}: request changed meaning across a round-trip"
+        );
     }
     if let Ok(resp) = serde_json::from_str::<Response>(text) {
         hits += 1;
@@ -104,7 +107,10 @@ fn check_total_and_stable(name: &str, text: &str) -> u32 {
             .unwrap_or_else(|e| panic!("{name}: re-decode of {re} failed: {e:?}"));
         // `SurveyResult` has no PartialEq; compare re-encodings instead.
         let re2 = serde_json::to_string(&back).unwrap();
-        assert_eq!(re, re2, "{name}: response changed meaning across a round-trip");
+        assert_eq!(
+            re, re2,
+            "{name}: response changed meaning across a round-trip"
+        );
     }
     hits
 }
@@ -162,7 +168,10 @@ const WAL_STREAM_SALT: u64 = 0x0057_414C; // "WAL"
 /// copy with one bit flipped in the middle (CRC mismatch partway in).
 fn wal_seed_journals() -> Vec<(&'static str, Vec<u8>)> {
     let mut j = Journal::new(96);
-    j.append(&WalRecord::RoundStarted { seed: 0xA1B2, tick: 7 });
+    j.append(&WalRecord::RoundStarted {
+        seed: 0xA1B2,
+        tick: 7,
+    });
     j.append(&WalRecord::StepOutcome {
         node: "node-3".into(),
         step: "survey".into(),
@@ -248,9 +257,13 @@ fn wal_corpus_seeds_match_committed() {
             std::fs::write(&path, &bytes).unwrap();
             continue;
         }
-        let committed = std::fs::read(&path)
-            .unwrap_or_else(|e| panic!("{name}: missing committed seed (run UPDATE_CORPUS=1): {e}"));
-        assert_eq!(committed, bytes, "{name}: committed WAL seed diverged from the codec");
+        let committed = std::fs::read(&path).unwrap_or_else(|e| {
+            panic!("{name}: missing committed seed (run UPDATE_CORPUS=1): {e}")
+        });
+        assert_eq!(
+            committed, bytes,
+            "{name}: committed WAL seed diverged from the codec"
+        );
     }
 }
 

@@ -35,7 +35,9 @@ impl AuditEvent {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum AuditEventKind {
     /// An audit of this node began with this commission seed.
-    AuditStarted { seed: u64 },
+    AuditStarted {
+        seed: u64,
+    },
     StepStarted {
         step: String,
     },

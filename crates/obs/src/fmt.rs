@@ -33,7 +33,8 @@ impl Table {
     }
 
     pub fn row<D: Display>(&mut self, cells: &[D]) -> &mut Self {
-        self.rows.push(cells.iter().map(|c| c.to_string()).collect());
+        self.rows
+            .push(cells.iter().map(|c| c.to_string()).collect());
         self
     }
 
@@ -75,11 +76,7 @@ fn render_line(out: &mut String, cells: &[String], widths: &[usize]) {
 
 /// Render every counter (and gauge) in a snapshot as `key = value` lines.
 pub fn counter_lines(snapshot: &MetricsSnapshot) -> Vec<String> {
-    let mut lines: Vec<String> = snapshot
-        .counters
-        .iter()
-        .map(|(k, v)| kv(k, v))
-        .collect();
+    let mut lines: Vec<String> = snapshot.counters.iter().map(|(k, v)| kv(k, v)).collect();
     lines.extend(
         snapshot
             .gauges
@@ -128,6 +125,9 @@ mod tests {
 
     #[test]
     fn kv_lines_are_greppable() {
-        assert_eq!(kv("wire.attempts", 30), format!("  {:<28} = 30", "wire.attempts"));
+        assert_eq!(
+            kv("wire.attempts", 30),
+            format!("  {:<28} = 30", "wire.attempts")
+        );
     }
 }

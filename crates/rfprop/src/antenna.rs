@@ -100,7 +100,9 @@ mod tests {
 
     #[test]
     fn dipole_horizon_peak_zenith_null() {
-        let a = AntennaPattern::VerticalDipole { peak_gain_dbi: 2.15 };
+        let a = AntennaPattern::VerticalDipole {
+            peak_gain_dbi: 2.15,
+        };
         assert!((a.gain_dbi(123.0, 0.0) - 2.15).abs() < 1e-9);
         assert!(a.gain_dbi(0.0, 90.0) < -40.0, "zenith should be a null");
         // Azimuth-independent.

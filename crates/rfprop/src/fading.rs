@@ -145,10 +145,7 @@ mod tests {
         let f = RicianFading::rayleigh();
         let mut r = rng();
         let n = 50_000;
-        let deep = (0..n)
-            .filter(|_| f.sample_power_gain(&mut r) < 0.1)
-            .count() as f64
-            / n as f64;
+        let deep = (0..n).filter(|_| f.sample_power_gain(&mut r) < 0.1).count() as f64 / n as f64;
         assert!((deep - 0.095).abs() < 0.01, "got {deep}");
     }
 

@@ -338,7 +338,11 @@ mod tests {
                         .map(|z| (z.re.to_bits(), z.im.to_bits()))
                         .collect::<Vec<_>>()
                 };
-                assert_eq!(bits(&sparse.samples), bits(&dense), "cfo {cfo_hz}, cluster {ci}");
+                assert_eq!(
+                    bits(&sparse.samples),
+                    bits(&dense),
+                    "cfo {cfo_hz}, cluster {ci}"
+                );
                 sparse.recycle(&mut scratch);
             }
         }
@@ -375,10 +379,7 @@ mod tests {
         let r = renderer();
         let mut rng = capture_rng(3);
         // Second burst starts 50 samples (25 µs) into the first.
-        let windows = r.render(
-            &[plan(0.0, 240, -70.0), plan(25e-6, 240, -70.0)],
-            &mut rng,
-        );
+        let windows = r.render(&[plan(0.0, 240, -70.0), plan(25e-6, 240, -70.0)], &mut rng);
         assert_eq!(windows.len(), 1);
         let expected_len = 50 + 240 + 2 * r.guard_samples;
         assert_eq!(windows[0].samples.len(), expected_len);
@@ -407,7 +408,11 @@ mod tests {
         let r = renderer();
         let mut rng = capture_rng(5);
         let windows = r.render(
-            &[plan(2.0, 100, -70.0), plan(0.5, 100, -70.0), plan(1.2, 100, -70.0)],
+            &[
+                plan(2.0, 100, -70.0),
+                plan(0.5, 100, -70.0),
+                plan(1.2, 100, -70.0),
+            ],
             &mut rng,
         );
         assert_eq!(windows.len(), 3);
@@ -431,7 +436,13 @@ mod tests {
     fn render_seeded_is_thread_count_invariant() {
         let r = renderer();
         let plans: Vec<BurstPlan> = (0..40)
-            .map(|i| plan(i as f64 * 0.01 * if i % 3 == 0 { 1.0 } else { 1.00002 }, 240, -75.0))
+            .map(|i| {
+                plan(
+                    i as f64 * 0.01 * if i % 3 == 0 { 1.0 } else { 1.00002 },
+                    240,
+                    -75.0,
+                )
+            })
             .collect();
         let serial = r.render_seeded(&plans, 99, 1);
         for threads in [2, 4, 8] {
@@ -449,7 +460,11 @@ mod tests {
     #[test]
     fn render_seeded_matches_render_geometry() {
         let r = renderer();
-        let plans = [plan(0.0, 240, -70.0), plan(25e-6, 240, -70.0), plan(1.0, 100, -72.0)];
+        let plans = [
+            plan(0.0, 240, -70.0),
+            plan(25e-6, 240, -70.0),
+            plan(1.0, 100, -72.0),
+        ];
         let mut rng = capture_rng(7);
         let shared = r.render(&plans, &mut rng);
         let seeded = r.render_seeded(&plans, 7, 4);

@@ -340,7 +340,12 @@ mod tests {
     fn quantization_grid() {
         let f = fe();
         let mut rng = capture_rng(3);
-        let burst = f.render_burst(&[Cplx::new(0.123456789, -0.987654321)], -31.0, 0.0, &mut rng);
+        let burst = f.render_burst(
+            &[Cplx::new(0.123456789, -0.987654321)],
+            -31.0,
+            0.0,
+            &mut rng,
+        );
         let levels = 2048.0;
         for s in burst {
             assert!((s.re * levels - (s.re * levels).round()).abs() < 1e-9);

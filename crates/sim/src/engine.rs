@@ -325,21 +325,39 @@ impl CampaignResult {
             }
         ));
         s.push_str(&format!("  \"covered_nodes\": {},\n", self.covered_nodes));
-        s.push_str(&format!("  \"completed_tasks\": {},\n", self.completed_tasks));
-        s.push_str(&format!("  \"dropped_requests\": {},\n", self.dropped_requests));
-        s.push_str(&format!("  \"dropped_responses\": {},\n", self.dropped_responses));
-        s.push_str(&format!("  \"corrupt_deliveries\": {},\n", self.corrupt_deliveries));
+        s.push_str(&format!(
+            "  \"completed_tasks\": {},\n",
+            self.completed_tasks
+        ));
+        s.push_str(&format!(
+            "  \"dropped_requests\": {},\n",
+            self.dropped_requests
+        ));
+        s.push_str(&format!(
+            "  \"dropped_responses\": {},\n",
+            self.dropped_responses
+        ));
+        s.push_str(&format!(
+            "  \"corrupt_deliveries\": {},\n",
+            self.corrupt_deliveries
+        ));
         s.push_str(&format!("  \"crashed_nodes\": {},\n", self.crashed_nodes));
         s.push_str(&format!("  \"anomaly_flags\": {},\n", self.anomaly_flags));
         s.push_str(&format!("  \"state_digest\": \"{}\",\n", self.state_digest));
         s.push_str(&format!("  \"recoveries\": {},\n", self.recoveries));
-        s.push_str(&format!("  \"deduped_reports\": {},\n", self.deduped_reports));
+        s.push_str(&format!(
+            "  \"deduped_reports\": {},\n",
+            self.deduped_reports
+        ));
         let health: Vec<String> = self
             .health_counts
             .iter()
             .map(|(k, v)| format!("    \"{k}\": {v}"))
             .collect();
-        s.push_str(&format!("  \"health_counts\": {{\n{}\n  }}\n", health.join(",\n")));
+        s.push_str(&format!(
+            "  \"health_counts\": {{\n{}\n  }}\n",
+            health.join(",\n")
+        ));
         s.push('}');
         s
     }
@@ -536,9 +554,21 @@ impl<'a> Campaign<'a> {
                 burst_outages: Vec::new(),
                 crash_after: if crashy { Some(crash_after) } else { None },
                 hang_on: Vec::new(),
-                corrupt_on: if corrupting { vec![corrupt_idx] } else { Vec::new() },
-                duplicate_on: if duplicating { vec![duplicate_idx] } else { Vec::new() },
-                reorder_on: if reordering { vec![reorder_idx] } else { Vec::new() },
+                corrupt_on: if corrupting {
+                    vec![corrupt_idx]
+                } else {
+                    Vec::new()
+                },
+                duplicate_on: if duplicating {
+                    vec![duplicate_idx]
+                } else {
+                    Vec::new()
+                },
+                reorder_on: if reordering {
+                    vec![reorder_idx]
+                } else {
+                    Vec::new()
+                },
             };
             nodes.push(SimNode {
                 faults,
@@ -681,7 +711,10 @@ impl<'a> Campaign<'a> {
         let state_crc = self.cloud_state_digest() as u32;
         self.last_snapshot = Some(snap);
         self.journal.reset();
-        self.journal_append(WalRecord::SnapshotTaken { tick: now, state_crc });
+        self.journal_append(WalRecord::SnapshotTaken {
+            tick: now,
+            state_crc,
+        });
         self.journal.sync();
     }
 
@@ -692,7 +725,12 @@ impl<'a> Campaign<'a> {
     /// journal's live tail.
     fn replay_record(&mut self, record: &WalRecord) {
         match *record {
-            WalRecord::Dispatch { node, kind, seq, tick } => {
+            WalRecord::Dispatch {
+                node,
+                kind,
+                seq,
+                tick,
+            } => {
                 let ni = node as usize;
                 let ki = kind as usize;
                 self.views[ni].in_flight[ki] = Some(tick);
@@ -700,7 +738,13 @@ impl<'a> Campaign<'a> {
                 n.dispatched_since_audit += 1;
                 n.next_seq = n.next_seq.max(seq + 1);
             }
-            WalRecord::ReportApplied { node, kind, seq, value_bits, tick } => {
+            WalRecord::ReportApplied {
+                node,
+                kind,
+                seq,
+                value_bits,
+                tick,
+            } => {
                 let ni = node as usize;
                 let ki = kind as usize;
                 self.views[ni].in_flight[ki] = None;
@@ -764,8 +808,7 @@ impl<'a> Campaign<'a> {
         // than from the journal: daemon deaths and active partitions.
         for ni in 0..self.nodes.len() {
             self.views[ni].alive = self.schedulable(ni);
-            self.views[ni].partitioned =
-                self.nodes[ni].partitioned_until.is_some_and(|t| now < t);
+            self.views[ni].partitioned = self.nodes[ni].partitioned_until.is_some_and(|t| now < t);
         }
         self.obs.incr("wal.replay", replayed);
         replayed
@@ -1005,7 +1048,10 @@ impl<'a> Campaign<'a> {
             ));
         }
         self.obs.incr("sim.dispatches", assigned as u64);
-        self.log_line(format_args!("t={} id={} ev=sched assigned={}", now, ev.id, assigned));
+        self.log_line(format_args!(
+            "t={} id={} ev=sched assigned={}",
+            now, ev.id, assigned
+        ));
         let next = now + self.cfg.schedule_period;
         if next < self.cfg.max_ticks {
             self.queue
@@ -1081,9 +1127,7 @@ impl<'a> Campaign<'a> {
             n.covered[ki] = true;
             if n.covered.iter().all(|&c| c) {
                 self.covered_count += 1;
-                if self.coverage90_tick.is_none()
-                    && self.covered_count * 10 >= self.cfg.nodes * 9
-                {
+                if self.coverage90_tick.is_none() && self.covered_count * 10 >= self.cfg.nodes * 9 {
                     self.coverage90_tick = Some(ev.time);
                     self.log_line(format_args!("t={} id={} ev=coverage90", ev.time, ev.id));
                 }
@@ -1173,7 +1217,10 @@ impl<'a> Campaign<'a> {
         // Trust 0.0, not the never-heard-from 0.5, so a restore that
         // skipped a node could not pass for a recovered one.
         for n in &mut self.nodes {
-            n.cloud = CloudNodeState { trust: 0.0, ..CloudNodeState::unknown() };
+            n.cloud = CloudNodeState {
+                trust: 0.0,
+                ..CloudNodeState::unknown()
+            };
         }
         self.views = vec![NodeView::fresh(); self.cfg.nodes];
         self.covered_count = 0;
@@ -1303,8 +1350,10 @@ impl<'a> Campaign<'a> {
         }
         self.obs.incr("sim.audit.rounds", 1);
         self.obs.incr("sim.audit.anomalies", anomalies as u64);
-        self.obs
-            .set_gauge("sim.coverage", self.covered_count as f64 / self.cfg.nodes.max(1) as f64);
+        self.obs.set_gauge(
+            "sim.coverage",
+            self.covered_count as f64 / self.cfg.nodes.max(1) as f64,
+        );
         self.log_line(format_args!(
             "t={} id={} ev=audit audited={} anomalies={} quarantined={}",
             now, ev.id, audited, anomalies, quarantined_or_worse
@@ -1340,12 +1389,18 @@ impl<'a> Campaign<'a> {
     /// Defer a delivery that cannot reach a live cloud to `until`
     /// (+1 for replays, preserving original-before-copy order through
     /// the backlog so the dedup high-water mark sees them in sequence).
-    fn backlog(&mut self, ev: &SimEvent, node: u32, kind: TaskKind, seq: u64, replay: bool, until: u64) {
+    fn backlog(
+        &mut self,
+        ev: &SimEvent,
+        node: u32,
+        kind: TaskKind,
+        seq: u64,
+        replay: bool,
+        until: u64,
+    ) {
         self.backlogged_reports += 1;
         self.obs.incr("sim.partition.backlogged", 1);
-        let key = task_key(node, kind, seq)
-            ^ KEY_BACKLOG
-            ^ if replay { KEY_REPLAY } else { 0 };
+        let key = task_key(node, kind, seq) ^ KEY_BACKLOG ^ if replay { KEY_REPLAY } else { 0 };
         let target = until + replay as u64;
         self.queue.push_keyed(
             target,
@@ -1451,7 +1506,8 @@ impl<'a> Campaign<'a> {
                 .entry(format!("{:?}", n.cloud.ladder.health()))
                 .or_insert(0) += 1;
         }
-        self.obs.set_gauge("wal.appends", self.journal.appends() as f64);
+        self.obs
+            .set_gauge("wal.appends", self.journal.appends() as f64);
         self.obs.set_gauge("wal.syncs", self.journal.syncs() as f64);
         self.obs
             .set_gauge("recovery_ticks", self.recovery_ticks as f64);
@@ -1623,7 +1679,11 @@ mod tests {
         assert_eq!(a.deduped_reports, 0, "fault-free run never dedups");
         assert_eq!(a.state_digest, b.state_digest, "exactly-once effects");
         assert_eq!(a.trust_table, b.trust_table);
-        assert!(b.invariant_violations.is_empty(), "{:?}", b.invariant_violations);
+        assert!(
+            b.invariant_violations.is_empty(),
+            "{:?}",
+            b.invariant_violations
+        );
     }
 
     #[test]
@@ -1635,8 +1695,15 @@ mod tests {
         let a = run(&clean);
         let b = run(&crashy);
         assert_eq!(b.recoveries, 2);
-        assert!(b.replayed_records > 0, "mid-round crashes replay the journal");
-        assert!(b.invariant_violations.is_empty(), "{:?}", b.invariant_violations);
+        assert!(
+            b.replayed_records > 0,
+            "mid-round crashes replay the journal"
+        );
+        assert!(
+            b.invariant_violations.is_empty(),
+            "{:?}",
+            b.invariant_violations
+        );
         assert_eq!(
             a.state_digest, b.state_digest,
             "instant recovery is transparent: snapshot + journal rebuild the exact state"
@@ -1655,7 +1722,11 @@ mod tests {
             remainder: 1,
         }];
         let r = run(&cfg);
-        assert!(r.invariant_violations.is_empty(), "{:?}", r.invariant_violations);
+        assert!(
+            r.invariant_violations.is_empty(),
+            "{:?}",
+            r.invariant_violations
+        );
         // Liveness: the campaign still converges to full-fleet coverage
         // despite a quarter of the fleet being severed for 120 ticks.
         assert!(
@@ -1678,7 +1749,11 @@ mod tests {
         let r = run(&cfg);
         assert_eq!(r.recoveries, 1);
         assert_eq!(r.recovery_ticks, 40);
-        assert!(r.invariant_violations.is_empty(), "{:?}", r.invariant_violations);
+        assert!(
+            r.invariant_violations.is_empty(),
+            "{:?}",
+            r.invariant_violations
+        );
         assert!(
             r.coverage90_tick.is_some(),
             "liveness: coverage still reached despite 40 ticks of downtime"
@@ -1703,10 +1778,18 @@ mod tests {
         cfg.recovery.duplicate_fraction = 0.3;
         cfg.recovery.reorder_fraction = 0.3;
         let r = run(&cfg);
-        assert!(r.invariant_violations.is_empty(), "{:?}", r.invariant_violations);
+        assert!(
+            r.invariant_violations.is_empty(),
+            "{:?}",
+            r.invariant_violations
+        );
         assert!(r.deduped_reports > 0);
         assert_eq!(r.recoveries, 2);
-        assert!(r.covered_nodes > 150, "fleet converges: {}", r.covered_nodes);
+        assert!(
+            r.covered_nodes > 150,
+            "fleet converges: {}",
+            r.covered_nodes
+        );
         // Worker count stays invisible under every fault class at once.
         let mut wide = cfg.clone();
         wide.workers = 8;
@@ -1724,10 +1807,7 @@ mod tests {
         let mut cheat_trust: Vec<f64> = Vec::new();
         let mut honest_trust: Vec<f64> = Vec::new();
         for i in 0..cfg.nodes as u64 {
-            let mut rng = ChaCha8Rng::seed_from_u64(derive_stream_seed(
-                cfg.seed ^ FAULT_SALT,
-                i,
-            ));
+            let mut rng = ChaCha8Rng::seed_from_u64(derive_stream_seed(cfg.seed ^ FAULT_SALT, i));
             let _offset: f64 = rng.gen_range(-1.0..1.0);
             let lossy = rng.gen_range(0.0..1.0) < f.lossy_fraction;
             let crashy = rng.gen_range(0.0..1.0) < f.crash_fraction;
@@ -1740,7 +1820,10 @@ mod tests {
                 honest_trust.push(trust);
             }
         }
-        assert!(!cheat_trust.is_empty(), "seed 9 produces miscalibrated nodes");
+        assert!(
+            !cheat_trust.is_empty(),
+            "seed 9 produces miscalibrated nodes"
+        );
         let cheat_max = cheat_trust.iter().cloned().fold(f64::MIN, f64::max);
         let honest_mean = honest_trust.iter().sum::<f64>() / honest_trust.len() as f64;
         assert!(

@@ -251,7 +251,11 @@ mod tests {
         // The tie-break stream actually reorders same-tick events away
         // from insertion order (ids 1..=6 here).
         let ids: Vec<u64> = batch.iter().map(|e| e.id).collect();
-        assert_ne!(ids, vec![1, 2, 3, 4, 5, 6], "tie-breaks shuffle insertion order");
+        assert_ne!(
+            ids,
+            vec![1, 2, 3, 4, 5, 6],
+            "tie-breaks shuffle insertion order"
+        );
 
         assert_eq!(q.pop_batch(&mut batch), Some(9));
         assert_eq!(q.pop_batch(&mut batch), None);

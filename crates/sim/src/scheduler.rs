@@ -226,7 +226,10 @@ mod tests {
             ]
         );
         let second = rr.assign(&view, 2);
-        assert_eq!(second, vec![(2, TaskKind::TvSweep), (2, TaskKind::CellScan)]);
+        assert_eq!(
+            second,
+            vec![(2, TaskKind::TvSweep), (2, TaskKind::CellScan)]
+        );
     }
 
     #[test]
@@ -284,7 +287,11 @@ mod tests {
             }
         }
         candidates.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
-        candidates.into_iter().take(capacity).map(|(_, n, k)| (n, k)).collect()
+        candidates
+            .into_iter()
+            .take(capacity)
+            .map(|(_, n, k)| (n, k))
+            .collect()
     }
 
     /// One node at `now = 100`, `timeout_ticks = 12`: updates from a

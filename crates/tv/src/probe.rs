@@ -344,7 +344,10 @@ mod tests {
         };
         let serial = probe_with(1).sweep(&s.world, &s.site, &towers, 5);
         for threads in [2usize, 8] {
-            assert_eq!(serial, probe_with(threads).sweep(&s.world, &s.site, &towers, 5));
+            assert_eq!(
+                serial,
+                probe_with(threads).sweep(&s.world, &s.site, &towers, 5)
+            );
         }
     }
 }

@@ -145,7 +145,10 @@ mod tests {
                 let shared = synthesize_8vsb_shared(len, fs);
                 assert_eq!(shared.len(), fresh.len());
                 for (a, b) in fresh.iter().zip(shared.iter()) {
-                    assert_eq!((a.re.to_bits(), a.im.to_bits()), (b.re.to_bits(), b.im.to_bits()));
+                    assert_eq!(
+                        (a.re.to_bits(), a.im.to_bits()),
+                        (b.re.to_bits(), b.im.to_bits())
+                    );
                 }
             }
         }

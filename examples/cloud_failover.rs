@@ -21,7 +21,10 @@ use aircal::sim::{run_with_obs, CampaignConfig, PartitionSpec};
 use std::time::Instant;
 
 fn parse_partition(s: &str) -> PartitionSpec {
-    let parts: Vec<u64> = s.split(':').map(|p| p.parse().expect("partition field")).collect();
+    let parts: Vec<u64> = s
+        .split(':')
+        .map(|p| p.parse().expect("partition field"))
+        .collect();
     assert_eq!(parts.len(), 4, "--partition takes START:HEAL:MOD:REM");
     PartitionSpec {
         start_tick: parts[0],
@@ -58,7 +61,9 @@ fn main() {
                     .expect("--restart-delay takes ticks");
             }
             "--partition" => {
-                partition = Some(parse_partition(it.next().expect("--partition takes a spec")));
+                partition = Some(parse_partition(
+                    it.next().expect("--partition takes a spec"),
+                ));
             }
             "--no-partition" => partition = None,
             other => positional.push(other.to_string()),
@@ -68,10 +73,7 @@ fn main() {
         .first()
         .and_then(|v| v.parse().ok())
         .unwrap_or(1000);
-    let seed: u64 = positional
-        .get(1)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42);
+    let seed: u64 = positional.get(1).and_then(|v| v.parse().ok()).unwrap_or(42);
 
     let mut cfg = CampaignConfig::paper_default(nodes, seed);
     if crash_every > 0 {
@@ -128,20 +130,26 @@ fn main() {
         let mut clean_cfg = CampaignConfig::paper_default(nodes, seed);
         clean_cfg.recovery = Default::default();
         let clean = run_with_obs(&clean_cfg, &Obs::default());
-        let identical = clean.state_digest == faulted.state_digest
-            && clean.trust_table == faulted.trust_table;
+        let identical =
+            clean.state_digest == faulted.state_digest && clean.trust_table == faulted.trust_table;
         println!("\n── fault-free twin ──");
         println!("  faulted digest  {}", faulted.state_digest);
         println!("  clean digest    {}", clean.state_digest);
         println!(
             "  bit-identical   {}",
-            if identical { "yes" } else { "NO — recovery is leaking state" }
+            if identical {
+                "yes"
+            } else {
+                "NO — recovery is leaking state"
+            }
         );
         if !identical {
             std::process::exit(1);
         }
     } else {
-        println!("\n(run with --no-partition --restart-delay 0 to diff against the fault-free twin)");
+        println!(
+            "\n(run with --no-partition --restart-delay 0 to diff against the fault-free twin)"
+        );
         println!("  final digest    {}", faulted.state_digest);
         println!(
             "  90% coverage    {}",

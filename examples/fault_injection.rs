@@ -48,8 +48,14 @@ fn main() {
     let cells = aircal_cellular::paper_towers(&scenario.world.origin);
     let tv = aircal_tv::paper_tv_towers(&scenario.world.origin);
     let mut accel = scenario.world.accel();
-    let profile = FrequencyProfiler::default()
-        .profile_with_geo(&scenario.world, &mut accel, &scenario.site, &cells, &tv, seed);
+    let profile = FrequencyProfiler::default().profile_with_geo(
+        &scenario.world,
+        &mut accel,
+        &scenario.site,
+        &cells,
+        &tv,
+        seed,
+    );
 
     let faults: [(&str, FrontendFault); 4] = [
         ("healthy", FrontendFault::None),
@@ -73,8 +79,7 @@ fn main() {
         };
         let survey = run_survey(&scenario.world, &scenario.site, &traffic, &cfg, seed);
         let fov = FovEstimator::default().estimate(&survey.points);
-        let trust =
-            TrustAuditor::default().audit(&survey, &profile, &traffic, fov.open_fraction());
+        let trust = TrustAuditor::default().audit(&survey, &profile, &traffic, fov.open_fraction());
         push_row(&mut table, label, &survey, trust.score, &trust.flags);
     }
 
@@ -89,7 +94,13 @@ fn main() {
     let fake = fabricate_survey(&honest, honest.total_messages / 12);
     let fov = FovEstimator::default().estimate(&fake.points);
     let trust = TrustAuditor::default().audit(&fake, &profile, &traffic, fov.open_fraction());
-    push_row(&mut table, "fabricated data", &fake, trust.score, &trust.flags);
+    push_row(
+        &mut table,
+        "fabricated data",
+        &fake,
+        trust.score,
+        &trust.flags,
+    );
     println!("{}", table.render());
 
     network_chaos(seed, traced);
@@ -99,7 +110,10 @@ fn main() {
 /// of the RF front end. Audits degrade to partial verdicts, repeated
 /// failures quarantine a node, and a clean audit re-admits it.
 fn network_chaos(seed: u64, traced: bool) {
-    println!("\n{}\n", fmt::section("network chaos: same fleet, faulty links"));
+    println!(
+        "\n{}\n",
+        fmt::section("network chaos: same fleet, faulty links")
+    );
     let sky = Arc::new(TrafficSim::generate(
         TrafficConfig {
             count: 40,
@@ -216,10 +230,23 @@ fn network_chaos(seed: u64, traced: bool) {
 }
 
 fn front_end_table() -> fmt::Table {
-    fmt::Table::new(&["condition", "observed", "messages", "maxrange", "trust", "flags"])
+    fmt::Table::new(&[
+        "condition",
+        "observed",
+        "messages",
+        "maxrange",
+        "trust",
+        "flags",
+    ])
 }
 
-fn push_row(table: &mut fmt::Table, label: &str, survey: &SurveyResult, trust: f64, flags: &[String]) {
+fn push_row(
+    table: &mut fmt::Table,
+    label: &str,
+    survey: &SurveyResult,
+    trust: f64,
+    flags: &[String],
+) {
     table.row(&[
         label.to_string(),
         format!("{:.0}%", survey.observation_rate() * 100.0),

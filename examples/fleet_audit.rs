@@ -65,29 +65,31 @@ fn corrupt_profile(profile: &mut FrequencyProfile, stale: &FrequencyProfile, kin
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let traced = args.iter().any(|a| a == "--trace");
-    let adversary: Option<AdversaryKind> = args
-        .iter()
-        .position(|a| a == "--adversary")
-        .map(|i| {
-            let kind = args.get(i + 1).unwrap_or_else(|| {
-                eprintln!("--adversary needs a kind (spoof|replay|gain|frozen|poison)");
-                std::process::exit(2);
-            });
-            AdversaryKind::parse(kind).unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(2);
-            })
+    let adversary: Option<AdversaryKind> = args.iter().position(|a| a == "--adversary").map(|i| {
+        let kind = args.get(i + 1).unwrap_or_else(|| {
+            eprintln!("--adversary needs a kind (spoof|replay|gain|frozen|poison)");
+            std::process::exit(2);
         });
+        AdversaryKind::parse(kind).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        })
+    });
     let seed: u64 = args
         .iter()
         .enumerate()
         .filter(|(i, a)| {
-            !a.starts_with("--") && !matches!(args.get(i.wrapping_sub(1)), Some(p) if p == "--adversary")
+            !a.starts_with("--")
+                && !matches!(args.get(i.wrapping_sub(1)), Some(p) if p == "--adversary")
         })
         .find_map(|(_, s)| s.parse().ok())
         .unwrap_or(5);
 
-    let obs = if traced { Obs::recording() } else { Obs::disabled() };
+    let obs = if traced {
+        Obs::recording()
+    } else {
+        Obs::disabled()
+    };
     if traced {
         trace::enable();
     }
@@ -109,7 +111,12 @@ fn main() {
             format!("{:.0}°", r.fov.estimated.width_deg),
             format!("{:.0}%", r.frequency.usable_fraction() * 100.0),
             format!("{:.0} km", r.survey.max_observed_range_m / 1_000.0),
-            if r.install.outdoor { "outdoor" } else { "indoor" }.to_string(),
+            if r.install.outdoor {
+                "outdoor"
+            } else {
+                "indoor"
+            }
+            .to_string(),
             if r.trust.flags.is_empty() {
                 "-".to_string()
             } else {
@@ -142,12 +149,14 @@ fn main() {
             corrupt_profile(profile, &stale, kind);
             name.clone()
         };
-        println!("{}", fmt::kv("compromised on the wire", format!("{victim} ({kind})")));
+        println!(
+            "{}",
+            fmt::kv("compromised on the wire", format!("{victim} ({kind})"))
+        );
         let refs: Vec<&FrequencyProfile> = corrupted.iter().map(|(_, p)| p).collect();
         let fused = fuse_profiles(&refs, FusionRule::Median);
 
-        let mut residuals =
-            fmt::Table::new(&["node", "honest", "under attack", "shift", "status"]);
+        let mut residuals = fmt::Table::new(&["node", "honest", "under attack", "shift", "status"]);
         for ((name, before), (_, after)) in honest.iter().zip(&corrupted) {
             let r0 = residual_db(before, &honest_fused);
             let r1 = residual_db(after, &fused);
@@ -159,7 +168,12 @@ fn main() {
                     (Some(a), Some(b)) => format!("{:+.1} dB", b - a),
                     _ => "-".to_string(),
                 },
-                if *name == victim { "CORRUPTED" } else { "honest" }.to_string(),
+                if *name == victim {
+                    "CORRUPTED"
+                } else {
+                    "honest"
+                }
+                .to_string(),
             ]);
         }
         println!("{}", residuals.render());
@@ -170,7 +184,10 @@ fn main() {
             residuals.row(&[
                 name.clone(),
                 fmt_db(res),
-                res.map_or_else(|| "-".to_string(), |db| format!("{:.2}", residual_score(db, 10.0))),
+                res.map_or_else(
+                    || "-".to_string(),
+                    |db| format!("{:.2}", residual_score(db, 10.0)),
+                ),
             ]);
         }
         println!("{}", residuals.render());
@@ -179,13 +196,18 @@ fn main() {
     // A renter's query: outdoor nodes with at least 90° of sky and full
     // band coverage.
     let eligible = report.filter(|r| {
-        r.install.outdoor && r.fov.estimated.width_deg >= 90.0 && r.frequency.usable_fraction() >= 0.99
+        r.install.outdoor
+            && r.fov.estimated.width_deg >= 90.0
+            && r.frequency.usable_fraction() >= 0.99
     });
     println!(
         "\n{}",
         fmt::kv(
             "rentable (outdoor, ≥90° sky, all bands)",
-            format!("{:?}", eligible.iter().map(|n| n.name.as_str()).collect::<Vec<_>>())
+            format!(
+                "{:?}",
+                eligible.iter().map(|n| n.name.as_str()).collect::<Vec<_>>()
+            )
         )
     );
 

@@ -38,10 +38,7 @@ fn main() {
         .first()
         .and_then(|v| v.parse().ok())
         .unwrap_or(1000);
-    let seed: u64 = positional
-        .get(1)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42);
+    let seed: u64 = positional.get(1).and_then(|v| v.parse().ok()).unwrap_or(42);
 
     println!("fleet-scale campaign: {nodes} nodes, seed {seed}, {workers} worker(s)\n");
 

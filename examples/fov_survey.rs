@@ -42,8 +42,11 @@ fn main() {
         );
         render_polar(&result);
 
-        println!("  estimator comparison (truth: {:.0}° @ {:.0}°):",
-            scenario.expected_fov.width_deg, scenario.expected_fov.center_deg());
+        println!(
+            "  estimator comparison (truth: {:.0}° @ {:.0}°):",
+            scenario.expected_fov.width_deg,
+            scenario.expected_fov.center_deg()
+        );
         for method in [
             FovMethod::default_histogram(),
             FovMethod::default_knn(),

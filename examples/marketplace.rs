@@ -16,7 +16,9 @@
 //! eviction. The residual table shows each node's deviation from the
 //! fleet's robustly fused consensus.
 
-use aircal::net::{spawn_node_with_faults, AdversaryKind, Cloud, LinkFaults, NodeAgent, NodeBehavior};
+use aircal::net::{
+    spawn_node_with_faults, AdversaryKind, Cloud, LinkFaults, NodeAgent, NodeBehavior,
+};
 use aircal::obs::{fmt, Obs};
 use aircal_aircraft::{TrafficConfig, TrafficSim};
 use aircal_env::{scenarios::testbed_origin, Scenario, ScenarioKind};
@@ -25,24 +27,22 @@ use std::sync::Arc;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let traced = args.iter().any(|a| a == "--trace");
-    let adversary: Option<AdversaryKind> = args
-        .iter()
-        .position(|a| a == "--adversary")
-        .map(|i| {
-            let kind = args.get(i + 1).unwrap_or_else(|| {
-                eprintln!("--adversary needs a kind (spoof|replay|gain|frozen|poison)");
-                std::process::exit(2);
-            });
-            AdversaryKind::parse(kind).unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(2);
-            })
+    let adversary: Option<AdversaryKind> = args.iter().position(|a| a == "--adversary").map(|i| {
+        let kind = args.get(i + 1).unwrap_or_else(|| {
+            eprintln!("--adversary needs a kind (spoof|replay|gain|frozen|poison)");
+            std::process::exit(2);
         });
+        AdversaryKind::parse(kind).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        })
+    });
     let seed: u64 = args
         .iter()
         .enumerate()
         .filter(|(i, a)| {
-            !a.starts_with("--") && !matches!(args.get(i.wrapping_sub(1)), Some(p) if p == "--adversary")
+            !a.starts_with("--")
+                && !matches!(args.get(i.wrapping_sub(1)), Some(p) if p == "--adversary")
         })
         .find_map(|(_, s)| s.parse().ok())
         .unwrap_or(77);
@@ -69,7 +69,10 @@ fn main() {
         (ScenarioKind::Rooftop, NodeBehavior::Honest),
         (ScenarioKind::Indoor, NodeBehavior::Honest),
         (ScenarioKind::BehindWindow, NodeBehavior::FalseClaims),
-        (ScenarioKind::UrbanCanyon, NodeBehavior::Fabricator { ghosts: 100 }),
+        (
+            ScenarioKind::UrbanCanyon,
+            NodeBehavior::Fabricator { ghosts: 100 },
+        ),
     ];
     println!("registering {} nodes…", roster.len() + 1);
     for (i, (kind, behavior)) in roster.into_iter().enumerate() {
@@ -137,16 +140,38 @@ fn main() {
 
     println!("{}", fmt::section("verdicts"));
     let mut table = fmt::Table::new(&[
-        "node", "claims", "measured", "claim OK?", "trust", "audit", "approved", "flags",
+        "node",
+        "claims",
+        "measured",
+        "claim OK?",
+        "trust",
+        "audit",
+        "approved",
+        "flags",
     ]);
     for (name, verdict) in &verdicts {
         match verdict {
             Some(v) => {
                 table.row(&[
                     name.clone(),
-                    if v.claims.outdoor { "outdoor" } else { "indoor" }.to_string(),
-                    if v.install.outdoor { "outdoor" } else { "indoor" }.to_string(),
-                    if v.outdoor_claim_verified { "yes" } else { "NO" }.to_string(),
+                    if v.claims.outdoor {
+                        "outdoor"
+                    } else {
+                        "indoor"
+                    }
+                    .to_string(),
+                    if v.install.outdoor {
+                        "outdoor"
+                    } else {
+                        "indoor"
+                    }
+                    .to_string(),
+                    if v.outdoor_claim_verified {
+                        "yes"
+                    } else {
+                        "NO"
+                    }
+                    .to_string(),
                     format!("{:.0}", v.trust.score),
                     if v.is_complete() { "full" } else { "partial" }.to_string(),
                     if v.approved { "yes" } else { "NO" }.to_string(),
@@ -164,7 +189,10 @@ fn main() {
     }
     println!("{}", table.render());
 
-    println!("\n{}", fmt::section("consensus residuals (vs robust fused profile)"));
+    println!(
+        "\n{}",
+        fmt::section("consensus residuals (vs robust fused profile)")
+    );
     let anomalies = cloud.anomaly_report();
     let mut residuals = fmt::Table::new(&["node", "residual", "anomaly run", "evidence"]);
     for (name, verdict) in &verdicts {
@@ -187,7 +215,13 @@ fn main() {
 
     println!("\n{}", fmt::section("node health"));
     for (name, health, failures) in cloud.health_report() {
-        println!("{}", fmt::kv(&name, format!("{health} ({failures} consecutive failed audits)")));
+        println!(
+            "{}",
+            fmt::kv(
+                &name,
+                format!("{health} ({failures} consecutive failed audits)")
+            )
+        );
     }
 
     println!("\n{}", fmt::section("wire traffic"));
@@ -203,9 +237,15 @@ fn main() {
     }
     println!("{}", wire.render());
 
-    println!("\n{}", fmt::section("marketplace (approved nodes, cheapest first)"));
+    println!(
+        "\n{}",
+        fmt::section("marketplace (approved nodes, cheapest first)")
+    );
     for (name, price, trust) in cloud.marketplace() {
-        println!("{}", fmt::kv(&name, format!("{price:.2}/h  trust {trust:.0}")));
+        println!(
+            "{}",
+            fmt::kv(&name, format!("{price:.2}/h  trust {trust:.0}"))
+        );
     }
 
     if traced {

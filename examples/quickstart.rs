@@ -24,14 +24,19 @@ fn main() {
     // The paper's Location ①: a rooftop sensor with an open western view.
     let scenario = Scenario::build(ScenarioKind::Rooftop);
 
-    let obs = if traced { Obs::recording() } else { Obs::disabled() };
+    let obs = if traced {
+        Obs::recording()
+    } else {
+        Obs::disabled()
+    };
     if traced {
         trace::enable();
     }
     println!("calibrating '{}' (seed {seed})…\n", scenario.site.name);
-    let report = Calibrator::quick()
-        .with_obs(obs.clone())
-        .calibrate(&scenario.world, &scenario.site, seed);
+    let report =
+        Calibrator::quick()
+            .with_obs(obs.clone())
+            .calibrate(&scenario.world, &scenario.site, seed);
     trace::disable();
 
     println!("{}\n", report.headline());
@@ -68,7 +73,11 @@ fn main() {
             "installation",
             format!(
                 "{} (p_outdoor = {:.2})",
-                if report.install.outdoor { "OUTDOOR" } else { "INDOOR" },
+                if report.install.outdoor {
+                    "OUTDOOR"
+                } else {
+                    "INDOOR"
+                },
                 report.install.probability_outdoor,
             )
         )

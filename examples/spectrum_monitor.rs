@@ -24,15 +24,17 @@ fn main() {
     let fs = 8e6;
     let towers = paper_tv_towers(&aircal_env::scenarios::testbed_origin());
     let tower = &towers[1]; // 473 MHz, west
-    println!("monitoring {} from the paper's three locations\n", tower.name);
+    println!(
+        "monitoring {} from the paper's three locations\n",
+        tower.name
+    );
 
     for scenario in paper_scenarios() {
         // Channel + front end, exactly as the TV probe does it.
-        let path = scenario.world.path_profile(
-            &scenario.site,
-            &tower.position,
-            tower.channel.center_hz(),
-        );
+        let path =
+            scenario
+                .world
+                .path_profile(&scenario.site, &tower.position, tower.channel.center_hz());
         let bearing = scenario.site.position.bearing_deg(&tower.position);
         let elevation = scenario.site.position.elevation_deg(&tower.position);
         let rx_gain = scenario.site.antenna.gain_dbi(bearing, elevation);

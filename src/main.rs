@@ -25,10 +25,7 @@ fn main() {
         Some("fleet") => cmd_fleet(seed),
         Some("marketplace") => cmd_marketplace(seed),
         Some("schedule") => {
-            let n = args
-                .get(1)
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(5usize);
+            let n = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(5usize);
             cmd_schedule(n);
         }
         _ => {
@@ -57,7 +54,10 @@ fn extract_flag(args: &mut Vec<String>, flag: &str) -> bool {
 }
 
 fn cmd_scenarios() {
-    println!("{:16} {:>8} {:>16}  description", "name", "outdoor", "true FoV");
+    println!(
+        "{:16} {:>8} {:>16}  description",
+        "name", "outdoor", "true FoV"
+    );
     for s in all_scenarios() {
         println!(
             "{:16} {:>8} {:>10.0}°@{:>3.0}°  {}",
@@ -91,8 +91,16 @@ fn cmd_calibrate(name: Option<&str>, seed: u64, json: bool) {
         println!("{}", report.headline());
         println!(
             "  claim check: truth={}, classified={} (p_outdoor {:.2})",
-            if scenario.is_outdoor { "outdoor" } else { "indoor" },
-            if report.install.outdoor { "outdoor" } else { "indoor" },
+            if scenario.is_outdoor {
+                "outdoor"
+            } else {
+                "indoor"
+            },
+            if report.install.outdoor {
+                "outdoor"
+            } else {
+                "indoor"
+            },
             report.install.probability_outdoor
         );
         for b in &report.frequency.bands {
@@ -112,7 +120,10 @@ fn cmd_calibrate(name: Option<&str>, seed: u64, json: bool) {
 fn cmd_fleet(seed: u64) {
     let fleet = all_scenarios();
     let report = FleetAuditor::new(Calibrator::quick()).audit(&fleet, seed);
-    println!("{:>4}  {:14} {:>6} {:>8} {:>8}", "rank", "node", "trust", "fov", "install");
+    println!(
+        "{:>4}  {:14} {:>6} {:>8} {:>8}",
+        "rank", "node", "trust", "fov", "install"
+    );
     for n in &report.nodes {
         println!(
             "{:>4}  {:14} {:>6.0} {:>7.0}° {:>8}",
@@ -120,7 +131,11 @@ fn cmd_fleet(seed: u64) {
             n.name,
             n.report.trust.score,
             n.report.fov.estimated.width_deg,
-            if n.report.install.outdoor { "outdoor" } else { "indoor" },
+            if n.report.install.outdoor {
+                "outdoor"
+            } else {
+                "indoor"
+            },
         );
     }
 }
@@ -142,7 +157,10 @@ fn cmd_marketplace(seed: u64) {
         (ScenarioKind::OpenField, NodeBehavior::Honest),
         (ScenarioKind::Rooftop, NodeBehavior::Honest),
         (ScenarioKind::Indoor, NodeBehavior::FalseClaims),
-        (ScenarioKind::Suburban, NodeBehavior::Fabricator { ghosts: 80 }),
+        (
+            ScenarioKind::Suburban,
+            NodeBehavior::Fabricator { ghosts: 80 },
+        ),
     ]
     .into_iter()
     .enumerate()
@@ -155,8 +173,16 @@ fn cmd_marketplace(seed: u64) {
             Some(v) => println!(
                 "{:14} claim={:7} measured={:7} trust={:>3.0} approved={}",
                 name,
-                if v.claims.outdoor { "outdoor" } else { "indoor" },
-                if v.install.outdoor { "outdoor" } else { "indoor" },
+                if v.claims.outdoor {
+                    "outdoor"
+                } else {
+                    "indoor"
+                },
+                if v.install.outdoor {
+                    "outdoor"
+                } else {
+                    "indoor"
+                },
                 v.trust.score,
                 v.approved,
             ),

@@ -167,11 +167,31 @@ proptest! {
 /// f = 5 < n/2.
 fn campaign_fleet() -> Vec<(&'static str, ScenarioKind, Option<AdversaryKind>)> {
     vec![
-        ("adv-frozen", ScenarioKind::Rooftop, Some(AdversaryKind::FrozenFrontend)),
-        ("adv-gain", ScenarioKind::OpenField, Some(AdversaryKind::GainInflate { db: 25.0 })),
-        ("adv-poison", ScenarioKind::OpenField, Some(AdversaryKind::CalibrationPoison { db_per_round: 2.5 })),
-        ("adv-replay", ScenarioKind::Rooftop, Some(AdversaryKind::ReplayStale)),
-        ("adv-spoof", ScenarioKind::OpenField, Some(AdversaryKind::SpoofAdsb { ghosts: 24 })),
+        (
+            "adv-frozen",
+            ScenarioKind::Rooftop,
+            Some(AdversaryKind::FrozenFrontend),
+        ),
+        (
+            "adv-gain",
+            ScenarioKind::OpenField,
+            Some(AdversaryKind::GainInflate { db: 25.0 }),
+        ),
+        (
+            "adv-poison",
+            ScenarioKind::OpenField,
+            Some(AdversaryKind::CalibrationPoison { db_per_round: 2.5 }),
+        ),
+        (
+            "adv-replay",
+            ScenarioKind::Rooftop,
+            Some(AdversaryKind::ReplayStale),
+        ),
+        (
+            "adv-spoof",
+            ScenarioKind::OpenField,
+            Some(AdversaryKind::SpoofAdsb { ghosts: 24 }),
+        ),
         ("h-canyon", ScenarioKind::UrbanCanyon, None),
         ("h-field-a", ScenarioKind::OpenField, None),
         ("h-field-b", ScenarioKind::OpenField, None),
@@ -206,12 +226,16 @@ fn run_campaign() -> CampaignRun {
     for (i, (name, kind, adv)) in campaign_fleet().into_iter().enumerate() {
         let scenario = Scenario::build(kind);
         let mut agent = match adv {
-            Some(kind) => NodeAgent::with_adversary(scenario, sky.clone(), kind, 0xBAD5_EED0 + i as u64),
+            Some(kind) => {
+                NodeAgent::with_adversary(scenario, sky.clone(), kind, 0xBAD5_EED0 + i as u64)
+            }
             None => NodeAgent::new(scenario, NodeBehavior::Honest, sky.clone()),
         };
         agent.claims.name = name.to_string();
         assert_eq!(
-            cloud.register(spawn_node(agent, 0.0, 7000 + i as u64)).as_deref(),
+            cloud
+                .register(spawn_node(agent, 0.0, 7000 + i as u64))
+                .as_deref(),
             Some(name)
         );
     }
@@ -263,9 +287,7 @@ fn run_campaign() -> CampaignRun {
 fn honest_only_fusion(verdicts: &[(String, Option<VerificationVerdict>)]) -> String {
     let profiles: Vec<&FrequencyProfile> = verdicts
         .iter()
-        .filter(|(name, v)| {
-            name.starts_with("h-") && v.as_ref().is_some_and(|v| v.is_complete())
-        })
+        .filter(|(name, v)| name.starts_with("h-") && v.as_ref().is_some_and(|v| v.is_complete()))
         .map(|(_, v)| &v.as_ref().unwrap().profile)
         .collect();
     assert_eq!(profiles.len(), 6, "all six honest nodes audit complete");
@@ -283,15 +305,36 @@ fn adversarial_fleet_is_evicted_deterministically_and_honest_survive() {
     // seed: anomalous from round 1. Poison drifts 2.5 dB/round off its
     // round-0 baseline and crosses the 6 dB drift threshold in round 3.
     let eviction_round = |name: &str| -> Option<usize> {
-        run.history
-            .iter()
-            .position(|snap| snap.iter().any(|(n, h)| n == name && *h == NodeHealth::Evicted))
+        run.history.iter().position(|snap| {
+            snap.iter()
+                .any(|(n, h)| n == name && *h == NodeHealth::Evicted)
+        })
     };
-    assert_eq!(eviction_round("adv-spoof"), Some(3), "spoof evicted in round 3");
-    assert_eq!(eviction_round("adv-gain"), Some(3), "gain evicted in round 3");
-    assert_eq!(eviction_round("adv-replay"), Some(4), "replay evicted in round 4");
-    assert_eq!(eviction_round("adv-frozen"), Some(4), "frozen evicted in round 4");
-    assert_eq!(eviction_round("adv-poison"), Some(6), "poison evicted in round 6");
+    assert_eq!(
+        eviction_round("adv-spoof"),
+        Some(3),
+        "spoof evicted in round 3"
+    );
+    assert_eq!(
+        eviction_round("adv-gain"),
+        Some(3),
+        "gain evicted in round 3"
+    );
+    assert_eq!(
+        eviction_round("adv-replay"),
+        Some(4),
+        "replay evicted in round 4"
+    );
+    assert_eq!(
+        eviction_round("adv-frozen"),
+        Some(4),
+        "frozen evicted in round 4"
+    );
+    assert_eq!(
+        eviction_round("adv-poison"),
+        Some(6),
+        "poison evicted in round 6"
+    );
     // Honest nodes are never even suspected before the liars are gone:
     // the fleet ends the campaign with exactly the 6 honest members.
     assert!(run
@@ -302,7 +345,13 @@ fn adversarial_fleet_is_evicted_deterministically_and_honest_survive() {
         .all(|(n, h)| n.starts_with("adv") == (*h == NodeHealth::Evicted)));
 
     // Eviction is terminal: once out, out for every later round.
-    for name in ["adv-spoof", "adv-gain", "adv-replay", "adv-frozen", "adv-poison"] {
+    for name in [
+        "adv-spoof",
+        "adv-gain",
+        "adv-replay",
+        "adv-frozen",
+        "adv-poison",
+    ] {
         let first = eviction_round(name).unwrap();
         for snap in &run.history[first..] {
             let (_, h) = snap.iter().find(|(n, _)| n == name).unwrap();
@@ -319,14 +368,34 @@ fn adversarial_fleet_is_evicted_deterministically_and_honest_survive() {
             .and_then(|(_, _, r)| r.clone())
             .unwrap_or_else(|| panic!("{name} has no eviction reason"))
     };
-    assert!(reason("adv-spoof").starts_with("spot-check:"), "{}", reason("adv-spoof"));
-    assert!(reason("adv-gain").starts_with("overshoot:"), "{}", reason("adv-gain"));
-    assert!(reason("adv-replay").starts_with("replay:"), "{}", reason("adv-replay"));
-    assert!(reason("adv-frozen").starts_with("frozen:"), "{}", reason("adv-frozen"));
+    assert!(
+        reason("adv-spoof").starts_with("spot-check:"),
+        "{}",
+        reason("adv-spoof")
+    );
+    assert!(
+        reason("adv-gain").starts_with("overshoot:"),
+        "{}",
+        reason("adv-gain")
+    );
+    assert!(
+        reason("adv-replay").starts_with("replay:"),
+        "{}",
+        reason("adv-replay")
+    );
+    assert!(
+        reason("adv-frozen").starts_with("frozen:"),
+        "{}",
+        reason("adv-frozen")
+    );
     // By eviction time the poisoner's drift is so large it also trips the
     // absolute overshoot check, which is listed first; the slow drift
     // that convicted it is in the event log.
-    assert!(reason("adv-poison").starts_with("overshoot:"), "{}", reason("adv-poison"));
+    assert!(
+        reason("adv-poison").starts_with("overshoot:"),
+        "{}",
+        reason("adv-poison")
+    );
     assert!(
         run.events_jsonl
             .lines()
@@ -335,9 +404,18 @@ fn adversarial_fleet_is_evicted_deterministically_and_honest_survive() {
     );
     // The terminal rung is reached in exactly `evicted_anomalies`
     // consecutive convictions — bounded detection, no lingering.
-    for name in ["adv-spoof", "adv-gain", "adv-replay", "adv-frozen", "adv-poison"] {
+    for name in [
+        "adv-spoof",
+        "adv-gain",
+        "adv-replay",
+        "adv-frozen",
+        "adv-poison",
+    ] {
         let (_, consecutive, _) = run.anomalies.iter().find(|(n, _, _)| n == name).unwrap();
-        assert_eq!(*consecutive, 4, "{name} evicted after exactly 4 convictions");
+        assert_eq!(
+            *consecutive, 4,
+            "{name} evicted after exactly 4 convictions"
+        );
     }
 
     // --- Honest nodes are never harmed ----------------------------------
@@ -370,7 +448,9 @@ fn adversarial_fleet_is_evicted_deterministically_and_honest_survive() {
     let first_fused = first_fused.expect("round 0 fused a consensus");
     let mut compared = 0usize;
     for band in &first_fused.bands {
-        let Some(fused_db) = band.fused_db else { continue };
+        let Some(fused_db) = band.fused_db else {
+            continue;
+        };
         let honest_vals: Vec<f64> = run
             .first_verdicts
             .iter()
@@ -390,7 +470,11 @@ fn adversarial_fleet_is_evicted_deterministically_and_honest_survive() {
             continue;
         }
         let lo = honest_vals.iter().copied().fold(f64::INFINITY, f64::min) - 1e-9;
-        let hi = honest_vals.iter().copied().fold(f64::NEG_INFINITY, f64::max) + 1e-9;
+        let hi = honest_vals
+            .iter()
+            .copied()
+            .fold(f64::NEG_INFINITY, f64::max)
+            + 1e-9;
         assert!(
             fused_db >= lo && fused_db <= hi,
             "{}: round-0 fused {fused_db:.2} dB left the honest envelope [{lo:.2}, {hi:.2}]",
@@ -398,12 +482,21 @@ fn adversarial_fleet_is_evicted_deterministically_and_honest_survive() {
         );
         compared += 1;
     }
-    assert!(compared >= 8, "fleets overlap on at least 8 bands, got {compared}");
+    assert!(
+        compared >= 8,
+        "fleets overlap on at least 8 bands, got {compared}"
+    );
 
     // --- Bit-identical replay -------------------------------------------
     let replay = run_campaign();
-    assert_eq!(run.events_jsonl, replay.events_jsonl, "event stream replays bit-identically");
-    assert_eq!(run.verdicts_json, replay.verdicts_json, "verdicts replay bit-identically");
+    assert_eq!(
+        run.events_jsonl, replay.events_jsonl,
+        "event stream replays bit-identically"
+    );
+    assert_eq!(
+        run.verdicts_json, replay.verdicts_json,
+        "verdicts replay bit-identically"
+    );
     assert_eq!(
         format!("{:?}", run.history),
         format!("{:?}", replay.history),
@@ -422,7 +515,11 @@ fn adversarial_fleet_is_evicted_deterministically_and_honest_survive() {
 
 fn restore_fleet() -> Vec<(&'static str, ScenarioKind, Option<AdversaryKind>)> {
     vec![
-        ("adv-poison", ScenarioKind::OpenField, Some(AdversaryKind::CalibrationPoison { db_per_round: 2.5 })),
+        (
+            "adv-poison",
+            ScenarioKind::OpenField,
+            Some(AdversaryKind::CalibrationPoison { db_per_round: 2.5 }),
+        ),
         ("h-field", ScenarioKind::OpenField, None),
         ("h-roof", ScenarioKind::Rooftop, None),
     ]
@@ -453,7 +550,10 @@ struct FinalState {
     registry_snapshot: Vec<u8>,
 }
 
-fn final_state(cloud: &Cloud, last_verdicts: &[(String, Option<VerificationVerdict>)]) -> FinalState {
+fn final_state(
+    cloud: &Cloud,
+    last_verdicts: &[(String, Option<VerificationVerdict>)],
+) -> FinalState {
     FinalState {
         health: format!("{:?}", cloud.health_report()),
         anomalies: format!("{:?}", cloud.anomaly_report()),
@@ -477,7 +577,9 @@ fn mid_campaign_crash_restore_resumes_bit_identically() {
         for (i, (name, kind, adv)) in restore_fleet().into_iter().enumerate() {
             let agent = restore_agent(name, kind, adv, &sky, i);
             assert_eq!(
-                cloud.register(spawn_node(agent, 0.0, 7100 + i as u64)).as_deref(),
+                cloud
+                    .register(spawn_node(agent, 0.0, 7100 + i as u64))
+                    .as_deref(),
                 Some(name)
             );
         }
@@ -491,7 +593,11 @@ fn mid_campaign_crash_restore_resumes_bit_identically() {
     };
     // The baseline campaign itself convicts the poisoner (drift trips in
     // round 3, eviction in round 6 — after the crash point below).
-    assert!(baseline.health.contains("Evicted"), "poison evicted: {}", baseline.health);
+    assert!(
+        baseline.health.contains("Evicted"),
+        "poison evicted: {}",
+        baseline.health
+    );
 
     // Interrupted run: same fleet, supervisors keep clones for snapshots.
     let cloud = new_cloud(&sky);
@@ -502,7 +608,9 @@ fn mid_campaign_crash_restore_resumes_bit_identically() {
         // snapshots the *live* agent even after it moves into its thread.
         supervisors.push((name, kind, agent.clone()));
         assert_eq!(
-            cloud.register(spawn_node(agent, 0.0, 7100 + i as u64)).as_deref(),
+            cloud
+                .register(spawn_node(agent, 0.0, 7100 + i as u64))
+                .as_deref(),
             Some(name)
         );
     }
@@ -527,7 +635,9 @@ fn mid_campaign_crash_restore_resumes_bit_identically() {
             .expect("node snapshot restores");
         assert_eq!(agent.claims.name, *name);
         assert_eq!(
-            cloud.register(spawn_node(agent, 0.0, 7100 + i as u64)).as_deref(),
+            cloud
+                .register(spawn_node(agent, 0.0, 7100 + i as u64))
+                .as_deref(),
             Some(*name)
         );
     }
@@ -541,13 +651,22 @@ fn mid_campaign_crash_restore_resumes_bit_identically() {
     let resumed = final_state(&cloud, &last);
     cloud.shutdown();
 
-    assert_eq!(resumed.health, baseline.health, "health ladder resumes identically");
-    assert_eq!(resumed.anomalies, baseline.anomalies, "anomaly evidence resumes identically");
+    assert_eq!(
+        resumed.health, baseline.health,
+        "health ladder resumes identically"
+    );
+    assert_eq!(
+        resumed.anomalies, baseline.anomalies,
+        "anomaly evidence resumes identically"
+    );
     assert_eq!(
         resumed.last_verdicts_json, baseline.last_verdicts_json,
         "final verdicts are bit-identical"
     );
-    assert_eq!(resumed.fused_json, baseline.fused_json, "fused consensus is bit-identical");
+    assert_eq!(
+        resumed.fused_json, baseline.fused_json,
+        "fused consensus is bit-identical"
+    );
     assert_eq!(
         resumed.registry_snapshot, baseline.registry_snapshot,
         "final registry snapshots are byte-identical"
@@ -569,7 +688,10 @@ fn stale_snapshot_restart_is_flagged_as_history_fork_and_quarantined() {
     );
     agent.claims.name = "h-solo".to_string();
     let supervisor = agent.clone();
-    assert_eq!(cloud.register(spawn_node(agent, 0.0, 7200)).as_deref(), Some("h-solo"));
+    assert_eq!(
+        cloud.register(spawn_node(agent, 0.0, 7200)).as_deref(),
+        Some("h-solo")
+    );
 
     // Round A: audit, then checkpoint the service ledger.
     cloud.audit_all(5000);
@@ -600,7 +722,11 @@ fn stale_snapshot_restart_is_flagged_as_history_fork_and_quarantined() {
     assert_eq!(cloud.attest_all(), vec![("h-solo".to_string(), false)]);
     let report = cloud.health_report();
     assert_eq!(report.len(), 1);
-    assert_eq!(report[0].1, NodeHealth::Quarantined, "forked node is quarantined");
+    assert_eq!(
+        report[0].1,
+        NodeHealth::Quarantined,
+        "forked node is quarantined"
+    );
     assert!(
         cloud.obs.events_jsonl().contains("history-fork"),
         "the fork is in the audit log"
@@ -654,7 +780,10 @@ fn node_snapshots_reject_every_truncation_and_bit_flip() {
             let mut bad = snap.clone();
             bad[i] ^= 1 << bit;
             let res = NodeAgent::restore(scenario.clone(), sky.clone(), &bad);
-            assert!(res.is_err(), "bit {bit} of byte {i} flipped must be rejected");
+            assert!(
+                res.is_err(),
+                "bit {bit} of byte {i} flipped must be rejected"
+            );
         }
     }
 }

@@ -16,13 +16,21 @@ fn classification_correct_on_all_scenarios() {
     let mut p_by_name = std::collections::HashMap::new();
     for scenario in all_scenarios() {
         let report = Calibrator::quick().calibrate(&scenario.world, &scenario.site, 301);
-        p_by_name.insert(scenario.site.name.clone(), report.install.probability_outdoor);
+        p_by_name.insert(
+            scenario.site.name.clone(),
+            report.install.probability_outdoor,
+        );
         if scenario.kind != ScenarioKind::UrbanCanyon {
             assert_eq!(
-                report.install.outdoor, scenario.is_outdoor,
+                report.install.outdoor,
+                scenario.is_outdoor,
                 "{}: classified {} (p={:.2})",
                 scenario.site.name,
-                if report.install.outdoor { "outdoor" } else { "indoor" },
+                if report.install.outdoor {
+                    "outdoor"
+                } else {
+                    "indoor"
+                },
                 report.install.probability_outdoor
             );
         }
@@ -134,7 +142,10 @@ fn fleet_ordering_stable() {
         let report = FleetAuditor::new(Calibrator::quick()).audit(&fleet, seed);
         let names: Vec<&str> = report.nodes.iter().map(|n| n.name.as_str()).collect();
         let pos = |n: &str| names.iter().position(|&x| x == n).unwrap();
-        assert!(pos("open-field") <= 1, "seed {seed}: open-field ranked {names:?}");
+        assert!(
+            pos("open-field") <= 1,
+            "seed {seed}: open-field ranked {names:?}"
+        );
         assert!(
             pos("indoor") >= 3,
             "seed {seed}: indoor ranked too high: {names:?}"

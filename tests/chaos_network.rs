@@ -165,7 +165,10 @@ fn chaos_fleet_audit_is_deterministic_and_bounded() {
         "registry reports sorted by name"
     );
     for (name, v) in &verdicts {
-        assert!(v.is_some(), "{name} answered Describe, so it gets a verdict");
+        assert!(
+            v.is_some(),
+            "{name} answered Describe, so it gets a verdict"
+        );
     }
 
     // --- the victim of the mid-audit crash still gets a usable partial
@@ -173,10 +176,17 @@ fn chaos_fleet_audit_is_deterministic_and_bounded() {
     // penalized but present.
     let crashy = verdicts[1].1.as_ref().unwrap();
     assert!(!crashy.is_complete());
-    let failed: Vec<&str> = crashy.failed_steps.iter().map(|f| f.step.as_str()).collect();
+    let failed: Vec<&str> = crashy
+        .failed_steps
+        .iter()
+        .map(|f| f.step.as_str())
+        .collect();
     assert_eq!(failed, vec!["cells", "tv"]);
     assert!(
-        crashy.failed_steps.iter().all(|f| f.error == LinkError::SendFailed),
+        crashy
+            .failed_steps
+            .iter()
+            .all(|f| f.error == LinkError::SendFailed),
         "a crashed daemon reads as SendFailed: {:?}",
         crashy.failed_steps
     );
@@ -187,7 +197,11 @@ fn chaos_fleet_audit_is_deterministic_and_bounded() {
     );
     assert!(!crashy.profile.is_complete());
     assert!(
-        crashy.trust.flags.iter().any(|f| f.contains("missing evidence")),
+        crashy
+            .trust
+            .flags
+            .iter()
+            .any(|f| f.contains("missing evidence")),
         "trust must record the missing evidence: {:?}",
         crashy.trust.flags
     );
@@ -205,7 +219,11 @@ fn chaos_fleet_audit_is_deterministic_and_bounded() {
     // steady/laggy: 5 clean calls (registration + 4 audit steps).
     for name in ["steady", "laggy"] {
         let s = stat(name);
-        assert_eq!((s.attempts, s.ok, s.retries, s.gave_up), (5, 5, 0, 0), "{name}");
+        assert_eq!(
+            (s.attempts, s.ok, s.retries, s.gave_up),
+            (5, 5, 0, 0),
+            "{name}"
+        );
     }
     // bursty: 2 drops in the outage window, 2 retries, recovered.
     let s = stat("bursty");
@@ -264,7 +282,10 @@ fn chaos_fleet_audit_is_deterministic_and_bounded() {
 
     // --- same seed ⇒ same verdicts, same health, same wire counters.
     let second = run_fleet();
-    assert_eq!(first.verdicts_json, second.verdicts_json, "verdicts must reproduce");
+    assert_eq!(
+        first.verdicts_json, second.verdicts_json,
+        "verdicts must reproduce"
+    );
     assert_eq!(first.health, second.health, "health must reproduce");
     assert_eq!(first.stats, second.stats, "wire counters must reproduce");
 }
@@ -342,7 +363,10 @@ fn dead_node_does_not_block_fleet() {
         },
         200,
     );
-    assert!(cloud.register(dead).is_none(), "dead daemon cannot register");
+    assert!(
+        cloud.register(dead).is_none(),
+        "dead daemon cannot register"
+    );
 
     let mut alive = NodeAgent::new(
         Scenario::build(ScenarioKind::OpenField),

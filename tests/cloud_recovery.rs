@@ -46,7 +46,12 @@ fn sky() -> Arc<TrafficSim> {
 fn fleet(faulted: bool) -> Vec<(&'static str, ScenarioKind, LinkFaults, u64)> {
     let f = |faults: LinkFaults| if faulted { faults } else { LinkFaults::none() };
     vec![
-        ("alpha-steady", ScenarioKind::OpenField, LinkFaults::none(), 501),
+        (
+            "alpha-steady",
+            ScenarioKind::OpenField,
+            LinkFaults::none(),
+            501,
+        ),
         (
             "bravo-partitioned",
             ScenarioKind::Rooftop,
@@ -129,7 +134,10 @@ fn crashed_cloud_recovers_bit_identically_to_continuous_run() {
         report.applied_upserts > 0,
         "replay re-applied node upserts: {report:?}"
     );
-    assert_eq!(report.truncated_bytes, 0, "a synced journal has no torn tail");
+    assert_eq!(
+        report.truncated_bytes, 0,
+        "a synced journal has no torn tail"
+    );
     assert_eq!(recovered.obs.counter("wal.recoveries"), 1);
     assert!(recovered.obs.counter("wal.replay") >= report.applied_upserts);
 
@@ -158,15 +166,27 @@ fn crashed_cloud_recovers_bit_identically_to_continuous_run() {
             .1
     };
     let bravo = by_name("bravo-partitioned");
-    assert!(bravo.retried_ok > 0, "outage absorbed by retries: {bravo:?}");
+    assert!(
+        bravo.retried_ok > 0,
+        "outage absorbed by retries: {bravo:?}"
+    );
     let charlie = by_name("charlie-duplicated");
-    assert!(charlie.stale_drained > 0, "duplicate copies drained: {charlie:?}");
+    assert!(
+        charlie.stale_drained > 0,
+        "duplicate copies drained: {charlie:?}"
+    );
     let delta = by_name("delta-reordered");
-    assert!(delta.timeouts > 0, "reordered reply cost a timeout: {delta:?}");
+    assert!(
+        delta.timeouts > 0,
+        "reordered reply cost a timeout: {delta:?}"
+    );
     assert!(delta.retried_ok > 0, "…and the retry succeeded: {delta:?}");
     let alpha = by_name("alpha-steady");
     assert_eq!(alpha.retried_ok, 0, "control never retried: {alpha:?}");
-    assert!(alpha.first_try_ok > 0, "control succeeds first-try: {alpha:?}");
+    assert!(
+        alpha.first_try_ok > 0,
+        "control succeeds first-try: {alpha:?}"
+    );
     recovered.shutdown();
 }
 
@@ -272,10 +292,17 @@ fn thousand_node_recovery_campaign_matches_its_pinned_digests() {
     let mut faulted = Vec::new();
     for record_log in [false, true] {
         let r = run(&recovery_campaign_1000(record_log));
-        assert!(r.invariant_violations.is_empty(), "{:?}", r.invariant_violations);
+        assert!(
+            r.invariant_violations.is_empty(),
+            "{:?}",
+            r.invariant_violations
+        );
         assert_eq!(r.recoveries, 9);
         assert_eq!(r.digest, "2013909c7b6ff879", "record_log = {record_log}");
-        assert_eq!(r.state_digest, "72cec61e5e400d2a", "record_log = {record_log}");
+        assert_eq!(
+            r.state_digest, "72cec61e5e400d2a",
+            "record_log = {record_log}"
+        );
         assert_eq!(r.replayed_records, 11052, "record_log = {record_log}");
         assert_eq!(r.log.is_empty(), !record_log);
         faulted.push(r);
@@ -288,7 +315,10 @@ fn thousand_node_recovery_campaign_matches_its_pinned_digests() {
     let twin = run(&twin);
     assert_eq!(twin.recoveries, 0);
     for r in &faulted {
-        assert_eq!(r.state_digest, twin.state_digest, "faulted run equals its crash-free twin");
+        assert_eq!(
+            r.state_digest, twin.state_digest,
+            "faulted run equals its crash-free twin"
+        );
         assert_eq!(r.trust_table, twin.trust_table);
     }
 }

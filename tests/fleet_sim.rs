@@ -32,7 +32,10 @@ fn thousand_node_campaign_is_bit_identical_across_worker_counts() {
     let serial = run(&campaign_1000(1, true));
     let streamed = run(&campaign_1000(1, false));
     assert!(streamed.log.is_empty());
-    assert_eq!(serial.digest, streamed.digest, "digest depends on record_log");
+    assert_eq!(
+        serial.digest, streamed.digest,
+        "digest depends on record_log"
+    );
     assert_eq!(serial.state_digest, streamed.state_digest);
     for workers in [2, 8] {
         let parallel = run(&campaign_1000(workers, true));
@@ -40,7 +43,10 @@ fn thousand_node_campaign_is_bit_identical_across_worker_counts() {
             serial.digest, parallel.digest,
             "digest diverged at workers={workers}"
         );
-        assert_eq!(serial.log, parallel.log, "event log diverged at workers={workers}");
+        assert_eq!(
+            serial.log, parallel.log,
+            "event log diverged at workers={workers}"
+        );
         assert_eq!(
             serial.trust_table, parallel.trust_table,
             "trust table diverged at workers={workers}"
@@ -95,7 +101,11 @@ fn thousand_node_campaign_replays_across_processes() {
     let child_digest = stdout
         .split("CHILD_DIGEST=")
         .nth(1)
-        .map(|rest| rest.chars().take_while(|c| c.is_ascii_hexdigit()).collect::<String>())
+        .map(|rest| {
+            rest.chars()
+                .take_while(|c| c.is_ascii_hexdigit())
+                .collect::<String>()
+        })
         .unwrap_or_else(|| panic!("no CHILD_DIGEST marker in child output:\n{stdout}"));
     assert_eq!(
         local.digest, child_digest,

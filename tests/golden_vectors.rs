@@ -74,7 +74,11 @@ fn rendered_capture() -> Vec<aircal::sdr::RenderedWindow> {
                     cpr: cpr::encode(
                         37.8 + 0.01 * i as f64,
                         -122.4 + 0.02 * i as f64,
-                        if i % 2 == 0 { cpr::CprFormat::Even } else { cpr::CprFormat::Odd },
+                        if i % 2 == 0 {
+                            cpr::CprFormat::Even
+                        } else {
+                            cpr::CprFormat::Odd
+                        },
                     ),
                 },
             );

@@ -34,7 +34,9 @@ fn marketplace_lifecycle() {
     .enumerate()
     {
         let agent = NodeAgent::new(Scenario::build(kind), behavior, sky.clone());
-        assert!(cloud.register(spawn_node(agent, 0.0, 9000 + i as u64)).is_some());
+        assert!(cloud
+            .register(spawn_node(agent, 0.0, 9000 + i as u64))
+            .is_some());
     }
     assert_eq!(cloud.node_count(), 3);
 

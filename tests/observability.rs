@@ -137,8 +137,14 @@ fn fleet_telemetry_is_deterministic_across_parallelism() {
     // same verdicts, bit for bit.
     assert_eq!(serial.verdicts_json, threaded.verdicts_json);
     assert_eq!(serial.verdicts_json, unobserved.verdicts_json);
-    assert!(unobserved.events_jsonl.is_empty(), "disabled obs records nothing");
-    assert!(unobserved.counters.is_empty(), "disabled obs counts nothing");
+    assert!(
+        unobserved.events_jsonl.is_empty(),
+        "disabled obs records nothing"
+    );
+    assert!(
+        unobserved.counters.is_empty(),
+        "disabled obs counts nothing"
+    );
 
     // The telemetry itself is deterministic: identical event stream and
     // identical counters at any parallelism.
@@ -197,7 +203,11 @@ fn fleet_telemetry_is_deterministic_across_parallelism() {
     let faults: Vec<&str> = crashy
         .iter()
         .filter_map(|e| match &e.kind {
-            AuditEventKind::FaultObserved { step, fault, count: 1 } => {
+            AuditEventKind::FaultObserved {
+                step,
+                fault,
+                count: 1,
+            } => {
                 assert_eq!(fault, "send_failed");
                 Some(step.as_str())
             }
@@ -208,7 +218,11 @@ fn fleet_telemetry_is_deterministic_across_parallelism() {
     let failed: Vec<&str> = crashy
         .iter()
         .filter_map(|e| match &e.kind {
-            AuditEventKind::StepFailed { step, error, wire_attempts: 1 } => {
+            AuditEventKind::StepFailed {
+                step,
+                error,
+                wire_attempts: 1,
+            } => {
                 assert_eq!(error, "node thread dead");
                 Some(step.as_str())
             }
@@ -287,9 +301,11 @@ fn quarantine_lifecycle_replays_from_event_log() {
     let transitions: Vec<(String, String, u32)> = events
         .iter()
         .filter_map(|e| match &e.kind {
-            AuditEventKind::HealthTransition { from, to, consecutive_failures } => {
-                Some((from.clone(), to.clone(), *consecutive_failures))
-            }
+            AuditEventKind::HealthTransition {
+                from,
+                to,
+                consecutive_failures,
+            } => Some((from.clone(), to.clone(), *consecutive_failures)),
             _ => None,
         })
         .collect();
@@ -307,9 +323,7 @@ fn quarantine_lifecycle_replays_from_event_log() {
     let deltas: Vec<(f64, Vec<String>)> = events
         .iter()
         .filter_map(|e| match &e.kind {
-            AuditEventKind::TrustDelta { delta, reasons, .. } => {
-                Some((*delta, reasons.clone()))
-            }
+            AuditEventKind::TrustDelta { delta, reasons, .. } => Some((*delta, reasons.clone())),
             _ => None,
         })
         .collect();
@@ -379,21 +393,36 @@ fn calibrator_report_unchanged_by_observability() {
 
     // The registry saw the same pipeline the report describes.
     let snap = obs.snapshot();
-    assert_eq!(snap.counters["survey.messages"], watched.survey.messages as u64);
+    assert_eq!(
+        snap.counters["survey.messages"],
+        watched.survey.messages as u64
+    );
     assert_eq!(
         snap.counters["survey.aircraft_observed"],
         watched.survey.aircraft_observed as u64
     );
     assert_eq!(snap.gauges["trust.score"], watched.trust.score);
-    for stage in ["stage.survey", "stage.fov", "stage.profile", "stage.classify", "stage.trust"] {
+    for stage in [
+        "stage.survey",
+        "stage.fov",
+        "stage.profile",
+        "stage.classify",
+        "stage.trust",
+    ] {
         let h = &snap.histograms[stage];
         assert_eq!(h.count, 1, "{stage} ran exactly once");
         assert!(h.sum > 0.0, "{stage} took measurable time");
     }
     // The tracer saw the instrumented kernels. (Other tests may add
     // spans concurrently — membership, not equality.)
-    let names: Vec<String> = trace::summarize(&spans).iter().map(|s| s.name.clone()).collect();
+    let names: Vec<String> = trace::summarize(&spans)
+        .iter()
+        .map(|s| s.name.clone())
+        .collect();
     for expected in ["survey", "preamble_scan", "tv_sweep", "cell_scan"] {
-        assert!(names.iter().any(|n| n == expected), "missing span {expected}: {names:?}");
+        assert!(
+            names.iter().any(|n| n == expected),
+            "missing span {expected}: {names:?}"
+        );
     }
 }
