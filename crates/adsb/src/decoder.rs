@@ -8,6 +8,13 @@ use aircal_dsp::corr::suppress_peaks;
 use aircal_dsp::Cplx;
 use serde::{Deserialize, Serialize};
 
+/// Minimum lag distance between two preamble peaks the decoder keeps:
+/// half a short frame. Two hits closer than this cannot be two bursts,
+/// so the taller suppresses the other. It is also the decoder's whole
+/// look-back from a burst's preamble, which sizes the renderer's noise
+/// guard (`aircal_sdr::CaptureRenderer::new`).
+pub const PEAK_SEPARATION: usize = SHORT_FRAME_SAMPLES / 2;
+
 /// `energy(preamble_template())`: the canonical lane reduction over the
 /// template's four unit pulses is exactly 4.
 const TEMPLATE_ENERGY: f64 = ppm::PREAMBLE_PULSES.len() as f64;
@@ -285,10 +292,10 @@ impl Decoder {
             return;
         }
         // Candidate preambles: peaks far enough apart that two hits can't
-        // be the same burst (half a short frame).
+        // be the same burst.
         scratch
             .scan
-            .run(iq, self.config.preamble_threshold, SHORT_FRAME_SAMPLES / 2);
+            .run(iq, self.config.preamble_threshold, PEAK_SEPARATION);
         let peaks = std::mem::take(&mut scratch.scan.peaks);
         for &(idx, _) in &peaks {
             if idx + SHORT_FRAME_SAMPLES > iq.len() {
@@ -448,10 +455,7 @@ mod tests {
     fn add_noise(iq: &mut [Cplx], sigma: f64, seed: u64) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         for s in iq.iter_mut() {
-            let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-            let u2: f64 = rng.gen_range(0.0..1.0);
-            let r = sigma * (-2.0 * u1.ln()).sqrt();
-            *s += Cplx::from_polar(r, core::f64::consts::TAU * u2);
+            *s += aircal_dsp::normal::draw(&mut rng, sigma);
         }
     }
 
@@ -504,14 +508,14 @@ mod tests {
             .enumerate()
             .filter(|&(_, v)| v >= thr)
             .collect();
-        (above, find_peaks(&dense, thr, SHORT_FRAME_SAMPLES / 2))
+        (above, find_peaks(&dense, thr, PEAK_SEPARATION))
     }
 
     fn assert_scan_matches_dense(iq: &[Cplx], thr: f64, what: &str) {
         let (above, peaks) = dense_reference(iq, thr);
         let mut scan = PreambleScan::default();
         let got: Vec<usize> = scan
-            .run(iq, thr, SHORT_FRAME_SAMPLES / 2)
+            .run(iq, thr, PEAK_SEPARATION)
             .iter()
             .map(|&(lag, _)| lag)
             .collect();

@@ -34,7 +34,7 @@ pub mod me;
 pub mod ppm;
 
 pub use cpr::{CprFormat, CprPair};
-pub use decoder::{DecodeScratch, DecodedMessage, Decoder, DecoderConfig};
+pub use decoder::{DecodeScratch, DecodedMessage, Decoder, DecoderConfig, PEAK_SEPARATION};
 pub use frame::{AdsbFrame, FRAME_BITS, FRAME_BYTES};
 pub use icao::IcaoAddress;
 pub use me::MePayload;

@@ -17,14 +17,15 @@
 //!   (`scalar`/`sse2`/`avx2`/`neon`) and per-kernel scalar-vs-dispatched
 //!   throughput with a bit-identity cross-check, best of 3 with the two
 //!   arms alternating, `--quick` included. `--check` enforces the
-//!   simd-vs-scalar speedup floor when a vector ISA is dispatched. A
-//!   separate `finalize` row times the front end's noise-and-quantize
-//!   stage against its per-sample libm reference (ns/sample, exact-path
-//!   fallback rate), and an `fft` row times a 2048-point
-//!   `FftPlanner` transform (the TV bandpass's overlap-save block) on the
-//!   scalar and the dispatched butterfly arm; `--check` requires both
-//!   rows bit-identical but counts neither toward the kernel speedup
-//!   floor;
+//!   simd-vs-scalar speedup floor when a vector ISA is dispatched
+//!   (`noise_quantize`, the portable Box–Muller sampler plus the ADC
+//!   quantizer, is one of the kernels it counts). A separate `finalize`
+//!   row times the front end's whole noise stage (words, uniforms,
+//!   kernel) on the scalar and the dispatched arm (ns/sample), and an
+//!   `fft` row times a 2048-point `FftPlanner` transform (the TV
+//!   bandpass's overlap-save block) on the scalar and the dispatched
+//!   butterfly arm; `--check` requires both rows bit-identical but
+//!   counts neither toward the kernel speedup floor;
 //! * **adsb_decode** — decoder throughput over a rendered capture with
 //!   one warm `DecodeScratch`, as each survey worker runs it, Msamples/s;
 //! * **preamble_scan** — the decoder's sparse preamble scan
@@ -61,7 +62,7 @@ use aircal_dsp::{Cplx, Direction, FastFirFilter, FftPlanner, FirFilter};
 use aircal_env::scenarios::dense_city;
 use aircal_env::{GeoScratch, PathCache};
 use aircal_sdr::{BurstPlan, CaptureRenderer, Frontend, FrontendConfig};
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
@@ -123,17 +124,15 @@ struct KernelTiming {
     bit_identical: bool,
 }
 
-/// `Frontend::finalize` (bulk words, the dispatched `noise_quantize`,
-/// libm for the reported samples) against `Frontend::finalize_reference`
-/// (per-sample draws and libm) on one capture. `fallback_rate` is the
-/// share of samples the kernel handed to the exact path.
+/// `Frontend::finalize` (bulk words, the word-to-uniform map and
+/// `noise_quantize`) on the scalar arm and on the dispatched arm, on one
+/// capture.
 #[derive(Serialize, Default)]
 struct FinalizeTiming {
     samples: usize,
-    reference_ns_per_sample: f64,
+    scalar_ns_per_sample: f64,
     dispatched_ns_per_sample: f64,
     speedup: f64,
-    fallback_rate: f64,
     bit_identical: bool,
 }
 
@@ -302,7 +301,7 @@ fn bench_kernel(
 /// share the canonical 8-lane reduction order, so the dispatched column
 /// is the same math issued wider — any checksum divergence is a bug.
 fn kernel_timings(reps: usize) -> KernelsReport {
-    use aircal_dsp::simd::Kernels;
+    use aircal_dsp::simd::{AdcNoise, Kernels};
     const N: usize = 4096;
     let xs: Vec<f64> = (0..N).map(|i| (0.73 * i as f64).sin()).collect();
     let za: Vec<Cplx> = (0..N).map(|i| Cplx::phasor(0.37 * i as f64)).collect();
@@ -386,6 +385,32 @@ fn kernel_timings(reps: usize) -> KernelsReport {
             cplx_bits(win_d[0]) ^ cplx_bits(win_d[N - 1]).rotate_left(7)
         },
     ));
+    // One draw per sample at the BladeRF noise floor (σ ≈ 1.4e-4 full
+    // scale, 12-bit ADC) over a weak signal. A tenth of the other
+    // kernels' calls: each sample costs ~40 scalar ns, not ~1.
+    let adc = AdcNoise::new(1.4e-4, 0.0, 2048.0);
+    let mut rng = ChaCha8Rng::seed_from_u64(5);
+    let uniforms: Vec<f64> = (0..2 * N)
+        .map(|k| rng.gen_range(if k % 2 == 0 { f64::EPSILON } else { 0.0 }..1.0))
+        .collect();
+    let signal: Vec<Cplx> = za.iter().map(|z| z.scale(3e-3)).collect();
+    let (mut noisy_s, mut noisy_d) = (signal.clone(), signal.clone());
+    kernels.push(bench_kernel(
+        reps,
+        inner / 10,
+        N,
+        "noise_quantize",
+        || {
+            noisy_s.copy_from_slice(&signal);
+            (scalar.noise_quantize)(&uniforms, &adc, &mut noisy_s);
+            cplx_bits(noisy_s[0]) ^ cplx_bits(noisy_s[N - 1]).rotate_left(7)
+        },
+        || {
+            noisy_d.copy_from_slice(&signal);
+            (detected.noise_quantize)(&uniforms, &adc, &mut noisy_d);
+            cplx_bits(noisy_d[0]) ^ cplx_bits(noisy_d[N - 1]).rotate_left(7)
+        },
+    ));
     KernelsReport {
         dispatch: aircal_dsp::dispatch_label(),
         kernels,
@@ -431,45 +456,38 @@ fn fft_timing(reps: usize, signal: &[Cplx]) -> FftTiming {
 }
 
 /// The front end's last stage on a 4096-sample capture of a −80 dBm
-/// signal (SNR ≈ 24 dB, the ADS-B regime): reference vs dispatched path,
-/// both from the same generator state, plus the exact-path share.
+/// signal (SNR ≈ 24 dB, the ADS-B regime): scalar vs dispatched arm,
+/// both from the same generator state.
 fn finalize_timing(reps: usize, signal: &[Cplx]) -> FinalizeTiming {
+    use aircal_dsp::simd::Kernels;
     let fe = Frontend::new(FrontendConfig::bladerf_xa9(1.09e9, 2e6));
     let capture = fe.scale_and_impair(signal, -80.0, 0.3, 0);
     let samples = capture.len();
     let inner = 50;
     let mut buf = capture.clone();
-    let mut run = |reference: bool, rng: &mut ChaCha8Rng| {
+    let mut run = |arm: &Kernels, rng: &mut ChaCha8Rng| {
         buf.copy_from_slice(&capture);
-        if reference {
-            fe.finalize_reference(&mut buf, rng);
-        } else {
-            fe.finalize(&mut buf, rng);
-        }
+        fe.finalize_with(arm, &mut buf, rng);
         buf.iter().fold(0u64, |h, x| {
             h.rotate_left(5) ^ x.re.to_bits() ^ x.im.to_bits()
         })
     };
-    let (mut rng_ref, mut rng_fast) = (ChaCha8Rng::seed_from_u64(3), ChaCha8Rng::seed_from_u64(3));
-    let bit_identical = run(true, &mut rng_ref) == run(false, &mut rng_fast) && rng_ref == rng_fast;
+    let (scalar, dispatched) = (Kernels::scalar(), aircal_dsp::kernels());
+    let bit_identical = run(scalar, &mut ChaCha8Rng::seed_from_u64(3))
+        == run(dispatched, &mut ChaCha8Rng::seed_from_u64(3));
     let mut rng = ChaCha8Rng::seed_from_u64(4);
-    let reference_seconds = time_best(reps, || (0..inner).fold(0, |h, _| h ^ run(true, &mut rng)));
-    let dispatched_seconds =
-        time_best(reps, || (0..inner).fold(0, |h, _| h ^ run(false, &mut rng)));
-
-    let fallbacks: usize = (0..inner)
-        .map(|_| {
-            buf.copy_from_slice(&capture);
-            fe.finalize(&mut buf, &mut rng)
-        })
-        .sum();
+    let scalar_seconds = time_best(reps, || {
+        (0..inner).fold(0, |h, _| h ^ run(scalar, &mut rng))
+    });
+    let dispatched_seconds = time_best(reps, || {
+        (0..inner).fold(0, |h, _| h ^ run(dispatched, &mut rng))
+    });
     let per_sample = 1e9 / (samples * inner) as f64;
     FinalizeTiming {
         samples,
-        reference_ns_per_sample: reference_seconds * per_sample,
+        scalar_ns_per_sample: scalar_seconds * per_sample,
         dispatched_ns_per_sample: dispatched_seconds * per_sample,
-        speedup: reference_seconds / dispatched_seconds,
-        fallback_rate: fallbacks as f64 / (samples * inner) as f64,
+        speedup: scalar_seconds / dispatched_seconds,
         bit_identical,
     }
 }
@@ -602,7 +620,7 @@ fn check_budgets(r: &PipelineReport, budgets: Budgets) -> bool {
     }
     g.require(
         "perf",
-        "finalize bit-identical to its libm reference",
+        "finalize bit-identical to its scalar arm",
         k.finalize.bit_identical,
     );
     g.require(
@@ -753,11 +771,10 @@ fn main() {
     }
     let f = &kernels.finalize;
     eprintln!(
-        "# finalize: {:.1} -> {:.1} ns/sample ({:.2}x, fallback {:.1e}, bits {})",
-        f.reference_ns_per_sample,
+        "# finalize: {:.1} -> {:.1} ns/sample ({:.2}x, bits {})",
+        f.scalar_ns_per_sample,
         f.dispatched_ns_per_sample,
         f.speedup,
-        f.fallback_rate,
         if f.bit_identical {
             "identical"
         } else {

@@ -196,9 +196,7 @@ pub fn run_survey_indexed(
         shadow_draws.entry(e.frame.icao()).or_insert_with(|| {
             let mut srng =
                 ChaCha8Rng::seed_from_u64(seed ^ ((e.frame.icao().value() as u64) << 16));
-            let u1: f64 = srng.gen_range(f64::EPSILON..1.0);
-            let u2: f64 = srng.gen_range(0.0..1.0);
-            (-2.0 * u1.ln()).sqrt() * (core::f64::consts::TAU * u2).cos()
+            aircal_dsp::normal::draw(&mut srng, 1.0).re
         });
     }
 
@@ -440,6 +438,21 @@ mod tests {
     use aircal_aircraft::TrafficConfig;
     use aircal_env::{Scenario, ScenarioKind};
     use aircal_geo::Sector;
+
+    /// The renderer's noise guard is the decoder's look-back
+    /// (`CaptureRenderer::new` derives the one from the other); the sdr
+    /// crate cannot name the decoder's constant, so this pins the two.
+    #[test]
+    fn render_guard_is_the_decoder_peak_separation() {
+        let fe = Frontend::new(FrontendConfig::bladerf_xa9(
+            ADSB_FREQ_HZ,
+            aircal_adsb::SAMPLE_RATE_HZ,
+        ));
+        assert_eq!(
+            CaptureRenderer::new(fe).guard_samples,
+            aircal_adsb::PEAK_SEPARATION
+        );
+    }
 
     fn traffic_for(s: &Scenario, count: usize, seed: u64) -> TrafficSim {
         TrafficSim::generate(

@@ -18,6 +18,7 @@ pub mod corr;
 pub mod cplx;
 pub mod fft;
 pub mod fir;
+pub mod normal;
 pub mod par;
 pub mod power;
 pub mod prbs;

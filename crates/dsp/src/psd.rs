@@ -170,14 +170,10 @@ mod tests {
     fn welch_variance_reduction() {
         // More averaging (smaller segments over the same capture) gives a
         // flatter noise estimate: the std/mean ratio must drop.
-        use rand::{Rng, SeedableRng};
+        use rand::SeedableRng;
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
         let noise: Vec<Cplx> = (0..16_384)
-            .map(|_| {
-                let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-                let u2: f64 = rng.gen_range(0.0..1.0);
-                Cplx::from_polar((-2.0 * u1.ln()).sqrt(), core::f64::consts::TAU * u2)
-            })
+            .map(|_| crate::normal::draw(&mut rng, 1.0))
             .collect();
         let rel_spread = |psd: &[f64]| {
             let m = psd.iter().sum::<f64>() / psd.len() as f64;

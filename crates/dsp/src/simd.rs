@@ -55,17 +55,14 @@
 //! is not always `x` — it can flip the sign of a zero component, and an
 //! infinite component turns the other one into NaN.
 //!
-//! # Exact fast noise before a quantizer
+//! # Portable noise before a quantizer
 //!
-//! [`Kernels::noise_quantize`] is the one kernel that is *not* a
-//! reproduction of a scalar op sequence: it replaces libm's `ln`,
-//! `sqrt`-`sin`-`cos` Box–Muller with a branch-free polynomial version
-//! and relies on the ADC quantizer that follows to make the result exact.
-//! Every sample whose fast pre-round value lies within a guard band of a
-//! rounding boundary is reported back in the "needs exact" mask, and the
-//! caller recomputes it with libm; all other samples provably round to
-//! the same grid point as the libm value. See [`AdcNoise`] for the error
-//! bound and the guard.
+//! [`Kernels::noise_quantize`] draws Box–Muller noise with the portable
+//! polynomial sampler of [`crate::normal`], adds it and quantizes to the
+//! ADC grid. The sampler uses only IEEE operations in a fixed order, so
+//! the AVX2 arm replays the scalar op sequence like every other kernel,
+//! and its Gaussians and quantized samples are the scalar arm's bit for
+//! bit. See [`AdcNoise`] for the per-sample formula.
 //!
 //! # Dispatch
 //!
@@ -77,7 +74,7 @@
 //! benchmarks can compare them inside a single process regardless of the
 //! environment.
 
-use crate::Cplx;
+use crate::{normal, Cplx};
 use std::sync::OnceLock;
 
 /// Number of independent accumulator lanes in the canonical reduction.
@@ -140,14 +137,11 @@ pub struct Kernels {
     pub cmul_assign: fn(&mut [Cplx], &[Cplx]),
     /// Elementwise `dst[i] = src[i] · taps[i]` (real taper).
     pub scale_map: fn(&[Cplx], &[f64], &mut [Cplx]),
-    /// Thermal noise, DC offset and ADC quantization for up to
-    /// [`NOISE_BLOCK`] samples from `2·n` uniforms: sample `i` takes its
-    /// Box–Muller draws `u1 ∈ [ε, 1)` and `u2 ∈ [0, 1)` from
-    /// `uniforms[2i]` and `uniforms[2i + 1]`. Writes every sample it can
-    /// prove equal to the libm reference and returns the mask of the
-    /// samples (bit `i`) left untouched for the caller's exact path. See
-    /// [`AdcNoise`].
-    pub noise_quantize: fn(&[f64], &AdcNoise, &mut [Cplx]) -> u64,
+    /// Thermal noise, DC offset and ADC quantization, in place, for
+    /// `block.len()` samples from `2·block.len()` uniforms: sample `i`
+    /// takes its Box–Muller draws `u1 ∈ [ε, 1)` and `u2 ∈ [0, 1)` from
+    /// `uniforms[2i]` and `uniforms[2i + 1]`. See [`AdcNoise`].
+    pub noise_quantize: fn(&[f64], &AdcNoise, &mut [Cplx]),
     /// Every radix-2 decimation-in-time stage of an in-place FFT whose
     /// input is already in bit-reversed order. `data.len()` must be a
     /// power of two and `twiddles` the stage tables of
@@ -156,72 +150,23 @@ pub struct Kernels {
     pub fft_radix2: fn(&mut [Cplx], &[Cplx]),
 }
 
-/// Samples per [`Kernels::noise_quantize`] call: the "needs exact" mask
-/// is one bit per sample of a `u64`.
-pub const NOISE_BLOCK: usize = 64;
-
-/// Upper bound on `|n_fast − n_libm| / σ` for each noise component, where
-/// `n_fast` is [`fast_box_muller`] and `n_libm` is
-/// `σ·sqrt(−2·ln u1)·(cos, sin)(2π·u2)` evaluated with libm.
-///
-/// The budget is the three series remainders plus rounding:
-///
-/// * **Radius.** The `ATANH` series stops after `s⁹/9`, so `−ln u1` is
-///   off by at most `δ = 2|s|¹¹/(11·(1 − s²))` with
-///   `|s| ≤ (√2 − 1)/(√2 + 1) = 0.1716`. The radius
-///   `r = sqrt(−2·ln u1)` moves by `δ/r`, and `r ≥ 2·sqrt(|s|)` when the
-///   exponent is 0 (`r ≥ 0.83` otherwise), so by at most
-///   `|s|^10.5/(11·(1 − s²)) = 8.6e-10`.
-/// * **Angle.** The `SIN` and `COS` series stop after `a¹¹/11!` and
-///   `a¹⁰/10!`, so for `|a| ≤ π/4` they are off by at most
-///   `a¹³/13! = 6.9e-12` and `a¹²/12! = 1.15e-10`; times
-///   `r ≤ sqrt(2·52·ln 2) = 8.49` (`u1 ≥ ε`) that is at most `9.8e-10`.
-/// * **Rounding.** The operations of both evaluations, libm's included
-///   (and its input `fl(2π·u2)`, up to 7e-16 from `2π·u2`), add under
-///   1e-14: with series good to 1e-18 the measured worst case was
-///   3.7e-15.
-///
-/// The sum is below 1.85e-9. The measured worst case over 10⁶ draws
-/// plus the edge points is in `tests/properties.rs`. One series term
-/// fewer in any polynomial moves its part past this bound
-/// (`ATANH` to 3.6e-8, `SIN` to 1.5e-8, `COS` to 2.1e-7).
-pub const BOX_MULLER_ERR: f64 = 2e-9;
-
-/// Extra factor between the worst-case drift of a pre-round value and
-/// the guard band, so the guard holds even if [`BOX_MULLER_ERR`] were
-/// off by three orders of magnitude.
-const GUARD_MARGIN: f64 = 1024.0;
-
-/// Bound on the rounding a pre-round value picks up besides the noise
-/// error: the DC/signal add and the clamp input are off by at most
-/// `2⁻⁵³ + 2⁻⁵²` for `|value| < 2` (anything larger clamps to ±1 on both
-/// paths), and `× levels` by half an ulp of the result.
-const ADD_ROUNDING: f64 = 1.0 / (1u64 << 50) as f64;
-
 /// Parameters of one [`Kernels::noise_quantize`] pass: per-component
 /// noise σ, the DC offset added to I, and the ADC half-range `levels`
-/// (`2^(bits−1)`), plus the guard band they imply.
+/// (`2^(bits−1)`).
 ///
-/// # Why the fast samples equal the libm samples
-///
-/// The reference computes, per component, `v = clamp(x + n, −1, 1)·levels`
-/// and outputs `round(v) / levels`. Addition, clamp, `× levels` and
-/// `round` are each monotone, so the fast pre-round value `v'` and the
-/// libm one `v` differ by at most `g₀ = levels·(E + ADD_ROUNDING)`, with
-/// `E = σ·BOX_MULLER_ERR`. If `v'` is more than `g = GUARD_MARGIN·g₀`
-/// away from every half-integer and from zero, `v` lies in the same open
-/// interval `(k − ½, k + ½)` with the same sign, so both round to the same
-/// integer `k` with the same sign of zero — the output bits agree. A NaN
-/// fails every guard comparison and goes to the exact path too.
+/// Per sample, the kernel draws `n` = [`normal::box_muller`]`(u1, u2, σ)`
+/// and outputs, per component, `round(clamp(v, −1, 1)·levels)/levels`
+/// with `v = (x.re + dc) + n.re` and `v = x.im + n.im`, `round` halving
+/// away from zero as [`f64::round`] does. Every step is an IEEE operation
+/// in a fixed order, so every arm gives the same bits, NaN included.
 #[derive(Debug, Clone, Copy)]
 pub struct AdcNoise {
     sigma: f64,
     dc_offset: f64,
     levels: f64,
     /// `1/levels`, exact because `levels` is a power of two, so
-    /// `k·inv_levels` has the bits of the reference's `k / levels`.
+    /// `k·inv_levels` has the bits of `k / levels`.
     inv_levels: f64,
-    guard: f64,
 }
 
 impl AdcNoise {
@@ -238,136 +183,41 @@ impl AdcNoise {
             levels > 0.0 && levels.is_normal() && (1.0 / levels).is_normal() && mantissa == 0,
             "ADC levels {levels} is not a power of two"
         );
-        let guard = GUARD_MARGIN * levels * (sigma.abs() * BOX_MULLER_ERR + ADD_ROUNDING);
         Self {
             sigma,
             dc_offset,
             levels,
             inv_levels: 1.0 / levels,
-            guard,
         }
     }
-
-    /// Half-width of the band around each rounding boundary (in ADC
-    /// steps) inside which samples take the exact path.
-    pub fn guard(&self) -> f64 {
-        self.guard
-    }
 }
 
-/// Cody–Waite split of ln 2: `LN2_HI` has 32 significant bits, so
-/// `e·LN2_HI` is exact for the exponents `ln_unit` sees.
-const LN2_HI: f64 = 6.931_471_803_691_238e-1;
-const LN2_LO: f64 = 1.908_214_929_270_587_7e-10;
+/// Every `f64` at or above 2⁵² is an integer.
+const TWO_POW_52: f64 = 4_503_599_627_370_496.0;
 
-/// `1/(2k+1)` for k = 4 down to 0: `ln m = 2s·Σ s^(2k)/(2k+1)` with
-/// `s = (m−1)/(m+1)`, `|s| ≤ 0.172` (remainder in [`BOX_MULLER_ERR`]).
-const ATANH: [f64; 5] = [1.0 / 9.0, 1.0 / 7.0, 1.0 / 5.0, 1.0 / 3.0, 1.0];
-
-/// Taylor coefficients of `(sin a − a)/a³` in `a²`, highest first
-/// (through `a¹¹/11!`; remainder below 6.9e-12 for `|a| ≤ π/4`).
-const SIN: [f64; 5] = [
-    -1.0 / 39_916_800.0,
-    1.0 / 362_880.0,
-    -1.0 / 5_040.0,
-    1.0 / 120.0,
-    -1.0 / 6.0,
-];
-
-/// Taylor coefficients of `(cos a − 1)/a²` in `a²`, highest first
-/// (through `a¹⁰/10!`; remainder below 1.2e-10 for `|a| ≤ π/4`).
-const COS: [f64; 5] = [
-    -1.0 / 3_628_800.0,
-    1.0 / 40_320.0,
-    -1.0 / 720.0,
-    1.0 / 24.0,
-    -1.0 / 2.0,
-];
-
+/// One quantized component: `round(clamp(x, −1, 1)·levels)/levels`.
+/// Below 2⁵² truncation is `floor` and needs no libm call (`floor` and
+/// `round` are calls on baseline x86_64); from 2⁵² up `a` is already
+/// whole; a NaN takes that branch too and stays NaN.
 #[inline(always)]
-fn horner(z: f64, coeffs: &[f64]) -> f64 {
-    let mut p = coeffs[0];
-    for &k in &coeffs[1..] {
-        p = p * z + k;
-    }
-    p
-}
-
-/// `ln u` for `u ∈ [2⁻⁵², 1)` without libm: split `u = 2^e·m` with
-/// `m ∈ (√½, √2]`, then `ln u = e·ln 2 + 2·atanh((m−1)/(m+1))`.
-#[inline(always)]
-fn ln_unit(u: f64) -> f64 {
-    let bits = u.to_bits();
-    let e = (bits >> 52) as f64 - 1023.0;
-    let m = f64::from_bits((bits & 0x000F_FFFF_FFFF_FFFF) | 0x3FF0_0000_0000_0000);
-    // Fold `m > √2` down by an exact halving without a branch: the
-    // comparison is a coin flip per draw.
-    let big = f64::from(u8::from(m > core::f64::consts::SQRT_2));
-    let m = m * (1.0 - 0.5 * big);
-    let e = e + big;
-    let s = (m - 1.0) / (m + 1.0);
-    let p = horner(s * s, &ATANH);
-    e * LN2_HI + (e * LN2_LO + 2.0 * s * p)
-}
-
-/// `(sin 2πu, cos 2πu)` for `u ∈ [0, 1)` without libm: the quadrant
-/// `j = ⌊4u + ½⌋` (the nearest quarter turn) splits off exactly
-/// (`u − j/4` is exact), leaving `|a| = |2π(u − j/4)| ≤ π/4` (plus an
-/// ulp where `4u + ½` rounds) for the Taylor series.
-#[inline(always)]
-fn sincos_2pi(u: f64) -> (f64, f64) {
-    // Truncation is `floor` here, and compiles to one instruction
-    // where `floor` is a libm call.
-    let j = (4.0 * u + 0.5) as u32;
-    let a = (u - 0.25 * f64::from(j)) * core::f64::consts::TAU;
-    let a2 = a * a;
-    let s = a + a * a2 * horner(a2, &SIN);
-    let c = 1.0 + a2 * horner(a2, &COS);
-    // Quadrant `j mod 4` without a branch: odd quadrants swap sine and
-    // cosine, quadrants 2–3 negate the sine and 1–2 the cosine.
-    let negate = |x: f64, neg: bool| f64::from_bits(x.to_bits() ^ (u64::from(neg) << 63));
-    let (sin, cos) = if j & 1 == 0 { (s, c) } else { (c, s) };
-    (negate(sin, j & 2 != 0), negate(cos, (j + 1) & 2 != 0))
-}
-
-/// The fast Box–Muller pair [`Kernels::noise_quantize`] starts from:
-/// `σ·sqrt(−2·ln u1)·(cos 2πu2, sin 2πu2)` with the polynomial `ln` and
-/// `sincos`, within `σ·`[`BOX_MULLER_ERR`] of the libm evaluation per
-/// component. This is the scalar arm; the AVX2 arm replays its operation
-/// sequence four samples at a time.
-pub fn fast_box_muller(u1: f64, u2: f64, sigma: f64) -> Cplx {
-    let r = sigma * (-2.0 * ln_unit(u1)).sqrt();
-    let (s, c) = sincos_2pi(u2);
-    Cplx::new(r * c, r * s)
-}
-
-/// One quantized component, or `None` when the pre-round value is within
-/// the guard of a rounding boundary or of zero (or is NaN). The computed
-/// distance `d` is exact except for `frac < ¼`, where it is off by at
-/// most 2⁻⁵⁴, far inside the guard's margin.
-#[inline(always)]
-fn quantize_guarded(x: f64, p: &AdcNoise) -> Option<f64> {
+fn quantize(x: f64, p: &AdcNoise) -> f64 {
     let v = x.clamp(-1.0, 1.0) * p.levels;
     let a = v.abs();
-    // `a` is finite and non-negative, so truncation is `floor` (a NaN
-    // becomes 0 here and still fails the guard through `a`), without
-    // the libm calls `floor` and `round` are on baseline x86_64.
-    let whole = a as u64 as f64;
-    let frac = a - whole;
-    let d = (frac - 0.5).abs();
-    // Off a tie, `round(v)` is `whole` or `whole + 1` with the sign of `v`.
-    let k = whole + f64::from(u8::from(frac > 0.5));
-    (a > p.guard && d > p.guard).then(|| k.copysign(v) * p.inv_levels)
+    let whole = if a < TWO_POW_52 { a as u64 as f64 } else { a };
+    // `a − whole` is exact; a tie rounds up, away from zero.
+    let k = whole + f64::from(u8::from(a - whole >= 0.5));
+    k.copysign(v) * p.inv_levels
 }
 
-/// One sample of the fast path: the reference's op order
-/// (`(x.re + dc) + n.re`, `x.im + n.im`), then the guarded quantizer.
+/// One sample: the Gaussian, the op order `(x.re + dc) + n.re` and
+/// `x.im + n.im`, then the quantizer.
 #[inline(always)]
-fn noise_quantize_one(u1: f64, u2: f64, p: &AdcNoise, x: Cplx) -> Option<Cplx> {
-    let n = fast_box_muller(u1, u2, p.sigma);
-    let re = quantize_guarded((x.re + p.dc_offset) + n.re, p)?;
-    let im = quantize_guarded(x.im + n.im, p)?;
-    Some(Cplx::new(re, im))
+fn noise_quantize_one(u1: f64, u2: f64, p: &AdcNoise, x: Cplx) -> Cplx {
+    let n = normal::box_muller(u1, u2, p.sigma);
+    Cplx::new(
+        quantize((x.re + p.dc_offset) + n.re, p),
+        quantize(x.im + n.im, p),
+    )
 }
 
 static DISPATCH: OnceLock<&'static Kernels> = OnceLock::new();
@@ -559,16 +409,11 @@ fn scalar_scale_map(src: &[Cplx], taps: &[f64], dst: &mut [Cplx]) {
     }
 }
 
-fn scalar_noise_quantize(uniforms: &[f64], p: &AdcNoise, block: &mut [Cplx]) -> u64 {
-    assert!(block.len() <= NOISE_BLOCK && uniforms.len() >= 2 * block.len());
-    let mut exact = 0u64;
-    for (i, (x, u)) in block.iter_mut().zip(uniforms.chunks_exact(2)).enumerate() {
-        match noise_quantize_one(u[0], u[1], p, *x) {
-            Some(q) => *x = q,
-            None => exact |= 1 << i,
-        }
+fn scalar_noise_quantize(uniforms: &[f64], p: &AdcNoise, block: &mut [Cplx]) {
+    assert!(uniforms.len() >= 2 * block.len());
+    for (x, u) in block.iter_mut().zip(uniforms.chunks_exact(2)) {
+        *x = noise_quantize_one(u[0], u[1], p, *x);
     }
-    exact
 }
 
 /// Panics unless `data` and `twiddles` fit [`Kernels::fft_radix2`]'s
@@ -606,7 +451,8 @@ fn scalar_fft_radix2(data: &mut [Cplx], twiddles: &[Cplx]) {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{tree8, AdcNoise, Kernels, LANES, NOISE_BLOCK};
+    use super::{tree8, AdcNoise, Kernels, LANES};
+    use crate::normal::{ATANH, COS, LN2_HI, LN2_LO, SIN};
     use crate::Cplx;
     use core::arch::x86_64::*;
 
@@ -676,7 +522,7 @@ mod x86 {
     fn avx2_scale_map(src: &[Cplx], taps: &[f64], dst: &mut [Cplx]) {
         unsafe { avx2_scale_map_impl(src, taps, dst) }
     }
-    fn avx2_noise_quantize(uniforms: &[f64], p: &AdcNoise, block: &mut [Cplx]) -> u64 {
+    fn avx2_noise_quantize(uniforms: &[f64], p: &AdcNoise, block: &mut [Cplx]) {
         unsafe { avx2_noise_quantize_impl(uniforms, p, block) }
     }
     fn avx2_fft_radix2(data: &mut [Cplx], twiddles: &[Cplx]) {
@@ -911,7 +757,7 @@ mod x86 {
         p
     }
 
-    /// Four lanes of `super::ln_unit`, same op sequence (the √2 fold is
+    /// Four lanes of `normal::ln_unit`, same op sequence (the √2 fold is
     /// a blend here, a multiply by 1 or ½ there: the same values).
     #[inline]
     #[target_feature(enable = "avx2")]
@@ -936,14 +782,14 @@ mod x86 {
         m = _mm256_blendv_pd(m, _mm256_mul_pd(m, _mm256_set1_pd(0.5)), big);
         e = _mm256_add_pd(e, _mm256_and_pd(big, one));
         let s = _mm256_div_pd(_mm256_sub_pd(m, one), _mm256_add_pd(m, one));
-        let p = horner4(_mm256_mul_pd(s, s), &super::ATANH);
-        let hi = _mm256_mul_pd(e, _mm256_set1_pd(super::LN2_HI));
-        let lo = _mm256_mul_pd(e, _mm256_set1_pd(super::LN2_LO));
+        let p = horner4(_mm256_mul_pd(s, s), &ATANH);
+        let hi = _mm256_mul_pd(e, _mm256_set1_pd(LN2_HI));
+        let lo = _mm256_mul_pd(e, _mm256_set1_pd(LN2_LO));
         let two_s = _mm256_mul_pd(_mm256_set1_pd(2.0), s);
         _mm256_add_pd(hi, _mm256_add_pd(lo, _mm256_mul_pd(two_s, p)))
     }
 
-    /// Four lanes of `super::sincos_2pi`, same op sequence; the quadrant
+    /// Four lanes of `normal::sincos_2pi`, same op sequence; the quadrant
     /// swap and sign flips are blends and sign-bit XORs.
     #[inline]
     #[target_feature(enable = "avx2")]
@@ -955,14 +801,8 @@ mod x86 {
         let f = _mm256_sub_pd(u, _mm256_mul_pd(_mm256_set1_pd(0.25), j));
         let a = _mm256_mul_pd(f, _mm256_set1_pd(core::f64::consts::TAU));
         let a2 = _mm256_mul_pd(a, a);
-        let s = _mm256_add_pd(
-            a,
-            _mm256_mul_pd(_mm256_mul_pd(a, a2), horner4(a2, &super::SIN)),
-        );
-        let c = _mm256_add_pd(
-            _mm256_set1_pd(1.0),
-            _mm256_mul_pd(a2, horner4(a2, &super::COS)),
-        );
+        let s = _mm256_add_pd(a, _mm256_mul_pd(_mm256_mul_pd(a, a2), horner4(a2, &SIN)));
+        let c = _mm256_add_pd(_mm256_set1_pd(1.0), _mm256_mul_pd(a2, horner4(a2, &COS)));
         let q1 = _mm256_cmp_pd(j, _mm256_set1_pd(1.0), _CMP_EQ_OQ);
         let q2 = _mm256_cmp_pd(j, _mm256_set1_pd(2.0), _CMP_EQ_OQ);
         let q3 = _mm256_cmp_pd(j, _mm256_set1_pd(3.0), _CMP_EQ_OQ);
@@ -976,34 +816,23 @@ mod x86 {
         )
     }
 
-    /// Four lanes of `super::quantize_guarded`: the quantized values and
-    /// the all-ones lanes where they may be used. `max(−1, x)` then
-    /// `min(1, ·)` keep `x` as the second operand, which is the one x86
-    /// returns when it is NaN, so NaN reaches the guard and fails it.
+    /// Four lanes of `super::quantize`. `max(−1, x)` then `min(1, ·)`
+    /// keep `x` as the second operand, which is the one x86 returns when
+    /// it is NaN, so a NaN passes the clamp as it does in `f64::clamp`.
+    /// `floor` of a NaN or of `a ≥ 2⁵²` is `a` itself, as the scalar
+    /// branch picks; `k` is non-negative (or a NaN with the sign of
+    /// `|v|`), so OR-ing in the sign of `v` is `copysign`.
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn quantize_guarded4(
-        x: __m256d,
-        levels: __m256d,
-        inv_levels: __m256d,
-        guard: __m256d,
-    ) -> (__m256d, __m256d) {
+    unsafe fn quantize4(x: __m256d, levels: __m256d, inv_levels: __m256d) -> __m256d {
         let clamped = _mm256_min_pd(_mm256_set1_pd(1.0), _mm256_max_pd(_mm256_set1_pd(-1.0), x));
         let v = _mm256_mul_pd(clamped, levels);
-        let a = _mm256_andnot_pd(_mm256_set1_pd(-0.0), v);
-        let frac = _mm256_sub_pd(a, _mm256_floor_pd(a));
-        let d = _mm256_andnot_pd(
-            _mm256_set1_pd(-0.0),
-            _mm256_sub_pd(frac, _mm256_set1_pd(0.5)),
-        );
-        let ok = _mm256_and_pd(
-            _mm256_cmp_pd(a, guard, _CMP_GT_OQ),
-            _mm256_cmp_pd(d, guard, _CMP_GT_OQ),
-        );
-        // Ties never pass the guard, so nearest-even equals `round`'s
-        // half-away-from-zero on every lane that is used.
-        let k = _mm256_round_pd(v, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-        (_mm256_mul_pd(k, inv_levels), ok)
+        let sign = _mm256_set1_pd(-0.0);
+        let a = _mm256_andnot_pd(sign, v);
+        let whole = _mm256_floor_pd(a);
+        let tie_or_up = _mm256_cmp_pd(_mm256_sub_pd(a, whole), _mm256_set1_pd(0.5), _CMP_GE_OQ);
+        let k = _mm256_add_pd(whole, _mm256_and_pd(tie_or_up, _mm256_set1_pd(1.0)));
+        _mm256_mul_pd(_mm256_or_pd(k, _mm256_and_pd(v, sign)), inv_levels)
     }
 
     /// # Safety
@@ -1011,19 +840,17 @@ mod x86 {
     /// The host must support AVX2. Memory accesses stay in bounds for
     /// any slices: the assert below covers every load and store.
     #[target_feature(enable = "avx2")]
-    unsafe fn avx2_noise_quantize_impl(uniforms: &[f64], p: &AdcNoise, block: &mut [Cplx]) -> u64 {
+    unsafe fn avx2_noise_quantize_impl(uniforms: &[f64], p: &AdcNoise, block: &mut [Cplx]) {
         let n = block.len();
         // Step `c < n / 4` reads uniforms `8c..8c + 8` and samples
         // `4c..4c + 4`, so this bounds every unaligned load and store.
-        assert!(n <= NOISE_BLOCK && uniforms.len() >= 2 * n);
+        assert!(uniforms.len() >= 2 * n);
         let pu = uniforms.as_ptr();
         let pb = block.as_mut_ptr() as *mut f64;
         let sigma = _mm256_set1_pd(p.sigma);
         let dc = _mm256_set1_pd(p.dc_offset);
         let levels = _mm256_set1_pd(p.levels);
         let inv_levels = _mm256_set1_pd(p.inv_levels);
-        let guard = _mm256_set1_pd(p.guard);
-        let mut exact = 0u64;
         let full = n / 4;
         for c in 0..full {
             // [u1₀, u2₀, u1₁, u2₁], [u1₂, u2₂, u1₃, u2₃] → per draw.
@@ -1034,28 +861,20 @@ mod x86 {
             let r = _mm256_mul_pd(sigma, _mm256_sqrt_pd(minus_two_ln));
             let (sin, cos) = sincos_2pi4(u2);
 
-            let xa = _mm256_loadu_pd(pb.add(8 * c));
-            let xb = _mm256_loadu_pd(pb.add(8 * c + 4));
-            let (re, im) = deinterleave(xa, xb);
+            let (re, im) = deinterleave(
+                _mm256_loadu_pd(pb.add(8 * c)),
+                _mm256_loadu_pd(pb.add(8 * c + 4)),
+            );
             let re = _mm256_add_pd(_mm256_add_pd(re, dc), _mm256_mul_pd(r, cos));
             let im = _mm256_add_pd(im, _mm256_mul_pd(r, sin));
-            let (qre, ok_re) = quantize_guarded4(re, levels, inv_levels, guard);
-            let (qim, ok_im) = quantize_guarded4(im, levels, inv_levels, guard);
-            let ok = _mm256_and_pd(ok_re, ok_im);
-
-            let (qa, qb) = interleave(qre, qim);
-            let (ma, mb) = interleave(ok, ok);
-            _mm256_storeu_pd(pb.add(8 * c), _mm256_blendv_pd(xa, qa, ma));
-            _mm256_storeu_pd(pb.add(8 * c + 4), _mm256_blendv_pd(xb, qb, mb));
-            exact |= ((!_mm256_movemask_pd(ok) & 0xF) as u64) << (4 * c);
+            let (qa, qb) = interleave(
+                quantize4(re, levels, inv_levels),
+                quantize4(im, levels, inv_levels),
+            );
+            _mm256_storeu_pd(pb.add(8 * c), qa);
+            _mm256_storeu_pd(pb.add(8 * c + 4), qb);
         }
-        for i in 4 * full..n {
-            match super::noise_quantize_one(uniforms[2 * i], uniforms[2 * i + 1], p, block[i]) {
-                Some(q) => block[i] = q,
-                None => exact |= 1 << i,
-            }
-        }
-        exact
+        super::scalar_noise_quantize(&uniforms[8 * full..], p, &mut block[4 * full..]);
     }
 
     /// Two butterflies on packed pairs: `t = v·w`, then `(u + t, u − t)`.

@@ -23,13 +23,12 @@
 //! alone. Every NaN producible here carries the canonical mantissa, so
 //! masking the sign bit is exact, not a tolerance.
 //!
-//! `noise_quantize` is held to a different contract: its arms need only
-//! agree on the *final* samples, after the caller's exact libm path has
-//! filled in the samples the kernel reports. Those must match bit for bit
-//! — NaN included, since every NaN takes the one libm path.
+//! `noise_quantize` is held to the stricter contract: exact bits, NaN
+//! sign included. Its only NaN operands come from the input sample, one
+//! per operation, so no operand order can pick a different NaN.
 
-use aircal_dsp::simd::{AdcNoise, Kernels, LaneSum, NOISE_BLOCK};
-use aircal_dsp::{fft_in_place, kernels, Cplx, Direction, FftPlanner};
+use aircal_dsp::simd::{AdcNoise, Kernels, LaneSum};
+use aircal_dsp::{fft_in_place, kernels, normal, Cplx, Direction, FftPlanner};
 use proptest::prelude::*;
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -168,9 +167,12 @@ fn lane_sum_matches_sum_f64_at_every_length() {
     }
 }
 
+/// Samples per block in the noise tests: the front end's chunk size.
+const BLOCK: usize = 64;
+
 /// One block's Box–Muller uniforms as the front end draws them:
 /// `u1 ∈ [ε, 1)` and `u2 ∈ [0, 1)`, alternating.
-fn uniforms(rng: &mut ChaCha8Rng) -> [f64; 2 * NOISE_BLOCK] {
+fn uniforms(rng: &mut ChaCha8Rng) -> [f64; 2 * BLOCK] {
     core::array::from_fn(|k| {
         if k % 2 == 0 {
             rng.gen_range(f64::EPSILON..1.0)
@@ -180,43 +182,51 @@ fn uniforms(rng: &mut ChaCha8Rng) -> [f64; 2 * NOISE_BLOCK] {
     })
 }
 
-/// The exact per-sample path a caller runs for the samples
-/// `noise_quantize` reports: libm Box–Muller and the ADC quantizer.
-fn libm_sample(u: &[f64], sigma: f64, dc: f64, levels: f64, x: Cplx) -> Cplx {
-    let (u1, u2) = (u[0], u[1]);
-    let r = sigma * (-2.0 * u1.ln()).sqrt();
-    let (s, c) = (core::f64::consts::TAU * u2).sin_cos();
-    let q = |v: f64| (v.clamp(-1.0, 1.0) * levels).round() / levels;
-    Cplx::new(q((x.re + dc) + r * c), q(x.im + r * s))
+/// Uniforms as the front end maps word pairs: the extreme words 0 and
+/// 2¹¹ − 1 (the low end of both ranges: `u1 = ε`, the largest radius,
+/// and `u2 = 0`), 2¹¹ (one step up) and `u64::MAX` (the top of both
+/// ranges), in every pairing, then random words.
+fn extreme_uniforms() -> Vec<f64> {
+    let extremes = [0, (1 << 11) - 1, 1 << 11, u64::MAX];
+    let mut rng = ChaCha8Rng::seed_from_u64(0x0DD5);
+    let mut words: Vec<(u64, u64)> = extremes
+        .iter()
+        .flat_map(|&w1| extremes.iter().map(move |&w2| (w1, w2)))
+        .collect();
+    words.resize_with(BLOCK, || (rng.next_u64(), rng.next_u64()));
+    words
+        .iter()
+        .flat_map(|&(w1, w2)| {
+            [
+                rand::uniform_f64(w1, f64::EPSILON, 1.0),
+                rand::uniform_f64(w2, 0.0, 1.0),
+            ]
+        })
+        .collect()
 }
 
-/// `noise_quantize` on `k`, then the exact path for the reported
-/// samples: the final capture, and how many samples fell back.
-fn noise_final(
+/// The per-sample reference of `noise_quantize`: the portable sampler,
+/// the DC offset on I, and the ADC quantizer with `f64::round`.
+fn oracle_sample(u: &[f64], (sigma, dc, levels): (f64, f64, f64), x: Cplx) -> Cplx {
+    let n = normal::box_muller(u[0], u[1], sigma);
+    let q = |v: f64| (v.clamp(-1.0, 1.0) * levels).round() / levels;
+    Cplx::new(q((x.re + dc) + n.re), q(x.im + n.im))
+}
+
+/// `noise_quantize` on arm `k` over a copy of `input`.
+fn noise_quantized(
     k: &Kernels,
     u: &[f64],
     (sigma, dc, levels): (f64, f64, f64),
     input: &[Cplx],
-) -> (Vec<Cplx>, u32) {
+) -> Vec<Cplx> {
     let mut block = input.to_vec();
-    let exact = (k.noise_quantize)(u, &AdcNoise::new(sigma, dc, levels), &mut block);
-    if input.len() < NOISE_BLOCK {
-        assert_eq!(exact >> input.len(), 0, "mask bit past the block");
-    }
-    for (i, x) in block.iter_mut().enumerate() {
-        if exact >> i & 1 == 1 {
-            assert_eq!(
-                x.re.to_bits(),
-                input[i].re.to_bits(),
-                "reported sample {i} was written"
-            );
-            *x = libm_sample(&u[2 * i..], sigma, dc, levels, input[i]);
-        }
-    }
-    (block, exact.count_ones())
+    (k.noise_quantize)(u, &AdcNoise::new(sigma, dc, levels), &mut block);
+    block
 }
 
 fn assert_same_samples(label: &str, a: &[Cplx], b: &[Cplx]) {
+    assert_eq!(a.len(), b.len(), "{label}: length");
     for (i, (x, y)) in a.iter().zip(b).enumerate() {
         assert_same_bits(&format!("{label}[{i}].re"), x.re, y.re);
         assert_same_bits(&format!("{label}[{i}].im"), x.im, y.im);
@@ -225,16 +235,15 @@ fn assert_same_samples(label: &str, a: &[Cplx], b: &[Cplx]) {
 
 /// Every block length 0..=64 (all tails of the 4-wide arm), with NaN,
 /// ±inf and −0.0 entries, clipping amplitudes and three ADC widths: the
-/// final samples of both arms and of the dispatched arm are the libm
-/// samples bit for bit, and the arms resolve nearly every finite sample
-/// themselves.
+/// samples of both arms and of the dispatched arm are the per-sample
+/// reference's bit for bit, NaN included (a NaN output carries its
+/// input's NaN, the only NaN operand on its path).
 #[test]
 fn noise_quantize_final_samples_match_across_arms() {
     let (s, d) = arms();
     let mut rng = ChaCha8Rng::seed_from_u64(0x5EED);
-    let (mut fell_back, mut finite, mut non_finite) = (0u32, 0u32, 0u32);
-    for n in 0..=NOISE_BLOCK {
-        for (t, &(sigma, dc, levels)) in [
+    for n in 0..=BLOCK {
+        for (t, &p) in [
             (1.4e-4, 0.0, 2048.0),
             (3e-2, 1e-3, 128.0),
             (1e-6, -2e-4, 8192.0),
@@ -250,109 +259,107 @@ fn noise_quantize_final_samples_match_across_arms() {
                     2 => Cplx::new(f64::NEG_INFINITY, -0.0),
                     3 => Cplx::new(-0.0, -0.0),
                     4 => Cplx::phasor(i as f64).scale(3.0),
+                    5 => Cplx::new(-f64::NAN, f64::NAN),
                     _ => Cplx::phasor(0.7 * i as f64).scale(1e-3 * i as f64),
                 })
                 .collect();
-            let p = (sigma, dc, levels);
             let want: Vec<Cplx> = (0..n)
-                .map(|i| libm_sample(&u[2 * i..], sigma, dc, levels, input[i]))
+                .map(|i| oracle_sample(&u[2 * i..], p, input[i]))
                 .collect();
-            let (ss, _) = noise_final(s, &u, p, &input);
-            let (sd, fd) = noise_final(d, &u, p, &input);
-            let (sk, _) = noise_final(kernels(), &u, p, &input);
-            assert_same_samples("scalar vs libm", &ss, &want);
-            assert_same_samples("detected vs libm", &sd, &want);
-            assert_same_samples("kernels() vs libm", &sk, &want);
-            fell_back += fd;
-            let n_finite = input
-                .iter()
-                .filter(|x| x.re.is_finite() && x.im.is_finite())
-                .count();
-            finite += n_finite as u32;
-            non_finite += (n - n_finite) as u32;
+            for k in [s, d, kernels()] {
+                let got = noise_quantized(k, &u, p, &input);
+                assert_same_samples(&format!("{} vs reference", k.label), &got, &want);
+            }
         }
     }
-    assert!(
-        fell_back <= non_finite + finite / 100,
-        "{fell_back} fallbacks for {finite} finite samples"
-    );
 }
 
-/// The guard band is honoured on every arm: with no noise, a sample half
-/// a guard from a half-step boundary (or from zero) is reported for the
-/// exact path, and one four guards away is quantized by the kernel.
+/// The Gaussians themselves agree across arms, bit for bit: through an
+/// ADC of 2¹⁰⁰⁰ levels, on a zero input, every draw (`|n| < 1` at
+/// σ = 1/16) is a whole number of steps, so the kernel returns the raw
+/// [`normal::box_muller`] draw. Random and extreme uniforms, every
+/// block length.
 #[test]
-fn noise_quantize_reports_samples_inside_the_guard() {
+fn noise_quantize_gaussians_match_across_arms() {
     let (s, d) = arms();
-    let levels = 2048.0;
-    let adc = AdcNoise::new(0.0, 0.0, levels);
-    let g = adc.guard();
-    assert!(g > 0.0 && g < 1e-6, "guard {g}");
-    let u = [0.3; 2 * NOISE_BLOCK];
-    let steps = [0.0, 0.5, 1.5, -7.5, 300.5];
-    let at = |offset: f64| -> Vec<Cplx> {
-        steps
-            .iter()
-            .map(|&k| Cplx::new((k + offset) / levels, 0.25))
-            .collect()
-    };
-    for k in [s, d] {
-        let mut inside = at(g / 2.0);
-        let exact = (k.noise_quantize)(&u, &adc, &mut inside);
-        assert_eq!(exact, 0b11111, "{}: samples inside the guard", k.label);
-        let mut outside = at(4.0 * g);
-        let exact = (k.noise_quantize)(&u, &adc, &mut outside);
-        assert_eq!(exact, 0, "{}: samples outside the guard", k.label);
+    let p = (1.0 / 16.0, 0.0, 2f64.powi(1000));
+    let mut rng = ChaCha8Rng::seed_from_u64(0x6A55);
+    let mut blocks: Vec<Vec<f64>> = (0..200).map(|_| uniforms(&mut rng).to_vec()).collect();
+    blocks.push(extreme_uniforms());
+    for (b, u) in blocks.iter().enumerate() {
+        let n = if b < BLOCK { b + 1 } else { BLOCK };
+        let input = vec![Cplx::ZERO; n];
+        let want: Vec<Cplx> = (0..n)
+            .map(|i| normal::box_muller(u[2 * i], u[2 * i + 1], p.0))
+            .map(|g| Cplx::new(0.0 + g.re, 0.0 + g.im))
+            .collect();
+        for k in [s, d, kernels()] {
+            let got = noise_quantized(k, u, p, &input);
+            assert_same_samples(&format!("{} Gaussians", k.label), &got, &want);
+        }
     }
 }
 
-/// The draws `Frontend::finalize` maps the extreme words to reach every
-/// arm's final samples as the libm path computes them: words 0 and
-/// 2¹¹ − 1 (the low end of both ranges: `u1 = ε`, the largest radius,
-/// and `u2 = 0`), 2¹¹ (one step up) and `u64::MAX` (the top of both
-/// ranges), in every pairing, then random words, at noise levels where
-/// the draws move the quantized output.
+/// With no noise, a value on a half step rounds away from zero, as
+/// `f64::round` does, on every arm, and signed zeros come out as the
+/// per-sample reference has them: ties reach the quantizer now that no
+/// guard screens them out.
 #[test]
-fn noise_quantize_matches_libm_at_the_extreme_draws() {
+fn noise_quantize_rounds_ties_away_from_zero() {
     let (s, d) = arms();
-    let extremes = [0, (1 << 11) - 1, 1 << 11, u64::MAX];
-    let mut rng = ChaCha8Rng::seed_from_u64(0x0DD5);
-    let mut words: Vec<(u64, u64)> = extremes
+    let levels = 2048.0;
+    let p = (0.0, 0.0, levels);
+    let steps = [0.5, -0.5, 1.5, -2.5, 300.5, -1023.5, 2047.5];
+    let input: Vec<Cplx> = steps
         .iter()
-        .flat_map(|&w1| extremes.iter().map(move |&w2| (w1, w2)))
+        .map(|&k| Cplx::new(k / levels, -k / levels))
+        .chain([Cplx::new(0.0, -0.0), Cplx::new(-0.0, 0.0)])
         .collect();
-    words.resize_with(NOISE_BLOCK, || (rng.next_u64(), rng.next_u64()));
-    let u: Vec<f64> = words
+    let u = [0.3; 2 * BLOCK];
+    let rounded: Vec<Cplx> = steps
         .iter()
-        .flat_map(|&(w1, w2)| {
-            [
-                rand::uniform_f64(w1, f64::EPSILON, 1.0),
-                rand::uniform_f64(w2, 0.0, 1.0),
-            ]
-        })
+        .map(|&k: &f64| Cplx::new(k.round() / levels, (-k).round() / levels))
         .collect();
-    let input: Vec<Cplx> = (0..NOISE_BLOCK)
+    assert_eq!(rounded[0], Cplx::new(1.0 / levels, -1.0 / levels));
+    let want: Vec<Cplx> = (0..input.len())
+        .map(|i| oracle_sample(&u[2 * i..], p, input[i]))
+        .collect();
+    assert_same_samples("reference ties", &want[..steps.len()], &rounded);
+    for k in [s, d, kernels()] {
+        let got = noise_quantized(k, &u, p, &input);
+        assert_same_samples(&format!("{} ties", k.label), &got, &want);
+    }
+}
+
+/// The extreme draws reach every arm's samples as the per-sample
+/// reference computes them, at noise levels where the draws move the
+/// quantized output.
+#[test]
+fn noise_quantize_arms_agree_at_the_extreme_draws() {
+    let (s, d) = arms();
+    let u = extreme_uniforms();
+    let input: Vec<Cplx> = (0..BLOCK)
         .map(|i| Cplx::phasor(0.7 * i as f64).scale(1e-3 * i as f64))
         .collect();
-    for &(sigma, dc, levels) in &[
+    for &p in &[
         (1.4e-4, 0.0, 2048.0),
         (3e-2, 1e-3, 128.0),
         (0.1, 0.0, 8192.0),
     ] {
-        let want: Vec<Cplx> = (0..NOISE_BLOCK)
-            .map(|i| libm_sample(&u[2 * i..], sigma, dc, levels, input[i]))
+        let want: Vec<Cplx> = (0..BLOCK)
+            .map(|i| oracle_sample(&u[2 * i..], p, input[i]))
             .collect();
         for k in [s, d, kernels()] {
-            let (got, _) = noise_final(k, &u, (sigma, dc, levels), &input);
-            assert_same_samples(&format!("{} vs libm", k.label), &got, &want);
+            let got = noise_quantized(k, &u, p, &input);
+            assert_same_samples(&format!("{} vs reference", k.label), &got, &want);
         }
     }
 }
 
 proptest! {
     /// Random uniforms, noise levels, DC offsets, ADC widths and inputs
-    /// with injected NaN / ±inf / −0.0: both arms' final samples agree
-    /// bit for bit.
+    /// with injected NaN / ±inf / −0.0: both arms' samples agree bit for
+    /// bit.
     #[test]
     fn noise_quantize_arms_agree(
         seed in proptest::any::<u64>(),
@@ -371,8 +378,8 @@ proptest! {
         }
         let u = uniforms(&mut ChaCha8Rng::seed_from_u64(seed));
         let p = (10f64.powf(log_sigma), dc, (1u64 << bits) as f64 / 2.0);
-        let (ss, _) = noise_final(s, &u, p, &input);
-        let (sd, _) = noise_final(d, &u, p, &input);
+        let ss = noise_quantized(s, &u, p, &input);
+        let sd = noise_quantized(d, &u, p, &input);
         prop_assert!(ss.iter().zip(&sd).all(|(x, y)|
             x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits()));
     }

@@ -11,7 +11,9 @@
 //! message kind plus hand-written adversarial seeds (extreme numbers,
 //! wrong types, trailing garbage, truncation, invalid UTF-8), and
 //! `wal_`-prefixed binary seeds exercising the write-ahead journal's
-//! crash-recovery scan ([`Journal::open`] must be total too). Each seed
+//! crash-recovery scan ([`Journal::open`] must be total too). Registry
+//! and node-state snapshots are fuzzed from seeds built in code (snapshot
+//! restore must be total as well). Each seed
 //! is then pushed through a fixed budget of deterministic mutations —
 //! byte flips, truncations, splices, insertions — from a ChaCha8 stream
 //! keyed by the file name, so every CI run fuzzes the exact same
@@ -19,8 +21,8 @@
 //! budget keeps the whole suite a bounded tier-1 `cargo test`, per the
 //! deterministic-simulation-testing posture of the repo.
 
-use aircal_core::wal::{fnv1a, Journal, WalRecord, FNV1A_OFFSET};
-use aircal_net::{Request, Response};
+use aircal_core::wal::{crc32, fnv1a, Journal, WalRecord, FNV1A_OFFSET};
+use aircal_net::{snapshot, RegistryNodeState, Request, Response};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::path::PathBuf;
@@ -350,5 +352,150 @@ fn wal_frames_recover_longest_valid_prefix_and_never_panic() {
     assert!(
         recovered_some >= 25,
         "only {recovered_some} mutants recovered any records — mutations too destructive"
+    );
+}
+
+/// Salt separating the snapshot mutation streams from the others.
+const SNAPSHOT_STREAM_SALT: u64 = 0x4143_534E; // "ACSN"
+
+/// Registry states covering every field shape: empty and non-ASCII
+/// names, every health rung, both option tags of every optional field,
+/// an empty and a long baseline with non-finite powers, and an eviction
+/// reason.
+fn registry_seed_states() -> Vec<RegistryNodeState> {
+    let base = RegistryNodeState {
+        name: "open-field".into(),
+        health: 0,
+        reachable: true,
+        consecutive_failures: 0,
+        consecutive_anomalies: 0,
+        last_seed: Some(777),
+        survey_fp: Some(0xDEAD_BEEF),
+        cells_fp: None,
+        tv_fp: Some(1),
+        baseline: vec![(0, "Tower 1".into(), -61.25), (1, "KSE-22".into(), -33.5)],
+        attested: Some((12, 0x1234_5678_9ABC_DEF0)),
+        eviction_reason: None,
+    };
+    vec![
+        base.clone(),
+        RegistryNodeState {
+            name: String::new(),
+            health: 4,
+            reachable: false,
+            consecutive_failures: u32::MAX,
+            consecutive_anomalies: 4,
+            last_seed: None,
+            survey_fp: None,
+            tv_fp: None,
+            baseline: Vec::new(),
+            attested: None,
+            eviction_reason: Some("replayed a stale survey".into()),
+            ..base.clone()
+        },
+        RegistryNodeState {
+            name: "Zürich-rooftop-✓".into(),
+            health: 2,
+            cells_fp: Some(u64::MAX),
+            baseline: (0..12u8)
+                .map(|i| {
+                    let db = [f64::NAN, f64::INFINITY, -0.0, -120.5][i as usize % 4];
+                    (i % 3, format!("band-{i}"), db)
+                })
+                .collect(),
+            ..base
+        },
+    ]
+}
+
+/// `payload` in a registry snapshot envelope with a valid CRC, so a
+/// mutated payload reaches the field decoders instead of stopping at the
+/// checksum.
+fn seal_registry(payload: &[u8]) -> Vec<u8> {
+    let mut out = snapshot::MAGIC.to_vec();
+    out.extend_from_slice(&snapshot::VERSION.to_le_bytes());
+    out.push(snapshot::KIND_REGISTRY);
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(payload);
+    let crc = crc32(&out);
+    out.extend_from_slice(&crc.to_le_bytes());
+    out
+}
+
+/// Snapshot totality: [`snapshot::restore_registry`] and
+/// [`snapshot::decode_node_state`] over every truncation of a valid
+/// snapshot and over the mutation budget per seed — raw mutants of the
+/// sealed snapshot (which the CRC rejects), mutated payloads re-sealed
+/// with a valid CRC, and mutated bare node payloads. None may panic;
+/// valid snapshots round-trip byte for byte, and so does every mutant
+/// that decodes.
+#[test]
+fn snapshot_restore_is_total_and_round_trips() {
+    let states = registry_seed_states();
+    let snap = snapshot::snapshot_registry(&states);
+    let restored = snapshot::restore_registry(&snap).expect("valid snapshot restores");
+    assert_eq!(restored.len(), states.len());
+    // NaN baselines defeat `PartialEq`; the encodings must agree instead.
+    assert_eq!(snapshot::snapshot_registry(&restored), snap);
+    for s in &states {
+        let bytes = snapshot::encode_node_state(s);
+        let back = snapshot::decode_node_state(&bytes).expect("valid node state decodes");
+        assert_eq!(snapshot::encode_node_state(&back), bytes);
+    }
+    for cut in 0..snap.len() {
+        assert!(
+            snapshot::restore_registry(&snap[..cut]).is_err(),
+            "truncation at {cut} restored"
+        );
+    }
+
+    // The registry payload sits between the 11-byte header and the CRC.
+    let payload = &snap[11..snap.len() - 4];
+    assert_eq!(seal_registry(payload), snap);
+    let mut seeds: Vec<(String, Vec<u8>)> = vec![("registry".into(), payload.to_vec())];
+    seeds.extend(
+        states
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (format!("node-{i}"), snapshot::encode_node_state(s))),
+    );
+    let (mut mutants, mut decoded) = (0u64, 0u64);
+    for (name, bytes) in &seeds {
+        let seed = fnv1a(FNV1A_OFFSET, name.as_bytes()) ^ SNAPSHOT_STREAM_SALT;
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        for _ in 0..MUTATIONS_PER_SEED {
+            let mutant = mutate(bytes, &mut rng);
+            // Raw bytes first: mostly a checksum or header error.
+            let _ = snapshot::restore_registry(&mutant);
+            let _ = snapshot::restore_registry(&mutate(&snap, &mut rng));
+            if let Ok(nodes) = snapshot::restore_registry(&seal_registry(&mutant)) {
+                let again = snapshot::snapshot_registry(&nodes);
+                let back = snapshot::restore_registry(&again)
+                    .unwrap_or_else(|e| panic!("{name}: re-encoded snapshot failed: {e}"));
+                assert_eq!(
+                    snapshot::snapshot_registry(&back),
+                    again,
+                    "{name}: unstable"
+                );
+                decoded += 1;
+            }
+            if let Ok(node) = snapshot::decode_node_state(&mutant) {
+                let again = snapshot::encode_node_state(&node);
+                let back = snapshot::decode_node_state(&again)
+                    .unwrap_or_else(|e| panic!("{name}: re-encoded node state failed: {e}"));
+                assert_eq!(
+                    snapshot::encode_node_state(&back),
+                    again,
+                    "{name}: unstable"
+                );
+                decoded += 1;
+            }
+            mutants += 1;
+        }
+    }
+    assert_eq!(mutants, seeds.len() as u64 * MUTATIONS_PER_SEED as u64);
+    assert!(
+        decoded >= 25,
+        "only {decoded} snapshot mutants decoded — mutations too destructive"
     );
 }

@@ -6,7 +6,6 @@
 //! to a combination of multipath reflections and penetrating walls" — i.e.
 //! a strong diffuse component when the direct ray is blocked.
 
-use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 
 /// Log-normal shadowing: a zero-mean Gaussian in the dB domain.
@@ -76,11 +75,10 @@ impl RicianFading {
     }
 }
 
-/// Standard normal draw via Box–Muller (ChaCha8 gives uniform f64s).
+/// One standard normal draw: the real part of the portable Box–Muller
+/// pair, from two words of `rng`.
 fn gaussian(rng: &mut ChaCha8Rng) -> f64 {
-    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (core::f64::consts::TAU * u2).cos()
+    aircal_dsp::normal::draw(rng, 1.0).re
 }
 
 #[cfg(test)]

@@ -105,11 +105,29 @@ pub struct CaptureRenderer {
 }
 
 impl CaptureRenderer {
-    /// Create a renderer with a default half-frame guard.
+    /// Create a renderer with a 64-sample guard: the ADS-B decoder's peak
+    /// separation (`aircal_adsb::PEAK_SEPARATION`, half a short frame;
+    /// this crate does not depend on the decoder, so a test in
+    /// `aircal-core` pins the two equal).
+    ///
+    /// That guard is the decoder's whole look-back. A window stands in for
+    /// a stretch of the continuous 2 MS/s stream, and must let the decoder
+    /// decide each burst as it would there. A burst whose preamble sits at
+    /// lag `b` is lost only to a taller kept peak closer than the
+    /// separation `S = 64`, so only lags `b − 63 ..= b + 63` matter. Those
+    /// after `b` lie inside the burst itself: every burst is at least
+    /// 128 samples long. Those before `b` lie in the leading guard, which
+    /// starts at `b − 64`: lag `b − 63`, the left neighbour `b − 64` its
+    /// peak test reads, and the 16 samples each lag's correlation reads
+    /// are all inside the window. The trailing guard mirrors the leading
+    /// one, and the merge rule (a gap of at most two guards joins two
+    /// bursts) keeps any two bursts whose peaks could interact in one
+    /// window. What no finite guard models is a chain: a noise peak left
+    /// of `b − 63` that would suppress the peak that suppresses `b`.
     pub fn new(frontend: Frontend) -> Self {
         Self {
             frontend,
-            guard_samples: 128,
+            guard_samples: 64,
         }
     }
 

@@ -1,12 +1,16 @@
 //! The front-end model: power ↔ full-scale conversion, noise, impairments.
 
 use crate::faults::FrontendFault;
-use aircal_dsp::simd::{AdcNoise, NOISE_BLOCK};
-use aircal_dsp::{kernels, Cplx};
+use aircal_dsp::simd::AdcNoise;
+use aircal_dsp::{kernels, Cplx, Kernels};
 use aircal_rfprop::noise::noise_floor_dbm;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
+
+/// Samples per [`Frontend::finalize`] chunk: the words and uniforms of one
+/// chunk stay on the stack.
+const CHUNK: usize = 64;
 
 /// Static configuration of a simulated SDR front end at a fixed gain.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -150,55 +154,31 @@ impl Frontend {
     /// Add thermal noise + DC offset to a signal buffer and quantize it to
     /// the ADC grid, in place — the last stage of every capture.
     ///
-    /// Bit-identical to [`Frontend::finalize_reference`], and it draws the
-    /// same two words per sample, but runs in [`NOISE_BLOCK`]-sample
-    /// chunks on the stack: bulk words from [`ChaCha8Rng::fill_u64`]
-    /// mapped to `gen_range`'s uniforms, the dispatched
-    /// [`aircal_dsp::Kernels::noise_quantize`] for every sample it can
-    /// prove exact, and the libm formula for the few it reports near an
-    /// ADC rounding boundary. Returns how many samples took that exact
-    /// path.
-    pub fn finalize(&self, buffer: &mut [Cplx], rng: &mut ChaCha8Rng) -> usize {
-        let sigma = self.noise_sigma_fs();
-        let adc = AdcNoise::new(sigma, self.config.dc_offset, self.levels());
-        let noise_quantize = kernels().noise_quantize;
-        let mut words = [0u64; 2 * NOISE_BLOCK];
-        let mut uniforms = [0f64; 2 * NOISE_BLOCK];
-        let mut fallbacks = 0;
-        for block in buffer.chunks_mut(NOISE_BLOCK) {
+    /// Runs in 64-sample chunks on the stack: bulk words from
+    /// [`ChaCha8Rng::fill_u64`], two per sample, mapped to the uniforms
+    /// `gen_range(ε..1.0)` and `gen_range(0.0..1.0)` would give, then the
+    /// dispatched [`aircal_dsp::Kernels::noise_quantize`]: the portable
+    /// Box–Muller sampler of [`aircal_dsp::normal`] and a round-half-away
+    /// quantizer, with the same bits on every arm.
+    pub fn finalize(&self, buffer: &mut [Cplx], rng: &mut ChaCha8Rng) {
+        self.finalize_with(kernels(), buffer, rng);
+    }
+
+    /// [`Frontend::finalize`] on the given kernel arm, so one process can
+    /// time or compare the arms.
+    pub fn finalize_with(&self, arm: &Kernels, buffer: &mut [Cplx], rng: &mut ChaCha8Rng) {
+        let adc = AdcNoise::new(self.noise_sigma_fs(), self.config.dc_offset, self.levels());
+        let mut words = [0u64; 2 * CHUNK];
+        let mut uniforms = [0f64; 2 * CHUNK];
+        for block in buffer.chunks_mut(CHUNK) {
             let words = &mut words[..2 * block.len()];
             rng.fill_u64(words);
             for (u, w) in uniforms.chunks_exact_mut(2).zip(words.chunks_exact(2)) {
                 u[0] = rand::uniform_f64(w[0], f64::EPSILON, 1.0);
                 u[1] = rand::uniform_f64(w[1], 0.0, 1.0);
             }
-            let mut exact = noise_quantize(&uniforms[..words.len()], &adc, block);
-            fallbacks += exact.count_ones() as usize;
-            while exact != 0 {
-                let i = exact.trailing_zeros() as usize;
-                exact &= exact - 1;
-                let noise = gaussian_from(uniforms[2 * i], uniforms[2 * i + 1], sigma);
-                block[i] = self.noise_and_quantize(block[i], noise);
-            }
+            (arm.noise_quantize)(&uniforms[..words.len()], &adc, block);
         }
-        fallbacks
-    }
-
-    /// The per-sample reference [`Frontend::finalize`] must equal bit for
-    /// bit: two `gen_range` draws, libm Box–Muller and the quantizer.
-    pub fn finalize_reference(&self, buffer: &mut [Cplx], rng: &mut ChaCha8Rng) {
-        let sigma = self.noise_sigma_fs();
-        for x in buffer.iter_mut() {
-            let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-            let u2: f64 = rng.gen_range(0.0..1.0);
-            *x = self.noise_and_quantize(*x, gaussian_from(u1, u2, sigma));
-        }
-    }
-
-    fn noise_and_quantize(&self, mut x: Cplx, noise: Cplx) -> Cplx {
-        x.re += self.config.dc_offset;
-        x += noise;
-        self.quantize(x)
     }
 
     /// Render a unit-amplitude waveform arriving at `rx_power_dbm` into IQ:
@@ -220,13 +200,6 @@ impl Frontend {
     /// ADC steps per unit full scale: `2^(adc_bits − 1)`.
     fn levels(&self) -> f64 {
         (1u64 << self.config.adc_bits) as f64 / 2.0
-    }
-
-    /// Quantize to the ADC grid and clip at ±1 full scale.
-    fn quantize(&self, x: Cplx) -> Cplx {
-        let levels = self.levels();
-        let q = |v: f64| (v.clamp(-1.0, 1.0) * levels).round() / levels;
-        Cplx::new(q(x.re), q(x.im))
     }
 }
 
@@ -254,15 +227,6 @@ impl Impairment {
         x.im *= self.q_gain;
         x
     }
-}
-
-/// One complex Gaussian noise sample with per-component σ from the
-/// uniforms `u1 ∈ [ε, 1)` and `u2 ∈ [0, 1)`: libm Box–Muller, the
-/// reference every fast noise path is held to.
-fn gaussian_from(u1: f64, u2: f64, sigma: f64) -> Cplx {
-    let r = sigma * (-2.0 * u1.ln()).sqrt();
-    let (s, c) = (core::f64::consts::TAU * u2).sin_cos();
-    Cplx::new(r * c, r * s)
 }
 
 /// Deterministic RNG helper for capture rendering.

@@ -8,10 +8,13 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "== rustfmt (--check: the root workspace; benchmark/ is a workspace of its own) =="
+cargo fmt --all -- --check
+
 echo "== build (release) =="
 cargo build --release --workspace --bins
 
-echo "== tests (workspace) =="
+echo "== tests (workspace; release runs the 10⁶-draw sampler distribution case) =="
 cargo test --workspace --release -q
 
 echo "== clippy (-D warnings) =="
