@@ -14,18 +14,20 @@
 //! Sections:
 //!
 //! * **kernels** — the runtime-selected DSP dispatch arm
-//!   (`scalar`/`sse2`/`avx2`/`neon`) and per-kernel scalar-vs-dispatched
+//!   (`scalar`/`sse2`/`avx2`/`avx512`/`neon`) and per-kernel scalar-vs-dispatched
 //!   throughput with a bit-identity cross-check, best of 3 with the two
 //!   arms alternating, `--quick` included. `--check` enforces the
 //!   simd-vs-scalar speedup floor when a vector ISA is dispatched
 //!   (`noise_quantize`, the portable Box–Muller sampler plus the ADC
 //!   quantizer, is one of the kernels it counts). A separate `finalize`
-//!   row times the front end's whole noise stage (words, uniforms,
-//!   kernel) on the scalar and the dispatched arm (ns/sample), and an
-//!   `fft` row times a 2048-point `FftPlanner` transform (the TV
+//!   row times the front end's whole noise stage (words, then the kernel)
+//!   on every arm the host supports (ns/sample), so a host that
+//!   dispatches a wider arm still times and checks the narrower ones, and
+//!   an `fft` row times a 2048-point `FftPlanner` transform (the TV
 //!   bandpass's overlap-save block) on the scalar and the dispatched
-//!   butterfly arm; `--check` requires both rows bit-identical but
-//!   counts neither toward the kernel speedup floor;
+//!   butterfly arm; `--check` requires every `finalize` arm and the `fft`
+//!   row bit-identical to the scalar arm but counts neither toward the
+//!   kernel speedup floor;
 //! * **adsb_decode** — decoder throughput over a rendered capture with
 //!   one warm `DecodeScratch`, as each survey worker runs it, Msamples/s;
 //! * **preamble_scan** — the decoder's sparse preamble scan
@@ -62,7 +64,7 @@ use aircal_dsp::{Cplx, Direction, FastFirFilter, FftPlanner, FirFilter};
 use aircal_env::scenarios::dense_city;
 use aircal_env::{GeoScratch, PathCache};
 use aircal_sdr::{BurstPlan, CaptureRenderer, Frontend, FrontendConfig};
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
@@ -124,16 +126,23 @@ struct KernelTiming {
     bit_identical: bool,
 }
 
-/// `Frontend::finalize` (bulk words, the word-to-uniform map and
-/// `noise_quantize`) on the scalar arm and on the dispatched arm, on one
-/// capture.
+/// `Frontend::finalize` (bulk words and `noise_quantize`) on one arm:
+/// its time per sample, its speedup over the scalar arm and whether its
+/// output equals the scalar arm's.
+#[derive(Serialize, Default)]
+struct FinalizeArm {
+    arm: &'static str,
+    ns_per_sample: f64,
+    speedup: f64,
+    bit_identical: bool,
+}
+
+/// `Frontend::finalize` on every arm the host supports, scalar first,
+/// on one capture.
 #[derive(Serialize, Default)]
 struct FinalizeTiming {
     samples: usize,
-    scalar_ns_per_sample: f64,
-    dispatched_ns_per_sample: f64,
-    speedup: f64,
-    bit_identical: bool,
+    arms: Vec<FinalizeArm>,
 }
 
 /// `FftPlanner::process` on one transform length, forward then inverse,
@@ -149,7 +158,7 @@ struct FftTiming {
 }
 
 /// The `kernels` section: the runtime-selected dispatch arm
-/// (`scalar`/`sse2`/`avx2`/`neon`) and per-kernel scalar-vs-dispatched
+/// (`scalar`/`sse2`/`avx2`/`avx512`/`neon`) and per-kernel scalar-vs-dispatched
 /// throughput on an L1-resident workload, plus the front-end `finalize`
 /// and `fft` rows.
 #[derive(Serialize, Default)]
@@ -389,10 +398,8 @@ fn kernel_timings(reps: usize) -> KernelsReport {
     // scale, 12-bit ADC) over a weak signal. A tenth of the other
     // kernels' calls: each sample costs ~40 scalar ns, not ~1.
     let adc = AdcNoise::new(1.4e-4, 0.0, 2048.0);
-    let mut rng = ChaCha8Rng::seed_from_u64(5);
-    let uniforms: Vec<f64> = (0..2 * N)
-        .map(|k| rng.gen_range(if k % 2 == 0 { f64::EPSILON } else { 0.0 }..1.0))
-        .collect();
+    let mut words = vec![0u64; 2 * N];
+    ChaCha8Rng::seed_from_u64(5).fill_u64(&mut words);
     let signal: Vec<Cplx> = za.iter().map(|z| z.scale(3e-3)).collect();
     let (mut noisy_s, mut noisy_d) = (signal.clone(), signal.clone());
     kernels.push(bench_kernel(
@@ -402,12 +409,12 @@ fn kernel_timings(reps: usize) -> KernelsReport {
         "noise_quantize",
         || {
             noisy_s.copy_from_slice(&signal);
-            (scalar.noise_quantize)(&uniforms, &adc, &mut noisy_s);
+            (scalar.noise_quantize)(&words, &adc, &mut noisy_s);
             cplx_bits(noisy_s[0]) ^ cplx_bits(noisy_s[N - 1]).rotate_left(7)
         },
         || {
             noisy_d.copy_from_slice(&signal);
-            (detected.noise_quantize)(&uniforms, &adc, &mut noisy_d);
+            (detected.noise_quantize)(&words, &adc, &mut noisy_d);
             cplx_bits(noisy_d[0]) ^ cplx_bits(noisy_d[N - 1]).rotate_left(7)
         },
     ));
@@ -456,8 +463,8 @@ fn fft_timing(reps: usize, signal: &[Cplx]) -> FftTiming {
 }
 
 /// The front end's last stage on a 4096-sample capture of a −80 dBm
-/// signal (SNR ≈ 24 dB, the ADS-B regime): scalar vs dispatched arm,
-/// both from the same generator state.
+/// signal (SNR ≈ 24 dB, the ADS-B regime) on every supported arm, each
+/// from the same generator state, the arms alternating rep by rep.
 fn finalize_timing(reps: usize, signal: &[Cplx]) -> FinalizeTiming {
     use aircal_dsp::simd::Kernels;
     let fe = Frontend::new(FrontendConfig::bladerf_xa9(1.09e9, 2e6));
@@ -472,23 +479,34 @@ fn finalize_timing(reps: usize, signal: &[Cplx]) -> FinalizeTiming {
             h.rotate_left(5) ^ x.re.to_bits() ^ x.im.to_bits()
         })
     };
-    let (scalar, dispatched) = (Kernels::scalar(), aircal_dsp::kernels());
-    let bit_identical = run(scalar, &mut ChaCha8Rng::seed_from_u64(3))
-        == run(dispatched, &mut ChaCha8Rng::seed_from_u64(3));
+    let arms = Kernels::supported();
+    let want = run(arms[0], &mut ChaCha8Rng::seed_from_u64(3));
+    let bit_identical: Vec<bool> = arms
+        .iter()
+        .map(|&arm| run(arm, &mut ChaCha8Rng::seed_from_u64(3)) == want)
+        .collect();
     let mut rng = ChaCha8Rng::seed_from_u64(4);
-    let scalar_seconds = time_best(reps, || {
-        (0..inner).fold(0, |h, _| h ^ run(scalar, &mut rng))
-    });
-    let dispatched_seconds = time_best(reps, || {
-        (0..inner).fold(0, |h, _| h ^ run(dispatched, &mut rng))
-    });
+    let mut seconds = vec![f64::INFINITY; arms.len()];
+    for _ in 0..reps.max(1) {
+        for (best, &arm) in seconds.iter_mut().zip(&arms) {
+            let t = time_best(1, || (0..inner).fold(0, |h, _| h ^ run(arm, &mut rng)));
+            *best = best.min(t);
+        }
+    }
     let per_sample = 1e9 / (samples * inner) as f64;
     FinalizeTiming {
         samples,
-        scalar_ns_per_sample: scalar_seconds * per_sample,
-        dispatched_ns_per_sample: dispatched_seconds * per_sample,
-        speedup: scalar_seconds / dispatched_seconds,
-        bit_identical,
+        arms: arms
+            .iter()
+            .zip(&seconds)
+            .zip(bit_identical)
+            .map(|((arm, &t), bit_identical)| FinalizeArm {
+                arm: arm.label,
+                ns_per_sample: t * per_sample,
+                speedup: seconds[0] / t,
+                bit_identical,
+            })
+            .collect(),
     }
 }
 
@@ -618,11 +636,10 @@ fn check_budgets(r: &PipelineReport, budgets: Budgets) -> bool {
         let what = format!("kernel {} bit-identical to the scalar arm", t.kernel);
         g.require("perf", &what, t.bit_identical);
     }
-    g.require(
-        "perf",
-        "finalize bit-identical to its scalar arm",
-        k.finalize.bit_identical,
-    );
+    for a in &k.finalize.arms {
+        let what = format!("finalize on {} bit-identical to the scalar arm", a.arm);
+        g.require("perf", &what, a.bit_identical);
+    }
     g.require(
         "perf",
         "fft bit-identical to its scalar arm",
@@ -769,18 +786,19 @@ fn main() {
             }
         );
     }
-    let f = &kernels.finalize;
-    eprintln!(
-        "# finalize: {:.1} -> {:.1} ns/sample ({:.2}x, bits {})",
-        f.scalar_ns_per_sample,
-        f.dispatched_ns_per_sample,
-        f.speedup,
-        if f.bit_identical {
-            "identical"
-        } else {
-            "DIVERGED"
-        }
-    );
+    for a in &kernels.finalize.arms {
+        eprintln!(
+            "# finalize on {}: {:.1} ns/sample ({:.2}x, bits {})",
+            a.arm,
+            a.ns_per_sample,
+            a.speedup,
+            if a.bit_identical {
+                "identical"
+            } else {
+                "DIVERGED"
+            }
+        );
+    }
     let f = &kernels.fft;
     eprintln!(
         "# fft: {} points {:.0} -> {:.0} ns/transform ({:.2}x, bits {})",
@@ -971,7 +989,7 @@ mod tests {
                 ..GeometryTiming::default()
             },
             kernels: KernelsReport {
-                dispatch: "avx2",
+                dispatch: "avx512",
                 kernels: ["sum_f64", "energy"]
                     .map(|kernel| KernelTiming {
                         kernel,
@@ -981,7 +999,13 @@ mod tests {
                     })
                     .into(),
                 finalize: FinalizeTiming {
-                    bit_identical: true,
+                    arms: ["scalar", "avx2", "avx512"]
+                        .map(|arm| FinalizeArm {
+                            arm,
+                            bit_identical: true,
+                            ..FinalizeArm::default()
+                        })
+                        .into(),
                     ..FinalizeTiming::default()
                 },
                 fft: FftTiming {
@@ -1025,6 +1049,12 @@ mod tests {
             ..passing_report()
         };
         assert!(!check_budgets(&slow, committed_budgets()));
+        let mut diverged = passing_report();
+        diverged.kernels.finalize.arms[1].bit_identical = false;
+        assert!(
+            !check_budgets(&diverged, committed_budgets()),
+            "an arm the host supports but does not dispatch still gates"
+        );
     }
 
     #[test]

@@ -139,7 +139,7 @@ impl Calibrator {
         // Record which DSP dispatch arm produced this report's numbers.
         // The arms are bit-identical, so this is purely diagnostic — it
         // lets a fleet operator confirm a node is on its vector path.
-        self.obs.incr(dsp_dispatch_metric(), 1);
+        self.obs.incr(aircal_dsp::kernels().counter, 1);
 
         CalibrationReport {
             site_name: site.name.clone(),
@@ -155,17 +155,6 @@ impl Calibrator {
             install,
             trust,
         }
-    }
-}
-
-/// The counter name recording the selected SIMD dispatch arm, as a
-/// static string so publishing it never allocates.
-fn dsp_dispatch_metric() -> &'static str {
-    match aircal_dsp::dispatch_label() {
-        "avx2" => "dsp.dispatch.avx2",
-        "sse2" => "dsp.dispatch.sse2",
-        "neon" => "dsp.dispatch.neon",
-        _ => "dsp.dispatch.scalar",
     }
 }
 

@@ -42,11 +42,6 @@ impl Lfsr {
         })
     }
 
-    /// Register width in bits (also the PRBS order).
-    pub fn width(&self) -> u32 {
-        self.width
-    }
-
     /// Advance one step and return the output bit.
     pub fn next_bit(&mut self) -> bool {
         let fb = (self.state & self.taps).count_ones() & 1;

@@ -4,7 +4,8 @@
 //! Every hot inner loop in the workspace — magnitude-squared maps, FIR
 //! dot products, matched-filter correlation, Welch PSD accumulation —
 //! bottoms out in one of the kernels here. The kernels come in several
-//! arms (portable scalar, AVX2 and SSE2 on x86_64, NEON on aarch64)
+//! arms (portable scalar, AVX-512, AVX2 and SSE2 on x86_64, NEON on
+//! aarch64)
 //! behind a single [`Kernels`] vtable selected once at startup by
 //! [`kernels`].
 //!
@@ -59,20 +60,22 @@
 //!
 //! [`Kernels::noise_quantize`] draws Box–Muller noise with the portable
 //! polynomial sampler of [`crate::normal`], adds it and quantizes to the
-//! ADC grid. The sampler uses only IEEE operations in a fixed order, so
-//! the AVX2 arm replays the scalar op sequence like every other kernel,
-//! and its Gaussians and quantized samples are the scalar arm's bit for
-//! bit. See [`AdcNoise`] for the per-sample formula.
+//! ADC grid. It takes the generator's raw words and maps them to
+//! uniforms itself, as `rand::uniform_f64` does. The sampler uses only
+//! IEEE operations in a fixed order, so the AVX2 and AVX-512 arms replay
+//! the scalar op sequence like every other kernel, and their Gaussians
+//! and quantized samples are the scalar arm's bit for bit. See
+//! [`AdcNoise`] for the per-sample formula.
 //!
 //! # Dispatch
 //!
 //! [`kernels`] picks the widest arm the host supports exactly once (via
 //! `OnceLock`) using `std::arch` runtime feature detection. Setting
 //! `AIRCAL_FORCE_SCALAR=1` in the environment pins the portable scalar
-//! arm — CI runs the whole tier-1 suite on both arms. [`Kernels::scalar`]
-//! and [`Kernels::detect`] expose both arms directly so tests and
-//! benchmarks can compare them inside a single process regardless of the
-//! environment.
+//! arm — CI runs the whole tier-1 suite on both arms. [`Kernels::scalar`],
+//! [`Kernels::detect`] and [`Kernels::supported`] expose the arms directly
+//! so tests and benchmarks can compare them inside a single process
+//! regardless of the environment.
 
 use crate::{normal, Cplx};
 use std::sync::OnceLock;
@@ -117,8 +120,12 @@ impl LaneSum {
 /// (and [`Kernels::label`]).
 #[derive(Debug, Clone, Copy)]
 pub struct Kernels {
-    /// Dispatch label: `"scalar"`, `"sse2"`, `"avx2"`, or `"neon"`.
+    /// Dispatch label: `"scalar"`, `"sse2"`, `"avx2"`, `"avx512"` or
+    /// `"neon"`.
     pub label: &'static str,
+    /// The counter a calibration increments to record the arm that
+    /// produced it: `dsp.dispatch.` and the label.
+    pub counter: &'static str,
     /// `Σ x[i]` in canonical lane order.
     pub sum_f64: fn(&[f64]) -> f64,
     /// `Σ x[i]²` in canonical lane order.
@@ -138,10 +145,12 @@ pub struct Kernels {
     /// Elementwise `dst[i] = src[i] · taps[i]` (real taper).
     pub scale_map: fn(&[Cplx], &[f64], &mut [Cplx]),
     /// Thermal noise, DC offset and ADC quantization, in place, for
-    /// `block.len()` samples from `2·block.len()` uniforms: sample `i`
-    /// takes its Box–Muller draws `u1 ∈ [ε, 1)` and `u2 ∈ [0, 1)` from
-    /// `uniforms[2i]` and `uniforms[2i + 1]`. See [`AdcNoise`].
-    pub noise_quantize: fn(&[f64], &AdcNoise, &mut [Cplx]),
+    /// `block.len()` samples from `2·block.len()` generator words: sample
+    /// `i` takes its Box–Muller draws `u1 ∈ [ε, 1)` and `u2 ∈ [0, 1)`
+    /// from `words[2i]` and `words[2i + 1]`, mapped as
+    /// `rand::uniform_f64(w, ε, 1)` and `rand::uniform_f64(w, 0, 1)` map
+    /// them (so as `gen_range` would draw them). See [`AdcNoise`].
+    pub noise_quantize: fn(&[u64], &AdcNoise, &mut [Cplx]),
     /// Every radix-2 decimation-in-time stage of an in-place FFT whose
     /// input is already in bit-reversed order. `data.len()` must be a
     /// power of two and `twiddles` the stage tables of
@@ -209,10 +218,12 @@ fn quantize(x: f64, p: &AdcNoise) -> f64 {
     k.copysign(v) * p.inv_levels
 }
 
-/// One sample: the Gaussian, the op order `(x.re + dc) + n.re` and
-/// `x.im + n.im`, then the quantizer.
+/// One sample from its two words: the uniforms, the Gaussian, the op
+/// order `(x.re + dc) + n.re` and `x.im + n.im`, then the quantizer.
 #[inline(always)]
-fn noise_quantize_one(u1: f64, u2: f64, p: &AdcNoise, x: Cplx) -> Cplx {
+fn noise_quantize_one(w1: u64, w2: u64, p: &AdcNoise, x: Cplx) -> Cplx {
+    let u1 = rand::uniform_f64(w1, f64::EPSILON, 1.0);
+    let u2 = rand::uniform_f64(w2, 0.0, 1.0);
     let n = normal::box_muller(u1, u2, p.sigma);
     Cplx::new(
         quantize((x.re + p.dc_offset) + n.re, p),
@@ -236,7 +247,7 @@ pub fn kernels() -> &'static Kernels {
 }
 
 /// Label of the arm [`kernels`] selected (`"scalar"`, `"sse2"`,
-/// `"avx2"`, or `"neon"`).
+/// `"avx2"`, `"avx512"` or `"neon"`).
 pub fn dispatch_label() -> &'static str {
     kernels().label
 }
@@ -251,26 +262,38 @@ impl Kernels {
         &SCALAR
     }
 
-    /// The widest arm the host's vector units support, ignoring
-    /// `AIRCAL_FORCE_SCALAR`. Use this (against [`Kernels::scalar`]) to
-    /// compare both arms inside one process.
+    /// The widest arm the host's vector units support (the last of
+    /// [`Kernels::supported`]), ignoring `AIRCAL_FORCE_SCALAR`.
     pub fn detect() -> &'static Kernels {
+        Self::supported().pop().unwrap_or(&SCALAR)
+    }
+
+    /// Every arm this host can run, scalar first, then narrowest to
+    /// widest: [`Kernels::detect`] is the last. Tests and perfreport
+    /// hold each against the scalar arm, so an arm the dispatcher passes
+    /// over on a wider host is still checked there.
+    pub fn supported() -> Vec<&'static Kernels> {
+        let mut arms = vec![&SCALAR];
         #[cfg(target_arch = "x86_64")]
         {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                return &x86::AVX2;
+            use std::arch::is_x86_feature_detected as has;
+            if has!("sse2") {
+                arms.push(&x86::SSE2);
             }
-            if std::arch::is_x86_feature_detected!("sse2") {
-                return &x86::SSE2;
+            if has!("avx2") {
+                arms.push(&x86::AVX2);
+                if has!("avx512f") && has!("avx512dq") {
+                    arms.push(&x86::AVX512);
+                }
             }
         }
         #[cfg(target_arch = "aarch64")]
         {
             if std::arch::is_aarch64_feature_detected!("neon") {
-                return &neon::NEON;
+                arms.push(&neon::NEON);
             }
         }
-        &SCALAR
+        arms
     }
 }
 
@@ -282,6 +305,7 @@ impl Kernels {
 /// The portable scalar arm.
 pub static SCALAR: Kernels = Kernels {
     label: "scalar",
+    counter: "dsp.dispatch.scalar",
     sum_f64: scalar_sum_f64,
     sum_sq_f64: scalar_sum_sq_f64,
     energy: scalar_energy,
@@ -409,10 +433,10 @@ fn scalar_scale_map(src: &[Cplx], taps: &[f64], dst: &mut [Cplx]) {
     }
 }
 
-fn scalar_noise_quantize(uniforms: &[f64], p: &AdcNoise, block: &mut [Cplx]) {
-    assert!(uniforms.len() >= 2 * block.len());
-    for (x, u) in block.iter_mut().zip(uniforms.chunks_exact(2)) {
-        *x = noise_quantize_one(u[0], u[1], p, *x);
+fn scalar_noise_quantize(words: &[u64], p: &AdcNoise, block: &mut [Cplx]) {
+    assert!(words.len() >= 2 * block.len());
+    for (x, w) in block.iter_mut().zip(words.chunks_exact(2)) {
+        *x = noise_quantize_one(w[0], w[1], p, *x);
     }
 }
 
@@ -456,10 +480,14 @@ mod x86 {
     use crate::Cplx;
     use core::arch::x86_64::*;
 
+    /// 2⁻⁵³, the unit step of `rand::uniform_f64`.
+    const UNIT: f64 = 1.0 / (1u64 << 53) as f64;
+
     /// AVX2 arm: all nine kernels vectorized 4 doubles (2 complexes) per
     /// register, two/four registers per canonical 8-lane chunk.
     pub static AVX2: Kernels = Kernels {
         label: "avx2",
+        counter: "dsp.dispatch.avx2",
         sum_f64: avx2_sum_f64,
         sum_sq_f64: avx2_sum_sq_f64,
         energy: avx2_energy,
@@ -473,11 +501,32 @@ mod x86 {
         fft_radix2: avx2_fft_radix2,
     };
 
+    /// AVX-512 arm: `noise_quantize` runs eight samples per step (see
+    /// [`avx512_noise_quantize_impl`]); every other kernel is the AVX2
+    /// arm's, none of them being a large share of any layer. Installed
+    /// only where AVX2, AVX-512F and AVX-512DQ are all detected.
+    pub static AVX512: Kernels = Kernels {
+        label: "avx512",
+        counter: "dsp.dispatch.avx512",
+        sum_f64: avx2_sum_f64,
+        sum_sq_f64: avx2_sum_sq_f64,
+        energy: avx2_energy,
+        cdot: avx2_cdot,
+        cdot_conj: avx2_cdot_conj,
+        norm_sq_map: avx2_norm_sq_map,
+        norm_sq_accum: avx2_norm_sq_accum,
+        cmul_assign: avx2_cmul_assign,
+        scale_map: avx2_scale_map,
+        noise_quantize: avx512_noise_quantize,
+        fft_radix2: avx2_fft_radix2,
+    };
+
     /// SSE2 arm: the two pure-`f64` reductions run 2-wide; the
     /// interleaved-complex kernels delegate to the scalar arm (their
     /// shuffle sequences need SSE3+, and SSE2-only hosts are legacy).
     pub static SSE2: Kernels = Kernels {
         label: "sse2",
+        counter: "dsp.dispatch.sse2",
         sum_f64: sse2_sum_f64,
         sum_sq_f64: sse2_sum_sq_f64,
         energy: super::scalar_energy,
@@ -522,8 +571,11 @@ mod x86 {
     fn avx2_scale_map(src: &[Cplx], taps: &[f64], dst: &mut [Cplx]) {
         unsafe { avx2_scale_map_impl(src, taps, dst) }
     }
-    fn avx2_noise_quantize(uniforms: &[f64], p: &AdcNoise, block: &mut [Cplx]) {
-        unsafe { avx2_noise_quantize_impl(uniforms, p, block) }
+    fn avx2_noise_quantize(words: &[u64], p: &AdcNoise, block: &mut [Cplx]) {
+        unsafe { avx2_noise_quantize_impl(words, p, block) }
+    }
+    fn avx512_noise_quantize(words: &[u64], p: &AdcNoise, block: &mut [Cplx]) {
+        unsafe { avx512_noise_quantize_impl(words, p, block) }
     }
     fn avx2_fft_radix2(data: &mut [Cplx], twiddles: &[Cplx]) {
         super::check_fft_shape(data, twiddles);
@@ -835,18 +887,45 @@ mod x86 {
         _mm256_mul_pd(_mm256_or_pd(k, _mm256_and_pd(v, sign)), inv_levels)
     }
 
+    /// Four words as `rand::uniform_f64(w, lo, lo + span)` maps them,
+    /// per lane: `k = w >> 11` exactly as an `f64`, then `k·2⁻⁵³` and
+    /// `lo + span·unit`. AVX2 has no `u64 → f64` conversion, so the low
+    /// 52 bits of `k` go under the exponent of 2⁵², which reads
+    /// `2⁵² + (k mod 2⁵²)`: that is `k` when its top bit (bit 63 of `w`)
+    /// is set, and `k + 2⁵²` otherwise, where 2⁵² is subtracted. Every
+    /// step is exact, as the scalar conversion is.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn uniform4(w: __m256i, lo: __m256d, span: __m256d) -> __m256d {
+        let two_pow_52 = _mm256_set1_pd(super::TWO_POW_52);
+        let low = _mm256_or_si256(
+            _mm256_and_si256(
+                _mm256_srli_epi64(w, 11),
+                _mm256_set1_epi64x(0x000F_FFFF_FFFF_FFFF),
+            ),
+            _mm256_castpd_si256(two_pow_52),
+        );
+        let top = _mm256_castsi256_pd(_mm256_cmpgt_epi64(_mm256_setzero_si256(), w));
+        let k = _mm256_sub_pd(_mm256_castsi256_pd(low), _mm256_andnot_pd(top, two_pow_52));
+        let unit = _mm256_mul_pd(k, _mm256_set1_pd(UNIT));
+        _mm256_add_pd(lo, _mm256_mul_pd(span, unit))
+    }
+
     /// # Safety
     ///
     /// The host must support AVX2. Memory accesses stay in bounds for
     /// any slices: the assert below covers every load and store.
     #[target_feature(enable = "avx2")]
-    unsafe fn avx2_noise_quantize_impl(uniforms: &[f64], p: &AdcNoise, block: &mut [Cplx]) {
+    unsafe fn avx2_noise_quantize_impl(words: &[u64], p: &AdcNoise, block: &mut [Cplx]) {
         let n = block.len();
-        // Step `c < n / 4` reads uniforms `8c..8c + 8` and samples
+        // Step `c < n / 4` reads words `8c..8c + 8` and samples
         // `4c..4c + 4`, so this bounds every unaligned load and store.
-        assert!(uniforms.len() >= 2 * n);
-        let pu = uniforms.as_ptr();
+        assert!(words.len() >= 2 * n);
+        let pw = words.as_ptr() as *const __m256i;
         let pb = block.as_mut_ptr() as *mut f64;
+        // `(lo, hi − lo)` of `u1` and `u2`, alternating as the words do.
+        let lo = _mm256_setr_pd(f64::EPSILON, 0.0, f64::EPSILON, 0.0);
+        let span = _mm256_setr_pd(1.0 - f64::EPSILON, 1.0 - 0.0, 1.0 - f64::EPSILON, 1.0 - 0.0);
         let sigma = _mm256_set1_pd(p.sigma);
         let dc = _mm256_set1_pd(p.dc_offset);
         let levels = _mm256_set1_pd(p.levels);
@@ -854,8 +933,8 @@ mod x86 {
         let full = n / 4;
         for c in 0..full {
             // [u1₀, u2₀, u1₁, u2₁], [u1₂, u2₂, u1₃, u2₃] → per draw.
-            let ua = _mm256_loadu_pd(pu.add(8 * c));
-            let ub = _mm256_loadu_pd(pu.add(8 * c + 4));
+            let ua = uniform4(_mm256_loadu_si256(pw.add(2 * c)), lo, span);
+            let ub = uniform4(_mm256_loadu_si256(pw.add(2 * c + 1)), lo, span);
             let (u1, u2) = deinterleave(ua, ub);
             let minus_two_ln = _mm256_mul_pd(_mm256_set1_pd(-2.0), ln_unit4(u1));
             let r = _mm256_mul_pd(sigma, _mm256_sqrt_pd(minus_two_ln));
@@ -874,7 +953,158 @@ mod x86 {
             _mm256_storeu_pd(pb.add(8 * c), qa);
             _mm256_storeu_pd(pb.add(8 * c + 4), qb);
         }
-        super::scalar_noise_quantize(&uniforms[8 * full..], p, &mut block[4 * full..]);
+        super::scalar_noise_quantize(&words[8 * full..], p, &mut block[4 * full..]);
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn horner8(z: __m512d, coeffs: &[f64]) -> __m512d {
+        let mut p = _mm512_set1_pd(coeffs[0]);
+        for &k in &coeffs[1..] {
+            p = _mm512_add_pd(_mm512_mul_pd(p, z), _mm512_set1_pd(k));
+        }
+        p
+    }
+
+    /// Eight words as `rand::uniform_f64(w, lo, hi)` maps them: `w >> 11`
+    /// is below 2⁵³, so its `u64 → f64` conversion is exact, as the
+    /// scalar cast is; then the same `lo + (hi − lo)·(k·2⁻⁵³)`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn uniform8(w: __m512i, lo: f64, hi: f64) -> __m512d {
+        let unit = _mm512_mul_pd(
+            _mm512_cvtepu64_pd(_mm512_srli_epi64::<11>(w)),
+            _mm512_set1_pd(UNIT),
+        );
+        _mm512_add_pd(
+            _mm512_set1_pd(lo),
+            _mm512_mul_pd(_mm512_set1_pd(hi - lo), unit),
+        )
+    }
+
+    /// Eight lanes of `normal::ln_unit`, op for op. The exponent converts
+    /// exactly (`cvtepu64_pd`); the √2 fold is a masked multiply by ½ and
+    /// a masked `+ 1`, where the scalar code multiplies by 1 or ½ and
+    /// adds 0 or 1 (`m·1 = m`, and `e + 0 = e` since `e ≤ −1` is never a
+    /// zero).
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn ln_unit8(u: __m512d) -> __m512d {
+        let one = _mm512_set1_pd(1.0);
+        let bits = _mm512_castpd_si512(u);
+        let e = _mm512_sub_pd(
+            _mm512_cvtepu64_pd(_mm512_srli_epi64::<52>(bits)),
+            _mm512_set1_pd(1023.0),
+        );
+        let m = _mm512_castsi512_pd(_mm512_or_si512(
+            _mm512_and_si512(bits, _mm512_set1_epi64(0x000F_FFFF_FFFF_FFFF)),
+            _mm512_set1_epi64(0x3FF0_0000_0000_0000),
+        ));
+        let big = _mm512_cmp_pd_mask::<_CMP_GT_OQ>(m, _mm512_set1_pd(core::f64::consts::SQRT_2));
+        let m = _mm512_mask_mul_pd(m, big, m, _mm512_set1_pd(0.5));
+        let e = _mm512_mask_add_pd(e, big, e, one);
+        let s = _mm512_div_pd(_mm512_sub_pd(m, one), _mm512_add_pd(m, one));
+        let p = horner8(_mm512_mul_pd(s, s), &ATANH);
+        let hi = _mm512_mul_pd(e, _mm512_set1_pd(LN2_HI));
+        let lo = _mm512_mul_pd(e, _mm512_set1_pd(LN2_LO));
+        let two_s = _mm512_mul_pd(_mm512_set1_pd(2.0), s);
+        _mm512_add_pd(hi, _mm512_add_pd(lo, _mm512_mul_pd(two_s, p)))
+    }
+
+    /// Eight lanes of `normal::sincos_2pi`, op for op: `roundscale`
+    /// toward −∞ is the scalar truncating cast (`4u + ½ > 0`), the
+    /// quadrant swap is a mask blend and the sign flips masked XORs.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn sincos_2pi8(u: __m512d) -> (__m512d, __m512d) {
+        let j = _mm512_roundscale_pd::<{ _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC }>(
+            _mm512_add_pd(_mm512_mul_pd(_mm512_set1_pd(4.0), u), _mm512_set1_pd(0.5)),
+        );
+        let f = _mm512_sub_pd(u, _mm512_mul_pd(_mm512_set1_pd(0.25), j));
+        let a = _mm512_mul_pd(f, _mm512_set1_pd(core::f64::consts::TAU));
+        let a2 = _mm512_mul_pd(a, a);
+        let s = _mm512_add_pd(a, _mm512_mul_pd(_mm512_mul_pd(a, a2), horner8(a2, &SIN)));
+        let c = _mm512_add_pd(_mm512_set1_pd(1.0), _mm512_mul_pd(a2, horner8(a2, &COS)));
+        let quadrant = |q: f64| _mm512_cmp_pd_mask::<_CMP_EQ_OQ>(j, _mm512_set1_pd(q));
+        let (q1, q2, q3) = (quadrant(1.0), quadrant(2.0), quadrant(3.0));
+        let swap = q1 | q3;
+        let sign = _mm512_set1_pd(-0.0);
+        let sin = _mm512_mask_blend_pd(swap, s, c);
+        let cos = _mm512_mask_blend_pd(swap, c, s);
+        (
+            _mm512_mask_xor_pd(sin, q2 | q3, sin, sign),
+            _mm512_mask_xor_pd(cos, q1 | q2, cos, sign),
+        )
+    }
+
+    /// Eight lanes of `super::quantize`, as [`quantize4`] does it:
+    /// `max`/`min` keep a NaN `x` (the second operand), `roundscale`
+    /// toward −∞ is `floor`, the tie adds 1 under a mask (the scalar
+    /// code adds 0 or 1; `whole + 0` is `whole`, which is never −0), and
+    /// OR-ing the sign of `v` into the non-negative `k` is `copysign`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn quantize8(x: __m512d, levels: __m512d, inv_levels: __m512d) -> __m512d {
+        let clamped = _mm512_min_pd(_mm512_set1_pd(1.0), _mm512_max_pd(_mm512_set1_pd(-1.0), x));
+        let v = _mm512_mul_pd(clamped, levels);
+        let sign = _mm512_set1_pd(-0.0);
+        let a = _mm512_andnot_pd(sign, v);
+        let whole = _mm512_roundscale_pd::<{ _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC }>(a);
+        let tie_or_up =
+            _mm512_cmp_pd_mask::<_CMP_GE_OQ>(_mm512_sub_pd(a, whole), _mm512_set1_pd(0.5));
+        let k = _mm512_mask_add_pd(whole, tie_or_up, whole, _mm512_set1_pd(1.0));
+        _mm512_mul_pd(_mm512_or_pd(k, _mm512_and_pd(v, sign)), inv_levels)
+    }
+
+    /// Eight samples per step: the words of `u1` and `u2`, and the
+    /// samples' I and Q, are split with two-source permutes, mapped,
+    /// drawn and quantized as the scalar arm does per sample, and
+    /// interleaved back. A tail of fewer than eight samples goes to the
+    /// AVX2 kernel.
+    ///
+    /// # Safety
+    ///
+    /// The host must support AVX2, AVX-512F and AVX-512DQ. Memory
+    /// accesses stay in bounds for any slices: the assert below covers
+    /// every load and store.
+    #[target_feature(enable = "avx2,avx512f,avx512dq")]
+    unsafe fn avx512_noise_quantize_impl(words: &[u64], p: &AdcNoise, block: &mut [Cplx]) {
+        let n = block.len();
+        // Step `c < n / 8` reads words `16c..16c + 16` and samples
+        // `8c..8c + 8`, so this bounds every unaligned load and store.
+        assert!(words.len() >= 2 * n);
+        let pw = words.as_ptr() as *const __m512i;
+        let pb = block.as_mut_ptr() as *mut f64;
+        let even = _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14);
+        let odd = _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15);
+        let first = _mm512_setr_epi64(0, 8, 1, 9, 2, 10, 3, 11);
+        let second = _mm512_setr_epi64(4, 12, 5, 13, 6, 14, 7, 15);
+        let sigma = _mm512_set1_pd(p.sigma);
+        let dc = _mm512_set1_pd(p.dc_offset);
+        let levels = _mm512_set1_pd(p.levels);
+        let inv_levels = _mm512_set1_pd(p.inv_levels);
+        let full = n / 8;
+        for c in 0..full {
+            let wa = _mm512_loadu_si512(pw.add(2 * c));
+            let wb = _mm512_loadu_si512(pw.add(2 * c + 1));
+            let u1 = uniform8(_mm512_permutex2var_epi64(wa, even, wb), f64::EPSILON, 1.0);
+            let u2 = uniform8(_mm512_permutex2var_epi64(wa, odd, wb), 0.0, 1.0);
+            let minus_two_ln = _mm512_mul_pd(_mm512_set1_pd(-2.0), ln_unit8(u1));
+            let r = _mm512_mul_pd(sigma, _mm512_sqrt_pd(minus_two_ln));
+            let (sin, cos) = sincos_2pi8(u2);
+
+            let xa = _mm512_loadu_pd(pb.add(16 * c));
+            let xb = _mm512_loadu_pd(pb.add(16 * c + 8));
+            let re = _mm512_permutex2var_pd(xa, even, xb);
+            let im = _mm512_permutex2var_pd(xa, odd, xb);
+            let re = _mm512_add_pd(_mm512_add_pd(re, dc), _mm512_mul_pd(r, cos));
+            let im = _mm512_add_pd(im, _mm512_mul_pd(r, sin));
+            let re = quantize8(re, levels, inv_levels);
+            let im = quantize8(im, levels, inv_levels);
+            _mm512_storeu_pd(pb.add(16 * c), _mm512_permutex2var_pd(re, first, im));
+            _mm512_storeu_pd(pb.add(16 * c + 8), _mm512_permutex2var_pd(re, second, im));
+        }
+        avx2_noise_quantize_impl(&words[16 * full..], p, &mut block[8 * full..]);
     }
 
     /// Two butterflies on packed pairs: `t = v·w`, then `(u + t, u − t)`.
@@ -1040,6 +1270,7 @@ mod neon {
     /// the remaining complex kernels delegate to the scalar arm.
     pub static NEON: Kernels = Kernels {
         label: "neon",
+        counter: "dsp.dispatch.neon",
         sum_f64: neon_sum_f64,
         sum_sq_f64: neon_sum_sq_f64,
         energy: neon_energy,
@@ -1171,10 +1402,12 @@ mod tests {
     /// Every arm reachable on this host is bit-identical to the scalar
     /// reference over awkward lengths (the proptest suite goes further).
     #[test]
-    fn detected_arm_matches_scalar_bitwise() {
+    fn supported_arms_match_scalar_bitwise() {
         let s = Kernels::scalar();
-        let d = Kernels::detect();
-        for n in [0usize, 1, 2, 3, 7, 8, 9, 15, 16, 17, 63, 64, 65, 1000] {
+        for (d, n) in Kernels::supported()
+            .into_iter()
+            .flat_map(|d| [0usize, 1, 2, 3, 7, 8, 9, 15, 16, 17, 63, 64, 65, 1000].map(|n| (d, n)))
+        {
             let zs = samples(n);
             let xs = reals(n);
             assert_eq!((s.sum_f64)(&xs).to_bits(), (d.sum_f64)(&xs).to_bits());
@@ -1200,15 +1433,24 @@ mod tests {
             t[p] = Cplx::ONE;
         }
         assert_eq!((Kernels::scalar().energy)(&t), 4.0);
-        assert_eq!((Kernels::detect().energy)(&t), 4.0);
+        for k in Kernels::supported() {
+            assert_eq!((k.energy)(&t), 4.0, "{}", k.label);
+        }
     }
 
-    /// The dispatch label is one of the known arms and stable.
+    /// The dispatch label is one of the known arms and stable, and every
+    /// arm's counter names its label.
     #[test]
     fn dispatch_label_is_stable() {
         let l = dispatch_label();
-        assert!(["scalar", "sse2", "avx2", "neon"].contains(&l));
+        assert!(["scalar", "sse2", "avx2", "avx512", "neon"].contains(&l));
         assert_eq!(dispatch_label(), l);
+        let arms = Kernels::supported();
+        assert_eq!(arms[0].label, "scalar");
+        assert_eq!(arms.last().unwrap().label, Kernels::detect().label);
+        for k in arms {
+            assert_eq!(k.counter, format!("dsp.dispatch.{}", k.label));
+        }
     }
 
     /// Kernels tolerate mismatched slice lengths by truncating to the

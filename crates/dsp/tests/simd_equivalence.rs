@@ -7,9 +7,12 @@
 //! length (including non-multiple-of-8 tails), any slice offset
 //! (unaligned starts), and non-finite values (canonical NaN, ±inf, −0.0).
 //!
-//! The suite compares [`Kernels::scalar`] against [`Kernels::detect`]
-//! directly, so it proves the same property on the `AIRCAL_FORCE_SCALAR=1`
-//! CI leg as on the native one — `detect()` ignores the env override.
+//! The suite compares [`Kernels::scalar`] against every arm in
+//! [`Kernels::supported`] directly — on an AVX-512 host that is the SSE2,
+//! AVX2 and AVX-512 arms, so the AVX2 arm stays proven where the
+//! dispatcher passes it over — and it proves the same property on the
+//! `AIRCAL_FORCE_SCALAR=1` CI leg as on the native one: `supported()`
+//! ignores the env override.
 //!
 //! Special values: the suite injects canonical NaN, ±inf, and −0.0 and
 //! requires results to match bitwise **up to the sign of NaN outputs** —
@@ -33,8 +36,10 @@ use proptest::prelude::*;
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-fn arms() -> (&'static Kernels, &'static Kernels) {
-    (Kernels::scalar(), Kernels::detect())
+/// The scalar reference and every arm the host supports (scalar
+/// included, so the list is never empty), each to be held to it.
+fn arms() -> (&'static Kernels, Vec<&'static Kernels>) {
+    (Kernels::scalar(), Kernels::supported())
 }
 
 fn cplx_vec(pairs: &[(f64, f64)]) -> Vec<Cplx> {
@@ -45,7 +50,7 @@ fn assert_same_bits(label: &str, a: f64, b: f64) {
     assert_eq!(
         a.to_bits(),
         b.to_bits(),
-        "{label}: scalar {a:?} vs dispatched {b:?}"
+        "{label}: scalar {a:?} vs arm {b:?}"
     );
 }
 
@@ -88,57 +93,67 @@ fn nan_sign_masked(v: f64) -> u64 {
 /// without waiting on proptest's random lengths.
 #[test]
 fn all_tail_remainders_bitwise_identical() {
-    let (s, d) = arms();
-    let xs: Vec<f64> = (0..130).map(|i| (0.7 * i as f64).sin() * 1e3).collect();
-    let za: Vec<Cplx> = (0..130).map(|i| Cplx::phasor(0.37 * i as f64)).collect();
-    let zb: Vec<Cplx> = (0..130)
-        .map(|i| Cplx::phasor(0.11 * i as f64 + 0.5))
-        .collect();
-    let taps: Vec<f64> = (0..130)
-        .map(|i| 0.5 - 0.5 * (0.05 * i as f64).cos())
-        .collect();
-    for n in 0..=xs.len() {
-        assert_same_bits("sum_f64", (s.sum_f64)(&xs[..n]), (d.sum_f64)(&xs[..n]));
-        assert_same_bits(
-            "sum_sq_f64",
-            (s.sum_sq_f64)(&xs[..n]),
-            (d.sum_sq_f64)(&xs[..n]),
-        );
-        assert_same_bits("energy", (s.energy)(&za[..n]), (d.energy)(&za[..n]));
-        let (cs, cd) = ((s.cdot)(&za[..n], &zb[..n]), (d.cdot)(&za[..n], &zb[..n]));
-        assert_same_bits("cdot.re", cs.re, cd.re);
-        assert_same_bits("cdot.im", cs.im, cd.im);
-        let (cs, cd) = (
-            (s.cdot_conj)(&za[..n], &zb[..n]),
-            (d.cdot_conj)(&za[..n], &zb[..n]),
-        );
-        assert_same_bits("cdot_conj.re", cs.re, cd.re);
-        assert_same_bits("cdot_conj.im", cs.im, cd.im);
+    let (s, arms) = arms();
+    for d in arms {
+        let xs: Vec<f64> = (0..130).map(|i| (0.7 * i as f64).sin() * 1e3).collect();
+        let za: Vec<Cplx> = (0..130).map(|i| Cplx::phasor(0.37 * i as f64)).collect();
+        let zb: Vec<Cplx> = (0..130)
+            .map(|i| Cplx::phasor(0.11 * i as f64 + 0.5))
+            .collect();
+        let taps: Vec<f64> = (0..130)
+            .map(|i| 0.5 - 0.5 * (0.05 * i as f64).cos())
+            .collect();
+        for n in 0..=xs.len() {
+            assert_same_bits(
+                &format!("{} sum_f64", d.label),
+                (s.sum_f64)(&xs[..n]),
+                (d.sum_f64)(&xs[..n]),
+            );
+            assert_same_bits(
+                &format!("{} sum_sq_f64", d.label),
+                (s.sum_sq_f64)(&xs[..n]),
+                (d.sum_sq_f64)(&xs[..n]),
+            );
+            assert_same_bits(
+                &format!("{} energy", d.label),
+                (s.energy)(&za[..n]),
+                (d.energy)(&za[..n]),
+            );
+            let (cs, cd) = ((s.cdot)(&za[..n], &zb[..n]), (d.cdot)(&za[..n], &zb[..n]));
+            assert_same_bits(&format!("{} cdot.re", d.label), cs.re, cd.re);
+            assert_same_bits(&format!("{} cdot.im", d.label), cs.im, cd.im);
+            let (cs, cd) = (
+                (s.cdot_conj)(&za[..n], &zb[..n]),
+                (d.cdot_conj)(&za[..n], &zb[..n]),
+            );
+            assert_same_bits(&format!("{} cdot_conj.re", d.label), cs.re, cd.re);
+            assert_same_bits(&format!("{} cdot_conj.im", d.label), cs.im, cd.im);
 
-        let (mut ms, mut md) = (vec![0.0; n], vec![0.0; n]);
-        (s.norm_sq_map)(&za[..n], &mut ms);
-        (d.norm_sq_map)(&za[..n], &mut md);
-        for (a, b) in ms.iter().zip(&md) {
-            assert_same_bits("norm_sq_map", *a, *b);
-        }
-        (s.norm_sq_accum)(&zb[..n], &mut ms);
-        (d.norm_sq_accum)(&zb[..n], &mut md);
-        for (a, b) in ms.iter().zip(&md) {
-            assert_same_bits("norm_sq_accum", *a, *b);
-        }
+            let (mut ms, mut md) = (vec![0.0; n], vec![0.0; n]);
+            (s.norm_sq_map)(&za[..n], &mut ms);
+            (d.norm_sq_map)(&za[..n], &mut md);
+            for (a, b) in ms.iter().zip(&md) {
+                assert_same_bits(&format!("{} norm_sq_map", d.label), *a, *b);
+            }
+            (s.norm_sq_accum)(&zb[..n], &mut ms);
+            (d.norm_sq_accum)(&zb[..n], &mut md);
+            for (a, b) in ms.iter().zip(&md) {
+                assert_same_bits(&format!("{} norm_sq_accum", d.label), *a, *b);
+            }
 
-        let (mut ws, mut wd) = (za[..n].to_vec(), za[..n].to_vec());
-        (s.cmul_assign)(&mut ws, &zb[..n]);
-        (d.cmul_assign)(&mut wd, &zb[..n]);
-        for (a, b) in ws.iter().zip(&wd) {
-            assert_same_bits("cmul_assign.re", a.re, b.re);
-            assert_same_bits("cmul_assign.im", a.im, b.im);
-        }
-        (s.scale_map)(&za[..n], &taps[..n], &mut ws);
-        (d.scale_map)(&za[..n], &taps[..n], &mut wd);
-        for (a, b) in ws.iter().zip(&wd) {
-            assert_same_bits("scale_map.re", a.re, b.re);
-            assert_same_bits("scale_map.im", a.im, b.im);
+            let (mut ws, mut wd) = (za[..n].to_vec(), za[..n].to_vec());
+            (s.cmul_assign)(&mut ws, &zb[..n]);
+            (d.cmul_assign)(&mut wd, &zb[..n]);
+            for (a, b) in ws.iter().zip(&wd) {
+                assert_same_bits(&format!("{} cmul_assign.re", d.label), a.re, b.re);
+                assert_same_bits(&format!("{} cmul_assign.im", d.label), a.im, b.im);
+            }
+            (s.scale_map)(&za[..n], &taps[..n], &mut ws);
+            (d.scale_map)(&za[..n], &taps[..n], &mut wd);
+            for (a, b) in ws.iter().zip(&wd) {
+                assert_same_bits(&format!("{} scale_map.re", d.label), a.re, b.re);
+                assert_same_bits(&format!("{} scale_map.im", d.label), a.im, b.im);
+            }
         }
     }
 }
@@ -157,58 +172,57 @@ fn lane_sum(xs: &[f64]) -> f64 {
 /// under the `AIRCAL_FORCE_SCALAR=1` leg and the native leg alike.
 #[test]
 fn lane_sum_matches_sum_f64_at_every_length() {
-    let (s, d) = arms();
     let xs: Vec<f64> = (0..4096).map(|i| (0.7 * i as f64).sin() * 1e3).collect();
     for n in 0..=xs.len() {
         let got = lane_sum(&xs[..n]);
         assert_same_bits("lane_sum vs kernels()", (kernels().sum_f64)(&xs[..n]), got);
-        assert_same_bits("lane_sum vs scalar", (s.sum_f64)(&xs[..n]), got);
-        assert_same_bits("lane_sum vs detected", (d.sum_f64)(&xs[..n]), got);
+        for d in Kernels::supported() {
+            let label = format!("lane_sum vs {}", d.label);
+            assert_same_bits(&label, (d.sum_f64)(&xs[..n]), got);
+        }
     }
 }
 
 /// Samples per block in the noise tests: the front end's chunk size.
 const BLOCK: usize = 64;
 
-/// One block's Box–Muller uniforms as the front end draws them:
-/// `u1 ∈ [ε, 1)` and `u2 ∈ [0, 1)`, alternating.
-fn uniforms(rng: &mut ChaCha8Rng) -> [f64; 2 * BLOCK] {
-    core::array::from_fn(|k| {
-        if k % 2 == 0 {
-            rng.gen_range(f64::EPSILON..1.0)
-        } else {
-            rng.gen_range(0.0..1.0)
-        }
-    })
+/// One block's generator words, two per sample, as the front end
+/// draws them.
+fn words(rng: &mut ChaCha8Rng) -> [u64; 2 * BLOCK] {
+    core::array::from_fn(|_| rng.next_u64())
 }
 
-/// Uniforms as the front end maps word pairs: the extreme words 0 and
-/// 2¹¹ − 1 (the low end of both ranges: `u1 = ε`, the largest radius,
-/// and `u2 = 0`), 2¹¹ (one step up) and `u64::MAX` (the top of both
-/// ranges), in every pairing, then random words.
-fn extreme_uniforms() -> Vec<f64> {
-    let extremes = [0, (1 << 11) - 1, 1 << 11, u64::MAX];
+/// The extreme words 0 and 2¹¹ − 1 (the low end of both ranges:
+/// `u1 = ε`, the largest radius, and `u2 = 0`), 2¹¹ (one step up),
+/// 2⁶³ − 1 and 2⁶³ (either side of the top bit of `w >> 11`, where a
+/// two-half conversion carries) and `u64::MAX` (the top of both ranges),
+/// in every pairing, then random words.
+fn extreme_words() -> Vec<u64> {
+    let extremes = [0, (1 << 11) - 1, 1 << 11, (1 << 63) - 1, 1 << 63, u64::MAX];
     let mut rng = ChaCha8Rng::seed_from_u64(0x0DD5);
-    let mut words: Vec<(u64, u64)> = extremes
+    let mut pairs: Vec<[u64; 2]> = extremes
         .iter()
-        .flat_map(|&w1| extremes.iter().map(move |&w2| (w1, w2)))
+        .flat_map(|&w1| extremes.iter().map(move |&w2| [w1, w2]))
         .collect();
-    words.resize_with(BLOCK, || (rng.next_u64(), rng.next_u64()));
-    words
-        .iter()
-        .flat_map(|&(w1, w2)| {
-            [
-                rand::uniform_f64(w1, f64::EPSILON, 1.0),
-                rand::uniform_f64(w2, 0.0, 1.0),
-            ]
-        })
-        .collect()
+    pairs.resize_with(BLOCK, || [rng.next_u64(), rng.next_u64()]);
+    pairs.concat()
 }
 
-/// The per-sample reference of `noise_quantize`: the portable sampler,
-/// the DC offset on I, and the ADC quantizer with `f64::round`.
-fn oracle_sample(u: &[f64], (sigma, dc, levels): (f64, f64, f64), x: Cplx) -> Cplx {
-    let n = normal::box_muller(u[0], u[1], sigma);
+/// The Box–Muller uniforms of a sample's two words, as `gen_range`
+/// draws them.
+fn uniforms(w: &[u64]) -> (f64, f64) {
+    (
+        rand::uniform_f64(w[0], f64::EPSILON, 1.0),
+        rand::uniform_f64(w[1], 0.0, 1.0),
+    )
+}
+
+/// The per-sample reference of `noise_quantize`: the uniforms, the
+/// portable sampler, the DC offset on I, and the ADC quantizer with
+/// `f64::round`.
+fn oracle_sample(w: &[u64], (sigma, dc, levels): (f64, f64, f64), x: Cplx) -> Cplx {
+    let (u1, u2) = uniforms(w);
+    let n = normal::box_muller(u1, u2, sigma);
     let q = |v: f64| (v.clamp(-1.0, 1.0) * levels).round() / levels;
     Cplx::new(q((x.re + dc) + n.re), q(x.im + n.im))
 }
@@ -216,12 +230,12 @@ fn oracle_sample(u: &[f64], (sigma, dc, levels): (f64, f64, f64), x: Cplx) -> Cp
 /// `noise_quantize` on arm `k` over a copy of `input`.
 fn noise_quantized(
     k: &Kernels,
-    u: &[f64],
+    w: &[u64],
     (sigma, dc, levels): (f64, f64, f64),
     input: &[Cplx],
 ) -> Vec<Cplx> {
     let mut block = input.to_vec();
-    (k.noise_quantize)(u, &AdcNoise::new(sigma, dc, levels), &mut block);
+    (k.noise_quantize)(w, &AdcNoise::new(sigma, dc, levels), &mut block);
     block
 }
 
@@ -233,14 +247,14 @@ fn assert_same_samples(label: &str, a: &[Cplx], b: &[Cplx]) {
     }
 }
 
-/// Every block length 0..=64 (all tails of the 4-wide arm), with NaN,
+/// Every block length 0..=64 (all tails of the 8- and 4-wide arms), with NaN,
 /// ±inf and −0.0 entries, clipping amplitudes and three ADC widths: the
 /// samples of both arms and of the dispatched arm are the per-sample
 /// reference's bit for bit, NaN included (a NaN output carries its
 /// input's NaN, the only NaN operand on its path).
 #[test]
 fn noise_quantize_final_samples_match_across_arms() {
-    let (s, d) = arms();
+    let (_, arms) = arms();
     let mut rng = ChaCha8Rng::seed_from_u64(0x5EED);
     for n in 0..=BLOCK {
         for (t, &p) in [
@@ -251,7 +265,7 @@ fn noise_quantize_final_samples_match_across_arms() {
         .iter()
         .enumerate()
         {
-            let u = uniforms(&mut rng);
+            let w = words(&mut rng);
             let input: Vec<Cplx> = (0..n)
                 .map(|i| match (i + t) % 9 {
                     0 => Cplx::new(f64::NAN, 0.1),
@@ -264,10 +278,10 @@ fn noise_quantize_final_samples_match_across_arms() {
                 })
                 .collect();
             let want: Vec<Cplx> = (0..n)
-                .map(|i| oracle_sample(&u[2 * i..], p, input[i]))
+                .map(|i| oracle_sample(&w[2 * i..], p, input[i]))
                 .collect();
-            for k in [s, d, kernels()] {
-                let got = noise_quantized(k, &u, p, &input);
+            for k in arms.iter().chain([&kernels()]) {
+                let got = noise_quantized(k, &w, p, &input);
                 assert_same_samples(&format!("{} vs reference", k.label), &got, &want);
             }
         }
@@ -277,24 +291,27 @@ fn noise_quantize_final_samples_match_across_arms() {
 /// The Gaussians themselves agree across arms, bit for bit: through an
 /// ADC of 2¹⁰⁰⁰ levels, on a zero input, every draw (`|n| < 1` at
 /// σ = 1/16) is a whole number of steps, so the kernel returns the raw
-/// [`normal::box_muller`] draw. Random and extreme uniforms, every
-/// block length.
+/// [`normal::box_muller`] draw. Random and extreme words, every block
+/// length.
 #[test]
 fn noise_quantize_gaussians_match_across_arms() {
-    let (s, d) = arms();
+    let (_, arms) = arms();
     let p = (1.0 / 16.0, 0.0, 2f64.powi(1000));
     let mut rng = ChaCha8Rng::seed_from_u64(0x6A55);
-    let mut blocks: Vec<Vec<f64>> = (0..200).map(|_| uniforms(&mut rng).to_vec()).collect();
-    blocks.push(extreme_uniforms());
-    for (b, u) in blocks.iter().enumerate() {
+    let mut blocks: Vec<Vec<u64>> = (0..200).map(|_| words(&mut rng).to_vec()).collect();
+    blocks.push(extreme_words());
+    for (b, w) in blocks.iter().enumerate() {
         let n = if b < BLOCK { b + 1 } else { BLOCK };
         let input = vec![Cplx::ZERO; n];
         let want: Vec<Cplx> = (0..n)
-            .map(|i| normal::box_muller(u[2 * i], u[2 * i + 1], p.0))
+            .map(|i| {
+                let (u1, u2) = uniforms(&w[2 * i..]);
+                normal::box_muller(u1, u2, p.0)
+            })
             .map(|g| Cplx::new(0.0 + g.re, 0.0 + g.im))
             .collect();
-        for k in [s, d, kernels()] {
-            let got = noise_quantized(k, u, p, &input);
+        for k in arms.iter().chain([&kernels()]) {
+            let got = noise_quantized(k, w, p, &input);
             assert_same_samples(&format!("{} Gaussians", k.label), &got, &want);
         }
     }
@@ -306,7 +323,7 @@ fn noise_quantize_gaussians_match_across_arms() {
 /// guard screens them out.
 #[test]
 fn noise_quantize_rounds_ties_away_from_zero() {
-    let (s, d) = arms();
+    let (_, arms) = arms();
     let levels = 2048.0;
     let p = (0.0, 0.0, levels);
     let steps = [0.5, -0.5, 1.5, -2.5, 300.5, -1023.5, 2047.5];
@@ -315,29 +332,29 @@ fn noise_quantize_rounds_ties_away_from_zero() {
         .map(|&k| Cplx::new(k / levels, -k / levels))
         .chain([Cplx::new(0.0, -0.0), Cplx::new(-0.0, 0.0)])
         .collect();
-    let u = [0.3; 2 * BLOCK];
+    let w = words(&mut ChaCha8Rng::seed_from_u64(0x71E5));
     let rounded: Vec<Cplx> = steps
         .iter()
         .map(|&k: &f64| Cplx::new(k.round() / levels, (-k).round() / levels))
         .collect();
     assert_eq!(rounded[0], Cplx::new(1.0 / levels, -1.0 / levels));
     let want: Vec<Cplx> = (0..input.len())
-        .map(|i| oracle_sample(&u[2 * i..], p, input[i]))
+        .map(|i| oracle_sample(&w[2 * i..], p, input[i]))
         .collect();
     assert_same_samples("reference ties", &want[..steps.len()], &rounded);
-    for k in [s, d, kernels()] {
-        let got = noise_quantized(k, &u, p, &input);
+    for k in arms.iter().chain([&kernels()]) {
+        let got = noise_quantized(k, &w, p, &input);
         assert_same_samples(&format!("{} ties", k.label), &got, &want);
     }
 }
 
-/// The extreme draws reach every arm's samples as the per-sample
+/// The extreme words reach every arm's samples as the per-sample
 /// reference computes them, at noise levels where the draws move the
 /// quantized output.
 #[test]
 fn noise_quantize_arms_agree_at_the_extreme_draws() {
-    let (s, d) = arms();
-    let u = extreme_uniforms();
+    let (_, arms) = arms();
+    let w = extreme_words();
     let input: Vec<Cplx> = (0..BLOCK)
         .map(|i| Cplx::phasor(0.7 * i as f64).scale(1e-3 * i as f64))
         .collect();
@@ -347,19 +364,19 @@ fn noise_quantize_arms_agree_at_the_extreme_draws() {
         (0.1, 0.0, 8192.0),
     ] {
         let want: Vec<Cplx> = (0..BLOCK)
-            .map(|i| oracle_sample(&u[2 * i..], p, input[i]))
+            .map(|i| oracle_sample(&w[2 * i..], p, input[i]))
             .collect();
-        for k in [s, d, kernels()] {
-            let got = noise_quantized(k, &u, p, &input);
+        for k in arms.iter().chain([&kernels()]) {
+            let got = noise_quantized(k, &w, p, &input);
             assert_same_samples(&format!("{} vs reference", k.label), &got, &want);
         }
     }
 }
 
 proptest! {
-    /// Random uniforms, noise levels, DC offsets, ADC widths and inputs
-    /// with injected NaN / ±inf / −0.0: both arms' samples agree bit for
-    /// bit.
+    /// Random words, noise levels, DC offsets, ADC widths and inputs
+    /// with injected NaN / ±inf / −0.0: every arm's samples agree with
+    /// the scalar arm's bit for bit.
     #[test]
     fn noise_quantize_arms_agree(
         seed in proptest::any::<u64>(),
@@ -369,19 +386,21 @@ proptest! {
         dc in -0.01f64..0.01,
         bits in 8u32..15,
     ) {
-        let (s, d) = arms();
-        let mut input = cplx_vec(&xs);
-        for &(pos, sel, part) in &inject {
-            if let Some(x) = input.get_mut(pos) {
-                if part == 0 { x.re = special(sel) } else { x.im = special(sel) }
+        let (s, arms) = arms();
+        for d in arms {
+            let mut input = cplx_vec(&xs);
+            for &(pos, sel, part) in &inject {
+                if let Some(x) = input.get_mut(pos) {
+                    if part == 0 { x.re = special(sel) } else { x.im = special(sel) }
+                }
             }
+            let w = words(&mut ChaCha8Rng::seed_from_u64(seed));
+            let p = (10f64.powf(log_sigma), dc, (1u64 << bits) as f64 / 2.0);
+            let ss = noise_quantized(s, &w, p, &input);
+            let sd = noise_quantized(d, &w, p, &input);
+            prop_assert!(ss.iter().zip(&sd).all(|(x, y)|
+                x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits()), "{}", d.label);
         }
-        let u = uniforms(&mut ChaCha8Rng::seed_from_u64(seed));
-        let p = (10f64.powf(log_sigma), dc, (1u64 << bits) as f64 / 2.0);
-        let ss = noise_quantized(s, &u, p, &input);
-        let sd = noise_quantized(d, &u, p, &input);
-        prop_assert!(ss.iter().zip(&sd).all(|(x, y)|
-            x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits()));
     }
 
     /// The lane accumulator agrees with `sum_f64` (up to NaN sign, as for
@@ -392,18 +411,20 @@ proptest! {
         values in proptest::collection::vec(-1e6f64..1e6, 0..=4096),
         inject in proptest::collection::vec((0usize..4096, 0u8..4), 0..=8),
     ) {
-        let (s, d) = arms();
-        let mut xs = values;
-        let n = xs.len();
-        if n > 0 {
-            for &(pos, sel) in &inject {
-                xs[pos % n] = special(sel);
+        let (s, arms) = arms();
+        for d in arms {
+            let mut xs = values.clone();
+            let n = xs.len();
+            if n > 0 {
+                for &(pos, sel) in &inject {
+                    xs[pos % n] = special(sel);
+                }
             }
+            let got = nan_sign_masked(lane_sum(&xs));
+            prop_assert_eq!(nan_sign_masked((kernels().sum_f64)(&xs)), got);
+            prop_assert_eq!(nan_sign_masked((s.sum_f64)(&xs)), got);
+            prop_assert_eq!(nan_sign_masked((d.sum_f64)(&xs)), got);
         }
-        let got = nan_sign_masked(lane_sum(&xs));
-        prop_assert_eq!(nan_sign_masked((kernels().sum_f64)(&xs)), got);
-        prop_assert_eq!(nan_sign_masked((s.sum_f64)(&xs)), got);
-        prop_assert_eq!(nan_sign_masked((d.sum_f64)(&xs)), got);
     }
 
     /// Real reductions agree bitwise over random lengths 0..4096 and
@@ -413,10 +434,12 @@ proptest! {
         values in proptest::collection::vec(-1e6f64..1e6, 0..=4096),
         offset in 0usize..16,
     ) {
-        let (s, d) = arms();
-        let xs = &values[offset.min(values.len())..];
-        prop_assert_eq!((s.sum_f64)(xs).to_bits(), (d.sum_f64)(xs).to_bits());
-        prop_assert_eq!((s.sum_sq_f64)(xs).to_bits(), (d.sum_sq_f64)(xs).to_bits());
+        let (s, arms) = arms();
+        for d in arms {
+            let xs = &values[offset.min(values.len())..];
+            prop_assert_eq!((s.sum_f64)(xs).to_bits(), (d.sum_f64)(xs).to_bits());
+            prop_assert_eq!((s.sum_sq_f64)(xs).to_bits(), (d.sum_sq_f64)(xs).to_bits());
+        }
     }
 
     /// Complex reductions (burst energy, FIR dot, correlation dot) agree
@@ -428,17 +451,19 @@ proptest! {
         b in proptest::collection::vec((-1e3f64..1e3, -1e3f64..1e3), 0..=1024),
         offset in 0usize..16,
     ) {
-        let (s, d) = arms();
-        let za = cplx_vec(&a);
-        let zb = cplx_vec(&b);
-        let za = &za[offset.min(za.len())..];
-        prop_assert_eq!((s.energy)(za).to_bits(), (d.energy)(za).to_bits());
-        let (cs, cd) = ((s.cdot)(za, &zb), (d.cdot)(za, &zb));
-        prop_assert_eq!(cs.re.to_bits(), cd.re.to_bits());
-        prop_assert_eq!(cs.im.to_bits(), cd.im.to_bits());
-        let (cs, cd) = ((s.cdot_conj)(za, &zb), (d.cdot_conj)(za, &zb));
-        prop_assert_eq!(cs.re.to_bits(), cd.re.to_bits());
-        prop_assert_eq!(cs.im.to_bits(), cd.im.to_bits());
+        let (s, arms) = arms();
+        for d in arms {
+            let za = cplx_vec(&a);
+            let zb = cplx_vec(&b);
+            let za = &za[offset.min(za.len())..];
+            prop_assert_eq!((s.energy)(za).to_bits(), (d.energy)(za).to_bits());
+            let (cs, cd) = ((s.cdot)(za, &zb), (d.cdot)(za, &zb));
+            prop_assert_eq!(cs.re.to_bits(), cd.re.to_bits());
+            prop_assert_eq!(cs.im.to_bits(), cd.im.to_bits());
+            let (cs, cd) = ((s.cdot_conj)(za, &zb), (d.cdot_conj)(za, &zb));
+            prop_assert_eq!(cs.re.to_bits(), cd.re.to_bits());
+            prop_assert_eq!(cs.im.to_bits(), cd.im.to_bits());
+        }
     }
 
     /// Elementwise kernels (|z|² map/accumulate, spectral multiply,
@@ -449,31 +474,33 @@ proptest! {
         b in proptest::collection::vec((-1e3f64..1e3, -1e3f64..1e3), 0..=1024),
         taps in proptest::collection::vec(-2.0f64..2.0, 0..=1024),
     ) {
-        let (s, d) = arms();
-        let za = cplx_vec(&a);
-        let zb = cplx_vec(&b);
-        let n = za.len();
+        let (s, arms) = arms();
+        for d in arms {
+            let za = cplx_vec(&a);
+            let zb = cplx_vec(&b);
+            let n = za.len();
 
-        let (mut ms, mut md) = (vec![0.1f64; n], vec![0.1f64; n]);
-        (s.norm_sq_map)(&za, &mut ms);
-        (d.norm_sq_map)(&za, &mut md);
-        prop_assert!(ms.iter().zip(&md).all(|(x, y)| x.to_bits() == y.to_bits()));
-        (s.norm_sq_accum)(&zb, &mut ms);
-        (d.norm_sq_accum)(&zb, &mut md);
-        prop_assert!(ms.iter().zip(&md).all(|(x, y)| x.to_bits() == y.to_bits()));
+            let (mut ms, mut md) = (vec![0.1f64; n], vec![0.1f64; n]);
+            (s.norm_sq_map)(&za, &mut ms);
+            (d.norm_sq_map)(&za, &mut md);
+            prop_assert!(ms.iter().zip(&md).all(|(x, y)| x.to_bits() == y.to_bits()));
+            (s.norm_sq_accum)(&zb, &mut ms);
+            (d.norm_sq_accum)(&zb, &mut md);
+            prop_assert!(ms.iter().zip(&md).all(|(x, y)| x.to_bits() == y.to_bits()));
 
-        let (mut ws, mut wd) = (za.clone(), za.clone());
-        (s.cmul_assign)(&mut ws, &zb);
-        (d.cmul_assign)(&mut wd, &zb);
-        prop_assert!(ws.iter().zip(&wd).all(|(x, y)|
-            x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits()));
+            let (mut ws, mut wd) = (za.clone(), za.clone());
+            (s.cmul_assign)(&mut ws, &zb);
+            (d.cmul_assign)(&mut wd, &zb);
+            prop_assert!(ws.iter().zip(&wd).all(|(x, y)|
+                x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits()));
 
-        let (mut vs, mut vd) = (vec![Cplx::ZERO; n], vec![Cplx::ZERO; n]);
-        (s.scale_map)(&za, &taps, &mut vs);
-        (d.scale_map)(&za, &taps, &mut vd);
-        let m = n.min(taps.len());
-        prop_assert!(vs[..m].iter().zip(&vd[..m]).all(|(x, y)|
-            x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits()));
+            let (mut vs, mut vd) = (vec![Cplx::ZERO; n], vec![Cplx::ZERO; n]);
+            (s.scale_map)(&za, &taps, &mut vs);
+            (d.scale_map)(&za, &taps, &mut vd);
+            let m = n.min(taps.len());
+            prop_assert!(vs[..m].iter().zip(&vd[..m]).all(|(x, y)|
+                x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits()));
+        }
     }
 
     /// Canonical NaN / ±inf / −0.0 injected at random positions propagate
@@ -485,15 +512,17 @@ proptest! {
         inject in proptest::collection::vec((0usize..512, 0u8..4), 1..=8),
         offset in 0usize..16,
     ) {
-        let (s, d) = arms();
-        let mut xs = values;
-        let n = xs.len();
-        for &(pos, sel) in &inject {
-            xs[pos % n] = special(sel);
+        let (s, arms) = arms();
+        for d in arms {
+            let mut xs = values.clone();
+            let n = xs.len();
+            for &(pos, sel) in &inject {
+                xs[pos % n] = special(sel);
+            }
+            let xs = &xs[offset.min(n)..];
+            prop_assert_eq!(nan_sign_masked((s.sum_f64)(xs)), nan_sign_masked((d.sum_f64)(xs)));
+            prop_assert_eq!(nan_sign_masked((s.sum_sq_f64)(xs)), nan_sign_masked((d.sum_sq_f64)(xs)));
         }
-        let xs = &xs[offset.min(n)..];
-        prop_assert_eq!(nan_sign_masked((s.sum_f64)(xs)), nan_sign_masked((d.sum_f64)(xs)));
-        prop_assert_eq!(nan_sign_masked((s.sum_sq_f64)(xs)), nan_sign_masked((d.sum_sq_f64)(xs)));
     }
 
     /// Canonical NaN / ±inf / −0.0 in either complex operand propagate
@@ -506,30 +535,32 @@ proptest! {
         b in proptest::collection::vec((-1e3f64..1e3, -1e3f64..1e3), 1..=256),
         inject in proptest::collection::vec((0usize..256, 0u8..4, 0u8..2), 1..=8),
     ) {
-        let (s, d) = arms();
-        let mut za = cplx_vec(&a);
-        let mut zb = cplx_vec(&b);
-        for &(pos, sel, part) in &inject {
-            let v = special(sel);
-            let i = pos % za.len();
-            if part == 0 { za[i].re = v } else { za[i].im = v }
-            let j = pos % zb.len();
-            if part == 0 { zb[j].im = v } else { zb[j].re = v }
-        }
-        prop_assert_eq!(nan_sign_masked((s.energy)(&za)), nan_sign_masked((d.energy)(&za)));
-        let (cs, cd) = ((s.cdot)(&za, &zb), (d.cdot)(&za, &zb));
-        prop_assert_eq!(nan_sign_masked(cs.re), nan_sign_masked(cd.re));
-        prop_assert_eq!(nan_sign_masked(cs.im), nan_sign_masked(cd.im));
-        let (cs, cd) = ((s.cdot_conj)(&za, &zb), (d.cdot_conj)(&za, &zb));
-        prop_assert_eq!(nan_sign_masked(cs.re), nan_sign_masked(cd.re));
-        prop_assert_eq!(nan_sign_masked(cs.im), nan_sign_masked(cd.im));
+        let (s, arms) = arms();
+        for d in arms {
+            let mut za = cplx_vec(&a);
+            let mut zb = cplx_vec(&b);
+            for &(pos, sel, part) in &inject {
+                let v = special(sel);
+                let i = pos % za.len();
+                if part == 0 { za[i].re = v } else { za[i].im = v }
+                let j = pos % zb.len();
+                if part == 0 { zb[j].im = v } else { zb[j].re = v }
+            }
+            prop_assert_eq!(nan_sign_masked((s.energy)(&za)), nan_sign_masked((d.energy)(&za)));
+            let (cs, cd) = ((s.cdot)(&za, &zb), (d.cdot)(&za, &zb));
+            prop_assert_eq!(nan_sign_masked(cs.re), nan_sign_masked(cd.re));
+            prop_assert_eq!(nan_sign_masked(cs.im), nan_sign_masked(cd.im));
+            let (cs, cd) = ((s.cdot_conj)(&za, &zb), (d.cdot_conj)(&za, &zb));
+            prop_assert_eq!(nan_sign_masked(cs.re), nan_sign_masked(cd.re));
+            prop_assert_eq!(nan_sign_masked(cs.im), nan_sign_masked(cd.im));
 
-        let (mut ws, mut wd) = (za.clone(), za.clone());
-        (s.cmul_assign)(&mut ws, &zb);
-        (d.cmul_assign)(&mut wd, &zb);
-        prop_assert!(ws.iter().zip(&wd).all(|(x, y)|
-            nan_sign_masked(x.re) == nan_sign_masked(y.re)
-                && nan_sign_masked(x.im) == nan_sign_masked(y.im)));
+            let (mut ws, mut wd) = (za.clone(), za.clone());
+            (s.cmul_assign)(&mut ws, &zb);
+            (d.cmul_assign)(&mut wd, &zb);
+            prop_assert!(ws.iter().zip(&wd).all(|(x, y)|
+                nan_sign_masked(x.re) == nan_sign_masked(y.re)
+                    && nan_sign_masked(x.im) == nan_sign_masked(y.im)));
+        }
     }
 }
 
@@ -602,7 +633,7 @@ fn fft_arms_match_scalar_at_every_power_of_two() {
                 let table = twiddles(n, dir);
                 let mut reference = x.clone();
                 (Kernels::scalar().fft_radix2)(&mut reference, &table);
-                for arm in [Kernels::scalar(), Kernels::detect()] {
+                for arm in Kernels::supported() {
                     let mut got = x.clone();
                     plan.process_with(arm, &mut got, dir).unwrap();
                     assert_same_spectrum(&format!("{} planner, {label}", arm.label), &want, &got);
@@ -641,7 +672,7 @@ proptest! {
         }
         let mut want = data.clone();
         (Kernels::scalar().fft_radix2)(&mut want, &table);
-        for arm in [Kernels::scalar(), Kernels::detect()] {
+        for arm in Kernels::supported() {
             let mut got = data.clone();
             (arm.fft_radix2)(&mut got, &table);
             for (a, b) in want.iter().zip(&got) {

@@ -323,17 +323,24 @@ fn read_adversary(r: &mut Reader<'_>) -> Result<Option<Adversary>, SnapshotError
         0 => Ok(None),
         1 => {
             let kind_tag = r.u8()?;
+            // The kinds without a parameter write a zero word in its
+            // place; any other value is corruption, or the node would
+            // restore from bytes it never wrote.
+            let mut reserved = || match r.u64()? {
+                0 => Ok(()),
+                _ => Err(SnapshotError::Malformed("reserved adversary word")),
+            };
             let kind = match kind_tag {
                 0 => AdversaryKind::SpoofAdsb {
                     ghosts: r.u64()? as usize,
                 },
                 1 => {
-                    r.u64()?;
+                    reserved()?;
                     AdversaryKind::ReplayStale
                 }
                 2 => AdversaryKind::GainInflate { db: r.f64()? },
                 3 => {
-                    r.u64()?;
+                    reserved()?;
                     AdversaryKind::FrozenFrontend
                 }
                 4 => AdversaryKind::CalibrationPoison {

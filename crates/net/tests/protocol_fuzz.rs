@@ -11,9 +11,9 @@
 //! message kind plus hand-written adversarial seeds (extreme numbers,
 //! wrong types, trailing garbage, truncation, invalid UTF-8), and
 //! `wal_`-prefixed binary seeds exercising the write-ahead journal's
-//! crash-recovery scan ([`Journal::open`] must be total too). Registry
-//! and node-state snapshots are fuzzed from seeds built in code (snapshot
-//! restore must be total as well). Each seed
+//! crash-recovery scan ([`Journal::open`] must be total too). Registry,
+//! registry node-state and node-agent snapshots are fuzzed from seeds
+//! built in code (snapshot restore must be total as well). Each seed
 //! is then pushed through a fixed budget of deterministic mutations —
 //! byte flips, truncations, splices, insertions — from a ChaCha8 stream
 //! keyed by the file name, so every CI run fuzzes the exact same
@@ -21,11 +21,18 @@
 //! budget keeps the whole suite a bounded tier-1 `cargo test`, per the
 //! deterministic-simulation-testing posture of the repo.
 
+use aircal_aircraft::{TrafficConfig, TrafficSim};
 use aircal_core::wal::{crc32, fnv1a, Journal, WalRecord, FNV1A_OFFSET};
-use aircal_net::{snapshot, RegistryNodeState, Request, Response};
+use aircal_env::{Scenario, ScenarioKind};
+use aircal_net::adversary::AdversaryState;
+use aircal_net::{
+    snapshot, Adversary, AdversaryKind, NodeAgent, NodeBehavior, RegistryNodeState, Request,
+    Response, ServiceLedger,
+};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// Deterministic mutants generated per corpus seed.
 const MUTATIONS_PER_SEED: usize = 150;
@@ -408,13 +415,13 @@ fn registry_seed_states() -> Vec<RegistryNodeState> {
     ]
 }
 
-/// `payload` in a registry snapshot envelope with a valid CRC, so a
+/// `payload` in a snapshot envelope of `kind` with a valid CRC, so a
 /// mutated payload reaches the field decoders instead of stopping at the
 /// checksum.
-fn seal_registry(payload: &[u8]) -> Vec<u8> {
+fn seal(kind: u8, payload: &[u8]) -> Vec<u8> {
     let mut out = snapshot::MAGIC.to_vec();
     out.extend_from_slice(&snapshot::VERSION.to_le_bytes());
-    out.push(snapshot::KIND_REGISTRY);
+    out.push(kind);
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(payload);
     let crc = crc32(&out);
@@ -451,7 +458,7 @@ fn snapshot_restore_is_total_and_round_trips() {
 
     // The registry payload sits between the 11-byte header and the CRC.
     let payload = &snap[11..snap.len() - 4];
-    assert_eq!(seal_registry(payload), snap);
+    assert_eq!(seal(snapshot::KIND_REGISTRY, payload), snap);
     let mut seeds: Vec<(String, Vec<u8>)> = vec![("registry".into(), payload.to_vec())];
     seeds.extend(
         states
@@ -468,7 +475,7 @@ fn snapshot_restore_is_total_and_round_trips() {
             // Raw bytes first: mostly a checksum or header error.
             let _ = snapshot::restore_registry(&mutant);
             let _ = snapshot::restore_registry(&mutate(&snap, &mut rng));
-            if let Ok(nodes) = snapshot::restore_registry(&seal_registry(&mutant)) {
+            if let Ok(nodes) = snapshot::restore_registry(&seal(snapshot::KIND_REGISTRY, &mutant)) {
                 let again = snapshot::snapshot_registry(&nodes);
                 let back = snapshot::restore_registry(&again)
                     .unwrap_or_else(|e| panic!("{name}: re-encoded snapshot failed: {e}"));
@@ -497,5 +504,120 @@ fn snapshot_restore_is_total_and_round_trips() {
     assert!(
         decoded >= 25,
         "only {decoded} snapshot mutants decoded — mutations too destructive"
+    );
+}
+
+/// Node agents covering every field of a node snapshot: each behavior,
+/// no adversary and every adversary kind (with served counters, a pinned
+/// stale seed and non-finite gains), empty and long service ledgers, and
+/// claims with a non-ASCII name and non-finite numbers.
+fn node_seed_agents(scenario: &Scenario, sky: &Arc<TrafficSim>) -> Vec<NodeAgent> {
+    let node = |behavior| NodeAgent::new(scenario.clone(), behavior, sky.clone());
+    let mut agents = vec![
+        node(NodeBehavior::Honest),
+        node(NodeBehavior::Fabricator { ghosts: 50 }),
+        node(NodeBehavior::FalseClaims),
+    ];
+    agents[1].restore_ledger(ServiceLedger::from_hashes(
+        (0..40).map(|i| i * 0x9E37).collect(),
+    ));
+    agents[2].claims.name = "Zürich-rooftop-✓".into();
+    agents[2].claims.position.alt_m = f64::NAN;
+    agents[2].claims.freq_range_hz = (f64::NEG_INFINITY, -0.0);
+    let kinds = [
+        AdversaryKind::SpoofAdsb { ghosts: 7 },
+        AdversaryKind::ReplayStale,
+        AdversaryKind::GainInflate { db: f64::NAN },
+        AdversaryKind::FrozenFrontend,
+        AdversaryKind::CalibrationPoison { db_per_round: -0.0 },
+    ];
+    for (i, kind) in kinds.into_iter().enumerate() {
+        let mut agent = node(NodeBehavior::Honest);
+        let adversary = Adversary::new(kind, u64::MAX - i as u64);
+        adversary.restore_state(AdversaryState {
+            stale_survey_seed: (i % 2 == 1).then_some(0xFEED),
+            surveys_served: i as u64,
+            cells_served: 3,
+            tv_served: u64::MAX,
+        });
+        agent.adversary = Some(adversary);
+        agent.restore_ledger(ServiceLedger::from_hashes(vec![i as u64; i]));
+        agents.push(agent);
+    }
+    agents
+}
+
+/// Node-agent snapshot totality: [`snapshot::restore_node`] over every
+/// truncation of each seed agent's snapshot and over the mutation budget
+/// per seed — raw mutants of the sealed snapshot (which the CRC rejects)
+/// and mutated payloads re-sealed with a valid CRC. None may panic, and
+/// every snapshot that restores re-snapshots byte for byte through
+/// [`snapshot::snapshot_node`]: a restored node carries no state its
+/// snapshot does not show.
+#[test]
+fn node_snapshot_restore_is_total_and_round_trips() {
+    let scenario = Scenario::build(ScenarioKind::OpenField);
+    let sky = Arc::new(TrafficSim::generate(
+        TrafficConfig {
+            count: 4,
+            ..TrafficConfig::paper_default(scenario.site.position)
+        },
+        3,
+    ));
+    let restore = |bytes: &[u8]| snapshot::restore_node(scenario.clone(), sky.clone(), bytes);
+    let (mut mutants, mut restored) = (0u64, 0u64);
+    for (i, agent) in node_seed_agents(&scenario, &sky).iter().enumerate() {
+        let name = format!("agent-{i}");
+        let snap = snapshot::snapshot_node(agent);
+        let back = restore(&snap).unwrap_or_else(|e| panic!("{name}: valid snapshot failed: {e}"));
+        assert_eq!(snapshot::snapshot_node(&back), snap, "{name}: round trip");
+        for cut in 0..snap.len() {
+            assert!(
+                restore(&snap[..cut]).is_err(),
+                "{name}: truncation at {cut} restored"
+            );
+        }
+        // The node payload sits between the 11-byte header and the CRC.
+        let payload = &snap[11..snap.len() - 4];
+        assert_eq!(seal(snapshot::KIND_NODE, payload), snap);
+        // A parameterless adversary kind writes a zero word after its tag
+        // and before the seed; any other word must not restore.
+        if let Some(AdversaryKind::ReplayStale | AdversaryKind::FrozenFrontend) =
+            agent.adversary.as_ref().map(|a| a.kind)
+        {
+            let seed_bytes = agent.adversary.as_ref().unwrap().seed.to_le_bytes();
+            let at = payload
+                .windows(16)
+                .position(|w| w[..8] == [0; 8] && w[8..] == seed_bytes)
+                .expect("reserved word before the seed");
+            let mut nonzero = payload.to_vec();
+            nonzero[at] = 1;
+            assert!(
+                restore(&seal(snapshot::KIND_NODE, &nonzero)).is_err(),
+                "{name}: a non-zero reserved word restored"
+            );
+        }
+        let seed = fnv1a(FNV1A_OFFSET, name.as_bytes()) ^ SNAPSHOT_STREAM_SALT;
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        for _ in 0..MUTATIONS_PER_SEED {
+            let raw = mutate(&snap, &mut rng);
+            let resealed = seal(snapshot::KIND_NODE, &mutate(payload, &mut rng));
+            for bytes in [raw, resealed] {
+                if let Ok(node) = restore(&bytes) {
+                    assert_eq!(
+                        snapshot::snapshot_node(&node),
+                        bytes,
+                        "{name}: a restored mutant re-snapshots differently"
+                    );
+                    restored += 1;
+                }
+            }
+            mutants += 1;
+        }
+    }
+    assert_eq!(mutants, 8 * MUTATIONS_PER_SEED as u64);
+    assert!(
+        restored >= 25,
+        "only {restored} node snapshot mutants restored — mutations too destructive"
     );
 }

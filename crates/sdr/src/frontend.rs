@@ -8,8 +8,8 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-/// Samples per [`Frontend::finalize`] chunk: the words and uniforms of one
-/// chunk stay on the stack.
+/// Samples per [`Frontend::finalize`] chunk: the words of one chunk stay
+/// on the stack.
 const CHUNK: usize = 64;
 
 /// Static configuration of a simulated SDR front end at a fixed gain.
@@ -154,12 +154,13 @@ impl Frontend {
     /// Add thermal noise + DC offset to a signal buffer and quantize it to
     /// the ADC grid, in place — the last stage of every capture.
     ///
-    /// Runs in 64-sample chunks on the stack: bulk words from
-    /// [`ChaCha8Rng::fill_u64`], two per sample, mapped to the uniforms
-    /// `gen_range(ε..1.0)` and `gen_range(0.0..1.0)` would give, then the
-    /// dispatched [`aircal_dsp::Kernels::noise_quantize`]: the portable
-    /// Box–Muller sampler of [`aircal_dsp::normal`] and a round-half-away
-    /// quantizer, with the same bits on every arm.
+    /// Runs in 64-sample chunks: bulk words from
+    /// [`ChaCha8Rng::fill_u64`], two per sample on the stack, then the
+    /// dispatched [`aircal_dsp::Kernels::noise_quantize`], which maps them
+    /// to the uniforms `gen_range(ε..1.0)` and `gen_range(0.0..1.0)` would
+    /// give and applies the portable Box–Muller sampler of
+    /// [`aircal_dsp::normal`] and a round-half-away quantizer, with the
+    /// same bits on every arm.
     pub fn finalize(&self, buffer: &mut [Cplx], rng: &mut ChaCha8Rng) {
         self.finalize_with(kernels(), buffer, rng);
     }
@@ -169,15 +170,10 @@ impl Frontend {
     pub fn finalize_with(&self, arm: &Kernels, buffer: &mut [Cplx], rng: &mut ChaCha8Rng) {
         let adc = AdcNoise::new(self.noise_sigma_fs(), self.config.dc_offset, self.levels());
         let mut words = [0u64; 2 * CHUNK];
-        let mut uniforms = [0f64; 2 * CHUNK];
         for block in buffer.chunks_mut(CHUNK) {
             let words = &mut words[..2 * block.len()];
             rng.fill_u64(words);
-            for (u, w) in uniforms.chunks_exact_mut(2).zip(words.chunks_exact(2)) {
-                u[0] = rand::uniform_f64(w[0], f64::EPSILON, 1.0);
-                u[1] = rand::uniform_f64(w[1], 0.0, 1.0);
-            }
-            (arm.noise_quantize)(&uniforms[..words.len()], &adc, block);
+            (arm.noise_quantize)(words, &adc, block);
         }
     }
 

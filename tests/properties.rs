@@ -230,7 +230,8 @@ fn oracle_finalize(fe: &Frontend, buf: &mut [Cplx], rng: &mut ChaCha8Rng) {
 }
 
 /// [`Frontend::finalize`] equals the per-sample oracle bit for bit, on
-/// the dispatched and on the scalar kernel arm — every output component
+/// the dispatched arm and on every kernel arm the host supports (each
+/// arm's words, whole and partial ChaCha8 steps alike) — every output component
 /// and the generator's state afterwards — over 3000 randomized buffers:
 /// lengths around the 64-sample chunk edges and past 4096, 8/12/14-bit
 /// ADCs, DC offsets, noise figures 0.5–50 dB, amplitudes from silence to
@@ -298,21 +299,30 @@ fn finalize_is_bit_identical_to_per_sample_oracle() {
         for _ in 0..gen.gen_range(0..41) {
             rng_ref.next_u32();
         }
-        let (mut rng_fast, mut rng_scalar) = (rng_ref.clone(), rng_ref.clone());
-        let (mut fast, mut scalar) = (buf.clone(), buf.clone());
-        fe.finalize(&mut fast, &mut rng_fast);
-        fe.finalize_with(Kernels::scalar(), &mut scalar, &mut rng_scalar);
+        let mut runs = Vec::new();
+        let (mut out, mut rng) = (buf.clone(), rng_ref.clone());
+        fe.finalize(&mut out, &mut rng);
+        runs.push(("dispatched", out, rng));
+        for arm in Kernels::supported() {
+            let (mut out, mut rng) = (buf.clone(), rng_ref.clone());
+            fe.finalize_with(arm, &mut out, &mut rng);
+            runs.push((arm.label, out, rng));
+        }
         oracle_finalize(&fe, &mut buf, &mut rng_ref);
         let bits = |z: &Cplx| (z.re.to_bits(), z.im.to_bits());
-        for (i, ((f, s), r)) in fast.iter().zip(&scalar).zip(&buf).enumerate() {
-            if bits(f) != bits(r) || bits(s) != bits(r) {
-                mismatches += 1;
-                eprintln!("case {case} sample {i}: dispatched {f:?}, scalar {s:?}, oracle {r:?}");
+        for (label, out, mut rng) in runs {
+            for (i, (o, r)) in out.iter().zip(&buf).enumerate() {
+                if bits(o) != bits(r) {
+                    mismatches += 1;
+                    eprintln!("case {case} sample {i}: {label} {o:?}, oracle {r:?}");
+                }
             }
+            assert_eq!(
+                rng, rng_ref,
+                "case {case}: {label} generator state diverged"
+            );
+            assert_eq!(rng.next_u64(), rng_ref.clone().next_u64());
         }
-        assert_eq!(rng_fast, rng_ref, "case {case}: generator state diverged");
-        assert_eq!(rng_scalar, rng_ref, "case {case}: generator state diverged");
-        assert_eq!(rng_fast.next_u64(), rng_ref.next_u64());
     }
     assert_eq!(
         mismatches, 0,
