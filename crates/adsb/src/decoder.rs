@@ -1,9 +1,9 @@
 //! A dump1090-style scanning decoder: find preambles in raw IQ, slice bits,
 //! check parity, emit messages.
 
-use crate::frame::{AdsbFrame, ModeSFrame, ShortSquitter, DF_ALL_CALL, DF_EXTENDED_SQUITTER};
-use crate::ppm::{self, FRAME_SAMPLES, PREAMBLE_CHIPS, SHORT_FRAME_SAMPLES};
-use crate::{crc, AdsbError, SAMPLE_RATE_HZ};
+use crate::frame::{ModeSFrame, DF_ALL_CALL, DF_EXTENDED_SQUITTER, SHORT_FRAME_BITS};
+use crate::ppm::{self, PREAMBLE_CHIPS, SHORT_FRAME_SAMPLES};
+use crate::{crc, FRAME_BITS, FRAME_BYTES, SAMPLE_RATE_HZ};
 use aircal_dsp::corr::suppress_peaks;
 use aircal_dsp::Cplx;
 use serde::{Deserialize, Serialize};
@@ -243,14 +243,42 @@ pub struct DecodedMessage {
 /// scratch makes repeated scans allocation-free.
 #[derive(Debug, Default)]
 pub struct DecodeScratch {
-    /// The sparse preamble scan and its peaks.
+    /// The sparse preamble scan: its peaks, and the `|iq|²` every frame
+    /// is demodulated from.
     scan: PreambleScan,
     /// Demodulated bits/confidences for the frame under test.
     demod: ppm::Demodulated,
-    /// Bit positions ranked by decision confidence (repair ordering).
-    order: Vec<usize>,
-    /// Candidate byte string the CRC-guided repair mutates.
-    bytes: Vec<u8>,
+}
+
+/// Bit decisions single-bit repair tries flipping, weakest first.
+const REPAIR_ONE: usize = 8;
+/// Bit decisions two-bit repair pairs up (15 pairs).
+const REPAIR_TWO: usize = 6;
+
+/// The indices of the `K` weakest of `confidences` (at least `K` long),
+/// weakest first: the first `K` of a stable ascending sort, so ties keep
+/// bit order. A NaN confidence (an infinite chip) ranks weakest.
+/// Confidences are never -0.0, so on every other value `total_cmp` is the
+/// numeric order.
+fn weakest_bits<const K: usize>(confidences: &[f64]) -> [usize; K] {
+    debug_assert!(confidences.len() >= K);
+    let mut kept = [(f64::INFINITY, 0usize); K];
+    let mut len = 0;
+    for (bit, &c) in confidences.iter().enumerate() {
+        let key = if c.is_nan() { f64::NEG_INFINITY } else { c };
+        // After every kept decision at most as weak: `bit` is the latest.
+        let mut at = len;
+        while at > 0 && kept[at - 1].0.total_cmp(&key).is_gt() {
+            at -= 1;
+        }
+        if at == K {
+            continue;
+        }
+        len = (len + 1).min(K);
+        kept.copy_within(at..len - 1, at + 1);
+        kept[at] = (key, bit);
+    }
+    kept.map(|(_, bit)| bit)
 }
 
 /// The scanning decoder. Stateless between captures; cheap to construct.
@@ -293,72 +321,50 @@ impl Decoder {
         }
         // Candidate preambles: peaks far enough apart that two hits can't
         // be the same burst.
-        scratch
-            .scan
-            .run(iq, self.config.preamble_threshold, PEAK_SEPARATION);
-        let peaks = std::mem::take(&mut scratch.scan.peaks);
-        for &(idx, _) in &peaks {
+        let DecodeScratch { scan, demod } = scratch;
+        scan.run(iq, self.config.preamble_threshold, PEAK_SEPARATION);
+        // The scan leaves `mags[i] = |iq[i]|²` for every sample: the
+        // magnitudes the demodulator reads.
+        let mags = &scan.mags[..iq.len()];
+        for &(idx, _) in &scan.peaks {
             if idx + SHORT_FRAME_SAMPLES > iq.len() {
                 continue;
             }
-            if let Ok(msg) = self.try_decode_at(iq, idx, capture_start_s, scratch) {
-                out.push(msg);
-            }
+            out.extend(self.try_decode_at(mags, idx, capture_start_s, demod));
         }
-        scratch.scan.peaks = peaks;
     }
 
-    /// Attempt to decode a frame whose preamble starts at `idx`: slice the
-    /// first 5 bits to learn the downlink format (as dump1090 does), pick
-    /// the 56- or 112-bit length accordingly, then parity-check with
-    /// CRC-guided repair of up to `max_repaired_bits` low-confidence bits.
+    /// Attempt to decode a frame whose preamble starts at `mags[idx]`
+    /// (with at least a short frame of magnitudes from there on): read the
+    /// 5-bit downlink format (as dump1090 does), demodulate the 56 or 112
+    /// bits it calls for, then parity-check with CRC-guided repair of up
+    /// to `max_repaired_bits` low-confidence bits.
     fn try_decode_at(
         &self,
-        iq: &[Cplx],
+        mags: &[f64],
         idx: usize,
         capture_start_s: f64,
-        scratch: &mut DecodeScratch,
-    ) -> Result<DecodedMessage, AdsbError> {
-        let head = iq
-            .get(idx..)
-            .filter(|s| s.len() >= SHORT_FRAME_SAMPLES)
-            .ok_or(AdsbError::InvalidField("capture too short for frame"))?;
-        if !ppm::demodulate_bits_into(head, 5, &mut scratch.demod) {
-            return Err(AdsbError::InvalidField("demod failed"));
-        }
-        let df = scratch.demod.bytes[0] >> 3;
-
-        let (n_bits, want) = match df {
-            DF_ALL_CALL => (56usize, SHORT_FRAME_SAMPLES),
-            DF_EXTENDED_SQUITTER => (112usize, FRAME_SAMPLES),
-            other => return Err(AdsbError::UnsupportedFormat(other)),
+        demod: &mut ppm::Demodulated,
+    ) -> Option<DecodedMessage> {
+        let mags = &mags[idx..];
+        let n_bits = match ppm::downlink_format(mags) {
+            DF_ALL_CALL => SHORT_FRAME_BITS,
+            DF_EXTENDED_SQUITTER => FRAME_BITS,
+            _ => return None,
         };
-        let slice = iq
-            .get(idx..idx + want)
-            .ok_or(AdsbError::InvalidField("capture too short for frame"))?;
-        if !ppm::demodulate_bits_into(slice, n_bits, &mut scratch.demod) {
-            return Err(AdsbError::InvalidField("demod failed"));
+        if !ppm::demodulate_into(mags, n_bits, demod) {
+            return None;
         }
-        let repaired_bits =
-            self.repair_into(&scratch.demod, &mut scratch.order, &mut scratch.bytes)?;
-        let frame = match df {
-            DF_ALL_CALL => {
-                let mut b = [0u8; 7];
-                b.copy_from_slice(&scratch.bytes);
-                ModeSFrame::Short(ShortSquitter::decode(&b)?)
-            }
-            _ => {
-                let mut b = [0u8; 14];
-                b.copy_from_slice(&scratch.bytes);
-                ModeSFrame::Extended(AdsbFrame::decode(&b)?)
-            }
-        };
-        Ok(DecodedMessage {
+        let (bytes, repaired_bits) = self.repair(demod)?;
+        // `repair` returns only bytes whose parity checks, so the CRC is
+        // not run a second time.
+        let frame = ModeSFrame::parse(&bytes[..demod.bytes().len()]).ok()?;
+        Some(DecodedMessage {
             frame,
             sample_index: idx,
             time_s: capture_start_s + idx as f64 / SAMPLE_RATE_HZ,
-            rssi_dbfs: scratch.demod.rssi_dbfs(),
-            min_confidence: scratch.demod.min_confidence(),
+            rssi_dbfs: demod.rssi_dbfs(),
+            min_confidence: demod.min_confidence(),
             repaired_bits,
         })
     }
@@ -366,69 +372,51 @@ impl Decoder {
     /// dump1090-style bit repair: if parity fails, flip the one (or pair
     /// of) lowest-confidence bit decisions that makes it pass. Only the
     /// weakest few candidates are tried, keeping the extra false-accept
-    /// probability negligible against CRC-24.
-    fn repair_into(
-        &self,
-        demod: &ppm::Demodulated,
-        order: &mut Vec<usize>,
-        bytes: &mut Vec<u8>,
-    ) -> Result<u8, AdsbError> {
+    /// probability negligible against CRC-24. Returns the bytes whose
+    /// parity checks (only the demodulated length is meaningful) and how
+    /// many bits were flipped.
+    fn repair(&self, demod: &ppm::Demodulated) -> Option<([u8; FRAME_BYTES], u8)> {
+        let n = demod.bytes().len();
+        let mut bytes = [0u8; FRAME_BYTES];
+        bytes[..n].copy_from_slice(demod.bytes());
         // A frame's parity checks exactly when the CRC of the whole frame
         // is zero.
-        let verify = |bytes: &[u8]| matches!(bytes.len(), 7 | 14) && crc::crc24(bytes) == 0;
-        let reset = |bytes: &mut Vec<u8>| {
-            bytes.clear();
-            bytes.extend_from_slice(&demod.bytes);
-        };
-        reset(bytes);
-        if verify(bytes) {
-            return Ok(0);
+        let verify = |bytes: &[u8; FRAME_BYTES]| crc::crc24(&bytes[..n]) == 0;
+        if verify(&bytes) {
+            return Some((bytes, 0));
         }
         let budget = self.config.max_repaired_bits.min(2);
         if budget == 0 {
-            return Err(AdsbError::BadParity);
+            return None;
         }
-        // Rank bit positions by ascending decision confidence, ties in bit
-        // order (the sort is stable). A NaN confidence (an infinite chip)
-        // ranks weakest. Confidences are never -0.0, so on every other
-        // value `total_cmp` is the numeric order.
-        let key = |bit: usize| {
-            let c = demod.confidences[bit];
-            if c.is_nan() {
-                f64::NEG_INFINITY
-            } else {
-                c
+        let flipped = |bits: &[usize]| {
+            let mut b = bytes;
+            for &bit in bits {
+                b[bit / 8] ^= 1 << (7 - bit % 8);
             }
+            b
         };
-        order.clear();
-        order.extend(0..demod.confidences.len());
-        order.sort_by(|&a, &b| key(a).total_cmp(&key(b)));
-        let flip = |bytes: &mut [u8], bit: usize| bytes[bit / 8] ^= 1 << (7 - bit % 8);
-
+        let weakest: [usize; REPAIR_ONE] = weakest_bits(demod.confidences());
         // Single-bit repair over the 8 weakest decisions.
-        for &b in order.iter().take(8) {
-            reset(bytes);
-            flip(bytes, b);
-            if verify(bytes) {
-                return Ok(1);
+        for &bit in &weakest {
+            let b = flipped(&[bit]);
+            if verify(&b) {
+                return Some((b, 1));
             }
         }
         if budget >= 2 {
             // Two-bit repair over the 6 weakest decisions (15 pairs).
-            let pl = order.len().min(6);
-            for i in 0..pl {
-                for j in i + 1..pl {
-                    let (b1, b2) = (order[i], order[j]);
-                    reset(bytes);
-                    flip(bytes, b1);
-                    flip(bytes, b2);
-                    if verify(bytes) {
-                        return Ok(2);
+            let pairs = &weakest[..REPAIR_TWO];
+            for (i, &b1) in pairs.iter().enumerate() {
+                for &b2 in &pairs[i + 1..] {
+                    let b = flipped(&[b1, b2]);
+                    if verify(&b) {
+                        return Some((b, 2));
                     }
                 }
             }
         }
-        Err(AdsbError::BadParity)
+        None
     }
 }
 
@@ -436,8 +424,10 @@ impl Decoder {
 mod tests {
     use super::*;
     use crate::cpr::{self, CprFormat};
+    use crate::frame::AdsbFrame;
     use crate::icao::IcaoAddress;
     use crate::me::MePayload;
+    use crate::ppm::FRAME_SAMPLES;
     use aircal_dsp::corr::{find_peaks, normalized_correlation};
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
@@ -690,6 +680,35 @@ mod tests {
                 "bit {bit}"
             );
             assert_eq!(msgs[0].repaired_bits, 1, "bit {bit}");
+        }
+    }
+
+    proptest::proptest! {
+        /// Repair's ranking equals the stable sort it replaced: the first
+        /// 8 (and 6) bits of an ascending stable sort on confidence with
+        /// NaN weakest, over confidences full of ties, zeros, ones and NaNs.
+        #[test]
+        fn weakest_bits_are_the_head_of_the_stable_sort(
+            draws in proptest::collection::vec(proptest::prelude::any::<u64>(), 8..=112),
+        ) {
+            let confidences: Vec<f64> = draws
+                .iter()
+                .map(|&d| match d % 8 {
+                    0 => f64::NAN,
+                    1 => 0.0,
+                    2 => 1.0,
+                    3 => 0.5,
+                    _ => (d >> 11) as f64 / (1u64 << 53) as f64,
+                })
+                .collect();
+            let key = |bit: usize| {
+                let c = confidences[bit];
+                if c.is_nan() { f64::NEG_INFINITY } else { c }
+            };
+            let mut order: Vec<usize> = (0..confidences.len()).collect();
+            order.sort_by(|&a, &b| key(a).total_cmp(&key(b)));
+            proptest::prop_assert_eq!(weakest_bits::<REPAIR_ONE>(&confidences), order[..REPAIR_ONE]);
+            proptest::prop_assert_eq!(weakest_bits::<REPAIR_TWO>(&confidences), order[..REPAIR_TWO]);
         }
     }
 

@@ -59,6 +59,12 @@ impl AdsbFrame {
         if !verify_frame(bytes) {
             return Err(AdsbError::BadParity);
         }
+        Self::parse(bytes)
+    }
+
+    /// [`AdsbFrame::decode`] of bytes whose parity is already known to
+    /// check: the downlink format, then the payload.
+    pub(crate) fn parse(bytes: &[u8; FRAME_BYTES]) -> Result<Self, AdsbError> {
         let df = get_bits(bytes, 0, 5) as u8;
         if df != DF_EXTENDED_SQUITTER {
             return Err(AdsbError::UnsupportedFormat(df));
@@ -112,6 +118,12 @@ impl ShortSquitter {
         if !crate::crc::verify_short_frame(bytes) {
             return Err(AdsbError::BadParity);
         }
+        Self::parse(bytes)
+    }
+
+    /// [`ShortSquitter::decode`] of bytes whose parity is already known
+    /// to check.
+    pub(crate) fn parse(bytes: &[u8; SHORT_FRAME_BYTES]) -> Result<Self, AdsbError> {
         let df = get_bits(bytes, 0, 5) as u8;
         if df != DF_ALL_CALL {
             return Err(AdsbError::UnsupportedFormat(df));
@@ -120,6 +132,22 @@ impl ShortSquitter {
             capability: get_bits(bytes, 5, 3) as u8,
             icao: IcaoAddress::new(get_bits(bytes, 8, 24) as u32),
         })
+    }
+}
+
+/// The on-air bytes of a short or extended frame, in a fixed array; it
+/// dereferences to the 7 or 14 bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameBytes {
+    bytes: [u8; FRAME_BYTES],
+    len: usize,
+}
+
+impl core::ops::Deref for FrameBytes {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.bytes[..self.len]
     }
 }
 
@@ -150,11 +178,32 @@ impl ModeSFrame {
     }
 
     /// Serialize to the on-air byte string (7 or 14 bytes).
-    pub fn encode_bytes(&self) -> Vec<u8> {
-        match self {
-            ModeSFrame::Short(s) => s.encode().to_vec(),
-            ModeSFrame::Extended(f) => f.encode().to_vec(),
+    pub fn encode_bytes(&self) -> FrameBytes {
+        let mut bytes = [0u8; FRAME_BYTES];
+        let len = match self {
+            ModeSFrame::Short(s) => {
+                bytes[..SHORT_FRAME_BYTES].copy_from_slice(&s.encode());
+                SHORT_FRAME_BYTES
+            }
+            ModeSFrame::Extended(f) => {
+                bytes = f.encode();
+                FRAME_BYTES
+            }
+        };
+        FrameBytes { bytes, len }
+    }
+
+    /// Parse the bytes of a short (7) or extended (14) frame whose parity
+    /// is already known to check, as [`ShortSquitter::decode`] or
+    /// [`AdsbFrame::decode`] would.
+    pub(crate) fn parse(bytes: &[u8]) -> Result<Self, AdsbError> {
+        if let Ok(short) = bytes.try_into() {
+            return Ok(ModeSFrame::Short(ShortSquitter::parse(short)?));
         }
+        let long = bytes
+            .try_into()
+            .map_err(|_| AdsbError::InvalidField("frame length"))?;
+        Ok(ModeSFrame::Extended(AdsbFrame::parse(long)?))
     }
 
     /// The ADS-B payload, if this is an extended squitter.
@@ -256,6 +305,35 @@ mod tests {
         assert!(ext.payload().is_some());
         assert_eq!(short.encode_bytes().len(), 7);
         assert_eq!(ext.encode_bytes().len(), 14);
+    }
+
+    /// Parsing bytes whose parity checks is decoding them: same frame,
+    /// same format error, for short and extended frames of every
+    /// downlink format.
+    #[test]
+    fn parse_of_checked_bytes_is_decode() {
+        let ext = sample_frame().encode();
+        let short = ShortSquitter::new(IcaoAddress::new(0x4840D6)).encode();
+        for df in 0..32u64 {
+            let mut e = ext;
+            set_bits(&mut e, 0, 5, df);
+            apply_parity(&mut e);
+            assert_eq!(
+                ModeSFrame::parse(&e),
+                AdsbFrame::decode(&e).map(ModeSFrame::Extended)
+            );
+            let mut s = short;
+            set_bits(&mut s, 0, 5, df);
+            crate::crc::apply_short_parity(&mut s);
+            assert_eq!(
+                ModeSFrame::parse(&s),
+                ShortSquitter::decode(&s).map(ModeSFrame::Short)
+            );
+        }
+        assert_eq!(
+            &*ModeSFrame::Extended(sample_frame()).encode_bytes(),
+            &ext[..]
+        );
     }
 
     proptest! {

@@ -10,7 +10,7 @@
 //! At the native 2 Msps, one chip is exactly one sample, so a full frame is
 //! 240 samples.
 
-use crate::{FRAME_BYTES, SAMPLE_RATE_HZ};
+use crate::{FRAME_BITS, FRAME_BYTES, SAMPLE_RATE_HZ};
 use aircal_dsp::Cplx;
 
 /// Chips in the preamble.
@@ -46,7 +46,7 @@ pub const SHORT_FRAME_SAMPLES: usize = PREAMBLE_CHIPS + 2 * 56;
 
 /// Chips in the modulated form of a `frame_bytes`-byte frame (preamble
 /// plus two chips per bit).
-pub fn chip_count(frame_bytes: usize) -> usize {
+pub const fn chip_count(frame_bytes: usize) -> usize {
     PREAMBLE_CHIPS + 16 * frame_bytes
 }
 
@@ -60,6 +60,45 @@ pub fn pulse_chips(frame: &[u8]) -> impl Iterator<Item = usize> + '_ {
         PREAMBLE_CHIPS + 2 * bit + usize::from(!one)
     });
     PREAMBLE_PULSES.into_iter().chain(data)
+}
+
+/// The pulse chips of one data byte as a 16-chip mask: bit `2j` for a `1`
+/// in bit `j` (MSB first) and bit `2j + 1` for a `0`.
+const BYTE_CHIPS: [u16; 256] = {
+    let mut table = [0u16; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut j = 0;
+        while j < 8 {
+            let zero = (byte >> (7 - j)) & 1 == 0;
+            table[byte] |= 1 << (2 * j + zero as usize);
+            j += 1;
+        }
+        byte += 1;
+    }
+    table
+};
+
+/// Words of a chip mask for the longest (14-byte) frame's 240 chips.
+pub const MAX_CHIP_WORDS: usize = chip_count(FRAME_BYTES).div_ceil(64);
+
+/// The chips [`pulse_chips`] lists for `frame` (at most 14 bytes), as a
+/// bit mask: chip `c` is bit `c % 64` of word `c / 64`, and every chip at
+/// or past [`chip_count`] is clear. Built a byte at a time from a
+/// 256-entry table: a byte's 16 chips start at a multiple of 16, so they
+/// never straddle two words.
+///
+/// # Panics
+/// If `frame` is longer than 14 bytes.
+pub fn pulse_chip_words(frame: &[u8]) -> [u64; MAX_CHIP_WORDS] {
+    assert!(frame.len() <= FRAME_BYTES, "{}-byte frame", frame.len());
+    let mut words = [0u64; MAX_CHIP_WORDS];
+    words[0] = PREAMBLE_PULSES.iter().fold(0, |m, &c| m | 1 << c);
+    for (k, &byte) in frame.iter().enumerate() {
+        let chip = PREAMBLE_CHIPS + 16 * k;
+        words[chip / 64] |= u64::from(BYTE_CHIPS[usize::from(byte)]) << (chip % 64);
+    }
+    words
 }
 
 /// Modulate any Mode S byte string (7 or 14 bytes) into baseband samples
@@ -79,23 +118,48 @@ pub fn modulate(frame: &[u8; FRAME_BYTES], amplitude: f64, phase_rad: f64) -> Ve
     modulate_bytes(frame, amplitude, phase_rad)
 }
 
-/// Result of demodulating one frame's worth of samples.
-#[derive(Debug, Clone, Default)]
+/// Result of demodulating one frame's worth of chip magnitudes, in fixed
+/// arrays sized for the longest (112-bit) frame, so a caller-owned value
+/// is reused across frames without allocating.
+#[derive(Debug, Clone)]
 pub struct Demodulated {
-    /// The recovered bytes (7 or 14; parity not yet checked).
-    pub bytes: Vec<u8>,
-    /// Per-bit confidence in [0, 1]: energy asymmetry between chip halves.
-    pub confidences: Vec<f64>,
+    /// Bits demodulated by the last call.
+    n_bits: usize,
+    /// The recovered bits, MSB-first; `n_bits.div_ceil(8)` bytes are live.
+    bytes: [u8; FRAME_BYTES],
+    /// Per-bit confidence in [0, 1]; `n_bits` entries are live.
+    confidences: [f64; FRAME_BITS],
     /// Mean pulse power (linear) — the dump1090-style RSSI numerator.
     pub signal_power: f64,
-    /// Reused `|chip|²` buffer, filled by the vectorized magnitude kernel.
-    chip_mags: Vec<f64>,
+}
+
+impl Default for Demodulated {
+    fn default() -> Self {
+        Self {
+            n_bits: 0,
+            bytes: [0; FRAME_BYTES],
+            confidences: [0.0; FRAME_BITS],
+            signal_power: 0.0,
+        }
+    }
 }
 
 impl Demodulated {
-    /// The weakest bit decision's confidence.
+    /// The recovered bytes (7 or 14 for a frame; parity not yet checked).
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes[..self.n_bits.div_ceil(8)]
+    }
+
+    /// Per-bit confidence in [0, 1]: energy asymmetry between chip halves
+    /// (NaN where both halves are infinite).
+    pub fn confidences(&self) -> &[f64] {
+        &self.confidences[..self.n_bits]
+    }
+
+    /// The weakest bit decision's confidence (NaN confidences ignored; 1
+    /// when every one is NaN).
     pub fn min_confidence(&self) -> f64 {
-        self.confidences.iter().cloned().fold(1.0, f64::min)
+        self.confidences().iter().copied().fold(1.0, f64::min)
     }
 
     /// RSSI in dBFS given that samples are full-scale-relative.
@@ -104,41 +168,57 @@ impl Demodulated {
     }
 }
 
-/// Demodulate `n_bits` (starting at the preamble) into bytes and per-bit
-/// confidences, in a caller-owned [`Demodulated`] whose buffers are reused
-/// across calls, keeping the decode loop allocation-free. Returns `false`
-/// (leaving `out` cleared) if the slice is too short.
-pub fn demodulate_bits_into(samples: &[Cplx], n_bits: usize, out: &mut Demodulated) -> bool {
-    out.bytes.clear();
-    out.confidences.clear();
+/// The 5-bit downlink format of a frame whose preamble starts at
+/// `mags[0]`, from five chip-pair compares: the first byte
+/// [`demodulate_into`] would give, shifted right by three (a pulse in the
+/// first chip half is a `1`; a tie or a NaN is a `0`).
+///
+/// # Panics
+/// If `mags` holds fewer than the `PREAMBLE_CHIPS + 10` chips it reads.
+pub fn downlink_format(mags: &[f64]) -> u8 {
+    mags[PREAMBLE_CHIPS..PREAMBLE_CHIPS + 10]
+        .chunks_exact(2)
+        .fold(0u8, |df, p| df << 1 | u8::from(p[0] > p[1]))
+}
+
+/// Demodulate `n_bits` (≤ 112) of a frame whose preamble starts at
+/// `mags[0]` into `out`, reading only chip magnitudes: `mags[k]` is
+/// `|s[k]|²` of the frame's sample `k`, as the decoder's preamble scan
+/// already holds them. Returns `false` (with `out` emptied) if `mags` is
+/// too short or `n_bits` too large.
+///
+/// Three passes, each over the data chips in order: bytes packed from
+/// the chip-pair compares without a branch on the data, confidences
+/// `|a − b| / (a + b)` with no loop-carried value, and the pulse power
+/// `Σ max(a, b)` as one serial sum in bit order (its rounding, and so
+/// the reported RSSI, depends on that order).
+pub fn demodulate_into(mags: &[f64], n_bits: usize, out: &mut Demodulated) -> bool {
+    out.n_bits = 0;
     out.signal_power = 0.0;
-    if samples.len() < PREAMBLE_CHIPS + 2 * n_bits {
+    let Some(chips) = mags
+        .get(PREAMBLE_CHIPS..PREAMBLE_CHIPS + 2 * n_bits)
+        .filter(|_| n_bits <= FRAME_BITS)
+    else {
         return false;
+    };
+    for (byte, pairs) in out.bytes.iter_mut().zip(chips.chunks(16)) {
+        *byte = pairs
+            .chunks_exact(2)
+            .enumerate()
+            .fold(0u8, |b, (j, p)| b | u8::from(p[0] > p[1]) << (7 - j));
     }
-    out.bytes.resize(n_bits.div_ceil(8), 0u8);
-    // One vectorized magnitude pass over the data chips; the bit loop then
-    // reads plain f64s (same values as per-sample `norm_sq`).
-    out.chip_mags.resize(2 * n_bits, 0.0);
-    (aircal_dsp::kernels().norm_sq_map)(
-        &samples[PREAMBLE_CHIPS..PREAMBLE_CHIPS + 2 * n_bits],
-        &mut out.chip_mags,
-    );
-    let mut pulse_power = 0.0;
-    for bit_idx in 0..n_bits {
-        let first = out.chip_mags[2 * bit_idx];
-        let second = out.chip_mags[2 * bit_idx + 1];
-        let bit = first > second;
-        if bit {
-            out.bytes[bit_idx / 8] |= 1 << (7 - bit_idx % 8);
-        }
-        let total = first + second;
-        out.confidences.push(if total > 0.0 {
-            (first - second).abs() / total
+    for (c, p) in out.confidences.iter_mut().zip(chips.chunks_exact(2)) {
+        let total = p[0] + p[1];
+        *c = if total > 0.0 {
+            (p[0] - p[1]).abs() / total
         } else {
             0.0
-        });
-        pulse_power += first.max(second);
+        };
     }
+    let pulse_power = chips
+        .chunks_exact(2)
+        .fold(0.0, |acc, p| acc + p[0].max(p[1]));
+    out.n_bits = n_bits;
     out.signal_power = pulse_power / n_bits as f64;
     true
 }
@@ -146,12 +226,58 @@ pub fn demodulate_bits_into(samples: &[Cplx], n_bits: usize, out: &mut Demodulat
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::SHORT_FRAME_BYTES;
     use proptest::prelude::*;
+
+    /// `|s|²` of every sample, from the dispatched kernel the decoder's
+    /// preamble scan uses.
+    fn mags_of(samples: &[Cplx]) -> Vec<f64> {
+        let mut mags = vec![0.0; samples.len()];
+        (aircal_dsp::kernels().norm_sq_map)(samples, &mut mags);
+        mags
+    }
 
     /// Demodulate 240 samples (starting at the preamble) as a 112-bit frame.
     fn demodulate(samples: &[Cplx]) -> Option<Demodulated> {
         let mut out = Demodulated::default();
-        demodulate_bits_into(samples, 112, &mut out).then_some(out)
+        demodulate_into(&mags_of(samples), 112, &mut out).then_some(out)
+    }
+
+    /// What the per-bit demodulator [`demodulate_into`] replaced returned:
+    /// bytes, confidences and mean pulse power.
+    type OracleDemod = (Vec<u8>, Vec<f64>, f64);
+
+    /// The per-bit demodulator [`demodulate_into`] replaced, which took
+    /// samples, ran its own magnitude pass over the data chips and
+    /// branched on each bit: the oracle the three-pass form is held to.
+    fn demodulate_bits_oracle(samples: &[Cplx], n_bits: usize) -> Option<OracleDemod> {
+        if samples.len() < PREAMBLE_CHIPS + 2 * n_bits {
+            return None;
+        }
+        let mut bytes = vec![0u8; n_bits.div_ceil(8)];
+        let mut confidences = Vec::new();
+        let mut chip_mags = vec![0.0; 2 * n_bits];
+        (aircal_dsp::kernels().norm_sq_map)(
+            &samples[PREAMBLE_CHIPS..PREAMBLE_CHIPS + 2 * n_bits],
+            &mut chip_mags,
+        );
+        let mut pulse_power = 0.0;
+        for bit_idx in 0..n_bits {
+            let first = chip_mags[2 * bit_idx];
+            let second = chip_mags[2 * bit_idx + 1];
+            let bit = first > second;
+            if bit {
+                bytes[bit_idx / 8] |= 1 << (7 - bit_idx % 8);
+            }
+            let total = first + second;
+            confidences.push(if total > 0.0 {
+                (first - second).abs() / total
+            } else {
+                0.0
+            });
+            pulse_power += first.max(second);
+        }
+        Some((bytes, confidences, pulse_power / n_bits as f64))
     }
 
     fn frame_bytes() -> [u8; FRAME_BYTES] {
@@ -170,7 +296,7 @@ mod tests {
     fn clean_round_trip() {
         let tx = modulate(&frame_bytes(), 0.7, 0.3);
         let rx = demodulate(&tx).unwrap();
-        assert_eq!(rx.bytes, frame_bytes());
+        assert_eq!(rx.bytes(), frame_bytes());
         assert_eq!(rx.min_confidence(), 1.0);
         assert!((rx.signal_power - 0.49).abs() < 1e-9);
     }
@@ -215,9 +341,39 @@ mod tests {
         }
     }
 
+    /// The table-built mask has exactly the chips [`pulse_chips`] lists,
+    /// for every byte value at every position of a 7- and a 14-byte frame
+    /// (a byte's chips depend on its value and position only).
+    #[test]
+    fn pulse_chip_words_hold_every_byte_at_every_position() {
+        let oracle = |frame: &[u8]| {
+            let mut words = [0u64; MAX_CHIP_WORDS];
+            for chip in pulse_chips(frame) {
+                words[chip / 64] |= 1 << (chip % 64);
+            }
+            words
+        };
+        for len in [SHORT_FRAME_BYTES, FRAME_BYTES] {
+            for pos in 0..len {
+                for byte in 0..=255u8 {
+                    let mut frame = vec![0x5A; len];
+                    frame[pos] = byte;
+                    assert_eq!(
+                        pulse_chip_words(&frame),
+                        oracle(&frame),
+                        "{len} bytes, [{pos}] = {byte:#04x}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn short_input_returns_none() {
         assert!(demodulate(&[Cplx::ZERO; 239]).is_none());
+        let mut out = Demodulated::default();
+        assert!(!demodulate_into(&[0.0; 300], 113, &mut out));
+        assert!(out.bytes().is_empty() && out.confidences().is_empty());
     }
 
     #[test]
@@ -231,7 +387,7 @@ mod tests {
         let rx = demodulate(&tx).unwrap();
         assert!(rx.min_confidence() < 1.0);
         // Still decodes at this SNR.
-        assert_eq!(rx.bytes, frame_bytes());
+        assert_eq!(rx.bytes(), frame_bytes());
     }
 
     #[test]
@@ -241,7 +397,62 @@ mod tests {
         assert!((strong.rssi_dbfs() - weak.rssi_dbfs() - 20.0).abs() < 0.1);
     }
 
+    /// A burst with each chip drawn from noise, a pulse, or one of the
+    /// values that stress the compares and sums: zero, NaN, ±inf and
+    /// 1e200 (whose square overflows), on either quadrature.
+    fn stressed_burst(draws: &[u64]) -> Vec<Cplx> {
+        let special = [
+            Cplx::ZERO,
+            Cplx::new(f64::NAN, 0.0),
+            Cplx::new(0.0, f64::NAN),
+            Cplx::new(f64::INFINITY, 0.0),
+            Cplx::new(0.0, f64::NEG_INFINITY),
+            Cplx::new(1e200, 0.0),
+            Cplx::new(-1e200, 1e200),
+        ];
+        draws
+            .iter()
+            .map(|&d| {
+                let (re, im) = ((d >> 8) as u32 as f64, (d >> 40) as u16 as f64);
+                match d % 16 {
+                    k @ 0..=6 => special[k as usize],
+                    7..=10 => Cplx::new(re / 4e9, im / 7e4),
+                    _ => Cplx::new(re * 1e-12, -im * 1e-5),
+                }
+            })
+            .collect()
+    }
+
     proptest! {
+        /// The three-pass demodulator equals the per-bit oracle bit for
+        /// bit at every frame length the decoder uses (the 5-bit format
+        /// peek, 56 and 112 bits) on bursts mixing zero, NaN, ±inf and
+        /// 1e200 chips with noise: bytes, every confidence, the mean pulse
+        /// power and the weakest confidence. The 5-compare format peek
+        /// equals the oracle's 5-bit demodulation.
+        #[test]
+        fn demodulation_from_magnitudes_equals_the_per_bit_oracle(
+            draws in proptest::collection::vec(any::<u64>(), FRAME_SAMPLES),
+        ) {
+            let samples = stressed_burst(&draws);
+            let mags = mags_of(&samples);
+            let mut out = Demodulated::default();
+            for n_bits in [5usize, 56, 112] {
+                let (bytes, confidences, power) =
+                    demodulate_bits_oracle(&samples, n_bits).unwrap();
+                prop_assert!(demodulate_into(&mags, n_bits, &mut out));
+                prop_assert_eq!(out.bytes(), &bytes[..], "{} bits", n_bits);
+                let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(out.confidences()), bits(&confidences), "{} bits", n_bits);
+                prop_assert_eq!(out.signal_power.to_bits(), power.to_bits(), "{} bits", n_bits);
+                let min = confidences.iter().cloned().fold(1.0, f64::min);
+                prop_assert_eq!(out.min_confidence().to_bits(), min.to_bits());
+                if n_bits == 5 {
+                    prop_assert_eq!(downlink_format(&mags), bytes[0] >> 3);
+                }
+            }
+        }
+
         /// Modulation → demodulation is the identity on bytes for any
         /// payload and any carrier phase, on a clean channel.
         #[test]
@@ -253,7 +464,7 @@ mod tests {
             let mut frame = [0u8; FRAME_BYTES];
             frame.copy_from_slice(&payload);
             let rx = demodulate(&modulate(&frame, amp, phase)).unwrap();
-            prop_assert_eq!(rx.bytes, frame);
+            prop_assert_eq!(rx.bytes(), &frame[..]);
         }
     }
 }

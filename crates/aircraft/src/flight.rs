@@ -1,7 +1,7 @@
 //! Individual flights and their kinematics.
 
 use aircal_adsb::IcaoAddress;
-use aircal_geo::LatLon;
+use aircal_geo::{Course, LatLon};
 use serde::{Deserialize, Serialize};
 
 /// A simulated flight: identity plus a constant-velocity state at `t0`.
@@ -32,6 +32,25 @@ pub struct Flight {
     pub adsb_out: bool,
 }
 
+/// A [`Flight`]'s positions over time ([`Flight::trajectory`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Trajectory<'a> {
+    flight: &'a Flight,
+    course: Course,
+}
+
+impl Trajectory<'_> {
+    /// Position at absolute time `t` seconds: [`Flight::position_at`].
+    pub fn at(&self, t: f64) -> LatLon {
+        let f = self.flight;
+        let dt = t - f.t0;
+        let mut p = self.course.destination(f.ground_speed_mps * dt);
+        p.alt_m =
+            (f.origin.alt_m + f.vertical_rate_mps * dt).clamp(Flight::MIN_ALT_M, Flight::MAX_ALT_M);
+        p
+    }
+}
+
 impl Flight {
     /// Altitude band aircraft stay within (m): floor keeps them airborne,
     /// ceiling is a practical service ceiling.
@@ -41,13 +60,16 @@ impl Flight {
 
     /// Position at absolute time `t` seconds.
     pub fn position_at(&self, t: f64) -> LatLon {
-        let dt = t - self.t0;
-        let mut p = self
-            .origin
-            .destination(self.track_deg, self.ground_speed_mps * dt);
-        p.alt_m = (self.origin.alt_m + self.vertical_rate_mps * dt)
-            .clamp(Self::MIN_ALT_M, Self::MAX_ALT_M);
-        p
+        self.trajectory().at(t)
+    }
+
+    /// The flight's great-circle track with its course terms computed
+    /// once, for the many positions an emission schedule reads.
+    pub fn trajectory(&self) -> Trajectory<'_> {
+        Trajectory {
+            flight: self,
+            course: self.origin.course(self.track_deg),
+        }
     }
 
     /// Velocity components in knots (east, north) — the units ADS-B

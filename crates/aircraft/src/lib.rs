@@ -20,7 +20,7 @@ pub mod generator;
 pub mod ground_truth;
 pub mod transponder;
 
-pub use flight::Flight;
+pub use flight::{Flight, Trajectory};
 pub use generator::{TrafficConfig, TrafficSim};
 pub use ground_truth::{GroundTruthAircraft, GroundTruthService};
 pub use transponder::{Emission, TransponderSchedule};

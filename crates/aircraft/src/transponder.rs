@@ -75,6 +75,7 @@ impl TransponderSchedule {
                 ChaCha8Rng::seed_from_u64(seed ^ (f.icao.value() as u64) << 8 ^ idx as u64);
             // 75–500 W, log-uniform: 48.75–57 dBm.
             let tx_power_dbm = rng.gen_range(48.75..57.0);
+            let track = f.trajectory();
             let phase: f64 = rng.gen_range(0.0..self.position_interval_s);
 
             // Every Mode S transponder emits 1 Hz acquisition squitters.
@@ -89,7 +90,7 @@ impl TransponderSchedule {
                     out.push(Emission {
                         time_s: t,
                         frame: ModeSFrame::Short(ShortSquitter::new(f.icao)),
-                        position: f.position_at(t),
+                        position: track.at(t),
                         tx_power_dbm,
                     });
                 }
@@ -107,7 +108,7 @@ impl TransponderSchedule {
                     break;
                 }
                 if t >= t_start {
-                    let pos = f.position_at(t);
+                    let pos = track.at(t);
                     let fmt = if k.rem_euclid(2) == 0 {
                         CprFormat::Even
                     } else {
@@ -145,7 +146,7 @@ impl TransponderSchedule {
                     out.push(Emission {
                         time_s: t,
                         frame: ModeSFrame::Extended(AdsbFrame::new(f.icao, payload)),
-                        position: f.position_at(t),
+                        position: track.at(t),
                         tx_power_dbm,
                     });
                 }
@@ -167,7 +168,7 @@ impl TransponderSchedule {
                     out.push(Emission {
                         time_s: t,
                         frame: ModeSFrame::Extended(AdsbFrame::new(f.icao, payload)),
-                        position: f.position_at(t),
+                        position: track.at(t),
                         tx_power_dbm,
                     });
                 }

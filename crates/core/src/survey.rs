@@ -18,7 +18,7 @@ use aircal_adsb::me::MePayload;
 use aircal_adsb::{ppm, DecodeScratch, DecodedMessage, Decoder, IcaoAddress, ADSB_FREQ_HZ};
 use aircal_aircraft::{GroundTruthService, TrafficSim, TransponderSchedule};
 use aircal_dsp::{derive_stream_seed, par_map_with, resolve_parallelism, DspScratch};
-use aircal_env::{GeoScratch, SensorSite, World, WorldIndex};
+use aircal_env::{GeoScratch, SensorSite, SiteView, World, WorldIndex};
 use aircal_geo::LatLon;
 use aircal_rfprop::fading::RicianFading;
 use aircal_rfprop::LinkBudget;
@@ -211,6 +211,10 @@ pub fn run_survey_indexed(
     let mut geo_scratches: Vec<GeoScratch> =
         (0..threads.max(1)).map(|_| GeoScratch::new()).collect();
     let (mut plan_slots, mut planned) = (Vec::new(), Vec::new());
+    // The site's projection and trig terms, once for every burst; each
+    // burst's bearing, elevation and ground range, once for both the path
+    // profile and the antenna gain.
+    let view = SiteView::new(index, site);
     par_map_with(
         &emissions,
         threads,
@@ -218,10 +222,8 @@ pub fn run_survey_indexed(
         &mut plan_slots,
         &mut planned,
         |i, e, geo| {
-            let path = world.path_profile_indexed(index, site, &e.position, ADSB_FREQ_HZ, geo);
-            let bearing = site.position.bearing_deg(&e.position);
-            let elevation = site.position.elevation_deg(&e.position);
-            let rx_gain = site.antenna.gain_dbi(bearing, elevation);
+            let (path, look) = world.path_profile_from(&view, &e.position, ADSB_FREQ_HZ, geo);
+            let rx_gain = site.antenna.gain_dbi(look.bearing_deg, look.elevation_deg);
             let budget = LinkBudget::new(e.tx_power_dbm, 0.0, rx_gain);
 
             let mut shadow_std = shadow_draws[&e.frame.icao()];
@@ -262,23 +264,36 @@ pub fn run_survey_indexed(
         plans: &plans,
         noise_seed: seed ^ 0xC0DE,
     };
-    let mut scratches: Vec<ClusterScratch> = (0..threads.max(1))
-        .map(|_| ClusterScratch::default())
+    // Each worker appends its clusters' messages to its own list and
+    // reports where in that list each cluster's messages sit; the merge
+    // moves them out cluster by cluster, whatever order the workers took
+    // the clusters in.
+    let mut workers: Vec<SurveyWorker> = (0..threads.max(1))
+        .map(|id| SurveyWorker {
+            id,
+            ..SurveyWorker::default()
+        })
         .collect();
     let (mut slots, mut per_cluster) = (Vec::new(), Vec::new());
     par_map_with(
         &clusters,
         threads,
-        &mut scratches,
+        &mut workers,
         &mut slots,
         &mut per_cluster,
-        |ci, cluster, scratch| {
-            let mut msgs = Vec::new();
-            capture.decode_cluster(ci, cluster, scratch, &mut msgs);
-            msgs
+        |ci, cluster, w| {
+            let start = w.decoded.len();
+            capture.decode_cluster(ci, cluster, &mut w.scratch, &mut w.window);
+            w.decoded.extend(w.window.drain(..).map(Some));
+            (w.id, start..w.decoded.len())
         },
     );
-    let decoded: Vec<DecodedMessage> = per_cluster.into_iter().flatten().collect();
+    let mut decoded: Vec<DecodedMessage> =
+        Vec::with_capacity(workers.iter().map(|w| w.decoded.len()).sum());
+    for (id, range) in per_cluster {
+        let list = &mut workers[id].decoded[range];
+        decoded.extend(list.iter_mut().filter_map(Option::take));
+    }
 
     // 4. Ground truth at the mid-capture query time.
     let gts = GroundTruthService::new(config.ground_truth_latency_s);
@@ -337,9 +352,22 @@ pub fn run_survey_indexed(
 }
 
 /// The on-chips of a Mode S frame's PPM burst (7 or 14 bytes): the
-/// [`ChipMask`] of `ppm::modulate_bytes(frame, 1.0, 0.0)`.
+/// [`ChipMask`] of `ppm::modulate_bytes(frame, 1.0, 0.0)`, built from
+/// [`ppm::pulse_chip_words`].
 pub fn frame_chips(frame: &[u8]) -> ChipMask {
-    ChipMask::from_on_chips(ppm::chip_count(frame.len()), ppm::pulse_chips(frame))
+    let len = ppm::chip_count(frame.len());
+    ChipMask::from_words(len, &ppm::pulse_chip_words(frame)[..len.div_ceil(64)])
+}
+
+/// One survey worker's state: its cluster scratch, the reused message
+/// buffer of the cluster in hand, and every message it decoded, in the
+/// order it took the clusters (each taken out once by the merge).
+#[derive(Debug, Default)]
+struct SurveyWorker {
+    id: usize,
+    scratch: ClusterScratch,
+    window: Vec<DecodedMessage>,
+    decoded: Vec<Option<DecodedMessage>>,
 }
 
 /// Per-worker working memory of [`ClusterDecoder::decode_cluster`]: the
@@ -452,6 +480,22 @@ mod tests {
             CaptureRenderer::new(fe).guard_samples,
             aircal_adsb::PEAK_SEPARATION
         );
+    }
+
+    proptest::proptest! {
+        /// The table-built chip mask of a 7- or 14-byte frame holds the
+        /// frame's chip count and exactly the chips `ppm::pulse_chips`
+        /// lists, the mask the chip-by-chip build gave.
+        #[test]
+        fn frame_chips_are_the_pulse_chips(
+            frame in proptest::collection::vec(proptest::prelude::any::<u8>(), 14),
+        ) {
+            for frame in [&frame[..7], &frame[..]] {
+                let mask = frame_chips(frame);
+                proptest::prop_assert_eq!(mask.len(), ppm::chip_count(frame.len()));
+                proptest::prop_assert!(mask.on_chips().eq(ppm::pulse_chips(frame)));
+            }
+        }
     }
 
     fn traffic_for(s: &Scenario, count: usize, seed: u64) -> TrafficSim {

@@ -48,6 +48,7 @@ impl Cplx {
     }
 
     /// Magnitude (absolute value).
+    #[inline]
     pub fn abs(self) -> f64 {
         self.re.hypot(self.im)
     }

@@ -50,11 +50,6 @@ impl Lfsr {
         self.state |= (fb as u64) << (self.width - 1);
         out
     }
-
-    /// Produce `n` bits.
-    pub fn bits(&mut self, n: usize) -> Vec<bool> {
-        (0..n).map(|_| self.next_bit()).collect()
-    }
 }
 
 #[cfg(test)]
@@ -70,6 +65,11 @@ mod tests {
     /// PRBS-15: x¹⁵ + x¹⁴ + 1, period 32767.
     fn prbs15() -> Lfsr {
         Lfsr::new(15, 0x3, 0x7FFF).unwrap()
+    }
+
+    /// The next `n` output bits of `l`.
+    fn bits(l: &mut Lfsr, n: usize) -> Vec<bool> {
+        (0..n).map(|_| l.next_bit()).collect()
     }
 
     #[test]
@@ -95,7 +95,7 @@ mod tests {
     #[test]
     fn prbs9_balanced_ones_zeros() {
         let mut l = prbs9();
-        let ones = l.bits(511).iter().filter(|&&b| b).count();
+        let ones = bits(&mut l, 511).iter().filter(|&&b| b).count();
         // A maximal-length sequence of order 9 has 256 ones, 255 zeros.
         assert_eq!(ones, 256);
     }
@@ -118,8 +118,8 @@ mod tests {
 
     #[test]
     fn deterministic_between_instances() {
-        let a: Vec<bool> = Lfsr::prbs23().bits(64);
-        let b: Vec<bool> = Lfsr::prbs23().bits(64);
+        let a = bits(&mut Lfsr::prbs23(), 64);
+        let b = bits(&mut Lfsr::prbs23(), 64);
         assert_eq!(a, b);
     }
 
@@ -130,8 +130,7 @@ mod tests {
         use crate::fft::power_spectrum;
         use crate::Cplx;
         let mut l = Lfsr::prbs23();
-        let sig: Vec<Cplx> = l
-            .bits(1024)
+        let sig: Vec<Cplx> = bits(&mut l, 1024)
             .into_iter()
             .map(|b| Cplx::new(if b { 1.0 } else { -1.0 }, 0.0))
             .collect();

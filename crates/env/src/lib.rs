@@ -28,4 +28,4 @@ pub use building::Building;
 pub use index::{GeoAccel, GeoScratch, GeoStats, PathCache, WorldIndex};
 pub use scenarios::{all_scenarios, paper_scenarios, Scenario, ScenarioKind};
 pub use site::{Enclosure, SensorSite};
-pub use world::World;
+pub use world::{SiteView, World};

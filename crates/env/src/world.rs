@@ -3,7 +3,7 @@
 use crate::building::Building;
 use crate::index::{GeoScratch, PathCache, PathKey, WorldIndex};
 use crate::site::SensorSite;
-use aircal_geo::{LatLon, Point2, Segment2};
+use aircal_geo::{LatLon, Look, Observer, Point2, Segment2};
 use aircal_rfprop::diffraction::knife_edge_loss_db;
 use aircal_rfprop::PathProfile;
 use serde::{Deserialize, Serialize};
@@ -17,6 +17,31 @@ pub struct World {
     pub origin: LatLon,
     /// Obstructing structures.
     pub buildings: Vec<Building>,
+}
+
+/// A sensor site prepared for profiling many emitters against it through
+/// one index ([`World::path_profile_from`]): its 2-D projection and its
+/// [`Observer`] terms, computed once.
+#[derive(Debug, Clone, Copy)]
+pub struct SiteView<'a> {
+    index: &'a WorldIndex,
+    site: &'a SensorSite,
+    /// The site's terms for the great-circle geometry to each emitter.
+    observer: Observer,
+    /// The site projected into the index's 2-D plane.
+    sensor_2d: Point2,
+}
+
+impl<'a> SiteView<'a> {
+    /// Prepare `site` for profiles through `index`.
+    pub fn new(index: &'a WorldIndex, site: &'a SensorSite) -> Self {
+        Self {
+            index,
+            site,
+            observer: Observer::new(&site.position),
+            sensor_2d: index.project(&site.position),
+        }
+    }
 }
 
 impl World {
@@ -59,6 +84,7 @@ impl World {
         self.profile_core(
             site,
             emitter,
+            &Observer::new(&site.position).look(emitter),
             freq_hz,
             sensor_2d,
             emitter_2d,
@@ -81,21 +107,30 @@ impl World {
         freq_hz: f64,
         scratch: &mut GeoScratch,
     ) -> PathProfile {
-        let sensor_2d = index.project(&site.position);
-        self.profile_indexed_at(index, site, emitter, freq_hz, sensor_2d, scratch)
+        self.path_profile_from(&SiteView::new(index, site), emitter, freq_hz, scratch)
+            .0
     }
 
-    /// Indexed profile with the site's 2-D projection already in hand
-    /// (the obstruction sweep hoists it out of the per-ray loop).
-    fn profile_indexed_at(
+    /// [`path_profile_indexed`](Self::path_profile_indexed) for one of
+    /// many emitters profiled against the same site, with the site's terms
+    /// taken from `view`. Also returns the emitter's [`Look`] from the
+    /// site, computed once for the profile and for callers that need its
+    /// bearing and elevation too (the survey's antenna gain). The profile
+    /// is bit-identical to `path_profile_indexed`'s.
+    pub fn path_profile_from(
         &self,
-        index: &WorldIndex,
-        site: &SensorSite,
+        view: &SiteView,
         emitter: &LatLon,
         freq_hz: f64,
-        sensor_2d: Point2,
         scratch: &mut GeoScratch,
-    ) -> PathProfile {
+    ) -> (PathProfile, Look) {
+        let SiteView {
+            index,
+            site,
+            observer,
+            sensor_2d,
+        } = *view;
+        let look = observer.look(emitter);
         let emitter_2d = index.project(emitter);
         let track = Segment2::new(sensor_2d, emitter_2d);
         index.candidates_into(&track, scratch);
@@ -105,16 +140,18 @@ impl World {
             ts,
             ..
         } = scratch;
-        self.profile_core(
+        let profile = self.profile_core(
             site,
             emitter,
+            &look,
             freq_hz,
             sensor_2d,
             emitter_2d,
             candidates.iter().map(|&i| i as usize),
             hits,
             ts,
-        )
+        );
+        (profile, look)
     }
 
     /// Memoized indexed profile: serves repeat (site, emitter, frequency)
@@ -150,6 +187,7 @@ impl World {
         &self,
         site: &SensorSite,
         emitter: &LatLon,
+        look: &Look,
         freq_hz: f64,
         sensor_2d: Point2,
         emitter_2d: Point2,
@@ -157,12 +195,10 @@ impl World {
         hits: &mut Vec<(f64, Point2)>,
         ts: &mut Vec<f64>,
     ) -> PathProfile {
-        let ground_raw = site.position.distance_m(emitter);
+        let ground_raw = look.ground_m;
         let ground_dist = ground_raw.max(1.0);
         let dh = emitter.alt_m - site.position.alt_m;
         let slant = (ground_raw * ground_raw + dh * dh).sqrt().max(1.0);
-        let bearing = site.position.bearing_deg(emitter);
-        let elevation = dh.atan2(ground_raw).to_degrees();
 
         let track = Segment2::new(sensor_2d, emitter_2d);
 
@@ -201,7 +237,7 @@ impl World {
         }
 
         if let Some(enc) = &site.enclosure {
-            penetration_db += enc.exit_loss_db(bearing, elevation, freq_hz);
+            penetration_db += enc.exit_loss_db(look.bearing_deg, look.elevation_deg, freq_hz);
         }
 
         let extra = diffraction_db + penetration_db;
@@ -270,7 +306,7 @@ impl World {
         out: &mut Vec<f64>,
     ) {
         out.clear();
-        let sensor_2d = index.project(&site.position);
+        let view = SiteView::new(index, site);
         let mut cache = cache;
         for i in 0..n {
             let bearing = i as f64 * 360.0 / n as f64;
@@ -278,7 +314,7 @@ impl World {
             emitter.alt_m = site.position.alt_m + elevation_deg.to_radians().tan() * range_m;
             let p = match cache.as_deref_mut() {
                 Some(c) => self.path_profile_cached(index, c, site, &emitter, freq_hz, scratch),
-                None => self.profile_indexed_at(index, site, &emitter, freq_hz, sensor_2d, scratch),
+                None => self.path_profile_from(&view, &emitter, freq_hz, scratch).0,
             };
             out.push(p.diffraction_db + p.penetration_db);
         }

@@ -87,17 +87,22 @@ impl LatLon {
     /// The point reached by traveling `distance_m` along the great circle
     /// with the given initial `bearing_deg`. Altitude is preserved.
     pub fn destination(&self, bearing_deg: f64, distance_m: f64) -> LatLon {
+        self.course(bearing_deg).destination(distance_m)
+    }
+
+    /// The great circle leaving `self` on `bearing_deg`, with the trig
+    /// terms of the start and the bearing computed once, for many
+    /// [`Course::destination`]s along it.
+    pub fn course(&self, bearing_deg: f64) -> Course {
         let lat1 = self.lat_deg.to_radians();
-        let lon1 = self.lon_deg.to_radians();
         let brg = bearing_deg.to_radians();
-        let d = distance_m / EARTH_RADIUS_M;
-        let lat2 = (lat1.sin() * d.cos() + lat1.cos() * d.sin() * brg.cos()).asin();
-        let lon2 =
-            lon1 + (brg.sin() * d.sin() * lat1.cos()).atan2(d.cos() - lat1.sin() * lat2.sin());
-        LatLon {
-            lat_deg: lat2.to_degrees(),
-            lon_deg: normalize_lon(lon2.to_degrees()),
+        Course {
+            lon: self.lon_deg.to_radians(),
             alt_m: self.alt_m,
+            sin_lat: lat1.sin(),
+            cos_lat: lat1.cos(),
+            sin_brg: brg.sin(),
+            cos_brg: brg.cos(),
         }
     }
 
@@ -180,6 +185,93 @@ impl EnuFrame {
             east: -sl * dx + cl * dy,
             north: -sp * cl * dx - sp * sl * dy + cp * dz,
             up: cp * cl * dx + cp * sl * dy + sp * dz,
+        }
+    }
+}
+
+/// A great circle from a start point on an initial bearing
+/// ([`LatLon::course`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Course {
+    lon: f64,
+    alt_m: f64,
+    sin_lat: f64,
+    cos_lat: f64,
+    sin_brg: f64,
+    cos_brg: f64,
+}
+
+impl Course {
+    /// The point `distance_m` along the course, at the start's altitude:
+    /// [`LatLon::destination`]'s formula, whose start and bearing terms
+    /// this course holds.
+    pub fn destination(&self, distance_m: f64) -> LatLon {
+        let d = distance_m / EARTH_RADIUS_M;
+        let lat2 = (self.sin_lat * d.cos() + self.cos_lat * d.sin() * self.cos_brg).asin();
+        let lon2 = self.lon
+            + (self.sin_brg * d.sin() * self.cos_lat).atan2(d.cos() - self.sin_lat * lat2.sin());
+        LatLon {
+            lat_deg: lat2.to_degrees(),
+            lon_deg: normalize_lon(lon2.to_degrees()),
+            alt_m: self.alt_m,
+        }
+    }
+}
+
+/// An observer's position with the trig terms of its own latitude and
+/// longitude computed once, for the great-circle geometry to many targets.
+///
+/// [`Observer::look`] runs the formulas of [`LatLon::distance_m`],
+/// [`LatLon::bearing_deg`] and [`LatLon::elevation_deg`] in the same
+/// operation order, sharing the terms they have in common, so each of its
+/// outputs is bit-identical to the matching method's.
+#[derive(Debug, Clone, Copy)]
+pub struct Observer {
+    alt_m: f64,
+    lat: f64,
+    lon: f64,
+    sin_lat: f64,
+    cos_lat: f64,
+}
+
+/// Where a target sits as seen from an [`Observer`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Look {
+    /// Great-circle (surface) distance, meters: [`LatLon::distance_m`].
+    pub ground_m: f64,
+    /// Initial bearing, degrees in `[0, 360)`: [`LatLon::bearing_deg`].
+    pub bearing_deg: f64,
+    /// Elevation angle, degrees: [`LatLon::elevation_deg`].
+    pub elevation_deg: f64,
+}
+
+impl Observer {
+    /// Precompute the observer-only terms for `at`.
+    pub fn new(at: &LatLon) -> Self {
+        let lat = at.lat_deg.to_radians();
+        Self {
+            alt_m: at.alt_m,
+            lat,
+            lon: at.lon_deg.to_radians(),
+            sin_lat: lat.sin(),
+            cos_lat: lat.cos(),
+        }
+    }
+
+    /// Ground distance, bearing and elevation of `other`.
+    pub fn look(&self, other: &LatLon) -> Look {
+        let (lat2, lon2) = (other.lat_deg.to_radians(), other.lon_deg.to_radians());
+        let (dlat, dlon) = (lat2 - self.lat, lon2 - self.lon);
+        let cos_lat2 = lat2.cos();
+        let a = (dlat / 2.0).sin().powi(2) + self.cos_lat * cos_lat2 * (dlon / 2.0).sin().powi(2);
+        let ground_m = 2.0 * EARTH_RADIUS_M * a.sqrt().asin();
+        let y = dlon.sin() * cos_lat2;
+        let x = self.cos_lat * lat2.sin() - self.sin_lat * cos_lat2 * dlon.cos();
+        let dh = other.alt_m - self.alt_m;
+        Look {
+            ground_m,
+            bearing_deg: normalize_bearing(y.atan2(x).to_degrees()),
+            elevation_deg: dh.atan2(ground_m).to_degrees(),
         }
     }
 }
@@ -343,6 +435,29 @@ mod tests {
             assert_eq!(a.east.to_bits(), b.east.to_bits());
             assert_eq!(a.north.to_bits(), b.north.to_bits());
             assert_eq!(a.up.to_bits(), b.up.to_bits());
+        }
+    }
+
+    proptest::proptest! {
+        /// `Observer::look` is the three `LatLon` methods, bit for bit,
+        /// anywhere on the globe (poles, dateline, targets below the
+        /// observer and at its own position included).
+        #[test]
+        fn observer_look_is_bit_identical_to_the_latlon_methods(
+            a in (-90.0f64..=90.0, -180.0f64..=180.0, -100.0f64..3_000.0),
+            b in (-90.0f64..=90.0, -180.0f64..=180.0, -100.0f64..15_000.0),
+            near in 0u8..4,
+        ) {
+            let p = LatLon::new(a.0, a.1, a.2);
+            let q = match near {
+                0 => p,
+                1 => LatLon::new(a.0 + b.0 * 1e-3, a.1 + b.1 * 1e-3, b.2),
+                _ => LatLon::new(b.0, b.1, b.2),
+            };
+            let look = Observer::new(&p).look(&q);
+            proptest::prop_assert_eq!(look.ground_m.to_bits(), p.distance_m(&q).to_bits());
+            proptest::prop_assert_eq!(look.bearing_deg.to_bits(), p.bearing_deg(&q).to_bits());
+            proptest::prop_assert_eq!(look.elevation_deg.to_bits(), p.elevation_deg(&q).to_bits());
         }
     }
 

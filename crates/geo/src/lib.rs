@@ -26,5 +26,5 @@ pub mod polygon;
 
 pub use aabb::Aabb2;
 pub use angle::{normalize_bearing, normalize_signed, Sector};
-pub use coord::{Ecef, Enu, EnuFrame, LatLon, EARTH_RADIUS_M};
+pub use coord::{Course, Ecef, Enu, EnuFrame, LatLon, Look, Observer, EARTH_RADIUS_M};
 pub use polygon::{Point2, Polygon2, Segment2};

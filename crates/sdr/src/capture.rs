@@ -26,17 +26,23 @@ pub struct ChipMask {
 }
 
 impl ChipMask {
-    /// A mask of `len` chips with exactly the chips in `on` set.
+    /// A mask of `len` chips from its words: chip `c` is on when bit
+    /// `c % 64` of `words[c / 64]` is set.
     ///
     /// # Panics
-    /// If a chip in `on` is not below `len`.
-    pub fn from_on_chips(len: usize, on: impl IntoIterator<Item = usize>) -> Self {
-        let mut words = vec![0u64; len.div_ceil(64)];
-        for chip in on {
-            assert!(chip < len, "chip {chip} outside a {len}-chip mask");
-            words[chip / 64] |= 1 << (chip % 64);
+    /// If `words` is not `len.div_ceil(64)` long or sets a chip at or past
+    /// `len`.
+    pub fn from_words(len: usize, words: &[u64]) -> Self {
+        assert_eq!(words.len(), len.div_ceil(64), "words of a {len}-chip mask");
+        let spare = match (words.last(), len % 64) {
+            (Some(&last), used @ 1..) => last >> used,
+            _ => 0,
+        };
+        assert!(spare == 0, "chips past a {len}-chip mask");
+        Self {
+            words: words.to_vec(),
+            len,
         }
-        Self { words, len }
     }
 
     /// Chips in the burst, on and off.
@@ -271,6 +277,22 @@ mod tests {
     use super::*;
     use crate::frontend::{capture_rng, FrontendConfig};
 
+    impl ChipMask {
+        /// A mask of `len` chips with exactly the chips in `on` set, a
+        /// chip at a time: the oracle [`ChipMask::from_words`] is held to.
+        ///
+        /// # Panics
+        /// If a chip in `on` is not below `len`.
+        pub(crate) fn from_on_chips(len: usize, on: impl IntoIterator<Item = usize>) -> Self {
+            let mut words = vec![0u64; len.div_ceil(64)];
+            for chip in on {
+                assert!(chip < len, "chip {chip} outside a {len}-chip mask");
+                words[chip / 64] |= 1 << (chip % 64);
+            }
+            Self { words, len }
+        }
+    }
+
     fn renderer() -> CaptureRenderer {
         CaptureRenderer::new(Frontend::new(FrontendConfig::bladerf_xa9(1.09e9, 2e6)))
     }
@@ -373,6 +395,22 @@ mod tests {
         assert_eq!(mask.len(), 200);
         assert_eq!(mask.on_chips().collect::<Vec<_>>(), on);
         assert!(ChipMask::from_on_chips(0, []).is_empty());
+        let words = [1 | 1 << 63, 1 << 7 | 1 << 63, 1, 1];
+        for len in [128usize, 129, 192, 193, 256] {
+            let used = &words[..len.div_ceil(64)];
+            let on = (0..len).filter(|&c| used[c / 64] >> (c % 64) & 1 == 1);
+            assert_eq!(
+                ChipMask::from_words(len, used),
+                ChipMask::from_on_chips(len, on)
+            );
+        }
+        assert!(ChipMask::from_words(0, &[]).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "chips past a 200-chip mask")]
+    fn chip_mask_words_reject_chips_past_the_end() {
+        ChipMask::from_words(200, &[0, 0, 0, 1 << 8]);
     }
 
     #[test]

@@ -52,6 +52,17 @@ case "$result" in
   *) echo "# fleet_recovery smoke: expected \"correct\": true and \"failed\": 0" >&2; exit 1 ;;
 esac
 
+echo "== calibrate smokes (untraced: every world classified; traced: the replica's reports equal Calibrator::calibrate's and layer_coverage >= 0.95) =="
+for trace in 0 1; do
+  result=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload calibrate --seed 7 --seconds 1 --trace "$trace" | tail -n 1)
+  echo "$result"
+  case "$result" in
+    *'"correct": true,'*'"failed": 0,'*) ;;
+    *) echo "# calibrate smoke (--trace $trace): expected \"correct\": true and \"failed\": 0" >&2; exit 1 ;;
+  esac
+done
+
 echo "== cloud_audit smoke (every adversary evicted, no honest node quarantined, through the real judge) =="
 result=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
   --workload cloud_audit --seed 7 --seconds 1 --trace 0 | tail -n 1)
