@@ -14,7 +14,7 @@
 //! Sections:
 //!
 //! * **kernels** — the runtime-selected DSP dispatch arm
-//!   (`scalar`/`sse2`/`avx2`/`avx512`/`neon`) and per-kernel scalar-vs-dispatched
+//!   (`scalar`/`avx2`/`avx512`) and per-kernel scalar-vs-dispatched
 //!   throughput with a bit-identity cross-check, best of 3 with the two
 //!   arms alternating, `--quick` included. `--check` enforces the
 //!   simd-vs-scalar speedup floor when a vector ISA is dispatched
@@ -158,7 +158,7 @@ struct FftTiming {
 }
 
 /// The `kernels` section: the runtime-selected dispatch arm
-/// (`scalar`/`sse2`/`avx2`/`avx512`/`neon`) and per-kernel scalar-vs-dispatched
+/// (`scalar`/`avx2`/`avx512`) and per-kernel scalar-vs-dispatched
 /// throughput on an L1-resident workload, plus the front-end `finalize`
 /// and `fft` rows.
 #[derive(Serialize, Default)]
@@ -228,7 +228,7 @@ fn journal_replay(reps: usize) -> RecoverySection {
     use aircal::core::wal::{Journal, WalRecord};
 
     let (nodes, replay_records) = (1000u64, 200_000u64);
-    let mut journal = Journal::new(1 << 20);
+    let mut journal = Journal::new();
     for i in 0..replay_records / 2 {
         journal.append(&WalRecord::Dispatch {
             node: i % nodes,
@@ -247,7 +247,7 @@ fn journal_replay(reps: usize) -> RecoverySection {
     journal.sync();
     let bytes = journal.to_bytes();
     let journal_replay_seconds = time_best(reps, || {
-        let (j, report) = Journal::open(&bytes, 1 << 20);
+        let (j, report) = Journal::open(&bytes);
         assert_eq!(report.recovered, replay_records);
         std::hint::black_box(j.len_bytes())
     });

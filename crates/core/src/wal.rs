@@ -1,18 +1,28 @@
 //! Write-ahead journal for the cloud calibration service.
 //!
 //! The cloud must survive a crash mid-campaign without double-applying
-//! trust deltas or losing audit progress. The discipline is classic
-//! write-ahead logging: every audit-round effect (a step outcome, a
-//! trust delta, a ladder transition, a profile update, an applied
-//! report) is appended to the journal — and synced — *before* it is
-//! applied to the in-memory registry. Recovery restores the latest
-//! registry snapshot and replays the journal's suffix on top, arriving
-//! at a bit-identical state.
+//! an effect or losing audit progress. The discipline is classic
+//! write-ahead logging: every durable effect is appended to the journal
+//! — and synced — before the cloud acts on it. Recovery restores the
+//! latest registry snapshot and replays the journal on top, arriving at
+//! a bit-identical state.
+//!
+//! The journal holds only what a recovery path reads. Both clouds open
+//! it with [`WalRecord::SnapshotTaken`]. The threaded `aircal-net`
+//! cloud then writes per-node [`WalRecord::NodeState`] upserts, each
+//! round closed by a [`WalRecord::RoundCompleted`] commit marker; its
+//! recovery applies a round's upserts only once it reads that marker,
+//! so a torn round is discarded whole, and it journals on from the end
+//! of the last committed record. The discrete-event engine writes
+//! [`WalRecord::Dispatch`], [`WalRecord::ReportApplied`] and
+//! [`WalRecord::DeliveryFailed`] between its per-round checkpoints. The
+//! audit event stream (`aircal_obs::AuditEvent`), not the journal,
+//! carries step outcomes, trust deltas and ladder transitions.
 //!
 //! # Frame format
 //!
-//! The journal is a sequence of segments; each segment is a byte stream
-//! of CRC-framed, length-prefixed records:
+//! The journal is one byte buffer of CRC-framed, length-prefixed
+//! records:
 //!
 //! ```text
 //! 0xA7 marker u8 | payload_len u32 | crc32 u32 | payload …
@@ -20,17 +30,12 @@
 //!
 //! (integers little-endian; the CRC covers the payload only, the marker
 //! and length guard the frame structure itself). A crash can tear the
-//! tail of the last segment mid-write; [`Journal::open`] therefore
-//! truncates at the first invalid frame — bad marker, impossible
-//! length, CRC mismatch, or undecodable payload — and recovers the
-//! longest valid prefix. It never panics on arbitrary bytes.
-//!
-//! # Segment rotation
-//!
-//! Appends rotate to a fresh segment once the active one exceeds
-//! [`Journal::segment_cap`] bytes. [`Journal::truncate_before_seal`]
-//! drops every sealed segment — the rotation point is where a registry
-//! snapshot makes the prefix redundant.
+//! tail mid-write; [`Journal::open`] therefore truncates at the first
+//! invalid frame — bad marker, impossible length, CRC mismatch, or
+//! undecodable payload — and recovers the longest valid prefix. It
+//! never panics on arbitrary bytes. A checkpoint empties the buffer
+//! ([`Journal::reset`]): the snapshot it goes with covers everything
+//! the journal held.
 
 use std::fmt;
 
@@ -121,45 +126,20 @@ impl std::error::Error for WalError {}
 // Typed records
 // ---------------------------------------------------------------------------
 
-/// One durable audit-round effect, journaled before it is applied.
+/// One durable effect, journaled before it is applied.
 ///
-/// Node identity is carried two ways, matching the two cloud
-/// implementations: the threaded `aircal-net` cloud keys its registry
-/// by name (`String`), the discrete-event engine by index (`u64`).
+/// Every kind is one a recovery path reads: `Cloud::recover` in
+/// `aircal-net` (`SnapshotTaken`, `NodeState`, `RoundCompleted`) or the
+/// discrete-event engine's `recover_cloud` (`SnapshotTaken`, `Dispatch`,
+/// `ReportApplied`, `DeliveryFailed`). The engine keys its records by
+/// node index.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
-    /// An audit round began: its commission seed and virtual tick.
-    RoundStarted { seed: u64, tick: u64 },
-    /// One audit step finished (or failed) against a named node.
-    StepOutcome {
-        node: String,
-        step: String,
-        ok: bool,
-        /// Wire attempts the step consumed, retries included.
-        attempts: u64,
-    },
-    /// A trust movement for a named node: final score and the penalty
-    /// delta, both as IEEE-754 bit patterns (bit-exact replay).
-    TrustDelta {
-        node: String,
-        score_bits: u64,
-        delta_bits: u64,
-    },
-    /// A health-ladder transition, as severities.
-    LadderTransition {
-        node: String,
-        from: u8,
-        to: u8,
-        consecutive: u32,
-    },
-    /// A node's frequency profile was (re)assembled; `fingerprint` is
-    /// the canonical report fingerprint.
-    ProfileUpdate { node: String, fingerprint: u64 },
     /// Upsert of one node's full registry state, as opaque codec-owned
-    /// bytes (the `aircal-net` ACSN per-node encoding). Replaying the
-    /// suffix of these after a snapshot reproduces the registry
-    /// bit-for-bit.
-    NodeState { node: String, state: Vec<u8> },
+    /// bytes (the `aircal-net` ACSN per-node encoding, which carries the
+    /// node's name). Replaying the committed upserts after a snapshot
+    /// reproduces the registry bit-for-bit.
+    NodeState { state: Vec<u8> },
     /// A measurement dispatch left the cloud (engine-side, by index).
     Dispatch {
         node: u64,
@@ -175,18 +155,13 @@ pub enum WalRecord {
         value_bits: u64,
         tick: u64,
     },
-    /// An audit round's per-node effect was applied (engine-side).
-    AuditApplied {
-        node: u64,
-        trust_bits: u64,
-        health: u8,
-    },
     /// A registry snapshot was taken; the journal prefix before this
     /// point is redundant. `state_crc` is the CRC-32 of the snapshot
     /// bytes, chaining journal and snapshot together.
     SnapshotTaken { tick: u64, state_crc: u32 },
-    /// An audit round finished, with how many effects it journaled.
-    RoundCompleted { seed: u64, effects: u32 },
+    /// The commit marker of a round: the `effects` node upserts just
+    /// before it are whole, and recovery may apply them.
+    RoundCompleted { effects: u32 },
     /// A delivery reached the cloud garbled and was discarded; the
     /// dispatch it answers is known-dead (immediately reschedulable),
     /// which is cloud state and so must survive a crash.
@@ -198,16 +173,13 @@ pub enum WalRecord {
     },
 }
 
-// Variant tags. New variants append; tags are never reused.
-const TAG_ROUND_STARTED: u8 = 1;
-const TAG_STEP_OUTCOME: u8 = 2;
-const TAG_TRUST_DELTA: u8 = 3;
-const TAG_LADDER_TRANSITION: u8 = 4;
-const TAG_PROFILE_UPDATE: u8 = 5;
+// Variant tags. New variants append; tags are never reused. Retired:
+// 1 (RoundStarted), 2 (StepOutcome), 3 (TrustDelta), 4
+// (LadderTransition), 5 (ProfileUpdate) and 9 (AuditApplied), kinds no
+// recovery path read.
 const TAG_NODE_STATE: u8 = 6;
 const TAG_DISPATCH: u8 = 7;
 const TAG_REPORT_APPLIED: u8 = 8;
-const TAG_AUDIT_APPLIED: u8 = 9;
 const TAG_SNAPSHOT_TAKEN: u8 = 10;
 const TAG_ROUND_COMPLETED: u8 = 11;
 const TAG_DELIVERY_FAILED: u8 = 12;
@@ -218,11 +190,6 @@ fn put_u32(buf: &mut Vec<u8>, v: u32) {
 
 fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
 }
 
 fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
@@ -253,13 +220,6 @@ impl<'a> Cursor<'a> {
     fn u64(&mut self) -> Result<u64, WalError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
-    fn str(&mut self) -> Result<String, WalError> {
-        let n = self.u32()? as usize;
-        if n > self.buf.len() {
-            return Err(WalError::Truncated);
-        }
-        String::from_utf8(self.take(n)?.to_vec()).map_err(|_| WalError::Malformed("utf-8 string"))
-    }
     fn bytes(&mut self) -> Result<Vec<u8>, WalError> {
         let n = self.u32()? as usize;
         if n > self.buf.len() {
@@ -288,53 +248,8 @@ impl WalRecord {
     /// buffer for every record.
     pub fn encode_into(&self, b: &mut Vec<u8>) {
         match self {
-            WalRecord::RoundStarted { seed, tick } => {
-                b.push(TAG_ROUND_STARTED);
-                put_u64(b, *seed);
-                put_u64(b, *tick);
-            }
-            WalRecord::StepOutcome {
-                node,
-                step,
-                ok,
-                attempts,
-            } => {
-                b.push(TAG_STEP_OUTCOME);
-                put_str(b, node);
-                put_str(b, step);
-                b.push(*ok as u8);
-                put_u64(b, *attempts);
-            }
-            WalRecord::TrustDelta {
-                node,
-                score_bits,
-                delta_bits,
-            } => {
-                b.push(TAG_TRUST_DELTA);
-                put_str(b, node);
-                put_u64(b, *score_bits);
-                put_u64(b, *delta_bits);
-            }
-            WalRecord::LadderTransition {
-                node,
-                from,
-                to,
-                consecutive,
-            } => {
-                b.push(TAG_LADDER_TRANSITION);
-                put_str(b, node);
-                b.push(*from);
-                b.push(*to);
-                put_u32(b, *consecutive);
-            }
-            WalRecord::ProfileUpdate { node, fingerprint } => {
-                b.push(TAG_PROFILE_UPDATE);
-                put_str(b, node);
-                put_u64(b, *fingerprint);
-            }
-            WalRecord::NodeState { node, state } => {
+            WalRecord::NodeState { state } => {
                 b.push(TAG_NODE_STATE);
-                put_str(b, node);
                 put_bytes(b, state);
             }
             WalRecord::Dispatch {
@@ -363,24 +278,13 @@ impl WalRecord {
                 put_u64(b, *value_bits);
                 put_u64(b, *tick);
             }
-            WalRecord::AuditApplied {
-                node,
-                trust_bits,
-                health,
-            } => {
-                b.push(TAG_AUDIT_APPLIED);
-                put_u64(b, *node);
-                put_u64(b, *trust_bits);
-                b.push(*health);
-            }
             WalRecord::SnapshotTaken { tick, state_crc } => {
                 b.push(TAG_SNAPSHOT_TAKEN);
                 put_u64(b, *tick);
                 put_u32(b, *state_crc);
             }
-            WalRecord::RoundCompleted { seed, effects } => {
+            WalRecord::RoundCompleted { effects } => {
                 b.push(TAG_ROUND_COMPLETED);
-                put_u64(b, *seed);
                 put_u32(b, *effects);
             }
             WalRecord::DeliveryFailed {
@@ -406,39 +310,7 @@ impl WalRecord {
             pos: 0,
         };
         let rec = match c.u8()? {
-            TAG_ROUND_STARTED => WalRecord::RoundStarted {
-                seed: c.u64()?,
-                tick: c.u64()?,
-            },
-            TAG_STEP_OUTCOME => WalRecord::StepOutcome {
-                node: c.str()?,
-                step: c.str()?,
-                ok: match c.u8()? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(WalError::Malformed("bool")),
-                },
-                attempts: c.u64()?,
-            },
-            TAG_TRUST_DELTA => WalRecord::TrustDelta {
-                node: c.str()?,
-                score_bits: c.u64()?,
-                delta_bits: c.u64()?,
-            },
-            TAG_LADDER_TRANSITION => WalRecord::LadderTransition {
-                node: c.str()?,
-                from: c.u8()?,
-                to: c.u8()?,
-                consecutive: c.u32()?,
-            },
-            TAG_PROFILE_UPDATE => WalRecord::ProfileUpdate {
-                node: c.str()?,
-                fingerprint: c.u64()?,
-            },
-            TAG_NODE_STATE => WalRecord::NodeState {
-                node: c.str()?,
-                state: c.bytes()?,
-            },
+            TAG_NODE_STATE => WalRecord::NodeState { state: c.bytes()? },
             TAG_DISPATCH => WalRecord::Dispatch {
                 node: c.u64()?,
                 kind: c.u8()?,
@@ -452,19 +324,11 @@ impl WalRecord {
                 value_bits: c.u64()?,
                 tick: c.u64()?,
             },
-            TAG_AUDIT_APPLIED => WalRecord::AuditApplied {
-                node: c.u64()?,
-                trust_bits: c.u64()?,
-                health: c.u8()?,
-            },
             TAG_SNAPSHOT_TAKEN => WalRecord::SnapshotTaken {
                 tick: c.u64()?,
                 state_crc: c.u32()?,
             },
-            TAG_ROUND_COMPLETED => WalRecord::RoundCompleted {
-                seed: c.u64()?,
-                effects: c.u32()?,
-            },
+            TAG_ROUND_COMPLETED => WalRecord::RoundCompleted { effects: c.u32()? },
             TAG_DELIVERY_FAILED => WalRecord::DeliveryFailed {
                 node: c.u64()?,
                 kind: c.u8()?,
@@ -491,19 +355,17 @@ pub struct OpenReport {
     pub truncated_bytes: u64,
 }
 
-/// A segmented, CRC-framed write-ahead journal.
+/// A CRC-framed write-ahead journal: one byte buffer of frames.
 ///
-/// Storage is plain byte vectors so the same machinery backs both the
+/// Storage is a plain byte vector, so the same machinery backs both the
 /// in-process engine (bytes live in memory) and a file-backed
-/// deployment (each segment is one file). Durability is modeled by
+/// deployment (the buffer is one file). Durability is modeled by
 /// [`Journal::sync`]: effects must not be applied before the sync that
 /// covers their append returns.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Journal {
-    /// Sealed segments (oldest first) plus the active tail segment.
-    segments: Vec<Vec<u8>>,
-    /// Rotate the active segment once it exceeds this many bytes.
-    pub segment_cap: usize,
+    /// Every frame, oldest first.
+    bytes: Vec<u8>,
     /// Records appended over this journal's lifetime.
     appends: u64,
     /// Sync barriers issued.
@@ -512,31 +374,19 @@ pub struct Journal {
     unsynced: u64,
 }
 
-impl Default for Journal {
-    fn default() -> Self {
-        Self::new(64 * 1024)
-    }
-}
-
 impl Journal {
-    /// An empty journal with the given segment-rotation threshold.
-    pub fn new(segment_cap: usize) -> Self {
-        Self {
-            segments: vec![Vec::new()],
-            segment_cap: segment_cap.max(FRAME_HEADER + 1),
-            appends: 0,
-            syncs: 0,
-            unsynced: 0,
-        }
+    /// An empty journal.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Frame and append one record, rotating segments at the cap.
+    /// Frame and append one record.
     pub fn append(&mut self, record: &WalRecord) {
         self.append_encoded(&record.encode());
     }
 
     /// Frame and append one record already encoded by
-    /// [`WalRecord::encode_into`], rotating segments at the cap.
+    /// [`WalRecord::encode_into`].
     ///
     /// # Panics
     /// If `payload` is longer than [`MAX_RECORD_LEN`]: such a frame
@@ -548,15 +398,11 @@ impl Journal {
             "WAL record of {} bytes exceeds MAX_RECORD_LEN",
             payload.len()
         );
-        let active = self.segments.last_mut().expect("journal has a tail");
-        if !active.is_empty() && active.len() + FRAME_HEADER + payload.len() > self.segment_cap {
-            self.segments.push(Vec::new());
-        }
-        let active = self.segments.last_mut().expect("journal has a tail");
-        active.push(FRAME_MARKER);
-        active.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        active.extend_from_slice(&crc32(payload).to_le_bytes());
-        active.extend_from_slice(payload);
+        self.bytes.push(FRAME_MARKER);
+        self.bytes
+            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        self.bytes.extend_from_slice(&crc32(payload).to_le_bytes());
+        self.bytes.extend_from_slice(payload);
         self.appends += 1;
         self.unsynced += 1;
     }
@@ -578,53 +424,33 @@ impl Journal {
         self.syncs
     }
 
-    /// Segments currently held (sealed + active tail).
-    pub fn segment_count(&self) -> usize {
-        self.segments.len()
-    }
-
-    /// Total framed bytes across all segments.
+    /// Framed bytes held.
     pub fn len_bytes(&self) -> usize {
-        self.segments.iter().map(Vec::len).sum()
+        self.bytes.len()
     }
 
     /// The journal as one contiguous byte stream (what a crash leaves
-    /// on disk, segments concatenated oldest-first).
+    /// on disk).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.len_bytes());
-        for s in &self.segments {
-            out.extend_from_slice(s);
-        }
-        out
+        self.bytes.clone()
     }
 
-    /// Drop every sealed segment, keeping only the active tail. Call
-    /// after persisting a registry snapshot: the sealed prefix is
-    /// redundant from that point on.
-    pub fn truncate_before_seal(&mut self) {
-        let tail = self.segments.pop().expect("journal has a tail");
-        self.segments.clear();
-        self.segments.push(tail);
-    }
-
-    /// Drop everything: the snapshot just taken covers the entire
-    /// journal contents (used at clean checkpoint boundaries).
+    /// Drop every frame, keeping the buffer's capacity: the snapshot
+    /// just taken covers the entire journal contents (used at clean
+    /// checkpoint boundaries).
     pub fn reset(&mut self) {
-        self.segments.clear();
-        self.segments.push(Vec::new());
+        self.bytes.clear();
     }
 
     /// Every record payload in append order, borrowed straight from the
-    /// frames. A frame never spans segments, and the journal wrote every
-    /// frame it holds, so each segment is a run of valid frames.
+    /// frames. The journal wrote every frame it holds, so the buffer is
+    /// a run of valid frames.
     pub fn payloads(&self) -> impl Iterator<Item = &[u8]> + '_ {
-        self.segments.iter().flat_map(|segment| {
-            let mut pos = 0;
-            std::iter::from_fn(move || {
-                let payload = frame_payload(&segment[pos..])?;
-                pos += FRAME_HEADER + payload.len();
-                Some(payload)
-            })
+        let mut pos = 0;
+        std::iter::from_fn(move || {
+            let payload = frame_payload(&self.bytes[pos..])?;
+            pos += FRAME_HEADER + payload.len();
+            Some(payload)
         })
     }
 
@@ -640,22 +466,27 @@ impl Journal {
     /// Open a journal from a possibly torn byte stream: recover the
     /// longest valid prefix of records, truncating the tail at the
     /// first bad frame. Never panics, whatever the bytes.
-    pub fn open(bytes: &[u8], segment_cap: usize) -> (Journal, OpenReport) {
-        let mut journal = Journal::new(segment_cap);
+    pub fn open(bytes: &[u8]) -> (Journal, OpenReport) {
         let mut pos = 0usize;
+        let mut recovered = 0u64;
         while let Some(payload) = frame_payload(&bytes[pos..]) {
             if WalRecord::decode(payload).is_err() {
                 break;
             }
-            journal.append_encoded(payload);
             pos += FRAME_HEADER + payload.len();
+            recovered += 1;
         }
         let report = OpenReport {
-            recovered: journal.appends,
+            recovered,
             truncated_bytes: (bytes.len() - pos) as u64,
         };
-        // Reopened records are already durable.
-        journal.sync();
+        let journal = Journal {
+            bytes: bytes[..pos].to_vec(),
+            appends: recovered,
+            // Reopened records are already durable.
+            syncs: 1,
+            unsynced: 0,
+        };
         (journal, report)
     }
 }
@@ -679,35 +510,10 @@ fn frame_payload(rest: &[u8]) -> Option<&[u8]> {
 mod tests {
     use super::*;
 
+    /// One record of every kind.
     fn sample_records() -> Vec<WalRecord> {
         vec![
-            WalRecord::RoundStarted {
-                seed: 777,
-                tick: 50,
-            },
-            WalRecord::StepOutcome {
-                node: "rooftop".into(),
-                step: "survey".into(),
-                ok: true,
-                attempts: 3,
-            },
-            WalRecord::TrustDelta {
-                node: "rooftop".into(),
-                score_bits: 0.875f64.to_bits(),
-                delta_bits: (-0.05f64).to_bits(),
-            },
-            WalRecord::LadderTransition {
-                node: "flaky".into(),
-                from: 0,
-                to: 2,
-                consecutive: 1,
-            },
-            WalRecord::ProfileUpdate {
-                node: "rooftop".into(),
-                fingerprint: 0xDEAD_BEEF_CAFE_F00D,
-            },
             WalRecord::NodeState {
-                node: "rooftop".into(),
                 state: vec![1, 2, 3, 4, 5],
             },
             WalRecord::Dispatch {
@@ -723,19 +529,11 @@ mod tests {
                 value_bits: (-61.25f64).to_bits(),
                 tick: 97,
             },
-            WalRecord::AuditApplied {
-                node: 17,
-                trust_bits: 0.53f64.to_bits(),
-                health: 1,
-            },
             WalRecord::SnapshotTaken {
                 tick: 100,
                 state_crc: 0x1234_5678,
             },
-            WalRecord::RoundCompleted {
-                seed: 777,
-                effects: 9,
-            },
+            WalRecord::RoundCompleted { effects: 9 },
             WalRecord::DeliveryFailed {
                 node: 17,
                 kind: 1,
@@ -785,8 +583,8 @@ mod tests {
 
     #[test]
     fn append_encoded_frames_the_same_bytes_as_append() {
-        let mut by_record = Journal::new(128);
-        let mut by_bytes = Journal::new(128);
+        let mut by_record = Journal::new();
+        let mut by_bytes = Journal::new();
         let mut buf = Vec::new();
         for r in sample_records() {
             by_record.append(&r);
@@ -796,7 +594,6 @@ mod tests {
             by_bytes.append_encoded(&buf);
         }
         assert_eq!(by_record.to_bytes(), by_bytes.to_bytes());
-        assert_eq!(by_record.segment_count(), by_bytes.segment_count());
         let payloads: Vec<Vec<u8>> = by_bytes.payloads().map(<[u8]>::to_vec).collect();
         let encoded: Vec<Vec<u8>> = sample_records().iter().map(WalRecord::encode).collect();
         assert_eq!(payloads, encoded);
@@ -805,8 +602,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds MAX_RECORD_LEN")]
     fn append_refuses_a_record_open_would_truncate() {
-        Journal::new(64).append(&WalRecord::NodeState {
-            node: "n".into(),
+        Journal::new().append(&WalRecord::NodeState {
             state: vec![0; MAX_RECORD_LEN],
         });
     }
@@ -821,7 +617,7 @@ mod tests {
 
     #[test]
     fn journal_append_and_replay() {
-        let mut j = Journal::new(1 << 16);
+        let mut j = Journal::new();
         for r in sample_records() {
             j.append(&r);
         }
@@ -829,28 +625,22 @@ mod tests {
         assert_eq!(j.records(), sample_records());
         assert_eq!(j.appends(), sample_records().len() as u64);
         assert_eq!(j.syncs(), 1);
-    }
-
-    #[test]
-    fn segments_rotate_at_the_cap_and_seal_truncation_keeps_the_tail() {
-        let mut j = Journal::new(64);
-        for _ in 0..20 {
-            j.append(&WalRecord::RoundStarted { seed: 1, tick: 2 });
-        }
-        assert!(j.segment_count() > 1, "64-byte cap must force rotation");
-        let before = j.records().len();
-        j.truncate_before_seal();
-        assert_eq!(j.segment_count(), 1);
-        assert!(j.records().len() < before, "sealed segments dropped");
+        // A checkpoint empties the journal but keeps its buffer.
+        let capacity = j.bytes.capacity();
+        j.reset();
+        assert!(j.records().is_empty());
+        assert_eq!(j.len_bytes(), 0);
+        assert_eq!(j.bytes.capacity(), capacity);
+        assert_eq!(j.appends(), sample_records().len() as u64);
     }
 
     #[test]
     fn open_recovers_a_clean_journal_bit_identically() {
-        let mut j = Journal::new(128);
+        let mut j = Journal::new();
         for r in sample_records() {
             j.append(&r);
         }
-        let (back, report) = Journal::open(&j.to_bytes(), 128);
+        let (back, report) = Journal::open(&j.to_bytes());
         assert_eq!(report.recovered, sample_records().len() as u64);
         assert_eq!(report.truncated_bytes, 0);
         assert_eq!(back.records(), j.records());
@@ -858,7 +648,7 @@ mod tests {
 
     #[test]
     fn every_truncation_recovers_the_longest_valid_prefix() {
-        let mut j = Journal::new(1 << 16);
+        let mut j = Journal::new();
         for r in sample_records() {
             j.append(&r);
         }
@@ -869,7 +659,7 @@ mod tests {
             boundaries.push(boundaries.last().unwrap() + FRAME_HEADER + r.encode().len());
         }
         for n in 0..bytes.len() {
-            let (back, report) = Journal::open(&bytes[..n], 1 << 16);
+            let (back, report) = Journal::open(&bytes[..n]);
             // Longest valid prefix: every whole frame before the cut.
             let expect = boundaries.iter().filter(|&&b| b > 0 && b <= n).count();
             assert_eq!(
@@ -883,7 +673,7 @@ mod tests {
 
     #[test]
     fn every_bit_flip_never_panics_and_never_gains_records() {
-        let mut j = Journal::new(1 << 16);
+        let mut j = Journal::new();
         for r in sample_records().into_iter().take(4) {
             j.append(&r);
         }
@@ -893,7 +683,7 @@ mod tests {
             for bit in 0..8 {
                 let mut bad = bytes.clone();
                 bad[i] ^= 1 << bit;
-                let (back, _) = Journal::open(&bad, 1 << 16);
+                let (back, _) = Journal::open(&bad);
                 assert!(
                     back.records().len() <= clean,
                     "bit flip at byte {i} bit {bit} grew the journal"
@@ -905,7 +695,7 @@ mod tests {
     #[test]
     fn arbitrary_garbage_opens_empty() {
         let garbage: Vec<u8> = (0..512u32).map(|i| (i * 37 % 251) as u8).collect();
-        let (j, report) = Journal::open(&garbage, 1 << 16);
+        let (j, report) = Journal::open(&garbage);
         assert!(j.records().is_empty());
         assert_eq!(report.truncated_bytes, garbage.len() as u64);
     }
@@ -915,7 +705,7 @@ mod tests {
         let mut bytes = vec![FRAME_MARKER];
         bytes.extend_from_slice(&(u32::MAX).to_le_bytes());
         bytes.extend_from_slice(&[0u8; 64]);
-        let (j, _) = Journal::open(&bytes, 1 << 16);
+        let (j, _) = Journal::open(&bytes);
         assert!(j.records().is_empty());
     }
 }

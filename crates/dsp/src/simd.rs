@@ -3,11 +3,11 @@
 //!
 //! Every hot inner loop in the workspace — magnitude-squared maps, FIR
 //! dot products, matched-filter correlation, Welch PSD accumulation —
-//! bottoms out in one of the kernels here. The kernels come in several
-//! arms (portable scalar, AVX-512, AVX2 and SSE2 on x86_64, NEON on
-//! aarch64)
-//! behind a single [`Kernels`] vtable selected once at startup by
-//! [`kernels`].
+//! bottoms out in one of the kernels here. The kernels come in three
+//! arms (portable scalar, and AVX2 and AVX-512 on x86_64) behind a
+//! single [`Kernels`] vtable selected once at startup by [`kernels`].
+//! Other targets run the scalar arm. An arm belongs here only while
+//! some host or CI leg holds it to the scalar arm bit for bit.
 //!
 //! # The deterministic lane-reduction model
 //!
@@ -120,8 +120,7 @@ impl LaneSum {
 /// (and [`Kernels::label`]).
 #[derive(Debug, Clone, Copy)]
 pub struct Kernels {
-    /// Dispatch label: `"scalar"`, `"sse2"`, `"avx2"`, `"avx512"` or
-    /// `"neon"`.
+    /// Dispatch label: `"scalar"`, `"avx2"` or `"avx512"`.
     pub label: &'static str,
     /// The counter a calibration increments to record the arm that
     /// produced it: `dsp.dispatch.` and the label.
@@ -246,8 +245,8 @@ pub fn kernels() -> &'static Kernels {
     })
 }
 
-/// Label of the arm [`kernels`] selected (`"scalar"`, `"sse2"`,
-/// `"avx2"`, `"avx512"` or `"neon"`).
+/// Label of the arm [`kernels`] selected (`"scalar"`, `"avx2"` or
+/// `"avx512"`).
 pub fn dispatch_label() -> &'static str {
     kernels().label
 }
@@ -277,20 +276,11 @@ impl Kernels {
         #[cfg(target_arch = "x86_64")]
         {
             use std::arch::is_x86_feature_detected as has;
-            if has!("sse2") {
-                arms.push(&x86::SSE2);
-            }
             if has!("avx2") {
                 arms.push(&x86::AVX2);
                 if has!("avx512f") && has!("avx512dq") {
                     arms.push(&x86::AVX512);
                 }
-            }
-        }
-        #[cfg(target_arch = "aarch64")]
-        {
-            if std::arch::is_aarch64_feature_detected!("neon") {
-                arms.push(&neon::NEON);
             }
         }
         arms
@@ -521,25 +511,6 @@ mod x86 {
         fft_radix2: avx2_fft_radix2,
     };
 
-    /// SSE2 arm: the two pure-`f64` reductions run 2-wide; the
-    /// interleaved-complex kernels delegate to the scalar arm (their
-    /// shuffle sequences need SSE3+, and SSE2-only hosts are legacy).
-    pub static SSE2: Kernels = Kernels {
-        label: "sse2",
-        counter: "dsp.dispatch.sse2",
-        sum_f64: sse2_sum_f64,
-        sum_sq_f64: sse2_sum_sq_f64,
-        energy: super::scalar_energy,
-        cdot: super::scalar_cdot,
-        cdot_conj: super::scalar_cdot_conj,
-        norm_sq_map: super::scalar_norm_sq_map,
-        norm_sq_accum: super::scalar_norm_sq_accum,
-        cmul_assign: super::scalar_cmul_assign,
-        scale_map: super::scalar_scale_map,
-        noise_quantize: super::scalar_noise_quantize,
-        fft_radix2: super::scalar_fft_radix2,
-    };
-
     // Every safe wrapper below is only reachable through a vtable that
     // `Kernels::detect` installs after `is_x86_feature_detected!`
     // confirmed the ISA, so the target_feature call is sound.
@@ -580,12 +551,6 @@ mod x86 {
     fn avx2_fft_radix2(data: &mut [Cplx], twiddles: &[Cplx]) {
         super::check_fft_shape(data, twiddles);
         unsafe { avx2_fft_radix2_impl(data, twiddles) }
-    }
-    fn sse2_sum_f64(xs: &[f64]) -> f64 {
-        unsafe { sse2_sum_f64_impl(xs) }
-    }
-    fn sse2_sum_sq_f64(xs: &[f64]) -> f64 {
-        unsafe { sse2_sum_sq_f64_impl(xs) }
     }
 
     /// Complex multiply of two packed pairs `[re0, im0, re1, im1]`,
@@ -1213,176 +1178,6 @@ mod x86 {
             }
         }
     }
-
-    #[target_feature(enable = "sse2")]
-    unsafe fn sse2_sum_f64_impl(xs: &[f64]) -> f64 {
-        // Four 2-wide accumulators cover the eight canonical lanes.
-        let mut a = [_mm_setzero_pd(); 4];
-        let mut chunks = xs.chunks_exact(LANES);
-        for c in &mut chunks {
-            for (k, slot) in a.iter_mut().enumerate() {
-                *slot = _mm_add_pd(*slot, _mm_loadu_pd(c.as_ptr().add(2 * k)));
-            }
-        }
-        let mut l = [0.0f64; LANES];
-        for (k, slot) in a.iter().enumerate() {
-            _mm_storeu_pd(l.as_mut_ptr().add(2 * k), *slot);
-        }
-        for (j, &x) in chunks.remainder().iter().enumerate() {
-            l[j] += x;
-        }
-        tree8(&l)
-    }
-
-    #[target_feature(enable = "sse2")]
-    unsafe fn sse2_sum_sq_f64_impl(xs: &[f64]) -> f64 {
-        let mut a = [_mm_setzero_pd(); 4];
-        let mut chunks = xs.chunks_exact(LANES);
-        for c in &mut chunks {
-            for (k, slot) in a.iter_mut().enumerate() {
-                let v = _mm_loadu_pd(c.as_ptr().add(2 * k));
-                *slot = _mm_add_pd(*slot, _mm_mul_pd(v, v));
-            }
-        }
-        let mut l = [0.0f64; LANES];
-        for (k, slot) in a.iter().enumerate() {
-            _mm_storeu_pd(l.as_mut_ptr().add(2 * k), *slot);
-        }
-        for (j, &x) in chunks.remainder().iter().enumerate() {
-            l[j] += x * x;
-        }
-        tree8(&l)
-    }
-}
-
-// ---------------------------------------------------------------------
-// aarch64 arm.
-// ---------------------------------------------------------------------
-
-#[cfg(target_arch = "aarch64")]
-mod neon {
-    use super::{tree8, Kernels, LANES};
-    use crate::Cplx;
-    use core::arch::aarch64::*;
-
-    /// NEON arm: pure-`f64` reductions and the magnitude-squared kernels
-    /// run 2-wide (`vpaddq_f64` computes `re² + im²` in scalar order);
-    /// the remaining complex kernels delegate to the scalar arm.
-    pub static NEON: Kernels = Kernels {
-        label: "neon",
-        counter: "dsp.dispatch.neon",
-        sum_f64: neon_sum_f64,
-        sum_sq_f64: neon_sum_sq_f64,
-        energy: neon_energy,
-        cdot: super::scalar_cdot,
-        cdot_conj: super::scalar_cdot_conj,
-        norm_sq_map: neon_norm_sq_map,
-        norm_sq_accum: super::scalar_norm_sq_accum,
-        cmul_assign: super::scalar_cmul_assign,
-        scale_map: super::scalar_scale_map,
-        noise_quantize: super::scalar_noise_quantize,
-        fft_radix2: super::scalar_fft_radix2,
-    };
-
-    // NEON is baseline on aarch64, so the intrinsics are safe to issue
-    // on any host that reached this arm through detection.
-
-    fn neon_sum_f64(xs: &[f64]) -> f64 {
-        unsafe { neon_sum_f64_impl(xs) }
-    }
-    fn neon_sum_sq_f64(xs: &[f64]) -> f64 {
-        unsafe { neon_sum_sq_f64_impl(xs) }
-    }
-    fn neon_energy(xs: &[Cplx]) -> f64 {
-        unsafe { neon_energy_impl(xs) }
-    }
-    fn neon_norm_sq_map(src: &[Cplx], dst: &mut [f64]) {
-        unsafe { neon_norm_sq_map_impl(src, dst) }
-    }
-    #[target_feature(enable = "neon")]
-    unsafe fn neon_sum_f64_impl(xs: &[f64]) -> f64 {
-        let mut a = [vdupq_n_f64(0.0); 4];
-        let mut chunks = xs.chunks_exact(LANES);
-        for c in &mut chunks {
-            for (k, slot) in a.iter_mut().enumerate() {
-                *slot = vaddq_f64(*slot, vld1q_f64(c.as_ptr().add(2 * k)));
-            }
-        }
-        let mut l = [0.0f64; LANES];
-        for (k, slot) in a.iter().enumerate() {
-            vst1q_f64(l.as_mut_ptr().add(2 * k), *slot);
-        }
-        for (j, &x) in chunks.remainder().iter().enumerate() {
-            l[j] += x;
-        }
-        tree8(&l)
-    }
-
-    #[target_feature(enable = "neon")]
-    unsafe fn neon_sum_sq_f64_impl(xs: &[f64]) -> f64 {
-        let mut a = [vdupq_n_f64(0.0); 4];
-        let mut chunks = xs.chunks_exact(LANES);
-        for c in &mut chunks {
-            for (k, slot) in a.iter_mut().enumerate() {
-                let v = vld1q_f64(c.as_ptr().add(2 * k));
-                *slot = vaddq_f64(*slot, vmulq_f64(v, v));
-            }
-        }
-        let mut l = [0.0f64; LANES];
-        for (k, slot) in a.iter().enumerate() {
-            vst1q_f64(l.as_mut_ptr().add(2 * k), *slot);
-        }
-        for (j, &x) in chunks.remainder().iter().enumerate() {
-            l[j] += x * x;
-        }
-        tree8(&l)
-    }
-
-    #[target_feature(enable = "neon")]
-    unsafe fn neon_energy_impl(xs: &[Cplx]) -> f64 {
-        // vpaddq(sq(z0), sq(z1)) = [re0²+im0², re1²+im1²] — sequential
-        // lane order, so the four accumulators map straight onto the
-        // canonical lanes.
-        let mut a = [vdupq_n_f64(0.0); 4];
-        let p = xs.as_ptr() as *const f64;
-        let full = xs.len() / LANES;
-        for c in 0..full {
-            let base = c * 2 * LANES;
-            for (k, slot) in a.iter_mut().enumerate() {
-                let v0 = vld1q_f64(p.add(base + 4 * k));
-                let v1 = vld1q_f64(p.add(base + 4 * k + 2));
-                let n = vpaddq_f64(vmulq_f64(v0, v0), vmulq_f64(v1, v1));
-                *slot = vaddq_f64(*slot, n);
-            }
-        }
-        let mut l = [0.0f64; LANES];
-        for (k, slot) in a.iter().enumerate() {
-            vst1q_f64(l.as_mut_ptr().add(2 * k), *slot);
-        }
-        for (j, z) in xs[full * LANES..].iter().enumerate() {
-            l[j] += z.re * z.re + z.im * z.im;
-        }
-        tree8(&l)
-    }
-
-    #[target_feature(enable = "neon")]
-    unsafe fn neon_norm_sq_map_impl(src: &[Cplx], dst: &mut [f64]) {
-        let n = src.len().min(dst.len());
-        let ps = src.as_ptr() as *const f64;
-        let pd = dst.as_mut_ptr();
-        let full = n / 2;
-        for c in 0..full {
-            let v0 = vld1q_f64(ps.add(4 * c));
-            let v1 = vld1q_f64(ps.add(4 * c + 2));
-            vst1q_f64(
-                pd.add(2 * c),
-                vpaddq_f64(vmulq_f64(v0, v0), vmulq_f64(v1, v1)),
-            );
-        }
-        for i in full * 2..n {
-            dst[i] = src[i].re * src[i].re + src[i].im * src[i].im;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1443,7 +1238,7 @@ mod tests {
     #[test]
     fn dispatch_label_is_stable() {
         let l = dispatch_label();
-        assert!(["scalar", "sse2", "avx2", "avx512", "neon"].contains(&l));
+        assert!(["scalar", "avx2", "avx512"].contains(&l));
         assert_eq!(dispatch_label(), l);
         let arms = Kernels::supported();
         assert_eq!(arms[0].label, "scalar");

@@ -8,7 +8,7 @@
 //! (unaligned starts), and non-finite values (canonical NaN, ±inf, −0.0).
 //!
 //! The suite compares [`Kernels::scalar`] against every arm in
-//! [`Kernels::supported`] directly — on an AVX-512 host that is the SSE2,
+//! [`Kernels::supported`] directly — on an AVX-512 host that is the
 //! AVX2 and AVX-512 arms, so the AVX2 arm stays proven where the
 //! dispatcher passes it over — and it proves the same property on the
 //! `AIRCAL_FORCE_SCALAR=1` CI leg as on the native one: `supported()`

@@ -28,7 +28,7 @@ use aircal_core::freqprofile::{FrequencyProfile, SourceKind};
 use aircal_core::robust::{self, FusedProfile, FusionRule};
 use aircal_core::survey::{SurveyConfig, SurveyResult};
 use aircal_core::trust::{TrustAuditor, TrustScore};
-use aircal_core::wal::{crc32, fnv1a, Journal, WalRecord, FNV1A_OFFSET};
+use aircal_core::wal::{crc32, fnv1a, Journal, WalRecord, FNV1A_OFFSET, FRAME_HEADER};
 use aircal_env::{SensorSite, World};
 use aircal_geo::LatLon;
 use aircal_obs::{AuditEventKind, Obs};
@@ -440,11 +440,11 @@ pub struct Cloud {
     registry: parking_lot::Mutex<std::collections::BTreeMap<String, NodeRecord>>,
     /// The fleet's fused consensus profile from the last audit round.
     fused: parking_lot::Mutex<Option<FusedProfile>>,
-    /// Write-ahead journal of audit-round effects. Effect records
-    /// (trust deltas, ladder transitions, profile updates) are appended
-    /// at their effect points; each round commits with per-node state
-    /// upserts and a sync barrier, so [`Cloud::recover`] can replay a
-    /// crash-torn journal onto the latest snapshot bit-identically.
+    /// Write-ahead journal of registry state. Each audit round and each
+    /// attestation pass commits as a whole: one state upsert per node,
+    /// a [`WalRecord::RoundCompleted`] marker and a sync barrier, so
+    /// [`Cloud::recover`] replays whole rounds onto the latest snapshot
+    /// and discards a torn one.
     journal: parking_lot::Mutex<Journal>,
 }
 
@@ -633,7 +633,7 @@ impl Cloud {
             obs: Obs::disabled(),
             registry: parking_lot::Mutex::new(std::collections::BTreeMap::new()),
             fused: parking_lot::Mutex::new(None),
-            journal: parking_lot::Mutex::new(Journal::default()),
+            journal: parking_lot::Mutex::new(Journal::new()),
         }
     }
 
@@ -723,10 +723,6 @@ impl Cloud {
     pub fn audit_all(&self, base_seed: u64) -> Vec<(String, Option<VerificationVerdict>)> {
         let _span = aircal_obs::span!("audit_all");
         self.obs.incr("audit.rounds", 1);
-        self.wal_append(WalRecord::RoundStarted {
-            seed: base_seed,
-            tick: 0,
-        });
         let mut registry = self.registry.lock();
         let mut out = Vec::new();
         for (i, (name, record)) in registry.iter_mut().enumerate() {
@@ -774,29 +770,12 @@ impl Cloud {
                 out.push((name.clone(), None));
                 continue;
             }
-            let wire_before = record.link.stats().attempts;
             let verdict = self.audit_one_named(name, &mut record.link, seed);
             record.reachable = verdict.is_some();
             if verdict.is_none() {
                 self.obs.incr("audit.unreachable", 1);
             }
             let clean = verdict.as_ref().is_some_and(|v| v.is_complete());
-            if let Some(v) = &verdict {
-                for f in &v.failed_steps {
-                    self.wal_append(WalRecord::StepOutcome {
-                        node: name.clone(),
-                        step: f.step.clone(),
-                        ok: false,
-                        attempts: f.attempts as u64,
-                    });
-                }
-            }
-            self.wal_append(WalRecord::StepOutcome {
-                node: name.clone(),
-                step: "audit".to_string(),
-                ok: clean,
-                attempts: record.link.stats().attempts - wire_before,
-            });
             if clean {
                 // Re-admission: one clean audit clears the link ladder
                 // (the anomaly ladder is walked in the consistency pass).
@@ -815,24 +794,25 @@ impl Cloud {
             out.push((name.clone(), verdict));
         }
         self.consistency_pass(&mut registry, base_seed, &mut out);
-        // Round commit: journal every node's post-round registry state
-        // as an upsert, then sync. Replay after a crash applies these
-        // onto the last snapshot, so a torn round re-runs from its
-        // RoundStarted instead of half-applying.
-        let mut effects = 0u32;
-        for (name, rec) in registry.iter() {
+        self.commit_round(&registry);
+        out
+    }
+
+    /// Round commit: journal every node's post-round registry state as
+    /// an upsert, close the round with its [`WalRecord::RoundCompleted`]
+    /// marker, then sync. [`Cloud::recover`] applies a round's upserts
+    /// only once it reads the marker, so a round torn by a crash is
+    /// discarded whole, never half-applied.
+    fn commit_round(&self, registry: &std::collections::BTreeMap<String, NodeRecord>) {
+        for (name, rec) in registry {
             self.wal_append(WalRecord::NodeState {
-                node: name.clone(),
                 state: encode_node_state(&registry_state_of(name, rec)),
             });
-            effects += 1;
         }
         self.wal_append(WalRecord::RoundCompleted {
-            seed: base_seed,
-            effects,
+            effects: registry.len() as u32,
         });
         self.wal_sync();
-        out
     }
 
     /// The wire-free cross-sensor consistency pass that closes every
@@ -990,14 +970,7 @@ impl Cloud {
                         }
                     }
                 }
-                // Record this round's evidence for the next one (the
-                // profile update is journaled before the overwrite).
-                if let Some(fingerprint) = fp.survey {
-                    self.wal_append(WalRecord::ProfileUpdate {
-                        node: name.clone(),
-                        fingerprint,
-                    });
-                }
+                // Record this round's evidence for the next one.
                 record.forensics.last_seed = Some(seed);
                 record.forensics.survey_fp = fp.survey;
                 record.forensics.cells_fp = fp.cells;
@@ -1072,15 +1045,6 @@ impl Cloud {
             return;
         }
         let previous = record.health;
-        // Journal the transition before applying it to the registry.
-        self.wal_append(WalRecord::LadderTransition {
-            node: name.to_string(),
-            from: previous.severity(),
-            to: effective.severity(),
-            consecutive: record
-                .consecutive_failures
-                .max(record.consecutive_anomalies),
-        });
         record.health = effective;
         self.obs.incr("health.transitions", 1);
         self.obs.emit(
@@ -1117,7 +1081,7 @@ impl Cloud {
 
     /// [`Cloud::audit_one`] with a registry name so the audit's telemetry
     /// (step events, trust deltas, wire counters) is tagged per node.
-    pub fn audit_one_named(
+    fn audit_one_named(
         &self,
         name: &str,
         link: &mut Link,
@@ -1202,7 +1166,7 @@ impl Cloud {
 
     /// [`Cloud::judge_partial`] with a registry name so the round's
     /// [`AuditEventKind::TrustDelta`] is tagged per node.
-    pub fn judge_partial_named(
+    fn judge_partial_named(
         &self,
         name: &str,
         claims: NodeClaims,
@@ -1285,13 +1249,6 @@ impl Cloud {
         }
         // Approval must reflect the penalized trust score.
         verdict.approved = verdict.trust.is_trustworthy() && verdict.outdoor_claim_verified;
-        // Journal the trust movement before it is surfaced anywhere: a
-        // replay can then verify no delta was applied twice.
-        self.wal_append(WalRecord::TrustDelta {
-            node: name.to_string(),
-            score_bits: verdict.trust.score.to_bits(),
-            delta_bits: (verdict.trust.score - unpenalized).to_bits(),
-        });
         self.obs.emit(
             name,
             AuditEventKind::TrustDelta {
@@ -1540,13 +1497,7 @@ impl Cloud {
         }
         // Attestation moves durable state (checkpoints, possibly the
         // anomaly ladder): commit it like an audit round.
-        for (name, rec) in registry.iter() {
-            self.wal_append(WalRecord::NodeState {
-                node: name.clone(),
-                state: encode_node_state(&registry_state_of(name, rec)),
-            });
-        }
-        self.wal_sync();
+        self.commit_round(&registry);
         out
     }
 
@@ -1631,10 +1582,16 @@ impl Cloud {
 
     /// Rebuild a crashed cloud from the latest checkpoint snapshot plus
     /// the (possibly torn) journal, re-attaching the surviving links.
-    /// The journal's tail is truncated at the first invalid frame and
-    /// every per-node upsert in the valid prefix is replayed onto the
-    /// snapshot, arriving at the exact registry state the crashed cloud
-    /// had at its last sync. Counted as `wal.replay.*` in `obs`.
+    /// The journal's tail is truncated at the first invalid frame, and
+    /// every round in the valid prefix that reached its
+    /// [`WalRecord::RoundCompleted`] marker is replayed onto the
+    /// snapshot, each upsert keyed by the node name its state encodes.
+    /// That arrives at the exact registry state the crashed cloud had at
+    /// its last committed round; a round torn before its marker is
+    /// discarded whole, and the recovered cloud journals on from the end
+    /// of its last committed record, so the discarded upserts never sit
+    /// in front of a later round's marker. Counted as `wal.replay.*` in
+    /// `obs`.
     pub fn recover(
         sky: Arc<TrafficSim>,
         snapshot: Option<&[u8]>,
@@ -1664,7 +1621,7 @@ impl Cloud {
         if let Some(bytes) = snapshot {
             cloud.restore_registry(bytes)?;
         }
-        let (journal, open) = Journal::open(journal_bytes, 64 * 1024);
+        let (mut journal, open) = Journal::open(journal_bytes);
         // If the journal opens on a checkpoint marker, it must belong to
         // the snapshot we were handed.
         if let (Some(WalRecord::SnapshotTaken { state_crc, .. }), Some(bytes)) =
@@ -1683,18 +1640,39 @@ impl Cloud {
             truncated_bytes: open.truncated_bytes,
             applied_upserts: 0,
         };
+        // Byte length of the journal through its last committed record:
+        // the opening `SnapshotTaken` or a marker that committed a round.
+        let mut committed_len = 0;
         {
             let mut registry = cloud.registry.lock();
-            for record in journal.records() {
+            // Upserts of the round being read; applied only when its
+            // commit marker arrives and counts exactly these.
+            let mut round = Vec::new();
+            let mut read_len = 0;
+            for (payload, record) in journal.payloads().zip(journal.records()) {
+                read_len += FRAME_HEADER + payload.len();
                 cloud.obs.incr("wal.replay", 1);
-                if let WalRecord::NodeState { node, state } = record {
-                    let st = decode_node_state(&state)?;
-                    if let Some(rec) = registry.get_mut(&node) {
-                        apply_node_state(rec, st)?;
-                        report.applied_upserts += 1;
+                match record {
+                    WalRecord::NodeState { state } => round.push(decode_node_state(&state)?),
+                    WalRecord::RoundCompleted { effects } if effects as usize == round.len() => {
+                        for st in round.drain(..) {
+                            if let Some(rec) = registry.get_mut(&st.name) {
+                                apply_node_state(rec, st)?;
+                                report.applied_upserts += 1;
+                            }
+                        }
+                        committed_len = read_len;
                     }
+                    // A marker that does not count the upserts before
+                    // it commits none of them.
+                    WalRecord::RoundCompleted { .. } => round.clear(),
+                    WalRecord::SnapshotTaken { .. } => committed_len = read_len,
+                    _ => {}
                 }
             }
+        }
+        if committed_len < journal.len_bytes() {
+            journal = Journal::open(&journal_bytes[..committed_len]).0;
         }
         cloud.obs.incr("wal.recoveries", 1);
         *cloud.journal.lock() = journal;

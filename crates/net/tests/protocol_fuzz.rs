@@ -172,40 +172,18 @@ fn mutated_frames_never_panic_the_decoder() {
 const WAL_STREAM_SALT: u64 = 0x0057_414C; // "WAL"
 
 /// The committed WAL seeds, built in code: a canonical journal holding
-/// one record per variant the cloud writes (small segment cap, so the
-/// frames span several segments), a torn-tail copy cut mid-frame, and a
-/// copy with one bit flipped in the middle (CRC mismatch partway in).
+/// one record of every kind, a torn-tail copy cut mid-frame, and a copy
+/// with one bit flipped in the middle (CRC mismatch partway in).
 fn wal_seed_journals() -> Vec<(&'static str, Vec<u8>)> {
-    let mut j = Journal::new(96);
-    j.append(&WalRecord::RoundStarted {
-        seed: 0xA1B2,
-        tick: 7,
-    });
-    j.append(&WalRecord::StepOutcome {
-        node: "node-3".into(),
-        step: "survey".into(),
-        ok: true,
-        attempts: 2,
-    });
-    j.append(&WalRecord::TrustDelta {
-        node: "node-3".into(),
-        score_bits: 0.875f64.to_bits(),
-        delta_bits: (-0.125f64).to_bits(),
-    });
-    j.append(&WalRecord::LadderTransition {
-        node: "node-3".into(),
-        from: 0,
-        to: 1,
-        consecutive: 2,
-    });
-    j.append(&WalRecord::ProfileUpdate {
-        node: "node-3".into(),
-        fingerprint: 0xDEAD_BEEF,
+    let mut j = Journal::new();
+    j.append(&WalRecord::SnapshotTaken {
+        tick: 14,
+        state_crc: 0x1234_5678,
     });
     j.append(&WalRecord::NodeState {
-        node: "node-3".into(),
         state: vec![1, 2, 3, 4, 5],
     });
+    j.append(&WalRecord::RoundCompleted { effects: 1 });
     j.append(&WalRecord::Dispatch {
         node: 3,
         kind: 1,
@@ -218,19 +196,6 @@ fn wal_seed_journals() -> Vec<(&'static str, Vec<u8>)> {
         seq: 9,
         value_bits: (-61.5f64).to_bits(),
         tick: 14,
-    });
-    j.append(&WalRecord::AuditApplied {
-        node: 3,
-        trust_bits: 1.0f64.to_bits(),
-        health: 0,
-    });
-    j.append(&WalRecord::SnapshotTaken {
-        tick: 14,
-        state_crc: 0x1234_5678,
-    });
-    j.append(&WalRecord::RoundCompleted {
-        seed: 0xA1B2,
-        effects: 4,
     });
     j.append(&WalRecord::DeliveryFailed {
         node: 3,
@@ -295,14 +260,14 @@ fn wal_frames_recover_longest_valid_prefix_and_never_panic() {
     );
 
     for (name, bytes) in &wal_seeds {
-        let full = Journal::open(bytes, 96).0.records();
+        let full = Journal::open(bytes).0.records();
 
         // Every truncation recovers a (monotonically growing) prefix of
         // the full recovery: the scan can only stop earlier, never
         // invent records past a cut.
         let mut prev = 0usize;
         for cut in 0..=bytes.len() {
-            let (j, report) = Journal::open(&bytes[..cut], 96);
+            let (j, report) = Journal::open(&bytes[..cut]);
             let records = j.records();
             assert_eq!(
                 report.recovered as usize,
@@ -331,7 +296,7 @@ fn wal_frames_recover_longest_valid_prefix_and_never_panic() {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         for _ in 0..MUTATIONS_PER_SEED {
             let mutant = mutate(bytes, &mut rng);
-            let (j, report) = Journal::open(&mutant, 96);
+            let (j, report) = Journal::open(&mutant);
             let records = j.records();
             assert_eq!(
                 report.recovered as usize,
@@ -339,7 +304,7 @@ fn wal_frames_recover_longest_valid_prefix_and_never_panic() {
                 "{name}: open report disagrees with the journal it built"
             );
             // Idempotence: the recovered prefix is itself fully valid.
-            let (j2, report2) = Journal::open(&j.to_bytes(), 96);
+            let (j2, report2) = Journal::open(&j.to_bytes());
             assert_eq!(
                 report2.truncated_bytes, 0,
                 "{name}: recovered bytes were not self-clean"

@@ -605,7 +605,7 @@ impl<'a> Campaign<'a> {
             corrupt_deliveries: 0,
             crashed_nodes: 0,
             anomaly_flags: 0,
-            journal: Journal::default(),
+            journal: Journal::new(),
             journal_chain: FNV1A_OFFSET,
             wal_buf: Vec::with_capacity(64),
             last_snapshot: None,
@@ -719,10 +719,9 @@ impl<'a> Campaign<'a> {
     }
 
     /// Replay one journal record onto the restored snapshot. Only the
-    /// between-checkpoint effect records (dispatches and applied
-    /// reports) ever need replaying: audit effects are always followed
-    /// by a checkpoint in the same event, so they never sit in the
-    /// journal's live tail.
+    /// between-checkpoint effect records (dispatches, applied reports
+    /// and failed deliveries) need replaying: audit effects are covered
+    /// by the checkpoint that closes every round, in the same event.
     fn replay_record(&mut self, record: &WalRecord) {
         match *record {
             WalRecord::Dispatch {
@@ -770,8 +769,9 @@ impl<'a> Campaign<'a> {
             WalRecord::DeliveryFailed { node, kind, .. } => {
                 self.views[node as usize].in_flight[kind as usize] = None;
             }
-            // Checkpoint markers and audit records need no replay (see
-            // above); they still extend the hash chain.
+            // The checkpoint marker that opens the journal needs no
+            // replay; it still extends the hash chain. The engine writes
+            // no other kind.
             _ => {}
         }
     }
@@ -1282,10 +1282,6 @@ impl<'a> Campaign<'a> {
                 *median = *means.select_nth_unstable_by(mid, f64::total_cmp).1;
             }
         }
-        self.journal_append(WalRecord::RoundStarted {
-            seed: self.cfg.seed,
-            tick: now,
-        });
         let mut audited = 0u32;
         let mut anomalies = 0u32;
         let mut quarantined_or_worse = 0u32;
@@ -1325,25 +1321,15 @@ impl<'a> Campaign<'a> {
             n.dispatched_since_audit = 0;
             n.completed_since_audit = 0;
             n.fresh = [false; 3];
-            let (trust_bits, severity) = (n.trust.to_bits(), n.ladder.health().severity());
-            self.journal_append(WalRecord::AuditApplied {
-                node: ni as u64,
-                trust_bits,
-                health: severity,
-            });
             let alive = self.schedulable(ni);
             self.views[ni].alive = alive;
         }
         if anomalies > 0 {
             self.anomaly_flags += 1;
         }
-        self.journal_append(WalRecord::RoundCompleted {
-            seed: self.cfg.seed,
-            effects: audited,
-        });
-        // Audit effects never outlive the round un-checkpointed: the
-        // snapshot right here is why recovery only ever replays
-        // dispatch/report records.
+        // Audit effects are never journaled: the snapshot right here
+        // covers them, so recovery only ever replays dispatch, report
+        // and delivery-failure records.
         self.checkpoint(now);
         if self.cfg.monitor_invariants {
             self.check_invariants(now);

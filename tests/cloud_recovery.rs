@@ -17,9 +17,10 @@
 //!   and, via proptest schedules, across 200-node simulated campaigns
 //!   with arbitrary duplicate/reorder/crash plans.
 
+use aircal::core::wal::{Journal, WalRecord};
 use aircal::net::{
-    spawn_node_with_faults, BurstOutage, Cloud, LinkFaults, NodeAgent, NodeBehavior, RetryPolicy,
-    SnapshotError,
+    spawn_node_with_faults, BurstOutage, Cloud, Link, LinkFaults, NodeAgent, NodeBehavior,
+    RetryPolicy, SnapshotError,
 };
 use aircal::obs::Obs;
 use aircal::sim::{run, CampaignConfig};
@@ -265,6 +266,139 @@ fn recovery_refuses_a_mismatched_snapshot_journal_pair() {
     match err {
         SnapshotError::ChecksumMismatch { .. } => {}
         other => panic!("expected a checksum mismatch, got {other:?}"),
+    }
+}
+
+/// Recover from `snapshot` plus every byte prefix of `journal`, and
+/// require each registry to equal one of the committed states: the
+/// snapshot's (`committed[0]`), or the state after the last round whose
+/// `RoundCompleted` marker the prefix holds whole (`committed[k]` after
+/// k markers). A round torn anywhere before its marker must vanish
+/// whole. Shuts the nodes down at the end.
+fn every_cut_recovers_a_committed_state(
+    sky: &Arc<TrafficSim>,
+    snapshot: &[u8],
+    journal: &[u8],
+    mut links: Vec<(String, Link)>,
+    committed: &[u64],
+) {
+    for w in committed.windows(2) {
+        assert_ne!(w[0], w[1], "every committed round moves durable state");
+    }
+    for cut in 0..=journal.len() {
+        let torn = &journal[..cut];
+        let markers = Journal::open(torn)
+            .0
+            .records()
+            .iter()
+            .filter(|r| matches!(r, WalRecord::RoundCompleted { .. }))
+            .count();
+        let (cloud, _) = Cloud::recover(sky.clone(), Some(snapshot), torn, links, Obs::default())
+            .expect("a torn journal still recovers");
+        assert_eq!(
+            cloud.registry_digest(),
+            committed[markers],
+            "journal cut at {cut} of {} bytes, after {markers} whole rounds",
+            journal.len()
+        );
+        links = cloud.crash().0;
+    }
+    for (_, link) in links {
+        link.shutdown();
+    }
+}
+
+/// A crash can tear round 2 anywhere. Whatever survives, recovery lands
+/// on the post-round-1 or the post-round-2 registry, never on a mix of
+/// the two: a round's upserts apply only with its commit marker.
+#[test]
+fn a_torn_round_is_discarded_whole() {
+    let sky = sky();
+    let cloud = build_cloud(&sky, false);
+    cloud.audit_all(4001);
+    let round1 = cloud.registry_digest();
+    let snapshot = cloud.checkpoint();
+    cloud.audit_all(4002);
+    let round2 = cloud.registry_digest();
+    let (links, journal) = cloud.crash();
+    every_cut_recovers_a_committed_state(&sky, &snapshot, &journal, links, &[round1, round2]);
+}
+
+/// An attestation pass between the checkpoint and the crash commits as
+/// its own round: recovery keeps the attestation checkpoints it
+/// recorded, and a torn pass is discarded whole like a torn audit.
+#[test]
+fn an_attestation_pass_commits_as_its_own_round() {
+    let sky = sky();
+    let cloud = build_cloud(&sky, false);
+    cloud.audit_all(5001);
+    let round1 = cloud.registry_digest();
+    let snapshot = cloud.checkpoint();
+    assert!(cloud.attest_all().iter().all(|(_, ok)| *ok));
+    let attested = cloud.registry_digest();
+    cloud.audit_all(5002);
+    let round2 = cloud.registry_digest();
+    let (links, journal) = cloud.crash();
+    every_cut_recovers_a_committed_state(
+        &sky,
+        &snapshot,
+        &journal,
+        links,
+        &[round1, attested, round2],
+    );
+}
+
+/// A cloud recovered from a torn round journals on from its last
+/// committed record, not behind the torn upserts: the round it runs next
+/// must survive a second crash. Cuts round 2 after each of its whole
+/// upserts (the marker always missing), recovers, runs round 3, crashes
+/// again and requires recovery to land on round 3's registry.
+#[test]
+fn a_round_after_a_torn_recovery_survives_a_second_crash() {
+    let sky = sky();
+    let cloud = build_cloud(&sky, false);
+    cloud.audit_all(6001);
+    let round1 = cloud.registry_digest();
+    let snapshot = cloud.checkpoint();
+    cloud.audit_all(6002);
+    let (mut links, journal) = cloud.crash();
+    let torn_cuts: Vec<usize> = (0..=journal.len())
+        .filter(|&cut| {
+            let (opened, open) = Journal::open(&journal[..cut]);
+            open.truncated_bytes == 0
+                && matches!(opened.records().last(), Some(WalRecord::NodeState { .. }))
+        })
+        .collect();
+    assert_eq!(torn_cuts.len(), 4, "one cut after each of the 4 upserts");
+    for (i, cut) in torn_cuts.into_iter().enumerate() {
+        let torn = &journal[..cut];
+        let (cloud, _) = Cloud::recover(sky.clone(), Some(&snapshot), torn, links, Obs::default())
+            .expect("a torn journal still recovers");
+        assert_eq!(
+            cloud.registry_digest(),
+            round1,
+            "cut at {cut}: round 2 discarded"
+        );
+        cloud.audit_all(6003 + i as u64);
+        let round3 = cloud.registry_digest();
+        let (survivors, journal3) = cloud.crash();
+        let (cloud, _) = Cloud::recover(
+            sky.clone(),
+            Some(&snapshot),
+            &journal3,
+            survivors,
+            Obs::default(),
+        )
+        .expect("the second crash recovers");
+        assert_eq!(
+            cloud.registry_digest(),
+            round3,
+            "cut at {cut}: round 3, committed after the torn round 2, survives"
+        );
+        links = cloud.crash().0;
+    }
+    for (_, link) in links {
+        link.shutdown();
     }
 }
 
