@@ -28,11 +28,14 @@
 //!   butterfly arm; `--check` requires every `finalize` arm and the `fft`
 //!   row bit-identical to the scalar arm but counts neither toward the
 //!   kernel speedup floor;
-//! * **adsb_decode** — decoder throughput over a rendered capture with
-//!   one warm `DecodeScratch`, as each survey worker runs it, Msamples/s;
+//! * **adsb_decode** — decoder throughput over the windows of one rooftop
+//!   survey, rendered at run time from the seed exactly as a calibration
+//!   renders them, with one warm `DecodeScratch`, as each survey worker
+//!   runs it, Msamples/s;
 //! * **preamble_scan** — the decoder's sparse preamble scan
 //!   ([`PreambleScan`]) vs its dense reference, `normalized_correlation`
-//!   then `find_peaks` (peaks must be identical);
+//!   then `find_peaks`, over a flat synthetic capture (peaks must be
+//!   identical);
 //! * **fir** — overlap-save [`FastFirFilter`] vs direct [`FirFilter`]
 //!   at 63/255/1023 taps (the TV bandpass shapes);
 //! * **geometry** — dense synthetic downtown: brute-force `path_profile`
@@ -56,13 +59,16 @@
 
 use aircal_adsb::decoder::PreambleScan;
 use aircal_adsb::{cpr, me::MePayload, AdsbFrame, DecodeScratch, Decoder, IcaoAddress};
+use aircal_aircraft::{TrafficConfig, TrafficSim};
 use aircal_bench::parse_args;
+use aircal_core::engine::Calibrator;
+use aircal_core::survey::{plan_survey, run_survey_indexed};
 use aircal_dsp::corr::{find_peaks, normalized_correlation};
 use aircal_dsp::fir::design_bandpass;
 use aircal_dsp::window::Window;
 use aircal_dsp::{Cplx, Direction, FastFirFilter, FftPlanner, FirFilter};
 use aircal_env::scenarios::dense_city;
-use aircal_env::{GeoScratch, PathCache};
+use aircal_env::{GeoScratch, PathCache, Scenario, ScenarioKind};
 use aircal_sdr::{BurstPlan, CaptureRenderer, Frontend, FrontendConfig};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -726,6 +732,29 @@ impl Gate {
     }
 }
 
+/// The windows of one calibration's rooftop survey (the production
+/// traffic and survey configuration at `seed`), rendered as the survey
+/// renders them, and the number of messages the survey decoded.
+fn survey_windows(seed: u64) -> (Vec<aircal_sdr::RenderedWindow>, usize) {
+    let s = Scenario::build(ScenarioKind::Rooftop);
+    let cal = Calibrator::default().with_parallelism(1);
+    let traffic = TrafficSim::generate(
+        TrafficConfig {
+            count: cal.traffic_count,
+            ..TrafficConfig::paper_default(s.site.position)
+        },
+        seed,
+    );
+    let index = s.world.index();
+    let capture = plan_survey(&s.world, &index, &s.site, &traffic, &cal.survey, seed);
+    let result = run_survey_indexed(&s.world, &index, &s.site, &traffic, &cal.survey, seed);
+    let windows = capture
+        .renderer
+        .render_seeded(&capture.plans, capture.noise_seed, 1);
+    (windows, result.total_messages)
+}
+
+/// A flat synthetic capture of `frames` position bursts, 2 ms apart.
 fn decode_capture(seed: u64, frames: usize) -> (Vec<aircal_sdr::RenderedWindow>, usize) {
     let fe = Frontend::new(FrontendConfig::bladerf_xa9(1.09e9, 2e6));
     let renderer = CaptureRenderer::new(fe.clone());
@@ -814,7 +843,9 @@ fn main() {
     );
 
     // --- ADS-B decode throughput -----------------------------------------
-    let (windows, samples) = decode_capture(seed, if quick { 200 } else { 1_000 });
+    // Over what a calibration decodes, not a synthetic capture: bursts
+    // as dense, powers and overlaps as the survey plans them.
+    let (windows, survey_messages) = survey_windows(seed);
     let decoder = Decoder::default();
     let mut scratch = DecodeScratch::default();
     let mut msgs = Vec::new();
@@ -828,7 +859,12 @@ fn main() {
             .sum()
     };
     let messages = scan_all();
+    assert_eq!(
+        messages, survey_messages,
+        "the replayed windows decode as the survey did"
+    );
     let seconds = time_best(reps, scan_all);
+    let samples = windows.iter().map(|w| w.samples.len()).sum();
     let adsb_decode = DecodeTiming {
         samples,
         messages,
@@ -836,12 +872,16 @@ fn main() {
         msamples_per_s: samples as f64 / seconds / 1e6,
     };
     eprintln!(
-        "# adsb_decode: {:.1} Msamples/s ({} msgs from {} samples)",
-        adsb_decode.msamples_per_s, messages, samples
+        "# adsb_decode: {:.1} Msamples/s ({} msgs from {} samples in {} survey windows)",
+        adsb_decode.msamples_per_s,
+        messages,
+        samples,
+        windows.len()
     );
 
     // --- Sparse preamble scan vs its dense reference ---------------------
     // Window by window, as the decoder scans a capture.
+    let (windows, samples) = decode_capture(seed, if quick { 200 } else { 1_000 });
     let threshold = aircal_adsb::DecoderConfig::default().preamble_threshold;
     let template = aircal_adsb::ppm::preamble_template();
     let dense_peaks = || -> Vec<Vec<usize>> {

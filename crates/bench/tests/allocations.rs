@@ -247,7 +247,7 @@ fn tv_pooled_measure_matches_cold_measure_bit_identically() {
                 &s.site,
                 t,
                 SEED,
-                &synthesize_8vsb(cfg.capture_len, cfg.sample_rate_hz),
+                &synthesize_8vsb(cfg.capture_len(), cfg.sample_rate_hz),
                 &mut TvScratch::default(),
             );
             let pooled = probe.measure_with_path(&path, &s.site, t, SEED, &waveform, &mut scratch);

@@ -148,18 +148,34 @@ pub fn run_survey(
     run_survey_indexed(world, &world.index(), site, traffic, config, seed)
 }
 
-/// [`run_survey`] with a caller-owned [`WorldIndex`], so long-lived hosts
-/// (network nodes, fleet audits) amortize the index build across surveys.
-/// Bit-identical to `run_survey` for an index built from `world`.
-pub fn run_survey_indexed(
+/// A survey's capture before it is rendered: the site's front end and the
+/// bursts that clear the SNR gate. Rendering cluster `i` of
+/// `renderer.cluster_plans(&plans)` with
+/// [`CaptureRenderer::cluster_rng`]`(noise_seed, i)` gives the window the
+/// survey decodes, so [`CaptureRenderer::render_seeded`] over `plans` and
+/// `noise_seed` gives every window of the capture.
+#[derive(Debug, Clone)]
+pub struct SurveyCapture {
+    /// The front end every burst is rendered through.
+    pub renderer: CaptureRenderer,
+    /// The bursts to render, in emission order.
+    pub plans: Vec<BurstPlan>,
+    /// Scheduled bursts the SNR gate dropped.
+    pub skipped_low_snr: usize,
+    /// Seed of the per-cluster noise streams.
+    pub noise_seed: u64,
+}
+
+/// Steps 1–2 of the survey: the sky's emissions and each burst's link
+/// budget, fading and front end, up to (not including) rendering.
+pub fn plan_survey(
     world: &World,
     index: &WorldIndex,
     site: &SensorSite,
     traffic: &TrafficSim,
     config: &SurveyConfig,
     seed: u64,
-) -> SurveyResult {
-    let _span = aircal_obs::span!("survey");
+) -> SurveyCapture {
     let threads = resolve_parallelism(config.parallelism);
 
     // 1. The sky transmits. (Aircraft slightly beyond the query radius
@@ -250,8 +266,33 @@ pub fn run_survey_indexed(
         },
     );
     drop(plan_span);
-    let skipped_low_snr = planned.iter().filter(|p| p.is_none()).count();
-    let plans: Vec<BurstPlan> = planned.into_iter().flatten().collect();
+    SurveyCapture {
+        renderer,
+        skipped_low_snr: planned.iter().filter(|p| p.is_none()).count(),
+        plans: planned.into_iter().flatten().collect(),
+        noise_seed: seed ^ 0xC0DE,
+    }
+}
+
+/// [`run_survey`] with a caller-owned [`WorldIndex`], so long-lived hosts
+/// (network nodes, fleet audits) amortize the index build across surveys.
+/// Bit-identical to `run_survey` for an index built from `world`.
+pub fn run_survey_indexed(
+    world: &World,
+    index: &WorldIndex,
+    site: &SensorSite,
+    traffic: &TrafficSim,
+    config: &SurveyConfig,
+    seed: u64,
+) -> SurveyResult {
+    let _span = aircal_obs::span!("survey");
+    let threads = resolve_parallelism(config.parallelism);
+    let SurveyCapture {
+        renderer,
+        plans,
+        skipped_low_snr,
+        noise_seed,
+    } = plan_survey(world, index, site, traffic, config, seed);
 
     // 3. Render and decode, dump1090-style, one cluster at a time: each
     //    worker renders a cluster's window, decodes it and recycles its
@@ -262,7 +303,7 @@ pub fn run_survey_indexed(
         renderer: &renderer,
         decoder: &Decoder::default(),
         plans: &plans,
-        noise_seed: seed ^ 0xC0DE,
+        noise_seed,
     };
     // Each worker appends its clusters' messages to its own list and
     // reports where in that list each cluster's messages sit; the merge

@@ -310,6 +310,33 @@ mod tests {
         assert!(meter.measure_dbfs(&[Cplx::ONE; 10]).is_none());
     }
 
+    /// Fed exactly its warm-up plus its window, the meter reads the mean
+    /// of the last `average_len` powers `|y|²` of the direct-form filter
+    /// over the same taps, and its window fills on the last sample.
+    #[test]
+    fn meter_reads_exactly_its_window() {
+        use crate::fir::FirFilter;
+        use rand::{Rng, SeedableRng};
+        let (fs, bw, taps, len) = (8e6, 5.38e6, 129, 16_384);
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
+        let iq: Vec<Cplx> = (0..taps + len)
+            .map(|_| Cplx::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
+            .collect();
+        let h = design_bandpass(0.0, bw / fs, taps, Window::Blackman).unwrap();
+        let y = FirFilter::new(h).unwrap().process(&iq);
+        let want = y[taps..].iter().map(|z| z.norm_sq()).sum::<f64>() / len as f64;
+
+        let mut meter = BandPowerMeter::new(0.0, bw, fs, taps, len).unwrap();
+        meter.process(&iq[..taps + len - 1]);
+        assert!(!meter.avg.is_full());
+        let got = meter.process(&iq[taps + len - 1..]).unwrap();
+        assert!(meter.avg.is_full());
+        assert!(
+            ((got - want) / want).abs() <= 1e-9,
+            "meter {got} vs direct-form window mean {want}"
+        );
+    }
+
     /// The deque-and-divide `MovingAverage` the ring buffer replaced, kept
     /// as the oracle for its exact operation sequence.
     struct DequeAverage {

@@ -5,6 +5,10 @@
 //! environment's path profile, and push the IQ through
 //! [`aircal_dsp::BandPowerMeter`] (bandpass → |x|² → very long moving
 //! average). The result is dBFS — the y-axis of Figure 4.
+//!
+//! The reading is the average at the capture's last sample, so each
+//! capture is exactly what the meter reads: the filter warm-up plus the
+//! averaging window ([`TvProbeConfig::capture_len`]).
 
 use crate::synth::synthesize_8vsb_shared;
 use crate::towers::TvTower;
@@ -23,8 +27,6 @@ use std::sync::Arc;
 pub struct TvProbeConfig {
     /// Capture sample rate, Hz (one channel per capture).
     pub sample_rate_hz: f64,
-    /// Capture length in samples.
-    pub capture_len: usize,
     /// Bandpass filter taps.
     pub filter_taps: usize,
     /// Moving-average length ("very long" per the paper).
@@ -43,13 +45,24 @@ impl Default for TvProbeConfig {
     fn default() -> Self {
         Self {
             sample_rate_hz: 8e6,
-            capture_len: 40_000,
             filter_taps: 129,
             average_len: 16_384,
             full_scale_dbm: -25.0,
             parallelism: 0,
             fault: aircal_sdr::FrontendFault::None,
         }
+    }
+}
+
+impl TvProbeConfig {
+    /// Capture length in samples: the meter's filter warm-up (one filter
+    /// length of outputs, discarded) plus its averaging window. The
+    /// reading is the average at the capture's last sample, so a longer
+    /// capture would only synthesise and filter samples that are pushed
+    /// out of the window before they are read, and a shorter one would
+    /// average fewer than `average_len` powers.
+    pub fn capture_len(&self) -> usize {
+        self.filter_taps + self.average_len
     }
 }
 
@@ -99,7 +112,37 @@ impl TvPowerProbe {
     /// once per process (see [`synthesize_8vsb_shared`]) and shared
     /// read-only across sweeps and workers.
     pub fn reference_waveform(&self) -> Arc<[Cplx]> {
-        synthesize_8vsb_shared(self.config.capture_len, self.config.sample_rate_hz)
+        synthesize_8vsb_shared(self.config.capture_len(), self.config.sample_rate_hz)
+    }
+
+    /// The link budget from `tower` to the antenna at `site`, and the front
+    /// end tuned to the tower's channel at fixed gain.
+    fn channel_link(&self, site: &SensorSite, tower: &TvTower) -> (LinkBudget, Frontend) {
+        let cfg = &self.config;
+        let bearing = site.position.bearing_deg(&tower.position);
+        let elevation = site.position.elevation_deg(&tower.position);
+        let rx_gain = site.antenna.gain_dbi(bearing, elevation);
+        let budget = LinkBudget::new(tower.erp_dbm, 0.0, rx_gain);
+
+        let mut fe_cfg = FrontendConfig::bladerf_xa9(tower.channel.center_hz(), cfg.sample_rate_hz);
+        fe_cfg.full_scale_dbm = cfg.full_scale_dbm;
+        fe_cfg.noise_figure_db = site.noise_figure_db;
+        fe_cfg.fault = cfg.fault;
+        (budget, Frontend::new(fe_cfg))
+    }
+
+    /// The band-power meter of this configuration: bandpass over the
+    /// channel at the capture center, then the averaging window.
+    fn meter(&self) -> BandPowerMeter {
+        let cfg = &self.config;
+        BandPowerMeter::new(
+            0.0,
+            OCCUPIED_BANDWIDTH_HZ,
+            cfg.sample_rate_hz,
+            cfg.filter_taps,
+            cfg.average_len,
+        )
+        .expect("probe configuration valid")
     }
 
     /// Measure one station over its propagation `path`, with a shared
@@ -117,24 +160,11 @@ impl TvPowerProbe {
         scratch: &mut TvScratch,
     ) -> TvMeasurement {
         let _span = aircal_obs::span!("tv_channel");
-        let cfg = &self.config;
-        let freq = tower.channel.center_hz();
-        let bearing = site.position.bearing_deg(&tower.position);
-        let elevation = site.position.elevation_deg(&tower.position);
-        let rx_gain = site.antenna.gain_dbi(bearing, elevation);
-        let budget = LinkBudget::new(tower.erp_dbm, 0.0, rx_gain);
-
+        let (budget, fe) = self.channel_link(site, tower);
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ tower.channel.number() as u64);
         // Slow fading/shadowing: one draw for the whole capture (the
         // channel is static over milliseconds).
         let rx_dbm = budget.sample_rx_dbm(path, &mut rng);
-
-        // Front end tuned to the channel at fixed gain.
-        let mut fe_cfg = FrontendConfig::bladerf_xa9(freq, cfg.sample_rate_hz);
-        fe_cfg.full_scale_dbm = cfg.full_scale_dbm;
-        fe_cfg.noise_figure_db = site.noise_figure_db;
-        fe_cfg.fault = cfg.fault;
-        let fe = Frontend::new(fe_cfg);
 
         // Same math as `Frontend::render_burst`, into the reused buffer.
         fe.scale_and_impair_into(waveform, rx_dbm, 0.4, 0, &mut scratch.iq);
@@ -142,16 +172,7 @@ impl TvPowerProbe {
 
         // The paper's measurement chain; the meter (filter design + FFT
         // plan) is built once per scratch and reset bit-identically.
-        let meter = scratch.meter.get_or_insert_with(|| {
-            BandPowerMeter::new(
-                0.0,
-                OCCUPIED_BANDWIDTH_HZ,
-                cfg.sample_rate_hz,
-                cfg.filter_taps,
-                cfg.average_len,
-            )
-            .expect("probe configuration valid")
-        });
+        let meter = scratch.meter.get_or_insert_with(|| self.meter());
         meter.reset();
         let power_dbfs = meter
             .measure_dbfs(&scratch.iq)
@@ -160,9 +181,9 @@ impl TvPowerProbe {
         TvMeasurement {
             station: tower.name.clone(),
             rf_channel: tower.channel.number(),
-            center_hz: freq,
+            center_hz: tower.channel.center_hz(),
             power_dbfs,
-            predicted_dbfs: fe.effective_power_dbm(rx_dbm) - cfg.full_scale_dbm,
+            predicted_dbfs: fe.effective_power_dbm(rx_dbm) - self.config.full_scale_dbm,
             obstruction_db: path.diffraction_db + path.penetration_db,
         }
     }
@@ -225,28 +246,90 @@ impl TvPowerProbe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::synth::synthesize_8vsb;
     use crate::towers::paper_tv_towers;
-    use aircal_env::{paper_scenarios, Scenario, ScenarioKind};
+    use aircal_env::{all_scenarios, paper_scenarios, Scenario, ScenarioKind};
 
     fn sweep(s: &Scenario) -> Vec<TvMeasurement> {
         let towers = paper_tv_towers(&s.world.origin);
         TvPowerProbe::default().sweep(&s.world, &s.site, &towers, 1)
     }
 
-    /// The DSP chain agrees with the analytic link budget to ~1 dB when the
-    /// signal is well above the noise floor.
+    /// The DSP chain agrees with the analytic link budget to ~1 dB in
+    /// every world, wherever the signal is well above the noise floor.
     #[test]
     fn dsp_chain_matches_link_budget() {
-        let s = Scenario::build(ScenarioKind::Rooftop);
-        for m in sweep(&s) {
-            if m.predicted_dbfs > -50.0 {
-                assert!(
-                    (m.power_dbfs - m.predicted_dbfs).abs() < 1.5,
-                    "{}: measured {} vs predicted {}",
-                    m.station,
-                    m.power_dbfs,
-                    m.predicted_dbfs
-                );
+        for s in all_scenarios() {
+            for m in sweep(&s) {
+                if m.predicted_dbfs > -50.0 {
+                    assert!(
+                        (m.power_dbfs - m.predicted_dbfs).abs() < 1.5,
+                        "{} at {}: measured {} vs predicted {}",
+                        m.station,
+                        s.site.name,
+                        m.power_dbfs,
+                        m.predicted_dbfs
+                    );
+                }
+            }
+        }
+    }
+
+    /// The capture is the meter's warm-up plus its window: no sample the
+    /// probe renders is pushed out of the average before the reading (a
+    /// meter with twice the window reads the same bits), and
+    /// `meter_reads_exactly_its_window` in `aircal-dsp` shows the window
+    /// is full on the last sample.
+    #[test]
+    fn capture_is_warm_up_plus_window() {
+        let probe = TvPowerProbe::default();
+        let cfg = probe.config;
+        assert_eq!(cfg.capture_len(), cfg.filter_taps + cfg.average_len);
+        let wave = probe.reference_waveform();
+        assert_eq!(wave.len(), cfg.capture_len());
+        let reading = probe.meter().measure_dbfs(&wave).unwrap();
+        let wide = TvPowerProbe::new(TvProbeConfig {
+            average_len: 2 * cfg.average_len,
+            ..cfg
+        })
+        .meter()
+        .measure_dbfs(&wave)
+        .unwrap();
+        assert_eq!(reading.to_bits(), wide.to_bits());
+    }
+
+    /// Cutting the capture to warm-up plus window moves no reading by more
+    /// than 0.1 dB against a 40 000-sample capture of the same channel
+    /// (same link draw, front end and meter; the window then averages
+    /// later samples of the waveform and other noise).
+    #[test]
+    fn reading_matches_a_long_capture() {
+        let long_wave = synthesize_8vsb(40_000, TvProbeConfig::default().sample_rate_hz);
+        for s in paper_scenarios() {
+            let towers = paper_tv_towers(&s.world.origin);
+            let probe = TvPowerProbe::default();
+            for seed in [1u64, 2, 3] {
+                for (m, t) in probe
+                    .sweep(&s.world, &s.site, &towers, seed)
+                    .iter()
+                    .zip(&towers)
+                {
+                    let path = s
+                        .world
+                        .path_profile(&s.site, &t.position, t.channel.center_hz());
+                    let (budget, fe) = probe.channel_link(&s.site, t);
+                    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ t.channel.number() as u64);
+                    let rx_dbm = budget.sample_rx_dbm(&path, &mut rng);
+                    let iq = fe.render_burst(&long_wave, rx_dbm, 0.4, &mut rng);
+                    let long = probe.meter().measure_dbfs(&iq).unwrap();
+                    assert!(
+                        (m.power_dbfs - long).abs() <= 0.1,
+                        "{} at {} seed {seed}: {} dBFS vs {long} from 40 000 samples",
+                        m.station,
+                        s.site.name,
+                        m.power_dbfs
+                    );
+                }
             }
         }
     }

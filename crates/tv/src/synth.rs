@@ -139,7 +139,8 @@ mod tests {
     /// that replaces it.
     #[test]
     fn shared_waveform_is_bitwise_synthesis() {
-        for (len, fs) in [(40_000, 8e6), (4_096, 6.5e6)] {
+        let probe = crate::TvProbeConfig::default();
+        for (len, fs) in [(probe.capture_len(), probe.sample_rate_hz), (4_096, 6.5e6)] {
             let fresh = synthesize_8vsb(len, fs);
             for _ in 0..2 {
                 let shared = synthesize_8vsb_shared(len, fs);

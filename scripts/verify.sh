@@ -63,14 +63,16 @@ for trace in 0 1; do
   esac
 done
 
-echo "== cloud_audit smoke (every adversary evicted, no honest node quarantined, through the real judge) =="
-result=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
-  --workload cloud_audit --seed 7 --seconds 1 --trace 0 | tail -n 1)
-echo "$result"
-case "$result" in
-  *'"correct": true,'*'"failed": 0,'*) ;;
-  *) echo "# cloud_audit smoke: expected \"correct\": true and \"failed\": 0" >&2; exit 1 ;;
-esac
+echo "== cloud_audit smokes (untraced: every adversary evicted, no honest node quarantined, through the real judge; traced: replayed verdicts equal Cloud::audit_one's and tracing leaves them unchanged) =="
+for trace in 0 1; do
+  result=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload cloud_audit --seed 7 --seconds 1 --trace "$trace" | tail -n 1)
+  echo "$result"
+  case "$result" in
+    *'"correct": true,'*'"failed": 0,'*) ;;
+    *) echo "# cloud_audit smoke (--trace $trace): expected \"correct\": true and \"failed\": 0" >&2; exit 1 ;;
+  esac
+done
 
 echo "== perfreport (--quick: kernel, geometry, fleet-scale and journal-replay floors of scripts/budgets.json) =="
 # The timed measurements no test covers. Allocation counts, the
