@@ -62,10 +62,11 @@ pub struct StepFailure {
 /// and consecutive data-plane anomalies (the *Byzantine* ladder); the
 /// effective state is whichever driver currently demands the more severe
 /// rung. `Evicted` is terminal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum NodeHealth {
     /// Last audit was clean (reachable, every step complete, no
     /// anomalies).
+    #[default]
     Healthy,
     /// A data anomaly was detected this round; fully audited, still
     /// rentable, but under scrutiny.
@@ -162,7 +163,7 @@ impl Default for HealthPolicy {
 impl HealthPolicy {
     /// The rung the link ladder demands for a given run of consecutive
     /// failed/partial audits.
-    pub fn link_rung(&self, consecutive_failures: u32) -> NodeHealth {
+    fn link_rung(&self, consecutive_failures: u32) -> NodeHealth {
         if consecutive_failures >= self.quarantined_after {
             NodeHealth::Quarantined
         } else if consecutive_failures >= self.degraded_after {
@@ -174,7 +175,7 @@ impl HealthPolicy {
 
     /// The rung the Byzantine ladder demands for a given run of
     /// consecutive anomalous audits.
-    pub fn anomaly_rung(&self, consecutive_anomalies: u32) -> NodeHealth {
+    fn anomaly_rung(&self, consecutive_anomalies: u32) -> NodeHealth {
         if consecutive_anomalies >= self.evicted_anomalies {
             NodeHealth::Evicted
         } else if consecutive_anomalies >= self.quarantined_anomalies {
@@ -189,65 +190,68 @@ impl HealthPolicy {
     }
 }
 
-/// Event-driven per-node health ladder for the discrete-event campaign
-/// engine (`aircal-sim`): folds one audit outcome at a time into a link
-/// run and an anomaly run, with no links or threads. Both runs feed the
-/// same [`HealthPolicy`] rungs as the threaded registry, the effective
-/// state is the more severe of the two, and `Evicted` is terminal.
-///
-/// [`Cloud`] does not use it: each [`NodeRecord`] keeps its own two
-/// counters, walked by [`Cloud::audit_all`] and its consistency pass,
-/// and the two disagree on one rule. [`HealthLadder::record`] resets the
-/// anomaly run on every non-anomalous outcome, a failed audit included
-/// (the sim passes `anomalous = link_ok && …`). The registry advances or
-/// resets the anomaly run only on complete rounds, and leaves it
-/// unchanged on partial or failed ones.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// One node's place on the quarantine ladder: a link run and an anomaly
+/// run, each mapped to a rung by the [`HealthPolicy`], and the effective
+/// rung, which is the more severe of the two (or a floor a history fork
+/// imposed). Both cloud drivers walk it: [`Cloud`]'s consistency pass and
+/// attestation, and the discrete-event campaign engine (`aircal-sim`).
+/// `Evicted` is terminal.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HealthLadder {
     /// Consecutive failed/partial audits (the link ladder).
     pub consecutive_failures: u32,
-    /// Consecutive anomalous audits (the Byzantine ladder).
+    /// Consecutive anomalous complete audits (the Byzantine ladder).
     pub consecutive_anomalies: u32,
-    health: NodeHealth,
-}
-
-impl Default for HealthLadder {
-    fn default() -> Self {
-        Self {
-            consecutive_failures: 0,
-            consecutive_anomalies: 0,
-            health: NodeHealth::Healthy,
-        }
-    }
+    /// The node's current effective rung.
+    pub health: NodeHealth,
 }
 
 impl HealthLadder {
     /// Fold one audit outcome into the ladder and return the node's new
-    /// effective health. `link_ok` is "the audit reached the node and
-    /// completed"; `anomalous` is "the data plane looked Byzantine".
-    pub fn record(&mut self, policy: &HealthPolicy, link_ok: bool, anomalous: bool) -> NodeHealth {
+    /// effective health. A failed or partial audit (`complete` false)
+    /// charges the link run and leaves the anomaly run as it is, so a
+    /// Byzantine node cannot launder its run by dropping one audit; a
+    /// complete audit clears the link run, then advances the anomaly run
+    /// if `anomalous` ("the data plane looked Byzantine") or resets it.
+    pub fn record(&mut self, policy: &HealthPolicy, complete: bool, anomalous: bool) -> NodeHealth {
         if self.health == NodeHealth::Evicted {
             return self.health;
         }
-        if link_ok {
+        if complete {
             self.consecutive_failures = 0;
+            self.consecutive_anomalies = if anomalous {
+                self.consecutive_anomalies.saturating_add(1)
+            } else {
+                0
+            };
         } else {
             self.consecutive_failures = self.consecutive_failures.saturating_add(1);
         }
-        if anomalous {
-            self.consecutive_anomalies = self.consecutive_anomalies.saturating_add(1);
-        } else {
-            self.consecutive_anomalies = 0;
-        }
-        self.health = policy
-            .link_rung(self.consecutive_failures)
-            .max_severity(policy.anomaly_rung(self.consecutive_anomalies));
+        self.health = self.rung(policy);
         self.health
     }
 
-    /// The node's current effective health.
-    pub fn health(&self) -> NodeHealth {
+    /// Charge a forked service history found by attestation, outside any
+    /// audit: the anomaly run advances, the link run is untouched, and a
+    /// fork is hard enough evidence to hold the node at `Quarantined` or
+    /// a more severe rung, never below the one it stands on.
+    pub fn record_fork(&mut self, policy: &HealthPolicy) -> NodeHealth {
+        if self.health == NodeHealth::Evicted {
+            return self.health;
+        }
+        self.consecutive_anomalies = self.consecutive_anomalies.saturating_add(1);
+        self.health = self
+            .health
+            .max_severity(NodeHealth::Quarantined)
+            .max_severity(self.rung(policy));
         self.health
+    }
+
+    /// The more severe of the rungs the two runs demand.
+    fn rung(&self, policy: &HealthPolicy) -> NodeHealth {
+        policy
+            .link_rung(self.consecutive_failures)
+            .max_severity(policy.anomaly_rung(self.consecutive_anomalies))
     }
 }
 
@@ -358,45 +362,30 @@ impl VerificationVerdict {
     }
 }
 
-/// Durable per-node evidence the cloud keeps between audits: fingerprint
-/// history, the commissioning power baseline, the attested service-ledger
-/// checkpoint. This (not the link or the verdict) is what a registry
-/// snapshot persists.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct NodeForensics {
-    /// Commission seed of the last completed audit.
-    pub last_seed: Option<u64>,
-    /// Survey fingerprint from the last completed audit.
-    pub survey_fp: Option<u64>,
-    /// Cellular-sweep fingerprint from the last completed audit.
-    pub cells_fp: Option<u64>,
-    /// TV-sweep fingerprint from the last completed audit.
-    pub tv_fp: Option<u64>,
-    /// Per-band power baseline from the node's first anomaly-free
-    /// complete audit: `(source tag, label, measured dB)`.
-    pub baseline: Vec<(u8, String, f64)>,
-    /// Last attested service-history checkpoint `(served, chain)`.
-    pub attested: Option<(u64, u64)>,
-    /// Why the node was evicted, if it was.
-    pub eviction_reason: Option<String>,
-}
-
 /// One row in the cloud's registry.
 pub struct NodeRecord {
     /// The node's link.
     pub link: Link,
     /// Last verdict, if audited.
     pub verdict: Option<VerificationVerdict>,
-    /// Did the node answer its last audit?
-    pub reachable: bool,
-    /// Lifecycle state.
-    pub health: NodeHealth,
-    /// Consecutive audits that failed or came back partial.
-    pub consecutive_failures: u32,
-    /// Consecutive completed audits with data-plane anomalies.
-    pub consecutive_anomalies: u32,
-    /// Cross-audit evidence (fingerprints, baseline, attestation).
-    pub forensics: NodeForensics,
+    /// The durable record: health ladder, reachability and cross-audit
+    /// evidence, exactly what snapshots and the journal persist.
+    pub state: RegistryNodeState,
+}
+
+impl NodeRecord {
+    /// A freshly registered node: reachable, healthy, no history.
+    fn new(name: String, link: Link) -> Self {
+        Self {
+            link,
+            verdict: None,
+            state: RegistryNodeState {
+                name,
+                reachable: true,
+                ..RegistryNodeState::default()
+            },
+        }
+    }
 }
 
 /// What [`Cloud::recover`] found and did: how much of the journal was
@@ -446,44 +435,6 @@ pub struct Cloud {
     /// [`Cloud::recover`] replays whole rounds onto the latest snapshot
     /// and discards a torn one.
     journal: parking_lot::Mutex<Journal>,
-}
-
-/// One node's durable registry state, as persisted by snapshots and the
-/// write-ahead journal's per-round upsert records.
-fn registry_state_of(name: &str, rec: &NodeRecord) -> RegistryNodeState {
-    RegistryNodeState {
-        name: name.to_string(),
-        health: rec.health.severity(),
-        reachable: rec.reachable,
-        consecutive_failures: rec.consecutive_failures,
-        consecutive_anomalies: rec.consecutive_anomalies,
-        last_seed: rec.forensics.last_seed,
-        survey_fp: rec.forensics.survey_fp,
-        cells_fp: rec.forensics.cells_fp,
-        tv_fp: rec.forensics.tv_fp,
-        baseline: rec.forensics.baseline.clone(),
-        attested: rec.forensics.attested,
-        eviction_reason: rec.forensics.eviction_reason.clone(),
-    }
-}
-
-/// Overlay one durable node state onto a live registry record.
-fn apply_node_state(rec: &mut NodeRecord, st: RegistryNodeState) -> Result<(), SnapshotError> {
-    rec.health =
-        NodeHealth::from_severity(st.health).ok_or(SnapshotError::Malformed("health rung"))?;
-    rec.reachable = st.reachable;
-    rec.consecutive_failures = st.consecutive_failures;
-    rec.consecutive_anomalies = st.consecutive_anomalies;
-    rec.forensics = NodeForensics {
-        last_seed: st.last_seed,
-        survey_fp: st.survey_fp,
-        cells_fp: st.cells_fp,
-        tv_fp: st.tv_fp,
-        baseline: st.baseline,
-        attested: st.attested,
-        eviction_reason: st.eviction_reason,
-    };
-    Ok(())
 }
 
 /// FNV-1a over a payload's canonical JSON — the report fingerprint used
@@ -672,18 +623,9 @@ impl Cloud {
         let name = claims.name.clone();
         publish_wire(&self.obs, &name, "register", &before, &link.stats());
         self.obs.incr("cloud.nodes_registered", 1);
-        self.registry.lock().insert(
-            name.clone(),
-            NodeRecord {
-                link,
-                verdict: None,
-                reachable: true,
-                health: NodeHealth::Healthy,
-                consecutive_failures: 0,
-                consecutive_anomalies: 0,
-                forensics: NodeForensics::default(),
-            },
-        );
+        self.registry
+            .lock()
+            .insert(name.clone(), NodeRecord::new(name.clone(), link));
         Some(name)
     }
 
@@ -697,7 +639,7 @@ impl Cloud {
             Some(record) => {
                 let old = std::mem::replace(&mut record.link, link);
                 old.shutdown();
-                record.reachable = true;
+                record.state.reachable = true;
                 self.obs.incr("cloud.reattached", 1);
                 true
             }
@@ -718,8 +660,9 @@ impl Cloud {
     /// After the per-node audits, a wire-free *consistency pass* fuses
     /// the round's complete profiles ([`aircal_core::robust`]), runs the
     /// hard-evidence anomaly checks (ICAO spot-check, replay/frozen
-    /// fingerprints, physics overshoot, baseline drift), and walks both
-    /// health ladders. Evicted nodes are never audited again.
+    /// fingerprints, physics overshoot, baseline drift), and records each
+    /// node's round on its [`HealthLadder`]. Evicted nodes are never
+    /// audited again.
     pub fn audit_all(&self, base_seed: u64) -> Vec<(String, Option<VerificationVerdict>)> {
         let _span = aircal_obs::span!("audit_all");
         self.obs.incr("audit.rounds", 1);
@@ -729,7 +672,7 @@ impl Cloud {
             // Terminal rung: no probe, no audit budget, no events. The
             // node still consumes its seed index, so its neighbors' seeds
             // do not shift as the fleet shrinks.
-            if record.health == NodeHealth::Evicted {
+            if record.state.ladder.health == NodeHealth::Evicted {
                 self.obs.incr("audit.evicted_skipped", 1);
                 out.push((name.clone(), None));
                 continue;
@@ -739,7 +682,7 @@ impl Cloud {
             self.obs.incr("audit.nodes_audited", 1);
             // Quarantined nodes get a cheap probe first: no full audit
             // budget until they at least answer a Describe.
-            if record.health == NodeHealth::Quarantined
+            if record.state.ladder.health == NodeHealth::Quarantined
                 && matches!(
                     step(
                         &mut record.link,
@@ -756,8 +699,7 @@ impl Cloud {
                     StepOutcome::Failed(_)
                 )
             {
-                record.reachable = false;
-                record.consecutive_failures = record.consecutive_failures.saturating_add(1);
+                record.state.reachable = false;
                 record.verdict = None;
                 self.obs.incr("audit.unreachable", 1);
                 self.obs.emit(
@@ -771,22 +713,14 @@ impl Cloud {
                 continue;
             }
             let verdict = self.audit_one_named(name, &mut record.link, seed);
-            record.reachable = verdict.is_some();
+            record.state.reachable = verdict.is_some();
             if verdict.is_none() {
                 self.obs.incr("audit.unreachable", 1);
-            }
-            let clean = verdict.as_ref().is_some_and(|v| v.is_complete());
-            if clean {
-                // Re-admission: one clean audit clears the link ladder
-                // (the anomaly ladder is walked in the consistency pass).
-                record.consecutive_failures = 0;
-            } else {
-                record.consecutive_failures = record.consecutive_failures.saturating_add(1);
             }
             self.obs.emit(
                 name,
                 AuditEventKind::AuditCompleted {
-                    complete: clean,
+                    complete: verdict.as_ref().is_some_and(|v| v.is_complete()),
                     approved: verdict.as_ref().is_some_and(|v| v.approved),
                 },
             );
@@ -804,9 +738,9 @@ impl Cloud {
     /// only once it reads the marker, so a round torn by a crash is
     /// discarded whole, never half-applied.
     fn commit_round(&self, registry: &std::collections::BTreeMap<String, NodeRecord>) {
-        for (name, rec) in registry {
+        for rec in registry.values() {
             self.wal_append(WalRecord::NodeState {
-                state: encode_node_state(&registry_state_of(name, rec)),
+                state: encode_node_state(&rec.state),
             });
         }
         self.wal_append(WalRecord::RoundCompleted {
@@ -833,7 +767,7 @@ impl Cloud {
         // is for).
         let eligible: Vec<&FrequencyProfile> = registry
             .values()
-            .filter(|r| r.health.severity() < NodeHealth::Quarantined.severity())
+            .filter(|r| r.state.ladder.health.severity() < NodeHealth::Quarantined.severity())
             .filter_map(|r| r.verdict.as_ref())
             .filter(|v| v.is_complete())
             .map(|v| &v.profile)
@@ -843,7 +777,7 @@ impl Cloud {
 
         let pol = &self.consistency;
         for (i, (name, record)) in registry.iter_mut().enumerate() {
-            if record.health == NodeHealth::Evicted {
+            if record.state.ladder.health == NodeHealth::Evicted {
                 continue;
             }
             let seed = base_seed.wrapping_add(i as u64 * 0x9E37_79B9);
@@ -874,12 +808,12 @@ impl Cloud {
                 //    repeats under a *different* commission seed. Honest
                 //    front ends resample their noise every capture.
                 let fp = verdict.fingerprints.clone();
-                let seeds_differ = record.forensics.last_seed.is_some_and(|s| s != seed);
+                let seeds_differ = record.state.last_seed.is_some_and(|s| s != seed);
                 let survey_rep =
-                    seeds_differ && fp.survey.is_some() && fp.survey == record.forensics.survey_fp;
+                    seeds_differ && fp.survey.is_some() && fp.survey == record.state.survey_fp;
                 let cells_rep =
-                    seeds_differ && fp.cells.is_some() && fp.cells == record.forensics.cells_fp;
-                let tv_rep = seeds_differ && fp.tv.is_some() && fp.tv == record.forensics.tv_fp;
+                    seeds_differ && fp.cells.is_some() && fp.cells == record.state.cells_fp;
+                let tv_rep = seeds_differ && fp.tv.is_some() && fp.tv == record.state.tv_fp;
                 if survey_rep && cells_rep && tv_rep {
                     anomalies.push((
                         "frozen".to_string(),
@@ -921,7 +855,7 @@ impl Cloud {
                 // 4) Baseline drift: slow calibration poisoning shows up
                 //    as a signed mean shift against the node's own
                 //    commissioning baseline.
-                if !record.forensics.baseline.is_empty() {
+                if !record.state.baseline.is_empty() {
                     let mut sum = 0.0;
                     let mut n = 0usize;
                     for b in &verdict.profile.bands {
@@ -929,7 +863,7 @@ impl Cloud {
                             continue;
                         };
                         if let Some((_, _, base)) = record
-                            .forensics
+                            .state
                             .baseline
                             .iter()
                             .find(|(t, l, _)| *t == source_tag(b.source) && *l == b.label)
@@ -971,12 +905,12 @@ impl Cloud {
                     }
                 }
                 // Record this round's evidence for the next one.
-                record.forensics.last_seed = Some(seed);
-                record.forensics.survey_fp = fp.survey;
-                record.forensics.cells_fp = fp.cells;
-                record.forensics.tv_fp = fp.tv;
-                if anomalies.is_empty() && record.forensics.baseline.is_empty() {
-                    record.forensics.baseline = verdict
+                record.state.last_seed = Some(seed);
+                record.state.survey_fp = fp.survey;
+                record.state.cells_fp = fp.cells;
+                record.state.tv_fp = fp.tv;
+                if anomalies.is_empty() && record.state.baseline.is_empty() {
+                    record.state.baseline = verdict
                         .profile
                         .bands
                         .iter()
@@ -988,28 +922,25 @@ impl Cloud {
                         .collect();
                 }
             }
-            // Ladder bookkeeping: complete rounds advance or reset the
-            // anomaly run; partial rounds leave it unchanged (the link
-            // ladder already charged them).
-            if complete {
-                if anomalies.is_empty() {
-                    record.consecutive_anomalies = 0;
-                } else {
-                    record.consecutive_anomalies = record.consecutive_anomalies.saturating_add(1);
-                    for (check, evidence) in &anomalies {
-                        self.obs.incr("audit.anomalies", 1);
-                        self.obs.emit(
-                            name,
-                            AuditEventKind::AnomalyDetected {
-                                check: check.clone(),
-                                evidence: evidence.clone(),
-                                consecutive: record.consecutive_anomalies,
-                            },
-                        );
-                    }
-                }
+            // The round's one ladder step (anomalies are only ever found
+            // on complete rounds).
+            let previous = record.state.ladder.health;
+            record
+                .state
+                .ladder
+                .record(&self.health_policy, complete, !anomalies.is_empty());
+            for (check, evidence) in &anomalies {
+                self.obs.incr("audit.anomalies", 1);
+                self.obs.emit(
+                    name,
+                    AuditEventKind::AnomalyDetected {
+                        check: check.clone(),
+                        evidence: evidence.clone(),
+                        consecutive: record.state.ladder.consecutive_anomalies,
+                    },
+                );
             }
-            self.apply_health(name, record, NodeHealth::Healthy, || {
+            self.apply_health(name, &mut record.state, previous, || {
                 anomalies
                     .first()
                     .map(|(c, e)| format!("{c}: {e}"))
@@ -1025,47 +956,39 @@ impl Cloud {
         *self.fused.lock() = fused;
     }
 
-    /// Walk both health ladders for one node and apply the more severe
-    /// rung (never dropping below `floor`), emitting the transition and —
-    /// on the terminal rung — the eviction event with its evidence.
+    /// Emit the transition a ladder step made from `previous`, and — on
+    /// the terminal rung — record and emit the eviction with its evidence.
     fn apply_health(
         &self,
         name: &str,
-        record: &mut NodeRecord,
-        floor: NodeHealth,
+        state: &mut RegistryNodeState,
+        previous: NodeHealth,
         eviction_reason: impl FnOnce() -> String,
     ) {
-        let effective = floor
-            .max_severity(self.health_policy.link_rung(record.consecutive_failures))
-            .max_severity(
-                self.health_policy
-                    .anomaly_rung(record.consecutive_anomalies),
-            );
-        if effective == record.health {
+        let ladder = state.ladder;
+        if ladder.health == previous {
             return;
         }
-        let previous = record.health;
-        record.health = effective;
         self.obs.incr("health.transitions", 1);
         self.obs.emit(
             name,
             AuditEventKind::HealthTransition {
                 from: previous.to_string(),
-                to: effective.to_string(),
-                consecutive_failures: record
+                to: ladder.health.to_string(),
+                consecutive_failures: ladder
                     .consecutive_failures
-                    .max(record.consecutive_anomalies),
+                    .max(ladder.consecutive_anomalies),
             },
         );
-        if effective == NodeHealth::Evicted {
+        if ladder.health == NodeHealth::Evicted {
             let reason = eviction_reason();
-            record.forensics.eviction_reason = Some(reason.clone());
+            state.eviction_reason = Some(reason.clone());
             self.obs.incr("audit.evictions", 1);
             self.obs.emit(
                 name,
                 AuditEventKind::NodeEvicted {
                     reason,
-                    after_audits: record.consecutive_anomalies,
+                    after_audits: ladder.consecutive_anomalies,
                 },
             );
         }
@@ -1374,7 +1297,9 @@ impl Cloud {
         let registry = self.registry.lock();
         let mut listings: Vec<(String, f64, f64)> = registry
             .iter()
-            .filter(|(_, rec)| rec.health.severity() < NodeHealth::Quarantined.severity())
+            .filter(|(_, rec)| {
+                rec.state.ladder.health.severity() < NodeHealth::Quarantined.severity()
+            })
             .filter_map(|(name, rec)| {
                 let v = rec.verdict.as_ref()?;
                 v.approved
@@ -1391,7 +1316,10 @@ impl Cloud {
         self.registry
             .lock()
             .iter()
-            .map(|(name, rec)| (name.clone(), rec.health, rec.consecutive_failures))
+            .map(|(name, rec)| {
+                let ladder = rec.state.ladder;
+                (name.clone(), ladder.health, ladder.consecutive_failures)
+            })
             .collect()
     }
 
@@ -1404,8 +1332,8 @@ impl Cloud {
             .map(|(name, rec)| {
                 (
                     name.clone(),
-                    rec.consecutive_anomalies,
-                    rec.forensics.eviction_reason.clone(),
+                    rec.state.ladder.consecutive_anomalies,
+                    rec.state.eviction_reason.clone(),
                 )
             })
             .collect()
@@ -1433,16 +1361,12 @@ impl Cloud {
         let mut registry = self.registry.lock();
         let mut out = Vec::new();
         for (name, record) in registry.iter_mut() {
-            if record.health == NodeHealth::Evicted {
+            if record.state.ladder.health == NodeHealth::Evicted {
                 continue;
             }
             self.obs.incr("attest.checks", 1);
             let before = record.link.stats();
-            let upto = record
-                .forensics
-                .attested
-                .map(|(served, _)| served)
-                .unwrap_or(0);
+            let upto = record.state.attested.map(|(served, _)| served).unwrap_or(0);
             let resp = record
                 .link
                 .call_with_retry(Request::Attest { upto }, &self.retry_policy);
@@ -1453,21 +1377,19 @@ impl Cloud {
                     chain,
                     upto_chain,
                 }) => {
-                    let consistent = match record.forensics.attested {
+                    let consistent = match record.state.attested {
                         Some((prev_served, prev_chain)) => {
                             upto_chain == prev_chain && served >= prev_served
                         }
                         None => true,
                     };
                     if consistent {
-                        record.forensics.attested = Some((served, chain));
+                        record.state.attested = Some((served, chain));
                     } else {
-                        let (prev_served, prev_chain) = record
-                            .forensics
-                            .attested
-                            .expect("inconsistent implies prior");
-                        record.consecutive_anomalies =
-                            record.consecutive_anomalies.saturating_add(1);
+                        let (prev_served, prev_chain) =
+                            record.state.attested.expect("inconsistent implies prior");
+                        let previous = record.state.ladder.health;
+                        record.state.ladder.record_fork(&self.health_policy);
                         self.obs.incr("audit.anomalies", 1);
                         let evidence = format!(
                             "service chain at checkpoint {prev_served} is {upto_chain:016x}, cloud recorded {prev_chain:016x} (served {served})"
@@ -1477,13 +1399,10 @@ impl Cloud {
                             AuditEventKind::AnomalyDetected {
                                 check: "history-fork".to_string(),
                                 evidence: evidence.clone(),
-                                consecutive: record.consecutive_anomalies,
+                                consecutive: record.state.ladder.consecutive_anomalies,
                             },
                         );
-                        // Never demote below the current rung here, and
-                        // treat a fork as at least quarantine-worthy.
-                        let floor = record.health.max_severity(NodeHealth::Quarantined);
-                        self.apply_health(name, record, floor, || {
+                        self.apply_health(name, &mut record.state, previous, || {
                             format!("history-fork: {evidence}")
                         });
                     }
@@ -1506,10 +1425,11 @@ impl Cloud {
     /// snapshot. Links, links' stats, and in-flight verdicts are not
     /// included — they are reconstructed by re-registering.
     pub fn snapshot_registry(&self) -> Vec<u8> {
-        let registry = self.registry.lock();
-        let states: Vec<RegistryNodeState> = registry
-            .iter()
-            .map(|(name, rec)| registry_state_of(name, rec))
+        let states: Vec<RegistryNodeState> = self
+            .registry
+            .lock()
+            .values()
+            .map(|rec| rec.state.clone())
             .collect();
         crate::snapshot::snapshot_registry(&states)
     }
@@ -1526,7 +1446,7 @@ impl Cloud {
             let Some(rec) = registry.get_mut(&st.name) else {
                 continue;
             };
-            apply_node_state(rec, st)?;
+            rec.state = st;
             applied += 1;
         }
         Ok(applied)
@@ -1560,8 +1480,8 @@ impl Cloud {
     pub fn registry_digest(&self) -> u64 {
         let registry = self.registry.lock();
         let mut h = FNV1A_OFFSET;
-        for (name, rec) in registry.iter() {
-            h = fnv1a(h, &encode_node_state(&registry_state_of(name, rec)));
+        for rec in registry.values() {
+            h = fnv1a(h, &encode_node_state(&rec.state));
         }
         h
     }
@@ -1604,18 +1524,7 @@ impl Cloud {
         {
             let mut registry = cloud.registry.lock();
             for (name, link) in links {
-                registry.insert(
-                    name,
-                    NodeRecord {
-                        link,
-                        verdict: None,
-                        reachable: true,
-                        health: NodeHealth::Healthy,
-                        consecutive_failures: 0,
-                        consecutive_anomalies: 0,
-                        forensics: NodeForensics::default(),
-                    },
-                );
+                registry.insert(name.clone(), NodeRecord::new(name, link));
             }
         }
         if let Some(bytes) = snapshot {
@@ -1657,7 +1566,7 @@ impl Cloud {
                     WalRecord::RoundCompleted { effects } if effects as usize == round.len() => {
                         for st in round.drain(..) {
                             if let Some(rec) = registry.get_mut(&st.name) {
-                                apply_node_state(rec, st)?;
+                                rec.state = st;
                                 report.applied_upserts += 1;
                             }
                         }
@@ -1728,7 +1637,7 @@ mod tests {
     fn health_ladder_walks_both_rungs_and_eviction_is_terminal() {
         let policy = HealthPolicy::default();
         let mut ladder = HealthLadder::default();
-        assert_eq!(ladder.health(), NodeHealth::Healthy);
+        assert_eq!(ladder.health, NodeHealth::Healthy);
 
         // Link ladder: one failure degrades, three quarantine, recovery
         // on the next clean audit — same thresholds as the registry.
@@ -1741,9 +1650,20 @@ mod tests {
         assert_eq!(ladder.record(&policy, true, false), NodeHealth::Healthy);
 
         // Byzantine ladder runs out at four consecutive anomalies and
-        // eviction is terminal: clean audits no longer help.
+        // eviction is terminal: clean audits no longer help. A failed
+        // audit between two anomalous ones charges the link run and
+        // leaves the anomaly run where it was.
         assert_eq!(ladder.record(&policy, true, true), NodeHealth::Suspect);
+        assert_eq!(ladder.record(&policy, false, false), NodeHealth::Degraded);
+        assert_eq!(
+            (ladder.consecutive_failures, ladder.consecutive_anomalies),
+            (1, 1)
+        );
         assert_eq!(ladder.record(&policy, true, true), NodeHealth::Degraded);
+        assert_eq!(
+            (ladder.consecutive_failures, ladder.consecutive_anomalies),
+            (0, 2)
+        );
         assert_eq!(ladder.record(&policy, true, true), NodeHealth::Quarantined);
         assert_eq!(ladder.record(&policy, true, true), NodeHealth::Evicted);
         assert_eq!(ladder.record(&policy, true, false), NodeHealth::Evicted);

@@ -42,10 +42,10 @@ pub mod transport;
 
 pub use adversary::{Adversary, AdversaryKind};
 pub use cloud::{
-    Cloud, ConsistencyPolicy, HealthLadder, HealthPolicy, NodeForensics, NodeHealth, NodeRecord,
-    RecoveryReport, ReportFingerprints, SpotCheck, StepFailure, StepOutcome, VerificationVerdict,
+    Cloud, ConsistencyPolicy, HealthLadder, HealthPolicy, NodeHealth, NodeRecord, RecoveryReport,
+    ReportFingerprints, SpotCheck, StepFailure, StepOutcome, VerificationVerdict,
 };
-pub use node::{NodeAgent, NodeBehavior, ServiceLedger, ServiceOutcome};
+pub use node::{NodeAgent, NodeBehavior, ServiceLedger};
 pub use protocol::{Envelope, NodeClaims, Request, Response, Sequenced};
 pub use snapshot::{RegistryNodeState, SnapshotError};
 pub use transport::{

@@ -279,37 +279,6 @@ impl NodeAgent {
         }
     }
 
-    /// Event-driven service entry point: drive this agent under a fault
-    /// plan without spawning a service thread.
-    ///
-    /// Replicates the node-side semantics of
-    /// [`crate::transport::spawn_node_with_faults`] exactly: a crashed
-    /// daemon exits before touching the request (the counter does not
-    /// advance), a hung request is swallowed after being received (the
-    /// counter advances but no reply is produced), and everything else is
-    /// serviced via [`NodeAgent::handle`]. `served` is the caller-held
-    /// count of requests that have reached the node so far — the same
-    /// counter the service thread keeps privately.
-    pub fn service_offline(
-        &self,
-        request: &Request,
-        faults: &crate::transport::LinkFaults,
-        served: &mut u64,
-    ) -> ServiceOutcome {
-        use crate::transport::NodeVerdict;
-        match faults.node_verdict(*served) {
-            NodeVerdict::Crashed => ServiceOutcome::Crashed,
-            NodeVerdict::Hang => {
-                *served += 1;
-                ServiceOutcome::Hung
-            }
-            NodeVerdict::Service => {
-                *served += 1;
-                ServiceOutcome::Reply(self.handle(request))
-            }
-        }
-    }
-
     /// The rented product: tune to a band, capture through this node's
     /// actual environment and front end, and return a Welch PSD. Every
     /// broadcast transmitter whose channel overlaps the span contributes
@@ -332,6 +301,10 @@ impl NodeAgent {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
 
         let mut capture = vec![Cplx::ZERO; n];
+        // Every in-span station shares one baseband waveform (synthesised
+        // on first use) and one impaired-signal buffer.
+        let mut base = None;
+        let mut sig = Vec::with_capacity(n);
         let mut geo = self.geo.lock().expect("geo accel poisoned");
         for tower in paper_tv_towers(&self.scenario.world.origin) {
             let f_c = tower.channel.center_hz();
@@ -351,8 +324,8 @@ impl NodeAgent {
             let rx_dbm =
                 LinkBudget::new(tower.erp_dbm, 0.0, rx_gain).sample_rx_dbm(&path, &mut rng);
             // Synthesize at baseband and heterodyne to the channel offset.
-            let base = aircal_tv::synth::synthesize_8vsb(n, span);
-            let sig = fe.scale_and_impair(&base, rx_dbm, 0.2, 0);
+            let base = base.get_or_insert_with(|| aircal_tv::synth::synthesize_8vsb(n, span));
+            fe.scale_and_impair_into(base, rx_dbm, 0.2, 0, &mut sig);
             for (k, s) in sig.iter().enumerate() {
                 capture[k] += *s * Cplx::phasor(core::f64::consts::TAU * offset / span * k as f64);
             }
@@ -362,21 +335,6 @@ impl NodeAgent {
             welch_psd(&capture, 512, 0.5, Window::Hann).expect("capture longer than a segment");
         (bins, center_hz, span)
     }
-}
-
-/// What happened when a request was driven through
-/// [`NodeAgent::service_offline`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum ServiceOutcome {
-    /// The node serviced the request and produced this reply.
-    Reply(Response),
-    /// The node received the request but wedged mid-service; no reply
-    /// will ever come. The request still counts against the served
-    /// counter, exactly as in the threaded service loop.
-    Hung,
-    /// The node's host daemon has crashed; the request was never
-    /// received and the served counter does not advance.
-    Crashed,
 }
 
 #[cfg(test)]
@@ -407,43 +365,6 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-    }
-
-    #[test]
-    fn service_offline_mirrors_threaded_fault_semantics() {
-        use crate::transport::LinkFaults;
-        let s = Scenario::build(ScenarioKind::Indoor);
-        let node = NodeAgent::new(s.clone(), NodeBehavior::Honest, sky(s.site.position));
-        let faults = LinkFaults {
-            hang_on: vec![1],
-            crash_after: Some(3),
-            ..LinkFaults::default()
-        };
-        let mut served = 0u64;
-        let req = Request::Describe;
-        // Request 0 is serviced normally.
-        match node.service_offline(&req, &faults, &mut served) {
-            ServiceOutcome::Reply(Response::Description(_)) => {}
-            other => panic!("unexpected {other:?}"),
-        }
-        assert_eq!(served, 1);
-        // Request 1 hangs: swallowed after receipt, counter still advances.
-        assert_eq!(
-            node.service_offline(&req, &faults, &mut served),
-            ServiceOutcome::Hung
-        );
-        assert_eq!(served, 2);
-        // Request 2 serviced, then the daemon crashes before request 3.
-        assert!(matches!(
-            node.service_offline(&req, &faults, &mut served),
-            ServiceOutcome::Reply(_)
-        ));
-        assert_eq!(served, 3);
-        assert_eq!(
-            node.service_offline(&req, &faults, &mut served),
-            ServiceOutcome::Crashed
-        );
-        assert_eq!(served, 3, "a crashed daemon never receives the request");
     }
 
     #[test]
@@ -506,6 +427,39 @@ mod tests {
         );
         // And the rooftop actually sees a strong station.
         assert!(roof > -20.0, "rooftop in-band {roof:.1} dBFS");
+    }
+
+    /// Two stations share the 20 MHz span around 533 MHz (KSE-22 and
+    /// KST-26), so this reply sums two impaired copies of the one
+    /// synthesised waveform; its bits are pinned.
+    #[test]
+    fn monitor_band_reply_is_pinned() {
+        let shared = sky(aircal_env::scenarios::testbed_origin());
+        let node = NodeAgent::new(
+            Scenario::build(ScenarioKind::Rooftop),
+            NodeBehavior::Honest,
+            shared,
+        );
+        let req = Request::MonitorBand {
+            center_hz: 533e6,
+            span_hz: 20e6,
+            seed: 11,
+        };
+        let Response::Psd {
+            bins,
+            center_hz,
+            span_hz,
+        } = node.handle(&req)
+        else {
+            panic!("a monitor request is answered with a PSD");
+        };
+        let mut h = fnv1a(FNV1A_OFFSET, &center_hz.to_bits().to_le_bytes());
+        h = fnv1a(h, &span_hz.to_bits().to_le_bytes());
+        for b in &bins {
+            h = fnv1a(h, &b.to_bits().to_le_bytes());
+        }
+        assert_eq!(bins.len(), 512);
+        assert_eq!(h, 0x4c25_84c1_a842_5767);
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! bit-flipped snapshot must fail restore loudly, never panic, never load.
 
 use crate::adversary::{Adversary, AdversaryKind, AdversaryState};
+use crate::cloud::{HealthLadder, NodeHealth};
 use crate::node::{NodeAgent, NodeBehavior, ServiceLedger};
 use crate::protocol::NodeClaims;
 use aircal_aircraft::TrafficSim;
@@ -414,21 +415,18 @@ pub fn restore_node(
 // Cloud registry snapshots
 // ---------------------------------------------------------------------------
 
-/// One node's durable registry state, as the cloud persists it. The live
-/// link, in-flight verdicts, and link statistics are deliberately *not*
-/// part of the snapshot — they are reconstructed by re-registering.
-#[derive(Debug, Clone, PartialEq)]
+/// One node's durable registry state: the record the cloud keeps between
+/// audits and persists in snapshots and journal upserts. The live link,
+/// in-flight verdicts, and link statistics are deliberately *not* part
+/// of it — they are reconstructed by re-registering.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RegistryNodeState {
     /// Node name (the registry key).
     pub name: String,
-    /// Health-ladder rung, as [`crate::cloud::NodeHealth::severity`].
-    pub health: u8,
+    /// The node's health ladder: both runs and its effective rung.
+    pub ladder: HealthLadder,
     /// Last known reachability.
     pub reachable: bool,
-    /// Consecutive failed audits (link ladder).
-    pub consecutive_failures: u32,
-    /// Consecutive audits with data anomalies (data ladder).
-    pub consecutive_anomalies: u32,
     /// Commission seed of the node's last completed audit (fingerprint
     /// comparisons are only evidence when the seeds differ).
     pub last_seed: Option<u64>,
@@ -449,10 +447,10 @@ pub struct RegistryNodeState {
 
 fn write_node_state(w: &mut Writer, n: &RegistryNodeState) {
     w.str(&n.name);
-    w.u8(n.health);
+    w.u8(n.ladder.health.severity());
     w.bool(n.reachable);
-    w.u32(n.consecutive_failures);
-    w.u32(n.consecutive_anomalies);
+    w.u32(n.ladder.consecutive_failures);
+    w.u32(n.ladder.consecutive_anomalies);
     w.opt_u64(n.last_seed);
     w.opt_u64(n.survey_fp);
     w.opt_u64(n.cells_fp);
@@ -485,13 +483,14 @@ fn read_node_state(
     payload_len: usize,
 ) -> Result<RegistryNodeState, SnapshotError> {
     let name = r.str()?;
-    let health = r.u8()?;
-    if health > 4 {
-        return Err(SnapshotError::Malformed("health rung"));
-    }
+    let health =
+        NodeHealth::from_severity(r.u8()?).ok_or(SnapshotError::Malformed("health rung"))?;
     let reachable = r.bool()?;
-    let consecutive_failures = r.u32()?;
-    let consecutive_anomalies = r.u32()?;
+    let ladder = HealthLadder {
+        consecutive_failures: r.u32()?,
+        consecutive_anomalies: r.u32()?,
+        health,
+    };
     let last_seed = r.opt_u64()?;
     let survey_fp = r.opt_u64()?;
     let cells_fp = r.opt_u64()?;
@@ -516,10 +515,8 @@ fn read_node_state(
     };
     Ok(RegistryNodeState {
         name,
-        health,
+        ladder,
         reachable,
-        consecutive_failures,
-        consecutive_anomalies,
         last_seed,
         survey_fp,
         cells_fp,
@@ -583,10 +580,8 @@ mod tests {
         vec![
             RegistryNodeState {
                 name: "open-field".into(),
-                health: 0,
+                ladder: HealthLadder::default(),
                 reachable: true,
-                consecutive_failures: 0,
-                consecutive_anomalies: 0,
                 last_seed: Some(777),
                 survey_fp: Some(0xDEAD_BEEF),
                 cells_fp: None,
@@ -597,10 +592,12 @@ mod tests {
             },
             RegistryNodeState {
                 name: "ghost-rig".into(),
-                health: 4,
+                ladder: HealthLadder {
+                    consecutive_failures: 2,
+                    consecutive_anomalies: 4,
+                    health: NodeHealth::Evicted,
+                },
                 reachable: false,
-                consecutive_failures: 2,
-                consecutive_anomalies: 4,
                 last_seed: None,
                 survey_fp: None,
                 cells_fp: None,

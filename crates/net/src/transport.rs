@@ -111,17 +111,6 @@ impl LinkStats {
     pub fn calls_ok(&self) -> u64 {
         self.first_try_ok + self.retried_ok
     }
-
-    /// Fraction of successful calls that needed at least one retry —
-    /// the flakiness signal `health_report` consumers sort by.
-    pub fn retried_fraction(&self) -> f64 {
-        let calls = self.calls_ok();
-        if calls == 0 {
-            0.0
-        } else {
-            self.retried_ok as f64 / calls as f64
-        }
-    }
 }
 
 /// A contiguous run of wire attempts during which the link is down:
@@ -419,13 +408,6 @@ impl RetryPolicy {
         };
         Duration::from_secs_f64(capped + jitter)
     }
-
-    /// The full backoff schedule a call could sleep through, generated
-    /// from a seed. Deterministic: same seed ⇒ same schedule.
-    pub fn backoff_schedule(&self, seed: u64, retries: u32) -> Vec<Duration> {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        (0..retries).map(|r| self.backoff(r, &mut rng)).collect()
-    }
 }
 
 /// The cloud's handle to one node.
@@ -695,19 +677,18 @@ pub fn spawn_node_with_faults(agent: NodeAgent, faults: LinkFaults, link_seed: u
     let (req_tx, req_rx) = bounded::<Sequenced<Request>>(4);
     let (resp_tx, resp_rx) = bounded::<Sequenced<Response>>(4);
     let node_id = node_id_for(&agent.claims.name);
-    let crash_after = faults.crash_after;
-    let hang_on = faults.hang_on.clone();
+    let node_faults = faults.clone();
     let handle = std::thread::Builder::new()
         .name(format!("node-{}", agent.claims.name))
         .spawn(move || {
             let mut served: u64 = 0;
             while let Ok(req) = req_rx.recv() {
-                if crash_after.is_some_and(|n| served >= n) {
+                let verdict = node_faults.node_verdict(served);
+                if verdict == NodeVerdict::Crashed {
                     break; // host daemon crash: exit without replying
                 }
-                let idx = served;
                 served += 1;
-                if hang_on.contains(&idx) {
+                if verdict == NodeVerdict::Hang {
                     continue; // wedged mid-request: swallow, never reply
                 }
                 let shutdown = matches!(req.body, Request::Shutdown);
@@ -912,13 +893,19 @@ mod tests {
         link.shutdown();
     }
 
+    /// The backoffs a call sleeps through on a link seeded with `seed`.
+    fn backoff_schedule(policy: &RetryPolicy, seed: u64, retries: u32) -> Vec<Duration> {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        (0..retries).map(|r| policy.backoff(r, &mut rng)).collect()
+    }
+
     #[test]
     fn backoff_schedule_is_deterministic() {
         let policy = RetryPolicy::default();
-        let a = policy.backoff_schedule(42, 6);
-        let b = policy.backoff_schedule(42, 6);
+        let a = backoff_schedule(&policy, 42, 6);
+        let b = backoff_schedule(&policy, 42, 6);
         assert_eq!(a, b, "same seed must give the same schedule");
-        let c = policy.backoff_schedule(43, 6);
+        let c = backoff_schedule(&policy, 43, 6);
         assert_ne!(a, c, "different seeds must jitter differently");
         // Pre-jitter growth is exponential up to the cap; jitter adds at
         // most `jitter` of the capped value.
@@ -936,7 +923,7 @@ mod tests {
             jitter: 0.0,
             ..RetryPolicy::default()
         };
-        let sched = policy.backoff_schedule(1, 4);
+        let sched = backoff_schedule(&policy, 1, 4);
         assert_eq!(sched[0], Duration::from_millis(100));
         assert_eq!(sched[1], Duration::from_millis(200));
         assert_eq!(sched[2], Duration::from_millis(400));
@@ -1001,7 +988,34 @@ mod tests {
         assert_eq!(stats.first_try_ok, 1);
         assert_eq!(stats.retried_ok, 1);
         assert_eq!(stats.calls_ok(), 2);
-        assert!((stats.retried_fraction() - 0.5).abs() < 1e-12);
+        link.shutdown();
+    }
+
+    /// The service loop acts on [`LinkFaults::node_verdict`] for every
+    /// request it receives: request 0 is answered, request 1 is swallowed
+    /// (the caller times out), request 2 is answered, and from request 3
+    /// on the daemon is gone before it reads the request.
+    #[test]
+    fn service_loop_follows_node_verdict() {
+        let faults = LinkFaults {
+            hang_on: vec![1],
+            crash_after: Some(3),
+            ..LinkFaults::none()
+        };
+        let mut link = spawn_node_with_faults(agent(ScenarioKind::Indoor), faults.clone(), 24);
+        link.timeout = Duration::from_millis(200);
+        for served in 0..4 {
+            let reply = link.call(Request::Describe);
+            match faults.node_verdict(served) {
+                NodeVerdict::Service => {
+                    assert_eq!(reply.expect("serviced").kind(), "description")
+                }
+                NodeVerdict::Hang => assert_eq!(reply.unwrap_err(), LinkError::Timeout),
+                NodeVerdict::Crashed => assert_eq!(reply.unwrap_err(), LinkError::SendFailed),
+            }
+        }
+        let stats = link.stats();
+        assert_eq!((stats.ok, stats.timeouts, stats.send_failed), (2, 1, 1));
         link.shutdown();
     }
 

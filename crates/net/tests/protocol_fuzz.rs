@@ -26,8 +26,8 @@ use aircal_core::wal::{crc32, fnv1a, Journal, WalRecord, FNV1A_OFFSET};
 use aircal_env::{Scenario, ScenarioKind};
 use aircal_net::adversary::AdversaryState;
 use aircal_net::{
-    snapshot, Adversary, AdversaryKind, NodeAgent, NodeBehavior, RegistryNodeState, Request,
-    Response, ServiceLedger,
+    snapshot, Adversary, AdversaryKind, HealthLadder, NodeAgent, NodeBehavior, NodeHealth,
+    RegistryNodeState, Request, Response, ServiceLedger,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -337,10 +337,8 @@ const SNAPSHOT_STREAM_SALT: u64 = 0x4143_534E; // "ACSN"
 fn registry_seed_states() -> Vec<RegistryNodeState> {
     let base = RegistryNodeState {
         name: "open-field".into(),
-        health: 0,
+        ladder: HealthLadder::default(),
         reachable: true,
-        consecutive_failures: 0,
-        consecutive_anomalies: 0,
         last_seed: Some(777),
         survey_fp: Some(0xDEAD_BEEF),
         cells_fp: None,
@@ -353,10 +351,12 @@ fn registry_seed_states() -> Vec<RegistryNodeState> {
         base.clone(),
         RegistryNodeState {
             name: String::new(),
-            health: 4,
+            ladder: HealthLadder {
+                consecutive_failures: u32::MAX,
+                consecutive_anomalies: 4,
+                health: NodeHealth::Evicted,
+            },
             reachable: false,
-            consecutive_failures: u32::MAX,
-            consecutive_anomalies: 4,
             last_seed: None,
             survey_fp: None,
             tv_fp: None,
@@ -367,7 +367,10 @@ fn registry_seed_states() -> Vec<RegistryNodeState> {
         },
         RegistryNodeState {
             name: "Zürich-rooftop-✓".into(),
-            health: 2,
+            ladder: HealthLadder {
+                health: NodeHealth::Degraded,
+                ..HealthLadder::default()
+            },
             cells_fp: Some(u64::MAX),
             baseline: (0..12u8)
                 .map(|i| {

@@ -8,11 +8,10 @@
 //! plus a small per-node calibration offset; a seeded fraction of nodes
 //! are grossly miscalibrated — the paper's careless volunteers), a
 //! [`LinkFaults`] chaos plan derived from the campaign seed, and an
-//! `aircal-net` [`HealthLadder`] on the threaded registry's
-//! [`HealthPolicy`] rungs (its counter rules differ from the registry's
-//! on failed audits; see [`HealthLadder`]). Schedule rounds ask the
-//! configured [`Scheduler`] for assignments; every dispatch is judged by
-//! [`LinkFaults::attempt_verdict`] (wire) and
+//! `aircal-net` [`HealthLadder`] under the threaded registry's
+//! [`HealthPolicy`], the same ladder and rule the registry walks.
+//! Schedule rounds ask the configured [`Scheduler`] for assignments;
+//! every dispatch is judged by [`LinkFaults::attempt_verdict`] (wire) and
 //! [`LinkFaults::node_verdict`] (daemon crash/hang) — the *same* fault
 //! semantics the threaded transport enforces. Delivered measurements
 //! become [`EventKind::TaskComplete`] events after the task's dwell
@@ -673,7 +672,7 @@ impl<'a> Campaign<'a> {
             h = fnv1a(h, &n.cloud.trust.to_bits().to_le_bytes());
             h = fnv1a(h, &n.cloud.ladder.consecutive_failures.to_le_bytes());
             h = fnv1a(h, &n.cloud.ladder.consecutive_anomalies.to_le_bytes());
-            h = fnv1a(h, &[n.cloud.ladder.health().severity()]);
+            h = fnv1a(h, &[n.cloud.ladder.health.severity()]);
             for ki in 0..3 {
                 h = fold_opt_u64(h, n.cloud.profile_mean[ki].map(f64::to_bits));
                 h = fold_opt_u64(h, n.cloud.last_applied_seq[ki]);
@@ -863,8 +862,7 @@ impl<'a> Campaign<'a> {
 
     fn schedulable(&self, node: usize) -> bool {
         self.nodes[node].daemon_alive
-            && self.nodes[node].cloud.ladder.health().severity()
-                < NodeHealth::Quarantined.severity()
+            && self.nodes[node].cloud.ladder.health.severity() < NodeHealth::Quarantined.severity()
     }
 
     fn apply_schedule_round(&mut self, ev: &SimEvent) {
@@ -1482,14 +1480,14 @@ impl<'a> Campaign<'a> {
         let mut digest = self.digest;
         for n in &self.nodes {
             digest = fnv1a(digest, &n.cloud.trust.to_bits().to_le_bytes());
-            digest = fnv1a(digest, &[n.cloud.ladder.health().severity()]);
+            digest = fnv1a(digest, &[n.cloud.ladder.health.severity()]);
             digest = fnv1a(digest, &n.served.to_le_bytes());
         }
         let state_digest = self.cloud_state_digest();
         let mut health_counts: BTreeMap<String, usize> = BTreeMap::new();
         for n in &self.nodes {
             *health_counts
-                .entry(format!("{:?}", n.cloud.ladder.health()))
+                .entry(format!("{:?}", n.cloud.ladder.health))
                 .or_insert(0) += 1;
         }
         self.obs

@@ -17,10 +17,8 @@
 //!   the *real* [`aircal_net::LinkFaults`] chaos plans via
 //!   [`aircal_net::LinkFaults::attempt_verdict`], node-side crash/hang
 //!   semantics via [`aircal_net::LinkFaults::node_verdict`], and cloud
-//!   audit rounds that walk an [`aircal_net::HealthLadder`] over the
-//!   threaded registry's [`aircal_net::HealthPolicy`] rungs. The ladder
-//!   is not the registry's own bookkeeping: on a failed audit it resets
-//!   the anomaly run, where the registry leaves it unchanged.
+//!   audit rounds that walk the threaded registry's own
+//!   [`aircal_net::HealthLadder`] under its [`aircal_net::HealthPolicy`].
 //!
 //! # Determinism contract
 //!

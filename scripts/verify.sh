@@ -41,16 +41,18 @@ cargo run --release --example cloud_failover -- 400 42 --no-partition
 echo "== benchmark self-tests (benchmark/ is a workspace of its own) =="
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
-echo "== fleet_recovery smoke (20k nodes: the recovered campaign equals its crash-free twin) =="
-# The BENCHMARK.json command, one short run; its result line must report
-# a correct run with no failed operations.
-result=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
-  --workload fleet_recovery --seed 7 --seconds 1 --trace 0 | tail -n 1)
-echo "$result"
-case "$result" in
-  *'"correct": true,'*'"failed": 0,'*) ;;
-  *) echo "# fleet_recovery smoke: expected \"correct\": true and \"failed\": 0" >&2; exit 1 ;;
-esac
+echo "== fleet smokes (20k nodes: fleet_campaign repeats its digest; fleet_recovery equals its crash-free twin) =="
+# The BENCHMARK.json command, one short run each; its result line must
+# report a correct run with no failed operations.
+for workload in fleet_campaign fleet_recovery; do
+  result=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload "$workload" --seed 7 --seconds 1 --trace 0 | tail -n 1)
+  echo "$result"
+  case "$result" in
+    *'"correct": true,'*'"failed": 0,'*) ;;
+    *) echo "# $workload smoke: expected \"correct\": true and \"failed\": 0" >&2; exit 1 ;;
+  esac
+done
 
 echo "== calibrate smokes (untraced: every world classified; traced: the replica's reports equal Calibrator::calibrate's and layer_coverage >= 0.95) =="
 for trace in 0 1; do

@@ -14,7 +14,11 @@
 //! 2. a mixed fleet campaign detects and evicts every adversary at an
 //!    exact, replayable round — the full audit-event stream, verdicts,
 //!    and health history are bit-identical across two runs — while all
-//!    honest nodes stay `Healthy` with zero anomalies;
+//!    honest nodes stay `Healthy` with zero anomalies; round by round,
+//!    every node's registry rung equals a bare `HealthLadder` fed its
+//!    `(complete, anomalous)` outcomes, also when wire faults land
+//!    between a cheater's convictions (a lost audit does not clear its
+//!    anomaly run);
 //! 3. killing the whole deployment mid-campaign (cloud *and* nodes) and
 //!    restoring from snapshots resumes bit-identically: same evictions,
 //!    same evidence strings, same fused consensus, byte-identical
@@ -26,15 +30,16 @@
 //!    with a typed error — never a panic, never a silently-wrong node.
 
 use aircal::net::{
-    spawn_node, AdversaryKind, Cloud, NodeAgent, NodeBehavior, NodeHealth, Request, RetryPolicy,
-    VerificationVerdict,
+    spawn_node, spawn_node_with_faults, AdversaryKind, BurstOutage, Cloud, HealthLadder,
+    LinkFaults, NodeAgent, NodeBehavior, NodeHealth, Request, RetryPolicy, VerificationVerdict,
 };
-use aircal::obs::Obs;
+use aircal::obs::{AuditEventKind, Obs};
 use aircal::prelude::*;
 use aircal_aircraft::{TrafficConfig, TrafficSim};
 use aircal_core::freqprofile::{BandMeasurement, FrequencyProfile, SourceKind};
 use aircal_core::robust::{fuse_profiles, FusionRule};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 fn sky() -> Arc<TrafficSim> {
@@ -507,6 +512,155 @@ fn adversarial_fleet_is_evicted_deterministically_and_honest_survive() {
         format!("{:?}", replay.anomalies),
         "anomaly ladder replays bit-identically"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Claim 2b: the registry walks one bare HealthLadder per node
+// ---------------------------------------------------------------------------
+
+/// Audit `fleet` for `rounds` rounds and, after every round, feed each
+/// node's `(complete, anomalous)` outcome into a bare [`HealthLadder`]:
+/// the registry's rung, link run and anomaly run must equal the bare
+/// ladder's. Returns the per-round anomaly runs, keyed by node name.
+fn audit_against_bare_ladders(
+    fleet: Vec<(
+        &'static str,
+        ScenarioKind,
+        Option<AdversaryKind>,
+        LinkFaults,
+    )>,
+    rounds: u64,
+) -> Vec<BTreeMap<String, (NodeHealth, u32)>> {
+    let sky = sky();
+    let cloud = new_cloud(&sky);
+    for (i, (name, kind, adv, faults)) in fleet.into_iter().enumerate() {
+        let scenario = Scenario::build(kind);
+        let mut agent = match adv {
+            Some(kind) => {
+                NodeAgent::with_adversary(scenario, sky.clone(), kind, 0xBAD5_EED0 + i as u64)
+            }
+            None => NodeAgent::new(scenario, NodeBehavior::Honest, sky.clone()),
+        };
+        agent.claims.name = name.to_string();
+        let link = spawn_node_with_faults(agent, faults, 7000 + i as u64);
+        assert_eq!(cloud.register(link).as_deref(), Some(name));
+    }
+    let mut ladders: BTreeMap<String, HealthLadder> = BTreeMap::new();
+    let mut history = Vec::new();
+    for round in 0..rounds {
+        let seen = cloud.obs.events().len();
+        let verdicts = cloud.audit_all(CAMPAIGN_BASE_SEED + round);
+        let events = cloud.obs.events();
+        for (name, verdict) in &verdicts {
+            let complete = verdict.as_ref().is_some_and(|v| v.is_complete());
+            let anomalous = events[seen..].iter().any(|e| {
+                e.node == *name && matches!(e.kind, AuditEventKind::AnomalyDetected { .. })
+            });
+            ladders.entry(name.clone()).or_default().record(
+                &cloud.health_policy,
+                complete,
+                anomalous,
+            );
+        }
+        let anomaly_runs: BTreeMap<String, u32> = cloud
+            .anomaly_report()
+            .into_iter()
+            .map(|(name, run, _)| (name, run))
+            .collect();
+        let mut snap = BTreeMap::new();
+        for (name, health, failures) in cloud.health_report() {
+            let bare = ladders[&name];
+            let anomalies = anomaly_runs[&name];
+            assert_eq!(
+                (health, failures, anomalies),
+                (
+                    bare.health,
+                    bare.consecutive_failures,
+                    bare.consecutive_anomalies
+                ),
+                "round {round}: {name} left the bare ladder"
+            );
+            snap.insert(name, (health, anomalies));
+        }
+        history.push(snap);
+    }
+    cloud.shutdown();
+    history
+}
+
+#[test]
+fn registry_health_equals_a_bare_ladder_every_round() {
+    // The clean adversarial campaign of claim 2.
+    let clean: Vec<_> = campaign_fleet()
+        .into_iter()
+        .map(|(name, kind, adv)| (name, kind, adv, LinkFaults::none()))
+        .collect();
+    audit_against_bare_ladders(clean, CAMPAIGN_ROUNDS);
+
+    // Wire faults between the cheaters' anomalous rounds. Request 0 is
+    // the registration and round r's describe/survey/cells/tv are wire
+    // attempts 4r+1 … 4r+4; an outage as long as the retry budget (3
+    // attempts) fails that step. `h-field` is cut off long enough to be
+    // quarantined, fail its cheap probes, and be re-admitted.
+    let outage = |start: u64, len: u64| LinkFaults {
+        burst_outages: vec![BurstOutage { start, len }],
+        ..LinkFaults::none()
+    };
+    let faulted = vec![
+        (
+            "adv-gain",
+            ScenarioKind::OpenField,
+            Some(AdversaryKind::GainInflate { db: 25.0 }),
+            outage(8, 3),
+        ),
+        (
+            "adv-replay",
+            ScenarioKind::Rooftop,
+            Some(AdversaryKind::ReplayStale),
+            outage(11, 3),
+        ),
+        (
+            "adv-spoof",
+            ScenarioKind::OpenField,
+            Some(AdversaryKind::SpoofAdsb { ghosts: 24 }),
+            outage(10, 3),
+        ),
+        ("h-field", ScenarioKind::OpenField, None, outage(5, 20)),
+        ("h-roof", ScenarioKind::Rooftop, None, LinkFaults::none()),
+        (
+            "h-window",
+            ScenarioKind::BehindWindow,
+            None,
+            LinkFaults::none(),
+        ),
+    ];
+    let history = audit_against_bare_ladders(faulted, CAMPAIGN_ROUNDS);
+    let at = |round: usize, name: &str| history[round][name];
+    // adv-gain: convicted in round 0, its round-1 tv sweep is lost, and
+    // the failed round leaves its anomaly run at 1 instead of clearing
+    // it; the conviction resumes at 2 in round 2.
+    assert_eq!(at(0, "adv-gain"), (NodeHealth::Suspect, 1));
+    assert_eq!(at(1, "adv-gain"), (NodeHealth::Degraded, 1));
+    assert_eq!(at(2, "adv-gain"), (NodeHealth::Degraded, 2));
+    // adv-spoof loses its round-2 survey between convictions the same way.
+    assert_eq!(at(1, "adv-spoof"), (NodeHealth::Degraded, 2));
+    assert_eq!(at(2, "adv-spoof"), (NodeHealth::Degraded, 2));
+    let last = history.last().unwrap();
+    for name in ["adv-gain", "adv-replay", "adv-spoof"] {
+        assert_eq!(last[name].0, NodeHealth::Evicted, "{name} is still evicted");
+    }
+    assert!(
+        history
+            .iter()
+            .any(|snap| snap["h-field"].0 == NodeHealth::Quarantined),
+        "the cut-off honest node was quarantined"
+    );
+    assert_eq!(last["h-field"], (NodeHealth::Healthy, 0), "and re-admitted");
+    for snap in &history {
+        for name in ["h-roof", "h-window"] {
+            assert_eq!(snap[name], (NodeHealth::Healthy, 0), "{name}");
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

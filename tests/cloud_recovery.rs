@@ -432,12 +432,12 @@ fn thousand_node_recovery_campaign_matches_its_pinned_digests() {
             r.invariant_violations
         );
         assert_eq!(r.recoveries, 9);
-        assert_eq!(r.digest, "2013909c7b6ff879", "record_log = {record_log}");
+        assert_eq!(r.digest, "a6be5949f970e428", "record_log = {record_log}");
         assert_eq!(
-            r.state_digest, "72cec61e5e400d2a",
+            r.state_digest, "59f90884b4891cee",
             "record_log = {record_log}"
         );
-        assert_eq!(r.replayed_records, 11052, "record_log = {record_log}");
+        assert_eq!(r.replayed_records, 11043, "record_log = {record_log}");
         assert_eq!(r.log.is_empty(), !record_log);
         faulted.push(r);
     }
