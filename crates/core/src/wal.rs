@@ -74,12 +74,45 @@ const CRC32_TABLE: [u32; 256] = {
     table
 };
 
-/// CRC-32 (IEEE 802.3, reflected), one table lookup per byte. The one
-/// copy in the workspace: journal frames, ACSN snapshots and the
-/// cloud's snapshot/journal chaining all call it.
+/// Slicing-by-8 tables: `CRC32_SLICES[k][b]` is the CRC state of byte
+/// `b` followed by `k` zero bytes, so eight bytes fold in one step of
+/// eight independent lookups. Row 0 is [`CRC32_TABLE`].
+const CRC32_SLICES: [[u32; 256]; 8] = {
+    let mut slices = [CRC32_TABLE; 8];
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = slices[k - 1][i];
+            slices[k][i] = (prev >> 8) ^ CRC32_TABLE[(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    slices
+};
+
+/// CRC-32 (IEEE 802.3, reflected), eight bytes per step (slicing-by-8),
+/// then one table lookup per tail byte. The one copy in the workspace:
+/// journal frames, ACSN snapshots and the cloud's snapshot/journal
+/// chaining all call it.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_SLICES;
     let mut crc = !0u32;
-    for &b in bytes {
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
         crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
@@ -157,7 +190,10 @@ pub enum WalRecord {
     },
     /// A registry snapshot was taken; the journal prefix before this
     /// point is redundant. `state_crc` is the CRC-32 of the snapshot
-    /// bytes, chaining journal and snapshot together.
+    /// bytes, chaining journal and snapshot together. Only the threaded
+    /// `aircal-net` cloud checks it (`Cloud::recover`); the
+    /// discrete-event engine writes 0, because its crash check compares
+    /// the recovered cloud state with the live one directly.
     SnapshotTaken { tick: u64, state_crc: u32 },
     /// The commit marker of a round: the `effects` node upserts just
     /// before it are whole, and recovery may apply them.
@@ -543,8 +579,8 @@ mod tests {
         ]
     }
 
-    /// The bitwise definition the table is built from, kept as the
-    /// reference the table-driven [`crc32`] must equal.
+    /// The bitwise definition the tables are built from, kept as the
+    /// reference the slicing-by-8 [`crc32`] must equal.
     fn crc32_bitwise(bytes: &[u8]) -> u32 {
         let mut crc = !0u32;
         for b in bytes {

@@ -31,6 +31,7 @@
 //! produce bit-identical event logs, digests, and trust tables.
 
 use crate::event::{EventKind, EventQueue, SimEvent, TaskKind};
+use crate::line::Line;
 use crate::scheduler::{FleetView, NodeView, Scheduler, SchedulerKind};
 use aircal_core::wal::{fnv1a, Journal, WalRecord, FNV1A_OFFSET};
 use aircal_dsp::{derive_stream_seed, par_map};
@@ -40,7 +41,6 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::fmt;
 
 /// Stream salts: every independent randomness consumer XORs its own
 /// salt into the campaign seed before deriving per-item streams, so no
@@ -65,18 +65,6 @@ const KEY_PART: u64 = 0x5041_5254_0000_0001; // "PART"
 const KEY_CRASH: u64 = 0x4352_4153_4800_0001; // "CRASH"
 const KEY_END: u64 = 0x454E_4400_0000_0001; // "END"
 
-/// A `fmt::Write` sink that folds text into an FNV-1a state as it is
-/// formatted. FNV-1a consumes one byte at a time, so folding the pieces
-/// in order equals folding the whole line, without building it.
-struct FnvSink(u64);
-
-impl fmt::Write for FnvSink {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.0 = fnv1a(self.0, s.as_bytes());
-        Ok(())
-    }
-}
-
 /// Stable identity of one delivered report: a pure hash of `(node,
 /// kind, seq)`. Used both as the event's tie-break key and (with
 /// [`KEY_REPLAY`]/[`KEY_BACKLOG`] folded in) for its injected copies.
@@ -86,22 +74,28 @@ fn task_key(node: u32, kind: TaskKind, seq: u64) -> u64 {
     fnv1a(h, &seq.to_le_bytes())
 }
 
+/// One measurement report's band powers, dB.
+type Payload = [f64; TaskKind::BANDS];
+
 /// A measurement payload: pure function of `(campaign seed, node,
 /// dispatch seq, node truth)`. Safe to compute on any worker thread —
 /// it derives its own RNG stream from the dispatch identity, so a
 /// duplicated or retransmitted delivery of the same `(node, seq)`
 /// carries bit-identical data (as a retransmission of one capture
 /// does), and injecting extra events never shifts any other payload.
-fn measure_payload(meas_seed: u64, node: u32, seq: u64, base: &[f64], offset_db: f64) -> Vec<f64> {
+fn measure_payload(meas_seed: u64, node: u32, seq: u64, base: &Payload, offset_db: f64) -> Payload {
     let node_stream = derive_stream_seed(meas_seed, node as u64);
     let mut rng = ChaCha8Rng::seed_from_u64(derive_stream_seed(node_stream, seq));
-    base.iter()
-        .map(|b| {
-            // Sum of two uniforms: triangular, sigma ~ 0.4 dB.
-            let noise = rng.gen_range(-0.5..0.5) + rng.gen_range(-0.5..0.5);
-            b + offset_db + noise
-        })
-        .collect()
+    // Two words per band, drawn in one `fill_u64` (the words the same
+    // number of `gen_range` calls would take).
+    let mut words = [0u64; 2 * TaskKind::BANDS];
+    rng.fill_u64(&mut words);
+    std::array::from_fn(|i| {
+        // Sum of two uniforms: triangular, sigma ~ 0.4 dB.
+        let noise = rand::uniform_f64(words[2 * i], -0.5, 0.5)
+            + rand::uniform_f64(words[2 * i + 1], -0.5, 0.5);
+        base[i] + offset_db + noise
+    })
 }
 
 /// Seed-derived chaos shaping for the whole fleet. Which nodes are
@@ -470,10 +464,12 @@ struct Campaign<'a> {
     queue: EventQueue,
     scheduler: Box<dyn Scheduler>,
     policy: HealthPolicy,
-    base: [[f64; TaskKind::BANDS]; 3],
+    base: [Payload; 3],
     nodes: Vec<SimNode>,
     views: Vec<NodeView>,
     digest: u64,
+    /// The event-log line being written; reused for every line.
+    line: Line,
     log: Vec<String>,
     events_applied: u64,
     final_tick: u64,
@@ -510,6 +506,10 @@ struct Campaign<'a> {
     /// Replay deliveries injected (duplicate copies + stale
     /// retransmissions); every one must be deduped, none applied.
     injected_replays: u64,
+    /// Sabotage for the tests: recovery drops the journal's last record,
+    /// which the crash check must report.
+    #[cfg(test)]
+    skip_last_replay: bool,
 }
 
 impl<'a> Campaign<'a> {
@@ -592,6 +592,7 @@ impl<'a> Campaign<'a> {
             nodes,
             views,
             digest: FNV1A_OFFSET,
+            line: Line::default(),
             log: Vec::new(),
             events_applied: 0,
             final_tick: 0,
@@ -618,18 +619,18 @@ impl<'a> Campaign<'a> {
             duplicated_deliveries: 0,
             reordered_deliveries: 0,
             injected_replays: 0,
+            #[cfg(test)]
+            skip_last_replay: false,
         }
     }
 
-    /// Fold one event-log line (and its newline) into the digest. The
-    /// text always streams straight into the digest; a `String` is
-    /// built only when the log is recorded.
-    fn log_line(&mut self, line: fmt::Arguments<'_>) {
-        let mut sink = FnvSink(self.digest);
-        fmt::Write::write_fmt(&mut sink, line).expect("the FNV sink never fails");
-        self.digest = fnv1a(sink.0, b"\n");
+    /// Fold the line just written into `self.line` (and its newline)
+    /// into the digest. A `String` is built only when the log is
+    /// recorded.
+    fn log_line(&mut self) {
+        self.digest = fnv1a(self.digest, self.line.end());
         if self.cfg.record_log {
-            self.log.push(fmt::format(line));
+            self.log.push(self.line.recorded());
         }
     }
 
@@ -707,12 +708,13 @@ impl<'a> Campaign<'a> {
             coverage90_tick: self.coverage90_tick,
             journal_chain: self.journal_chain,
         };
-        let state_crc = self.cloud_state_digest() as u32;
         self.last_snapshot = Some(snap);
         self.journal.reset();
+        // The marker's CRC field stays 0: the crash check compares the
+        // recovered state with the live one, so nothing reads it.
         self.journal_append(WalRecord::SnapshotTaken {
             tick: now,
-            state_crc,
+            state_crc: 0,
         });
         self.journal.sync();
     }
@@ -796,7 +798,10 @@ impl<'a> Campaign<'a> {
         // which are exactly what `journal_append` hashed.
         let journal = std::mem::take(&mut self.journal);
         let mut replayed = 0u64;
-        for payload in journal.payloads() {
+        let records = journal.payloads();
+        #[cfg(test)]
+        let records = records.take(journal.payloads().count() - self.skip_last_replay as usize);
+        for payload in records {
             self.journal_chain = fnv1a(self.journal_chain, payload);
             let record = WalRecord::decode(payload).expect("the engine journals valid records");
             self.replay_record(&record);
@@ -818,7 +823,7 @@ impl<'a> Campaign<'a> {
     /// fixed by the batch itself, so worker count is invisible. The
     /// closure captures only immutable fleet truth — never the
     /// scheduler or any RNG state.
-    fn compute_payloads(&self, batch: &[SimEvent]) -> Vec<Option<Vec<f64>>> {
+    fn compute_payloads(&self, batch: &[SimEvent]) -> Vec<Option<Payload>> {
         let completes: Vec<(usize, u32, TaskKind, u64)> = batch
             .iter()
             .enumerate()
@@ -848,12 +853,12 @@ impl<'a> Campaign<'a> {
             );
             (bi, payload)
         };
-        let computed: Vec<(usize, Vec<f64>)> = if workers >= 2 && completes.len() >= 2 {
+        let computed: Vec<(usize, Payload)> = if workers >= 2 && completes.len() >= 2 {
             par_map(&completes, workers, |_, item| compute(item))
         } else {
             completes.iter().map(compute).collect()
         };
-        let mut out: Vec<Option<Vec<f64>>> = vec![None; batch.len()];
+        let mut out: Vec<Option<Payload>> = vec![None; batch.len()];
         for (bi, payload) in computed {
             out[bi] = Some(payload);
         }
@@ -1036,20 +1041,18 @@ impl<'a> Campaign<'a> {
                     }
                 }
             }
-            self.log_line(format_args!(
-                "t={} id={} ev=dispatch node={} kind={} out={}",
-                now,
-                ev.id,
-                node,
-                kind.label(),
-                outcome
-            ));
+            self.line
+                .begin(now, ev.id, "dispatch")
+                .num("node", node.into())
+                .text("kind", kind.label())
+                .text("out", outcome);
+            self.log_line();
         }
         self.obs.incr("sim.dispatches", assigned as u64);
-        self.log_line(format_args!(
-            "t={} id={} ev=sched assigned={}",
-            now, ev.id, assigned
-        ));
+        self.line
+            .begin(now, ev.id, "sched")
+            .num("assigned", assigned as u64);
+        self.log_line();
         let next = now + self.cfg.schedule_period;
         if next < self.cfg.max_ticks {
             self.queue
@@ -1064,7 +1067,7 @@ impl<'a> Campaign<'a> {
         kind: TaskKind,
         seq: u64,
         replay: bool,
-        payload: Option<Vec<f64>>,
+        payload: Option<Payload>,
     ) {
         let ni = node as usize;
         let ki = kind.index();
@@ -1087,14 +1090,12 @@ impl<'a> Campaign<'a> {
             }
             self.deduped_reports += 1;
             self.obs.incr("sim.dedup.dropped", 1);
-            self.log_line(format_args!(
-                "t={} id={} ev=dedup node={} kind={} seq={}",
-                ev.time,
-                ev.id,
-                node,
-                kind.label(),
-                seq
-            ));
+            self.line
+                .begin(ev.time, ev.id, "dedup")
+                .num("node", node.into())
+                .text("kind", kind.label())
+                .num("seq", seq);
+            self.log_line();
             return;
         }
         let payload = payload.expect("payload computed for every first delivery");
@@ -1112,7 +1113,7 @@ impl<'a> Campaign<'a> {
         // Fold the payload bits into the digest so the digest witnesses
         // measurement *values*, not just event order.
         let mut fp = FNV1A_OFFSET;
-        for v in &payload {
+        for v in payload {
             fp = fnv1a(fp, &v.to_bits().to_le_bytes());
         }
         let n = &mut self.nodes[ni].cloud;
@@ -1127,20 +1128,19 @@ impl<'a> Campaign<'a> {
                 self.covered_count += 1;
                 if self.coverage90_tick.is_none() && self.covered_count * 10 >= self.cfg.nodes * 9 {
                     self.coverage90_tick = Some(ev.time);
-                    self.log_line(format_args!("t={} id={} ev=coverage90", ev.time, ev.id));
+                    self.line.begin(ev.time, ev.id, "coverage90");
+                    self.log_line();
                 }
             }
         }
         self.completed_tasks += 1;
         self.obs.incr("sim.task.completed", 1);
-        self.log_line(format_args!(
-            "t={} id={} ev=complete node={} kind={} fp={:016x}",
-            ev.time,
-            ev.id,
-            node,
-            kind.label(),
-            fp
-        ));
+        self.line
+            .begin(ev.time, ev.id, "complete")
+            .num("node", node.into())
+            .text("kind", kind.label())
+            .hex("fp", fp);
+        self.log_line();
     }
 
     fn apply_delivery_corrupt(&mut self, ev: &SimEvent, node: u32, kind: TaskKind, seq: u64) {
@@ -1158,13 +1158,11 @@ impl<'a> Campaign<'a> {
         self.views[node as usize].in_flight[kind.index()] = None;
         self.corrupt_deliveries += 1;
         self.obs.incr("sim.delivery.corrupt", 1);
-        self.log_line(format_args!(
-            "t={} id={} ev=corrupt node={} kind={}",
-            ev.time,
-            ev.id,
-            node,
-            kind.label()
-        ));
+        self.line
+            .begin(ev.time, ev.id, "corrupt")
+            .num("node", node.into())
+            .text("kind", kind.label());
+        self.log_line();
     }
 
     fn apply_partition_start(&mut self, ev: &SimEvent, spec: u32) {
@@ -1178,10 +1176,12 @@ impl<'a> Campaign<'a> {
             }
         }
         self.obs.incr("sim.partition.started", 1);
-        self.log_line(format_args!(
-            "t={} id={} ev=partition spec={} severed={} heal={}",
-            ev.time, ev.id, spec, severed, p.heal_tick
-        ));
+        self.line
+            .begin(ev.time, ev.id, "partition")
+            .num("spec", spec.into())
+            .num("severed", severed.into())
+            .num("heal", p.heal_tick);
+        self.log_line();
     }
 
     fn apply_partition_heal(&mut self, ev: &SimEvent, spec: u32) {
@@ -1195,10 +1195,11 @@ impl<'a> Campaign<'a> {
             }
         }
         self.obs.incr("sim.partition.healed", 1);
-        self.log_line(format_args!(
-            "t={} id={} ev=heal spec={} healed={}",
-            ev.time, ev.id, spec, healed
-        ));
+        self.line
+            .begin(ev.time, ev.id, "heal")
+            .num("spec", spec.into())
+            .num("healed", healed.into());
+        self.log_line();
     }
 
     /// The cloud process dies. Every cloud-side structure is torn down
@@ -1251,16 +1252,18 @@ impl<'a> Campaign<'a> {
                     .push_keyed(restart, KEY_CRASH ^ restart, EventKind::CloudRestart);
             }
         }
-        self.log_line(format_args!(
-            "t={} id={} ev=cloud_crash replayed={} down_ticks={}",
-            now, ev.id, replayed, delay
-        ));
+        self.line
+            .begin(now, ev.id, "cloud_crash")
+            .num("replayed", replayed)
+            .num("down_ticks", delay);
+        self.log_line();
     }
 
     fn apply_cloud_restart(&mut self, ev: &SimEvent) {
         self.cloud_down_until = None;
         self.obs.incr("sim.cloud.restarts", 1);
-        self.log_line(format_args!("t={} id={} ev=cloud_restart", ev.time, ev.id));
+        self.line.begin(ev.time, ev.id, "cloud_restart");
+        self.log_line();
     }
 
     fn apply_audit_round(&mut self, ev: &SimEvent) {
@@ -1338,10 +1341,12 @@ impl<'a> Campaign<'a> {
             "sim.coverage",
             self.covered_count as f64 / self.cfg.nodes.max(1) as f64,
         );
-        self.log_line(format_args!(
-            "t={} id={} ev=audit audited={} anomalies={} quarantined={}",
-            now, ev.id, audited, anomalies, quarantined_or_worse
-        ));
+        self.line
+            .begin(now, ev.id, "audit")
+            .num("audited", audited.into())
+            .num("anomalies", anomalies.into())
+            .num("quarantined", quarantined_or_worse.into());
+        self.log_line();
         let next = now + self.cfg.audit_period;
         if next < self.cfg.max_ticks {
             self.queue
@@ -1396,18 +1401,16 @@ impl<'a> Campaign<'a> {
                 replay,
             },
         );
-        self.log_line(format_args!(
-            "t={} id={} ev=backlog node={} kind={} seq={} until={}",
-            ev.time,
-            ev.id,
-            node,
-            kind.label(),
-            seq,
-            target
-        ));
+        self.line
+            .begin(ev.time, ev.id, "backlog")
+            .num("node", node.into())
+            .text("kind", kind.label())
+            .num("seq", seq)
+            .num("until", target);
+        self.log_line();
     }
 
-    fn apply(&mut self, ev: &SimEvent, payload: Option<Vec<f64>>) {
+    fn apply(&mut self, ev: &SimEvent, payload: Option<Payload>) {
         self.events_applied += 1;
         self.final_tick = ev.time;
         self.obs.incr("sim.events", 1);
@@ -1469,7 +1472,8 @@ impl<'a> Campaign<'a> {
             EventKind::CloudRestart => self.apply_cloud_restart(ev),
             EventKind::CampaignEnd => {
                 self.ended = true;
-                self.log_line(format_args!("t={} id={} ev=end", ev.time, ev.id));
+                self.line.begin(ev.time, ev.id, "end");
+                self.log_line();
             }
         }
     }
@@ -1535,57 +1539,61 @@ pub fn run(config: &CampaignConfig) -> CampaignResult {
 /// Run a campaign, publishing `sim.*` metrics to `obs` and advancing
 /// the `aircal-obs` virtual clock to each batch's tick.
 pub fn run_with_obs(config: &CampaignConfig, obs: &Obs) -> CampaignResult {
-    let mut campaign = Campaign::new(config, obs);
-    // Checkpoint the pristine cloud before any event fires, so even a
-    // crash before the first audit has a snapshot to recover onto.
-    campaign.checkpoint(0);
-    campaign
-        .queue
-        .push_keyed(0, KEY_SCHED, EventKind::ScheduleRound);
-    if config.audit_period < config.max_ticks {
-        campaign.queue.push_keyed(
-            config.audit_period,
-            KEY_AUDIT ^ config.audit_period,
-            EventKind::AuditRound,
-        );
-    }
-    for (si, p) in config.recovery.partitions.iter().enumerate() {
-        if p.start_tick < config.max_ticks && p.heal_tick > p.start_tick {
-            campaign.queue.push_keyed(
-                p.start_tick,
-                KEY_PART ^ (si as u64),
-                EventKind::PartitionStart { spec: si as u32 },
-            );
-            campaign.queue.push_keyed(
-                p.heal_tick.min(config.max_ticks),
-                KEY_PART ^ (si as u64) ^ 0x8000_0000_0000_0000,
-                EventKind::PartitionHeal { spec: si as u32 },
-            );
-        }
-    }
-    for &t in &config.recovery.crash_ticks {
-        if t < config.max_ticks {
-            campaign
-                .queue
-                .push_keyed(t, KEY_CRASH ^ t, EventKind::CloudCrash);
-        }
-    }
-    campaign
-        .queue
-        .push_keyed(config.max_ticks, KEY_END, EventKind::CampaignEnd);
+    Campaign::new(config, obs).run()
+}
 
-    let mut batch: Vec<SimEvent> = Vec::new();
-    while let Some(tick) = campaign.queue.pop_batch(&mut batch) {
-        aircal_obs::trace::advance_clock_to(tick);
-        let payloads = campaign.compute_payloads(&batch);
-        for (ev, payload) in batch.iter().zip(payloads) {
-            campaign.apply(ev, payload);
+impl Campaign<'_> {
+    /// Seed the queue, drain it batch by batch, and report.
+    fn run(mut self) -> CampaignResult {
+        let config = self.cfg;
+        // Checkpoint the pristine cloud before any event fires, so even a
+        // crash before the first audit has a snapshot to recover onto.
+        self.checkpoint(0);
+        self.queue
+            .push_keyed(0, KEY_SCHED, EventKind::ScheduleRound);
+        if config.audit_period < config.max_ticks {
+            self.queue.push_keyed(
+                config.audit_period,
+                KEY_AUDIT ^ config.audit_period,
+                EventKind::AuditRound,
+            );
         }
-        if campaign.ended {
-            break;
+        for (si, p) in config.recovery.partitions.iter().enumerate() {
+            if p.start_tick < config.max_ticks && p.heal_tick > p.start_tick {
+                self.queue.push_keyed(
+                    p.start_tick,
+                    KEY_PART ^ (si as u64),
+                    EventKind::PartitionStart { spec: si as u32 },
+                );
+                self.queue.push_keyed(
+                    p.heal_tick.min(config.max_ticks),
+                    KEY_PART ^ (si as u64) ^ 0x8000_0000_0000_0000,
+                    EventKind::PartitionHeal { spec: si as u32 },
+                );
+            }
         }
+        for &t in &config.recovery.crash_ticks {
+            if t < config.max_ticks {
+                self.queue
+                    .push_keyed(t, KEY_CRASH ^ t, EventKind::CloudCrash);
+            }
+        }
+        self.queue
+            .push_keyed(config.max_ticks, KEY_END, EventKind::CampaignEnd);
+
+        let mut batch: Vec<SimEvent> = Vec::new();
+        while let Some(tick) = self.queue.pop_batch(&mut batch) {
+            aircal_obs::trace::advance_clock_to(tick);
+            let payloads = self.compute_payloads(&batch);
+            for (ev, payload) in batch.iter().zip(payloads) {
+                self.apply(ev, payload);
+            }
+            if self.ended {
+                break;
+            }
+        }
+        self.finish()
     }
-    campaign.finish()
 }
 
 #[cfg(test)]
@@ -1693,6 +1701,34 @@ mod tests {
             "instant recovery is transparent: snapshot + journal rebuild the exact state"
         );
         assert_eq!(a.trust_table, b.trust_table);
+    }
+
+    #[test]
+    fn a_recovery_that_loses_a_record_is_reported() {
+        // The crash check is the only guard on replay (the snapshot
+        // marker carries no state CRC), so it must fire when replay is
+        // wrong: here recovery drops the journal's last record.
+        let mut cfg = CampaignConfig::paper_default(64, 0xC4A5);
+        cfg.max_ticks = 400;
+        cfg.recovery.crash_ticks = vec![77, 233];
+        let obs = Obs::disabled();
+        let honest = Campaign::new(&cfg, &obs).run();
+        assert!(
+            honest.invariant_violations.is_empty(),
+            "{:?}",
+            honest.invariant_violations
+        );
+        let mut sabotaged = Campaign::new(&cfg, &obs);
+        sabotaged.skip_last_replay = true;
+        let r = sabotaged.run();
+        assert_eq!(r.recoveries, 2);
+        assert!(
+            r.invariant_violations
+                .iter()
+                .any(|v| v.starts_with("recovery divergence at t=77")),
+            "{:?}",
+            r.invariant_violations
+        );
     }
 
     #[test]

@@ -43,6 +43,7 @@
 
 pub mod engine;
 pub mod event;
+mod line;
 pub mod scheduler;
 
 pub use engine::{

@@ -138,8 +138,10 @@ impl Scheduler for UtilityScheduler {
     }
 
     fn assign(&mut self, fleet: &FleetView<'_>, capacity: usize) -> Vec<(u32, TaskKind)> {
-        let mut candidates: Vec<(u64, u32, TaskKind)> =
-            Vec::with_capacity(fleet.nodes.len() * TaskKind::ALL.len());
+        // Each eligible pair packs into one integer whose ascending order
+        // is the policy's: `!staleness` in the high half puts the stalest
+        // first, then `node`, then `kind` in its index order.
+        let mut candidates: Vec<u128> = Vec::with_capacity(fleet.nodes.len() * TaskKind::ALL.len());
         for (node, view) in fleet.nodes.iter().enumerate() {
             for kind in TaskKind::ALL {
                 if !fleet.eligible(node, kind) {
@@ -149,24 +151,23 @@ impl Scheduler for UtilityScheduler {
                     None => u64::MAX,
                     Some(t) => fleet.now.saturating_sub(t),
                 };
-                candidates.push((staleness, node as u32, kind));
+                candidates.push(
+                    ((!staleness as u128) << 64) | ((node as u128) << 2) | kind.index() as u128,
+                );
             }
         }
-        // Stalest first, then `(node, kind)`. That pair is unique, so the
+        // `(node, kind)` is unique, so the keys are distinct and the
         // order is strict and total: the top `capacity` set and its order
         // are fully determined, and partitioning before sorting only the
         // winners returns exactly what a full sort would.
-        let order = |a: &(u64, u32, TaskKind), b: &(u64, u32, TaskKind)| {
-            b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2))
-        };
         if capacity < candidates.len() {
-            candidates.select_nth_unstable_by(capacity, order);
+            candidates.select_nth_unstable(capacity);
             candidates.truncate(capacity);
         }
-        candidates.sort_unstable_by(order);
+        candidates.sort_unstable();
         candidates
             .into_iter()
-            .map(|(_, node, kind)| (node, kind))
+            .map(|key| ((key >> 2) as u32, TaskKind::ALL[(key & 3) as usize]))
             .collect()
     }
 }

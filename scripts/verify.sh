@@ -41,16 +41,26 @@ cargo run --release --example cloud_failover -- 400 42 --no-partition
 echo "== benchmark self-tests (benchmark/ is a workspace of its own) =="
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
-echo "== fleet smokes (20k nodes: fleet_campaign repeats its digest; fleet_recovery equals its crash-free twin) =="
+echo "== fleet smokes (20k nodes: fleet_campaign repeats its digest; fleet_recovery equals its crash-free twin; both keep their seed-7 digests) =="
 # The BENCHMARK.json command, one short run each; its result line must
-# report a correct run with no failed operations.
-for workload in fleet_campaign fleet_recovery; do
-  result=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
-    --workload "$workload" --seed 7 --seconds 1 --trace 0 | tail -n 1)
+# report a correct run with no failed operations, and its run record the
+# campaign digest pinned for seed 7.
+for pinned in fleet_campaign:065ced389811bcb8 fleet_recovery:2f66d0bdd50eb9a6; do
+  workload=${pinned%%:*}
+  digest=${pinned#*:}
+  output=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload "$workload" --seed 7 --seconds 1 --trace 0)
+  record=$(head -n 1 <<<"$output")
+  result=$(tail -n 1 <<<"$output")
+  echo "$record"
   echo "$result"
   case "$result" in
     *'"correct": true,'*'"failed": 0,'*) ;;
     *) echo "# $workload smoke: expected \"correct\": true and \"failed\": 0" >&2; exit 1 ;;
+  esac
+  case "$record" in
+    *"\"digest\": \"$digest\""*) ;;
+    *) echo "# $workload smoke: expected \"digest\": \"$digest\" at seed 7" >&2; exit 1 ;;
   esac
 done
 
