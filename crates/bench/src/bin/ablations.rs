@@ -231,9 +231,8 @@ fn a2_duration(seed: u64) {
             est.iou(&s.expected_fov),
         );
     }
-    println!("# ~flat: 5 s already samples every squittering aircraft at ≥2 Hz, and the");
-    println!("# single mid-capture ground-truth snapshot grows stale as the window lengthens,");
-    println!("# offsetting the extra messages — the paper's 30 s buys margin, not accuracy.\n");
+    println!("# IoU falls with duration: the estimated sector widens with exposure, as more");
+    println!("# edge aircraft get one lucky decode and each keeps its mid-capture bearing.\n");
 }
 
 /// A3: ground-truth latency sensitivity (rooftop).

@@ -163,9 +163,10 @@ impl std::error::Error for WalError {}
 ///
 /// Every kind is one a recovery path reads: `Cloud::recover` in
 /// `aircal-net` (`SnapshotTaken`, `NodeState`, `RoundCompleted`) or the
-/// discrete-event engine's `recover_cloud` (`SnapshotTaken`, `Dispatch`,
-/// `ReportApplied`, `DeliveryFailed`). The engine keys its records by
-/// node index.
+/// discrete-event engine's recovery (`SnapshotTaken`, `Dispatch`,
+/// `ReportApplied`, `DeliveryFailed`), which applies the last three with
+/// the same `SimCloud::apply` its live handlers call. The engine keys its
+/// records by node index.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
     /// Upsert of one node's full registry state, as opaque codec-owned

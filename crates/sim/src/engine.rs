@@ -19,6 +19,12 @@
 //! the fleet median, walk each node's [`HealthLadder`], and update a
 //! trust score.
 //!
+//! Everything the cloud process knows is one `SimCloud` value, changed
+//! between audits only by `SimCloud::apply`, which the live handlers
+//! call after journaling each record and recovery calls over the
+//! journal. A cloud crash replaces the whole value with the latest
+//! checkpoint's copy and applies the journal to it.
+//!
 //! # Determinism
 //!
 //! The main loop pops every event at the earliest virtual tick as one
@@ -138,7 +144,8 @@ impl Default for FleetFaultsConfig {
 /// remainder` is severed from the cloud between `start_tick` and
 /// `heal_tick`. Partitioned nodes are skipped by the scheduler; reports
 /// already in flight toward the cloud are backlogged and drain at the
-/// heal tick.
+/// heal tick. A node under overlapping specs stays severed until the
+/// latest of their heal ticks.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PartitionSpec {
     pub start_tick: u64,
@@ -161,8 +168,9 @@ pub struct RecoveryFaultsConfig {
     pub crash_ticks: Vec<u64>,
     /// Ticks of downtime before a crashed cloud resumes scheduling and
     /// audits. With 0 the recovery is transparent to the virtual
-    /// schedule (state is still torn down and rebuilt from the journal,
-    /// and the safety invariant still checks recovered ≡ live).
+    /// schedule (the cloud is still replaced by its checkpoint and
+    /// rebuilt from the journal, and the safety invariant still checks
+    /// recovered ≡ live).
     pub restart_delay_ticks: u64,
     /// Scheduled network partitions.
     pub partitions: Vec<PartitionSpec>,
@@ -300,63 +308,57 @@ pub struct CampaignResult {
     pub log: Vec<String>,
 }
 
+/// The fields [`CampaignResult::summary_json`] renders, in its order.
+#[derive(Serialize)]
+struct Summary {
+    nodes: usize,
+    scheduler: String,
+    events: u64,
+    final_tick: u64,
+    digest: String,
+    coverage90_tick: Option<u64>,
+    covered_nodes: usize,
+    completed_tasks: u64,
+    dropped_requests: u64,
+    dropped_responses: u64,
+    corrupt_deliveries: u64,
+    crashed_nodes: usize,
+    anomaly_flags: u64,
+    state_digest: String,
+    recoveries: u64,
+    deduped_reports: u64,
+    health_counts: BTreeMap<String, usize>,
+}
+
 impl CampaignResult {
     /// Compact, fixture-friendly summary (excludes the trust table body
     /// and log; the digest already covers both).
     pub fn summary_json(&self) -> String {
-        let mut s = String::from("{\n");
-        s.push_str(&format!("  \"nodes\": {},\n", self.nodes));
-        s.push_str(&format!("  \"scheduler\": \"{}\",\n", self.scheduler));
-        s.push_str(&format!("  \"events\": {},\n", self.events));
-        s.push_str(&format!("  \"final_tick\": {},\n", self.final_tick));
-        s.push_str(&format!("  \"digest\": \"{}\",\n", self.digest));
-        s.push_str(&format!(
-            "  \"coverage90_tick\": {},\n",
-            match self.coverage90_tick {
-                Some(t) => t.to_string(),
-                None => "null".to_string(),
-            }
-        ));
-        s.push_str(&format!("  \"covered_nodes\": {},\n", self.covered_nodes));
-        s.push_str(&format!(
-            "  \"completed_tasks\": {},\n",
-            self.completed_tasks
-        ));
-        s.push_str(&format!(
-            "  \"dropped_requests\": {},\n",
-            self.dropped_requests
-        ));
-        s.push_str(&format!(
-            "  \"dropped_responses\": {},\n",
-            self.dropped_responses
-        ));
-        s.push_str(&format!(
-            "  \"corrupt_deliveries\": {},\n",
-            self.corrupt_deliveries
-        ));
-        s.push_str(&format!("  \"crashed_nodes\": {},\n", self.crashed_nodes));
-        s.push_str(&format!("  \"anomaly_flags\": {},\n", self.anomaly_flags));
-        s.push_str(&format!("  \"state_digest\": \"{}\",\n", self.state_digest));
-        s.push_str(&format!("  \"recoveries\": {},\n", self.recoveries));
-        s.push_str(&format!(
-            "  \"deduped_reports\": {},\n",
-            self.deduped_reports
-        ));
-        let health: Vec<String> = self
-            .health_counts
-            .iter()
-            .map(|(k, v)| format!("    \"{k}\": {v}"))
-            .collect();
-        s.push_str(&format!(
-            "  \"health_counts\": {{\n{}\n  }}\n",
-            health.join(",\n")
-        ));
-        s.push('}');
-        s
+        let summary = Summary {
+            nodes: self.nodes,
+            scheduler: self.scheduler.clone(),
+            events: self.events,
+            final_tick: self.final_tick,
+            digest: self.digest.clone(),
+            coverage90_tick: self.coverage90_tick,
+            covered_nodes: self.covered_nodes,
+            completed_tasks: self.completed_tasks,
+            dropped_requests: self.dropped_requests,
+            dropped_responses: self.dropped_responses,
+            corrupt_deliveries: self.corrupt_deliveries,
+            crashed_nodes: self.crashed_nodes,
+            anomaly_flags: self.anomaly_flags,
+            state_digest: self.state_digest.clone(),
+            recoveries: self.recoveries,
+            deduped_reports: self.deduped_reports,
+            health_counts: self.health_counts.clone(),
+        };
+        serde_json::to_string_pretty(&summary).expect("a summary always serializes")
     }
 }
 
-/// One synthetic sensor node, engine-side.
+/// One synthetic sensor node, engine-side: node and network truth only,
+/// all of which survives a cloud crash.
 struct SimNode {
     faults: LinkFaults,
     /// Draws the wire-fault verdicts; stepped only in the sequential
@@ -372,20 +374,13 @@ struct SimNode {
     /// True calibration offset, dB (includes the +8 dB miscalibration
     /// for seeded cheaters).
     offset_db: f64,
-    /// What the cloud process knows of this node: lost on a cloud crash,
-    /// rebuilt from snapshot + journal.
-    cloud: CloudNodeState,
-    /// Severed from the cloud until this tick, if partitioned
-    /// (network-side truth; survives cloud crashes).
+    /// Severed from the cloud until this tick, if partitioned: the
+    /// latest heal tick of the specs that cover the node.
     partitioned_until: Option<u64>,
 }
 
-/// Cloud-side slice of one node's state, as captured by a checkpoint
-/// snapshot. Everything here is lost when the cloud process crashes and
-/// must be rebuilt from snapshot + journal; everything *not* here
-/// (link fault schedules, RNG streams, daemon liveness, the true
-/// calibration offset) lives on the node/network side and survives.
-#[derive(Clone)]
+/// What the cloud holds for one node.
+#[derive(Clone, Copy)]
 struct CloudNodeState {
     ladder: HealthLadder,
     trust: f64,
@@ -425,20 +420,148 @@ impl CloudNodeState {
     }
 }
 
-/// A checkpoint of the whole cloud process, taken after every audit
-/// round (and once at campaign start). [`Campaign::recover_cloud`]
-/// restores the latest snapshot and replays the journal's records onto
-/// it.
-#[derive(Clone)]
-struct CloudSnapshot {
+/// Everything the cloud process knows, and exactly what a cloud crash
+/// loses: recovery replaces the whole value with the latest
+/// checkpoint's copy and applies the journal to it. Link fault
+/// schedules, RNG streams, daemon liveness, true offsets and partitions
+/// live in `SimNode` and survive.
+#[derive(Default)]
+struct SimCloud {
     nodes: Vec<CloudNodeState>,
+    /// The scheduler's window onto each node.
     views: Vec<NodeView>,
-    scheduler_cursor: u64,
+    /// Nodes with every profile kind covered.
     covered_count: usize,
+    /// First tick at which ≥ 90 % of the fleet was covered.
     coverage90_tick: Option<u64>,
-    /// Running FNV chain over every journal record ever appended, at
-    /// snapshot time. Replay must extend this to the live chain value —
-    /// the "ledger hash-chain unbroken across restarts" invariant.
+}
+
+impl SimCloud {
+    fn new(nodes: usize) -> Self {
+        Self {
+            nodes: vec![CloudNodeState::unknown(); nodes],
+            views: vec![NodeView::fresh(); nodes],
+            covered_count: 0,
+            coverage90_tick: None,
+        }
+    }
+
+    /// Overwrite this value with `source`, reusing both buffers: every
+    /// checkpoint and every recovery copies the whole fleet.
+    fn copy_from(&mut self, source: &SimCloud) {
+        self.nodes.clone_from(&source.nodes);
+        self.views.clone_from(&source.views);
+        self.covered_count = source.covered_count;
+        self.coverage90_tick = source.coverage90_tick;
+    }
+
+    /// Apply one journaled effect: the only code that applies a
+    /// `Dispatch`, `ReportApplied` or `DeliveryFailed`. The live
+    /// handlers call it right after journaling the record, and recovery
+    /// calls it over the journal. Audit effects are never journaled:
+    /// the checkpoint that closes every round covers them. Returns
+    /// whether this record crossed the 90 % coverage mark.
+    fn apply(&mut self, record: &WalRecord) -> bool {
+        match *record {
+            WalRecord::Dispatch {
+                node,
+                kind,
+                seq,
+                tick,
+            } => {
+                self.views[node as usize].in_flight[kind as usize] = Some(tick);
+                let n = &mut self.nodes[node as usize];
+                n.dispatched_since_audit += 1;
+                n.next_seq = seq + 1;
+            }
+            WalRecord::ReportApplied {
+                node,
+                kind,
+                seq,
+                value_bits,
+                tick,
+            } => {
+                let ki = kind as usize;
+                let view = &mut self.views[node as usize];
+                view.in_flight[ki] = None;
+                view.last_update[ki] = Some(tick);
+                let n = &mut self.nodes[node as usize];
+                n.profile_mean[ki] = Some(f64::from_bits(value_bits));
+                n.fresh[ki] = true;
+                n.completed_since_audit += 1;
+                // The dedup guard admits only a seq above the mark.
+                n.last_applied_seq[ki] = Some(seq);
+                n.last_report = Some((TaskKind::ALL[ki], seq));
+                if !n.covered[ki] {
+                    n.covered[ki] = true;
+                    if n.covered.iter().all(|&c| c) {
+                        self.covered_count += 1;
+                        if self.coverage90_tick.is_none()
+                            && self.covered_count * 10 >= self.nodes.len() * 9
+                        {
+                            self.coverage90_tick = Some(tick);
+                            return true;
+                        }
+                    }
+                }
+            }
+            WalRecord::DeliveryFailed { node, kind, .. } => {
+                self.views[node as usize].in_flight[kind as usize] = None;
+            }
+            // The checkpoint marker that opens the journal changes no
+            // state; it still extends the hash chain. The engine writes
+            // no other kind.
+            _ => {}
+        }
+        false
+    }
+
+    /// FNV digest over every cloud-side structure and the scheduler's
+    /// cursor — the witness for both the recovery safety check
+    /// (recovered ≡ live) and the cross-run exactly-once property
+    /// (faulty ≡ fault-free).
+    fn digest(&self, scheduler_cursor: u64) -> u64 {
+        fn fold_opt_u64(h: u64, v: Option<u64>) -> u64 {
+            match v {
+                Some(x) => fnv1a(fnv1a(h, &[1]), &x.to_le_bytes()),
+                None => fnv1a(h, &[0]),
+            }
+        }
+        let mut h = FNV1A_OFFSET;
+        for (n, v) in self.nodes.iter().zip(&self.views) {
+            h = fnv1a(h, &n.trust.to_bits().to_le_bytes());
+            h = fnv1a(h, &n.ladder.consecutive_failures.to_le_bytes());
+            h = fnv1a(h, &n.ladder.consecutive_anomalies.to_le_bytes());
+            h = fnv1a(h, &[n.ladder.health.severity()]);
+            for ki in 0..3 {
+                h = fold_opt_u64(h, n.profile_mean[ki].map(f64::to_bits));
+                h = fold_opt_u64(h, n.last_applied_seq[ki]);
+                h = fnv1a(h, &[n.fresh[ki] as u8, n.covered[ki] as u8]);
+                h = fold_opt_u64(h, v.last_update[ki]);
+                h = fold_opt_u64(h, v.in_flight[ki]);
+            }
+            h = fnv1a(h, &n.dispatched_since_audit.to_le_bytes());
+            h = fnv1a(h, &n.completed_since_audit.to_le_bytes());
+            h = fnv1a(h, &n.next_seq.to_le_bytes());
+            h = match n.last_report {
+                Some((k, s)) => fnv1a(fnv1a(h, &[1, k.index() as u8]), &s.to_le_bytes()),
+                None => fnv1a(h, &[0]),
+            };
+            h = fnv1a(h, &[v.alive as u8]);
+        }
+        h = fnv1a(h, &scheduler_cursor.to_le_bytes());
+        h = fnv1a(h, &(self.covered_count as u64).to_le_bytes());
+        fold_opt_u64(h, self.coverage90_tick)
+    }
+}
+
+/// A checkpoint, taken after every audit round and once at campaign
+/// start: a copy of the cloud, the scheduler's cursor, and the journal
+/// hash chain, which replay must extend to the live chain value.
+#[derive(Default)]
+struct Checkpoint {
+    cloud: SimCloud,
+    scheduler_cursor: u64,
     journal_chain: u64,
 }
 
@@ -466,7 +589,9 @@ struct Campaign<'a> {
     policy: HealthPolicy,
     base: [Payload; 3],
     nodes: Vec<SimNode>,
-    views: Vec<NodeView>,
+    /// The cloud process's state: lost on a cloud crash, rebuilt from
+    /// the latest checkpoint plus the journal.
+    cloud: SimCloud,
     digest: u64,
     /// The event-log line being written; reused for every line.
     line: Line,
@@ -474,8 +599,6 @@ struct Campaign<'a> {
     events_applied: u64,
     final_tick: u64,
     ended: bool,
-    covered_count: usize,
-    coverage90_tick: Option<u64>,
     completed_tasks: u64,
     dropped_requests: u64,
     dropped_responses: u64,
@@ -491,7 +614,7 @@ struct Campaign<'a> {
     /// Reused encode buffer: each record is encoded once, then hashed
     /// into the chain and framed into the journal from these bytes.
     wal_buf: Vec<u8>,
-    last_snapshot: Option<CloudSnapshot>,
+    last_checkpoint: Checkpoint,
     /// While `Some(t)`, the cloud is down until tick `t`: scheduling
     /// and audits are skipped and arriving reports are backlogged.
     cloud_down_until: Option<u64>,
@@ -576,11 +699,9 @@ impl<'a> Campaign<'a> {
                 served: 0,
                 daemon_alive: true,
                 offset_db: offset + if miscal { 8.0 } else { 0.0 },
-                cloud: CloudNodeState::unknown(),
                 partitioned_until: None,
             });
         }
-        let views = vec![NodeView::fresh(); cfg.nodes];
 
         Self {
             cfg,
@@ -590,15 +711,13 @@ impl<'a> Campaign<'a> {
             policy: HealthPolicy::default(),
             base,
             nodes,
-            views,
+            cloud: SimCloud::new(cfg.nodes),
             digest: FNV1A_OFFSET,
             line: Line::default(),
             log: Vec::new(),
             events_applied: 0,
             final_tick: 0,
             ended: false,
-            covered_count: 0,
-            coverage90_tick: None,
             completed_tasks: 0,
             dropped_requests: 0,
             dropped_responses: 0,
@@ -608,7 +727,8 @@ impl<'a> Campaign<'a> {
             journal: Journal::new(),
             journal_chain: FNV1A_OFFSET,
             wal_buf: Vec::with_capacity(64),
-            last_snapshot: None,
+            // `run` checkpoints the pristine cloud before any event.
+            last_checkpoint: Checkpoint::default(),
             cloud_down_until: None,
             monitor: InvariantMonitor::default(),
             recoveries: 0,
@@ -635,12 +755,14 @@ impl<'a> Campaign<'a> {
     }
 
     /// Append one effect record to the write-ahead journal, extending
-    /// the hash chain. Called *before* the effect is applied.
-    fn journal_append(&mut self, record: WalRecord) {
+    /// the hash chain, and only then apply it to the cloud. Returns
+    /// whether it crossed the 90 % coverage mark.
+    fn journal_and_apply(&mut self, record: WalRecord) -> bool {
         self.wal_buf.clear();
         record.encode_into(&mut self.wal_buf);
         self.journal_chain = fnv1a(self.journal_chain, &self.wal_buf);
         self.journal.append_encoded(&self.wal_buf);
+        self.cloud.apply(&record)
     }
 
     /// Is the cloud process down (crashed, restart pending) at `now`?
@@ -658,164 +780,23 @@ impl<'a> Campaign<'a> {
         partition.max(down)
     }
 
-    /// FNV digest over every cloud-side structure — the witness for
-    /// both the recovery safety check (recovered ≡ live) and the
-    /// cross-run exactly-once property (faulty ≡ fault-free).
-    fn cloud_state_digest(&self) -> u64 {
-        fn fold_opt_u64(h: u64, v: Option<u64>) -> u64 {
-            match v {
-                Some(x) => fnv1a(fnv1a(h, &[1]), &x.to_le_bytes()),
-                None => fnv1a(h, &[0]),
-            }
-        }
-        let mut h = FNV1A_OFFSET;
-        for (n, v) in self.nodes.iter().zip(&self.views) {
-            h = fnv1a(h, &n.cloud.trust.to_bits().to_le_bytes());
-            h = fnv1a(h, &n.cloud.ladder.consecutive_failures.to_le_bytes());
-            h = fnv1a(h, &n.cloud.ladder.consecutive_anomalies.to_le_bytes());
-            h = fnv1a(h, &[n.cloud.ladder.health.severity()]);
-            for ki in 0..3 {
-                h = fold_opt_u64(h, n.cloud.profile_mean[ki].map(f64::to_bits));
-                h = fold_opt_u64(h, n.cloud.last_applied_seq[ki]);
-                h = fnv1a(h, &[n.cloud.fresh[ki] as u8, n.cloud.covered[ki] as u8]);
-                h = fold_opt_u64(h, v.last_update[ki]);
-                h = fold_opt_u64(h, v.in_flight[ki]);
-            }
-            h = fnv1a(h, &n.cloud.dispatched_since_audit.to_le_bytes());
-            h = fnv1a(h, &n.cloud.completed_since_audit.to_le_bytes());
-            h = fnv1a(h, &n.cloud.next_seq.to_le_bytes());
-            h = match n.cloud.last_report {
-                Some((k, s)) => fnv1a(fnv1a(h, &[1, k.index() as u8]), &s.to_le_bytes()),
-                None => fnv1a(h, &[0]),
-            };
-            h = fnv1a(h, &[v.alive as u8]);
-        }
-        h = fnv1a(h, &self.scheduler.cursor_state().to_le_bytes());
-        h = fnv1a(h, &(self.covered_count as u64).to_le_bytes());
-        fold_opt_u64(h, self.coverage90_tick)
-    }
-
-    /// Checkpoint: commit the journal, snapshot every cloud-side
-    /// structure, and reset the journal (the snapshot now covers all of
-    /// it) — opening the fresh journal with a `SnapshotTaken` marker.
+    /// Checkpoint: commit the journal, copy the cloud, and reset the
+    /// journal (the copy now covers all of it) — opening the fresh
+    /// journal with a `SnapshotTaken` marker.
     fn checkpoint(&mut self, now: u64) {
         self.journal.sync();
-        let snap = CloudSnapshot {
-            nodes: self.nodes.iter().map(|n| n.cloud.clone()).collect(),
-            views: self.views.clone(),
-            scheduler_cursor: self.scheduler.cursor_state(),
-            covered_count: self.covered_count,
-            coverage90_tick: self.coverage90_tick,
-            journal_chain: self.journal_chain,
-        };
-        self.last_snapshot = Some(snap);
+        let cp = &mut self.last_checkpoint;
+        cp.cloud.copy_from(&self.cloud);
+        cp.scheduler_cursor = self.scheduler.cursor_state();
+        cp.journal_chain = self.journal_chain;
         self.journal.reset();
         // The marker's CRC field stays 0: the crash check compares the
         // recovered state with the live one, so nothing reads it.
-        self.journal_append(WalRecord::SnapshotTaken {
+        self.journal_and_apply(WalRecord::SnapshotTaken {
             tick: now,
             state_crc: 0,
         });
         self.journal.sync();
-    }
-
-    /// Replay one journal record onto the restored snapshot. Only the
-    /// between-checkpoint effect records (dispatches, applied reports
-    /// and failed deliveries) need replaying: audit effects are covered
-    /// by the checkpoint that closes every round, in the same event.
-    fn replay_record(&mut self, record: &WalRecord) {
-        match *record {
-            WalRecord::Dispatch {
-                node,
-                kind,
-                seq,
-                tick,
-            } => {
-                let ni = node as usize;
-                let ki = kind as usize;
-                self.views[ni].in_flight[ki] = Some(tick);
-                let n = &mut self.nodes[ni].cloud;
-                n.dispatched_since_audit += 1;
-                n.next_seq = n.next_seq.max(seq + 1);
-            }
-            WalRecord::ReportApplied {
-                node,
-                kind,
-                seq,
-                value_bits,
-                tick,
-            } => {
-                let ni = node as usize;
-                let ki = kind as usize;
-                self.views[ni].in_flight[ki] = None;
-                self.views[ni].last_update[ki] = Some(tick);
-                let n = &mut self.nodes[ni].cloud;
-                n.profile_mean[ki] = Some(f64::from_bits(value_bits));
-                n.fresh[ki] = true;
-                n.completed_since_audit += 1;
-                n.last_applied_seq[ki] = Some(n.last_applied_seq[ki].map_or(seq, |h| h.max(seq)));
-                n.last_report = Some((TaskKind::ALL[ki], seq));
-                if !n.covered[ki] {
-                    n.covered[ki] = true;
-                    if n.covered.iter().all(|&c| c) {
-                        self.covered_count += 1;
-                        if self.coverage90_tick.is_none()
-                            && self.covered_count * 10 >= self.cfg.nodes * 9
-                        {
-                            self.coverage90_tick = Some(tick);
-                        }
-                    }
-                }
-            }
-            WalRecord::DeliveryFailed { node, kind, .. } => {
-                self.views[node as usize].in_flight[kind as usize] = None;
-            }
-            // The checkpoint marker that opens the journal needs no
-            // replay; it still extends the hash chain. The engine writes
-            // no other kind.
-            _ => {}
-        }
-    }
-
-    /// Rebuild the cloud from the latest snapshot plus the journal —
-    /// the recovery path a real crashed aggregator would take. Returns
-    /// the number of records replayed.
-    fn recover_cloud(&mut self, now: u64) -> u64 {
-        let snap = self
-            .last_snapshot
-            .clone()
-            .expect("a checkpoint is taken at campaign start");
-        for (n, st) in self.nodes.iter_mut().zip(snap.nodes) {
-            n.cloud = st;
-        }
-        self.views = snap.views;
-        self.scheduler = self.cfg.scheduler.build();
-        self.scheduler.restore_cursor(snap.scheduler_cursor);
-        self.covered_count = snap.covered_count;
-        self.coverage90_tick = snap.coverage90_tick;
-        self.journal_chain = snap.journal_chain;
-        // The chain extends over the durable payload bytes themselves,
-        // which are exactly what `journal_append` hashed.
-        let journal = std::mem::take(&mut self.journal);
-        let mut replayed = 0u64;
-        let records = journal.payloads();
-        #[cfg(test)]
-        let records = records.take(journal.payloads().count() - self.skip_last_replay as usize);
-        for payload in records {
-            self.journal_chain = fnv1a(self.journal_chain, payload);
-            let record = WalRecord::decode(payload).expect("the engine journals valid records");
-            self.replay_record(&record);
-            replayed += 1;
-        }
-        self.journal = journal;
-        // Liveness knowledge the cloud re-derives on contact rather
-        // than from the journal: daemon deaths and active partitions.
-        for ni in 0..self.nodes.len() {
-            self.views[ni].alive = self.schedulable(ni);
-            self.views[ni].partitioned = self.nodes[ni].partitioned_until.is_some_and(|t| now < t);
-        }
-        self.obs.incr("wal.replay", replayed);
-        replayed
     }
 
     /// Compute payloads for every `TaskComplete` in the batch, possibly
@@ -867,14 +848,14 @@ impl<'a> Campaign<'a> {
 
     fn schedulable(&self, node: usize) -> bool {
         self.nodes[node].daemon_alive
-            && self.nodes[node].cloud.ladder.health.severity() < NodeHealth::Quarantined.severity()
+            && self.cloud.nodes[node].ladder.health.severity() < NodeHealth::Quarantined.severity()
     }
 
     fn apply_schedule_round(&mut self, ev: &SimEvent) {
         let now = ev.time;
         let assignments = {
             let view = FleetView {
-                nodes: &self.views,
+                nodes: &self.cloud.views,
                 now,
                 timeout_ticks: self.cfg.timeout_ticks,
             };
@@ -883,28 +864,24 @@ impl<'a> Campaign<'a> {
         let assigned = assignments.len();
         for (node, kind) in assignments {
             let ni = node as usize;
-            self.views[ni].in_flight[kind.index()] = Some(now);
-            let (verdict, daemon_alive, seq) = {
-                let n = &mut self.nodes[ni];
-                n.cloud.dispatched_since_audit += 1;
-                let seq = n.cloud.next_seq;
-                n.cloud.next_seq += 1;
-                let idx = n.attempts;
-                n.attempts += 1;
-                (
-                    n.faults.attempt_verdict(idx, &mut n.link_rng),
-                    n.daemon_alive,
-                    seq,
-                )
-            };
+            let seq = self.cloud.nodes[ni].next_seq;
             // Write-ahead: the dispatch is journaled before any of its
             // effects exist, so a crash mid-round replays it exactly.
-            self.journal_append(WalRecord::Dispatch {
+            self.journal_and_apply(WalRecord::Dispatch {
                 node: node as u64,
                 kind: kind.index() as u8,
                 seq,
                 tick: now,
             });
+            let (verdict, daemon_alive) = {
+                let n = &mut self.nodes[ni];
+                let idx = n.attempts;
+                n.attempts += 1;
+                (
+                    n.faults.attempt_verdict(idx, &mut n.link_rng),
+                    n.daemon_alive,
+                )
+            };
             let outcome: &str;
             match verdict {
                 AttemptVerdict::DroppedRequest => {
@@ -932,7 +909,7 @@ impl<'a> Campaign<'a> {
                     match node_verdict {
                         NodeVerdict::Crashed => {
                             self.nodes[ni].daemon_alive = false;
-                            self.views[ni].alive = false;
+                            self.cloud.views[ni].alive = false;
                             self.crashed_nodes += 1;
                             self.obs.incr("sim.node.crashed", 1);
                             outcome = "crash";
@@ -1005,7 +982,7 @@ impl<'a> Campaign<'a> {
                                             replay: false,
                                         },
                                     );
-                                    if let Some((lk, lseq)) = self.nodes[ni].cloud.last_report {
+                                    if let Some((lk, lseq)) = self.cloud.nodes[ni].last_report {
                                         self.injected_replays += 1;
                                         self.queue.push_keyed(
                                             arrival + 1,
@@ -1076,7 +1053,7 @@ impl<'a> Campaign<'a> {
         // judges purely by sequence number — the `replay` flag is only
         // ground truth for the safety monitor, never an input to the
         // decision.
-        let stale = self.nodes[ni].cloud.last_applied_seq[ki].is_some_and(|high| seq <= high);
+        let stale = self.cloud.nodes[ni].last_applied_seq[ki].is_some_and(|high| seq <= high);
         if stale || replay {
             if replay && !stale {
                 // An injected re-delivery slipped past the sequence
@@ -1099,11 +1076,9 @@ impl<'a> Campaign<'a> {
             return;
         }
         let payload = payload.expect("payload computed for every first delivery");
-        self.views[ni].in_flight[ki] = None;
-        self.views[ni].last_update[ki] = Some(ev.time);
         let mean = payload.iter().sum::<f64>() / payload.len() as f64;
         // Write-ahead: journal the effect before applying it.
-        self.journal_append(WalRecord::ReportApplied {
+        let coverage90 = self.journal_and_apply(WalRecord::ReportApplied {
             node: node as u64,
             kind: ki as u8,
             seq,
@@ -1116,22 +1091,9 @@ impl<'a> Campaign<'a> {
         for v in payload {
             fp = fnv1a(fp, &v.to_bits().to_le_bytes());
         }
-        let n = &mut self.nodes[ni].cloud;
-        n.profile_mean[ki] = Some(mean);
-        n.fresh[ki] = true;
-        n.completed_since_audit += 1;
-        n.last_applied_seq[ki] = Some(seq);
-        n.last_report = Some((kind, seq));
-        if !n.covered[ki] {
-            n.covered[ki] = true;
-            if n.covered.iter().all(|&c| c) {
-                self.covered_count += 1;
-                if self.coverage90_tick.is_none() && self.covered_count * 10 >= self.cfg.nodes * 9 {
-                    self.coverage90_tick = Some(ev.time);
-                    self.line.begin(ev.time, ev.id, "coverage90");
-                    self.log_line();
-                }
-            }
+        if coverage90 {
+            self.line.begin(ev.time, ev.id, "coverage90");
+            self.log_line();
         }
         self.completed_tasks += 1;
         self.obs.incr("sim.task.completed", 1);
@@ -1149,13 +1111,12 @@ impl<'a> Campaign<'a> {
         // which has to age out through the timeout. Known-dead is cloud
         // state: journal it, or a crash right after would resurrect the
         // dispatch from its `Dispatch` record.
-        self.journal_append(WalRecord::DeliveryFailed {
+        self.journal_and_apply(WalRecord::DeliveryFailed {
             node: node as u64,
             kind: kind.index() as u8,
             seq,
             tick: ev.time,
         });
-        self.views[node as usize].in_flight[kind.index()] = None;
         self.corrupt_deliveries += 1;
         self.obs.incr("sim.delivery.corrupt", 1);
         self.line
@@ -1170,8 +1131,11 @@ impl<'a> Campaign<'a> {
         let mut severed = 0u32;
         for ni in 0..self.nodes.len() {
             if p.modulus != 0 && (ni as u32) % p.modulus == p.remainder {
-                self.nodes[ni].partitioned_until = Some(p.heal_tick);
-                self.views[ni].partitioned = true;
+                // Overlapping specs: the node stays severed until the
+                // latest heal among them.
+                let until = &mut self.nodes[ni].partitioned_until;
+                *until = Some(until.map_or(p.heal_tick, |t| t.max(p.heal_tick)));
+                self.cloud.views[ni].partitioned = true;
                 severed += 1;
             }
         }
@@ -1188,9 +1152,14 @@ impl<'a> Campaign<'a> {
         let p = self.cfg.recovery.partitions[spec as usize];
         let mut healed = 0u32;
         for ni in 0..self.nodes.len() {
-            if p.modulus != 0 && (ni as u32) % p.modulus == p.remainder {
+            // Only the spec holding the node's latest heal tick heals it;
+            // an overlapping spec that heals later still severs it.
+            if p.modulus != 0
+                && (ni as u32) % p.modulus == p.remainder
+                && self.nodes[ni].partitioned_until == Some(p.heal_tick)
+            {
                 self.nodes[ni].partitioned_until = None;
-                self.views[ni].partitioned = false;
+                self.cloud.views[ni].partitioned = false;
                 healed += 1;
             }
         }
@@ -1202,34 +1171,46 @@ impl<'a> Campaign<'a> {
         self.log_line();
     }
 
-    /// The cloud process dies. Every cloud-side structure is torn down
-    /// and rebuilt from the latest checkpoint snapshot plus the journal;
-    /// the safety monitor then asserts the recovered state and hash
-    /// chain are bit-identical to what the live process held at the
-    /// instant of the crash.
+    /// The cloud process dies and recovers as a real crashed aggregator
+    /// would: its whole [`SimCloud`] is replaced by the latest
+    /// checkpoint's copy with the journal applied. The safety monitor
+    /// then asserts the recovered state and hash chain are bit-identical
+    /// to what the live process held at the instant of the crash.
     fn apply_cloud_crash(&mut self, ev: &SimEvent) {
         let now = ev.time;
-        let live_digest = self.cloud_state_digest();
+        let live_digest = self.cloud.digest(self.scheduler.cursor_state());
         let live_chain = self.journal_chain;
-        // Tear down: wipe the cloud-side fields so recovery provably
-        // starts from nothing but snapshot + journal.
-        // Trust 0.0, not the never-heard-from 0.5, so a restore that
-        // skipped a node could not pass for a recovered one.
-        for n in &mut self.nodes {
-            n.cloud = CloudNodeState {
-                trust: 0.0,
-                ..CloudNodeState::unknown()
-            };
+        let cp = &self.last_checkpoint;
+        self.cloud.copy_from(&cp.cloud);
+        self.scheduler = self.cfg.scheduler.build();
+        self.scheduler.restore_cursor(cp.scheduler_cursor);
+        self.journal_chain = cp.journal_chain;
+        // The chain extends over the durable payload bytes themselves,
+        // which are exactly what `journal_and_apply` hashed.
+        let records = self.journal.payloads();
+        #[cfg(test)]
+        let records =
+            records.take(self.journal.payloads().count() - self.skip_last_replay as usize);
+        let mut replayed = 0u64;
+        for payload in records {
+            self.journal_chain = fnv1a(self.journal_chain, payload);
+            let record = WalRecord::decode(payload).expect("the engine journals valid records");
+            self.cloud.apply(&record);
+            replayed += 1;
         }
-        self.views = vec![NodeView::fresh(); self.cfg.nodes];
-        self.covered_count = 0;
-        self.coverage90_tick = None;
-        let replayed = self.recover_cloud(now);
+        // Liveness knowledge the cloud re-derives on contact rather
+        // than from the journal: daemon deaths and active partitions.
+        for ni in 0..self.nodes.len() {
+            self.cloud.views[ni].alive = self.schedulable(ni);
+            self.cloud.views[ni].partitioned =
+                self.nodes[ni].partitioned_until.is_some_and(|t| now < t);
+        }
+        self.obs.incr("wal.replay", replayed);
         self.replayed_records += replayed;
         self.recoveries += 1;
         self.obs.incr("sim.recoveries", 1);
         if self.cfg.monitor_invariants {
-            let recovered = self.cloud_state_digest();
+            let recovered = self.cloud.digest(self.scheduler.cursor_state());
             if recovered != live_digest {
                 self.monitor.violation(format!(
                     "recovery divergence at t={now}: recovered {recovered:016x} != live {live_digest:016x}"
@@ -1277,7 +1258,7 @@ impl<'a> Campaign<'a> {
         let mut means: Vec<f64> = Vec::with_capacity(self.nodes.len());
         for (ki, median) in medians.iter_mut().enumerate() {
             means.clear();
-            means.extend(self.nodes.iter().filter_map(|n| n.cloud.profile_mean[ki]));
+            means.extend(self.cloud.nodes.iter().filter_map(|n| n.profile_mean[ki]));
             if !means.is_empty() {
                 let mid = means.len() / 2;
                 *median = *means.select_nth_unstable_by(mid, f64::total_cmp).1;
@@ -1287,17 +1268,16 @@ impl<'a> Campaign<'a> {
         let mut anomalies = 0u32;
         let mut quarantined_or_worse = 0u32;
         for ni in 0..self.nodes.len() {
-            let n = &mut self.nodes[ni];
-            if n.cloud.dispatched_since_audit == 0 && n.cloud.completed_since_audit == 0 {
+            let n = &mut self.cloud.nodes[ni];
+            if n.dispatched_since_audit == 0 && n.completed_since_audit == 0 {
                 continue;
             }
             // A partitioned node is unreachable through no fault of its
             // own: the cloud severed it (or knows it is severed), so its
             // ladder and trust are left untouched until it heals.
-            if n.partitioned_until.is_some_and(|t| now < t) {
+            if self.nodes[ni].partitioned_until.is_some_and(|t| now < t) {
                 continue;
             }
-            let n = &mut n.cloud;
             audited += 1;
             let link_ok = n.completed_since_audit > 0;
             let anomalous = link_ok
@@ -1322,8 +1302,7 @@ impl<'a> Campaign<'a> {
             n.dispatched_since_audit = 0;
             n.completed_since_audit = 0;
             n.fresh = [false; 3];
-            let alive = self.schedulable(ni);
-            self.views[ni].alive = alive;
+            self.cloud.views[ni].alive = self.schedulable(ni);
         }
         if anomalies > 0 {
             self.anomaly_flags += 1;
@@ -1339,7 +1318,7 @@ impl<'a> Campaign<'a> {
         self.obs.incr("sim.audit.anomalies", anomalies as u64);
         self.obs.set_gauge(
             "sim.coverage",
-            self.covered_count as f64 / self.cfg.nodes.max(1) as f64,
+            self.cloud.covered_count as f64 / self.cfg.nodes.max(1) as f64,
         );
         self.line
             .begin(now, ev.id, "audit")
@@ -1357,7 +1336,7 @@ impl<'a> Campaign<'a> {
     /// Per-audit-round safety sweep. Violations accumulate in the
     /// monitor and surface in [`CampaignResult::invariant_violations`].
     fn check_invariants(&mut self, now: u64) {
-        for (ni, n) in self.nodes.iter().map(|n| &n.cloud).enumerate() {
+        for (ni, n) in self.cloud.nodes.iter().enumerate() {
             if !(0.0..=1.0).contains(&n.trust) {
                 self.monitor
                     .violation(format!("t={now}: node {ni} trust {} out of [0,1]", n.trust));
@@ -1482,16 +1461,16 @@ impl<'a> Campaign<'a> {
         // Fold the final trust table and health states into the digest:
         // the digest is the campaign, not just its event order.
         let mut digest = self.digest;
-        for n in &self.nodes {
-            digest = fnv1a(digest, &n.cloud.trust.to_bits().to_le_bytes());
-            digest = fnv1a(digest, &[n.cloud.ladder.health.severity()]);
+        for (c, n) in self.cloud.nodes.iter().zip(&self.nodes) {
+            digest = fnv1a(digest, &c.trust.to_bits().to_le_bytes());
+            digest = fnv1a(digest, &[c.ladder.health.severity()]);
             digest = fnv1a(digest, &n.served.to_le_bytes());
         }
-        let state_digest = self.cloud_state_digest();
+        let state_digest = self.cloud.digest(self.scheduler.cursor_state());
         let mut health_counts: BTreeMap<String, usize> = BTreeMap::new();
-        for n in &self.nodes {
+        for c in &self.cloud.nodes {
             *health_counts
-                .entry(format!("{:?}", n.cloud.ladder.health))
+                .entry(format!("{:?}", c.ladder.health))
                 .or_insert(0) += 1;
         }
         self.obs
@@ -1505,8 +1484,8 @@ impl<'a> Campaign<'a> {
             events: self.events_applied,
             final_tick: self.final_tick,
             digest: format!("{digest:016x}"),
-            coverage90_tick: self.coverage90_tick,
-            covered_nodes: self.covered_count,
+            coverage90_tick: self.cloud.coverage90_tick,
+            covered_nodes: self.cloud.covered_count,
             completed_tasks: self.completed_tasks,
             dropped_requests: self.dropped_requests,
             dropped_responses: self.dropped_responses,
@@ -1525,7 +1504,7 @@ impl<'a> Campaign<'a> {
             reordered_deliveries: self.reordered_deliveries,
             invariant_violations: std::mem::take(&mut self.monitor.violations),
             health_counts,
-            trust_table: self.nodes.iter().map(|n| n.cloud.trust.to_bits()).collect(),
+            trust_table: self.cloud.nodes.iter().map(|c| c.trust.to_bits()).collect(),
             log: std::mem::take(&mut self.log),
         }
     }
@@ -1757,6 +1736,102 @@ mod tests {
         assert!(
             r.coverage90_tick.is_some(),
             "90% coverage reached within the horizon"
+        );
+    }
+
+    #[test]
+    fn a_crash_at_every_tick_recovers_to_the_crash_free_state() {
+        // Every tick, so every record kind is replayed from every
+        // position in its journal through the one apply path.
+        let mut clean = CampaignConfig::paper_default(24, 0xC4A5);
+        clean.max_ticks = 300;
+        let mut crashy = clean.clone();
+        crashy.recovery.crash_ticks = (1..clean.max_ticks).collect();
+        let a = run(&clean);
+        let b = run(&crashy);
+        assert_eq!(b.recoveries, clean.max_ticks - 1, "one recovery per crash");
+        assert!(b.replayed_records > 0);
+        assert!(
+            b.invariant_violations.is_empty(),
+            "{:?}",
+            b.invariant_violations
+        );
+        assert_eq!(a.state_digest, b.state_digest);
+        assert_eq!(a.trust_table, b.trust_table);
+    }
+
+    #[test]
+    fn overlapping_partitions_hold_until_the_latest_heal() {
+        // Spec 0 severs every fourth node over [100, 300); spec 1 severs
+        // every second node over [120, 180). A node under both stays
+        // severed until 300: the heal at 180 must not reconnect it.
+        let mut cfg = CampaignConfig::paper_default(64, 0xBEEF);
+        cfg.max_ticks = 500;
+        cfg.record_log = true;
+        cfg.recovery.partitions = vec![
+            PartitionSpec {
+                start_tick: 100,
+                heal_tick: 300,
+                modulus: 4,
+                remainder: 0,
+            },
+            PartitionSpec {
+                start_tick: 120,
+                heal_tick: 180,
+                modulus: 2,
+                remainder: 0,
+            },
+        ];
+        let r = run(&cfg);
+        assert!(
+            r.invariant_violations.is_empty(),
+            "{:?}",
+            r.invariant_violations
+        );
+        // (tick, event, node) of every dispatch and completion.
+        let field = |line: &str, key: &str| -> Option<String> {
+            line.split_whitespace()
+                .find_map(|f| f.strip_prefix(key)?.strip_prefix('=').map(str::to_string))
+        };
+        let events: Vec<(u64, String, Option<u64>)> = r
+            .log
+            .iter()
+            .map(|l| {
+                (
+                    field(l, "t").unwrap().parse().unwrap(),
+                    field(l, "ev").unwrap(),
+                    field(l, "node").map(|n| n.parse().unwrap()),
+                )
+            })
+            .collect();
+        let heals: Vec<&String> = r.log.iter().filter(|l| l.contains(" ev=heal ")).collect();
+        assert_eq!(heals.len(), 2);
+        assert!(heals[0].starts_with("t=180 ") && heals[0].ends_with("spec=1 healed=16"));
+        assert!(heals[1].starts_with("t=300 ") && heals[1].ends_with("spec=0 healed=16"));
+        let contacts = |pick: &dyn Fn(u64) -> bool, from: u64, to: u64| {
+            events
+                .iter()
+                .filter(|(t, ev, node)| {
+                    (ev == "dispatch" || ev == "complete")
+                        && (from..to).contains(t)
+                        && node.is_some_and(pick)
+                })
+                .count()
+        };
+        let both = |n: u64| n.is_multiple_of(4);
+        let shorter_only = |n: u64| n % 4 == 2;
+        assert_eq!(
+            contacts(&both, 181, 300),
+            0,
+            "a node under spec 0 was reached before its heal"
+        );
+        assert!(
+            contacts(&shorter_only, 181, 300) > 0,
+            "spec 1's own nodes reconnect at 180"
+        );
+        assert!(
+            contacts(&both, 300, 500) > 0,
+            "spec 0's nodes reconnect at 300"
         );
     }
 

@@ -13,7 +13,7 @@ use crate::event::TaskKind;
 use serde::{Deserialize, Serialize};
 
 /// What the scheduler may know about one node.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct NodeView {
     /// Schedulable: daemon not crashed and health above quarantine.
     pub alive: bool,

@@ -24,9 +24,9 @@ echo "== rustdoc (-D warnings: no dead intra-doc links) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 echo "== named suites + per-suite duration budgets (scripts/test_budget.json) =="
-# Runs chaos, observability, properties, golden vectors, geometry
-# equivalence, allocations, byzantine, fleet determinism, and protocol
-# fuzz by name, each timed against its checked-in wall-clock ceiling.
+# Runs every integration suite the budget file names, each timed
+# against its checked-in wall-clock ceiling; a suite file with no budget,
+# or a budget with no suite file, fails the gate.
 scripts/check_test_durations.sh
 
 echo "== quickstart demo (calibration end-to-end) =="
